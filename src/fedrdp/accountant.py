@@ -33,6 +33,7 @@ __all__ = [
     "compose_client_rdp",
     "rdp_to_dp",
     "calibrate_sigma",
+    "calibration_curve",
 ]
 
 # Order grid: dense between 1 and 2 where small-epsilon optima live, then
@@ -298,20 +299,26 @@ def rdp_to_dp(curve: RdpCurve, delta: float = DEFAULT_DELTA) -> tuple[PrivacyBud
     return PrivacyBudget(epsilon=best_eps, delta=delta), best_alpha
 
 
-def _epsilon_at_sigma(
-    sigma: float,
-    target_delta: float,
+def calibration_curve(
     q: float,
+    sigma: float,
     steps: int,
-    alphas: tuple[float, ...],
-    max_moment_order: int | None,
-) -> float:
-    values = []
-    for alpha in alphas:
-        one = _cached_step_bound(alpha, q, sigma, max_moment_order)
-        values.append(one * steps)
-    budget, _ = rdp_to_dp(RdpCurve(alphas, tuple(values)), target_delta)
-    return budget.epsilon
+    alphas: Iterable[float] = DEFAULT_ALPHAS,
+    *,
+    max_moment_order: int | None = CALIBRATION_MAX_MOMENT_ORDER,
+) -> RdpCurve:
+    """The curve ``calibrate_sigma`` certifies: steps x the one-step bound.
+
+    Each order's value is `steps` times the one-step bound at (q, sigma),
+    with moment orders capped at max_moment_order as in calibration, so
+    converting this curve at the calibrated sigma reproduces the epsilon the
+    calibration accepted.
+    """
+    alphas = tuple(float(a) for a in alphas)
+    return RdpCurve(
+        alphas,
+        tuple(steps * _cached_step_bound(a, q, sigma, max_moment_order) for a in alphas),
+    )
 
 
 def calibrate_sigma(
@@ -346,7 +353,8 @@ def calibrate_sigma(
     alphas = tuple(float(a) for a in alphas)
 
     def eps(sigma: float) -> float:
-        return _epsilon_at_sigma(sigma, target.delta, q, steps, alphas, max_moment_order)
+        curve = calibration_curve(q, sigma, steps, alphas, max_moment_order=max_moment_order)
+        return rdp_to_dp(curve, target.delta)[0].epsilon
 
     lo = sigma_low
     if eps(lo) <= target.epsilon:

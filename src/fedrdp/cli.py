@@ -23,6 +23,7 @@ from .accountant import (
     PrivacyBudget,
     RdpCurve,
     calibrate_sigma,
+    calibration_curve,
     compose_client_rdp,
     rdp_to_dp,
 )
@@ -156,15 +157,13 @@ def cmd_convert(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    alphas = _parse_alphas(args.alphas)
     sigma = calibrate_sigma(
-        PrivacyBudget(args.epsilon, args.delta),
-        q=args.q,
-        steps=args.steps,
-        alphas=_parse_alphas(args.alphas),
+        PrivacyBudget(args.epsilon, args.delta), q=args.q, steps=args.steps, alphas=alphas
     )
-    curve = compose_client_rdp(
-        _n_identical_steps(args.q, sigma, args.steps), 0, _parse_alphas(args.alphas)
-    )
+    # report from the curve the calibration certified, so that
+    # achieved_epsilon <= target holds by construction
+    curve = calibration_curve(args.q, sigma, args.steps, alphas)
     budget, alpha_star = rdp_to_dp(curve, args.delta)
     _print_kv(
         sigma=sigma,
@@ -174,16 +173,6 @@ def cmd_calibrate(args) -> int:
         alpha_star=alpha_star,
     )
     return EXIT_OK
-
-
-def _n_identical_steps(q: float, sigma: float, steps: int) -> ParticipationLedger:
-    from .accountant import StepParams
-
-    ledger = ParticipationLedger()
-    params = StepParams(q=q, sigma=sigma, clip=1.0, batch_size=1)
-    for t in range(1, steps + 1):
-        ledger.record(0, t, params)
-    return ledger
 
 
 def _load_config(args) -> SimConfig:

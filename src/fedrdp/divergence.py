@@ -6,13 +6,16 @@ Everything in this module is about the pair of one-dimensional distributions
 
 with s = sigma / 2.  Callers always pass the noise multiplier sigma; the
 variance convention s = sigma/2 is applied internally and never exposed.
-``renyi_step_bound`` evaluates a closed-form upper bound on D_alpha(P || Q)
-built from a truncated power series in q plus an explicit remainder bound,
-and ``renyi_divergence_quadrature`` evaluates the same divergence by
-numerical integration so the two routes can be checked against each other.
+``renyi_step_bound`` evaluates a closed-form upper bound on D_alpha(P || Q).
+At integer orders it is the exact binomial closed form of Mironov, Talwar &
+Zhang, "Renyi Differential Privacy of the Sampled Gaussian Mechanism"
+(arXiv:1908.10530), with sigma -> sigma/2; at fractional orders it is a
+truncated power series in q plus an explicit remainder bound.
+``renyi_divergence_quadrature`` evaluates the same divergence by numerical
+integration so the routes can be checked against each other.
 
 All functions are pure.  Extended-precision arithmetic (mpmath) is used
-internally because the moment sums alternate in sign and cancel
+internally because the series moments alternate in sign and cancel
 catastrophically in double precision; a module lock serialises access to the
 mpmath context, so concurrent callers are safe (just not parallel).
 """
@@ -260,6 +263,28 @@ def _leading_sum_mpf(alpha: float, q: float, sigma: float, m: int, dps: int = _B
         return total
 
 
+def _integer_moment_excess_mpf(n: int, q: float, sigma: float, dps: int = _BASE_DPS) -> mpf:
+    """E_Q[(P/Q)^n] - 1 for integer n >= 2, exactly: the binomial closed form.
+
+    Expanding ((1-q) + q L)^n binomially and using E[L^l] = e^{2l(l-1)/sigma^2}
+    gives sum_{l=2}^{n} C(n,l) q^l (1-q)^{n-l} expm1(2l(l-1)/sigma^2), since
+    the binomial weights sum to 1 and the l = 0, 1 exponents vanish.  Every
+    term is nonnegative, so nothing cancels, and returning the excess over 1
+    (for log1p) keeps tiny divergences exact.  The weights are updated
+    incrementally: O(n) work.
+    """
+    with _MP_LOCK, mp.workdps(dps):
+        qq = mpf(q)
+        inv = mpf(2) / (mpf(sigma) ** 2)
+        ratio = qq / (1 - qq)
+        weight = (1 - qq) ** n * n * ratio  # C(n,1) q (1-q)^(n-1)
+        excess = mpf(0)
+        for l in range(2, n + 1):
+            weight *= ratio * (n - l + 1) / l
+            excess += weight * mp.expm1(inv * (l * (l - 1)))
+        return excess
+
+
 def _orders_needed(alpha: float, m: int) -> int:
     """Highest moment order touched by the remainder at truncation m."""
     if alpha - m > 0:
@@ -334,18 +359,12 @@ def _select_truncation(
     Stop as soon as the remainder drops below
     max(1e-12, 1e-6 * (leading_sum - 1)), or at m = ceil(alpha) + 4, or when
     the next order's moments are unavailable (exponent cap / order cap).
-    Raises OverflowError if even m = 3 is unavailable.
+    The caller has checked that m = 3 is available.
     """
     cap = ceil(alpha) + 4
-    state = None
     m = 3
     while True:
         if not _order_available(alpha, sigma, m, max_moment_order):
-            if state is None:
-                raise OverflowError(
-                    f"series bound unavailable at alpha={alpha}, sigma={sigma}: "
-                    "already the m=3 remainder needs moments past the cap"
-                )
             break
         S, R = _taylor_state(alpha, q, sigma, m, dps)
         state = (m, S, R)
@@ -367,14 +386,20 @@ def renyi_step_bound(
     """Closed-form upper bound on D_alpha(P || Q) for one mechanism step.
 
     P = q N(1, s^2) + (1-q) N(0, s^2), Q = N(0, s^2), s = sigma/2.  The bound
-    is log(leading_sum + remainder) / (alpha - 1) where leading_sum truncates
-    the power series of the order-alpha moment of P/Q at params.m and
-    remainder bounds the discarded tail.  With params.m None the truncation
-    is chosen adaptively (see ``_select_truncation``).
+    is log(leading_sum + remainder) / (alpha - 1).
+
+    With params.m None and integer alpha, leading_sum is the exact moment
+    E_Q[(P/Q)^alpha] from the binomial closed form of Mironov, Talwar & Zhang
+    (arXiv:1908.10530) with sigma -> sigma/2, remainder is 0 and m is
+    alpha + 1 (the series ends there).  Otherwise leading_sum truncates the
+    power series of the order-alpha moment of P/Q at params.m and remainder
+    bounds the discarded tail; with params.m None the truncation is chosen
+    adaptively (see ``_select_truncation``).
 
     max_moment_order optionally refuses moment orders above the given value,
     on top of the module-wide exponent cap; orders that would exceed either
-    raise OverflowError when no valid truncation exists at all.
+    raise OverflowError when no valid truncation exists at all.  Both paths
+    share that availability rule, so the same orders come out unavailable.
 
     Raises:
         ValueError: bad domain, including q = 1 (the series is an expansion
@@ -400,6 +425,17 @@ def renyi_step_bound(
             )
         S, R = _taylor_state(alpha, params.q, params.sigma, m)
     else:
+        if not _order_available(alpha, params.sigma, 3, max_moment_order):
+            raise OverflowError(
+                f"series bound unavailable at alpha={alpha}, sigma={params.sigma}: "
+                "already the m=3 remainder needs moments past the cap"
+            )
+        if float(alpha).is_integer():
+            excess = _integer_moment_excess_mpf(int(alpha), params.q, params.sigma)
+            with _MP_LOCK, mp.workdps(_BASE_DPS):
+                bound = float(mp.log1p(excess) / (mpf(alpha) - 1))
+                moment = float(1 + excess)
+            return BoundResult(bound=bound, leading_sum=moment, remainder=0.0, m=int(alpha) + 1)
         m, S, R = _select_truncation(alpha, params.q, params.sigma, max_moment_order)
     with _MP_LOCK, mp.workdps(_BASE_DPS):
         total = S + R

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -86,6 +87,17 @@ _CONFIG_KEYS = {
     "batch_size", "clip", "sigma", "target_epsilon", "delta", "seed",
     "sampler", "dropout_prob", "step_size",
 }
+_INT_FIELDS = (
+    "rounds", "clients", "m_t", "d", "classes", "points_per_client",
+    "batch_size", "seed",
+)
+_REAL_FIELDS = ("clip", "sigma", "target_epsilon", "delta", "dropout_prob", "step_size")
+
+
+def _check_number(name: str, value, kind: type, what: str) -> None:
+    # JSON true/false load as bool, which Python counts as an integer
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def _rng(*entropy: int) -> np.random.Generator:
@@ -122,6 +134,12 @@ class SimConfig:
     def __post_init__(self):
         if self.m_t is None:
             object.__setattr__(self, "m_t", self.clients)
+        for name in _INT_FIELDS:
+            _check_number(name, getattr(self, name), numbers.Integral, "an integer")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if value is not None or name not in ("sigma", "target_epsilon"):
+                _check_number(name, value, numbers.Real, "a real number")
         checks = [
             (self.rounds >= 1, "rounds must be >= 1"),
             (self.clients >= 1, "clients must be >= 1"),

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from fedrdp import cli
+from fedrdp import accountant, cli, simulate
 from fedrdp.accountant import (
     DEFAULT_ALPHAS,
     ParticipationLedger,
@@ -223,6 +223,41 @@ def test_calibrate_prints_consistent_sigma(capsys):
     kv = parse_kv(out)
     assert float(kv["achieved_epsilon"]) <= 2.0
     assert float(kv["sigma"]) > 0
+
+
+def test_calibrate_reports_the_certified_curve_without_reevaluating(capsys, monkeypatch):
+    seen = []
+    original = accountant.renyi_step_bound
+
+    def counting(alpha, params, **kw):
+        seen.append((alpha, params.q, params.sigma))
+        return original(alpha, params, **kw)
+
+    monkeypatch.setattr(accountant, "renyi_step_bound", counting)
+    code, out, _ = run_cli(
+        capsys, "calibrate", "--epsilon", "3", "--delta", "1e-5", "--q", "0.0517",
+        "--steps", "30",
+    )
+    assert code == cli.EXIT_OK
+    kv = parse_kv(out)
+    assert seen and len(seen) == len(set(seen))
+    budget, alpha_star = rdp_to_dp(
+        accountant.calibration_curve(0.0517, float(kv["sigma"]), 30), 1e-5
+    )
+    assert float(kv["achieved_epsilon"]) == budget.epsilon <= 3.0
+    assert float(kv["alpha_star"]) == alpha_star
+
+
+@pytest.mark.parametrize("rounds", [True, 2.5])
+def test_simulate_rejects_mistyped_rounds_before_calibrating(capsys, tmp_path, monkeypatch, rounds):
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibration ran before config validation")
+
+    monkeypatch.setattr(simulate, "calibrate_sigma", no_calibration)
+    path = demo_config(tmp_path, sigma=None, target_epsilon=4.0, rounds=rounds)
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--outdir", str(tmp_path / "o"))
+    assert code == cli.EXIT_USAGE
+    assert f"rounds must be an integer, got {rounds!r}" in err
 
 
 # --- simulate / trace -------------------------------------------------------------

@@ -5,10 +5,17 @@ from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import reference
+from fedrdp.accountant import (
+    DEFAULT_ALPHAS,
+    ParticipationLedger,
+    StepParams,
+    compose_client_rdp,
+)
 from fedrdp.divergence import (
+    MOMENT_EXPONENT_CAP,
     BoundResult,
     MechanismParams,
     QuadratureError,
@@ -178,6 +185,51 @@ def test_step_bound_internal_consistency(alpha, q, sigma):
     total = r.leading_sum + r.remainder
     if math.isfinite(total) and total >= 1.0:
         assert r.bound == pytest.approx(math.log(total) / (alpha - 1), rel=1e-9)
+
+
+INTEGER_ALPHAS = [a for a in DEFAULT_ALPHAS if a.is_integer() and a <= 256]
+
+
+def _log_uniform(lo, hi, u):
+    return lo * (hi / lo) ** u
+
+
+@pytest.mark.parametrize("alpha", INTEGER_ALPHAS)
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(u_sigma=st.floats(0.0, 1.0), u_q=st.floats(0.0, 1.0))
+def test_step_bound_integer_order_is_exact_closed_form(alpha, u_sigma, u_q):
+    # sigma log-uniform over [0.3, 64], starting where the m=3 remainder's
+    # highest moment (order 4, or alpha rounded up to even) is under the cap
+    need = max(4, int(alpha) + int(alpha) % 2)
+    sigma_min = max(0.3, 1.000001 * math.sqrt(2 * need * (need - 1) / MOMENT_EXPONENT_CAP))
+    sigma = _log_uniform(sigma_min, 64.0, u_sigma)
+    q = _log_uniform(1e-6, 0.9, u_q)
+    r = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma))
+    assert r.remainder == 0.0
+    assert r.m == int(alpha) + 1
+    exact = reference.integer_alpha_divergence(int(alpha), q, sigma)
+    assert r.bound == pytest.approx(exact, rel=1e-12)
+    # the exact moment never exceeds a truncated series plus its remainder cap
+    for m in (3, 5):
+        try:
+            series = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=m))
+        except OverflowError:
+            continue
+        assert r.bound <= math.nextafter(series.bound, math.inf)
+
+
+def test_step_bound_unavailable_orders_unchanged():
+    # exponent cap: the m=3 remainder at alpha=128 needs E[(L-1)^128]
+    with pytest.raises(OverflowError):
+        renyi_step_bound(128.0, MechanismParams(q=0.01, sigma=2.7))
+    # order cap, as in calibration
+    with pytest.raises(OverflowError):
+        renyi_step_bound(512.0, MechanismParams(q=0.01, sigma=64.0), max_moment_order=300)
+    r = renyi_step_bound(256.0, MechanismParams(q=0.01, sigma=64.0), max_moment_order=300)
+    assert math.isfinite(r.bound) and r.bound > 0
+    ledger = ParticipationLedger().record(0, 1, StepParams(q=0.004, sigma=1.0, clip=1.0, batch_size=1))
+    curve = compose_client_rdp(ledger, 0)
+    assert [a for a, v in curve.items() if math.isinf(v)] == [48.0, 64.0, 128.0, 256.0, 512.0, 1025.0]
 
 
 # --- quadrature oracle ------------------------------------------------------

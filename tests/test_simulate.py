@@ -76,6 +76,16 @@ def test_config_bounds_checks():
         small_config(classes=5)  # exceeds d=4
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("rounds", True), ("rounds", 2.5), ("seed", 1.0), ("m_t", "2"), ("clip", False),
+     ("delta", "1e-5"), ("sigma", [1.5])],
+)
+def test_config_rejects_mistyped_fields(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        small_config(**{field: value})
+
+
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(
