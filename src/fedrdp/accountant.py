@@ -9,12 +9,19 @@ converts to (epsilon, delta) by the standard minimisation over the grid.
 The ledger serialises to line-delimited text
 ``client_id<TAB>t<TAB>q<TAB>sigma<TAB>clip<TAB>batch_size`` sorted by
 (client_id, t); q and sigma are written with repr so they round-trip
-exactly.
+exactly.  Parsing interns step parameters: lines with the same
+``q<TAB>sigma<TAB>clip<TAB>batch_size`` text share one validated
+``StepParams``.  Writing goes through a temporary file that replaces the
+target only when complete: a ledger cut short would read back as a valid,
+shorter history and understate epsilon.  Composition groups a client's
+steps by identical (q, sigma), so its cost grows with the number of distinct
+step parameters, not with the number of steps.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -158,13 +165,7 @@ class ParticipationLedger:
             raise ValueError(f"t must be an integer, got {t!r}")
         if not isinstance(params, StepParams):
             raise TypeError("params must be a StepParams")
-        steps = self._records.setdefault(client_id, [])
-        if steps and t <= steps[-1][0]:
-            raise ValueError(
-                f"out-of-order participation for client {client_id}: "
-                f"t={t} after t={steps[-1][0]}"
-            )
-        steps.append((t, params))
+        _append_step(self._records.setdefault(client_id, []), client_id, t, params)
         return self
 
     def clients(self) -> tuple[int, ...]:
@@ -202,31 +203,73 @@ class ParticipationLedger:
 
     @classmethod
     def from_text(cls, text: str) -> "ParticipationLedger":
+        """Parse the text written by `to_text`.
+
+        Blank (whitespace-only) lines are skipped.  Each distinct parameter
+        text ``q<TAB>sigma<TAB>clip<TAB>batch_size`` is parsed and validated
+        once; later lines with the same text share that `StepParams`.
+        Timesteps must increase within each client, as for `record`.
+        """
         ledger = cls()
+        interned: dict[str, StepParams] = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
-            fields = line.split("\t")
-            if len(fields) != 6:
-                raise ValueError(f"ledger line {lineno}: expected 6 tab-separated fields")
-            client_id, t = int(fields[0]), int(fields[1])
-            params = StepParams(
-                q=float(fields[2]),
-                sigma=float(fields[3]),
-                clip=float(fields[4]),
-                batch_size=int(fields[5]),
-            )
-            ledger.record(client_id, t, params)
+            try:
+                client_id, t, rest = line.split("\t", 2)
+            except ValueError:
+                raise ValueError(f"ledger line {lineno}: expected 6 tab-separated fields") from None
+            params = interned.get(rest)
+            if params is None:
+                fields = rest.split("\t")
+                if len(fields) != 4:
+                    raise ValueError(f"ledger line {lineno}: expected 6 tab-separated fields")
+                params = interned[rest] = StepParams(
+                    q=float(fields[0]),
+                    sigma=float(fields[1]),
+                    clip=float(fields[2]),
+                    batch_size=int(fields[3]),
+                )
+            client_id = int(client_id)
+            _append_step(ledger._records.setdefault(client_id, []), client_id, int(t), params)
         return ledger
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.to_text())
+        """Write `to_text` to path atomically.
+
+        The text goes to a temporary file in path's directory, which then
+        replaces path; if writing fails, path is left as it was and the
+        temporary file is removed.
+        """
+        data = self.to_text().encode("ascii")
+        path = os.fspath(path)
+        directory, name = os.path.split(path)
+        tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+        try:
+            with open(tmp, "xb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def read(cls, path) -> "ParticipationLedger":
         with open(path, "r", encoding="ascii") as fh:
             return cls.from_text(fh.read())
+
+
+def _append_step(
+    steps: list[tuple[int, StepParams]], client_id: int, t: int, params: StepParams
+) -> None:
+    """Append (t, params) to a client's steps, rejecting t not after the last."""
+    if steps and t <= steps[-1][0]:
+        raise ValueError(
+            f"out-of-order participation for client {client_id}: "
+            f"t={t} after t={steps[-1][0]}"
+        )
+    steps.append((t, params))
 
 
 def record_participation(
@@ -258,23 +301,33 @@ def compose_client_rdp(
     """Sum the one-step bounds over the client's recorded steps.
 
     Independent composition: value(alpha) = sum over steps of the one-step
-    bound at (q, sigma) of that step.  A client absent from the ledger has
-    the zero curve.  Steps with sigma = 0 or q = 1 admit no finite bound and
-    raise, annotated with the step index.
+    bound at (q, sigma) of that step.  Steps are grouped by identical
+    (q, sigma), so each order's value is fsum over groups of count x the
+    group's one-step bound, at a cost of O(distinct (q, sigma) x orders).
+    A client absent from the ledger has the zero curve.  Steps with
+    sigma = 0 or q = 1 admit no finite bound and raise, annotated with the
+    index of the first such step.
     """
     alphas = tuple(float(a) for a in alphas)
-    totals = [0.0] * len(alphas)
+    counts: dict[tuple[float, float], int] = {}
     for idx, (t, p) in enumerate(ledger.steps(client_id)):
-        if p.sigma == 0 or p.q == 1:
-            raise ValueError(
-                f"step {idx} (t={t}) of client {client_id} has q={p.q}, "
-                f"sigma={p.sigma}: no finite divergence bound exists"
-            )
-        for i, alpha in enumerate(alphas):
-            if math.isinf(totals[i]):
-                continue
-            totals[i] += _cached_step_bound(alpha, p.q, p.sigma, max_moment_order)
-    return RdpCurve(alphas, tuple(totals))
+        key = (p.q, p.sigma)
+        if key not in counts:
+            if p.sigma == 0 or p.q == 1:
+                raise ValueError(
+                    f"step {idx} (t={t}) of client {client_id} has q={p.q}, "
+                    f"sigma={p.sigma}: no finite divergence bound exists"
+                )
+            counts[key] = 0
+        counts[key] += 1
+    totals = tuple(
+        math.fsum(
+            n * _cached_step_bound(alpha, q, sigma, max_moment_order)
+            for (q, sigma), n in counts.items()
+        )
+        for alpha in alphas
+    )
+    return RdpCurve(alphas, totals)
 
 
 def rdp_to_dp(curve: RdpCurve, delta: float = DEFAULT_DELTA) -> tuple[PrivacyBudget, float]:

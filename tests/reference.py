@@ -1,6 +1,7 @@
 """Independent oracles used by the test suite.
 
-Nothing here imports from the package's numerical internals; every routine
+Nothing here imports from the package's numerical internals (only the
+ledger's public types, for the reference parser); every routine
 re-derives its target quantity by a different route (Monte Carlo, binomial
 closed forms, nested quadrature, plain gradient descent) so that agreement
 is evidence rather than tautology.
@@ -18,6 +19,8 @@ import math
 
 import mpmath as mp
 import numpy as np
+
+from fedrdp.accountant import ParticipationLedger, StepParams
 
 # chi-square critical value at p = 0.001 for 5 degrees of freedom
 # (uniformity test over the 6 subsets of size 2 from 4 clients).
@@ -95,9 +98,35 @@ def integer_alpha_divergence(alpha: int, q: float, sigma: float, dps: int = 60) 
                 mp.binomial(alpha, l)
                 * qm**l
                 * (1 - qm) ** (alpha - l)
-                * mp.e ** (mp.mpf(2 * l * (l - 1)) / (sigma * sigma))
+                * mp.e ** (mp.mpf(2 * l * (l - 1)) / mp.mpf(sigma) ** 2)
             )
         return float(mp.log(total) / (alpha - 1))
+
+
+# --- per-line ledger parser -----------------------------------------------
+#
+# The straightforward parse: split every line into its six fields, build and
+# validate a StepParams per line, and record it through the ledger's public
+# `record`.  The package's parser interns parameter texts; this one must
+# accept and reject exactly the same texts with equal steps.
+
+
+def parse_ledger_per_line(text: str) -> ParticipationLedger:
+    ledger = ParticipationLedger()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 6:
+            raise ValueError(f"ledger line {lineno}: expected 6 tab-separated fields")
+        params = StepParams(
+            q=float(fields[2]),
+            sigma=float(fields[3]),
+            clip=float(fields[4]),
+            batch_size=int(fields[5]),
+        )
+        ledger.record(int(fields[0]), int(fields[1]), params)
+    return ledger
 
 
 # --- true Taylor remainder via nested quadrature --------------------------

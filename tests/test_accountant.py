@@ -1,10 +1,15 @@
 """Ledger bookkeeping, per-client composition, conversion, calibration."""
 
+import builtins
+import errno
 import math
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
+from fedrdp import accountant
 from fedrdp.accountant import (
     DEFAULT_ALPHAS,
     DEFAULT_DELTA,
@@ -148,6 +153,183 @@ def test_text_round_trip_exact_floats(qs, sigmas):
     assert back.steps(0) == led.steps(0)
 
 
+LINE = "0.1\t1.0\t1.0\t2"  # q, sigma, clip, batch_size of a valid step
+
+
+def _assert_same_steps(got, want):
+    assert got.clients() == want.clients()
+    for cid in want.clients():
+        assert got.steps(cid) == want.steps(cid)
+
+
+def test_text_skips_whitespace_only_lines():
+    text = f"0\t1\t{LINE}\n\n\t\t\t\t\t\n   \n \t \n0\t2\t{LINE}\n"
+    led = ParticipationLedger.from_text(text)
+    assert [t for t, _ in led.steps(0)] == [1, 2]
+    assert led.clients() == (0,)
+
+
+def test_text_accepts_crlf_line_endings():
+    unix = f"0\t1\t{LINE}\n1\t3\t0.2\t2.0\t1.0\t5\n"
+    _assert_same_steps(
+        ParticipationLedger.from_text(unix.replace("\n", "\r\n")),
+        ParticipationLedger.from_text(unix),
+    )
+
+
+def test_text_interleaved_clients():
+    text = f"1\t1\t{LINE}\n0\t2\t{LINE}\n1\t3\t0.2\t2.0\t1.0\t5\n0\t4\t{LINE}\n"
+    led = ParticipationLedger.from_text(text)
+    assert led.clients() == (0, 1)
+    assert [t for t, _ in led.steps(0)] == [2, 4]
+    assert [t for t, _ in led.steps(1)] == [1, 3]
+    assert led.steps(1)[1][1] == StepParams(q=0.2, sigma=2.0, clip=1.0, batch_size=5)
+
+
+@pytest.mark.parametrize("bad", ["0\t2", "0\t2\t0.1\t1.0\t1.0", f"0\t2\t{LINE}\t9"])
+def test_text_wrong_field_count_names_the_line(bad):
+    with pytest.raises(ValueError, match="line 3"):
+        ParticipationLedger.from_text(f"0\t1\t{LINE}\n\n{bad}\n")
+
+
+@pytest.mark.parametrize("params", ["0\t1.0\t1.0\t2", "0.1\tnan\t1.0\t2", "0.1\t1.0\t1.0\t2.5"])
+def test_text_rejects_invalid_params_after_valid_lines(params):
+    text = f"0\t1\t{LINE}\n0\t2\t{LINE}\n0\t3\t{params}\n0\t4\t{params}\n"
+    with pytest.raises(ValueError):
+        ParticipationLedger.from_text(text)
+
+
+def test_text_out_of_order_names_client_and_pair():
+    text = f"4\t3\t{LINE}\n5\t1\t{LINE}\n4\t2\t{LINE}\n"
+    with pytest.raises(ValueError, match=r"client 4.*t=2 after t=3"):
+        ParticipationLedger.from_text(text)
+
+
+def test_text_interns_identical_parameter_text():
+    led = ParticipationLedger.from_text(f"0\t1\t{LINE}\n0\t2\t{LINE}\n1\t1\t{LINE}\n")
+    first = led.steps(0)[0][1]
+    assert led.steps(0)[1][1] is first
+    assert led.steps(1)[0][1] is first
+
+
+# Parameter texts for random ledgers: one value written three ways, texts
+# that differ from it in one field only, the ledgerable extremes and a long
+# repr; then texts that must be rejected.
+VALID_PARAMS = [
+    "0.01\t2.0\t1.0\t10", "0.010\t2.0\t1.0\t10", "1e-2\t2.0\t1.0\t10",
+    "0.05\t2.0\t1.0\t10", "0.01\t1.3\t1.0\t10", "0.01\t2.0\t0.5\t10", "0.01\t2.0\t1.0\t3",
+    "1.0\t0.0\t1.0\t1", "0.3333333333333333\t2.718281828459045\t0.1\t7",
+]
+INVALID_PARAMS = ["0\t1.0\t1.0\t2", "0.1\tnan\t1.0\t2", "0.1\t1.0\t1.0", "0.1\t1.0\t1.0\tx"]
+BLANK_LINES = ["", "   ", "\t\t\t\t\t", " \t "]
+
+
+@settings(max_examples=300)
+@given(
+    lines=st.lists(
+        st.one_of(
+            st.tuples(st.integers(0, 3), st.integers(1, 3), st.sampled_from(VALID_PARAMS)),
+            st.sampled_from(BLANK_LINES),
+        ),
+        max_size=30,
+    ),
+    fault=st.one_of(
+        st.none(),
+        st.tuples(st.integers(0, 30), st.integers(0, 3), st.sampled_from(INVALID_PARAMS + [None])),
+    ),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+def test_text_parse_matches_per_line_reference(lines, fault, newline):
+    # fault = (position, client, params): one line with invalid params, or
+    # (params None) one that repeats the client's last t, inserted at position
+    last_t = {}
+    rendered = []
+    for pos, line in enumerate(lines + [""]):
+        if fault and fault[0] == pos:
+            _, cid, params = fault
+            t = last_t.get(cid, 0) if params is None else last_t.get(cid, 0) + 1
+            rendered.append(f"{cid}\t{t}\t{params or VALID_PARAMS[0]}")
+        if isinstance(line, str):
+            rendered.append(line)
+            continue
+        cid, gap, params = line
+        last_t[cid] = last_t.get(cid, 0) + gap
+        rendered.append(f"{cid}\t{last_t[cid]}\t{params}")
+    text = newline.join(rendered)
+    try:
+        want = reference.parse_ledger_per_line(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            ParticipationLedger.from_text(text)
+        return
+    got = ParticipationLedger.from_text(text)
+    _assert_same_steps(got, want)
+    sorted_text = got.to_text()
+    assert sorted_text == want.to_text()
+    assert ParticipationLedger.from_text(sorted_text).to_text() == sorted_text
+
+
+def _ledger_file(tmp_path):
+    led = ParticipationLedger()
+    for t in range(1, 50):
+        led.record(t % 3, t, STEP)
+    path = tmp_path / "ledger.tsv"
+    path.write_text("0\t1\t0.5\t1.0\t1.0\t2\n", encoding="ascii")
+    return led, path, path.read_bytes()
+
+
+def test_write_replaces_existing_ledger_without_leftovers(tmp_path):
+    led, path, _ = _ledger_file(tmp_path)
+    led.write(path)
+    assert path.read_text(encoding="ascii") == led.to_text()
+    assert os.listdir(tmp_path) == ["ledger.tsv"]
+
+
+def test_write_failing_in_to_text_keeps_old_ledger(tmp_path, monkeypatch):
+    led, path, before = _ledger_file(tmp_path)
+
+    def broken_to_text(self):
+        raise RuntimeError("serialisation failed")
+
+    monkeypatch.setattr(ParticipationLedger, "to_text", broken_to_text)
+    with pytest.raises(RuntimeError):
+        led.write(path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["ledger.tsv"]
+
+
+def test_write_failing_partway_keeps_old_ledger(tmp_path, monkeypatch):
+    led, path, before = _ledger_file(tmp_path)
+    written = []
+
+    class HalfFullDisk:
+        """A file whose write stores half the data, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            self.fh.flush()
+            written.append(os.path.getsize(self.fh.name))
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(
+        accountant, "open", lambda file, mode: HalfFullDisk(builtins.open(file, mode)), raising=False
+    )
+    with pytest.raises(OSError):
+        led.write(path)
+    assert written and written[0] > 0  # the failure came after a partial write
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["ledger.tsv"]
+
+
 # --- composition ---------------------------------------------------------
 
 
@@ -220,6 +402,17 @@ def test_compose_depends_only_on_step_parameters():
     a = compose_client_rdp(led, 0, alphas=(2.0, 4.0))
     b = compose_client_rdp(led, 1, alphas=(2.0, 4.0))
     assert a.values == b.values
+
+
+def test_compose_rejects_first_nonprivate_step_among_repeats():
+    led = ParticipationLedger()
+    led.record(0, 1, STEP)
+    led.record(0, 2, STEP)
+    led.record(0, 3, StepParams(q=1.0, sigma=2.0, clip=1.0, batch_size=2))
+    led.record(0, 4, StepParams(q=0.1, sigma=0.0, clip=1.0, batch_size=2))
+    led.record(0, 6, StepParams(q=1.0, sigma=2.0, clip=1.0, batch_size=2))
+    with pytest.raises(ValueError, match=r"step 2 \(t=3\)"):
+        compose_client_rdp(led, 0)
 
 
 def test_compose_rejects_nonprivate_step_with_index():
