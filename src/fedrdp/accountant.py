@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -56,6 +57,19 @@ DEFAULT_DELTA = 1e-5
 # the resulting curve entries are +inf, which the epsilon minimisation
 # skips.  Only targets below ~log(1/delta)/255 could ever notice.
 CALIBRATION_MAX_MOMENT_ORDER = 300
+
+
+def _debug(message: str, *args) -> None:
+    """Log at DEBUG on ``logging.getLogger(__name__)``.
+
+    The package does not import logging itself, which costs ~6 ms and
+    ~0.5 MB per process: a program that configured logging has imported it,
+    and until something has, no level or handler exists that a DEBUG record
+    could reach.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).debug(message, *args, stacklevel=2)
 
 
 class CalibrationError(RuntimeError):
@@ -388,10 +402,21 @@ def calibrate_sigma(
 ) -> float:
     """Smallest noise multiplier meeting the target budget over `steps` steps.
 
-    Bisection on sigma over [sigma_low, sigma_high], doubling the upper end
-    until it satisfies the target (up to sigma_max), then shrinking the
-    bracket to relative width rel_tol.  The returned sigma always satisfies
-    epsilon(sigma) <= target.epsilon; epsilon is nonincreasing in sigma.
+    epsilon(sigma) is the epsilon of ``calibration_curve``, nonincreasing in
+    sigma.  sigma_low is returned if it already meets the target.  Otherwise
+    the bracket [lo, hi] starts at [sigma_low, sigma_high], with hi doubled
+    until it meets the target (up to sigma_max), and is narrowed by the
+    Illinois method (modified regula falsi) in x = log sigma on
+    g(x) = log epsilon(e^x) - log target.epsilon, which is close to linear.
+    Each probe is the secant root of the two ends, moved 0.4 of the stopping
+    width toward the end the last probe did not replace and kept 1/4 of it
+    inside the bracket; where an end's epsilon is +inf (no order available
+    yet) the probe bisects in x.  Throughout, both ends have been evaluated
+    and epsilon(lo) > target.epsilon >= epsilon(hi).  The solve stops once
+    hi - lo <= rel_tol * hi and returns hi.
+
+    Each epsilon evaluation (sigma, epsilon, alpha*) and the result (sigma,
+    number of sigmas evaluated) are logged at DEBUG level.
 
     Raises CalibrationError if sigma_max is reached without meeting the
     target (e.g. a target below the conversion floor of the order grid);
@@ -404,30 +429,58 @@ def calibrate_sigma(
     if not (isinstance(steps, int) and steps >= 1):
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     alphas = tuple(float(a) for a in alphas)
+    evaluated = []
 
     def eps(sigma: float) -> float:
         curve = calibration_curve(q, sigma, steps, alphas, max_moment_order=max_moment_order)
-        return rdp_to_dp(curve, target.delta)[0].epsilon
+        budget, alpha_star = rdp_to_dp(curve, target.delta)
+        evaluated.append(sigma)
+        _debug("calibrate: sigma=%r epsilon=%r alpha*=%r", sigma, budget.epsilon, alpha_star)
+        return budget.epsilon
+
+    def result(sigma: float) -> float:
+        _debug("calibrate: returning sigma=%r after %d sigmas", sigma, len(evaluated))
+        return sigma
 
     lo = sigma_low
-    if eps(lo) <= target.epsilon:
-        return lo  # pinned at the smallest admissible noise
+    eps_lo = eps(lo)
+    if eps_lo <= target.epsilon:
+        return result(lo)  # pinned at the smallest admissible noise
     hi = sigma_high
-    while eps(hi) > target.epsilon:
-        lo = hi
+    eps_hi = eps(hi)
+    while eps_hi > target.epsilon:
+        lo, eps_lo = hi, eps_hi
         hi *= 2.0
         if hi > sigma_max:
-            edge = eps(lo)
             raise CalibrationError(
                 f"target epsilon={target.epsilon} unreachable: at sigma={lo} "
-                f"the composed epsilon is still {edge:.6g}",
-                epsilon_at_bracket=edge,
+                f"the composed epsilon is still {eps_lo:.6g}",
+                epsilon_at_bracket=eps_lo,
             )
-    # invariant: eps(lo) > target >= eps(hi)
+        eps_hi = eps(hi)
+    # invariant: eps(lo) > target >= eps(hi).  (xb, gb) is the end the last
+    # probe set, (xa, ga) the other one; b_meets says which side b is on.
+    width = -math.log1p(-rel_tol)  # hi - lo <= rel_tol * hi, in x
+    log_target = math.log(target.epsilon)
+    xa, ga = math.log(lo), math.log(eps_lo) - log_target
+    xb, gb, b_meets = math.log(hi), math.log(eps_hi) - log_target, True
     while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if eps(mid) <= target.epsilon:
-            hi = mid
+        x = math.nan
+        if math.isfinite(ga) and math.isfinite(gb) and ga != gb:
+            x = xb - gb * (xb - xa) / (gb - ga) + math.copysign(0.4 * width, xa - xb)
+        if not math.isfinite(x):
+            x = 0.5 * (xa + xb)
+        x = min(max(x, min(xa, xb) + 0.25 * width), max(xa, xb) - 0.25 * width)
+        sigma = math.exp(x)
+        e = eps(sigma)
+        meets = e <= target.epsilon
+        if meets:
+            hi = sigma
         else:
-            lo = mid
-    return hi
+            lo = sigma
+        if meets == b_meets:
+            ga /= 2.0  # Illinois: the stale end's weight halves
+        else:
+            xa, ga = xb, gb
+        xb, gb, b_meets = x, math.log(e) - log_target, meets
+    return result(hi)

@@ -2,9 +2,10 @@
 
 Subcommands: bound, oracle, compose, convert, calibrate, simulate, trace.
 Every command is a thin adapter over the library; numbers printed as
-key=value lines carry full precision (repr), CSV cells carry 12 significant
-digits.  Exit codes: 0 success, 1 usage or domain error, 2 numerical
-failure, 3 I/O failure.
+key=value lines carry full precision (repr), and curve CSV cells carry 17
+significant digits, which round-trip every double, so converting a curve
+file gives the library's epsilon exactly.  Exit codes: 0 success, 1 usage
+or domain error, 2 numerical failure, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def _write_curve(curve: RdpCurve, stream, fmt: str):
     if fmt == "csv":
         stream.write("alpha,rdp\n")
         for alpha, value in curve.items():
-            stream.write(f"{alpha:.12g},{value:.12g}\n")
+            stream.write(f"{alpha:.17g},{value:.17g}\n")
     else:
         for alpha, value in curve.items():
             stream.write(json.dumps({"alpha": alpha, "rdp": value}) + "\n")

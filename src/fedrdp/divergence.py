@@ -270,19 +270,31 @@ def _integer_moment_excess_mpf(n: int, q: float, sigma: float, dps: int = _BASE_
     gives sum_{l=2}^{n} C(n,l) q^l (1-q)^{n-l} expm1(2l(l-1)/sigma^2), since
     the binomial weights sum to 1 and the l = 0, 1 exponents vanish.  Every
     term is nonnegative, so nothing cancels, and returning the excess over 1
-    (for log1p) keeps tiny divergences exact.  The weights are updated
-    incrementally: O(n) work.
+    (for log1p) keeps tiny divergences exact.
+
+    The weights and the exponentials are both carried forward by
+    multiplication, O(n) work with no exp per term: e_l = e^{inv l(l-1)}
+    steps as e_{l+1} = e_l r_l with r_l = e^{2 inv l}, r_{l+1} = r_l e^{2 inv}.
+    Where e_l > 2, e_l - 1 loses at most one bit; below that, expm1 is
+    called, so small exponents (every term at large sigma) stay exact.  The
+    sum runs at dps + 10 digits and is rounded to dps.
     """
-    with _MP_LOCK, mp.workdps(dps):
-        qq = mpf(q)
-        inv = mpf(2) / (mpf(sigma) ** 2)
-        ratio = qq / (1 - qq)
-        weight = (1 - qq) ** n * n * ratio  # C(n,1) q (1-q)^(n-1)
-        excess = mpf(0)
-        for l in range(2, n + 1):
-            weight *= ratio * (n - l + 1) / l
-            excess += weight * mp.expm1(inv * (l * (l - 1)))
-        return excess
+    with _MP_LOCK:
+        with mp.workdps(dps + 10):
+            qq = mpf(q)
+            inv = mpf(2) / (mpf(sigma) ** 2)
+            ratio = qq / (1 - qq)
+            weight = (1 - qq) ** n * n * ratio  # C(n,1) q (1-q)^(n-1)
+            growth = mp.exp(2 * inv)
+            e, r = growth, growth * growth  # e_2, r_2
+            excess = mpf(0)
+            for l in range(2, n + 1):
+                weight *= ratio * (n - l + 1) / l
+                excess += weight * (e - 1 if e > 2 else mp.expm1(inv * (l * (l - 1))))
+                e *= r
+                r *= growth
+        with mp.workdps(dps):
+            return +excess
 
 
 def _orders_needed(alpha: float, m: int) -> int:

@@ -2,6 +2,7 @@
 
 import builtins
 import errno
+import logging
 import math
 import os
 
@@ -23,7 +24,7 @@ from fedrdp.accountant import (
     rdp_to_dp,
     record_participation,
 )
-from fedrdp.divergence import MechanismParams, renyi_step_bound
+from fedrdp.divergence import MOMENT_EXPONENT_CAP, MechanismParams, renyi_step_bound
 
 STEP = StepParams(q=0.01, sigma=2.0, clip=1.0, batch_size=10)
 
@@ -535,3 +536,76 @@ def test_calibrate_unreachable_target_reports_bracket():
     with pytest.raises(CalibrationError) as exc:
         calibrate_sigma(PrivacyBudget(1e-9, 1e-5), q=0.3, steps=100, sigma_max=50.0)
     assert exc.value.epsilon_at_bracket > 1e-9
+
+
+def _calibration_epsilon(q, sigma, steps, alphas=DEFAULT_ALPHAS):
+    return rdp_to_dp(accountant.calibration_curve(q, sigma, steps, alphas), 1e-5)[0].epsilon
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(epsilon=st.floats(0.3, 20.0), u_q=st.floats(0.0, 1.0), steps=st.integers(1, 3000))
+def test_calibrate_lands_within_tolerance_of_the_threshold(epsilon, u_q, steps):
+    q = 1e-3 * 300.0**u_q  # log-uniform over [1e-3, 0.3]
+    sigma = calibrate_sigma(PrivacyBudget(epsilon, 1e-5), q=q, steps=steps)
+    assert _calibration_epsilon(q, sigma, steps) <= epsilon
+    assert _calibration_epsilon(q, sigma * (1 - 1e-3), steps) > epsilon
+
+
+def _count_calibration_sigmas(monkeypatch):
+    sigmas = []
+    original = accountant.calibration_curve
+
+    def counting(q, sigma, *args, **kwargs):
+        sigmas.append(sigma)
+        return original(q, sigma, *args, **kwargs)
+
+    monkeypatch.setattr(accountant, "calibration_curve", counting)
+    return sigmas
+
+
+@pytest.mark.parametrize(
+    "epsilon, q, steps",
+    [(1.2, 0.01, 600), (4.0, 0.05, 100), (16.0, 0.2, 5)]
+    + [(eps, 128 / 30000, 250) for eps in (2.0, 4.0, 6.0, 8.0, 10.0)],
+)
+def test_calibrate_evaluates_few_sigmas(monkeypatch, epsilon, q, steps):
+    # bisection from [0.3, 64] down to rel_tol 1e-4 evaluates 20-22
+    sigmas = _count_calibration_sigmas(monkeypatch)
+    calibrate_sigma(PrivacyBudget(epsilon, 1e-5), q=q, steps=steps)
+    assert len(sigmas) == len(set(sigmas)) <= 14
+
+
+def test_calibrate_bisects_where_epsilon_is_infinite(monkeypatch):
+    # with orders 48 and 64 only, epsilon is +inf below the sigma at which
+    # order 48 passes the exponent cap
+    alphas = (48.0, 64.0)
+    edge = math.sqrt(2 * 48 * 47 / MOMENT_EXPONENT_CAP)
+    sigmas = _count_calibration_sigmas(monkeypatch)
+    sigma = calibrate_sigma(PrivacyBudget(0.6, 1e-5), q=0.01, steps=100, alphas=alphas)
+    assert sigmas[:3] == [0.3, 64.0, pytest.approx(math.sqrt(0.3 * 64.0), rel=1e-12)]
+    assert sigma > edge
+    assert _calibration_epsilon(0.01, sigma, 100, alphas) <= 0.6
+    assert 0.6 < _calibration_epsilon(0.01, sigma * (1 - 1e-3), 100, alphas) < math.inf
+    # a target above epsilon just past the edge: the threshold is the jump
+    # from +inf to finite, so every probe bisects
+    sigma = calibrate_sigma(PrivacyBudget(1e4, 1e-5), q=0.01, steps=100, alphas=alphas)
+    assert sigma * (1 - 2e-4) < edge <= sigma * (1 + 1e-12)
+    assert _calibration_epsilon(0.01, sigma, 100, alphas) <= 1e4
+    assert math.isinf(_calibration_epsilon(0.01, sigma * (1 - 1e-3), 100, alphas))
+
+
+def test_calibrate_logs_each_evaluation_at_debug(caplog, monkeypatch):
+    sigmas = _count_calibration_sigmas(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="fedrdp.accountant"):
+        sigma = calibrate_sigma(PrivacyBudget(4.0, 1e-5), q=0.05, steps=100)
+    probes = list(sigmas)
+    records = [r for r in caplog.records if r.name == "fedrdp.accountant"]
+    assert {r.levelno for r in records} == {logging.DEBUG}
+    *evaluations, last = [r.getMessage() for r in records]
+    assert len(evaluations) == len(probes)
+    for message, probe in zip(evaluations, probes):
+        budget, alpha_star = rdp_to_dp(accountant.calibration_curve(0.05, probe, 100), 1e-5)
+        assert message == (
+            f"calibrate: sigma={probe!r} epsilon={budget.epsilon!r} alpha*={alpha_star!r}"
+        )
+    assert last == f"calibrate: returning sigma={sigma!r} after {len(probes)} sigmas"

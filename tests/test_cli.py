@@ -159,7 +159,7 @@ def test_compose_csv_matches_library(capsys, tmp_path):
     curve = compose_client_rdp(ParticipationLedger.read(ledger_path), 0)
     assert len(lines) == 1 + len(curve.alphas)
     for line, (alpha, value) in zip(lines[1:], curve.items()):
-        assert line == f"{alpha:.12g},{value:.12g}"
+        assert line == f"{alpha:.17g},{value:.17g}"
 
 
 def test_compose_jsonl_stdout(capsys, tmp_path):
@@ -203,6 +203,20 @@ def test_convert_round_trip(capsys, tmp_path):
     assert float(kv["alpha_star"]) == alpha_star
 
 
+def test_convert_of_composed_curve_file_is_the_library_epsilon(capsys, tmp_path):
+    # at 12 significant digits this curve converted to 5.806109139106743,
+    # below the library's 5.806109139107474
+    ledger_path = tmp_path / "ledger.tsv"
+    write_demo_ledger(ledger_path, steps=2000, q=0.005, sigma=1.3)
+    curve_path = tmp_path / "curve.csv"
+    run_cli(capsys, "compose", "--ledger", str(ledger_path), "--client", "0",
+            "--output", str(curve_path))
+    code, out, _ = run_cli(capsys, "convert", "--curve", str(curve_path), "--delta", "1e-5")
+    assert code == cli.EXIT_OK
+    direct, _ = rdp_to_dp(compose_client_rdp(ParticipationLedger.read(ledger_path), 0), 1e-5)
+    assert float(parse_kv(out)["epsilon"]) == direct.epsilon
+
+
 def test_convert_reads_jsonl(capsys, tmp_path):
     path = tmp_path / "curve.jsonl"
     path.write_text('{"alpha": 2.0, "rdp": 0.5}\n')
@@ -223,6 +237,19 @@ def test_calibrate_prints_consistent_sigma(capsys):
     kv = parse_kv(out)
     assert float(kv["achieved_epsilon"]) <= 2.0
     assert float(kv["sigma"]) > 0
+
+
+def test_calibrate_prints_no_trace_by_default(capsys):
+    code, out, err = run_cli(
+        capsys, "calibrate", "--epsilon", "4", "--delta", "1e-5", "--q", "0.05",
+        "--steps", "100",
+    )
+    assert code == cli.EXIT_OK
+    assert err == ""
+    assert list(parse_kv(out)) == [
+        "sigma", "achieved_epsilon", "target_epsilon", "delta", "alpha_star",
+    ]
+    assert len(out.splitlines()) == 5
 
 
 def test_calibrate_reports_the_certified_curve_without_reevaluating(capsys, monkeypatch):

@@ -218,6 +218,48 @@ def test_step_bound_integer_order_is_exact_closed_form(alpha, u_sigma, u_q):
         assert r.bound <= math.nextafter(series.bound, math.inf)
 
 
+def _check_integer_order_exact(alpha, q, sigma):
+    r = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma))
+    assert r.remainder == 0.0
+    assert r.m == int(alpha) + 1
+    assert r.bound == pytest.approx(reference.integer_alpha_divergence(int(alpha), q, sigma), rel=1e-12)
+    # the m=3 series costs seconds per call above order 64 at large sigma
+    # (moments at ~50 + k log10(sigma) digits), so it bounds orders <= 64 here
+    if alpha <= 64:
+        series = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=3))
+        assert r.bound <= math.nextafter(series.bound, math.inf)
+
+
+@pytest.mark.parametrize("alpha", INTEGER_ALPHAS)
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(u_sigma=st.floats(0.0, 1.0), u_q=st.floats(0.0, 1.0))
+def test_step_bound_integer_order_is_exact_at_large_sigma(alpha, u_sigma, u_q):
+    # calibration doubles its upper bracket up to sigma = 1e6; from
+    # sigma ~ sqrt(2 alpha (alpha - 1) / log 2) on, every term of the sum
+    # has e^{2l(l-1)/sigma^2} <= 2 and goes through expm1
+    _check_integer_order_exact(alpha, _log_uniform(1e-6, 0.9, u_q), _log_uniform(64.0, 1e6, u_sigma))
+
+
+def _switch_cases():
+    # e^{2l(l-1)/sigma^2} = 2 for term l at sigma = sqrt(2 l (l-1) / log 2);
+    # l = 2 needs sigma ~ 2.4, where orders above ~90 are past the cap
+    for alpha in INTEGER_ALPHAS:
+        for l in sorted({2, int(alpha) // 2, int(alpha)} - {1}):
+            sigma = math.sqrt(2 * l * (l - 1) / math.log(2))
+            need = max(4, int(alpha) + int(alpha) % 2)
+            if 2 * need * (need - 1) / sigma**2 <= MOMENT_EXPONENT_CAP:
+                yield alpha, l, sigma
+
+
+@pytest.mark.parametrize("alpha, l, sigma", list(_switch_cases()))
+@pytest.mark.parametrize("side", [1 - 1e-6, 1 + 1e-6])
+def test_step_bound_integer_order_exact_across_expm1_switch(alpha, l, sigma, side):
+    # slightly below that sigma term l is summed as e - 1, slightly above
+    # through expm1; terms after l are on the e - 1 side either way
+    for q in (1e-4, 0.05, 0.6):
+        _check_integer_order_exact(alpha, q, sigma * side)
+
+
 def test_step_bound_unavailable_orders_unchanged():
     # exponent cap: the m=3 remainder at alpha=128 needs E[(L-1)^128]
     with pytest.raises(OverflowError):
