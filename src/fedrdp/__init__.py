@@ -18,18 +18,14 @@ from .accountant import (
     calibrate_sigma,
     compose_client_rdp,
     rdp_to_dp,
-    record_participation,
 )
 from .divergence import (
     BoundBreakdownError,
     BoundResult,
     MechanismParams,
     QuadratureError,
-    abs_moment_bound,
-    likelihood_ratio_moment,
     renyi_divergence_quadrature,
     renyi_step_bound,
-    taylor_remainder_bound,
 )
 from .simulate import (
     ClientState,
@@ -38,8 +34,6 @@ from .simulate import (
     SimConfig,
     batch_size_trace,
     client_epsilon_report,
-    client_update,
-    clip_gradient,
     evaluate_accuracy,
     generate_client_data,
     run_training,
@@ -68,18 +62,13 @@ __all__ = [
     "RoundRecord",
     "SimConfig",
     "StepParams",
-    "abs_moment_bound",
     "batch_size_trace",
     "calibrate_sigma",
     "client_epsilon_report",
-    "client_update",
-    "clip_gradient",
     "compose_client_rdp",
     "evaluate_accuracy",
     "generate_client_data",
-    "likelihood_ratio_moment",
     "rdp_to_dp",
-    "record_participation",
     "renyi_divergence_quadrature",
     "renyi_step_bound",
     "run_training",
@@ -87,7 +76,6 @@ __all__ = [
     "sample_poisson_batch",
     "select_clients",
     "server_update",
-    "taylor_remainder_bound",
     "write_artifacts",
     "__version__",
 ]

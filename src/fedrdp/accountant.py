@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -37,7 +37,6 @@ __all__ = [
     "RdpCurve",
     "ParticipationLedger",
     "CalibrationError",
-    "record_participation",
     "compose_client_rdp",
     "rdp_to_dp",
     "calibrate_sigma",
@@ -53,10 +52,14 @@ DEFAULT_ALPHAS: tuple[float, ...] = (
 
 DEFAULT_DELTA = 1e-5
 
-# Moment orders above this are treated as unavailable while calibrating;
-# the resulting curve entries are +inf, which the epsilon minimisation
-# skips.  Only targets below ~log(1/delta)/255 could ever notice.
-CALIBRATION_MAX_MOMENT_ORDER = 300
+# Orders above this are +inf on the calibration curve, which the epsilon
+# minimisation skips, so calibration never pays for them.  On the default
+# grid only targets below ~log(1/delta)/255 could ever notice.
+CALIBRATION_MAX_ORDER = 300
+
+# Most one-step bounds (alpha, q, sigma) kept for reuse; least recently used
+# ones are dropped past it.
+STEP_BOUND_CACHE_SIZE = 4096
 
 
 def _debug(message: str, *args) -> None:
@@ -149,17 +152,6 @@ class RdpCurve:
     def items(self) -> Iterator[tuple[float, float]]:
         return zip(self.alphas, self.values)
 
-    def value_at(self, alpha: float) -> float:
-        for a, v in self.items():
-            if a == alpha:
-                return v
-        raise KeyError(f"order {alpha} not on the curve grid")
-
-    def __add__(self, other: "RdpCurve") -> "RdpCurve":
-        if self.alphas != other.alphas:
-            raise ValueError("cannot add curves on different order grids")
-        return RdpCurve(self.alphas, tuple(x + y for x, y in zip(self.values, other.values)))
-
 
 class ParticipationLedger:
     """Append-only record of which client stepped when, with what parameters.
@@ -194,15 +186,6 @@ class ParticipationLedger:
         if t is None:
             return len(steps)
         return sum(1 for tt, _ in steps if tt <= t)
-
-    def participation_round(self, client_id: int, n: int) -> int:
-        """Round of the client's n-th participation (1-based)."""
-        steps = self._records.get(client_id, ())
-        if not (1 <= n <= len(steps)):
-            raise ValueError(
-                f"client {client_id} has {len(steps)} participations, asked for #{n}"
-            )
-        return steps[n - 1][0]
 
     # --- serialisation -------------------------------------------------
 
@@ -249,29 +232,34 @@ class ParticipationLedger:
         return ledger
 
     def write(self, path) -> None:
-        """Write `to_text` to path atomically.
-
-        The text goes to a temporary file in path's directory, which then
-        replaces path; if writing fails, path is left as it was and the
-        temporary file is removed.
-        """
-        data = self.to_text().encode("ascii")
-        path = os.fspath(path)
-        directory, name = os.path.split(path)
-        tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
-        try:
-            with open(tmp, "xb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        """Write `to_text` to path atomically (see `write_atomic`)."""
+        write_atomic(path, self.to_text())
 
     @classmethod
     def read(cls, path) -> "ParticipationLedger":
         with open(path, "r", encoding="ascii") as fh:
             return cls.from_text(fh.read())
+
+
+def write_atomic(path, text: str) -> None:
+    """Write ASCII text to path so that path never holds a partial file.
+
+    The text goes to a temporary file in path's directory, which then
+    replaces path; if writing fails, path is left as it was and the
+    temporary file is removed.
+    """
+    data = text.encode("ascii")
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _append_step(
@@ -286,19 +274,10 @@ def _append_step(
     steps.append((t, params))
 
 
-def record_participation(
-    ledger: ParticipationLedger, client_id: int, t: int, params: StepParams
-) -> ParticipationLedger:
-    """Record one participation; returns the ledger for chaining."""
-    return ledger.record(client_id, t, params)
-
-
-@lru_cache(maxsize=None)
-def _cached_step_bound(alpha: float, q: float, sigma: float, max_moment_order: int | None) -> float:
+@lru_cache(maxsize=STEP_BOUND_CACHE_SIZE)
+def _cached_step_bound(alpha: float, q: float, sigma: float) -> float:
     try:
-        return renyi_step_bound(
-            alpha, MechanismParams(q=q, sigma=sigma), max_moment_order=max_moment_order
-        ).bound
+        return renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma)).bound
     except OverflowError:
         # No admissible truncation at this order; +inf is still a valid
         # upper bound and the conversion step skips it.
@@ -309,8 +288,6 @@ def compose_client_rdp(
     ledger: ParticipationLedger,
     client_id: int,
     alphas: Iterable[float] = DEFAULT_ALPHAS,
-    *,
-    max_moment_order: int | None = None,
 ) -> RdpCurve:
     """Sum the one-step bounds over the client's recorded steps.
 
@@ -336,7 +313,7 @@ def compose_client_rdp(
         counts[key] += 1
     totals = tuple(
         math.fsum(
-            n * _cached_step_bound(alpha, q, sigma, max_moment_order)
+            n * _cached_step_bound(alpha, q, sigma)
             for (q, sigma), n in counts.items()
         )
         for alpha in alphas
@@ -371,20 +348,21 @@ def calibration_curve(
     sigma: float,
     steps: int,
     alphas: Iterable[float] = DEFAULT_ALPHAS,
-    *,
-    max_moment_order: int | None = CALIBRATION_MAX_MOMENT_ORDER,
 ) -> RdpCurve:
     """The curve ``calibrate_sigma`` certifies: steps x the one-step bound.
 
     Each order's value is `steps` times the one-step bound at (q, sigma),
-    with moment orders capped at max_moment_order as in calibration, so
-    converting this curve at the calibrated sigma reproduces the epsilon the
-    calibration accepted.
+    and +inf above CALIBRATION_MAX_ORDER, so converting this curve at the
+    calibrated sigma reproduces the epsilon the calibration accepted.  The
+    one-step bounds are the ones ``compose_client_rdp`` uses.
     """
     alphas = tuple(float(a) for a in alphas)
     return RdpCurve(
         alphas,
-        tuple(steps * _cached_step_bound(a, q, sigma, max_moment_order) for a in alphas),
+        tuple(
+            steps * _cached_step_bound(a, q, sigma) if a <= CALIBRATION_MAX_ORDER else math.inf
+            for a in alphas
+        ),
     )
 
 
@@ -398,7 +376,6 @@ def calibrate_sigma(
     sigma_high: float = 64.0,
     rel_tol: float = 1e-4,
     sigma_max: float = 1e6,
-    max_moment_order: int | None = CALIBRATION_MAX_MOMENT_ORDER,
 ) -> float:
     """Smallest noise multiplier meeting the target budget over `steps` steps.
 
@@ -432,7 +409,7 @@ def calibrate_sigma(
     evaluated = []
 
     def eps(sigma: float) -> float:
-        curve = calibration_curve(q, sigma, steps, alphas, max_moment_order=max_moment_order)
+        curve = calibration_curve(q, sigma, steps, alphas)
         budget, alpha_star = rdp_to_dp(curve, target.delta)
         evaluated.append(sigma)
         _debug("calibrate: sigma=%r epsilon=%r alpha*=%r", sigma, budget.epsilon, alpha_star)

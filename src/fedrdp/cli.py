@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 from .accountant import (
@@ -185,14 +184,15 @@ def _load_config(args) -> SimConfig:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args)
+    # calibrate once, so the run and the printed sigma share one value
+    config = dataclasses.replace(config, sigma=config.resolve_sigma(), target_epsilon=None)
     model, records, ledger = run_training(config)
-    sigma = ledger.steps(ledger.clients()[0])[0][1].sigma if ledger.clients() else config.sigma
     paths = write_artifacts(args.outdir, model, records, ledger, config.delta)
-    accuracy = evaluate_accuracy(model, generate_client_data(config, sigma or 0.0))
+    accuracy = evaluate_accuracy(model, generate_client_data(config, config.sigma))
     _print_kv(
         rounds=config.rounds,
         clients=config.clients,
-        sigma=float(sigma) if sigma is not None else 0.0,
+        sigma=float(config.sigma),
         accuracy=accuracy,
     )
     for name in ("model", "rounds", "clients", "ledger"):

@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from math import ceil, comb, factorial
+from functools import lru_cache
+from math import ceil, factorial
 
 from mpmath import mp, mpf
 
@@ -48,11 +49,14 @@ __all__ = [
 MOMENT_EXPONENT_CAP = 3000.0
 
 _BASE_DPS = 50
+_QUAD_DPS = 40
+
+# Most moments (sigma, k) kept for reuse across bound evaluations; least
+# recently used ones are dropped past it.
+MOMENT_CACHE_SIZE = 1024
 
 # mpmath's precision state is process-global; serialise all use of it.
 _MP_LOCK = threading.RLock()
-
-_moment_cache: dict[tuple[float, int], tuple[mpf, float]] = {}
 
 
 class QuadratureError(ArithmeticError):
@@ -81,11 +85,13 @@ def _moment_exponent(sigma: float, k: int) -> float:
     return 2.0 * k * (k - 1) / (sigma * sigma)
 
 
-def _moment_mpf(sigma: float, k: int, dps: int = _BASE_DPS) -> mpf:
-    """E[(L-1)^k] as mpf, accurate to ~dps significant digits.
+@lru_cache(maxsize=MOMENT_CACHE_SIZE)
+def _moment_mpf(sigma: float, k: int) -> mpf:
+    """E[(L-1)^k] as mpf, accurate to ~_BASE_DPS significant digits.
 
     The alternating binomial sum loses digits to cancellation; the working
-    precision is escalated until the result keeps `dps` good digits.
+    precision is escalated until the result keeps _BASE_DPS good digits.
+    Memoised on (sigma, k), up to MOMENT_CACHE_SIZE entries.
     """
     if _moment_exponent(sigma, k) > MOMENT_EXPONENT_CAP:
         raise OverflowError(
@@ -93,12 +99,8 @@ def _moment_mpf(sigma: float, k: int, dps: int = _BASE_DPS) -> mpf:
             f"exceeds cap {MOMENT_EXPONENT_CAP:.0f} (k={k}, sigma={sigma}); "
             "reduce the order or increase sigma"
         )
-    key = (float(sigma), k)
+    work = _BASE_DPS + 15
     with _MP_LOCK:
-        hit = _moment_cache.get(key)
-        if hit is not None and hit[1] >= dps:
-            return hit[0]
-        work = dps + 15
         while True:
             with mp.workdps(work):
                 inv = mpf(2) / (mpf(sigma) ** 2)
@@ -113,22 +115,18 @@ def _moment_mpf(sigma: float, k: int, dps: int = _BASE_DPS) -> mpf:
                     total += term
                     c = c * (k - l) // (l + 1)
                 if total == 0:
-                    good = float("inf")
-                    break
-                cancel = float(mp.log10(absmass / abs(total)))
-                good = work - max(cancel, 0.0)
-                if good >= dps:
-                    break
-            work = int(dps + max(cancel, 0.0) + 15)
-        _moment_cache[key] = (total, good)
-        return total
+                    return total
+                cancel = max(float(mp.log10(absmass / abs(total))), 0.0)
+            if work - cancel >= _BASE_DPS:
+                return total
+            work = int(_BASE_DPS + cancel + 15)
 
 
-def _abs_moment_mpf(sigma: float, j: int, dps: int = _BASE_DPS) -> mpf:
+def _abs_moment_mpf(sigma: float, j: int) -> mpf:
     if j % 2 == 0:
-        return _moment_mpf(sigma, j, dps)
-    with _MP_LOCK, mp.workdps(dps):
-        return mp.sqrt(_moment_mpf(sigma, j - 1, dps) * _moment_mpf(sigma, j + 1, dps))
+        return _moment_mpf(sigma, j)
+    with _MP_LOCK, mp.workdps(_BASE_DPS):
+        return mp.sqrt(_moment_mpf(sigma, j - 1) * _moment_mpf(sigma, j + 1))
 
 
 def likelihood_ratio_moment(sigma: float, k: int) -> float:
@@ -189,9 +187,9 @@ def _falling_factorial_abs_mpf(alpha: mpf, m: int) -> mpf:
     return prod
 
 
-def _remainder_mpf(alpha: float, sigma: float, m: int, q: float, dps: int = _BASE_DPS) -> mpf:
+def _remainder_mpf(alpha: float, sigma: float, m: int, q: float) -> mpf:
     """Closed-form bound on the magnitude of the degree-m series tail."""
-    with _MP_LOCK, mp.workdps(dps):
+    with _MP_LOCK, mp.workdps(_BASE_DPS):
         al = mpf(alpha)
         qq = mpf(q)
         prod = _falling_factorial_abs_mpf(al, m)
@@ -206,15 +204,15 @@ def _remainder_mpf(alpha: float, sigma: float, m: int, q: float, dps: int = _BAS
                 coef = mpf(factorial(top - m)) / (
                     mpf(factorial(top - m - l)) * mpf(factorial(m + l))
                 )
-                tail += qpow * coef * _abs_moment_mpf(sigma, m + l, dps)
+                tail += qpow * coef * _abs_moment_mpf(sigma, m + l)
                 qpow *= qq
-            tail += _abs_moment_mpf(sigma, m, dps) / mpf(factorial(m))
+            tail += _abs_moment_mpf(sigma, m) / mpf(factorial(m))
             return qq ** m * prod * tail
         return (
             (qq ** m / mpf(factorial(m)))
             * (1 - qq) ** (al - m)
             * prod
-            * _abs_moment_mpf(sigma, m, dps)
+            * _abs_moment_mpf(sigma, m)
         )
 
 
@@ -248,22 +246,22 @@ def taylor_remainder_bound(alpha: float, sigma: float, m: int, q: float) -> floa
     return value
 
 
-def _leading_sum_mpf(alpha: float, q: float, sigma: float, m: int, dps: int = _BASE_DPS) -> mpf:
+def _leading_sum_mpf(alpha: float, q: float, sigma: float, m: int) -> mpf:
     """1 + sum_{k=2}^{m-1} (q^k / k!) (alpha)_k E[(L-1)^k], signed arithmetic."""
-    with _MP_LOCK, mp.workdps(dps):
+    with _MP_LOCK, mp.workdps(_BASE_DPS):
         al = mpf(alpha)
         qq = mpf(q)
         total = mpf(1)
         ff = al * (al - 1)  # falling factorial alpha(alpha-1)...(alpha-k+1)
         qpow = qq * qq
         for k in range(2, m):
-            total += (qpow / mpf(factorial(k))) * ff * _moment_mpf(sigma, k, dps)
+            total += (qpow / mpf(factorial(k))) * ff * _moment_mpf(sigma, k)
             ff *= al - k
             qpow *= qq
         return total
 
 
-def _integer_moment_excess_mpf(n: int, q: float, sigma: float, dps: int = _BASE_DPS) -> mpf:
+def _integer_moment_excess_mpf(n: int, q: float, sigma: float) -> mpf:
     """E_Q[(P/Q)^n] - 1 for integer n >= 2, exactly: the binomial closed form.
 
     Expanding ((1-q) + q L)^n binomially and using E[L^l] = e^{2l(l-1)/sigma^2}
@@ -277,10 +275,10 @@ def _integer_moment_excess_mpf(n: int, q: float, sigma: float, dps: int = _BASE_
     steps as e_{l+1} = e_l r_l with r_l = e^{2 inv l}, r_{l+1} = r_l e^{2 inv}.
     Where e_l > 2, e_l - 1 loses at most one bit; below that, expm1 is
     called, so small exponents (every term at large sigma) stay exact.  The
-    sum runs at dps + 10 digits and is rounded to dps.
+    sum runs at _BASE_DPS + 10 digits and is rounded to _BASE_DPS.
     """
     with _MP_LOCK:
-        with mp.workdps(dps + 10):
+        with mp.workdps(_BASE_DPS + 10):
             qq = mpf(q)
             inv = mpf(2) / (mpf(sigma) ** 2)
             ratio = qq / (1 - qq)
@@ -293,22 +291,14 @@ def _integer_moment_excess_mpf(n: int, q: float, sigma: float, dps: int = _BASE_
                 excess += weight * (e - 1 if e > 2 else mp.expm1(inv * (l * (l - 1))))
                 e *= r
                 r *= growth
-        with mp.workdps(dps):
+        with mp.workdps(_BASE_DPS):
             return +excess
 
 
-def _orders_needed(alpha: float, m: int) -> int:
-    """Highest moment order touched by the remainder at truncation m."""
-    if alpha - m > 0:
-        top = ceil(alpha)
-        return top + 1 if top % 2 else top  # odd top order interpolates to top+1
-    return m + 1 if m % 2 else m
-
-
-def _order_available(alpha: float, sigma: float, m: int, max_moment_order: int | None) -> bool:
-    need = _orders_needed(alpha, m)
-    if max_moment_order is not None and need > max_moment_order:
-        return False
+def _order_available(alpha: float, sigma: float, m: int) -> bool:
+    """Whether every moment the remainder at truncation m touches is under the cap."""
+    top = ceil(alpha) if alpha - m > 0 else m  # highest order touched
+    need = top + 1 if top % 2 else top  # an odd order interpolates to the next
     return _moment_exponent(sigma, need) <= MOMENT_EXPONENT_CAP
 
 
@@ -352,35 +342,24 @@ class BoundResult:
             raise ValueError("remainder must be nonnegative")
 
 
-def _taylor_state(alpha: float, q: float, sigma: float, m: int, dps: int = _BASE_DPS):
-    """(leading sum, remainder bound) at truncation order m, as mpf."""
-    S = _leading_sum_mpf(alpha, q, sigma, m, dps)
-    R = _remainder_mpf(alpha, sigma, m, q, dps)
-    return S, R
-
-
-def _select_truncation(
-    alpha: float,
-    q: float,
-    sigma: float,
-    max_moment_order: int | None,
-    dps: int = _BASE_DPS,
-):
+def _select_truncation(alpha: float, q: float, sigma: float):
     """Walk m upward per the stopping rule; return (m, S, R).
 
-    Stop as soon as the remainder drops below
+    S is the leading sum and R the remainder bound at truncation order m, as
+    mpf.  Stop as soon as the remainder drops below
     max(1e-12, 1e-6 * (leading_sum - 1)), or at m = ceil(alpha) + 4, or when
-    the next order's moments are unavailable (exponent cap / order cap).
-    The caller has checked that m = 3 is available.
+    the next order's moments are past the exponent cap.  The caller has
+    checked that m = 3 is available.
     """
     cap = ceil(alpha) + 4
     m = 3
     while True:
-        if not _order_available(alpha, sigma, m, max_moment_order):
+        if not _order_available(alpha, sigma, m):
             break
-        S, R = _taylor_state(alpha, q, sigma, m, dps)
+        S = _leading_sum_mpf(alpha, q, sigma, m)
+        R = _remainder_mpf(alpha, sigma, m, q)
         state = (m, S, R)
-        with _MP_LOCK, mp.workdps(dps):
+        with _MP_LOCK, mp.workdps(_BASE_DPS):
             threshold = max(mpf("1e-12"), mpf("1e-6") * (S - 1))
             done = R < threshold
         if done or m >= cap:
@@ -389,12 +368,7 @@ def _select_truncation(
     return state
 
 
-def renyi_step_bound(
-    alpha: float,
-    params: MechanismParams,
-    *,
-    max_moment_order: int | None = None,
-) -> BoundResult:
+def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
     """Closed-form upper bound on D_alpha(P || Q) for one mechanism step.
 
     P = q N(1, s^2) + (1-q) N(0, s^2), Q = N(0, s^2), s = sigma/2.  The bound
@@ -408,10 +382,10 @@ def renyi_step_bound(
     bounds the discarded tail; with params.m None the truncation is chosen
     adaptively (see ``_select_truncation``).
 
-    max_moment_order optionally refuses moment orders above the given value,
-    on top of the module-wide exponent cap; orders that would exceed either
-    raise OverflowError when no valid truncation exists at all.  Both paths
-    share that availability rule, so the same orders come out unavailable.
+    Moments whose exponent 2k(k-1)/sigma^2 exceeds MOMENT_EXPONENT_CAP are
+    unavailable; when even the first truncation needs one, OverflowError is
+    raised.  Both paths share that availability rule, so the same orders come
+    out unavailable.
 
     Raises:
         ValueError: bad domain, including q = 1 (the series is an expansion
@@ -431,13 +405,12 @@ def renyi_step_bound(
         )
     if params.m is not None:
         m = params.m
-        if not _order_available(alpha, params.sigma, m, max_moment_order):
-            raise OverflowError(
-                f"moments needed at m={m} exceed the exponent/order cap"
-            )
-        S, R = _taylor_state(alpha, params.q, params.sigma, m)
+        if not _order_available(alpha, params.sigma, m):
+            raise OverflowError(f"moments needed at m={m} exceed the exponent cap")
+        S = _leading_sum_mpf(alpha, params.q, params.sigma, m)
+        R = _remainder_mpf(alpha, params.sigma, m, params.q)
     else:
-        if not _order_available(alpha, params.sigma, 3, max_moment_order):
+        if not _order_available(alpha, params.sigma, 3):
             raise OverflowError(
                 f"series bound unavailable at alpha={alpha}, sigma={params.sigma}: "
                 "already the m=3 remainder needs moments past the cap"
@@ -448,7 +421,7 @@ def renyi_step_bound(
                 bound = float(mp.log1p(excess) / (mpf(alpha) - 1))
                 moment = float(1 + excess)
             return BoundResult(bound=bound, leading_sum=moment, remainder=0.0, m=int(alpha) + 1)
-        m, S, R = _select_truncation(alpha, params.q, params.sigma, max_moment_order)
+        m, S, R = _select_truncation(alpha, params.q, params.sigma)
     with _MP_LOCK, mp.workdps(_BASE_DPS):
         total = S + R
         if total <= 0:
@@ -461,13 +434,7 @@ def renyi_step_bound(
     return BoundResult(bound=bound, leading_sum=float(S), remainder=float(R), m=m)
 
 
-def _mixture_power_integral_mpf(
-    alpha: float,
-    q: float,
-    sigma: float,
-    dps: int = 40,
-    maxdegree: int = 10,
-):
+def _mixture_power_integral_mpf(alpha: float, q: float, sigma: float):
     """Integral of (P/Q)^alpha dQ over a truncated domain, with error estimate.
 
     The integrand's right tail is a Gaussian centred at theta = alpha (the
@@ -475,7 +442,7 @@ def _mixture_power_integral_mpf(
     deviations past the outermost of the centres {0, 1, alpha}; the mass
     beyond is below 1e-15 of the integral on both sides.
     """
-    with _MP_LOCK, mp.workdps(dps):
+    with _MP_LOCK, mp.workdps(_QUAD_DPS):
         al = mpf(alpha)
         qq = mpf(q)
         s = mpf(sigma) / 2
@@ -488,7 +455,7 @@ def _mixture_power_integral_mpf(
             return ratio ** al * mp.npdf(t, 0, s)
 
         points = sorted({lo, mpf(0), mpf(1), min(max(al, mpf(1)), hi), hi})
-        value, err = mp.quad(integrand, points, error=True, maxdegree=maxdegree)
+        value, err = mp.quad(integrand, points, error=True, maxdegree=10)
         return value, err
 
 
@@ -514,7 +481,7 @@ def renyi_divergence_quadrature(alpha: float, q: float, sigma: float) -> float:
     if q == 0:
         return 0.0
     value, err = _mixture_power_integral_mpf(alpha, q, sigma)
-    with _MP_LOCK, mp.workdps(40):
+    with _MP_LOCK, mp.workdps(_QUAD_DPS):
         gate = max(mpf("1e-12"), abs(value) * mpf("1e-18"))
         if not err <= gate:
             raise QuadratureError(

@@ -36,7 +36,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +49,7 @@ from .accountant import (
     calibrate_sigma,
     compose_client_rdp,
     rdp_to_dp,
+    write_atomic,
 )
 
 __all__ = [
@@ -60,8 +61,6 @@ __all__ = [
     "select_clients",
     "sample_fixed_batch",
     "sample_poisson_batch",
-    "clip_gradient",
-    "client_update",
     "server_update",
     "run_training",
     "batch_size_trace",
@@ -82,11 +81,6 @@ _STREAM_SELECTION = 4
 _STREAM_CLIENT_STEP = 5
 _STREAM_TRACE = 6
 
-_CONFIG_KEYS = {
-    "rounds", "clients", "m_t", "d", "classes", "points_per_client",
-    "batch_size", "clip", "sigma", "target_epsilon", "delta", "seed",
-    "sampler", "dropout_prob", "step_size",
-}
 _INT_FIELDS = (
     "rounds", "clients", "m_t", "d", "classes", "points_per_client",
     "batch_size", "seed",
@@ -168,7 +162,7 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
-        unknown = set(data) - _CONFIG_KEYS
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
@@ -229,7 +223,6 @@ class ClientState:
     clip: float
     sigma: float
     step_size: float
-    rng_seed: int
 
     def __post_init__(self):
         if len(self.features) != len(self.labels) or len(self.features) == 0:
@@ -284,7 +277,6 @@ def generate_client_data(config: SimConfig, sigma: float) -> list[ClientState]:
                 clip=config.clip,
                 sigma=sigma,
                 step_size=config.step_size,
-                rng_seed=config.seed,
             )
         )
     return states
@@ -317,17 +309,6 @@ def sample_poisson_batch(dataset_size: int, rate: float, rng: np.random.Generato
     return np.nonzero(rng.random(dataset_size) < rate)[0]
 
 
-def clip_gradient(g: np.ndarray, clip: float) -> np.ndarray:
-    """Scale g to norm at most clip, preserving direction."""
-    if clip <= 0:
-        raise ValueError(f"clip must be > 0, got {clip}")
-    g = np.asarray(g, dtype=np.float64)
-    norm = float(np.linalg.norm(g))
-    if norm <= clip:
-        return g.copy()
-    return g * (clip / norm)
-
-
 def _per_sample_directions(model: ModelVector, X: np.ndarray, y: np.ndarray, step_size: float) -> np.ndarray:
     """Per-sample update directions -step * grad of the logistic loss, flat.
 
@@ -346,13 +327,16 @@ def _per_sample_directions(model: ModelVector, X: np.ndarray, y: np.ndarray, ste
 
 
 def _clip_rows(G: np.ndarray, clip: float) -> np.ndarray:
-    norms = np.linalg.norm(G, axis=1)
-    scale = np.minimum(1.0, clip / np.maximum(norms, np.finfo(np.float64).tiny))
-    return G * scale[:, None]
+    """Each row of G scaled to norm at most clip, preserving its direction."""
+    return G * (clip / np.maximum(np.linalg.norm(G, axis=1), clip))[:, None]
 
 
 def _noisy_update(client: ClientState, model: ModelVector, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """One client step: (update vector, pre-noise norm of the clipped mean)."""
+    """One client step: (update vector, pre-noise norm of the clipped mean).
+
+    The update averages the clipped per-sample directions of a fixed-size
+    batch and adds Gaussian noise of per-coordinate std clip*sigma/batch_size.
+    """
     if model.features != client.features.shape[1]:
         raise ValueError(
             f"model has {model.features} features, client "
@@ -366,12 +350,6 @@ def _noisy_update(client: ClientState, model: ModelVector, rng: np.random.Genera
         noise_std = client.clip * client.sigma / client.batch_size
         mean = mean + rng.normal(0.0, noise_std, size=mean.shape)
     return mean, prenoise_norm
-
-
-def client_update(client: ClientState, model: ModelVector, rng: np.random.Generator) -> np.ndarray:
-    """Average of clipped per-sample directions over a fixed-size batch, plus
-    Gaussian noise with per-coordinate std clip * sigma / batch_size."""
-    return _noisy_update(client, model, rng)[0]
 
 
 def server_update(model: ModelVector, updates: Sequence[np.ndarray], m_t: int) -> ModelVector:
@@ -513,7 +491,8 @@ def write_artifacts(
     """Write model.txt, rounds.csv, clients.csv, ledger.tsv under outdir.
 
     All output is deterministic given its inputs (no timestamps, fixed row
-    order), so identical runs produce byte-identical files.
+    order), so identical runs produce byte-identical files.  Each file is
+    written atomically, so a failed write leaves that file as it was.
     """
     os.makedirs(outdir, exist_ok=True)
     paths = {
@@ -522,17 +501,14 @@ def write_artifacts(
         "clients": os.path.join(outdir, "clients.csv"),
         "ledger": os.path.join(outdir, "ledger.tsv"),
     }
-    with open(paths["model"], "w", encoding="ascii") as fh:
-        for w in model.weights:
-            fh.write(f"{float(w)!r}\n")
-    with open(paths["rounds"], "w", encoding="ascii") as fh:
-        fh.write("t,client_id,batch_size,update_norm\n")
-        for rec in records:
-            for cid, bs, norm in zip(rec.selected, rec.batch_sizes, rec.update_norms):
-                fh.write(f"{rec.t},{cid},{bs},{norm:.12g}\n")
-    with open(paths["clients"], "w", encoding="ascii") as fh:
-        fh.write("client_id,participations,epsilon\n")
-        for cid, count, eps in client_epsilon_report(ledger, delta):
-            fh.write(f"{cid},{count},{eps:.12g}\n")
+    write_atomic(paths["model"], "".join(f"{float(w)!r}\n" for w in model.weights))
+    write_atomic(paths["rounds"], "t,client_id,batch_size,update_norm\n" + "".join(
+        f"{rec.t},{cid},{bs},{norm:.12g}\n"
+        for rec in records
+        for cid, bs, norm in zip(rec.selected, rec.batch_sizes, rec.update_norms)
+    ))
+    write_atomic(paths["clients"], "client_id,participations,epsilon\n" + "".join(
+        f"{cid},{count},{eps:.12g}\n" for cid, count, eps in client_epsilon_report(ledger, delta)
+    ))
     ledger.write(paths["ledger"])
     return paths

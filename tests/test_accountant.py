@@ -1,7 +1,5 @@
 """Ledger bookkeeping, per-client composition, conversion, calibration."""
 
-import builtins
-import errno
 import logging
 import math
 import os
@@ -22,7 +20,6 @@ from fedrdp.accountant import (
     calibrate_sigma,
     compose_client_rdp,
     rdp_to_dp,
-    record_participation,
 )
 from fedrdp.divergence import MOMENT_EXPONENT_CAP, MechanismParams, renyi_step_bound
 
@@ -79,23 +76,14 @@ def test_curve_validation():
         RdpCurve((2.0,), (math.nan,))
 
 
-def test_curve_addition_requires_same_grid():
-    a = RdpCurve((2.0, 4.0), (0.1, 0.2))
-    b = RdpCurve((2.0, 8.0), (0.1, 0.2))
-    with pytest.raises(ValueError):
-        a + b
-    c = a + RdpCurve((2.0, 4.0), (0.3, 0.4))
-    assert c.values == (0.4, 0.6000000000000001)
-
-
 # --- ledger -------------------------------------------------------------
 
 
 def test_single_record_bookkeeping():
     led = ParticipationLedger()
-    record_participation(led, 7, 3, STEP)
+    assert led.record(7, 3, STEP) is led
     assert led.participation_count(7, 3) == 1
-    assert led.participation_round(7, 1) == 3
+    assert led.steps(7) == ((3, STEP),)
 
 
 def test_counting_over_history():
@@ -105,9 +93,6 @@ def test_counting_over_history():
     assert led.participation_count(5, 9) == 3
     assert led.participation_count(5, 4) == 2
     assert led.participation_count(5, 3) == 1
-    assert led.participation_round(5, 2) == 4
-    with pytest.raises(ValueError):
-        led.participation_round(5, 4)
 
 
 def test_out_of_order_rejected_with_context():
@@ -299,31 +284,9 @@ def test_write_failing_in_to_text_keeps_old_ledger(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["ledger.tsv"]
 
 
-def test_write_failing_partway_keeps_old_ledger(tmp_path, monkeypatch):
+def test_write_failing_partway_keeps_old_ledger(tmp_path, half_full_disk):
     led, path, before = _ledger_file(tmp_path)
-    written = []
-
-    class HalfFullDisk:
-        """A file whose write stores half the data, then fails."""
-
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, data):
-            self.fh.write(data[: len(data) // 2])
-            self.fh.flush()
-            written.append(os.path.getsize(self.fh.name))
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-    monkeypatch.setattr(
-        accountant, "open", lambda file, mode: HalfFullDisk(builtins.open(file, mode)), raising=False
-    )
+    written = half_full_disk("ledger.tsv")
     with pytest.raises(OSError):
         led.write(path)
     assert written and written[0] > 0  # the failure came after a partial write
@@ -389,9 +352,9 @@ def test_compose_split_history_additivity():
         (first if t <= 6 else second).record(0, t, p)
     alphas = (1.5, 2.0, 6.0)
     total = compose_client_rdp(full, 0, alphas)
-    summed = compose_client_rdp(first, 0, alphas) + compose_client_rdp(second, 0, alphas)
-    for a, b in zip(total.values, summed.values):
-        assert a == pytest.approx(b, rel=1e-12)
+    head, tail = compose_client_rdp(first, 0, alphas), compose_client_rdp(second, 0, alphas)
+    for a, b, c in zip(total.values, head.values, tail.values):
+        assert a == pytest.approx(b + c, rel=1e-12)
 
 
 def test_compose_depends_only_on_step_parameters():
@@ -422,6 +385,46 @@ def test_compose_rejects_nonprivate_step_with_index():
     led.record(0, 5, StepParams(q=0.1, sigma=0.0, clip=1.0, batch_size=2))
     with pytest.raises(ValueError, match=r"step 1 \(t=5\)"):
         compose_client_rdp(led, 0)
+
+
+def test_step_bound_memo_is_capped():
+    memo = accountant._cached_step_bound
+    assert memo.cache_info().maxsize == accountant.STEP_BOUND_CACHE_SIZE < math.inf
+    first = memo(2.0, 0.01, 2.0)
+    # more distinct (alpha, q, sigma) than the cap holds evicts the first entry
+    for i in range(accountant.STEP_BOUND_CACHE_SIZE + 8):
+        memo(2.0, 0.01, 5.0 + i / 1024)
+    info = memo.cache_info()
+    assert info.currsize <= info.maxsize
+    misses = info.misses
+    again = memo(2.0, 0.01, 2.0)
+    assert memo.cache_info().misses == misses + 1
+    assert again == first == renyi_step_bound(2.0, MechanismParams(q=0.01, sigma=2.0)).bound
+
+
+def test_calibration_and_composition_share_step_bounds(monkeypatch):
+    # sigma large enough that every default order is finite when composed
+    q, sigma, steps = 0.0123, 30.456789, 7
+    curve = accountant.calibration_curve(q, sigma, steps)
+    seen = []
+    original = accountant.renyi_step_bound
+
+    def counting(alpha, params):
+        seen.append(alpha)
+        return original(alpha, params)
+
+    monkeypatch.setattr(accountant, "renyi_step_bound", counting)
+    led = ParticipationLedger()
+    for t in range(1, steps + 1):
+        led.record(0, t, StepParams(q=q, sigma=sigma, clip=1.0, batch_size=1))
+    composed = compose_client_rdp(led, 0)
+    # only the orders above the calibration cap are new to the memo
+    assert seen == [a for a in DEFAULT_ALPHAS if a > accountant.CALIBRATION_MAX_ORDER]
+    for alpha, c, v in zip(DEFAULT_ALPHAS, curve.values, composed.values):
+        if alpha <= accountant.CALIBRATION_MAX_ORDER:
+            assert c == v
+        else:
+            assert math.isinf(c) and math.isfinite(v)
 
 
 # --- conversion ------------------------------------------------------------

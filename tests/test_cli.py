@@ -196,10 +196,10 @@ def test_convert_round_trip(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "convert", "--curve", str(curve_path), "--delta", "1e-5")
     assert code == cli.EXIT_OK
     kv = parse_kv(out)
-    # the curve file carries 12 significant digits, so conversion agrees
-    # with the direct library result to that precision
+    # the curve file carries 17 significant digits, which round-trip every
+    # double, so conversion gives the direct library result exactly
     direct, alpha_star = rdp_to_dp(compose_client_rdp(ParticipationLedger.read(ledger_path), 0), 1e-5)
-    assert float(kv["epsilon"]) == pytest.approx(direct.epsilon, rel=1e-11)
+    assert float(kv["epsilon"]) == direct.epsilon
     assert float(kv["alpha_star"]) == alpha_star
 
 
@@ -298,6 +298,18 @@ def test_simulate_writes_artifacts(capsys, tmp_path):
     for name in ("model.txt", "rounds.csv", "clients.csv", "ledger.tsv"):
         assert (outdir / name).is_file()
     assert "accuracy=" in out
+
+
+def test_simulate_prints_calibrated_sigma_without_participations(capsys, tmp_path):
+    # with m_t = 0 no client steps, so the ledger is empty; sigma is still
+    # the calibrated one
+    cfg = demo_config(tmp_path, rounds=3, clients=4, m_t=0, sigma=None, target_epsilon=4.0)
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--outdir", str(tmp_path / "o"))
+    assert code == cli.EXIT_OK
+    want = simulate.SimConfig.from_file(cfg).resolve_sigma()
+    assert want > 0
+    assert parse_kv(out)["sigma"] == repr(want)
+    assert (tmp_path / "o" / "ledger.tsv").read_bytes() == b""
 
 
 def test_simulate_seed_override_changes_output(capsys, tmp_path):

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference
+from fedrdp import divergence
 from fedrdp.accountant import (
     DEFAULT_ALPHAS,
     ParticipationLedger,
     StepParams,
+    calibration_curve,
     compose_client_rdp,
 )
 from fedrdp.divergence import (
@@ -60,6 +62,21 @@ def test_moment_rejects_bad_args():
 def test_moment_overflow_signal():
     with pytest.raises(OverflowError):
         likelihood_ratio_moment(0.1, 50)
+
+
+def test_moment_memo_is_capped():
+    memo = divergence._moment_mpf
+    assert memo.cache_info().maxsize == divergence.MOMENT_CACHE_SIZE < math.inf
+    first = memo(2.0, 6)
+    # more distinct (sigma, k) than the cap holds evicts the first entry
+    for i in range(divergence.MOMENT_CACHE_SIZE + 8):
+        memo(3.0 + i / 1024, 2)
+    info = memo.cache_info()
+    assert info.currsize <= info.maxsize
+    misses = info.misses
+    again = memo(2.0, 6)
+    assert memo.cache_info().misses == misses + 1
+    assert again == first == memo.__wrapped__(2.0, 6)
 
 
 def test_abs_moment_even_branch_is_moment():
@@ -264,11 +281,14 @@ def test_step_bound_unavailable_orders_unchanged():
     # exponent cap: the m=3 remainder at alpha=128 needs E[(L-1)^128]
     with pytest.raises(OverflowError):
         renyi_step_bound(128.0, MechanismParams(q=0.01, sigma=2.7))
-    # order cap, as in calibration
-    with pytest.raises(OverflowError):
-        renyi_step_bound(512.0, MechanismParams(q=0.01, sigma=64.0), max_moment_order=300)
-    r = renyi_step_bound(256.0, MechanismParams(q=0.01, sigma=64.0), max_moment_order=300)
-    assert math.isfinite(r.bound) and r.bound > 0
+    # order cap: calibration skips orders above 300, composition does not
+    capped = calibration_curve(0.01, 64.0, 1)
+    full = compose_client_rdp(
+        ParticipationLedger().record(0, 1, StepParams(q=0.01, sigma=64.0, clip=1.0, batch_size=1)), 0
+    )
+    assert [a for a, v in capped.items() if math.isinf(v)] == [512.0, 1025.0]
+    assert all(math.isfinite(v) and v > 0 for v in full.values)
+    assert capped.values[:-2] == full.values[:-2]
     ledger = ParticipationLedger().record(0, 1, StepParams(q=0.004, sigma=1.0, clip=1.0, batch_size=1))
     curve = compose_client_rdp(ledger, 0)
     assert [a for a, v in curve.items() if math.isinf(v)] == [48.0, 64.0, 128.0, 256.0, 512.0, 1025.0]

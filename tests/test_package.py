@@ -1,0 +1,52 @@
+"""Public surface: exported names resolve, and the benchmark's tracer still fits."""
+
+import importlib.util
+import inspect
+import pathlib
+
+import pytest
+
+import fedrdp
+from fedrdp import accountant, cli, divergence, simulate
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.mark.parametrize(
+    "module", [fedrdp, divergence, accountant, simulate], ids=lambda m: m.__name__
+)
+def test_every_exported_name_resolves(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_package_exports_31_names():
+    assert len(fedrdp.__all__) == len(set(fedrdp.__all__)) == 31
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_perfbench_tracer_instruments_and_restores(tmp_path, capsys):
+    # perfbench's per-layer run wraps names on fedrdp's modules; a renamed
+    # or deleted name would break it
+    tracing = _load_tracing()
+    ledger = accountant.ParticipationLedger()
+    for t in range(1, 4):
+        ledger.record(0, t, accountant.StepParams(q=0.02, sigma=2.0, clip=1.0, batch_size=4))
+    ledger.write(tmp_path / "ledger.tsv")
+    tracer = tracing.Tracer()
+    undo = tracing.instrument(tracer, fedrdp)
+    try:
+        code = cli.main(["compose", "--ledger", str(tmp_path / "ledger.tsv"), "--client", "0",
+                         "--alphas", "2,4"])
+    finally:
+        tracing.restore(undo)
+    assert code == cli.EXIT_OK
+    assert {s.name for s in tracer.spans} >= {"accountant.ledger_read", "accountant.compose"}
+    for owner, attr, original in undo:
+        assert inspect.getattr_static(owner, attr) is original
+    assert cli.compose_client_rdp is accountant.compose_client_rdp

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,8 +16,6 @@ from fedrdp.simulate import (
     SimConfig,
     batch_size_trace,
     client_epsilon_report,
-    client_update,
-    clip_gradient,
     evaluate_accuracy,
     generate_client_data,
     run_training,
@@ -27,7 +26,7 @@ from fedrdp.simulate import (
     write_artifacts,
     zero_model,
 )
-from fedrdp.simulate import _noisy_update, _per_sample_directions
+from fedrdp.simulate import _clip_rows, _noisy_update, _per_sample_directions
 
 
 def small_config(**overrides):
@@ -109,25 +108,31 @@ def test_config_file_round_trip(tmp_path):
 # --- clipping ------------------------------------------------------------
 
 
+def _clip_one(g, clip):
+    return _clip_rows(np.asarray(g, dtype=np.float64)[None, :], clip)[0]
+
+
 def test_clip_shrinks_long_vectors():
     g = np.full(4, 5.0)
-    out = clip_gradient(g, 1.0)
+    out = _clip_one(g, 1.0)
     assert np.linalg.norm(out) == pytest.approx(1.0, rel=1e-12)
     assert np.allclose(out / np.linalg.norm(out), g / np.linalg.norm(g))
 
 
 def test_clip_keeps_short_vectors():
     g = np.array([0.3, -0.4])
-    assert np.array_equal(clip_gradient(g, 1.0), g)
+    assert np.array_equal(_clip_one(g, 1.0), g)
 
 
 def test_clip_zero_vector_passes_through():
-    assert np.array_equal(clip_gradient(np.zeros(3), 1.0), np.zeros(3))
+    assert np.array_equal(_clip_one(np.zeros(3), 1.0), np.zeros(3))
 
 
 def test_clip_rejects_nonpositive_threshold():
-    with pytest.raises(ValueError):
-        clip_gradient(np.ones(2), 0.0)
+    # the clip threshold enters through the config, which rejects it there
+    for clip in (0.0, -1.0):
+        with pytest.raises(ValueError, match="clip must be > 0"):
+            small_config(clip=clip)
 
 
 @given(
@@ -136,7 +141,7 @@ def test_clip_rejects_nonpositive_threshold():
 )
 def test_clip_norm_identity(vec, clip):
     g = np.array(vec)
-    out = clip_gradient(g, clip)
+    out = _clip_one(g, clip)
     assert np.linalg.norm(out) == pytest.approx(
         min(np.linalg.norm(g), clip), abs=1e-12
     )
@@ -236,7 +241,6 @@ def _one_client(sigma=0.0, batch=None, n=12, d=3, clip=10.0, seed=0):
         clip=clip,
         sigma=sigma,
         step_size=0.1,
-        rng_seed=seed,
     )
 
 
@@ -253,7 +257,7 @@ def test_per_sample_directions_match_reference():
 def test_client_update_noiseless_full_batch_is_mean_direction():
     client = _one_client(sigma=0.0)
     model = zero_model(3, 2)
-    upd = client_update(client, model, np.random.default_rng(1))
+    upd, _ = _noisy_update(client, model, np.random.default_rng(1))
     G = _per_sample_directions(model, client.features, client.labels, 0.1)
     assert np.allclose(upd, G.mean(axis=0), atol=1e-14)
 
@@ -265,7 +269,7 @@ def test_client_update_noise_variance():
     model = zero_model(3, 2)
     reps = 3000
     updates = np.stack(
-        [client_update(client, model, np.random.default_rng(1000 + i)) for i in range(reps)]
+        [_noisy_update(client, model, np.random.default_rng(1000 + i))[0] for i in range(reps)]
     )
     per_coord_var = updates.var(axis=0, ddof=1)
     want = (1.0 * 2.0 / 16) ** 2
@@ -275,7 +279,7 @@ def test_client_update_noise_variance():
 
 def test_client_update_dimension_mismatch():
     with pytest.raises(ValueError, match="features"):
-        client_update(_one_client(), zero_model(5, 2), np.random.default_rng(0))
+        _noisy_update(_one_client(), zero_model(5, 2), np.random.default_rng(0))
 
 
 def test_prenoise_norm_bounded_by_clip():
@@ -436,3 +440,29 @@ def test_artifacts_round_trip(tmp_path):
     crows = open(paths["clients"]).read().splitlines()
     assert crows[0] == "client_id,participations,epsilon"
     assert len(crows) == 1 + len(ledger.clients())
+
+
+ARTIFACTS = ("model.txt", "rounds.csv", "clients.csv", "ledger.tsv")  # in writing order
+
+
+@pytest.mark.parametrize("failing", ARTIFACTS)
+def test_artifacts_write_failing_partway_keeps_old_file(tmp_path, half_full_disk, failing):
+    def artifacts(seed):
+        cfg = small_config(rounds=8, sigma=2.0, seed=seed)
+        return run_training(cfg) + (cfg.delta,)
+
+    outdir = tmp_path / "out"
+    write_artifacts(outdir, *artifacts(5))
+    old = {name: (outdir / name).read_bytes() for name in ARTIFACTS}
+    new_run = artifacts(6)
+    write_artifacts(tmp_path / "fresh", *new_run)
+    new = {name: (tmp_path / "fresh" / name).read_bytes() for name in ARTIFACTS}
+    assert all(old[name] != new[name] for name in ARTIFACTS)
+    written = half_full_disk(failing)
+    with pytest.raises(OSError):
+        write_artifacts(outdir, *new_run)
+    assert written and written[0] > 0  # the failure came after a partial write
+    done = ARTIFACTS[: ARTIFACTS.index(failing)]
+    for name in ARTIFACTS:
+        assert (outdir / name).read_bytes() == (new if name in done else old)[name], name
+    assert sorted(os.listdir(outdir)) == sorted(ARTIFACTS)
