@@ -144,11 +144,6 @@ class RdpCurve:
             if math.isnan(v) or v < 0:
                 raise ValueError(f"curve values must be >= 0, got {v!r}")
 
-    @classmethod
-    def zero(cls, alphas: Iterable[float] = DEFAULT_ALPHAS) -> "RdpCurve":
-        alphas = tuple(float(a) for a in alphas)
-        return cls(alphas, (0.0,) * len(alphas))
-
     def items(self) -> Iterator[tuple[float, float]]:
         return zip(self.alphas, self.values)
 

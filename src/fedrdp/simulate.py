@@ -368,10 +368,14 @@ def server_update(model: ModelVector, updates: Sequence[np.ndarray], m_t: int) -
 
 
 def run_training(
-    config: SimConfig, ledger: ParticipationLedger | None = None
+    config: SimConfig,
+    ledger: ParticipationLedger | None = None,
+    clients: Sequence[ClientState] | None = None,
 ) -> tuple[ModelVector, list[RoundRecord], ParticipationLedger]:
     """Run the full federated loop, recording every participation.
 
+    clients is the data ``generate_client_data(config, sigma)`` returns;
+    pass it to reuse data already built, or leave it None to build it here.
     Rounds are 1-based.  With dropout, each client is independently
     unavailable with probability dropout_prob each round and the round
     selects min(m_t, available) clients.  Aggregation is in ascending
@@ -385,7 +389,8 @@ def run_training(
     if ledger is None:
         ledger = ParticipationLedger()
     sigma = config.resolve_sigma()
-    clients = generate_client_data(config, sigma)
+    if clients is None:
+        clients = generate_client_data(config, sigma)
     model = zero_model(config.d, config.classes)
     step = StepParams(
         q=config.sampling_ratio,

@@ -358,6 +358,58 @@ def test_quadrature_error_reports_achieved_tolerance():
     assert err.achieved_tolerance == 1e-7
 
 
+def test_oracle_error_gate_uses_unscaled_integral(monkeypatch):
+    # force the normalised integral's error estimate to 1e-10 of its value:
+    # the gate (relative 1e-18 here) must fire, and report the tolerance on
+    # the scale of the moment itself (~5.6e27), not of the normalised integral
+    alpha, q, sigma = 4.0, 0.5, 0.6
+    quad = divergence.mp.quad
+
+    def loose_quad(f, points, **kwargs):
+        value, _ = quad(f, points, **kwargs)
+        return value, value * mp.mpf("1e-10")
+
+    monkeypatch.setattr(divergence.mp, "quad", loose_quad)
+    with pytest.raises(QuadratureError) as info:
+        renyi_divergence_quadrature(alpha, q, sigma)
+    moment = math.exp((alpha - 1) * reference.integer_alpha_divergence(int(alpha), q, sigma))
+    assert moment > 1e27
+    assert info.value.achieved_tolerance == pytest.approx(1e-10 * moment, rel=1e-9)
+
+
+def test_oracle_pure_gaussian_shift_past_float_range():
+    # the moment e^{(alpha-1) D} = e^{8064} is far past float range
+    assert renyi_divergence_quadrature(64.0, 1.0, 1.0) == pytest.approx(128.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, q, sigma", [(4, 0.5, 0.6), (12, 0.6, 1.2), (48, 0.05, 3.0)])
+def test_oracle_matches_closed_form_at_large_moments(alpha, q, sigma):
+    quad = renyi_divergence_quadrature(float(alpha), q, sigma)
+    assert quad == pytest.approx(reference.integer_alpha_divergence(alpha, q, sigma), rel=1e-13)
+    assert quad <= renyi_step_bound(float(alpha), MechanismParams(q=q, sigma=sigma)).bound
+
+
+@pytest.mark.parametrize("alpha, q, sigma", [(64, 0.5, 16.0), (256, 0.3, 64.0)])
+def test_oracle_with_integrand_peak_inside_zero_alpha(alpha, q, sigma):
+    # the log-integrand peaks near t = 42 and t = 81, away from {0, 1, alpha}
+    quad = renyi_divergence_quadrature(float(alpha), q, sigma)
+    assert quad == pytest.approx(reference.integer_alpha_divergence(alpha, q, sigma), rel=1e-13)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    alpha=st.floats(1.0, 32.0, exclude_min=True, exclude_max=True),
+    u_q=st.floats(0.0, 1.0),
+    u_sigma=st.floats(0.0, 1.0),
+)
+def test_bound_dominates_oracle_fractional_orders(alpha, u_q, u_sigma):
+    assume(not alpha.is_integer())
+    q = _log_uniform(1e-3, 0.99, u_q)
+    sigma = _log_uniform(1.0, 8.0, u_sigma)
+    r = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma))
+    assert r.bound >= renyi_divergence_quadrature(alpha, q, sigma)
+
+
 def test_bound_dominates_oracle_spot_points():
     for alpha, q, sigma in [(8.0, 0.02, 3.0), (1.5, 0.2, 1.0), (16.0, 0.05, 2.0)]:
         r = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma))
