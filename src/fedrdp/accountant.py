@@ -9,19 +9,26 @@ converts to (epsilon, delta) by the standard minimisation over the grid.
 The ledger serialises to line-delimited text
 ``client_id<TAB>t<TAB>q<TAB>sigma<TAB>clip<TAB>batch_size`` sorted by
 (client_id, t); q and sigma are written with repr so they round-trip
-exactly.  Parsing interns step parameters: lines with the same
-``q<TAB>sigma<TAB>clip<TAB>batch_size`` text share one validated
-``StepParams``.  Writing goes through a temporary file that replaces the
-target only when complete: a ledger cut short would read back as a valid,
-shorter history and understate epsilon.  Composition groups a client's
-steps by identical (q, sigma), so its cost grows with the number of distinct
-step parameters, not with the number of steps.
+exactly.  Lines end in "\n" (a "\r" before it is dropped), blank lines
+hold only spaces and tabs, and a client id is canonical decimal (no sign but
+a leading "-", no leading zero, no space), so every line of client c starts
+with exactly ``c<TAB>``.  Parsing interns step parameters: lines with the
+same ``q<TAB>sigma<TAB>clip<TAB>batch_size`` text share one validated
+``StepParams``.  Reading one client finds that prefix with ``str.find`` and
+parses only the lines it starts, after checking that every line starts with
+a canonical id or is blank, so no line of the client can go unread.  Writing
+goes through a temporary file that replaces the target only when complete:
+a ledger cut short would read back as a valid, shorter history and
+understate epsilon.  Composition groups a client's steps by identical
+(q, sigma), so its cost grows with the number of distinct step parameters,
+not with the number of steps.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -61,9 +68,20 @@ CALIBRATION_MAX_ORDER = 300
 # ones are dropped past it.
 STEP_BOUND_CACHE_SIZE = 4096
 
+# The ledger's client id field: canonical decimal, the only spelling of an id.
+_CLIENT_ID = re.compile(r"0|-?[1-9][0-9]*")
+# Where a line may start: a canonical client id and a tab, or a blank line.
+_LINE_START = rf"(?:{_CLIENT_ID.pattern})\t|[ \t]*(?:\n|\Z)"
+_GOOD_FIRST_LINE = re.compile(_LINE_START)
+_BAD_LINE_START = re.compile(rf"\n(?!{_LINE_START})")
+# Line boundaries of str.splitlines other than "\n" and "\r\n".  The format
+# has none of them, so a text holding one is rejected, never read two ways.
+_FOREIGN_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
-def _debug(message: str, *args) -> None:
-    """Log at DEBUG on ``logging.getLogger(__name__)``.
+
+def _debug(message: str, *args, topic: str = "") -> None:
+    """Log at DEBUG on ``logging.getLogger(__name__)``, or on its child
+    ``<__name__>.<topic>`` when a topic is given.
 
     The package does not import logging itself, which costs ~6 ms and
     ~0.5 MB per process: a program that configured logging has imported it,
@@ -72,7 +90,8 @@ def _debug(message: str, *args) -> None:
     """
     logging = sys.modules.get("logging")
     if logging is not None:
-        logging.getLogger(__name__).debug(message, *args, stacklevel=2)
+        name = f"{__name__}.{topic}" if topic else __name__
+        logging.getLogger(name).debug(message, *args, stacklevel=2)
 
 
 class CalibrationError(RuntimeError):
@@ -194,21 +213,44 @@ class ParticipationLedger:
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
-    def from_text(cls, text: str) -> "ParticipationLedger":
+    def from_text(cls, text: str, client_id: int | None = None) -> "ParticipationLedger":
         """Parse the text written by `to_text`.
 
-        Blank (whitespace-only) lines are skipped.  Each distinct parameter
-        text ``q<TAB>sigma<TAB>clip<TAB>batch_size`` is parsed and validated
-        once; later lines with the same text share that `StepParams`.
-        Timesteps must increase within each client, as for `record`.
+        Lines end in "\n" or "\r\n"; any other line boundary of
+        `str.splitlines` is rejected.  Blank lines (spaces and tabs only) are
+        skipped.  Each distinct parameter text ``q<TAB>sigma<TAB>clip<TAB>
+        batch_size`` is parsed and validated once; later lines with the same
+        text share that `StepParams`.  Client ids must be canonical decimal,
+        and timesteps must increase within each client, as for `record`.
+
+        With client_id, the ledger holds only that client's steps.  Every
+        line must still start with a canonical client id and a tab, or be
+        blank, so none of the client's lines can hide under another
+        spelling; the lines that start with ``client_id<TAB>`` are then
+        parsed and checked as above.  Other clients' lines are not parsed:
+        a malformed field in one of them does not fail this read.
         """
+        if "\r" in text:
+            text = text.replace("\r\n", "\n")
+        for char in _FOREIGN_BREAKS:
+            pos = text.find(char)
+            if pos != -1:
+                lineno = text.count("\n", 0, pos) + 1
+                raise ValueError(f"ledger line {lineno}: {char!r} is not a ledger line break")
+        if client_id is None:
+            lines = enumerate(text.split("\n"), start=1)
+        elif isinstance(client_id, int):
+            lines = _client_lines(text, int(client_id))
+        else:
+            raise ValueError(f"client_id must be an integer, got {client_id!r}")
         ledger = cls()
         interned: dict[str, StepParams] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
+        ids: dict[str, int] = {}
+        for lineno, line in lines:
+            if not line.strip(" \t"):
                 continue
             try:
-                client_id, t, rest = line.split("\t", 2)
+                cid, t, rest = line.split("\t", 2)
             except ValueError:
                 raise ValueError(f"ledger line {lineno}: expected 6 tab-separated fields") from None
             params = interned.get(rest)
@@ -222,8 +264,14 @@ class ParticipationLedger:
                     clip=float(fields[2]),
                     batch_size=int(fields[3]),
                 )
-            client_id = int(client_id)
-            _append_step(ledger._records.setdefault(client_id, []), client_id, int(t), params)
+            client = ids.get(cid)
+            if client is None:
+                if not _CLIENT_ID.fullmatch(cid):
+                    raise ValueError(
+                        f"ledger line {lineno}: client id {cid!r} is not canonical decimal"
+                    )
+                client = ids[cid] = int(cid)
+            _append_step(ledger._records.setdefault(client, []), client, int(t), params)
         return ledger
 
     def write(self, path) -> None:
@@ -231,9 +279,45 @@ class ParticipationLedger:
         write_atomic(path, self.to_text())
 
     @classmethod
-    def read(cls, path) -> "ParticipationLedger":
+    def read(cls, path, client_id: int | None = None) -> "ParticipationLedger":
+        """Parse the ledger file at path (see `from_text`).
+
+        With client_id, only that client's lines are parsed and the ledger
+        holds only its steps; other clients' lines are checked for a
+        canonical client id at their start and nothing more.
+        """
         with open(path, "r", encoding="ascii") as fh:
-            return cls.from_text(fh.read())
+            return cls.from_text(fh.read(), client_id)
+
+
+def _client_lines(text: str, client_id: int) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line of text starting ``client_id<TAB>``.
+
+    Raises ValueError, naming the line, if any line starts with neither a
+    canonical client id and a tab nor blank space: such a line could be the
+    client's under another spelling ("07", "+7", " 7", "7_0").
+    """
+    if not _GOOD_FIRST_LINE.match(text):
+        bad = 1
+    else:
+        match = _BAD_LINE_START.search(text)
+        bad = match and text.count("\n", 0, match.start()) + 2
+    if bad:
+        raise ValueError(f"ledger line {bad}: does not start with a canonical client id and a tab")
+    prefix = f"{client_id}\t"
+    needle = "\n" + prefix
+    # pos: where the client's next line starts, None when none is left (a
+    # failed find gives -1 + 1 = 0, which no line after the first starts at)
+    pos = 0 if text.startswith(prefix) else text.find(needle) + 1 or None
+    lineno, counted = 1, 0
+    while pos is not None:
+        end = text.find("\n", pos)
+        if end == -1:
+            end = len(text)
+        lineno += text.count("\n", counted, pos)
+        counted = pos
+        yield lineno, text[pos:end]
+        pos = text.find(needle, end) + 1 or None
 
 
 def write_atomic(path, text: str) -> None:
@@ -276,6 +360,8 @@ def _cached_step_bound(alpha: float, q: float, sigma: float) -> float:
     except OverflowError:
         # No admissible truncation at this order; +inf is still a valid
         # upper bound and the conversion step skips it.
+        _debug("alpha=%r q=%r sigma=%r: step bound is inf (moment exponent cap)",
+               alpha, q, sigma, topic="inf")
         return math.inf
 
 
@@ -349,16 +435,21 @@ def calibration_curve(
     Each order's value is `steps` times the one-step bound at (q, sigma),
     and +inf above CALIBRATION_MAX_ORDER, so converting this curve at the
     calibrated sigma reproduces the epsilon the calibration accepted.  The
-    one-step bounds are the ones ``compose_client_rdp`` uses.
+    one-step bounds are the ones ``compose_client_rdp`` uses.  Each +inf
+    order is logged at DEBUG on ``fedrdp.accountant.inf`` with its reason
+    (order cap here, moment exponent cap when the step bound is first
+    computed).
     """
     alphas = tuple(float(a) for a in alphas)
-    return RdpCurve(
-        alphas,
-        tuple(
-            steps * _cached_step_bound(a, q, sigma) if a <= CALIBRATION_MAX_ORDER else math.inf
-            for a in alphas
-        ),
-    )
+    values = []
+    for a in alphas:
+        if a <= CALIBRATION_MAX_ORDER:
+            values.append(steps * _cached_step_bound(a, q, sigma))
+        else:
+            _debug("alpha=%r q=%r sigma=%r: calibration curve is inf (order cap %d)",
+                   a, q, sigma, CALIBRATION_MAX_ORDER, topic="inf")
+            values.append(math.inf)
+    return RdpCurve(alphas, tuple(values))
 
 
 def calibrate_sigma(

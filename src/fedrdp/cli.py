@@ -26,6 +26,7 @@ from .accountant import (
     calibration_curve,
     compose_client_rdp,
     rdp_to_dp,
+    write_atomic,
 )
 from .divergence import (
     BoundBreakdownError,
@@ -110,24 +111,30 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _write_curve(curve: RdpCurve, stream, fmt: str):
+def _curve_text(curve: RdpCurve, fmt: str) -> str:
     if fmt == "csv":
-        stream.write("alpha,rdp\n")
-        for alpha, value in curve.items():
-            stream.write(f"{alpha:.17g},{value:.17g}\n")
+        rows = [f"{alpha:.17g},{value:.17g}" for alpha, value in curve.items()]
+        return "alpha,rdp\n" + "".join(row + "\n" for row in rows)
+    return "".join(json.dumps({"alpha": a, "rdp": v}) + "\n" for a, v in curve.items())
+
+
+def _emit(text: str, output) -> None:
+    """Write text to the file output atomically, or to stdout if output is None.
+
+    A curve file cut short mid-number would read back as a smaller value and
+    understate epsilon, so output files are never left partly written.
+    """
+    if output:
+        write_atomic(output, text)
     else:
-        for alpha, value in curve.items():
-            stream.write(json.dumps({"alpha": alpha, "rdp": value}) + "\n")
+        sys.stdout.write(text)
 
 
 def cmd_compose(args) -> int:
-    ledger = ParticipationLedger.read(args.ledger)
+    # only this client's ledger lines are parsed (see ParticipationLedger.read)
+    ledger = ParticipationLedger.read(args.ledger, client_id=args.client)
     curve = compose_client_rdp(ledger, args.client, _parse_alphas(args.alphas))
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            _write_curve(curve, fh, args.format)
-    else:
-        _write_curve(curve, sys.stdout, args.format)
+    _emit(_curve_text(curve, args.format), args.output)
     return EXIT_OK
 
 
@@ -207,12 +214,7 @@ def cmd_trace(args) -> int:
     rounds = args.rounds if args.rounds is not None else config.rounds
     sizes = batch_size_trace(config, sampler, rounds)
     lines = ["round,batch_size"] + [f"{t},{b}" for t, b in enumerate(sizes, start=1)]
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 

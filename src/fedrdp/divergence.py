@@ -275,9 +275,12 @@ def _integer_moment_excess_mpf(n: int, q: float, sigma: float) -> mpf:
     The weights and the exponentials are both carried forward by
     multiplication, O(n) work with no exp per term: e_l = e^{inv l(l-1)}
     steps as e_{l+1} = e_l r_l with r_l = e^{2 inv l}, r_{l+1} = r_l e^{2 inv}.
-    Where e_l > 2, e_l - 1 loses at most one bit; below that, expm1 is
-    called, so small exponents (every term at large sigma) stay exact.  The
-    sum runs at _BASE_DPS + 10 digits and is rounded to _BASE_DPS.
+    While e_l <= 2 the sum carries em_l = e_l - 1 and rm_l = r_l - 1 instead,
+    as em_{l+1} = em_l + rm_l + em_l rm_l and rm_{l+1} = rm_l + g + rm_l g
+    with g = expm1(2 inv): every term is nonnegative, so nothing cancels and
+    small exponents (every term at large sigma) stay exact.  Past e_l = 2,
+    e_l - 1 loses at most one bit.  The sum runs at _BASE_DPS + 10 digits
+    and is rounded to _BASE_DPS.
     """
     with _MP_LOCK:
         with mp.workdps(_BASE_DPS + 10):
@@ -285,12 +288,20 @@ def _integer_moment_excess_mpf(n: int, q: float, sigma: float) -> mpf:
             inv = mpf(2) / (mpf(sigma) ** 2)
             ratio = qq / (1 - qq)
             weight = (1 - qq) ** n * n * ratio  # C(n,1) q (1-q)^(n-1)
-            growth = mp.exp(2 * inv)
-            e, r = growth, growth * growth  # e_2, r_2
+            g = mp.expm1(2 * inv)
+            em, rm = g, g * (2 + g)  # e_2 - 1, r_2 - 1
             excess = mpf(0)
-            for l in range(2, n + 1):
+            l = 2
+            while l <= n and em <= 1:
                 weight *= ratio * (n - l + 1) / l
-                excess += weight * (e - 1 if e > 2 else mp.expm1(inv * (l * (l - 1))))
+                excess += weight * em
+                em += rm + em * rm
+                rm += g + rm * g
+                l += 1
+            e, r, growth = em + 1, rm + 1, g + 1
+            for l in range(l, n + 1):
+                weight *= ratio * (n - l + 1) / l
+                excess += weight * (e - 1)
                 e *= r
                 r *= growth
         with mp.workdps(_BASE_DPS):

@@ -239,13 +239,12 @@ class ClientState:
 class RoundRecord:
     """Per-round log entry: who was selected and what they sent back.
 
-    batch_sizes and update_norms align with `selected` (ascending client
-    id); update_norms are pre-noise norms of the clipped-average update.
+    update_norms align with `selected` (ascending client id); they are
+    pre-noise norms of the clipped-average update.
     """
 
     t: int
     selected: tuple[int, ...]
-    batch_sizes: tuple[int, ...]
     update_norms: tuple[float, ...]
 
 
@@ -426,7 +425,6 @@ def run_training(
             RoundRecord(
                 t=t,
                 selected=tuple(chosen),
-                batch_sizes=(config.batch_size,) * len(chosen),
                 update_norms=tuple(norms),
             )
         )
@@ -507,10 +505,20 @@ def write_artifacts(
         "ledger": os.path.join(outdir, "ledger.tsv"),
     }
     write_atomic(paths["model"], "".join(f"{float(w)!r}\n" for w in model.weights))
+    # a row's batch size is the one its ledger step recorded; rows and each
+    # client's steps both run in t order
+    steps = {cid: iter(ledger.steps(cid)) for cid in ledger.clients()}
+
+    def batch_size(cid: int, t: int) -> int:
+        step_t, params = next(steps[cid])
+        if step_t != t:
+            raise ValueError(f"client {cid}: round record t={t}, ledger step t={step_t}")
+        return params.batch_size
+
     write_atomic(paths["rounds"], "t,client_id,batch_size,update_norm\n" + "".join(
-        f"{rec.t},{cid},{bs},{norm:.12g}\n"
+        f"{rec.t},{cid},{batch_size(cid, rec.t)},{norm:.12g}\n"
         for rec in records
-        for cid, bs, norm in zip(rec.selected, rec.batch_sizes, rec.update_norms)
+        for cid, norm in zip(rec.selected, rec.update_norms)
     ))
     write_atomic(paths["clients"], "client_id,participations,epsilon\n" + "".join(
         f"{cid},{count},{eps:.12g}\n" for cid, count, eps in client_epsilon_report(ledger, delta)

@@ -39,8 +39,8 @@ def half_full_disk(monkeypatch):
             raise OSError(errno.ENOSPC, "No space left on device")
 
     def fail(name):
-        def fake_open(file, mode):
-            fh = builtins.open(file, mode)
+        def fake_open(file, mode="r", **kwargs):
+            fh = builtins.open(file, mode, **kwargs)
             # write_atomic writes name through the temporary file .name.<hex>.tmp
             return HalfFullDisk(fh) if os.path.basename(file).startswith(f".{name}.") else fh
 

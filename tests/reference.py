@@ -103,6 +103,23 @@ def integer_alpha_divergence(alpha: int, q: float, sigma: float, dps: int = 60) 
         return float(mp.log(total) / (alpha - 1))
 
 
+def integer_moment_excess_direct(n: int, q: float, sigma: float) -> mp.mpf:
+    """E_Q[(P/Q)^n] - 1 as the direct binomial sum, at 60 digits rounded to 50.
+
+    sum_{l=2}^{n} C(n,l) q^l (1-q)^(n-l) expm1(2l(l-1)/sigma^2), every term
+    with its own binomial and its own expm1: no quantity carried between
+    terms.
+    """
+    with mp.workdps(60):
+        qm, s2 = mp.mpf(q), mp.mpf(sigma) ** 2
+        total = mp.fsum(
+            mp.binomial(n, l) * qm**l * (1 - qm) ** (n - l) * mp.expm1(2 * l * (l - 1) / s2)
+            for l in range(2, n + 1)
+        )
+    with mp.workdps(50):
+        return +total
+
+
 # --- per-line ledger parser -----------------------------------------------
 #
 # The straightforward parse: split every line into its six fields, build and
@@ -127,6 +144,36 @@ def parse_ledger_per_line(text: str) -> ParticipationLedger:
         )
         ledger.record(int(fields[0]), int(fields[1]), params)
     return ledger
+
+
+def client_steps_by_splitlines(text: str, client_id: int):
+    """The steps of client_id in text, as str.splitlines and int() find them.
+
+    Every line whose first field int() reads as client_id is the client's,
+    whatever its spelling ("07", " 7", "+7", "7 ", "7_0" for 70), and lines
+    end at every boundary str.splitlines knows.  Lines whose first field is
+    no integer, or another client's, are skipped.  Raises ValueError if one
+    of the client's lines is malformed or out of order.
+    """
+    ledger = ParticipationLedger()
+    for line in text.splitlines():
+        fields = line.split("\t")
+        try:
+            owner = int(fields[0])
+        except ValueError:
+            continue
+        if owner != client_id:
+            continue
+        if len(fields) != 6:
+            raise ValueError("expected 6 tab-separated fields")
+        params = StepParams(
+            q=float(fields[2]),
+            sigma=float(fields[3]),
+            clip=float(fields[4]),
+            batch_size=int(fields[5]),
+        )
+        ledger.record(client_id, int(fields[1]), params)
+    return ledger.steps(client_id)
 
 
 # --- true Taylor remainder via nested quadrature --------------------------

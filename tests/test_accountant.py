@@ -3,6 +3,7 @@
 import logging
 import math
 import os
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -253,6 +254,146 @@ def test_text_parse_matches_per_line_reference(lines, fault, newline):
     sorted_text = got.to_text()
     assert sorted_text == want.to_text()
     assert ParticipationLedger.from_text(sorted_text).to_text() == sorted_text
+
+
+# --- reading one client -----------------------------------------------------
+
+# Spellings of a client id that int() reads as that id but the format does
+# not allow, and the line boundaries of str.splitlines other than "\n":
+# each could carry a line of the client that a search for "\n<id>\t" misses.
+NONCANONICAL_IDS = ["0{}", " {}", "+{}", "{} ", "-{}"]  # "-{}" is a trap for 0 only
+FOREIGN_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r"]
+CLIENT_IDS = [0, 1, 7, 70, -3]
+
+
+def _spell(template, cid):
+    # "7_0" reads as 70: an underscore between the digits of a multi-digit id
+    return "_".join(str(cid)) if template == "_" else template.format(cid)
+
+
+@settings(max_examples=300)
+@given(
+    lines=st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(CLIENT_IDS), st.integers(1, 3), st.sampled_from(VALID_PARAMS)),
+            st.sampled_from(BLANK_LINES),
+        ),
+        max_size=24,
+    ),
+    trap=st.one_of(
+        st.none(),
+        st.tuples(st.integers(0, 24), st.sampled_from(CLIENT_IDS),
+                  st.sampled_from(NONCANONICAL_IDS + ["_"])),
+    ),
+    malformed=st.one_of(
+        st.none(),
+        st.tuples(st.integers(0, 24), st.sampled_from(CLIENT_IDS), st.sampled_from(INVALID_PARAMS)),
+    ),
+    foreign_break=st.one_of(
+        st.none(), st.tuples(st.integers(0, 24), st.sampled_from(FOREIGN_BREAKS))
+    ),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+def test_read_one_client_never_skips_a_line_of_the_client(
+    tmp_path_factory, lines, trap, malformed, foreign_break, newline
+):
+    # trap: a valid next step of a client under a non-canonical spelling;
+    # malformed: a client's next step with invalid parameters;
+    # foreign_break: one line ended by a splitlines-only boundary
+    last_t = {}
+
+    def next_t(cid):
+        last_t[cid] = last_t.get(cid, 0) + 1
+        return last_t[cid]
+
+    rendered = []
+    for pos, line in enumerate(lines + [""]):
+        if trap and trap[0] == pos:
+            _, cid, template = trap
+            rendered.append(f"{_spell(template, cid)}\t{next_t(cid)}\t{VALID_PARAMS[0]}")
+        if malformed and malformed[0] == pos:
+            _, cid, params = malformed
+            rendered.append(f"{cid}\t{next_t(cid)}\t{params}")
+        if isinstance(line, str):
+            rendered.append(line)
+            continue
+        cid, gap, params = line
+        last_t[cid] = last_t.get(cid, 0) + gap
+        rendered.append(f"{cid}\t{last_t[cid]}\t{params}")
+    breaks = [newline] * (len(rendered) - 1)
+    if foreign_break and foreign_break[0] < len(breaks):
+        breaks[foreign_break[0]] = foreign_break[1]
+    text = "".join(line + end for line, end in zip(rendered, breaks + [""]))
+    path = tmp_path_factory.mktemp("ledger") / "ledger.tsv"
+    path.write_bytes(text.encode("ascii"))
+
+    try:
+        full = ParticipationLedger.read(path)
+    except ValueError:
+        full = None
+    for cid in CLIENT_IDS + [5]:
+        try:
+            want = reference.client_steps_by_splitlines(text, cid)
+        except ValueError:
+            want = None  # one of the client's own lines is malformed
+        try:
+            got = ParticipationLedger.read(path, client_id=cid)
+        except ValueError:
+            # raising is always safe, but only a text the full read rejects
+            assert full is None
+            continue
+        assert want is not None, f"client {cid}: a malformed line of the client went unread"
+        assert got.steps(cid) == want, f"client {cid}: steps differ from every line of the client"
+        assert got.clients() == ((cid,) if want else ())
+        if full is not None:
+            assert full.steps(cid) == want
+
+
+@pytest.mark.parametrize(
+    "spelling, cid", [("07", 7), (" 7", 7), ("+7", 7), ("7 ", 7), ("7_0", 70), ("-0", 0), ("00", 0)]
+)
+def test_read_rejects_noncanonical_client_id(tmp_path, spelling, cid):
+    path = tmp_path / "ledger.tsv"
+    path.write_text(f"1\t1\t{LINE}\n{spelling}\t1\t{LINE}\n", encoding="ascii")
+    assert reference.client_steps_by_splitlines(path.read_text(), cid)  # int() reads a step
+    for client_id in (None, cid, 1):
+        with pytest.raises(ValueError, match="line 2"):
+            ParticipationLedger.read(path, client_id=client_id)
+
+
+@pytest.mark.parametrize("brk", FOREIGN_BREAKS)
+def test_read_rejects_splitlines_only_line_breaks(brk):
+    text = f"0\t1\t{LINE}{brk}7\t2\t{LINE}\n"
+    assert reference.client_steps_by_splitlines(text, 7)  # splitlines finds a step of 7
+    for client_id in (None, 7, 0):
+        with pytest.raises(ValueError, match=re.escape(f"line 1: {brk!r} is not")):
+            ParticipationLedger.from_text(text, client_id)
+
+
+def test_read_one_client_skips_other_clients_fields(tmp_path):
+    # documented choice: other clients' lines are checked for a canonical id
+    # at their start and not parsed, so their bad fields do not fail the read
+    text = f"0\t1\t{LINE}\n1\t1\tjunk\n2\t5\t{LINE}\n2\t4\t{LINE}\n0\t3\t{LINE}\r\n\n"
+    path = tmp_path / "ledger.tsv"
+    path.write_text(text, encoding="ascii")
+    with pytest.raises(ValueError):
+        ParticipationLedger.read(path)
+    got = ParticipationLedger.read(path, client_id=0)
+    assert got.clients() == (0,)
+    assert [t for t, _ in got.steps(0)] == [1, 3]
+    assert got.steps(0)[0][1] == StepParams(q=0.1, sigma=1.0, clip=1.0, batch_size=2)
+    with pytest.raises(ValueError, match="line 2"):
+        ParticipationLedger.read(path, client_id=1)
+    with pytest.raises(ValueError, match=r"client 2.*t=4 after t=5"):
+        ParticipationLedger.read(path, client_id=2)
+    assert ParticipationLedger.read(path, client_id=9).clients() == ()
+
+
+def test_read_one_client_names_the_line_of_a_bad_step(tmp_path):
+    path = tmp_path / "ledger.tsv"
+    path.write_text(f"1\t1\t{LINE}\n0\t1\t{LINE}\n\n1\t2\t0.1\t1.0\n", encoding="ascii")
+    with pytest.raises(ValueError, match="line 4"):
+        ParticipationLedger.read(path, client_id=1)
 
 
 def _ledger_file(tmp_path):
@@ -599,6 +740,26 @@ def test_calibrate_bisects_where_epsilon_is_infinite(monkeypatch):
     assert sigma * (1 - 2e-4) < edge <= sigma * (1 + 1e-12)
     assert _calibration_epsilon(0.01, sigma, 100, alphas) <= 1e4
     assert math.isinf(_calibration_epsilon(0.01, sigma * (1 - 1e-3), 100, alphas))
+
+
+def test_inf_orders_are_logged_with_their_reason(caplog):
+    # a q no other test uses, so every step bound is computed afresh
+    q, sigma = 0.0123456789, 0.3
+    with caplog.at_level(logging.DEBUG, logger="fedrdp.accountant"):
+        curve = accountant.calibration_curve(q, sigma, 10)
+    messages = [r.getMessage() for r in caplog.records if r.name == "fedrdp.accountant.inf"]
+    assert {r.levelno for r in caplog.records} == {logging.DEBUG}
+    expected = []
+    for alpha, value in curve.items():
+        if alpha > accountant.CALIBRATION_MAX_ORDER:
+            expected.append(f"alpha={alpha!r} q={q!r} sigma={sigma!r}: calibration curve is inf "
+                            f"(order cap {accountant.CALIBRATION_MAX_ORDER})")
+        elif math.isinf(value):
+            expected.append(f"alpha={alpha!r} q={q!r} sigma={sigma!r}: step bound is inf "
+                            "(moment exponent cap)")
+    assert sum("exponent cap" in m for m in expected) >= 1
+    assert sum("order cap" in m for m in expected) == 2
+    assert sorted(messages) == sorted(expected)
 
 
 def test_calibrate_logs_each_evaluation_at_debug(caplog, monkeypatch):

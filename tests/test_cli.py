@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import pytest
 
@@ -185,6 +186,64 @@ def test_compose_absent_client_zero_curve(capsys, tmp_path):
     )
     assert code == cli.EXIT_OK
     assert out.splitlines()[1:] == ["2,0", "4,0"]
+
+
+def _multi_client_ledger(path):
+    led = ParticipationLedger()
+    for cid, q, sigma in ((3, 0.02, 2.0), (0, 0.05, 1.5), (12, 0.01, 3.0), (1, 0.02, 2.0)):
+        for t in range(cid + 1, cid + 40, 3):
+            led.record(cid, t, StepParams(q=q, sigma=sigma, clip=1.0, batch_size=4))
+    led.write(path)
+    return led
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_compose_output_is_the_library_curve_of_the_full_ledger(capsys, tmp_path, fmt):
+    ledger_path = tmp_path / "ledger.tsv"
+    led = _multi_client_ledger(ledger_path)
+    full = ParticipationLedger.read(ledger_path)
+    for cid in led.clients() + (5,):  # 5 is absent: the zero curve
+        code, out, _ = run_cli(
+            capsys, "compose", "--ledger", str(ledger_path), "--client", str(cid), "--format", fmt,
+        )
+        assert code == cli.EXIT_OK
+        curve = compose_client_rdp(full, cid)
+        if fmt == "csv":
+            want = "alpha,rdp\n" + "".join(f"{a:.17g},{v:.17g}\n" for a, v in curve.items())
+        else:
+            want = "".join(json.dumps({"alpha": a, "rdp": v}) + "\n" for a, v in curve.items())
+        assert out == want
+        assert (max(curve.values) > 0) == (cid != 5)
+
+
+def test_compose_ignores_malformed_lines_of_other_clients(capsys, tmp_path):
+    ledger_path = tmp_path / "ledger.tsv"
+    led = _multi_client_ledger(ledger_path)
+    good = ledger_path.read_text()
+    ledger_path.write_text(good + "4\t1\t0.5\tnan\t1.0\t2\n4\tjunk\n")
+    code, _, err = run_cli(capsys, "compose", "--ledger", str(ledger_path), "--client", "4")
+    assert code == cli.EXIT_USAGE and "error:" in err
+    code, out, err = run_cli(capsys, "compose", "--ledger", str(ledger_path), "--client", "12")
+    assert code == cli.EXIT_OK and err == ""
+    rows = out.splitlines()[1:]
+    assert [float(r.split(",")[1]) for r in rows] == list(compose_client_rdp(led, 12).values)
+
+
+def test_compose_failing_write_keeps_previous_curve(capsys, tmp_path, half_full_disk):
+    ledger_path = tmp_path / "ledger.tsv"
+    write_demo_ledger(ledger_path)
+    curve_path = tmp_path / "curve.csv"
+    curve_path.write_text("alpha,rdp\n1025,1.2345e-3\n")
+    before = curve_path.read_bytes()
+    written = half_full_disk("curve.csv")
+    code, _, err = run_cli(
+        capsys, "compose", "--ledger", str(ledger_path), "--client", "0",
+        "--output", str(curve_path),
+    )
+    assert code == cli.EXIT_IO and "I/O failure" in err
+    assert written and written[0] > 0  # the failure came after a partial write
+    assert curve_path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["curve.csv", "ledger.tsv"]
 
 
 def test_convert_round_trip(capsys, tmp_path):

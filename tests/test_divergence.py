@@ -253,7 +253,7 @@ def _check_integer_order_exact(alpha, q, sigma):
 def test_step_bound_integer_order_is_exact_at_large_sigma(alpha, u_sigma, u_q):
     # calibration doubles its upper bracket up to sigma = 1e6; from
     # sigma ~ sqrt(2 alpha (alpha - 1) / log 2) on, every term of the sum
-    # has e^{2l(l-1)/sigma^2} <= 2 and goes through expm1
+    # has e^{2l(l-1)/sigma^2} <= 2 and is carried as e^{2l(l-1)/sigma^2} - 1
     _check_integer_order_exact(alpha, _log_uniform(1e-6, 0.9, u_q), _log_uniform(64.0, 1e6, u_sigma))
 
 
@@ -271,10 +271,28 @@ def _switch_cases():
 @pytest.mark.parametrize("alpha, l, sigma", list(_switch_cases()))
 @pytest.mark.parametrize("side", [1 - 1e-6, 1 + 1e-6])
 def test_step_bound_integer_order_exact_across_expm1_switch(alpha, l, sigma, side):
-    # slightly below that sigma term l is summed as e - 1, slightly above
-    # through expm1; terms after l are on the e - 1 side either way
+    # slightly below that sigma term l is summed from the carried e, slightly
+    # above from the carried e - 1; terms after l use the carried e either way
     for q in (1e-4, 0.05, 0.6):
         _check_integer_order_exact(alpha, q, sigma * side)
+
+
+@pytest.mark.parametrize("alpha", [2, 3, 8, 32, 256, 1025])
+@pytest.mark.parametrize("sigma", [0.5, 2.0, 8.0, 64.0, 1e4])
+def test_integer_order_bound_is_bit_identical_to_the_direct_sum(monkeypatch, alpha, sigma):
+    # the carried sum gives the float bound of the direct binomial sum with
+    # one expm1 per term, bit for bit; capped orders have no bound to compare
+    for q in (1e-3, 0.05, 0.5):
+        params = MechanismParams(q=q, sigma=sigma)
+        try:
+            carried = renyi_step_bound(float(alpha), params)
+        except OverflowError:
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(divergence, "_integer_moment_excess_mpf",
+                          reference.integer_moment_excess_direct)
+            direct = renyi_step_bound(float(alpha), params)
+        assert carried == direct
 
 
 def test_step_bound_unavailable_orders_unchanged():

@@ -1,5 +1,6 @@
 """Simulator: samplers, clipping, client/server updates, full runs."""
 
+import dataclasses
 import json
 import math
 import os
@@ -338,7 +339,7 @@ def test_ledger_agrees_with_round_records():
     _, records, ledger = run_training(cfg)
     counted = {}
     for rec in records:
-        assert len(rec.selected) == len(rec.update_norms) == len(rec.batch_sizes)
+        assert len(rec.selected) == len(rec.update_norms)
         assert len(rec.selected) <= cfg.m_t
         for cid in rec.selected:
             counted[cid] = counted.get(cid, 0) + 1
@@ -437,9 +438,18 @@ def test_artifacts_round_trip(tmp_path):
     rows = open(paths["rounds"]).read().splitlines()
     assert rows[0] == "t,client_id,batch_size,update_norm"
     assert len(rows) == 1 + sum(len(r.selected) for r in records)
+    assert {row.split(",")[2] for row in rows[1:]} == {str(cfg.batch_size)}
     crows = open(paths["clients"]).read().splitlines()
     assert crows[0] == "client_id,participations,epsilon"
     assert len(crows) == 1 + len(ledger.clients())
+
+
+def test_artifacts_reject_round_records_the_ledger_does_not_match(tmp_path):
+    cfg = small_config(rounds=8, sigma=2.0)
+    model, records, ledger = run_training(cfg)
+    shifted = [dataclasses.replace(records[0], t=records[0].t + 1)] + records[1:]
+    with pytest.raises(ValueError, match="round record t=2, ledger step t=1"):
+        write_artifacts(tmp_path / "out", model, shifted, ledger, cfg.delta)
 
 
 ARTIFACTS = ("model.txt", "rounds.csv", "clients.csv", "ledger.tsv")  # in writing order
