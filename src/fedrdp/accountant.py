@@ -64,6 +64,13 @@ DEFAULT_DELTA = 1e-5
 # grid only targets below ~log(1/delta)/255 could ever notice.
 CALIBRATION_MAX_ORDER = 300
 
+# calibrate_sigma's search: the smallest noise it returns, the upper end of
+# its first bracket, the largest noise it tries, and its relative tolerance.
+CALIBRATION_SIGMA_LOW = 0.3
+CALIBRATION_SIGMA_HIGH = 64.0
+CALIBRATION_SIGMA_MAX = 1e6
+CALIBRATION_REL_TOL = 1e-4
+
 # Most one-step bounds (alpha, q, sigma) kept for reuse; least recently used
 # ones are dropped past it.
 STEP_BOUND_CACHE_SIZE = 4096
@@ -217,18 +224,19 @@ class ParticipationLedger:
         """Parse the text written by `to_text`.
 
         Lines end in "\n" or "\r\n"; any other line boundary of
-        `str.splitlines` is rejected.  Blank lines (spaces and tabs only) are
-        skipped.  Each distinct parameter text ``q<TAB>sigma<TAB>clip<TAB>
+        `str.splitlines` is rejected.  Every line must start with a canonical
+        client id and a tab, or be blank (spaces and tabs only); one scan of
+        the whole text checks this before any line is parsed, and blank lines
+        are skipped.  Each distinct parameter text ``q<TAB>sigma<TAB>clip<TAB>
         batch_size`` is parsed and validated once; later lines with the same
-        text share that `StepParams`.  Client ids must be canonical decimal,
-        and timesteps must increase within each client, as for `record`.
+        text share that `StepParams`.  Timesteps must increase within each
+        client, as for `record`.
 
-        With client_id, the ledger holds only that client's steps.  Every
-        line must still start with a canonical client id and a tab, or be
-        blank, so none of the client's lines can hide under another
-        spelling; the lines that start with ``client_id<TAB>`` are then
-        parsed and checked as above.  Other clients' lines are not parsed:
-        a malformed field in one of them does not fail this read.
+        With client_id, the ledger holds only that client's steps: the lines
+        that start with ``client_id<TAB>`` are parsed and checked as above,
+        and after the scan none of the client's lines can hide under another
+        spelling.  Other clients' lines are not parsed: a malformed field in
+        one of them does not fail this read.
         """
         if "\r" in text:
             text = text.replace("\r\n", "\n")
@@ -237,6 +245,13 @@ class ParticipationLedger:
             if pos != -1:
                 lineno = text.count("\n", 0, pos) + 1
                 raise ValueError(f"ledger line {lineno}: {char!r} is not a ledger line break")
+        if not _GOOD_FIRST_LINE.match(text):
+            bad = 1
+        else:
+            match = _BAD_LINE_START.search(text)
+            bad = match and text.count("\n", 0, match.start()) + 2
+        if bad:
+            raise ValueError(f"ledger line {bad}: does not start with a canonical client id and a tab")
         if client_id is None:
             lines = enumerate(text.split("\n"), start=1)
         elif isinstance(client_id, int):
@@ -245,7 +260,6 @@ class ParticipationLedger:
             raise ValueError(f"client_id must be an integer, got {client_id!r}")
         ledger = cls()
         interned: dict[str, StepParams] = {}
-        ids: dict[str, int] = {}
         for lineno, line in lines:
             if not line.strip(" \t"):
                 continue
@@ -264,13 +278,7 @@ class ParticipationLedger:
                     clip=float(fields[2]),
                     batch_size=int(fields[3]),
                 )
-            client = ids.get(cid)
-            if client is None:
-                if not _CLIENT_ID.fullmatch(cid):
-                    raise ValueError(
-                        f"ledger line {lineno}: client id {cid!r} is not canonical decimal"
-                    )
-                client = ids[cid] = int(cid)
+            client = int(cid)
             _append_step(ledger._records.setdefault(client, []), client, int(t), params)
         return ledger
 
@@ -293,17 +301,10 @@ class ParticipationLedger:
 def _client_lines(text: str, client_id: int) -> Iterator[tuple[int, str]]:
     """(line number, line) of each line of text starting ``client_id<TAB>``.
 
-    Raises ValueError, naming the line, if any line starts with neither a
-    canonical client id and a tab nor blank space: such a line could be the
-    client's under another spelling ("07", "+7", " 7", "7_0").
+    The caller has checked that every line starts with a canonical client id
+    and a tab or is blank, so no line of the client can be spelled another
+    way ("07", "+7", " 7", "7_0").
     """
-    if not _GOOD_FIRST_LINE.match(text):
-        bad = 1
-    else:
-        match = _BAD_LINE_START.search(text)
-        bad = match and text.count("\n", 0, match.start()) + 2
-    if bad:
-        raise ValueError(f"ledger line {bad}: does not start with a canonical client id and a tab")
     prefix = f"{client_id}\t"
     needle = "\n" + prefix
     # pos: where the client's next line starts, None when none is left (a
@@ -457,33 +458,29 @@ def calibrate_sigma(
     q: float,
     steps: int,
     alphas: Iterable[float] = DEFAULT_ALPHAS,
-    *,
-    sigma_low: float = 0.3,
-    sigma_high: float = 64.0,
-    rel_tol: float = 1e-4,
-    sigma_max: float = 1e6,
 ) -> float:
     """Smallest noise multiplier meeting the target budget over `steps` steps.
 
     epsilon(sigma) is the epsilon of ``calibration_curve``, nonincreasing in
-    sigma.  sigma_low is returned if it already meets the target.  Otherwise
-    the bracket [lo, hi] starts at [sigma_low, sigma_high], with hi doubled
-    until it meets the target (up to sigma_max), and is narrowed by the
-    Illinois method (modified regula falsi) in x = log sigma on
-    g(x) = log epsilon(e^x) - log target.epsilon, which is close to linear.
+    sigma.  CALIBRATION_SIGMA_LOW is returned if it already meets the target.
+    Otherwise the bracket [lo, hi] starts at [CALIBRATION_SIGMA_LOW,
+    CALIBRATION_SIGMA_HIGH], with hi doubled until it meets the target (up to
+    CALIBRATION_SIGMA_MAX), and is narrowed by the Illinois method (modified
+    regula falsi) in x = log sigma on g(x) = log epsilon(e^x) - log
+    target.epsilon, which is close to linear.
     Each probe is the secant root of the two ends, moved 0.4 of the stopping
     width toward the end the last probe did not replace and kept 1/4 of it
     inside the bracket; where an end's epsilon is +inf (no order available
     yet) the probe bisects in x.  Throughout, both ends have been evaluated
     and epsilon(lo) > target.epsilon >= epsilon(hi).  The solve stops once
-    hi - lo <= rel_tol * hi and returns hi.
+    hi - lo <= CALIBRATION_REL_TOL * hi and returns hi.
 
     Each epsilon evaluation (sigma, epsilon, alpha*) and the result (sigma,
     number of sigmas evaluated) are logged at DEBUG level.
 
-    Raises CalibrationError if sigma_max is reached without meeting the
-    target (e.g. a target below the conversion floor of the order grid);
-    the epsilon achieved at the bracket edge is attached.
+    Raises CalibrationError if CALIBRATION_SIGMA_MAX is reached without
+    meeting the target (e.g. a target below the conversion floor of the order
+    grid); the epsilon achieved at the bracket edge is attached.
     """
     if not isinstance(target, PrivacyBudget):
         raise TypeError("target must be a PrivacyBudget")
@@ -505,16 +502,16 @@ def calibrate_sigma(
         _debug("calibrate: returning sigma=%r after %d sigmas", sigma, len(evaluated))
         return sigma
 
-    lo = sigma_low
+    lo = CALIBRATION_SIGMA_LOW
     eps_lo = eps(lo)
     if eps_lo <= target.epsilon:
         return result(lo)  # pinned at the smallest admissible noise
-    hi = sigma_high
+    hi = CALIBRATION_SIGMA_HIGH
     eps_hi = eps(hi)
     while eps_hi > target.epsilon:
         lo, eps_lo = hi, eps_hi
         hi *= 2.0
-        if hi > sigma_max:
+        if hi > CALIBRATION_SIGMA_MAX:
             raise CalibrationError(
                 f"target epsilon={target.epsilon} unreachable: at sigma={lo} "
                 f"the composed epsilon is still {eps_lo:.6g}",
@@ -523,11 +520,11 @@ def calibrate_sigma(
         eps_hi = eps(hi)
     # invariant: eps(lo) > target >= eps(hi).  (xb, gb) is the end the last
     # probe set, (xa, ga) the other one; b_meets says which side b is on.
-    width = -math.log1p(-rel_tol)  # hi - lo <= rel_tol * hi, in x
+    width = -math.log1p(-CALIBRATION_REL_TOL)  # hi - lo <= CALIBRATION_REL_TOL * hi, in x
     log_target = math.log(target.epsilon)
     xa, ga = math.log(lo), math.log(eps_lo) - log_target
     xb, gb, b_meets = math.log(hi), math.log(eps_hi) - log_target, True
-    while hi - lo > rel_tol * hi:
+    while hi - lo > CALIBRATION_REL_TOL * hi:
         x = math.nan
         if math.isfinite(ga) and math.isfinite(gb) and ga != gb:
             x = xb - gb * (xb - xa) / (gb - ga) + math.copysign(0.4 * width, xa - xb)

@@ -10,7 +10,8 @@ variance convention s = sigma/2 is applied internally and never exposed.
 At integer orders it is the exact binomial closed form of Mironov, Talwar &
 Zhang, "Renyi Differential Privacy of the Sampled Gaussian Mechanism"
 (arXiv:1908.10530), with sigma -> sigma/2; at fractional orders it is a
-truncated power series in q plus an explicit remainder bound.
+truncated power series in q plus an explicit remainder bound, built by one
+walk up the truncation order that adds a term per step.
 ``renyi_divergence_quadrature`` evaluates the same divergence by numerical
 integration so the routes can be checked against each other.
 
@@ -37,8 +38,6 @@ __all__ = [
     "BoundBreakdownError",
     "MOMENT_EXPONENT_CAP",
     "likelihood_ratio_moment",
-    "abs_moment_bound",
-    "taylor_remainder_bound",
     "renyi_step_bound",
     "renyi_divergence_quadrature",
 ]
@@ -125,6 +124,8 @@ def _moment_mpf(sigma: float, k: int) -> mpf:
 
 
 def _abs_moment_mpf(sigma: float, j: int) -> mpf:
+    """Upper bound on E[|L-1|^j]: the moment itself at even j, and the
+    Cauchy-Schwarz interpolation sqrt(M_{j-1} M_{j+1}) at odd j."""
     if j % 2 == 0:
         return _moment_mpf(sigma, j)
     with _MP_LOCK, mp.workdps(_BASE_DPS):
@@ -160,107 +161,6 @@ def likelihood_ratio_moment(sigma: float, k: int) -> float:
             "reduce the order or increase sigma"
         )
     return value
-
-
-def abs_moment_bound(sigma: float, j: int) -> float:
-    """Upper bound on E[|L - 1|^j].
-
-    Even j: the moment itself (it is nonnegative).  Odd j: the
-    Cauchy-Schwarz interpolation sqrt(M_{j-1} * M_{j+1}) of the two
-    neighbouring even moments.
-
-    Raises ValueError for j < 2, OverflowError past float range.
-    """
-    _check_positive_sigma(sigma)
-    if not (isinstance(j, int) and j >= 2):
-        raise ValueError(f"j must be an integer >= 2, got {j!r}")
-    value = float(_abs_moment_mpf(sigma, j))
-    if math.isinf(value):
-        raise OverflowError(
-            f"moment bound (sigma={sigma}, j={j}) exceeds float range"
-        )
-    return value
-
-
-def _falling_factorial_abs_mpf(alpha: mpf, m: int) -> mpf:
-    prod = mpf(1)
-    for j in range(m):
-        prod *= abs(alpha - j)
-    return prod
-
-
-def _remainder_mpf(alpha: float, sigma: float, m: int, q: float) -> mpf:
-    """Closed-form bound on the magnitude of the degree-m series tail."""
-    with _MP_LOCK, mp.workdps(_BASE_DPS):
-        al = mpf(alpha)
-        qq = mpf(q)
-        prod = _falling_factorial_abs_mpf(al, m)
-        if prod == 0:
-            # alpha is an integer < m: the series terminates, tail is zero.
-            return mpf(0)
-        if alpha - m > 0:
-            top = ceil(alpha)
-            tail = mpf(0)
-            qpow = mpf(1)
-            for l in range(top - m + 1):
-                coef = mpf(factorial(top - m)) / (
-                    mpf(factorial(top - m - l)) * mpf(factorial(m + l))
-                )
-                tail += qpow * coef * _abs_moment_mpf(sigma, m + l)
-                qpow *= qq
-            tail += _abs_moment_mpf(sigma, m) / mpf(factorial(m))
-            return qq ** m * prod * tail
-        return (
-            (qq ** m / mpf(factorial(m)))
-            * (1 - qq) ** (al - m)
-            * prod
-            * _abs_moment_mpf(sigma, m)
-        )
-
-
-def taylor_remainder_bound(alpha: float, sigma: float, m: int, q: float) -> float:
-    """Bound on the tail left after truncating the series at order m.
-
-    Two regimes: for alpha > m the tail is controlled through the moments up
-    to order ceil(alpha) + 1; for alpha <= m a single moment of order m (or
-    its odd-order interpolation) suffices, weighted by (1-q)^(alpha-m).
-
-    Args:
-        alpha: Renyi order, > 1.
-        sigma: noise multiplier, > 0.
-        m: truncation order, integer >= 3.
-        q: sampling fraction in [0, 1); the q = 1 endpoint is rejected
-            because the (1-q)^(alpha-m) weight degenerates there.
-
-    Raises:
-        ValueError, OverflowError (propagated from the moment computation or
-        when the value exceeds float range).
-    """
-    _check_alpha(alpha)
-    _check_positive_sigma(sigma)
-    if not (isinstance(m, int) and m >= 3):
-        raise ValueError(f"m must be an integer >= 3, got {m!r}")
-    if not (isinstance(q, (int, float)) and 0 <= q < 1):
-        raise ValueError(f"q must lie in [0, 1), got {q!r}")
-    value = float(_remainder_mpf(alpha, sigma, m, q))
-    if math.isinf(value):
-        raise OverflowError("remainder bound exceeds float range")
-    return value
-
-
-def _leading_sum_mpf(alpha: float, q: float, sigma: float, m: int) -> mpf:
-    """1 + sum_{k=2}^{m-1} (q^k / k!) (alpha)_k E[(L-1)^k], signed arithmetic."""
-    with _MP_LOCK, mp.workdps(_BASE_DPS):
-        al = mpf(alpha)
-        qq = mpf(q)
-        total = mpf(1)
-        ff = al * (al - 1)  # falling factorial alpha(alpha-1)...(alpha-k+1)
-        qpow = qq * qq
-        for k in range(2, m):
-            total += (qpow / mpf(factorial(k))) * ff * _moment_mpf(sigma, k)
-            ff *= al - k
-            qpow *= qq
-        return total
 
 
 def _integer_moment_excess_mpf(n: int, q: float, sigma: float) -> mpf:
@@ -315,6 +215,65 @@ def _order_available(alpha: float, sigma: float, m: int) -> bool:
     return _moment_exponent(sigma, need) <= MOMENT_EXPONENT_CAP
 
 
+def _series_mpf(alpha: float, q: float, sigma: float, m_stop: int | None):
+    """The power series of E_Q[(P/Q)^alpha] in q, truncated: (m, S, R) as mpf.
+
+    S = 1 + sum_{k=2}^{m-1} (q^k / k!) (alpha)_k E[(L-1)^k] is the leading
+    sum at truncation order m, and R bounds the magnitude of the discarded
+    tail.  m walks up from 3; each step adds one term to S and carries q^k
+    and the signed falling factorial (alpha)_k forward, and |(alpha)_m| is
+    the prod_{j<m} |alpha - j| that R needs (rounding is symmetric in sign,
+    so the two agree bit for bit).  R has two regimes: for alpha > m the
+    tail is controlled through the moments up to order ceil(alpha) + 1; for
+    alpha <= m a single moment of order m (or its odd-order interpolation)
+    suffices, weighted by (1-q)^(alpha-m).
+
+    With m_stop the walk ends there, and R is formed only there.  Otherwise
+    it stops as soon as R < max(1e-12, 1e-6 * (S - 1)), or at
+    m = ceil(alpha) + 4, or before an m whose moments are past the exponent
+    cap.  The caller has checked that the first m (3, or m_stop) is
+    available.
+    """
+    top = ceil(alpha)
+    with _MP_LOCK, mp.workdps(_BASE_DPS):
+        al, qq = mpf(alpha), mpf(q)
+        S, qpow, ff = mpf(1), qq * qq, al * (al - 1)  # q^m and (alpha)_m at m = 2
+        floor, rel = mpf("1e-12"), mpf("1e-6")
+        for m in range(3, (m_stop or top + 4) + 1):
+            if m_stop is None and not _order_available(alpha, sigma, m):
+                break
+            S += (qpow / mpf(factorial(m - 1))) * ff * _moment_mpf(sigma, m - 1)
+            qpow *= qq
+            ff *= al - (m - 1)
+            if m_stop is not None and m < m_stop:
+                continue
+            prod = abs(ff)
+            if prod == 0:
+                R = mpf(0)  # alpha is an integer < m: the series terminates
+            elif alpha > m:
+                tail = mpf(0)
+                ql = mpf(1)
+                for l in range(top - m + 1):
+                    coef = mpf(factorial(top - m)) / (
+                        mpf(factorial(top - m - l)) * mpf(factorial(m + l))
+                    )
+                    tail += ql * coef * _abs_moment_mpf(sigma, m + l)
+                    ql *= qq
+                tail += _abs_moment_mpf(sigma, m) / mpf(factorial(m))
+                R = qq ** m * prod * tail
+            else:
+                R = (
+                    (qq ** m / mpf(factorial(m)))
+                    * (1 - qq) ** (al - m)
+                    * prod
+                    * _abs_moment_mpf(sigma, m)
+                )
+            found = (m, S, R)
+            if R < max(floor, rel * (S - 1)):
+                break
+    return found
+
+
 @dataclass(frozen=True)
 class MechanismParams:
     """One mechanism step: sampling fraction q, noise multiplier sigma.
@@ -355,32 +314,6 @@ class BoundResult:
             raise ValueError("remainder must be nonnegative")
 
 
-def _select_truncation(alpha: float, q: float, sigma: float):
-    """Walk m upward per the stopping rule; return (m, S, R).
-
-    S is the leading sum and R the remainder bound at truncation order m, as
-    mpf.  Stop as soon as the remainder drops below
-    max(1e-12, 1e-6 * (leading_sum - 1)), or at m = ceil(alpha) + 4, or when
-    the next order's moments are past the exponent cap.  The caller has
-    checked that m = 3 is available.
-    """
-    cap = ceil(alpha) + 4
-    m = 3
-    while True:
-        if not _order_available(alpha, sigma, m):
-            break
-        S = _leading_sum_mpf(alpha, q, sigma, m)
-        R = _remainder_mpf(alpha, sigma, m, q)
-        state = (m, S, R)
-        with _MP_LOCK, mp.workdps(_BASE_DPS):
-            threshold = max(mpf("1e-12"), mpf("1e-6") * (S - 1))
-            done = R < threshold
-        if done or m >= cap:
-            break
-        m += 1
-    return state
-
-
 def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
     """Closed-form upper bound on D_alpha(P || Q) for one mechanism step.
 
@@ -391,14 +324,15 @@ def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
     E_Q[(P/Q)^alpha] from the binomial closed form of Mironov, Talwar & Zhang
     (arXiv:1908.10530) with sigma -> sigma/2, remainder is 0 and m is
     alpha + 1 (the series ends there).  Otherwise leading_sum truncates the
-    power series of the order-alpha moment of P/Q at params.m and remainder
-    bounds the discarded tail; with params.m None the truncation is chosen
-    adaptively (see ``_select_truncation``).
+    power series of the order-alpha moment of P/Q in q at order m and
+    remainder bounds the discarded tail.  One walk up m serves both cases
+    (see ``_series_mpf``): it stops at params.m when that is set, and
+    otherwise once the remainder is negligible.
 
     Moments whose exponent 2k(k-1)/sigma^2 exceeds MOMENT_EXPONENT_CAP are
-    unavailable; when even the first truncation needs one, OverflowError is
-    raised.  Both paths share that availability rule, so the same orders come
-    out unavailable.
+    unavailable; when the first truncation (m = 3, or params.m) needs one,
+    OverflowError is raised.  Every path shares that availability rule, so
+    the same orders come out unavailable.
 
     Raises:
         ValueError: bad domain, including q = 1 (the series is an expansion
@@ -416,25 +350,19 @@ def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
             "renyi_step_bound requires q < 1; q = 1 is a pure Gaussian shift, "
             "use renyi_divergence_quadrature"
         )
-    if params.m is not None:
-        m = params.m
-        if not _order_available(alpha, params.sigma, m):
-            raise OverflowError(f"moments needed at m={m} exceed the exponent cap")
-        S = _leading_sum_mpf(alpha, params.q, params.sigma, m)
-        R = _remainder_mpf(alpha, params.sigma, m, params.q)
-    else:
-        if not _order_available(alpha, params.sigma, 3):
-            raise OverflowError(
-                f"series bound unavailable at alpha={alpha}, sigma={params.sigma}: "
-                "already the m=3 remainder needs moments past the cap"
-            )
-        if float(alpha).is_integer():
-            excess = _integer_moment_excess_mpf(int(alpha), params.q, params.sigma)
-            with _MP_LOCK, mp.workdps(_BASE_DPS):
-                bound = float(mp.log1p(excess) / (mpf(alpha) - 1))
-                moment = float(1 + excess)
-            return BoundResult(bound=bound, leading_sum=moment, remainder=0.0, m=int(alpha) + 1)
-        m, S, R = _select_truncation(alpha, params.q, params.sigma)
+    first = params.m or 3
+    if not _order_available(alpha, params.sigma, first):
+        raise OverflowError(
+            f"series bound unavailable at alpha={alpha}, sigma={params.sigma}: "
+            f"already the m={first} remainder needs moments past the cap"
+        )
+    if params.m is None and float(alpha).is_integer():
+        excess = _integer_moment_excess_mpf(int(alpha), params.q, params.sigma)
+        with _MP_LOCK, mp.workdps(_BASE_DPS):
+            bound = float(mp.log1p(excess) / (mpf(alpha) - 1))
+            moment = float(1 + excess)
+        return BoundResult(bound=bound, leading_sum=moment, remainder=0.0, m=int(alpha) + 1)
+    m, S, R = _series_mpf(alpha, params.q, params.sigma, params.m)
     with _MP_LOCK, mp.workdps(_BASE_DPS):
         total = S + R
         if total <= 0:

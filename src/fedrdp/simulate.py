@@ -368,13 +368,19 @@ def server_update(model: ModelVector, updates: Sequence[np.ndarray], m_t: int) -
 
 def run_training(
     config: SimConfig,
-    ledger: ParticipationLedger | None = None,
     clients: Sequence[ClientState] | None = None,
 ) -> tuple[ModelVector, list[RoundRecord], ParticipationLedger]:
     """Run the full federated loop, recording every participation.
 
     clients is the data ``generate_client_data(config, sigma)`` returns;
     pass it to reuse data already built, or leave it None to build it here.
+    The ledger records every step with the config's (q, sigma, clip,
+    batch_size), while the noise comes from each client's own fields, so a
+    client whose sigma, clip, batch_size, step_size or dataset size differs
+    from the config's is rejected before round 1 (ValueError naming the
+    client and the field): its steps would be misrecorded.  So are clients
+    that are not ids 0..config.clients-1 in order, whose steps the ledger
+    would credit to another id.
     Rounds are 1-based.  With dropout, each client is independently
     unavailable with probability dropout_prob each round and the round
     selects min(m_t, available) clients.  Aggregation is in ascending
@@ -385,11 +391,27 @@ def run_training(
             "run_training draws fixed-size batches only (the accountant has "
             "no poisson-sampling bound); use batch_size_trace for the contrast"
         )
-    if ledger is None:
-        ledger = ParticipationLedger()
     sigma = config.resolve_sigma()
     if clients is None:
         clients = generate_client_data(config, sigma)
+    # client cid trains on clients[cid]; the ledger records it as cid
+    if [client.client_id for client in clients] != list(range(config.clients)):
+        raise ValueError(f"clients must hold client ids 0..{config.clients - 1} in order")
+    expected = {
+        "sigma": sigma,
+        "clip": config.clip,
+        "batch_size": config.batch_size,
+        "step_size": config.step_size,
+        "dataset_size": config.points_per_client,
+    }
+    for client in clients:
+        for field, value in expected.items():
+            if getattr(client, field) != value:
+                raise ValueError(
+                    f"client {client.client_id}: {field}={getattr(client, field)!r}, "
+                    f"but the run records its steps with {field}={value!r}"
+                )
+    ledger = ParticipationLedger()
     model = zero_model(config.d, config.classes)
     step = StepParams(
         q=config.sampling_ratio,

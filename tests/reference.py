@@ -120,6 +120,29 @@ def integer_moment_excess_direct(n: int, q: float, sigma: float) -> mp.mpf:
         return +total
 
 
+# --- truncated series leading sum -----------------------------------------
+#
+# Expanding E_Q[((1-q) + q L)^alpha] = E_Q[(1 + q (L-1))^alpha] in q gives
+# sum_k C(alpha, k) q^k E[(L-1)^k]; the k = 1 term vanishes.  Each central
+# moment here is its own alternating binomial sum of the raw moments
+# E[L^l] = exp(2 l (l-1) / sigma^2), and C(alpha, k) is mpmath's generalised
+# binomial: nothing is carried from one k to the next.
+
+
+def series_leading_sum(alpha: float, q: float, sigma: float, m: int, dps: int = 80) -> float:
+    """1 + sum_{k=2}^{m-1} C(alpha, k) q^k E[(L-1)^k] at dps digits."""
+    with mp.workdps(dps):
+        qm, s2 = mp.mpf(q), mp.mpf(sigma) ** 2
+        total = mp.mpf(1)
+        for k in range(2, m):
+            moment = mp.fsum(
+                (-1) ** (k - l) * mp.binomial(k, l) * mp.exp(2 * l * (l - 1) / s2)
+                for l in range(k + 1)
+            )
+            total += mp.binomial(alpha, k) * qm**k * moment
+        return float(total)
+
+
 # --- per-line ledger parser -----------------------------------------------
 #
 # The straightforward parse: split every line into its six fields, build and

@@ -682,7 +682,7 @@ def test_calibrate_rejects_bad_args():
 
 def test_calibrate_unreachable_target_reports_bracket():
     with pytest.raises(CalibrationError) as exc:
-        calibrate_sigma(PrivacyBudget(1e-9, 1e-5), q=0.3, steps=100, sigma_max=50.0)
+        calibrate_sigma(PrivacyBudget(1e-9, 1e-5), q=0.3, steps=100)
     assert exc.value.epsilon_at_bracket > 1e-9
 
 

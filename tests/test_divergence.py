@@ -21,11 +21,9 @@ from fedrdp.divergence import (
     BoundResult,
     MechanismParams,
     QuadratureError,
-    abs_moment_bound,
     likelihood_ratio_moment,
     renyi_divergence_quadrature,
     renyi_step_bound,
-    taylor_remainder_bound,
 )
 
 
@@ -80,51 +78,51 @@ def test_moment_memo_is_capped():
 
 
 def test_abs_moment_even_branch_is_moment():
-    assert abs_moment_bound(2.0, 2) == likelihood_ratio_moment(2.0, 2)
-    assert abs_moment_bound(1.0, 4) == likelihood_ratio_moment(1.0, 4)
+    assert float(divergence._abs_moment_mpf(2.0, 2)) == likelihood_ratio_moment(2.0, 2)
+    assert float(divergence._abs_moment_mpf(1.0, 4)) == likelihood_ratio_moment(1.0, 4)
 
 
 def test_abs_moment_odd_branch_geometric_mean():
     expect = math.sqrt(
         likelihood_ratio_moment(2.0, 2) * likelihood_ratio_moment(2.0, 4)
     )
-    assert abs_moment_bound(2.0, 3) == pytest.approx(expect, rel=1e-13)
+    assert float(divergence._abs_moment_mpf(2.0, 3)) == pytest.approx(expect, rel=1e-13)
 
 
 def test_abs_moment_odd_dominates_absolute_mc_value():
     # Cauchy-Schwarz cap must sit above |E[(L-1)^3]|
     est, se = reference.moment_mc_importance(2.0, 3, n_samples=10**6, seed=7)
-    assert abs_moment_bound(2.0, 3) >= abs(est) - 3 * se
+    assert float(divergence._abs_moment_mpf(2.0, 3)) >= abs(est) - 3 * se
 
 
 # --- remainder cap ---------------------------------------------------------
 
 
+def _remainder(alpha, sigma, m, q):
+    """The remainder cap left after truncating the series at order m."""
+    return renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=m)).remainder
+
+
 def test_remainder_zero_sampling_ratio():
-    assert taylor_remainder_bound(2.5, 2.0, 3, 0.0) == 0.0
+    assert _remainder(2.5, 2.0, 3, 0.0) == 0.0
 
 
 def test_remainder_integer_alpha_annihilates():
     # the product over |alpha - j| hits j = alpha exactly
-    assert taylor_remainder_bound(3.0, 2.0, 4, 0.1) == 0.0
-    assert taylor_remainder_bound(5.0, 1.0, 6, 0.2) == 0.0
+    assert _remainder(3.0, 2.0, 4, 0.1) == 0.0
+    assert _remainder(5.0, 1.0, 6, 0.2) == 0.0
 
 
 def test_remainder_dominates_true_remainder_positive_branch():
     true_r = reference.true_taylor_remainder(10.0, 4.0, 5, 0.01)
-    cap = taylor_remainder_bound(10.0, 4.0, 5, 0.01)
+    cap = _remainder(10.0, 4.0, 5, 0.01)
     assert cap >= abs(true_r) > 0
 
 
 def test_remainder_dominates_true_remainder_negative_branch():
     true_r = reference.true_taylor_remainder(2.5, 2.0, 4, 0.1)
-    cap = taylor_remainder_bound(2.5, 2.0, 4, 0.1)
+    cap = _remainder(2.5, 2.0, 4, 0.1)
     assert cap >= abs(true_r) > 0
-
-
-def test_remainder_rejects_full_sampling():
-    with pytest.raises(ValueError):
-        taylor_remainder_bound(2.5, 2.0, 3, 1.0)
 
 
 @given(
@@ -135,7 +133,7 @@ def test_remainder_rejects_full_sampling():
 )
 def test_remainder_never_negative(alpha, sigma, m, q):
     try:
-        r = taylor_remainder_bound(alpha, sigma, m, q)
+        r = _remainder(alpha, sigma, m, q)
     except OverflowError:
         assume(False)
     assert r >= 0.0
@@ -162,6 +160,44 @@ def test_step_bound_integer_two_closed_form():
 def test_step_bound_reports_requested_truncation():
     r = renyi_step_bound(6.0, MechanismParams(q=0.02, sigma=3.0, m=5))
     assert r.m == 5
+
+
+@pytest.mark.parametrize("alpha", [1.25, 2.5, 3.0, 6.5, 10.5])
+@pytest.mark.parametrize("q, sigma", [(0.05, 1.0), (0.3, 2.0), (0.6, 8.0)])
+def test_step_bound_leading_sum_is_the_truncated_series(alpha, q, sigma):
+    # every term up to order m - 1, against binomial sums made afresh per k
+    for m in (3, 4, 5, 8):
+        r = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=m))
+        assert r.m == m
+        expect = reference.series_leading_sum(alpha, q, sigma, m)
+        assert r.leading_sum == pytest.approx(expect, rel=1e-12), m
+
+
+@pytest.mark.parametrize("alpha", [1.25, 1.5, 2.5, 6.5, 10.5])
+@pytest.mark.parametrize("q", [1e-3, 0.05, 0.5])
+@pytest.mark.parametrize("sigma", [0.25, 0.8, 2.0, 8.0])
+def test_adaptive_truncation_is_the_explicit_one_where_it_stops(alpha, q, sigma):
+    # the adaptive walk reports the explicit-m result at the m it stops at,
+    # and it stops at the first m whose remainder is negligible, at
+    # m = ceil(alpha) + 4, or before an m past the exponent cap
+    params = MechanismParams(q=q, sigma=sigma)
+    try:
+        adaptive = renyi_step_bound(alpha, params)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=3))
+        return
+
+    def negligible(r):
+        return r.remainder < max(1e-12, 1e-6 * (r.leading_sum - 1))
+
+    for m in range(3, adaptive.m):
+        assert not negligible(renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=m))), m
+    explicit = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=adaptive.m))
+    assert adaptive == explicit
+    if not (negligible(explicit) or adaptive.m == math.ceil(alpha) + 4):
+        with pytest.raises(OverflowError):
+            renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=adaptive.m + 1))
 
 
 def test_step_bound_rejects_full_sampling():

@@ -9,7 +9,9 @@ import pytest
 import fedrdp
 from fedrdp import accountant, cli, divergence, simulate
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 @pytest.mark.parametrize(
@@ -21,6 +23,18 @@ def test_every_exported_name_resolves(module):
 
 def test_package_exports_31_names():
     assert len(fedrdp.__all__) == len(set(fedrdp.__all__)) == 31
+
+
+def test_divergence_exports_8_names():
+    assert len(divergence.__all__) == len(set(divergence.__all__)) == 8
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_imports(path):
+    # importing runs a script's imports but not its main, so a public name
+    # a script uses that is renamed or deleted fails here
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def _load_tracing():

@@ -370,6 +370,34 @@ def test_run_training_rejects_poisson_sampler():
         run_training(small_config(sampler="poisson"))
 
 
+def test_run_training_rejects_clients_the_ledger_would_misrecord():
+    # the ledger records the config's step, the noise comes from each
+    # client's fields: data built at sigma 0 would train noiselessly under
+    # a ledger that claims sigma 4
+    cfg = small_config(sigma=4.0)
+    with pytest.raises(ValueError, match=r"client 0: sigma=0\.0, .* sigma=4\.0"):
+        run_training(cfg, clients=generate_client_data(cfg, 0.0))
+    for field, value in (("clip", 2.0), ("batch_size", 5), ("step_size", 0.2)):
+        clients = generate_client_data(cfg, 4.0)
+        clients[2] = dataclasses.replace(clients[2], **{field: value})
+        with pytest.raises(ValueError, match=f"client 2: {field}="):
+            run_training(cfg, clients=clients)
+    clients = generate_client_data(cfg, 4.0)
+    clients[3] = dataclasses.replace(clients[3], features=clients[3].features[:20],
+                                     labels=clients[3].labels[:20])
+    with pytest.raises(ValueError, match="client 3: dataset_size=20"):
+        run_training(cfg, clients=clients)
+    # clients[cid] trains as cid: a reordered or short list credits steps
+    # to the wrong client
+    for bad in (generate_client_data(cfg, 4.0)[::-1], generate_client_data(cfg, 4.0)[:3]):
+        with pytest.raises(ValueError, match=r"client ids 0\.\.3 in order"):
+            run_training(cfg, clients=bad)
+    model, records, ledger = run_training(cfg, clients=generate_client_data(cfg, 4.0))
+    again = run_training(cfg)
+    assert np.array_equal(model.weights, again[0].weights)
+    assert records == again[1] and ledger.to_text() == again[2].to_text()
+
+
 def test_noiseless_full_batch_matches_reference_descent():
     cfg = SimConfig(
         rounds=200,
