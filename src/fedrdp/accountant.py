@@ -159,19 +159,24 @@ class RdpCurve:
     def __post_init__(self):
         if len(self.alphas) != len(self.values):
             raise ValueError("alphas and values must have equal length")
-        if not self.alphas:
-            raise ValueError("curve must have at least one order")
-        prev = 1.0
-        for a in self.alphas:
-            if not a > prev:
-                raise ValueError(f"orders must be strictly increasing and > 1, got {self.alphas}")
-            prev = a
+        _check_orders(self.alphas)
         for v in self.values:
             if math.isnan(v) or v < 0:
                 raise ValueError(f"curve values must be >= 0, got {v!r}")
 
     def items(self) -> Iterator[tuple[float, float]]:
         return zip(self.alphas, self.values)
+
+
+def _check_orders(alphas: tuple[float, ...]) -> None:
+    """Reject an empty grid or one that is not strictly increasing and > 1."""
+    if not alphas:
+        raise ValueError("curve must have at least one order")
+    prev = 1.0
+    for a in alphas:
+        if not a > prev:
+            raise ValueError(f"orders must be strictly increasing and > 1, got {alphas}")
+        prev = a
 
 
 class ParticipationLedger:
@@ -403,6 +408,16 @@ def compose_client_rdp(
     return RdpCurve(alphas, totals)
 
 
+def _order_epsilon(value: float, alpha: float, delta: float) -> float:
+    """The epsilon at delta that an RDP value at order alpha converts to.
+
+    Nondecreasing in value, so the epsilon of a lower bound on an order's
+    value is a lower bound on that order's epsilon; calibration prunes
+    orders on this.
+    """
+    return value + math.log(1.0 / delta) / (alpha - 1.0)
+
+
 def rdp_to_dp(curve: RdpCurve, delta: float = DEFAULT_DELTA) -> tuple[PrivacyBudget, float]:
     """Convert an RDP curve to (epsilon, delta) DP.
 
@@ -412,13 +427,12 @@ def rdp_to_dp(curve: RdpCurve, delta: float = DEFAULT_DELTA) -> tuple[PrivacyBud
     """
     if not (isinstance(delta, (int, float)) and 0 < delta < 1):
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    log_term = math.log(1.0 / delta)
     best_eps = math.inf
     best_alpha = curve.alphas[0]
     for alpha, value in curve.items():
         if math.isinf(value):
             continue
-        eps = value + log_term / (alpha - 1.0)
+        eps = _order_epsilon(value, alpha, delta)
         if eps < best_eps:
             best_eps = eps
             best_alpha = alpha
@@ -453,6 +467,52 @@ def calibration_curve(
     return RdpCurve(alphas, tuple(values))
 
 
+def _calibration_epsilon(
+    q: float, sigma: float, steps: int, alphas: tuple[float, ...], delta: float
+) -> tuple[float, float, int]:
+    """``rdp_to_dp(calibration_curve(q, sigma, steps, alphas), delta)`` as
+    (epsilon, alpha*), bit for bit, plus how many grid orders it evaluated.
+
+    Only the orders that can win are evaluated.  D_alpha is nondecreasing
+    in alpha (van Erven & Harremoes, arXiv:1206.2459), and the bound at an
+    integer order is the exact divergence rounded once, so:
+      - integer orders up to CALIBRATION_MAX_ORDER go first, ascending,
+        skipping +inf ones; the walk stops at the first whose value
+        (steps x bound) exceeds the best epsilon so far, since no higher
+        order can then win;
+      - a fractional order is skipped when the epsilon of the value at its
+        floor (0 below order 2), a lower bound on its own, exceeds the best
+        epsilon so far.
+    Both skips are on a strict >, and skipped orders enter the curve that
+    ``rdp_to_dp`` converts as +inf (a valid bound that cannot win), so ties
+    still go to the smallest order.  alphas must be a grid that
+    `_check_orders` accepts.
+    """
+    values = dict.fromkeys(alphas, math.inf)
+    capped = [a for a in alphas if a <= CALIBRATION_MAX_ORDER]
+    evaluated = 0
+    best = math.inf
+    for alpha in (a for a in capped if a.is_integer()):
+        value = values[alpha] = steps * _cached_step_bound(alpha, q, sigma)
+        evaluated += 1
+        if math.isinf(value):
+            continue
+        if value > best:
+            break
+        best = min(best, _order_epsilon(value, alpha, delta))
+    for alpha in (a for a in capped if not a.is_integer()):
+        floor = math.floor(alpha)
+        lower = steps * _cached_step_bound(float(floor), q, sigma) if floor >= 2 else 0.0
+        # an inf floor (no bound available there) bounds nothing
+        if not math.isinf(lower) and _order_epsilon(lower, alpha, delta) > best:
+            continue
+        value = values[alpha] = steps * _cached_step_bound(alpha, q, sigma)
+        evaluated += 1
+        best = min(best, _order_epsilon(value, alpha, delta))
+    budget, alpha_star = rdp_to_dp(RdpCurve(alphas, tuple(values.values())), delta)
+    return budget.epsilon, alpha_star, evaluated
+
+
 def calibrate_sigma(
     target: PrivacyBudget,
     q: float,
@@ -462,7 +522,9 @@ def calibrate_sigma(
     """Smallest noise multiplier meeting the target budget over `steps` steps.
 
     epsilon(sigma) is the epsilon of ``calibration_curve``, nonincreasing in
-    sigma.  CALIBRATION_SIGMA_LOW is returned if it already meets the target.
+    sigma; each probe computes it from only the orders that can win (see
+    `_calibration_epsilon`), after the grid has been checked once.
+    CALIBRATION_SIGMA_LOW is returned if it already meets the target.
     Otherwise the bracket [lo, hi] starts at [CALIBRATION_SIGMA_LOW,
     CALIBRATION_SIGMA_HIGH], with hi doubled until it meets the target (up to
     CALIBRATION_SIGMA_MAX), and is narrowed by the Illinois method (modified
@@ -475,8 +537,9 @@ def calibrate_sigma(
     and epsilon(lo) > target.epsilon >= epsilon(hi).  The solve stops once
     hi - lo <= CALIBRATION_REL_TOL * hi and returns hi.
 
-    Each epsilon evaluation (sigma, epsilon, alpha*) and the result (sigma,
-    number of sigmas evaluated) are logged at DEBUG level.
+    Each epsilon evaluation (sigma, epsilon, alpha*, orders evaluated out of
+    the grid's) and the result (sigma, number of sigmas evaluated) are
+    logged at DEBUG level.
 
     Raises CalibrationError if CALIBRATION_SIGMA_MAX is reached without
     meeting the target (e.g. a target below the conversion floor of the order
@@ -489,14 +552,15 @@ def calibrate_sigma(
     if not (isinstance(steps, int) and steps >= 1):
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     alphas = tuple(float(a) for a in alphas)
+    _check_orders(alphas)
     evaluated = []
 
     def eps(sigma: float) -> float:
-        curve = calibration_curve(q, sigma, steps, alphas)
-        budget, alpha_star = rdp_to_dp(curve, target.delta)
+        epsilon, alpha_star, orders = _calibration_epsilon(q, sigma, steps, alphas, target.delta)
         evaluated.append(sigma)
-        _debug("calibrate: sigma=%r epsilon=%r alpha*=%r", sigma, budget.epsilon, alpha_star)
-        return budget.epsilon
+        _debug("calibrate: sigma=%r epsilon=%r alpha*=%r orders=%d/%d",
+               sigma, epsilon, alpha_star, orders, len(alphas))
+        return epsilon
 
     def result(sigma: float) -> float:
         _debug("calibrate: returning sigma=%r after %d sigmas", sigma, len(evaluated))

@@ -22,8 +22,8 @@ from .accountant import (
     ParticipationLedger,
     PrivacyBudget,
     RdpCurve,
+    _calibration_epsilon,
     calibrate_sigma,
-    calibration_curve,
     compose_client_rdp,
     rdp_to_dp,
     write_atomic,
@@ -168,13 +168,13 @@ def cmd_calibrate(args) -> int:
     sigma = calibrate_sigma(
         PrivacyBudget(args.epsilon, args.delta), q=args.q, steps=args.steps, alphas=alphas
     )
-    # report from the curve the calibration certified, so that
-    # achieved_epsilon <= target holds by construction
-    curve = calibration_curve(args.q, sigma, args.steps, alphas)
-    budget, alpha_star = rdp_to_dp(curve, args.delta)
+    # report the epsilon the calibration accepted at sigma, one of its probes,
+    # so achieved_epsilon <= target holds by construction and every order it
+    # needs is already in the step-bound memo
+    epsilon, alpha_star, _ = _calibration_epsilon(args.q, sigma, args.steps, alphas, args.delta)
     _print_kv(
         sigma=sigma,
-        achieved_epsilon=budget.epsilon,
+        achieved_epsilon=epsilon,
         target_epsilon=args.epsilon,
         delta=args.delta,
         alpha_star=alpha_star,

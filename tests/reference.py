@@ -210,13 +210,10 @@ def client_steps_by_splitlines(text: str, client_id: int):
 # The package's closed-form remainder cap must dominate |R|.
 
 
-def _expectation_under_base(f, sigma: float, upper_center: float) -> mp.mpf:
-    s = mp.mpf(sigma) / 2
+def _base_quadrature_points(s: mp.mpf, upper_center) -> list:
     lo = -20 * s
     hi = upper_center + 20 * s
-    base = lambda t: mp.npdf(t, 0, s)
-    points = sorted({lo, mp.mpf(0), mp.mpf(1), min(max(upper_center, 1), hi), hi})
-    return mp.quad(lambda t: f(t) * base(t), points)
+    return sorted({lo, mp.mpf(0), mp.mpf(1), min(max(upper_center, 1), hi), hi})
 
 
 def true_taylor_remainder(alpha: float, sigma: float, m: int, q: float, dps: int = 30) -> float:
@@ -226,13 +223,25 @@ def true_taylor_remainder(alpha: float, sigma: float, m: int, q: float, dps: int
         fall = mp.mpf(1)
         for j in range(m):
             fall *= a - j
+        points = _base_quadrature_points(s, max(a, m))
 
-        def L(t):
-            return mp.e ** ((2 * t - 1) / (2 * s * s))
+        # Every outer node evaluates the inner integral on the same nodes t,
+        # so L(t), (L(t) - 1)^m and the base density are computed once per t.
+        per_node = {}
+
+        def node(t):
+            got = per_node.get(t)
+            if got is None:
+                L = mp.e ** ((2 * t - 1) / (2 * s * s))
+                got = per_node[t] = (L, (L - 1) ** m, mp.npdf(t, 0, s))
+            return got
 
         def deriv(x):
-            f = lambda t: ((1 - x) + x * L(t)) ** (a - m) * (L(t) - 1) ** m
-            return fall * _expectation_under_base(f, sigma, upper_center=max(a, m))
+            def integrand(t):
+                L, tail, density = node(t)
+                return ((1 - x) + x * L) ** (a - m) * tail * density
+
+            return fall * mp.quad(integrand, points)
 
         outer = mp.quad(lambda u: (1 - u) ** (m - 1) * deriv(u * mp.mpf(q)), [0, 1])
         return float(mp.mpf(q) ** m / mp.factorial(m - 1) * outer)

@@ -686,7 +686,7 @@ def test_calibrate_unreachable_target_reports_bracket():
     assert exc.value.epsilon_at_bracket > 1e-9
 
 
-def _calibration_epsilon(q, sigma, steps, alphas=DEFAULT_ALPHAS):
+def _curve_epsilon(q, sigma, steps, alphas=DEFAULT_ALPHAS):
     return rdp_to_dp(accountant.calibration_curve(q, sigma, steps, alphas), 1e-5)[0].epsilon
 
 
@@ -695,19 +695,19 @@ def _calibration_epsilon(q, sigma, steps, alphas=DEFAULT_ALPHAS):
 def test_calibrate_lands_within_tolerance_of_the_threshold(epsilon, u_q, steps):
     q = 1e-3 * 300.0**u_q  # log-uniform over [1e-3, 0.3]
     sigma = calibrate_sigma(PrivacyBudget(epsilon, 1e-5), q=q, steps=steps)
-    assert _calibration_epsilon(q, sigma, steps) <= epsilon
-    assert _calibration_epsilon(q, sigma * (1 - 1e-3), steps) > epsilon
+    assert _curve_epsilon(q, sigma, steps) <= epsilon
+    assert _curve_epsilon(q, sigma * (1 - 1e-3), steps) > epsilon
 
 
 def _count_calibration_sigmas(monkeypatch):
     sigmas = []
-    original = accountant.calibration_curve
+    original = accountant._calibration_epsilon
 
     def counting(q, sigma, *args, **kwargs):
         sigmas.append(sigma)
         return original(q, sigma, *args, **kwargs)
 
-    monkeypatch.setattr(accountant, "calibration_curve", counting)
+    monkeypatch.setattr(accountant, "_calibration_epsilon", counting)
     return sigmas
 
 
@@ -720,7 +720,7 @@ def test_calibrate_evaluates_few_sigmas(monkeypatch, epsilon, q, steps):
     # bisection from [0.3, 64] down to rel_tol 1e-4 evaluates 20-22
     sigmas = _count_calibration_sigmas(monkeypatch)
     calibrate_sigma(PrivacyBudget(epsilon, 1e-5), q=q, steps=steps)
-    assert len(sigmas) == len(set(sigmas)) <= 14
+    assert 0 < len(sigmas) == len(set(sigmas)) <= 14
 
 
 def test_calibrate_bisects_where_epsilon_is_infinite(monkeypatch):
@@ -730,16 +730,70 @@ def test_calibrate_bisects_where_epsilon_is_infinite(monkeypatch):
     edge = math.sqrt(2 * 48 * 47 / MOMENT_EXPONENT_CAP)
     sigmas = _count_calibration_sigmas(monkeypatch)
     sigma = calibrate_sigma(PrivacyBudget(0.6, 1e-5), q=0.01, steps=100, alphas=alphas)
+    assert sigmas
     assert sigmas[:3] == [0.3, 64.0, pytest.approx(math.sqrt(0.3 * 64.0), rel=1e-12)]
     assert sigma > edge
-    assert _calibration_epsilon(0.01, sigma, 100, alphas) <= 0.6
-    assert 0.6 < _calibration_epsilon(0.01, sigma * (1 - 1e-3), 100, alphas) < math.inf
+    assert _curve_epsilon(0.01, sigma, 100, alphas) <= 0.6
+    assert 0.6 < _curve_epsilon(0.01, sigma * (1 - 1e-3), 100, alphas) < math.inf
     # a target above epsilon just past the edge: the threshold is the jump
     # from +inf to finite, so every probe bisects
     sigma = calibrate_sigma(PrivacyBudget(1e4, 1e-5), q=0.01, steps=100, alphas=alphas)
     assert sigma * (1 - 2e-4) < edge <= sigma * (1 + 1e-12)
-    assert _calibration_epsilon(0.01, sigma, 100, alphas) <= 1e4
-    assert math.isinf(_calibration_epsilon(0.01, sigma * (1 - 1e-3), 100, alphas))
+    assert _curve_epsilon(0.01, sigma, 100, alphas) <= 1e4
+    assert math.isinf(_curve_epsilon(0.01, sigma * (1 - 1e-3), 100, alphas))
+
+
+def test_calibrate_rejects_a_grid_that_is_not_increasing(monkeypatch):
+    sigmas = _count_calibration_sigmas(monkeypatch)
+    with pytest.raises(ValueError, match="orders must be strictly increasing and > 1"):
+        calibrate_sigma(PrivacyBudget(4.0, 1e-5), q=0.05, steps=100, alphas=(4.0, 2.0))
+    with pytest.raises(ValueError, match="orders must be strictly increasing and > 1"):
+        calibrate_sigma(PrivacyBudget(4.0, 1e-5), q=0.05, steps=100, alphas=(1.0, 2.0))
+    with pytest.raises(ValueError, match="at least one order"):
+        calibrate_sigma(PrivacyBudget(4.0, 1e-5), q=0.05, steps=100, alphas=())
+    assert sigmas == []  # rejected before any evaluation
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    u_q=st.floats(0.0, 1.0),
+    u_sigma=st.floats(0.0, 1.0),
+    steps=st.integers(1, 5000),
+    u_delta=st.floats(0.0, 1.0),
+    alphas=st.sampled_from([
+        DEFAULT_ALPHAS,
+        (48.0, 64.0),  # +inf at every order below sigma ~1.23
+        (4.0,),
+        (2.5,),
+        (1.5, 3.5, 7.25, 300.5, 512.0),  # floors 3 and 7 are not in the grid
+    ]),
+)
+def test_calibration_epsilon_is_the_converted_calibration_curve(
+    u_q, u_sigma, steps, u_delta, alphas
+):
+    q = 1e-4 * 9000.0**u_q  # log-uniform over [1e-4, 0.9]
+    sigma = 0.3 * (64 / 0.3) ** u_sigma
+    delta = 1e-10 * 1e8**u_delta
+    epsilon, alpha_star, orders = accountant._calibration_epsilon(q, sigma, steps, alphas, delta)
+    budget, want_alpha = rdp_to_dp(accountant.calibration_curve(q, sigma, steps, alphas), delta)
+    assert repr(epsilon) == repr(budget.epsilon)
+    assert alpha_star == want_alpha
+    assert 0 < orders <= len(alphas)
+
+
+def test_calibration_epsilon_skips_orders_that_cannot_win():
+    # the README target at a q no other test uses, so every bound is cold
+    q, sigma, steps = 0.0512345, 2.188120005418291, 100
+    memo = accountant._cached_step_bound
+    before = memo.cache_info().misses
+    epsilon, alpha_star, orders = accountant._calibration_epsilon(
+        q, sigma, steps, DEFAULT_ALPHAS, 1e-5)
+    pruned_misses = memo.cache_info().misses - before
+    budget, want_alpha = rdp_to_dp(accountant.calibration_curve(q, sigma, steps), 1e-5)
+    full_misses = memo.cache_info().misses - before
+    assert (epsilon, alpha_star) == (budget.epsilon, want_alpha)
+    assert pruned_misses == orders <= 12
+    assert full_misses == sum(a <= accountant.CALIBRATION_MAX_ORDER for a in DEFAULT_ALPHAS)
 
 
 def test_inf_orders_are_logged_with_their_reason(caplog):
@@ -767,13 +821,21 @@ def test_calibrate_logs_each_evaluation_at_debug(caplog, monkeypatch):
     with caplog.at_level(logging.DEBUG, logger="fedrdp.accountant"):
         sigma = calibrate_sigma(PrivacyBudget(4.0, 1e-5), q=0.05, steps=100)
     probes = list(sigmas)
+    assert probes
     records = [r for r in caplog.records if r.name == "fedrdp.accountant"]
     assert {r.levelno for r in records} == {logging.DEBUG}
     *evaluations, last = [r.getMessage() for r in records]
     assert len(evaluations) == len(probes)
+    orders_at = {}
     for message, probe in zip(evaluations, probes):
         budget, alpha_star = rdp_to_dp(accountant.calibration_curve(0.05, probe, 100), 1e-5)
+        orders = orders_at[probe] = accountant._calibration_epsilon(
+            0.05, probe, 100, DEFAULT_ALPHAS, 1e-5)[2]
+        assert 0 < orders <= len(DEFAULT_ALPHAS)
         assert message == (
-            f"calibrate: sigma={probe!r} epsilon={budget.epsilon!r} alpha*={alpha_star!r}"
+            f"calibrate: sigma={probe!r} epsilon={budget.epsilon!r} alpha*={alpha_star!r} "
+            f"orders={orders}/{len(DEFAULT_ALPHAS)}"
         )
+    # at the answer, fewer orders than all those under the order cap
+    assert orders_at[sigma] < sum(a <= accountant.CALIBRATION_MAX_ORDER for a in DEFAULT_ALPHAS)
     assert last == f"calibrate: returning sigma={sigma!r} after {len(probes)} sigmas"

@@ -334,6 +334,16 @@ def test_calibrate_reports_the_certified_curve_without_reevaluating(capsys, monk
     assert float(kv["alpha_star"]) == alpha_star
 
 
+def test_calibrate_rejects_a_grid_that_is_not_increasing(capsys):
+    code, out, err = run_cli(
+        capsys, "calibrate", "--epsilon", "4", "--delta", "1e-5", "--q", "0.05",
+        "--steps", "100", "--alphas", "4,2",
+    )
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "orders must be strictly increasing and > 1" in err
+
+
 @pytest.mark.parametrize("rounds", [True, 2.5])
 def test_simulate_rejects_mistyped_rounds_before_calibrating(capsys, tmp_path, monkeypatch, rounds):
     def no_calibration(*args, **kwargs):
