@@ -23,11 +23,15 @@ derived via numpy SeedSequence from an entropy tuple
     (seed, stream_tag, round)             availability, selection, trace
     (seed, stream_tag, round, client_id)  client batch + noise
 
-with the tags below.  This makes trajectories bit-reproducible regardless
-of the order or parallelism in which client updates are computed.  Poisson
-batch sampling exists only for the batch-size trace contrast; the training
-loop itself always draws fixed-size batches (the accountant covers nothing
-else).
+with the tags below.  A client step draws its batch and then its noise
+from its own generator, and a round computes all its client steps in one
+numpy pass over the stacked batches, doing for each client the same float
+operations as on that client's arrays alone (the tests check this against
+a one-client-at-a-time loop).  So trajectories are bit-reproducible
+regardless of the order or grouping in which client updates are computed.
+Poisson batch sampling exists only for the batch-size trace contrast; the
+training loop itself always draws fixed-size batches (the accountant
+covers nothing else).
 """
 
 from __future__ import annotations
@@ -311,53 +315,65 @@ def sample_poisson_batch(dataset_size: int, rate: float, rng: np.random.Generato
 def _per_sample_directions(model: ModelVector, X: np.ndarray, y: np.ndarray, step_size: float) -> np.ndarray:
     """Per-sample update directions -step * grad of the logistic loss, flat.
 
-    Returns an (n, classes*features) array; row i is the direction sample i
-    votes for before clipping.
+    X is (..., n, d) and y (..., n); returns an (..., n, classes*features)
+    array whose row i is the direction sample i votes for before clipping.
+    Leading axes stack independent batches, each computed as if alone.
     """
     W = model.as_matrix()
-    scores = X @ W.T  # (n, classes)
-    scores -= scores.max(axis=1, keepdims=True)
+    scores = X @ W.T  # (..., n, classes)
+    scores -= scores.max(axis=-1, keepdims=True)
     exps = np.exp(scores)
-    probs = exps / exps.sum(axis=1, keepdims=True)
-    probs[np.arange(len(y)), y] -= 1.0  # now softmax - onehot
+    probs = exps / exps.sum(axis=-1, keepdims=True)
+    probs[(*np.indices(y.shape, sparse=True), y)] -= 1.0  # now softmax - onehot
     # grad of loss wrt W for sample i is outer(probs_i, x_i)
-    grads = probs[:, :, None] * X[:, None, :]
-    return (-step_size) * grads.reshape(len(y), -1)
+    grads = probs[..., :, None] * X[..., None, :]
+    return (-step_size) * grads.reshape(*y.shape, -1)
 
 
 def _clip_rows(G: np.ndarray, clip: float) -> np.ndarray:
     """Each row of G scaled to norm at most clip, preserving its direction."""
-    return G * (clip / np.maximum(np.linalg.norm(G, axis=1), clip))[:, None]
+    return G * (clip / np.maximum(np.linalg.norm(G, axis=-1), clip))[..., None]
 
 
-def _noisy_update(client: ClientState, model: ModelVector, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """One client step: (update vector, pre-noise norm of the clipped mean).
+def _round_updates(
+    model: ModelVector,
+    clients: Sequence[ClientState],
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, list[float]]:
+    """One step of each client of a round: (m, D) updates, pre-noise norms.
 
-    The update averages the clipped per-sample directions of a fixed-size
-    batch and adds Gaussian noise of per-coordinate std clip*sigma/batch_size.
+    Client i averages the clipped per-sample directions of a fixed-size batch
+    and adds Gaussian noise of per-coordinate std clip*sigma/batch_size,
+    drawing the batch and then the noise from rngs[i].  The clients share
+    batch_size, clip, sigma and step_size (run_training checks this), so the
+    directions, clipping and means run once on the stacked (m, b, d) batches.
     """
-    if model.features != client.features.shape[1]:
-        raise ValueError(
-            f"model has {model.features} features, client "
-            f"{client.client_id} data has {client.features.shape[1]}"
-        )
-    idx = sample_fixed_batch(client.dataset_size, client.batch_size, rng)
-    G = _per_sample_directions(model, client.features[idx], client.labels[idx], client.step_size)
-    mean = _clip_rows(G, client.clip).mean(axis=0)
-    prenoise_norm = float(np.linalg.norm(mean))
-    if client.sigma > 0:
-        noise_std = client.clip * client.sigma / client.batch_size
-        mean = mean + rng.normal(0.0, noise_std, size=mean.shape)
-    return mean, prenoise_norm
+    first = clients[0]
+    batches = [
+        sample_fixed_batch(client.dataset_size, client.batch_size, rng)
+        for client, rng in zip(clients, rngs)
+    ]
+    X = np.stack([client.features[idx] for client, idx in zip(clients, batches)])
+    y = np.stack([client.labels[idx] for client, idx in zip(clients, batches)])
+    G = _per_sample_directions(model, X, y, first.step_size)
+    updates = _clip_rows(G, first.clip).mean(axis=1)
+    # one norm per row: the norm of a 2-D array along an axis rounds differently
+    norms = [float(np.linalg.norm(row)) for row in updates]
+    if first.sigma > 0:
+        noise_std = first.clip * first.sigma / first.batch_size
+        for row, rng in zip(updates, rngs):
+            row += rng.normal(0.0, noise_std, size=row.shape)
+    return updates, norms
 
 
-def server_update(model: ModelVector, updates: Sequence[np.ndarray], m_t: int) -> ModelVector:
+def server_update(model: ModelVector, updates: Sequence[np.ndarray] | np.ndarray, m_t: int) -> ModelVector:
+    """The model plus the mean of the m_t rows of updates ((m_t, D) or a list)."""
     if len(updates) != m_t or m_t < 1:
         raise ValueError(f"expected {m_t} updates, got {len(updates)}")
-    stacked = np.stack([np.asarray(u, dtype=np.float64) for u in updates])
-    if stacked.shape[1] != model.dimension:
+    stacked = np.asarray(updates, dtype=np.float64)
+    if stacked.ndim != 2 or stacked.shape[1] != model.dimension:
         raise ValueError(
-            f"update dimension {stacked.shape[1]} does not match model {model.dimension}"
+            f"update shape {stacked.shape} does not match model dimension {model.dimension}"
         )
     return ModelVector(
         model.weights + stacked.mean(axis=0),
@@ -380,11 +396,13 @@ def run_training(
     from the config's is rejected before round 1 (ValueError naming the
     client and the field): its steps would be misrecorded.  So are clients
     that are not ids 0..config.clients-1 in order, whose steps the ledger
-    would credit to another id.
+    would credit to another id, and clients whose labels are not integers
+    in [0, classes) or whose features are not d wide.
     Rounds are 1-based.  With dropout, each client is independently
     unavailable with probability dropout_prob each round and the round
-    selects min(m_t, available) clients.  Aggregation is in ascending
-    client-id order, so results do not depend on scheduling.
+    selects min(m_t, available) clients.  Each round's client steps run as
+    one stacked numpy pass (_round_updates), and aggregation is in
+    ascending client-id order.
     """
     if config.sampler != "fixed":
         raise ValueError(
@@ -411,6 +429,19 @@ def run_training(
                     f"client {client.client_id}: {field}={getattr(client, field)!r}, "
                     f"but the run records its steps with {field}={value!r}"
                 )
+        # a label of -1 would index the last class and train as it
+        labels = np.asarray(client.labels)
+        if (labels.ndim != 1 or labels.dtype.kind not in "iu"
+                or labels.min() < 0 or labels.max() >= config.classes):
+            raise ValueError(
+                f"client {client.client_id}: labels must be a vector of integers "
+                f"in [0, {config.classes})"
+            )
+        if np.shape(client.features)[1:] != (config.d,):
+            raise ValueError(
+                f"client {client.client_id}: features have shape "
+                f"{np.shape(client.features)}, but the model has d={config.d} features"
+            )
     ledger = ParticipationLedger()
     model = zero_model(config.d, config.classes)
     step = StepParams(
@@ -429,20 +460,16 @@ def run_training(
         m_eff = min(config.m_t, len(available))
         selected = select_clients(available, m_eff, _rng(config.seed, _STREAM_SELECTION, t))
         chosen = sorted(selected)
-        updates = []
-        norms = []
-        for cid in chosen:
-            try:
-                upd, norm = _noisy_update(
-                    clients[cid], model, _rng(config.seed, _STREAM_CLIENT_STEP, t, cid)
-                )
-            except Exception as exc:
-                raise RuntimeError(f"round {t}, client {cid}: {exc}") from exc
-            updates.append(upd)
-            norms.append(norm)
-            ledger.record(cid, t, step)
-        if updates:
+        norms: list[float] = []
+        if chosen:
+            updates, norms = _round_updates(
+                model,
+                [clients[cid] for cid in chosen],
+                [_rng(config.seed, _STREAM_CLIENT_STEP, t, cid) for cid in chosen],
+            )
             model = server_update(model, updates, m_eff)
+            for cid in chosen:
+                ledger.record(cid, t, step)
         records.append(
             RoundRecord(
                 t=t,

@@ -1,7 +1,9 @@
 """Independent oracles used by the test suite.
 
 Nothing here imports from the package's numerical internals (only the
-ledger's public types, for the reference parser); every routine
+ledger's public types, for the reference parser, and the simulator's
+public data, selection and batch-sampling functions, for the per-client
+training loop); every routine
 re-derives its target quantity by a different route (Monte Carlo, binomial
 closed forms, nested quadrature, plain gradient descent) so that agreement
 is evidence rather than tautology.
@@ -21,6 +23,14 @@ import mpmath as mp
 import numpy as np
 
 from fedrdp.accountant import ParticipationLedger, StepParams
+from fedrdp.simulate import (
+    ModelVector,
+    RoundRecord,
+    generate_client_data,
+    sample_fixed_batch,
+    select_clients,
+    zero_model,
+)
 
 # chi-square critical value at p = 0.001 for 5 degrees of freedom
 # (uniformity test over the 6 subsets of size 2 from 4 clients).
@@ -280,3 +290,69 @@ def logistic_gd_reference(
 def accuracy_of(weights_flat: np.ndarray, classes: int, X: np.ndarray, y: np.ndarray) -> float:
     W = weights_flat.reshape(classes, -1)
     return float(np.mean(np.argmax(X @ W.T, axis=1) == y))
+
+
+# --- per-client federated training -----------------------------------------
+#
+# The training loop as it ran before client steps were stacked: one client
+# at a time, each with its own 2-D arrays, its own norm and its own noise.
+# Same SeedSequence streams as the package: (seed, tag, round[, client]).
+
+_STREAM_AVAILABILITY = 3
+_STREAM_SELECTION = 4
+_STREAM_CLIENT_STEP = 5
+
+
+def _stream(*entropy: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(list(entropy)))
+
+
+def _client_step(client, model: ModelVector, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """One client's noisy clipped-mean update and its pre-noise norm."""
+    idx = sample_fixed_batch(client.dataset_size, client.batch_size, rng)
+    X, y = client.features[idx], client.labels[idx]
+    scores = X @ model.as_matrix().T
+    scores -= scores.max(axis=1, keepdims=True)
+    exps = np.exp(scores)
+    probs = exps / exps.sum(axis=1, keepdims=True)
+    probs[np.arange(len(y)), y] -= 1.0
+    G = (-client.step_size) * (probs[:, :, None] * X[:, None, :]).reshape(len(y), -1)
+    clipped = G * (client.clip / np.maximum(np.linalg.norm(G, axis=1), client.clip))[:, None]
+    mean = clipped.mean(axis=0)
+    prenoise_norm = float(np.linalg.norm(mean))
+    if client.sigma > 0:
+        noise_std = client.clip * client.sigma / client.batch_size
+        mean = mean + rng.normal(0.0, noise_std, size=mean.shape)
+    return mean, prenoise_norm
+
+
+def per_client_training(config, clients=None):
+    """(model, round records, ledger) of config, one client step at a time."""
+    sigma = config.resolve_sigma()
+    if clients is None:
+        clients = generate_client_data(config, sigma)
+    ledger = ParticipationLedger()
+    model = zero_model(config.d, config.classes)
+    step = StepParams(q=config.sampling_ratio, sigma=sigma, clip=config.clip,
+                      batch_size=config.batch_size)
+    records = []
+    for t in range(1, config.rounds + 1):
+        if config.dropout_prob > 0:
+            draws = _stream(config.seed, _STREAM_AVAILABILITY, t).random(config.clients)
+            available = [cid for cid in range(config.clients) if draws[cid] >= config.dropout_prob]
+        else:
+            available = list(range(config.clients))
+        m_eff = min(config.m_t, len(available))
+        chosen = sorted(select_clients(available, m_eff, _stream(config.seed, _STREAM_SELECTION, t)))
+        updates, norms = [], []
+        for cid in chosen:
+            upd, norm = _client_step(clients[cid], model, _stream(config.seed, _STREAM_CLIENT_STEP, t, cid))
+            updates.append(upd)
+            norms.append(norm)
+            ledger.record(cid, t, step)
+        if updates:
+            stacked = np.stack([np.asarray(u, dtype=np.float64) for u in updates])
+            model = ModelVector(model.weights + stacked.mean(axis=0),
+                                classes=model.classes, features=model.features)
+        records.append(RoundRecord(t=t, selected=tuple(chosen), update_norms=tuple(norms)))
+    return model, records, ledger

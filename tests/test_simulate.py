@@ -27,7 +27,7 @@ from fedrdp.simulate import (
     write_artifacts,
     zero_model,
 )
-from fedrdp.simulate import _clip_rows, _noisy_update, _per_sample_directions
+from fedrdp.simulate import _clip_rows, _per_sample_directions, _round_updates
 
 
 def small_config(**overrides):
@@ -258,7 +258,7 @@ def test_per_sample_directions_match_reference():
 def test_client_update_noiseless_full_batch_is_mean_direction():
     client = _one_client(sigma=0.0)
     model = zero_model(3, 2)
-    upd, _ = _noisy_update(client, model, np.random.default_rng(1))
+    (upd,), _ = _round_updates(model, [client], [np.random.default_rng(1)])
     G = _per_sample_directions(model, client.features, client.labels, 0.1)
     assert np.allclose(upd, G.mean(axis=0), atol=1e-14)
 
@@ -269,8 +269,9 @@ def test_client_update_noise_variance():
     client = _one_client(sigma=2.0, n=16, clip=1.0)
     model = zero_model(3, 2)
     reps = 3000
-    updates = np.stack(
-        [_noisy_update(client, model, np.random.default_rng(1000 + i))[0] for i in range(reps)]
+    # one round of reps copies of the client, each with its own generator
+    updates, _ = _round_updates(
+        model, [client] * reps, [np.random.default_rng(1000 + i) for i in range(reps)]
     )
     per_coord_var = updates.var(axis=0, ddof=1)
     want = (1.0 * 2.0 / 16) ** 2
@@ -279,14 +280,19 @@ def test_client_update_noise_variance():
 
 
 def test_client_update_dimension_mismatch():
-    with pytest.raises(ValueError, match="features"):
-        _noisy_update(_one_client(), zero_model(5, 2), np.random.default_rng(0))
+    # rejected before round 1, not only in a round that selects the client
+    cfg = small_config(sigma=0.0, rounds=1, m_t=1, d=5)
+    for width in (3, 6):
+        clients = generate_client_data(cfg, 0.0)
+        clients[1] = dataclasses.replace(clients[1], features=np.ones((30, width)))
+        with pytest.raises(ValueError, match=rf"client 1: features have shape \(30, {width}\)"):
+            run_training(cfg, clients=clients)
 
 
 def test_prenoise_norm_bounded_by_clip():
     client = _one_client(sigma=3.0, clip=0.05)
     model = ModelVector(np.linspace(-2, 2, 6), classes=2, features=3)
-    _, norm = _noisy_update(client, model, np.random.default_rng(9))
+    _, (norm,) = _round_updates(model, [client], [np.random.default_rng(9)])
     assert norm <= 0.05 + 1e-12
 
 
@@ -306,6 +312,8 @@ def test_server_update_mean_recompute():
     out = server_update(m, ups, 5)
     brute = m.weights + sum(ups) / 5
     assert np.allclose(out.weights, brute, atol=1e-12)
+    # the (m, D) array a round hands over gives the same model as its rows
+    assert np.array_equal(server_update(m, np.stack(ups), 5).weights, out.weights)
 
 
 def test_server_update_count_and_dim_checks():
@@ -314,6 +322,8 @@ def test_server_update_count_and_dim_checks():
         server_update(m, [np.zeros(4)], 2)
     with pytest.raises(ValueError):
         server_update(m, [np.zeros(3)], 1)
+    with pytest.raises(ValueError):
+        server_update(m, np.zeros((1, 3)), 1)
 
 
 # --- full runs ---------------------------------------------------------------
@@ -396,6 +406,53 @@ def test_run_training_rejects_clients_the_ledger_would_misrecord():
     again = run_training(cfg)
     assert np.array_equal(model.weights, again[0].weights)
     assert records == again[1] and ledger.to_text() == again[2].to_text()
+
+
+def test_run_training_rejects_bad_labels():
+    # numpy reads label -1 as the last class, so it would train silently; a
+    # label equal to classes would fail only in a round that selects it
+    cfg = small_config(classes=3)
+    for cid, value in ((1, -1), (2, 3), (3, 1.0)):
+        clients = generate_client_data(cfg, cfg.sigma)
+        labels = clients[cid].labels.astype(type(value))
+        labels[4] = value
+        clients[cid] = dataclasses.replace(clients[cid], labels=labels)
+        with pytest.raises(ValueError, match=rf"client {cid}: labels must be .* in \[0, 3\)"):
+            run_training(cfg, clients=clients)
+
+
+REFERENCE_CONFIGS = {
+    "dropout": dict(rounds=25, dropout_prob=0.3, seed=2),
+    "wide_dropout": dict(rounds=12, clients=40, m_t=33, d=17, classes=9,
+                         points_per_client=50, batch_size=13, clip=5.0, sigma=0.5,
+                         dropout_prob=0.2, seed=7),
+    "odd_shape": dict(rounds=15, clients=9, m_t=5, d=6, classes=4,
+                      points_per_client=20, batch_size=7, clip=0.3, sigma=0.7, seed=11),
+    "no_selection": dict(m_t=0),
+    "all_dropped": dict(rounds=30, clients=3, m_t=3, dropout_prob=0.9, seed=1),
+    "full_batch": dict(points_per_client=8, batch_size=8, clip=0.5),
+    "batch_of_one": dict(batch_size=1),
+    "noiseless": dict(sigma=0.0, classes=3),
+    "single_client": dict(clients=1, m_t=None, sigma=2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+def test_run_training_equals_per_client_reference(name):
+    cfg = small_config(**REFERENCE_CONFIGS[name])
+    model, records, ledger = run_training(cfg)
+    ref_model, ref_records, ref_ledger = reference.per_client_training(cfg)
+    assert np.array_equal(model.weights, ref_model.weights)
+    assert records == ref_records
+    assert ledger.to_text() == ref_ledger.to_text()
+    selected = sum(len(rec.selected) for rec in records)
+    if name in ("no_selection", "all_dropped"):
+        empty = [rec for rec in records if not rec.selected]
+        assert empty and all(rec.update_norms == () for rec in empty)
+    if name == "no_selection":
+        assert selected == 0 and not np.any(model.weights) and not ledger.clients()
+    else:
+        assert selected > 0 and np.any(model.weights)
 
 
 def test_noiseless_full_batch_matches_reference_descent():
