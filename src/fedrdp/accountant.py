@@ -27,6 +27,7 @@ not with the number of steps.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import re
 import sys
@@ -123,14 +124,27 @@ class StepParams:
     batch_size: int
 
     def __post_init__(self):
-        if not (isinstance(self.q, (int, float)) and 0 < self.q <= 1):
+        q, sigma, clip = (_builtin_number(v, numbers.Real) for v in (self.q, self.sigma, self.clip))
+        batch_size = _builtin_number(self.batch_size, numbers.Integral)
+        if not (q is not None and 0 < q <= 1):
             raise ValueError(f"q must lie in (0, 1], got {self.q!r}")
-        if not (isinstance(self.sigma, (int, float)) and self.sigma >= 0 and math.isfinite(self.sigma)):
+        if not (sigma is not None and sigma >= 0 and math.isfinite(sigma)):
             raise ValueError(f"sigma must be a finite real >= 0, got {self.sigma!r}")
-        if not (isinstance(self.clip, (int, float)) and self.clip > 0):
+        if not (clip is not None and clip > 0):
             raise ValueError(f"clip must be > 0, got {self.clip!r}")
-        if not (isinstance(self.batch_size, int) and self.batch_size >= 1):
+        if not (batch_size is not None and batch_size >= 1):
             raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
+        # to_text writes these with repr, which reads back only for built-in
+        # numbers (numpy's is "np.float64(1.5)")
+        for name, value in (("q", q), ("sigma", sigma), ("clip", clip), ("batch_size", batch_size)):
+            object.__setattr__(self, name, value)
+
+
+def _builtin_number(value, kind: type) -> int | float | None:
+    """value as a built-in int or float if it is a non-bool `kind`, else None."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        return None
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
 
 
 @dataclass(frozen=True)
@@ -191,9 +205,10 @@ class ParticipationLedger:
         self._records: dict[int, list[tuple[int, StepParams]]] = {}
 
     def record(self, client_id: int, t: int, params: StepParams) -> "ParticipationLedger":
-        if not isinstance(client_id, int):
+        # bool is an int, and to_text would write it as True
+        if isinstance(client_id, bool) or not isinstance(client_id, int):
             raise ValueError(f"client_id must be an integer, got {client_id!r}")
-        if not isinstance(t, int):
+        if isinstance(t, bool) or not isinstance(t, int):
             raise ValueError(f"t must be an integer, got {t!r}")
         if not isinstance(params, StepParams):
             raise TypeError("params must be a StepParams")
@@ -259,7 +274,7 @@ class ParticipationLedger:
             raise ValueError(f"ledger line {bad}: does not start with a canonical client id and a tab")
         if client_id is None:
             lines = enumerate(text.split("\n"), start=1)
-        elif isinstance(client_id, int):
+        elif isinstance(client_id, int) and not isinstance(client_id, bool):
             lines = _client_lines(text, int(client_id))
         else:
             raise ValueError(f"client_id must be an integer, got {client_id!r}")

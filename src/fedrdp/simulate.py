@@ -49,6 +49,7 @@ from .accountant import (
     DEFAULT_ALPHAS,
     ParticipationLedger,
     PrivacyBudget,
+    RdpCurve,
     StepParams,
     calibrate_sigma,
     compose_client_rdp,
@@ -345,8 +346,9 @@ def _round_updates(
     Client i averages the clipped per-sample directions of a fixed-size batch
     and adds Gaussian noise of per-coordinate std clip*sigma/batch_size,
     drawing the batch and then the noise from rngs[i].  The clients share
-    batch_size, clip, sigma and step_size (run_training checks this), so the
-    directions, clipping and means run once on the stacked (m, b, d) batches.
+    batch_size, clip, sigma and step_size (generate_client_data gives every
+    client the config's values), so the directions, clipping and means run
+    once on the stacked (m, b, d) batches.
     """
     first = clients[0]
     batches = [
@@ -382,22 +384,12 @@ def server_update(model: ModelVector, updates: Sequence[np.ndarray] | np.ndarray
     )
 
 
-def run_training(
-    config: SimConfig,
-    clients: Sequence[ClientState] | None = None,
-) -> tuple[ModelVector, list[RoundRecord], ParticipationLedger]:
+def run_training(config: SimConfig) -> tuple[ModelVector, list[RoundRecord], ParticipationLedger]:
     """Run the full federated loop, recording every participation.
 
-    clients is the data ``generate_client_data(config, sigma)`` returns;
-    pass it to reuse data already built, or leave it None to build it here.
-    The ledger records every step with the config's (q, sigma, clip,
-    batch_size), while the noise comes from each client's own fields, so a
-    client whose sigma, clip, batch_size, step_size or dataset size differs
-    from the config's is rejected before round 1 (ValueError naming the
-    client and the field): its steps would be misrecorded.  So are clients
-    that are not ids 0..config.clients-1 in order, whose steps the ledger
-    would credit to another id, and clients whose labels are not integers
-    in [0, classes) or whose features are not d wide.
+    The clients train on ``generate_client_data(config, sigma)`` at the
+    sigma the config resolves to, so their data and step parameters are the
+    ones the ledger records.
     Rounds are 1-based.  With dropout, each client is independently
     unavailable with probability dropout_prob each round and the round
     selects min(m_t, available) clients.  Each round's client steps run as
@@ -410,38 +402,7 @@ def run_training(
             "no poisson-sampling bound); use batch_size_trace for the contrast"
         )
     sigma = config.resolve_sigma()
-    if clients is None:
-        clients = generate_client_data(config, sigma)
-    # client cid trains on clients[cid]; the ledger records it as cid
-    if [client.client_id for client in clients] != list(range(config.clients)):
-        raise ValueError(f"clients must hold client ids 0..{config.clients - 1} in order")
-    expected = {
-        "sigma": sigma,
-        "clip": config.clip,
-        "batch_size": config.batch_size,
-        "step_size": config.step_size,
-        "dataset_size": config.points_per_client,
-    }
-    for client in clients:
-        for field, value in expected.items():
-            if getattr(client, field) != value:
-                raise ValueError(
-                    f"client {client.client_id}: {field}={getattr(client, field)!r}, "
-                    f"but the run records its steps with {field}={value!r}"
-                )
-        # a label of -1 would index the last class and train as it
-        labels = np.asarray(client.labels)
-        if (labels.ndim != 1 or labels.dtype.kind not in "iu"
-                or labels.min() < 0 or labels.max() >= config.classes):
-            raise ValueError(
-                f"client {client.client_id}: labels must be a vector of integers "
-                f"in [0, {config.classes})"
-            )
-        if np.shape(client.features)[1:] != (config.d,):
-            raise ValueError(
-                f"client {client.client_id}: features have shape "
-                f"{np.shape(client.features)}, but the model has d={config.d} features"
-            )
+    clients = generate_client_data(config, sigma)
     ledger = ParticipationLedger()
     model = zero_model(config.d, config.classes)
     step = StepParams(
@@ -517,19 +478,21 @@ def client_epsilon_report(
 ) -> list[tuple[int, int, float]]:
     """(client_id, participations, epsilon) rows for every ledgered client.
 
-    Steps admitting no finite bound (sigma = 0 or full batch) report
-    epsilon = +inf rather than raising: a non-private run is a legitimate
-    simulator configuration and the report should say so.
+    A client with a step admitting no finite bound (sigma = 0 or full batch)
+    reports epsilon = +inf rather than raising: a non-private run is a
+    legitimate simulator configuration and the report should say so.  Any
+    other error, such as an invalid delta or order grid, raises.
     """
+    alphas = tuple(float(a) for a in alphas)
     rows = []
     for cid in ledger.clients():
-        try:
+        if any(p.sigma == 0 or p.q == 1 for _, p in ledger.steps(cid)):
+            # all orders +inf: rdp_to_dp still checks delta and the grid
+            curve = RdpCurve(alphas, (math.inf,) * len(alphas))
+        else:
             curve = compose_client_rdp(ledger, cid, alphas)
-            budget, _ = rdp_to_dp(curve, delta)
-            eps = budget.epsilon
-        except ValueError:
-            eps = math.inf
-        rows.append((cid, ledger.participation_count(cid), eps))
+        budget, _ = rdp_to_dp(curve, delta)
+        rows.append((cid, ledger.participation_count(cid), budget.epsilon))
     return rows
 
 

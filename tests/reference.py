@@ -326,11 +326,10 @@ def _client_step(client, model: ModelVector, rng: np.random.Generator) -> tuple[
     return mean, prenoise_norm
 
 
-def per_client_training(config, clients=None):
+def per_client_training(config):
     """(model, round records, ledger) of config, one client step at a time."""
     sigma = config.resolve_sigma()
-    if clients is None:
-        clients = generate_client_data(config, sigma)
+    clients = generate_client_data(config, sigma)
     ledger = ParticipationLedger()
     model = zero_model(config.d, config.classes)
     step = StepParams(q=config.sampling_ratio, sigma=sigma, clip=config.clip,

@@ -5,6 +5,7 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -113,6 +114,27 @@ def test_text_round_trip_file(tmp_path):
     back = ParticipationLedger.read(path)
     assert back.to_text() == led.to_text()
     assert back.steps(2) == led.steps(2)
+
+
+def test_ledger_round_trips_numpy_scalars_and_rejects_bools():
+    # repr writes a numpy scalar as "np.float64(0.25)", which the reader
+    # rejects, and a bool as True
+    step = StepParams(q=np.float64(0.25), sigma=np.float64(1.5), clip=np.float32(0.5),
+                      batch_size=np.int64(2))
+    assert [type(v) for v in (step.q, step.sigma, step.clip, step.batch_size)] == [float, float, float, int]
+    led = ParticipationLedger().record(0, 1, step)
+    assert led.to_text() == "0\t1\t0.25\t1.5\t0.5\t2\n"
+    assert ParticipationLedger.from_text(led.to_text()).steps(0) == led.steps(0)
+    valid = dict(q=0.5, sigma=1.0, clip=1.0, batch_size=1)
+    for kw in (dict(q=True), dict(sigma=False), dict(clip=True), dict(batch_size=True)):
+        with pytest.raises(ValueError):
+            StepParams(**{**valid, **kw})
+    with pytest.raises(ValueError, match="client_id must be an integer"):
+        ParticipationLedger().record(True, 1, STEP)
+    with pytest.raises(ValueError, match="t must be an integer"):
+        ParticipationLedger().record(0, True, STEP)
+    with pytest.raises(ValueError, match="client_id must be an integer"):
+        ParticipationLedger.from_text("1\t1\t0.01\t2.0\t1.0\t10\n", client_id=True)
 
 
 def test_text_rejects_malformed_line():

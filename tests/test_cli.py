@@ -369,6 +369,18 @@ def test_simulate_writes_artifacts(capsys, tmp_path):
     assert "accuracy=" in out
 
 
+def test_simulate_prints_the_accuracy_of_its_model(capsys, tmp_path):
+    path = demo_config(tmp_path, rounds=3, sigma=None, target_epsilon=4.0)
+    outdir = tmp_path / "o"
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(path), "--outdir", str(outdir))
+    assert code == cli.EXIT_OK
+    config = simulate.SimConfig.from_file(path)
+    weights = [float(line) for line in (outdir / "model.txt").read_text().splitlines()]
+    model = simulate.ModelVector(weights, classes=config.classes, features=config.d)
+    clients = simulate.generate_client_data(config, config.resolve_sigma())
+    assert parse_kv(out)["accuracy"] == repr(simulate.evaluate_accuracy(model, clients))
+
+
 def test_simulate_prints_calibrated_sigma_without_participations(capsys, tmp_path):
     # with m_t = 0 no client steps, so the ledger is empty; sigma is still
     # the calibrated one

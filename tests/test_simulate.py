@@ -279,16 +279,6 @@ def test_client_update_noise_variance():
     assert per_coord_var.mean() == pytest.approx(want, rel=3 * rel_se + 0.01)
 
 
-def test_client_update_dimension_mismatch():
-    # rejected before round 1, not only in a round that selects the client
-    cfg = small_config(sigma=0.0, rounds=1, m_t=1, d=5)
-    for width in (3, 6):
-        clients = generate_client_data(cfg, 0.0)
-        clients[1] = dataclasses.replace(clients[1], features=np.ones((30, width)))
-        with pytest.raises(ValueError, match=rf"client 1: features have shape \(30, {width}\)"):
-            run_training(cfg, clients=clients)
-
-
 def test_prenoise_norm_bounded_by_clip():
     client = _one_client(sigma=3.0, clip=0.05)
     model = ModelVector(np.linspace(-2, 2, 6), classes=2, features=3)
@@ -380,47 +370,6 @@ def test_run_training_rejects_poisson_sampler():
         run_training(small_config(sampler="poisson"))
 
 
-def test_run_training_rejects_clients_the_ledger_would_misrecord():
-    # the ledger records the config's step, the noise comes from each
-    # client's fields: data built at sigma 0 would train noiselessly under
-    # a ledger that claims sigma 4
-    cfg = small_config(sigma=4.0)
-    with pytest.raises(ValueError, match=r"client 0: sigma=0\.0, .* sigma=4\.0"):
-        run_training(cfg, clients=generate_client_data(cfg, 0.0))
-    for field, value in (("clip", 2.0), ("batch_size", 5), ("step_size", 0.2)):
-        clients = generate_client_data(cfg, 4.0)
-        clients[2] = dataclasses.replace(clients[2], **{field: value})
-        with pytest.raises(ValueError, match=f"client 2: {field}="):
-            run_training(cfg, clients=clients)
-    clients = generate_client_data(cfg, 4.0)
-    clients[3] = dataclasses.replace(clients[3], features=clients[3].features[:20],
-                                     labels=clients[3].labels[:20])
-    with pytest.raises(ValueError, match="client 3: dataset_size=20"):
-        run_training(cfg, clients=clients)
-    # clients[cid] trains as cid: a reordered or short list credits steps
-    # to the wrong client
-    for bad in (generate_client_data(cfg, 4.0)[::-1], generate_client_data(cfg, 4.0)[:3]):
-        with pytest.raises(ValueError, match=r"client ids 0\.\.3 in order"):
-            run_training(cfg, clients=bad)
-    model, records, ledger = run_training(cfg, clients=generate_client_data(cfg, 4.0))
-    again = run_training(cfg)
-    assert np.array_equal(model.weights, again[0].weights)
-    assert records == again[1] and ledger.to_text() == again[2].to_text()
-
-
-def test_run_training_rejects_bad_labels():
-    # numpy reads label -1 as the last class, so it would train silently; a
-    # label equal to classes would fail only in a round that selects it
-    cfg = small_config(classes=3)
-    for cid, value in ((1, -1), (2, 3), (3, 1.0)):
-        clients = generate_client_data(cfg, cfg.sigma)
-        labels = clients[cid].labels.astype(type(value))
-        labels[4] = value
-        clients[cid] = dataclasses.replace(clients[cid], labels=labels)
-        with pytest.raises(ValueError, match=rf"client {cid}: labels must be .* in \[0, 3\)"):
-            run_training(cfg, clients=clients)
-
-
 REFERENCE_CONFIGS = {
     "dropout": dict(rounds=25, dropout_prob=0.3, seed=2),
     "wide_dropout": dict(rounds=12, clients=40, m_t=33, d=17, classes=9,
@@ -486,6 +435,18 @@ def test_epsilon_report_handles_nonprivate_runs():
         assert math.isinf(eps)
 
 
+def test_epsilon_report_raises_errors_other_than_no_finite_bound():
+    # only a step with sigma = 0 or q = 1 reports inf
+    _, _, ledger = run_training(small_config(rounds=3))
+    _, _, nonprivate = run_training(small_config(sigma=0.0, rounds=3))
+    for led in (ledger, nonprivate):
+        for delta in (0.0, 1.0):
+            with pytest.raises(ValueError, match="delta must lie in"):
+                client_epsilon_report(led, delta)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            client_epsilon_report(led, 1e-5, alphas=(4.0, 2.0))
+
+
 def test_epsilon_report_tracks_participation():
     cfg = small_config(rounds=40, dropout_prob=0.4, seed=9, sigma=2.0)
     _, _, ledger = run_training(cfg)
@@ -496,6 +457,18 @@ def test_epsilon_report_tracks_participation():
 
 
 # --- traces and artifacts -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("sigma", np.float64(1.5)), ("points_per_client", np.int64(30)), ("batch_size", np.int64(6))],
+)
+def test_numpy_config_values_write_a_readable_ledger(tmp_path, field, value):
+    plain = small_config()
+    cfg = dataclasses.replace(plain, **{field: value})
+    model, records, ledger = run_training(cfg)
+    paths = write_artifacts(tmp_path, model, records, ledger, cfg.delta)
+    assert ParticipationLedger.read(paths["ledger"]).to_text() == run_training(plain)[2].to_text()
 
 
 def test_trace_fixed_sampler_constant():
