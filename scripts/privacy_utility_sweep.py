@@ -29,9 +29,7 @@ BASE = dict(
 
 def run_one(cfg: SimConfig) -> tuple[float, float]:
     model, _, ledger = run_training(cfg)
-    acc = evaluate_accuracy(model, generate_client_data(cfg, cfg.sigma or 0.0))
-    if cfg.sigma == 0.0:
-        return acc, float("inf")
+    acc = evaluate_accuracy(model, generate_client_data(cfg, cfg.sigma))
     worst = max(eps for _, _, eps in client_epsilon_report(ledger, cfg.delta))
     return acc, worst
 

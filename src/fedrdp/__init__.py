@@ -1,10 +1,11 @@
 """Renyi-DP accounting for fixed-size subsampled Gaussian mechanisms.
 
-Three layers: `divergence` evaluates the one-step divergence bound and an
-independent quadrature oracle; `accountant` composes bounds per client over
-a participation ledger and converts to (epsilon, delta); `simulate` runs a
-seedable federated-learning loop that feeds the ledger.  `cli` exposes all
-of it as the `fedrdp` command.
+The package root is the accountant.  `divergence` evaluates the one-step
+divergence bound and an independent quadrature oracle; `accountant`
+composes bounds per client over a participation ledger and converts to
+(epsilon, delta).  Neither imports numpy.  The seedable federated-learning
+simulator that feeds the ledger is imported from `fedrdp.simulate`, and
+`fedrdp.cli` exposes all of it as the `fedrdp` command.
 """
 
 from .accountant import (
@@ -27,22 +28,6 @@ from .divergence import (
     renyi_divergence_quadrature,
     renyi_step_bound,
 )
-from .simulate import (
-    ClientState,
-    ModelVector,
-    RoundRecord,
-    SimConfig,
-    batch_size_trace,
-    client_epsilon_report,
-    evaluate_accuracy,
-    generate_client_data,
-    run_training,
-    sample_fixed_batch,
-    sample_poisson_batch,
-    select_clients,
-    server_update,
-    write_artifacts,
-)
 
 __version__ = "0.1.0"
 
@@ -52,30 +37,16 @@ __all__ = [
     "BoundBreakdownError",
     "BoundResult",
     "CalibrationError",
-    "ClientState",
     "MechanismParams",
-    "ModelVector",
     "ParticipationLedger",
     "PrivacyBudget",
     "QuadratureError",
     "RdpCurve",
-    "RoundRecord",
-    "SimConfig",
     "StepParams",
-    "batch_size_trace",
     "calibrate_sigma",
-    "client_epsilon_report",
     "compose_client_rdp",
-    "evaluate_accuracy",
-    "generate_client_data",
     "rdp_to_dp",
     "renyi_divergence_quadrature",
     "renyi_step_bound",
-    "run_training",
-    "sample_fixed_batch",
-    "sample_poisson_batch",
-    "select_clients",
-    "server_update",
-    "write_artifacts",
     "__version__",
 ]

@@ -437,16 +437,14 @@ def rdp_to_dp(curve: RdpCurve, delta: float = DEFAULT_DELTA) -> tuple[PrivacyBud
     """Convert an RDP curve to (epsilon, delta) DP.
 
     epsilon = min over grid orders of value(alpha) + log(1/delta)/(alpha-1);
-    ties break toward the smallest order.  Orders with +inf values are
-    skipped; if every order is +inf the budget is +inf at the smallest order.
+    ties break toward the smallest order.  An order valued +inf cannot win;
+    if every order is +inf the budget is +inf at the smallest order.
     """
     if not (isinstance(delta, (int, float)) and 0 < delta < 1):
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     best_eps = math.inf
     best_alpha = curve.alphas[0]
     for alpha, value in curve.items():
-        if math.isinf(value):
-            continue
         eps = _order_epsilon(value, alpha, delta)
         if eps < best_eps:
             best_eps = eps

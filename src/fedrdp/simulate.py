@@ -9,7 +9,8 @@ of the returned updates to the model.  Every client participation lands in a
 ParticipationLedger with the exact (q, sigma, clip, batch_size) used, so the
 accountant can replay privacy per client afterwards.
 
-Model family: multinomial logistic regression on synthetic Gaussian blobs.
+Model family: multinomial logistic regression on synthetic Gaussian blobs;
+the model is a plain (classes, d) float64 weight array.
 Class centers are mutually orthogonal with norm BLOB_RADIUS, so the classes
 are linearly separable by a wide margin and convergence is checkable against
 a deterministic full-batch baseline.  The scalar step size is folded into
@@ -61,16 +62,10 @@ __all__ = [
     "BLOB_RADIUS",
     "SimConfig",
     "ClientState",
-    "ModelVector",
     "RoundRecord",
-    "select_clients",
-    "sample_fixed_batch",
-    "sample_poisson_batch",
-    "server_update",
     "run_training",
     "batch_size_trace",
     "generate_client_data",
-    "zero_model",
     "evaluate_accuracy",
     "client_epsilon_report",
     "write_artifacts",
@@ -148,12 +143,12 @@ class SimConfig:
             (self.points_per_client >= 1, "points_per_client must be >= 1"),
             (1 <= self.batch_size <= self.points_per_client,
              "batch_size must lie in [1, points_per_client]"),
-            (self.clip > 0, "clip must be > 0"),
+            (0 < self.clip < math.inf, "clip must be > 0 and finite"),
             (0 < self.delta < 1, "delta must lie in (0, 1)"),
             (self.seed >= 0, "seed must be >= 0"),
             (self.sampler in ("fixed", "poisson"), "sampler must be fixed or poisson"),
             (0 <= self.dropout_prob < 1, "dropout_prob must lie in [0, 1)"),
-            (self.step_size > 0, "step_size must be > 0"),
+            (0 < self.step_size < math.inf, "step_size must be > 0 and finite"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -193,33 +188,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class ModelVector:
-    """Flat weight vector of a (classes x features) logistic model."""
-
-    weights: np.ndarray
-    classes: int
-    features: int
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.size != self.classes * self.features:
-            raise ValueError(
-                f"weights must be a flat vector of length classes*features "
-                f"= {self.classes * self.features}, got shape {w.shape}"
-            )
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def dimension(self) -> int:
-        return self.weights.size
-
-    def as_matrix(self) -> np.ndarray:
-        return self.weights.reshape(self.classes, self.features)
-
-
-@dataclass(frozen=True, eq=False)
 class ClientState:
     client_id: int
     features: np.ndarray  # (n_points, d)
@@ -228,16 +196,6 @@ class ClientState:
     clip: float
     sigma: float
     step_size: float
-
-    def __post_init__(self):
-        if len(self.features) != len(self.labels) or len(self.features) == 0:
-            raise ValueError("features and labels must be equal-length and non-empty")
-        if not 1 <= self.batch_size <= len(self.features):
-            raise ValueError("batch_size must lie in [1, dataset size]")
-
-    @property
-    def dataset_size(self) -> int:
-        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -251,10 +209,6 @@ class RoundRecord:
     t: int
     selected: tuple[int, ...]
     update_norms: tuple[float, ...]
-
-
-def zero_model(d: int, classes: int) -> ModelVector:
-    return ModelVector(np.zeros(classes * d), classes=classes, features=d)
 
 
 def generate_client_data(config: SimConfig, sigma: float) -> list[ClientState]:
@@ -286,41 +240,29 @@ def generate_client_data(config: SimConfig, sigma: float) -> list[ClientState]:
     return states
 
 
-def select_clients(available: Sequence[int] | set[int], m_t: int, rng: np.random.Generator) -> set[int]:
-    """Uniformly random size-m_t subset of the available client ids."""
-    pool = sorted(available)
-    if m_t > len(pool):
-        raise ValueError(f"cannot select {m_t} clients from {len(pool)} available")
-    if m_t == 0:
-        return set()
-    picked = rng.choice(len(pool), size=m_t, replace=False)
-    return {pool[i] for i in picked}
+def _select_clients(available: list[int], m_t: int, rng: np.random.Generator) -> list[int]:
+    """Uniformly random size-m_t subset of the ascending available ids, ascending."""
+    return sorted(available[i] for i in rng.choice(len(available), size=m_t, replace=False))
 
 
-def sample_fixed_batch(dataset_size: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_fixed_batch(dataset_size: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
     """Uniformly random subset of exactly batch_size indices, sorted."""
-    if not 1 <= batch_size <= dataset_size:
-        raise ValueError(
-            f"batch_size must lie in [1, {dataset_size}], got {batch_size}"
-        )
     return np.sort(rng.choice(dataset_size, size=batch_size, replace=False))
 
 
-def sample_poisson_batch(dataset_size: int, rate: float, rng: np.random.Generator) -> np.ndarray:
+def _sample_poisson_batch(dataset_size: int, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Each index included independently with probability `rate`; sorted."""
-    if not 0 < rate <= 1:
-        raise ValueError(f"rate must lie in (0, 1], got {rate}")
     return np.nonzero(rng.random(dataset_size) < rate)[0]
 
 
-def _per_sample_directions(model: ModelVector, X: np.ndarray, y: np.ndarray, step_size: float) -> np.ndarray:
+def _per_sample_directions(W: np.ndarray, X: np.ndarray, y: np.ndarray, step_size: float) -> np.ndarray:
     """Per-sample update directions -step * grad of the logistic loss, flat.
 
-    X is (..., n, d) and y (..., n); returns an (..., n, classes*features)
-    array whose row i is the direction sample i votes for before clipping.
-    Leading axes stack independent batches, each computed as if alone.
+    W is the (classes, d) model, X is (..., n, d) and y (..., n); returns an
+    (..., n, classes*d) array whose row i is the direction sample i votes
+    for before clipping.  Leading axes stack independent batches, each
+    computed as if alone.
     """
-    W = model.as_matrix()
     scores = X @ W.T  # (..., n, classes)
     scores -= scores.max(axis=-1, keepdims=True)
     exps = np.exp(scores)
@@ -337,11 +279,11 @@ def _clip_rows(G: np.ndarray, clip: float) -> np.ndarray:
 
 
 def _round_updates(
-    model: ModelVector,
+    W: np.ndarray,
     clients: Sequence[ClientState],
     rngs: Sequence[np.random.Generator],
 ) -> tuple[np.ndarray, list[float]]:
-    """One step of each client of a round: (m, D) updates, pre-noise norms.
+    """One step of each client of a round: (m, classes*d) updates, pre-noise norms.
 
     Client i averages the clipped per-sample directions of a fixed-size batch
     and adds Gaussian noise of per-coordinate std clip*sigma/batch_size,
@@ -352,12 +294,12 @@ def _round_updates(
     """
     first = clients[0]
     batches = [
-        sample_fixed_batch(client.dataset_size, client.batch_size, rng)
+        _sample_fixed_batch(len(client.labels), client.batch_size, rng)
         for client, rng in zip(clients, rngs)
     ]
     X = np.stack([client.features[idx] for client, idx in zip(clients, batches)])
     y = np.stack([client.labels[idx] for client, idx in zip(clients, batches)])
-    G = _per_sample_directions(model, X, y, first.step_size)
+    G = _per_sample_directions(W, X, y, first.step_size)
     updates = _clip_rows(G, first.clip).mean(axis=1)
     # one norm per row: the norm of a 2-D array along an axis rounds differently
     norms = [float(np.linalg.norm(row)) for row in updates]
@@ -368,33 +310,19 @@ def _round_updates(
     return updates, norms
 
 
-def server_update(model: ModelVector, updates: Sequence[np.ndarray] | np.ndarray, m_t: int) -> ModelVector:
-    """The model plus the mean of the m_t rows of updates ((m_t, D) or a list)."""
-    if len(updates) != m_t or m_t < 1:
-        raise ValueError(f"expected {m_t} updates, got {len(updates)}")
-    stacked = np.asarray(updates, dtype=np.float64)
-    if stacked.ndim != 2 or stacked.shape[1] != model.dimension:
-        raise ValueError(
-            f"update shape {stacked.shape} does not match model dimension {model.dimension}"
-        )
-    return ModelVector(
-        model.weights + stacked.mean(axis=0),
-        classes=model.classes,
-        features=model.features,
-    )
-
-
-def run_training(config: SimConfig) -> tuple[ModelVector, list[RoundRecord], ParticipationLedger]:
+def run_training(config: SimConfig) -> tuple[np.ndarray, list[RoundRecord], ParticipationLedger]:
     """Run the full federated loop, recording every participation.
 
+    Returns the (classes, d) model, one record per round and the ledger.
     The clients train on ``generate_client_data(config, sigma)`` at the
     sigma the config resolves to, so their data and step parameters are the
     ones the ledger records.
     Rounds are 1-based.  With dropout, each client is independently
     unavailable with probability dropout_prob each round and the round
     selects min(m_t, available) clients.  Each round's client steps run as
-    one stacked numpy pass (_round_updates), and aggregation is in
-    ascending client-id order.
+    one stacked numpy pass (_round_updates), and the server adds the mean of
+    their updates, aggregated in ascending client-id order.  Raises
+    ValueError if a weight ends up non-finite.
     """
     if config.sampler != "fixed":
         raise ValueError(
@@ -404,7 +332,7 @@ def run_training(config: SimConfig) -> tuple[ModelVector, list[RoundRecord], Par
     sigma = config.resolve_sigma()
     clients = generate_client_data(config, sigma)
     ledger = ParticipationLedger()
-    model = zero_model(config.d, config.classes)
+    model = np.zeros((config.classes, config.d))
     step = StepParams(
         q=config.sampling_ratio,
         sigma=sigma,
@@ -418,26 +346,29 @@ def run_training(config: SimConfig) -> tuple[ModelVector, list[RoundRecord], Par
             available = [cid for cid in range(config.clients) if draws[cid] >= config.dropout_prob]
         else:
             available = list(range(config.clients))
-        m_eff = min(config.m_t, len(available))
-        selected = select_clients(available, m_eff, _rng(config.seed, _STREAM_SELECTION, t))
-        chosen = sorted(selected)
+        selected = _select_clients(
+            available, min(config.m_t, len(available)), _rng(config.seed, _STREAM_SELECTION, t)
+        )
         norms: list[float] = []
-        if chosen:
+        if selected:
             updates, norms = _round_updates(
                 model,
-                [clients[cid] for cid in chosen],
-                [_rng(config.seed, _STREAM_CLIENT_STEP, t, cid) for cid in chosen],
+                [clients[cid] for cid in selected],
+                [_rng(config.seed, _STREAM_CLIENT_STEP, t, cid) for cid in selected],
             )
-            model = server_update(model, updates, m_eff)
-            for cid in chosen:
+            model = model + updates.mean(axis=0).reshape(model.shape)
+            for cid in selected:
                 ledger.record(cid, t, step)
         records.append(
             RoundRecord(
                 t=t,
-                selected=tuple(chosen),
+                selected=tuple(selected),
                 update_norms=tuple(norms),
             )
         )
+    # a non-finite weight stays non-finite, so one check covers every round
+    if not np.all(np.isfinite(model)):
+        raise ValueError("weights must be finite")
     return model, records, ledger
 
 
@@ -457,17 +388,17 @@ def batch_size_trace(config: SimConfig, sampler: str, rounds: int) -> list[int]:
     for t in range(1, rounds + 1):
         rng = _rng(config.seed, _STREAM_TRACE, t)
         if sampler == "fixed":
-            sizes.append(int(len(sample_fixed_batch(n, config.batch_size, rng))))
+            sizes.append(int(len(_sample_fixed_batch(n, config.batch_size, rng))))
         else:
-            sizes.append(int(len(sample_poisson_batch(n, config.sampling_ratio, rng))))
+            sizes.append(int(len(_sample_poisson_batch(n, config.sampling_ratio, rng))))
     return sizes
 
 
-def evaluate_accuracy(model: ModelVector, clients: Sequence[ClientState]) -> float:
+def evaluate_accuracy(model: np.ndarray, clients: Sequence[ClientState]) -> float:
     """Fraction of correctly classified points over the union of datasets."""
     X = np.concatenate([c.features for c in clients])
     y = np.concatenate([c.labels for c in clients])
-    pred = np.argmax(X @ model.as_matrix().T, axis=1)
+    pred = np.argmax(X @ model.T, axis=1)
     return float(np.mean(pred == y))
 
 
@@ -498,7 +429,7 @@ def client_epsilon_report(
 
 def write_artifacts(
     outdir,
-    model: ModelVector,
+    model: np.ndarray,
     records: Sequence[RoundRecord],
     ledger: ParticipationLedger,
     delta: float,
@@ -516,7 +447,7 @@ def write_artifacts(
         "clients": os.path.join(outdir, "clients.csv"),
         "ledger": os.path.join(outdir, "ledger.tsv"),
     }
-    write_atomic(paths["model"], "".join(f"{float(w)!r}\n" for w in model.weights))
+    write_atomic(paths["model"], "".join(f"{float(w)!r}\n" for w in model.flat))
     # a row's batch size is the one its ledger step recorded; rows and each
     # client's steps both run in t order
     steps = {cid: iter(ledger.steps(cid)) for cid in ledger.clients()}

@@ -2,11 +2,10 @@
 
 Nothing here imports from the package's numerical internals (only the
 ledger's public types, for the reference parser, and the simulator's
-public data, selection and batch-sampling functions, for the per-client
-training loop); every routine
-re-derives its target quantity by a different route (Monte Carlo, binomial
-closed forms, nested quadrature, plain gradient descent) so that agreement
-is evidence rather than tautology.
+public data generator and round record, for the per-client training loop);
+every routine re-derives its target quantity by a different route (Monte
+Carlo, binomial closed forms, nested quadrature, plain gradient descent) so
+that agreement is evidence rather than tautology.
 
 Notation used throughout: the mechanism compares the mixture
 q*N(1, s^2) + (1-q)*N(0, s^2) against N(0, s^2) with s = sigma/2, and
@@ -23,14 +22,7 @@ import mpmath as mp
 import numpy as np
 
 from fedrdp.accountant import ParticipationLedger, StepParams
-from fedrdp.simulate import (
-    ModelVector,
-    RoundRecord,
-    generate_client_data,
-    sample_fixed_batch,
-    select_clients,
-    zero_model,
-)
+from fedrdp.simulate import RoundRecord, generate_client_data
 
 # chi-square critical value at p = 0.001 for 5 degrees of freedom
 # (uniformity test over the 6 subsets of size 2 from 4 clients).
@@ -295,8 +287,11 @@ def accuracy_of(weights_flat: np.ndarray, classes: int, X: np.ndarray, y: np.nda
 # --- per-client federated training -----------------------------------------
 #
 # The training loop as it ran before client steps were stacked: one client
-# at a time, each with its own 2-D arrays, its own norm and its own noise.
-# Same SeedSequence streams as the package: (seed, tag, round[, client]).
+# at a time, each with its own 2-D arrays, its own norm and its own noise,
+# on a (classes, d) weight array.  Same SeedSequence streams as the package,
+# (seed, tag, round[, client]), and the same draws from them: a uniform
+# subset of the ascending available ids, then per client a sorted
+# fixed-size batch and its noise.
 
 _STREAM_AVAILABILITY = 3
 _STREAM_SELECTION = 4
@@ -307,11 +302,11 @@ def _stream(*entropy: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(entropy)))
 
 
-def _client_step(client, model: ModelVector, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+def _client_step(client, W: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """One client's noisy clipped-mean update and its pre-noise norm."""
-    idx = sample_fixed_batch(client.dataset_size, client.batch_size, rng)
+    idx = np.sort(rng.choice(len(client.labels), size=client.batch_size, replace=False))
     X, y = client.features[idx], client.labels[idx]
-    scores = X @ model.as_matrix().T
+    scores = X @ W.T
     scores -= scores.max(axis=1, keepdims=True)
     exps = np.exp(scores)
     probs = exps / exps.sum(axis=1, keepdims=True)
@@ -331,7 +326,7 @@ def per_client_training(config):
     sigma = config.resolve_sigma()
     clients = generate_client_data(config, sigma)
     ledger = ParticipationLedger()
-    model = zero_model(config.d, config.classes)
+    W = np.zeros((config.classes, config.d))
     step = StepParams(q=config.sampling_ratio, sigma=sigma, clip=config.clip,
                       batch_size=config.batch_size)
     records = []
@@ -342,16 +337,16 @@ def per_client_training(config):
         else:
             available = list(range(config.clients))
         m_eff = min(config.m_t, len(available))
-        chosen = sorted(select_clients(available, m_eff, _stream(config.seed, _STREAM_SELECTION, t)))
+        picked = _stream(config.seed, _STREAM_SELECTION, t).choice(len(available), size=m_eff, replace=False)
+        chosen = sorted(available[i] for i in picked)
         updates, norms = [], []
         for cid in chosen:
-            upd, norm = _client_step(clients[cid], model, _stream(config.seed, _STREAM_CLIENT_STEP, t, cid))
+            upd, norm = _client_step(clients[cid], W, _stream(config.seed, _STREAM_CLIENT_STEP, t, cid))
             updates.append(upd)
             norms.append(norm)
             ledger.record(cid, t, step)
         if updates:
             stacked = np.stack([np.asarray(u, dtype=np.float64) for u in updates])
-            model = ModelVector(model.weights + stacked.mean(axis=0),
-                                classes=model.classes, features=model.features)
+            W = W + stacked.mean(axis=0).reshape(W.shape)
         records.append(RoundRecord(t=t, selected=tuple(chosen), update_norms=tuple(norms)))
-    return model, records, ledger
+    return W, records, ledger

@@ -4,6 +4,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from fedrdp import accountant, cli, simulate
@@ -356,6 +357,15 @@ def test_simulate_rejects_mistyped_rounds_before_calibrating(capsys, tmp_path, m
     assert f"rounds must be an integer, got {rounds!r}" in err
 
 
+@pytest.mark.parametrize("field", ["clip", "step_size"])
+def test_simulate_rejects_infinite_clip_and_step_size(capsys, tmp_path, field):
+    # JSON Infinity loads as a float that passes the type and sign checks
+    path = demo_config(tmp_path, **{field: math.inf})
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--outdir", str(tmp_path / "o"))
+    assert code == cli.EXIT_USAGE
+    assert f"{field} must be > 0 and finite" in err
+
+
 # --- simulate / trace -------------------------------------------------------------
 
 
@@ -376,7 +386,7 @@ def test_simulate_prints_the_accuracy_of_its_model(capsys, tmp_path):
     assert code == cli.EXIT_OK
     config = simulate.SimConfig.from_file(path)
     weights = [float(line) for line in (outdir / "model.txt").read_text().splitlines()]
-    model = simulate.ModelVector(weights, classes=config.classes, features=config.d)
+    model = np.array(weights).reshape(config.classes, config.d)
     clients = simulate.generate_client_data(config, config.resolve_sigma())
     assert parse_kv(out)["accuracy"] == repr(simulate.evaluate_accuracy(model, clients))
 

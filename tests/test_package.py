@@ -2,7 +2,10 @@
 
 import importlib.util
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -21,12 +24,24 @@ def test_every_exported_name_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
-def test_package_exports_31_names():
-    assert len(fedrdp.__all__) == len(set(fedrdp.__all__)) == 31
+def test_package_exports_17_names():
+    assert len(fedrdp.__all__) == len(set(fedrdp.__all__)) == 17
+
+
+@pytest.mark.parametrize("module", ["fedrdp", "fedrdp.accountant", "fedrdp.divergence"])
+def test_accountant_imports_leave_numpy_unloaded(module):
+    # the package root is the accountant; only the simulator needs numpy
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = f"import sys, {module}; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_divergence_exports_8_names():
     assert len(divergence.__all__) == len(set(divergence.__all__)) == 8
+
+
+def test_simulate_exports_10_names():
+    assert len(simulate.__all__) == len(set(simulate.__all__)) == 10
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
