@@ -4,9 +4,12 @@ The package root is the accountant.  `divergence` evaluates the one-step
 divergence bound and an independent quadrature oracle; `accountant`
 composes bounds per client over a participation ledger and converts to
 (epsilon, delta).  Neither imports numpy.  The seedable federated-learning
-simulator that feeds the ledger is imported from `fedrdp.simulate`, and
-`fedrdp.cli` exposes all of it as the `fedrdp` command.
+simulator that feeds the ledger is `fedrdp.simulate`, imported with numpy on
+first access.  `fedrdp.cli` is the `fedrdp` command; its accountant commands
+load neither the simulator nor numpy.
 """
+
+import importlib
 
 from .accountant import (
     DEFAULT_ALPHAS,
@@ -30,6 +33,14 @@ from .divergence import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # not `from . import simulate`: its hasattr(fedrdp, "simulate") lands here
+    if name == "simulate":
+        return importlib.import_module(f"{__name__}.simulate")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DEFAULT_ALPHAS",

@@ -1,6 +1,8 @@
 """Command-line front end for the accountant and the simulator.
 
 Subcommands: bound, oracle, compose, convert, calibrate, simulate, trace.
+The five accountant commands load neither the simulator nor numpy; only
+simulate and trace import them, on first use.
 Every command is a thin adapter over the library; numbers printed as
 key=value lines carry full precision (repr), and curve CSV cells carry 17
 significant digits, which round-trip every double, so converting a curve
@@ -35,14 +37,27 @@ from .divergence import (
     renyi_divergence_quadrature,
     renyi_step_bound,
 )
-from .simulate import (
-    SimConfig,
-    batch_size_trace,
-    evaluate_accuracy,
-    generate_client_data,
-    run_training,
-    write_artifacts,
-)
+
+# The simulator, and numpy with it, is imported when simulate or trace first
+# runs.  Its names resolve as attributes of this module before that, and the
+# commands call them as module globals, so a name set from outside runs.
+_SIMULATOR_NAMES = ("SimConfig", "batch_size_trace", "evaluate_accuracy",
+                    "generate_client_data", "run_training", "write_artifacts")
+
+
+def _load_simulator() -> None:
+    from . import simulate
+
+    for name in _SIMULATOR_NAMES:
+        globals().setdefault(name, getattr(simulate, name))
+
+
+def __getattr__(name):
+    if name in _SIMULATOR_NAMES:
+        _load_simulator()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -183,6 +198,7 @@ def cmd_calibrate(args) -> int:
 
 
 def _load_config(args) -> SimConfig:
+    _load_simulator()
     config = SimConfig.from_file(args.config)
     if getattr(args, "seed", None) is not None:
         config = dataclasses.replace(config, seed=args.seed)

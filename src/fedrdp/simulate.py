@@ -155,8 +155,11 @@ class SimConfig:
                 raise ValueError(msg)
         if (self.sigma is None) == (self.target_epsilon is None):
             raise ValueError("exactly one of sigma / target_epsilon must be set")
-        if self.sigma is not None and not (self.sigma >= 0 and math.isfinite(self.sigma)):
-            raise ValueError("sigma must be a finite real >= 0")
+        if self.sigma is not None:
+            if not (self.sigma >= 0 and math.isfinite(self.sigma)):
+                raise ValueError("sigma must be a finite real >= 0")
+            if not math.isfinite(float(self.clip) * self.sigma / self.batch_size):
+                raise ValueError("noise std clip * sigma / batch_size must be finite")
         if self.target_epsilon is not None and not self.target_epsilon > 0:
             raise ValueError("target_epsilon must be > 0")
 
@@ -293,10 +296,11 @@ def _round_updates(
     once on the stacked (m, b, d) batches.
     """
     first = clients[0]
-    batches = [
-        _sample_fixed_batch(len(client.labels), client.batch_size, rng)
+    # the draws _sample_fixed_batch makes per client, sorted in one call
+    batches = np.sort(np.stack([
+        rng.choice(len(client.labels), size=first.batch_size, replace=False)
         for client, rng in zip(clients, rngs)
-    ]
+    ]), axis=1)
     X = np.stack([client.features[idx] for client, idx in zip(clients, batches)])
     y = np.stack([client.labels[idx] for client, idx in zip(clients, batches)])
     G = _per_sample_directions(W, X, y, first.step_size)

@@ -366,6 +366,15 @@ def test_simulate_rejects_infinite_clip_and_step_size(capsys, tmp_path, field):
     assert f"{field} must be > 0 and finite" in err
 
 
+def test_simulate_rejects_a_calibrated_sigma_whose_noise_overflows(capsys, tmp_path):
+    # the calibrated sigma is finite, but clip * sigma / batch_size is not
+    path = demo_config(tmp_path, clip=1e308, batch_size=1, sigma=None, target_epsilon=1.0)
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--outdir", str(tmp_path / "o"))
+    assert code == cli.EXIT_USAGE
+    assert "noise std clip * sigma / batch_size must be finite" in err
+    assert not (tmp_path / "o").exists()
+
+
 # --- simulate / trace -------------------------------------------------------------
 
 

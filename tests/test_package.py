@@ -2,10 +2,12 @@
 
 import importlib.util
 import inspect
+import json
 import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -28,12 +30,18 @@ def test_package_exports_17_names():
     assert len(fedrdp.__all__) == len(set(fedrdp.__all__)) == 17
 
 
-@pytest.mark.parametrize("module", ["fedrdp", "fedrdp.accountant", "fedrdp.divergence"])
-def test_accountant_imports_leave_numpy_unloaded(module):
-    # the package root is the accountant; only the simulator needs numpy
+def _run_python(code: str, cwd=None) -> None:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = f"import sys, {module}; assert 'numpy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, cwd=cwd, check=True)
+
+
+@pytest.mark.parametrize(
+    "module", ["fedrdp", "fedrdp.accountant", "fedrdp.divergence", "fedrdp.cli"]
+)
+def test_accountant_imports_leave_numpy_unloaded(module):
+    # the package root is the accountant; only the simulator needs numpy, and
+    # the command line imports it when simulate or trace first runs
+    _run_python(f"import sys, {module}; assert 'numpy' not in sys.modules")
 
 
 def test_divergence_exports_8_names():
@@ -79,3 +87,51 @@ def test_perfbench_tracer_instruments_and_restores(tmp_path, capsys):
     for owner, attr, original in undo:
         assert inspect.getattr_static(owner, attr) is original
     assert cli.compose_client_rdp is accountant.compose_client_rdp
+
+
+def test_accountant_commands_leave_numpy_unloaded(tmp_path):
+    _run_python("""
+        import sys
+        from fedrdp import ParticipationLedger, StepParams, cli
+        ledger = ParticipationLedger()
+        for t in (1, 2, 5):
+            ledger.record(0, t, StepParams(q=0.02, sigma=2.0, clip=1.0, batch_size=4))
+        ledger.write("ledger.tsv")
+        for argv in (["bound", "--alpha", "2", "--q", "0.01", "--sigma", "2"],
+                     ["oracle", "--alpha", "2", "--q", "0.01", "--sigma", "2"],
+                     ["compose", "--ledger", "ledger.tsv", "--client", "0",
+                      "--alphas", "2,4", "--output", "curve.csv"],
+                     ["convert", "--curve", "curve.csv"],
+                     ["calibrate", "--epsilon", "16", "--q", "0.2", "--steps", "5"]):
+            assert cli.main(argv) == cli.EXIT_OK, argv
+        assert "numpy" not in sys.modules
+        assert "fedrdp.simulate" not in sys.modules
+    """, tmp_path)
+
+
+def test_perfbench_tracer_wraps_the_simulator_before_it_is_imported(tmp_path):
+    # a fresh process, so the tracer meets fedrdp.simulate and the cli's
+    # simulator names before anything has imported them
+    config = dict(rounds=2, clients=3, m_t=2, d=4, classes=2, points_per_client=10,
+                  batch_size=3, clip=1.0, sigma=1.0, seed=1)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    _run_python(f"""
+        import importlib.util, inspect, sys
+        import fedrdp.cli
+        assert "fedrdp.simulate" not in sys.modules
+        spec = importlib.util.spec_from_file_location("tracing", {str(TRACING)!r})
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        undo = tracing.instrument(tracer, fedrdp)
+        try:
+            code = fedrdp.cli.main(["simulate", "--config", "config.json", "--outdir", "out"])
+        finally:
+            tracing.restore(undo)
+        assert code == fedrdp.cli.EXIT_OK
+        names = {{span.name for span in tracer.spans}}
+        assert names >= {{"simulate.train", "simulate.data", "simulate.artifacts"}}, names
+        for owner, attr, original in undo:
+            assert inspect.getattr_static(owner, attr) is original
+        assert fedrdp.cli.run_training is fedrdp.simulate.run_training
+    """, tmp_path)

@@ -75,6 +75,8 @@ def test_config_bounds_checks():
         small_config(dropout_prob=1.0)
     with pytest.raises(ValueError):
         small_config(classes=5)  # exceeds d=4
+    with pytest.raises(ValueError, match="noise std"):
+        small_config(clip=1e10, sigma=1e300)  # finite, but clip * sigma / batch_size is inf
 
 
 @pytest.mark.parametrize(
@@ -326,10 +328,11 @@ def test_run_training_rejects_poisson_sampler():
 
 
 def test_run_training_rejects_overflowing_weights():
-    # noise std clip*sigma/batch_size overflows to inf, so the first round's
-    # update is infinite and later ones are nan
+    # the noise std clip*sigma/batch_size is finite, but the first round
+    # leaves weights so large that the second round's scores overflow to inf
+    # and its updates are nan
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="weights must be finite"):
-        run_training(small_config(clip=1e10, sigma=1e300))
+        run_training(small_config(clip=1e308, sigma=1.0))
 
 
 REFERENCE_CONFIGS = {
