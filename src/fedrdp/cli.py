@@ -209,9 +209,11 @@ def cmd_simulate(args) -> int:
     config = _load_config(args)
     # calibrate once, so the run and the printed sigma share one value
     config = dataclasses.replace(config, sigma=config.resolve_sigma(), target_epsilon=None)
+    # built once: training reuses the data generate_client_data keeps
+    clients = generate_client_data(config, config.sigma)
     model, records, ledger = run_training(config)
     paths = write_artifacts(args.outdir, model, records, ledger, config.delta)
-    accuracy = evaluate_accuracy(model, generate_client_data(config, config.sigma))
+    accuracy = evaluate_accuracy(model, clients)
     _print_kv(
         rounds=config.rounds,
         clients=config.clients,

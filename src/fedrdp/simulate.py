@@ -16,20 +16,28 @@ are linearly separable by a wide margin and convergence is checkable against
 a deterministic full-batch baseline.  The scalar step size is folded into
 the per-sample update direction before clipping.
 
-RNG discipline: one root seed; every random draw uses a fresh generator
-derived via numpy SeedSequence from an entropy tuple
+RNG discipline: one root seed; every random draw comes from a stream of
+its own, the one np.random.default_rng(np.random.SeedSequence(entropy))
+gives for an entropy tuple
 
     (seed, stream_tag)                    data centers
     (seed, stream_tag, client_id)         client data
     (seed, stream_tag, round)             availability, selection, trace
     (seed, stream_tag, round, client_id)  client batch + noise
 
-with the tags below.  A client step draws its batch and then its noise
-from its own generator, and a round computes all its client steps in one
-numpy pass over the stacked batches, doing for each client the same float
-operations as on that client's arrays alone (the tests check this against
-a one-client-at-a-time loop).  So trajectories are bit-reproducible
-regardless of the order or grouping in which client updates are computed.
+with the tags below.  No SeedSequence is built: _seed_words hashes the
+entropies of a whole round's clients (or of all clients, or all rounds) in
+one numpy pass with SeedSequence's own mixing, and each call of
+generate_client_data, run_training or batch_size_trace makes one
+Generator, which it seeds for stream after stream by assigning its PCG64
+state, drawing from each stream before seeding the next (the tests pin
+this to NumPy's seeding, state and draws).  A client step draws its batch
+and then its noise from its own stream, and a round computes all its
+client steps in one numpy pass over the stacked batches, doing for each
+client the same float operations as on that client's arrays alone (the
+tests check this against a one-client-at-a-time loop).  So trajectories
+are bit-reproducible regardless of the order or grouping in which client
+updates are computed.
 Poisson batch sampling exists only for the batch-size trace contrast; the
 training loop itself always draws fixed-size batches (the accountant
 covers nothing else).
@@ -41,8 +49,8 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, fields
-from typing import Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,8 +102,90 @@ def _check_number(name: str, value, kind: type, what: str) -> None:
         raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
-def _rng(*entropy: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(list(entropy)))
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit multiplier (numpy/random/src/pcg64/pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """(n, 1) uint32 column init * mult**k mod 2**32, k = 0..n-1."""
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(n)],
+                    dtype=np.uint32)[:, None]
+
+
+# hashmix call k XORs with consts[k] and multiplies by consts[k + 1]; the pool
+# takes 16 calls plus 4 per entropy word beyond its 4
+_HASH_A = _hash_consts(_INIT_A, _MULT_A, 17 + 4 * 4)
+_HASH_B = _hash_consts(_INIT_B, _MULT_B, 9)
+_OTHER_WORDS = [np.array([i for i in range(4) if i != src]) for src in range(4)]
+_STATE_WORDS = np.array([0, 1, 2, 3, 0, 1, 2, 3])
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ (result >> 16)
+
+
+def _seed_words(prefix: Sequence[int], ids) -> np.ndarray:
+    """SeedSequence([*prefix, i]).generate_state(4, np.uint64) for each id i.
+
+    One numpy pass over all ids, each a column of uint32 words: the entropy
+    (each int as its little-endian 32-bit words, the whole padded with zero
+    words to the pool size 4), hashed into the pool, the pool mixed, and 8
+    words drawn from it.  Every id must fit one word.  Returns (len(ids), 4)
+    uint64.
+    """
+    head = [n >> s & _MASK32 for n in prefix for s in range(0, max(n.bit_length(), 1), 32)]
+    entropy = np.zeros((max(len(head) + 1, 4), len(ids)), dtype=np.uint32)
+    entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    entropy[len(head)] = np.asarray(ids, dtype=np.uint32)
+    n_consts = 17 + 4 * (len(entropy) - 4)
+    consts = _HASH_A if n_consts <= len(_HASH_A) else _hash_consts(_INIT_A, _MULT_A, n_consts)
+    pool = _hashmix(entropy[:4], consts[:5])
+    k = 4
+    for src, dst in enumerate(_OTHER_WORDS):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k : k + 4]))
+        k += 3
+    for word in entropy[4:]:
+        pool = _mix(pool, _hashmix(word, consts[k : k + 5]))
+        k += 4
+    out = _hashmix(pool[_STATE_WORDS], _HASH_B).astype(np.uint64)
+    return (out[0::2] | out[1::2] << np.uint64(32)).T
+
+
+def _streams(
+    gen: np.random.Generator, prefix: Sequence[int], ids: Sequence[int]
+) -> Iterator[np.random.Generator]:
+    """gen seeded in turn, per id, as default_rng(SeedSequence([*prefix, id])).
+
+    Each yield re-seeds the same Generator, so draw from it before taking
+    the next.  Ids are hashed 1024 at a time, which bounds the memory.
+    """
+    bit_generator = gen.bit_generator
+    for start in range(0, len(ids), 1024):
+        for s_hi, s_lo, i_hi, i_lo in _seed_words(prefix, ids[start : start + 1024]).tolist():
+            # pcg64_set_seed: inc = 2 * initseq + 1, then two LCG steps from 0
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+            bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            yield gen
+
+
+def _generator() -> np.random.Generator:
+    """A Generator for _streams to seed; its own seed is never drawn from."""
+    return np.random.Generator(np.random.PCG64(0))
 
 
 @dataclass(frozen=True)
@@ -219,16 +309,38 @@ def generate_client_data(config: SimConfig, sigma: float) -> list[ClientState]:
 
     Centers are orthonormal directions scaled to BLOB_RADIUS (seeded QR),
     points are center + standard normal noise, labels round-robin over
-    classes so every client sees every class.
+    classes so every client sees every class.  The arrays are read-only:
+    the last dataset built is kept, and run_training(config) at this sigma
+    trains on it without building it again.
     """
-    raw = _rng(config.seed, _STREAM_CENTERS).normal(size=(config.d, config.classes))
+    return list(_client_data(config, sigma))
+
+
+# the last dataset built, keyed by (config, sigma)
+_KEPT_DATA: dict = {}
+
+
+def _client_data(config: SimConfig, sigma: float) -> tuple[ClientState, ...]:
+    key = (config, sigma)
+    if key not in _KEPT_DATA:
+        _KEPT_DATA.clear()  # free the last dataset before building the next
+        _KEPT_DATA[key] = _build_client_data(config, sigma)
+    return _KEPT_DATA[key]
+
+
+def _build_client_data(config: SimConfig, sigma: float) -> tuple[ClientState, ...]:
+    gen = _generator()
+    centers_rng = next(_streams(gen, (config.seed,), [_STREAM_CENTERS]))
+    raw = centers_rng.normal(size=(config.d, config.classes))
     basis, _ = np.linalg.qr(raw)
     centers = BLOB_RADIUS * basis.T[: config.classes]  # (classes, d)
+    labels = np.arange(config.points_per_client) % config.classes
+    labels.flags.writeable = False
     states = []
-    for cid in range(config.clients):
-        rng = _rng(config.seed, _STREAM_CLIENT_DATA, cid)
-        labels = np.arange(config.points_per_client) % config.classes
+    clients = range(config.clients)
+    for cid, rng in zip(clients, _streams(gen, (config.seed, _STREAM_CLIENT_DATA), clients)):
         points = centers[labels] + rng.normal(size=(config.points_per_client, config.d))
+        points.flags.writeable = False
         states.append(
             ClientState(
                 client_id=cid,
@@ -240,7 +352,7 @@ def generate_client_data(config: SimConfig, sigma: float) -> list[ClientState]:
                 step_size=config.step_size,
             )
         )
-    return states
+    return tuple(states)
 
 
 def _select_clients(available: list[int], m_t: int, rng: np.random.Generator) -> list[int]:
@@ -284,33 +396,35 @@ def _clip_rows(G: np.ndarray, clip: float) -> np.ndarray:
 def _round_updates(
     W: np.ndarray,
     clients: Sequence[ClientState],
-    rngs: Sequence[np.random.Generator],
+    rngs: Iterable[np.random.Generator],
 ) -> tuple[np.ndarray, list[float]]:
     """One step of each client of a round: (m, classes*d) updates, pre-noise norms.
 
     Client i averages the clipped per-sample directions of a fixed-size batch
     and adds Gaussian noise of per-coordinate std clip*sigma/batch_size,
-    drawing the batch and then the noise from rngs[i].  The clients share
-    batch_size, clip, sigma and step_size (generate_client_data gives every
-    client the config's values), so the directions, clipping and means run
-    once on the stacked (m, b, d) batches.
+    drawing the batch and then the noise from the i-th of rngs before taking
+    the next one (so rngs may re-seed one Generator, as _streams does).  The
+    clients share batch_size, clip, sigma and step_size (generate_client_data
+    gives every client the config's values), so the directions, clipping and
+    means run once on the stacked (m, b, d) batches.
     """
     first = clients[0]
+    noise_std = first.clip * first.sigma / first.batch_size
+    batches, noise = [], []
+    for client, rng in zip(clients, rngs):
+        batches.append(rng.choice(len(client.labels), size=first.batch_size, replace=False))
+        if first.sigma > 0:
+            noise.append(rng.normal(0.0, noise_std, size=W.size))
     # the draws _sample_fixed_batch makes per client, sorted in one call
-    batches = np.sort(np.stack([
-        rng.choice(len(client.labels), size=first.batch_size, replace=False)
-        for client, rng in zip(clients, rngs)
-    ]), axis=1)
+    batches = np.sort(np.stack(batches), axis=1)
     X = np.stack([client.features[idx] for client, idx in zip(clients, batches)])
     y = np.stack([client.labels[idx] for client, idx in zip(clients, batches)])
     G = _per_sample_directions(W, X, y, first.step_size)
     updates = _clip_rows(G, first.clip).mean(axis=1)
     # one norm per row: the norm of a 2-D array along an axis rounds differently
     norms = [float(np.linalg.norm(row)) for row in updates]
-    if first.sigma > 0:
-        noise_std = first.clip * first.sigma / first.batch_size
-        for row, rng in zip(updates, rngs):
-            row += rng.normal(0.0, noise_std, size=row.shape)
+    if noise:
+        updates += np.stack(noise)
     return updates, norms
 
 
@@ -326,15 +440,18 @@ def run_training(config: SimConfig) -> tuple[np.ndarray, list[RoundRecord], Part
     selects min(m_t, available) clients.  Each round's client steps run as
     one stacked numpy pass (_round_updates), and the server adds the mean of
     their updates, aggregated in ascending client-id order.  Raises
-    ValueError if a weight ends up non-finite.
+    ValueError if the calibrated noise std or a weight is non-finite.
     """
     if config.sampler != "fixed":
         raise ValueError(
             "run_training draws fixed-size batches only (the accountant has "
             "no poisson-sampling bound); use batch_size_trace for the contrast"
         )
-    sigma = config.resolve_sigma()
-    clients = generate_client_data(config, sigma)
+    if config.sigma is None:
+        # calibrate once; the rebuilt config checks the noise std at that sigma
+        config = replace(config, sigma=config.resolve_sigma(), target_epsilon=None)
+    sigma = config.sigma
+    clients = _client_data(config, sigma)
     ledger = ParticipationLedger()
     model = np.zeros((config.classes, config.d))
     step = StepParams(
@@ -344,21 +461,23 @@ def run_training(config: SimConfig) -> tuple[np.ndarray, list[RoundRecord], Part
         batch_size=config.batch_size,
     )
     records: list[RoundRecord] = []
-    for t in range(1, config.rounds + 1):
+    gen = _generator()
+    rounds = range(1, config.rounds + 1)
+    availability = _streams(gen, (config.seed, _STREAM_AVAILABILITY), rounds)
+    selection = _streams(gen, (config.seed, _STREAM_SELECTION), rounds)
+    for t in rounds:
         if config.dropout_prob > 0:
-            draws = _rng(config.seed, _STREAM_AVAILABILITY, t).random(config.clients)
+            draws = next(availability).random(config.clients)
             available = [cid for cid in range(config.clients) if draws[cid] >= config.dropout_prob]
         else:
             available = list(range(config.clients))
-        selected = _select_clients(
-            available, min(config.m_t, len(available)), _rng(config.seed, _STREAM_SELECTION, t)
-        )
+        selected = _select_clients(available, min(config.m_t, len(available)), next(selection))
         norms: list[float] = []
         if selected:
             updates, norms = _round_updates(
                 model,
                 [clients[cid] for cid in selected],
-                [_rng(config.seed, _STREAM_CLIENT_STEP, t, cid) for cid in selected],
+                _streams(gen, (config.seed, _STREAM_CLIENT_STEP, t), selected),
             )
             model = model + updates.mean(axis=0).reshape(model.shape)
             for cid in selected:
@@ -389,8 +508,7 @@ def batch_size_trace(config: SimConfig, sampler: str, rounds: int) -> list[int]:
         raise ValueError("rounds must be >= 0")
     n = config.points_per_client
     sizes = []
-    for t in range(1, rounds + 1):
-        rng = _rng(config.seed, _STREAM_TRACE, t)
+    for rng in _streams(_generator(), (config.seed, _STREAM_TRACE), range(1, rounds + 1)):
         if sampler == "fixed":
             sizes.append(int(len(_sample_fixed_batch(n, config.batch_size, rng))))
         else:

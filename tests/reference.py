@@ -293,6 +293,8 @@ def accuracy_of(weights_flat: np.ndarray, classes: int, X: np.ndarray, y: np.nda
 # subset of the ascending available ids, then per client a sorted
 # fixed-size batch and its noise.
 
+_STREAM_CENTERS = 1
+_STREAM_CLIENT_DATA = 2
 _STREAM_AVAILABILITY = 3
 _STREAM_SELECTION = 4
 _STREAM_CLIENT_STEP = 5
@@ -300,6 +302,25 @@ _STREAM_CLIENT_STEP = 5
 
 def _stream(*entropy: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(entropy)))
+
+
+def client_data(config) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(features, labels) of each client of config, from SeedSequence streams.
+
+    The class centers are the first `classes` columns of the Q of a QR of a
+    (d, classes) standard normal draw, scaled to norm 4; each client's
+    points are its labels' centers plus a standard normal draw, with labels
+    0, 1, ..., classes - 1, 0, 1, ... over its points.
+    """
+    raw = _stream(config.seed, _STREAM_CENTERS).normal(size=(config.d, config.classes))
+    basis, _ = np.linalg.qr(raw)
+    centers = 4.0 * basis.T[: config.classes]
+    labels = np.arange(config.points_per_client) % config.classes
+    return [
+        (centers[labels] + _stream(config.seed, _STREAM_CLIENT_DATA, cid).normal(
+            size=(config.points_per_client, config.d)), labels)
+        for cid in range(config.clients)
+    ]
 
 
 def _client_step(client, W: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, float]:

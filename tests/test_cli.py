@@ -400,6 +400,19 @@ def test_simulate_prints_the_accuracy_of_its_model(capsys, tmp_path):
     assert parse_kv(out)["accuracy"] == repr(simulate.evaluate_accuracy(model, clients))
 
 
+def test_simulate_builds_its_client_data_once(capsys, tmp_path, monkeypatch):
+    # training and the accuracy score share one dataset
+    built = []
+    build = simulate._build_client_data
+    monkeypatch.setattr(simulate, "_KEPT_DATA", {})
+    monkeypatch.setattr(simulate, "_build_client_data",
+                        lambda *args: built.append(args) or build(*args))
+    path = demo_config(tmp_path, sigma=None, target_epsilon=4.0)
+    code, _, _ = run_cli(capsys, "simulate", "--config", str(path), "--outdir", str(tmp_path / "o"))
+    assert code == cli.EXIT_OK
+    assert len(built) == 1
+
+
 def test_simulate_prints_calibrated_sigma_without_participations(capsys, tmp_path):
     # with m_t = 0 no client steps, so the ledger is empty; sigma is still
     # the calibrated one

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -23,11 +24,14 @@ from fedrdp.simulate import (
 )
 from fedrdp.simulate import (
     _clip_rows,
+    _generator,
     _per_sample_directions,
     _round_updates,
     _sample_fixed_batch,
     _sample_poisson_batch,
+    _seed_words,
     _select_clients,
+    _streams,
 )
 
 
@@ -348,6 +352,7 @@ REFERENCE_CONFIGS = {
     "batch_of_one": dict(batch_size=1),
     "noiseless": dict(sigma=0.0, classes=3),
     "single_client": dict(clients=1, m_t=None, sigma=2.0),
+    "multi_word_seed": dict(rounds=12, clients=7, m_t=4, dropout_prob=0.2, seed=2**40 + 3),
 }
 
 
@@ -367,6 +372,68 @@ def test_run_training_equals_per_client_reference(name):
         assert selected == 0 and not np.any(model) and not ledger.clients()
     else:
         assert selected > 0 and np.any(model)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+def test_client_data_equals_seedsequence_reference(name):
+    cfg = small_config(**REFERENCE_CONFIGS[name])
+    data = generate_client_data(cfg, cfg.sigma)
+    ref = reference.client_data(cfg)
+    assert [client.client_id for client in data] == list(range(cfg.clients))
+    for client, (X, y) in zip(data, ref, strict=True):
+        assert np.array_equal(client.features, X)
+        assert np.array_equal(client.labels, y)
+
+
+def test_client_data_is_kept_read_only():
+    cfg = small_config()
+    first, again = generate_client_data(cfg, 1.5), generate_client_data(cfg, 1.5)
+    assert first is not again and first == again
+    with pytest.raises(ValueError, match="read-only"):
+        first[0].features[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        first[0].labels[0] = 1
+
+
+def test_run_training_checks_the_calibrated_noise_std():
+    # target_epsilon calibrates a finite sigma, but clip * sigma / batch_size
+    # overflows; no round may run on that noise
+    cfg = SimConfig(rounds=6, clients=3, m_t=2, d=4, classes=2, points_per_client=20,
+                    batch_size=1, clip=1e308, target_epsilon=1.0, seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="noise std .* must be finite"):
+            run_training(cfg)
+
+
+STREAM_ENTROPIES = [
+    # (prefix, ids): one-off, per-round and per-client streams, large rounds
+    # and client ids, and more ids than _streams hashes at once
+    ((), [1, 6]),
+    ((2,), [0, 1, 2**32 - 1]),
+    ((5, 2**40 + 1), [0, 7, 2**31, 2**32 - 1]),
+    ((5, 2**32 - 1), list(range(1100))),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 7])
+def test_streams_seed_as_numpy_seedsequence(seed):
+    gen = _generator()
+    for prefix, ids in STREAM_ENTROPIES:
+        prefix = (seed, *prefix)
+        words = _seed_words(prefix, ids)
+        for i, word, rng in zip(ids, words, _streams(gen, prefix, ids), strict=True):
+            seq = np.random.SeedSequence([*prefix, i])
+            assert np.array_equal(word, seq.generate_state(4, np.uint64))
+            want = np.random.default_rng(seq)
+            assert rng.bit_generator.state == want.bit_generator.state
+            assert np.array_equal(rng.choice(50, size=7, replace=False),
+                                  want.choice(50, size=7, replace=False))
+            assert np.array_equal(rng.normal(0.0, 2.0, size=5), want.normal(0.0, 2.0, size=5))
+            # an odd number of 32-bit draws leaves half a 64-bit word
+            # buffered; the next seeding must drop it
+            assert np.array_equal(rng.integers(2**32, size=3, dtype=np.uint32),
+                                  want.integers(2**32, size=3, dtype=np.uint32))
 
 
 def test_noiseless_full_batch_matches_reference_descent():
