@@ -29,7 +29,7 @@ BASE = dict(
 
 def run_one(cfg: SimConfig) -> tuple[float, float]:
     model, _, ledger = run_training(cfg)
-    acc = evaluate_accuracy(model, generate_client_data(cfg, cfg.sigma))
+    acc = evaluate_accuracy(model, generate_client_data(cfg))
     worst = max(eps for _, _, eps in client_epsilon_report(ledger, cfg.delta))
     return acc, worst
 

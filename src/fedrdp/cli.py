@@ -210,7 +210,7 @@ def cmd_simulate(args) -> int:
     # calibrate once, so the run and the printed sigma share one value
     config = dataclasses.replace(config, sigma=config.resolve_sigma(), target_epsilon=None)
     # built once: training reuses the data generate_client_data keeps
-    clients = generate_client_data(config, config.sigma)
+    clients = generate_client_data(config)
     model, records, ledger = run_training(config)
     paths = write_artifacts(args.outdir, model, records, ledger, config.delta)
     accuracy = evaluate_accuracy(model, clients)

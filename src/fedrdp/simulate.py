@@ -14,7 +14,8 @@ the model is a plain (classes, d) float64 weight array.
 Class centers are mutually orthogonal with norm BLOB_RADIUS, so the classes
 are linearly separable by a wide margin and convergence is checkable against
 a deterministic full-batch baseline.  The scalar step size is folded into
-the per-sample update direction before clipping.
+the per-sample update direction before clipping.  The data is two read-only
+arrays: (clients, points, d) features and the (points,) labels all share.
 
 RNG discipline: one root seed; every random draw comes from a stream of
 its own, the one np.random.default_rng(np.random.SeedSequence(entropy))
@@ -27,17 +28,17 @@ gives for an entropy tuple
 
 with the tags below.  No SeedSequence is built: _seed_words hashes the
 entropies of a whole round's clients (or of all clients, or all rounds) in
-one numpy pass with SeedSequence's own mixing, and each call of
-generate_client_data, run_training or batch_size_trace makes one
-Generator, which it seeds for stream after stream by assigning its PCG64
-state, drawing from each stream before seeding the next (the tests pin
-this to NumPy's seeding, state and draws).  A client step draws its batch
-and then its noise from its own stream, and a round computes all its
-client steps in one numpy pass over the stacked batches, doing for each
-client the same float operations as on that client's arrays alone (the
-tests check this against a one-client-at-a-time loop).  So trajectories
-are bit-reproducible regardless of the order or grouping in which client
-updates are computed.
+one numpy pass with SeedSequence's own mixing, and each data build,
+run_training or batch_size_trace call makes one Generator, which it seeds
+for stream after stream by assigning its PCG64 state, drawing from each
+stream before seeding the next (the tests pin this to NumPy's seeding,
+state and draws).  A client step draws its batch and then its noise from
+its own stream.  A round gathers all its batches from the data arrays with
+one index and computes all its client steps in one numpy pass over the
+stacked batches, doing for each client the same float operations as on
+that client's arrays alone (the tests check this against a
+one-client-at-a-time loop).  So trajectories are bit-reproducible
+regardless of the order or grouping in which client updates are computed.
 Poisson batch sampling exists only for the batch-size trace contrast; the
 training loop itself always draws fixed-size batches (the accountant
 covers nothing else).
@@ -49,6 +50,7 @@ import json
 import math
 import numbers
 import os
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, Sequence
 
@@ -282,13 +284,10 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class ClientState:
-    client_id: int
+    """One client's data, as views; a client's id is its index in the list."""
+
     features: np.ndarray  # (n_points, d)
     labels: np.ndarray  # (n_points,) ints in [0, classes)
-    batch_size: int
-    clip: float
-    sigma: float
-    step_size: float
 
 
 @dataclass(frozen=True)
@@ -304,55 +303,43 @@ class RoundRecord:
     update_norms: tuple[float, ...]
 
 
-def generate_client_data(config: SimConfig, sigma: float) -> list[ClientState]:
+def generate_client_data(config: SimConfig, sigma: float | None = None) -> list[ClientState]:
     """Synthetic blob datasets, one per client, sharing the class centers.
 
     Centers are orthonormal directions scaled to BLOB_RADIUS (seeded QR),
     points are center + standard normal noise, labels round-robin over
-    classes so every client sees every class.  The arrays are read-only:
-    the last dataset built is kept, and run_training(config) at this sigma
-    trains on it without building it again.
+    classes so every client sees every class.  sigma is ignored: the data
+    does not depend on it.  Client i's view holds row i of the kept
+    read-only features array and the shared labels array, so run_training
+    on a config with this data trains on it without building it again.
     """
-    return list(_client_data(config, sigma))
+    features, labels = _client_data(config)
+    return [ClientState(points, labels) for points in features]
 
 
-# the last dataset built, keyed by (config, sigma)
+# the last dataset built, keyed by the config fields it depends on
 _KEPT_DATA: dict = {}
 
 
-def _client_data(config: SimConfig, sigma: float) -> tuple[ClientState, ...]:
-    key = (config, sigma)
+def _client_data(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (clients, points, d) features and (points,) labels, kept."""
+    key = (config.seed, config.clients, config.points_per_client, config.d, config.classes)
     if key not in _KEPT_DATA:
         _KEPT_DATA.clear()  # free the last dataset before building the next
-        _KEPT_DATA[key] = _build_client_data(config, sigma)
+        gen = _generator()
+        centers_rng = next(_streams(gen, (config.seed,), [_STREAM_CENTERS]))
+        raw = centers_rng.normal(size=(config.d, config.classes))
+        basis, _ = np.linalg.qr(raw)
+        centers = BLOB_RADIUS * basis.T[: config.classes]  # (classes, d)
+        labels = np.arange(config.points_per_client) % config.classes
+        features = np.empty((config.clients, config.points_per_client, config.d))
+        clients = range(config.clients)
+        for cid, rng in zip(clients, _streams(gen, (config.seed, _STREAM_CLIENT_DATA), clients)):
+            features[cid] = rng.normal(size=(config.points_per_client, config.d))
+        features += centers[labels]
+        features.flags.writeable = labels.flags.writeable = False
+        _KEPT_DATA[key] = features, labels
     return _KEPT_DATA[key]
-
-
-def _build_client_data(config: SimConfig, sigma: float) -> tuple[ClientState, ...]:
-    gen = _generator()
-    centers_rng = next(_streams(gen, (config.seed,), [_STREAM_CENTERS]))
-    raw = centers_rng.normal(size=(config.d, config.classes))
-    basis, _ = np.linalg.qr(raw)
-    centers = BLOB_RADIUS * basis.T[: config.classes]  # (classes, d)
-    labels = np.arange(config.points_per_client) % config.classes
-    labels.flags.writeable = False
-    states = []
-    clients = range(config.clients)
-    for cid, rng in zip(clients, _streams(gen, (config.seed, _STREAM_CLIENT_DATA), clients)):
-        points = centers[labels] + rng.normal(size=(config.points_per_client, config.d))
-        points.flags.writeable = False
-        states.append(
-            ClientState(
-                client_id=cid,
-                features=points,
-                labels=labels,
-                batch_size=config.batch_size,
-                clip=config.clip,
-                sigma=sigma,
-                step_size=config.step_size,
-            )
-        )
-    return tuple(states)
 
 
 def _select_clients(available: list[int], m_t: int, rng: np.random.Generator) -> list[int]:
@@ -394,33 +381,30 @@ def _clip_rows(G: np.ndarray, clip: float) -> np.ndarray:
 
 
 def _round_updates(
-    W: np.ndarray,
-    clients: Sequence[ClientState],
-    rngs: Iterable[np.random.Generator],
+    W: np.ndarray, features: np.ndarray, labels: np.ndarray, selected: Sequence[int],
+    config: SimConfig, rngs: Iterable[np.random.Generator],
 ) -> tuple[np.ndarray, list[float]]:
-    """One step of each client of a round: (m, classes*d) updates, pre-noise norms.
+    """One step of each selected client: (m, classes*d) updates, pre-noise norms.
 
-    Client i averages the clipped per-sample directions of a fixed-size batch
-    and adds Gaussian noise of per-coordinate std clip*sigma/batch_size,
-    drawing the batch and then the noise from the i-th of rngs before taking
-    the next one (so rngs may re-seed one Generator, as _streams does).  The
-    clients share batch_size, clip, sigma and step_size (generate_client_data
-    gives every client the config's values), so the directions, clipping and
-    means run once on the stacked (m, b, d) batches.
+    Client i of `selected` averages the clipped per-sample directions of a
+    fixed-size batch of its points (a row of features) and adds Gaussian
+    noise of per-coordinate std clip*sigma/batch_size, drawing the batch and
+    then the noise from the i-th of rngs before taking the next one (so rngs
+    may re-seed one Generator, as _streams does).  Every client steps with
+    the config's batch_size, clip, sigma and step_size, so the directions,
+    clipping and means run once on the stacked (m, b, d) batches.
     """
-    first = clients[0]
-    noise_std = first.clip * first.sigma / first.batch_size
+    noise_std = config.clip * config.sigma / config.batch_size
     batches, noise = [], []
-    for client, rng in zip(clients, rngs):
-        batches.append(rng.choice(len(client.labels), size=first.batch_size, replace=False))
-        if first.sigma > 0:
+    for _, rng in zip(selected, rngs):
+        batches.append(rng.choice(len(labels), size=config.batch_size, replace=False))
+        if config.sigma > 0:
             noise.append(rng.normal(0.0, noise_std, size=W.size))
     # the draws _sample_fixed_batch makes per client, sorted in one call
     batches = np.sort(np.stack(batches), axis=1)
-    X = np.stack([client.features[idx] for client, idx in zip(clients, batches)])
-    y = np.stack([client.labels[idx] for client, idx in zip(clients, batches)])
-    G = _per_sample_directions(W, X, y, first.step_size)
-    updates = _clip_rows(G, first.clip).mean(axis=1)
+    X = features[np.asarray(selected)[:, None], batches]
+    G = _per_sample_directions(W, X, labels[batches], config.step_size)
+    updates = _clip_rows(G, config.clip).mean(axis=1)
     # one norm per row: the norm of a 2-D array along an axis rounds differently
     norms = [float(np.linalg.norm(row)) for row in updates]
     if noise:
@@ -432,9 +416,9 @@ def run_training(config: SimConfig) -> tuple[np.ndarray, list[RoundRecord], Part
     """Run the full federated loop, recording every participation.
 
     Returns the (classes, d) model, one record per round and the ledger.
-    The clients train on ``generate_client_data(config, sigma)`` at the
-    sigma the config resolves to, so their data and step parameters are the
-    ones the ledger records.
+    The clients train on the data of ``generate_client_data(config)``
+    with the step parameters the ledger records, at the sigma the config
+    resolves to.
     Rounds are 1-based.  With dropout, each client is independently
     unavailable with probability dropout_prob each round and the round
     selects min(m_t, available) clients.  Each round's client steps run as
@@ -450,13 +434,12 @@ def run_training(config: SimConfig) -> tuple[np.ndarray, list[RoundRecord], Part
     if config.sigma is None:
         # calibrate once; the rebuilt config checks the noise std at that sigma
         config = replace(config, sigma=config.resolve_sigma(), target_epsilon=None)
-    sigma = config.sigma
-    clients = _client_data(config, sigma)
+    features, labels = _client_data(config)
     ledger = ParticipationLedger()
     model = np.zeros((config.classes, config.d))
     step = StepParams(
         q=config.sampling_ratio,
-        sigma=sigma,
+        sigma=config.sigma,
         clip=config.clip,
         batch_size=config.batch_size,
     )
@@ -475,8 +458,7 @@ def run_training(config: SimConfig) -> tuple[np.ndarray, list[RoundRecord], Part
         norms: list[float] = []
         if selected:
             updates, norms = _round_updates(
-                model,
-                [clients[cid] for cid in selected],
+                model, features, labels, selected, config,
                 _streams(gen, (config.seed, _STREAM_CLIENT_STEP, t), selected),
             )
             model = model + updates.mean(axis=0).reshape(model.shape)
@@ -534,18 +516,24 @@ def client_epsilon_report(
     A client with a step admitting no finite bound (sigma = 0 or full batch)
     reports epsilon = +inf rather than raising: a non-private run is a
     legitimate simulator configuration and the report should say so.  Any
-    other error, such as an invalid delta or order grid, raises.
+    other error, such as an invalid delta or order grid, raises.  Clients
+    with the same step count per (q, sigma) share one composition: its fsum
+    is exactly rounded, so their curve does not depend on the step order.
     """
     alphas = tuple(float(a) for a in alphas)
+    epsilons: dict[frozenset, float] = {}
     rows = []
     for cid in ledger.clients():
-        if any(p.sigma == 0 or p.q == 1 for _, p in ledger.steps(cid)):
-            # all orders +inf: rdp_to_dp still checks delta and the grid
-            curve = RdpCurve(alphas, (math.inf,) * len(alphas))
-        else:
-            curve = compose_client_rdp(ledger, cid, alphas)
-        budget, _ = rdp_to_dp(curve, delta)
-        rows.append((cid, ledger.participation_count(cid), budget.epsilon))
+        steps = ledger.steps(cid)
+        history = frozenset(Counter((p.q, p.sigma) for _, p in steps).items())
+        if history not in epsilons:
+            if any(sigma == 0 or q == 1 for (q, sigma), _ in history):
+                # all orders +inf: rdp_to_dp still checks delta and the grid
+                curve = RdpCurve(alphas, (math.inf,) * len(alphas))
+            else:
+                curve = compose_client_rdp(ledger, cid, alphas)
+            epsilons[history] = rdp_to_dp(curve, delta)[0].epsilon
+        rows.append((cid, len(steps), epsilons[history]))
     return rows
 
 

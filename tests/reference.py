@@ -1,8 +1,8 @@
 """Independent oracles used by the test suite.
 
 Nothing here imports from the package's numerical internals (only the
-ledger's public types, for the reference parser, and the simulator's
-public data generator and round record, for the per-client training loop);
+ledger's public types, for the reference parser, and the simulator's round
+record, for the per-client training loop, which builds its own data);
 every routine re-derives its target quantity by a different route (Monte
 Carlo, binomial closed forms, nested quadrature, plain gradient descent) so
 that agreement is evidence rather than tautology.
@@ -22,7 +22,7 @@ import mpmath as mp
 import numpy as np
 
 from fedrdp.accountant import ParticipationLedger, StepParams
-from fedrdp.simulate import RoundRecord, generate_client_data
+from fedrdp.simulate import RoundRecord
 
 # chi-square critical value at p = 0.001 for 5 degrees of freedom
 # (uniformity test over the 6 subsets of size 2 from 4 clients).
@@ -288,10 +288,10 @@ def accuracy_of(weights_flat: np.ndarray, classes: int, X: np.ndarray, y: np.nda
 #
 # The training loop as it ran before client steps were stacked: one client
 # at a time, each with its own 2-D arrays, its own norm and its own noise,
-# on a (classes, d) weight array.  Same SeedSequence streams as the package,
-# (seed, tag, round[, client]), and the same draws from them: a uniform
-# subset of the ascending available ids, then per client a sorted
-# fixed-size batch and its noise.
+# on a (classes, d) weight array, on the data client_data builds.  Same
+# SeedSequence streams as the package, (seed, tag, round[, client]), and
+# the same draws from them: a uniform subset of the ascending available ids,
+# then per client a sorted fixed-size batch and its noise.
 
 _STREAM_CENTERS = 1
 _STREAM_CLIENT_DATA = 2
@@ -323,21 +323,22 @@ def client_data(config) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
-def _client_step(client, W: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+def _client_step(X: np.ndarray, labels: np.ndarray, config, sigma: float, W: np.ndarray,
+                 rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """One client's noisy clipped-mean update and its pre-noise norm."""
-    idx = np.sort(rng.choice(len(client.labels), size=client.batch_size, replace=False))
-    X, y = client.features[idx], client.labels[idx]
+    idx = np.sort(rng.choice(len(labels), size=config.batch_size, replace=False))
+    X, y = X[idx], labels[idx]
     scores = X @ W.T
     scores -= scores.max(axis=1, keepdims=True)
     exps = np.exp(scores)
     probs = exps / exps.sum(axis=1, keepdims=True)
     probs[np.arange(len(y)), y] -= 1.0
-    G = (-client.step_size) * (probs[:, :, None] * X[:, None, :]).reshape(len(y), -1)
-    clipped = G * (client.clip / np.maximum(np.linalg.norm(G, axis=1), client.clip))[:, None]
+    G = (-config.step_size) * (probs[:, :, None] * X[:, None, :]).reshape(len(y), -1)
+    clipped = G * (config.clip / np.maximum(np.linalg.norm(G, axis=1), config.clip))[:, None]
     mean = clipped.mean(axis=0)
     prenoise_norm = float(np.linalg.norm(mean))
-    if client.sigma > 0:
-        noise_std = client.clip * client.sigma / client.batch_size
+    if sigma > 0:
+        noise_std = config.clip * sigma / config.batch_size
         mean = mean + rng.normal(0.0, noise_std, size=mean.shape)
     return mean, prenoise_norm
 
@@ -345,7 +346,7 @@ def _client_step(client, W: np.ndarray, rng: np.random.Generator) -> tuple[np.nd
 def per_client_training(config):
     """(model, round records, ledger) of config, one client step at a time."""
     sigma = config.resolve_sigma()
-    clients = generate_client_data(config, sigma)
+    clients = client_data(config)
     ledger = ParticipationLedger()
     W = np.zeros((config.classes, config.d))
     step = StepParams(q=config.sampling_ratio, sigma=sigma, clip=config.clip,
@@ -362,7 +363,8 @@ def per_client_training(config):
         chosen = sorted(available[i] for i in picked)
         updates, norms = [], []
         for cid in chosen:
-            upd, norm = _client_step(clients[cid], W, _stream(config.seed, _STREAM_CLIENT_STEP, t, cid))
+            rng = _stream(config.seed, _STREAM_CLIENT_STEP, t, cid)
+            upd, norm = _client_step(*clients[cid], config, sigma, W, rng)
             updates.append(upd)
             norms.append(norm)
             ledger.record(cid, t, step)

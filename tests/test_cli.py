@@ -401,16 +401,18 @@ def test_simulate_prints_the_accuracy_of_its_model(capsys, tmp_path):
 
 
 def test_simulate_builds_its_client_data_once(capsys, tmp_path, monkeypatch):
-    # training and the accuracy score share one dataset
-    built = []
-    build = simulate._build_client_data
+    # training and the accuracy score share one dataset: with nothing kept
+    # before the run, every call of the builder returns the same arrays
+    got = []
+    build = simulate._client_data
     monkeypatch.setattr(simulate, "_KEPT_DATA", {})
-    monkeypatch.setattr(simulate, "_build_client_data",
-                        lambda *args: built.append(args) or build(*args))
+    monkeypatch.setattr(simulate, "_client_data",
+                        lambda config: got.append(build(config)) or got[-1])
     path = demo_config(tmp_path, sigma=None, target_epsilon=4.0)
     code, _, _ = run_cli(capsys, "simulate", "--config", str(path), "--outdir", str(tmp_path / "o"))
     assert code == cli.EXIT_OK
-    assert len(built) == 1
+    assert len(got) == 2
+    assert all(features is got[0][0] and labels is got[0][1] for features, labels in got)
 
 
 def test_simulate_prints_calibrated_sigma_without_participations(capsys, tmp_path):

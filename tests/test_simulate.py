@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference
-from fedrdp.accountant import ParticipationLedger
+from fedrdp.accountant import ParticipationLedger, StepParams, compose_client_rdp, rdp_to_dp
 from fedrdp.simulate import (
-    ClientState,
     SimConfig,
     batch_size_trace,
     client_epsilon_report,
@@ -23,6 +22,7 @@ from fedrdp.simulate import (
     write_artifacts,
 )
 from fedrdp.simulate import (
+    _client_data,
     _clip_rows,
     _generator,
     _per_sample_directions,
@@ -222,47 +222,42 @@ def test_poisson_batch_tiny_rate_usually_empty():
 
 
 def _one_client(sigma=0.0, batch=None, n=12, d=3, clip=10.0, seed=0):
+    """(1, n, d) features, (n,) labels and a one-client config for them."""
     rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, d))
+    X = rng.normal(size=(1, n, d))
     y = rng.integers(0, 2, size=n)
-    return ClientState(
-        client_id=0,
-        features=X,
-        labels=y,
-        batch_size=batch or n,
-        clip=clip,
-        sigma=sigma,
-        step_size=0.1,
-    )
+    cfg = SimConfig(rounds=1, clients=1, d=d, classes=2, points_per_client=n,
+                    batch_size=batch or n, clip=clip, sigma=sigma, step_size=0.1)
+    return X, y, cfg
 
 
 def test_per_sample_directions_match_reference():
-    client = _one_client()
+    (X,), y, _ = _one_client()
     model = np.linspace(-1, 1, 6).reshape(2, 3)
-    mine = _per_sample_directions(model, client.features, client.labels, 0.1)
-    probs = reference.softmax_rows(client.features @ model.T)
-    probs[np.arange(len(client.labels)), client.labels] -= 1.0
-    theirs = -0.1 * (probs[:, :, None] * client.features[:, None, :]).reshape(len(client.labels), -1)
+    mine = _per_sample_directions(model, X, y, 0.1)
+    probs = reference.softmax_rows(X @ model.T)
+    probs[np.arange(len(y)), y] -= 1.0
+    theirs = -0.1 * (probs[:, :, None] * X[:, None, :]).reshape(len(y), -1)
     assert np.allclose(mine, theirs, atol=1e-13)
 
 
 def test_client_update_noiseless_full_batch_is_mean_direction():
-    client = _one_client(sigma=0.0)
+    X, y, cfg = _one_client(sigma=0.0)
     model = np.zeros((2, 3))
-    (upd,), _ = _round_updates(model, [client], [np.random.default_rng(1)])
-    G = _per_sample_directions(model, client.features, client.labels, 0.1)
+    (upd,), _ = _round_updates(model, X, y, [0], cfg, [np.random.default_rng(1)])
+    G = _per_sample_directions(model, X[0], y, 0.1)
     assert np.allclose(upd, G.mean(axis=0), atol=1e-14)
 
 
 def test_client_update_noise_variance():
     # full-size batch pins the pre-noise mean, so spread across repetitions
     # is exactly the injected Gaussian: per-coordinate std clip*sigma/batch
-    client = _one_client(sigma=2.0, n=16, clip=1.0)
+    X, y, cfg = _one_client(sigma=2.0, n=16, clip=1.0)
     model = np.zeros((2, 3))
     reps = 3000
     # one round of reps copies of the client, each with its own generator
     updates, _ = _round_updates(
-        model, [client] * reps, [np.random.default_rng(1000 + i) for i in range(reps)]
+        model, X, y, [0] * reps, cfg, [np.random.default_rng(1000 + i) for i in range(reps)]
     )
     per_coord_var = updates.var(axis=0, ddof=1)
     want = (1.0 * 2.0 / 16) ** 2
@@ -271,9 +266,9 @@ def test_client_update_noise_variance():
 
 
 def test_prenoise_norm_bounded_by_clip():
-    client = _one_client(sigma=3.0, clip=0.05)
+    X, y, cfg = _one_client(sigma=3.0, clip=0.05)
     model = np.linspace(-2, 2, 6).reshape(2, 3)
-    _, (norm,) = _round_updates(model, [client], [np.random.default_rng(9)])
+    _, (norm,) = _round_updates(model, X, y, [0], cfg, [np.random.default_rng(9)])
     assert norm <= 0.05 + 1e-12
 
 
@@ -379,7 +374,6 @@ def test_client_data_equals_seedsequence_reference(name):
     cfg = small_config(**REFERENCE_CONFIGS[name])
     data = generate_client_data(cfg, cfg.sigma)
     ref = reference.client_data(cfg)
-    assert [client.client_id for client in data] == list(range(cfg.clients))
     for client, (X, y) in zip(data, ref, strict=True):
         assert np.array_equal(client.features, X)
         assert np.array_equal(client.labels, y)
@@ -387,12 +381,24 @@ def test_client_data_equals_seedsequence_reference(name):
 
 def test_client_data_is_kept_read_only():
     cfg = small_config()
-    first, again = generate_client_data(cfg, 1.5), generate_client_data(cfg, 1.5)
-    assert first is not again and first == again
+    features, labels = _client_data(cfg)
+    assert features.shape == (cfg.clients, cfg.points_per_client, cfg.d)
+    assert not features.flags.writeable and not labels.flags.writeable
+    # the data does not depend on sigma, rounds or m_t: one build serves all
+    for other in (cfg, dataclasses.replace(cfg, sigma=0.0, rounds=3, m_t=1),
+                  dataclasses.replace(cfg, sigma=None, target_epsilon=2.0)):
+        data = generate_client_data(other)
+        assert _client_data(other)[0] is features
+        assert len(data) == cfg.clients
+        for cid, client in enumerate(data):
+            assert client.features.base is features
+            assert np.shares_memory(client.features, features[cid])
+            assert client.labels is labels
     with pytest.raises(ValueError, match="read-only"):
-        first[0].features[0, 0] = 0.0
+        data[0].features[0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
-        first[0].labels[0] = 1
+        data[0].labels[0] = 1
+    assert _client_data(dataclasses.replace(cfg, seed=cfg.seed + 1))[0] is not features
 
 
 def test_run_training_checks_the_calibrated_noise_std():
@@ -477,6 +483,34 @@ def test_epsilon_report_raises_errors_other_than_no_finite_bound():
                 client_epsilon_report(led, delta)
         with pytest.raises(ValueError, match="strictly increasing"):
             client_epsilon_report(led, 1e-5, alphas=(4.0, 2.0))
+
+
+def test_epsilon_report_equals_per_client_composition():
+    # clients share a composition when their step counts per (q, sigma)
+    # agree, whatever the order of their steps
+    a = StepParams(q=0.01, sigma=1.3, clip=1.0, batch_size=10)
+    b = StepParams(q=0.05, sigma=0.9, clip=2.0, batch_size=5)
+    zero = StepParams(q=0.01, sigma=0.0, clip=1.0, batch_size=10)
+    histories = {
+        0: [a, b, a], 1: [a, a, b], 2: [b, a, a], 3: [a, b], 4: [b, b, a],
+        5: [a, zero, a], 6: [a] * 7, 7: [b], 8: [b, a],
+    }
+    ledger = ParticipationLedger()
+    for cid, steps in histories.items():
+        for t, params in enumerate(steps, start=1):
+            ledger.record(cid, t, params)
+    rows = client_epsilon_report(ledger, 1e-5)
+    assert [cid for cid, _, _ in rows] == sorted(histories)
+    for cid, count, eps in rows:
+        assert count == len(histories[cid])
+        if cid == 5:
+            assert eps == math.inf
+        else:
+            want, _ = rdp_to_dp(compose_client_rdp(ledger, cid), 1e-5)
+            assert eps == want.epsilon
+    by_cid = {cid: eps for cid, _, eps in rows}
+    assert by_cid[0] == by_cid[1] == by_cid[2] and by_cid[3] == by_cid[8]
+    assert len(set(by_cid.values())) == 6
 
 
 def test_epsilon_report_tracks_participation():
