@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .divergence import MechanismParams, renyi_step_bound
+from .divergence import MechanismParams, _is_real, renyi_step_bound
 
 __all__ = [
     "DEFAULT_ALPHAS",
@@ -48,7 +48,6 @@ __all__ = [
     "compose_client_rdp",
     "rdp_to_dp",
     "calibrate_sigma",
-    "calibration_curve",
 ]
 
 # Order grid: dense between 1 and 2 where small-epsilon optima live, then
@@ -60,15 +59,9 @@ DEFAULT_ALPHAS: tuple[float, ...] = (
 
 DEFAULT_DELTA = 1e-5
 
-# Orders above this are +inf on the calibration curve, which the epsilon
-# minimisation skips, so calibration never pays for them.  On the default
-# grid only targets below ~log(1/delta)/255 could ever notice.
-CALIBRATION_MAX_ORDER = 300
-
-# calibrate_sigma's search: the smallest noise it returns, the upper end of
-# its first bracket, the largest noise it tries, and its relative tolerance.
+# calibrate_sigma's search: the smallest noise it returns, the largest noise
+# it tries, and its relative tolerance.
 CALIBRATION_SIGMA_LOW = 0.3
-CALIBRATION_SIGMA_HIGH = 64.0
 CALIBRATION_SIGMA_MAX = 1e6
 CALIBRATION_REL_TOL = 1e-4
 
@@ -103,7 +96,11 @@ def _debug(message: str, *args, topic: str = "") -> None:
 
 
 class CalibrationError(RuntimeError):
-    """Noise calibration exhausted its bracket without meeting the target."""
+    """Noise calibration cannot meet the target.
+
+    epsilon_at_bracket is the epsilon at the largest sigma tried, or the
+    order grid's conversion floor when the target is below it.
+    """
 
     def __init__(self, message: str, epsilon_at_bracket: float):
         super().__init__(message)
@@ -153,7 +150,7 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self):
-        if not (isinstance(self.epsilon, (int, float)) and self.epsilon >= 0):
+        if not (_is_real(self.epsilon) and self.epsilon >= 0):
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon!r}")
         if not (isinstance(self.delta, (int, float)) and 0 < self.delta < 1):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
@@ -161,7 +158,7 @@ class PrivacyBudget:
 
 @dataclass(frozen=True)
 class RdpCurve:
-    """RDP values on a strictly increasing grid of orders > 1.
+    """RDP values on a strictly increasing grid of finite orders > 1.
 
     Values are nonnegative; +inf marks orders at which no finite bound was
     computable.
@@ -183,13 +180,13 @@ class RdpCurve:
 
 
 def _check_orders(alphas: tuple[float, ...]) -> None:
-    """Reject an empty grid or one that is not strictly increasing and > 1."""
+    """Reject an empty grid or one that is not strictly increasing, > 1 and finite."""
     if not alphas:
         raise ValueError("curve must have at least one order")
     prev = 1.0
     for a in alphas:
-        if not a > prev:
-            raise ValueError(f"orders must be strictly increasing and > 1, got {alphas}")
+        if not prev < a < math.inf:
+            raise ValueError(f"orders must be strictly increasing and > 1 and finite, got {alphas}")
         prev = a
 
 
@@ -452,47 +449,20 @@ def rdp_to_dp(curve: RdpCurve, delta: float = DEFAULT_DELTA) -> tuple[PrivacyBud
     return PrivacyBudget(epsilon=best_eps, delta=delta), best_alpha
 
 
-def calibration_curve(
-    q: float,
-    sigma: float,
-    steps: int,
-    alphas: Iterable[float] = DEFAULT_ALPHAS,
-) -> RdpCurve:
-    """The curve ``calibrate_sigma`` certifies: steps x the one-step bound.
-
-    Each order's value is `steps` times the one-step bound at (q, sigma),
-    and +inf above CALIBRATION_MAX_ORDER, so converting this curve at the
-    calibrated sigma reproduces the epsilon the calibration accepted.  The
-    one-step bounds are the ones ``compose_client_rdp`` uses.  Each +inf
-    order is logged at DEBUG on ``fedrdp.accountant.inf`` with its reason
-    (order cap here, moment exponent cap when the step bound is first
-    computed).
-    """
-    alphas = tuple(float(a) for a in alphas)
-    values = []
-    for a in alphas:
-        if a <= CALIBRATION_MAX_ORDER:
-            values.append(steps * _cached_step_bound(a, q, sigma))
-        else:
-            _debug("alpha=%r q=%r sigma=%r: calibration curve is inf (order cap %d)",
-                   a, q, sigma, CALIBRATION_MAX_ORDER, topic="inf")
-            values.append(math.inf)
-    return RdpCurve(alphas, tuple(values))
-
-
 def _calibration_epsilon(
     q: float, sigma: float, steps: int, alphas: tuple[float, ...], delta: float
 ) -> tuple[float, float, int]:
-    """``rdp_to_dp(calibration_curve(q, sigma, steps, alphas), delta)`` as
-    (epsilon, alpha*), bit for bit, plus how many grid orders it evaluated.
+    """``rdp_to_dp`` of the curve ``compose_client_rdp`` gives a client with
+    `steps` steps at (q, sigma), as (epsilon, alpha*), bit for bit, plus how
+    many grid orders it evaluated.
 
-    Only the orders that can win are evaluated.  D_alpha is nondecreasing
-    in alpha (van Erven & Harremoes, arXiv:1206.2459), and the bound at an
-    integer order is the exact divergence rounded once, so:
-      - integer orders up to CALIBRATION_MAX_ORDER go first, ascending,
-        skipping +inf ones; the walk stops at the first whose value
-        (steps x bound) exceeds the best epsilon so far, since no higher
-        order can then win;
+    That curve is steps x the one-step bound at each order.  Only the orders
+    that can win are evaluated.  D_alpha is nondecreasing in alpha (van Erven
+    & Harremoes, arXiv:1206.2459), and the bound at an integer order is the
+    exact divergence rounded once, so:
+      - integer orders go first, ascending, skipping +inf ones; the walk
+        stops at the first whose value (steps x bound) exceeds the best
+        epsilon so far, since no higher order can then win;
       - a fractional order is skipped when the epsilon of the value at its
         floor (0 below order 2), a lower bound on its own, exceeds the best
         epsilon so far.
@@ -502,10 +472,9 @@ def _calibration_epsilon(
     `_check_orders` accepts.
     """
     values = dict.fromkeys(alphas, math.inf)
-    capped = [a for a in alphas if a <= CALIBRATION_MAX_ORDER]
     evaluated = 0
     best = math.inf
-    for alpha in (a for a in capped if a.is_integer()):
+    for alpha in (a for a in alphas if a.is_integer()):
         value = values[alpha] = steps * _cached_step_bound(alpha, q, sigma)
         evaluated += 1
         if math.isinf(value):
@@ -513,7 +482,7 @@ def _calibration_epsilon(
         if value > best:
             break
         best = min(best, _order_epsilon(value, alpha, delta))
-    for alpha in (a for a in capped if not a.is_integer()):
+    for alpha in (a for a in alphas if not a.is_integer()):
         floor = math.floor(alpha)
         lower = steps * _cached_step_bound(float(floor), q, sigma) if floor >= 2 else 0.0
         # an inf floor (no bound available there) bounds nothing
@@ -534,15 +503,16 @@ def calibrate_sigma(
 ) -> float:
     """Smallest noise multiplier meeting the target budget over `steps` steps.
 
-    epsilon(sigma) is the epsilon of ``calibration_curve``, nonincreasing in
-    sigma; each probe computes it from only the orders that can win (see
+    epsilon(sigma) is the epsilon of the curve ``compose_client_rdp`` gives a
+    client with `steps` steps at (q, sigma), nonincreasing in sigma; each
+    probe computes it from only the orders that can win (see
     `_calibration_epsilon`), after the grid has been checked once.
     CALIBRATION_SIGMA_LOW is returned if it already meets the target.
-    Otherwise the bracket [lo, hi] starts at [CALIBRATION_SIGMA_LOW,
-    CALIBRATION_SIGMA_HIGH], with hi doubled until it meets the target (up to
-    CALIBRATION_SIGMA_MAX), and is narrowed by the Illinois method (modified
-    regula falsi) in x = log sigma on g(x) = log epsilon(e^x) - log
-    target.epsilon, which is close to linear.
+    Otherwise sigma is doubled from CALIBRATION_SIGMA_LOW until it meets the
+    target (up to CALIBRATION_SIGMA_MAX), and the bracket [lo, hi] between
+    the last sigma that missed and the first that met it is narrowed by the
+    Illinois method (modified regula falsi) in x = log sigma on
+    g(x) = log epsilon(e^x) - log target.epsilon, which is close to linear.
     Each probe is the secant root of the two ends, moved 0.4 of the stopping
     width toward the end the last probe did not replace and kept 1/4 of it
     inside the bracket; where an end's epsilon is +inf (no order available
@@ -554,18 +524,28 @@ def calibrate_sigma(
     the grid's) and the result (sigma, number of sigmas evaluated) are
     logged at DEBUG level.
 
-    Raises CalibrationError if CALIBRATION_SIGMA_MAX is reached without
-    meeting the target (e.g. a target below the conversion floor of the order
-    grid); the epsilon achieved at the bracket edge is attached.
+    Raises CalibrationError before any evaluation if the target is at or
+    below the grid's conversion floor log(1/delta)/(alpha_max - 1): every
+    D_alpha > 0, so every epsilon exceeds it; the floor is attached.  Raises
+    it too if CALIBRATION_SIGMA_MAX is reached without meeting the target;
+    the epsilon at the last sigma tried is attached.
     """
     if not isinstance(target, PrivacyBudget):
         raise TypeError("target must be a PrivacyBudget")
     if not (0 < q < 1):
         raise ValueError(f"q must lie in (0, 1), got {q!r}")
-    if not (isinstance(steps, int) and steps >= 1):
+    # bool is an int, and True would calibrate for one step
+    if isinstance(steps, bool) or not (isinstance(steps, int) and steps >= 1):
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     alphas = tuple(float(a) for a in alphas)
     _check_orders(alphas)
+    floor = _order_epsilon(0.0, alphas[-1], target.delta)
+    if target.epsilon <= floor:
+        raise CalibrationError(
+            f"target epsilon={target.epsilon} unreachable: every epsilon on this "
+            f"order grid exceeds log(1/delta)/(alpha_max - 1) = {floor:.6g}",
+            epsilon_at_bracket=floor,
+        )
     evaluated = []
 
     def eps(sigma: float) -> float:
@@ -583,8 +563,7 @@ def calibrate_sigma(
     eps_lo = eps(lo)
     if eps_lo <= target.epsilon:
         return result(lo)  # pinned at the smallest admissible noise
-    hi = CALIBRATION_SIGMA_HIGH
-    eps_hi = eps(hi)
+    hi, eps_hi = lo, eps_lo
     while eps_hi > target.epsilon:
         lo, eps_lo = hi, eps_hi
         hi *= 2.0

@@ -154,20 +154,23 @@ def cmd_compose(args) -> int:
 
 
 def _read_curve(path) -> RdpCurve:
+    """Read a curve file as `_curve_text` writes it; a bad row names its line."""
     alphas, values = [], []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line == "alpha,rdp":
                 continue
-            if line.startswith("{"):
-                row = json.loads(line)
-                alphas.append(float(row["alpha"]))
-                values.append(float(row["rdp"]))
-            else:
-                a, v = line.split(",")
-                alphas.append(float(a))
-                values.append(float(v))
+            try:
+                if line.startswith("{"):
+                    row = json.loads(line)
+                    alpha, value = row["alpha"], row["rdp"]
+                else:
+                    alpha, value = line.split(",")
+                alphas.append(float(alpha))
+                values.append(float(value))
+            except (ValueError, TypeError, KeyError):
+                raise ValueError(f"curve line {lineno}: no alpha and rdp in {line!r}") from None
     return RdpCurve(tuple(alphas), tuple(values))
 
 

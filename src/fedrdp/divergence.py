@@ -72,13 +72,18 @@ class BoundBreakdownError(ArithmeticError):
     """The series bound degenerated (log of a non-positive total)."""
 
 
+def _is_real(x) -> bool:
+    """True for an int or a float; a bool is an int, but True is not 1.0."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _check_positive_sigma(sigma: float) -> None:
-    if not (isinstance(sigma, (int, float)) and math.isfinite(sigma) and sigma > 0):
+    if not (_is_real(sigma) and math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
 
 
 def _check_alpha(alpha: float) -> None:
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 1):
+    if not (_is_real(alpha) and math.isfinite(alpha) and alpha > 1):
         raise ValueError(f"alpha must be a finite real > 1, got {alpha!r}")
 
 
@@ -287,7 +292,7 @@ class MechanismParams:
     m: int | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.q, (int, float)) and 0 <= self.q <= 1):
+        if not (_is_real(self.q) and 0 <= self.q <= 1):
             raise ValueError(f"q must lie in [0, 1], got {self.q!r}")
         _check_positive_sigma(self.sigma)
         if self.m is not None and not (isinstance(self.m, int) and self.m >= 3):
@@ -443,7 +448,7 @@ def renyi_divergence_quadrature(alpha: float, q: float, sigma: float) -> float:
     """
     _check_alpha(alpha)
     _check_positive_sigma(sigma)
-    if not (isinstance(q, (int, float)) and 0 <= q <= 1):
+    if not (_is_real(q) and 0 <= q <= 1):
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
     if q == 0:
         return 0.0

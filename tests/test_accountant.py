@@ -23,7 +23,13 @@ from fedrdp.accountant import (
     compose_client_rdp,
     rdp_to_dp,
 )
-from fedrdp.divergence import MOMENT_EXPONENT_CAP, MechanismParams, renyi_step_bound
+from fedrdp.divergence import (
+    MOMENT_EXPONENT_CAP,
+    MechanismParams,
+    likelihood_ratio_moment,
+    renyi_divergence_quadrature,
+    renyi_step_bound,
+)
 
 STEP = StepParams(q=0.01, sigma=2.0, clip=1.0, batch_size=10)
 
@@ -51,6 +57,27 @@ def test_step_params_accepts_ledgerable_extremes():
 def test_step_params_rejects(kw):
     with pytest.raises(ValueError):
         StepParams(**kw)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: calibrate_sigma(PrivacyBudget(1.0, 1e-5), q=0.1, steps=True),
+        lambda: PrivacyBudget(epsilon=True, delta=1e-5),
+        lambda: MechanismParams(q=True, sigma=2.0),
+        lambda: MechanismParams(q=0.1, sigma=True),
+        lambda: renyi_step_bound(True, MechanismParams(q=0.1, sigma=2.0)),
+        lambda: renyi_divergence_quadrature(2.0, True, 2.0),
+        lambda: renyi_divergence_quadrature(2.0, 0.1, True),
+        lambda: likelihood_ratio_moment(True, 2),
+    ],
+    ids=["steps", "epsilon", "q", "sigma", "alpha", "quadrature-q", "quadrature-sigma",
+         "moment-sigma"],
+)
+def test_bool_is_not_a_number(call):
+    # True would be read as 1
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_privacy_budget_validation():
@@ -565,10 +592,20 @@ def test_step_bound_memo_is_capped():
     assert again == first == renyi_step_bound(2.0, MechanismParams(q=0.01, sigma=2.0)).bound
 
 
+def _composed_curve(q, sigma, steps, alphas=DEFAULT_ALPHAS):
+    """The curve of a client with `steps` steps at (q, sigma)."""
+    led = ParticipationLedger()
+    step = StepParams(q=q, sigma=sigma, clip=1.0, batch_size=1)
+    for t in range(1, steps + 1):
+        led.record(0, t, step)
+    return compose_client_rdp(led, 0, alphas)
+
+
 def test_calibration_and_composition_share_step_bounds(monkeypatch):
     # sigma large enough that every default order is finite when composed
     q, sigma, steps = 0.0123, 30.456789, 7
-    curve = accountant.calibration_curve(q, sigma, steps)
+    epsilon, alpha_star, orders = accountant._calibration_epsilon(
+        q, sigma, steps, DEFAULT_ALPHAS, 1e-5)
     seen = []
     original = accountant.renyi_step_bound
 
@@ -577,17 +614,11 @@ def test_calibration_and_composition_share_step_bounds(monkeypatch):
         return original(alpha, params)
 
     monkeypatch.setattr(accountant, "renyi_step_bound", counting)
-    led = ParticipationLedger()
-    for t in range(1, steps + 1):
-        led.record(0, t, StepParams(q=q, sigma=sigma, clip=1.0, batch_size=1))
-    composed = compose_client_rdp(led, 0)
-    # only the orders above the calibration cap are new to the memo
-    assert seen == [a for a in DEFAULT_ALPHAS if a > accountant.CALIBRATION_MAX_ORDER]
-    for alpha, c, v in zip(DEFAULT_ALPHAS, curve.values, composed.values):
-        if alpha <= accountant.CALIBRATION_MAX_ORDER:
-            assert c == v
-        else:
-            assert math.isinf(c) and math.isfinite(v)
+    composed = _composed_curve(q, sigma, steps)
+    # only the orders calibration pruned are new to the memo
+    assert 0 < len(seen) == len(DEFAULT_ALPHAS) - orders
+    assert all(math.isfinite(v) for v in composed.values)
+    assert rdp_to_dp(composed, 1e-5) == (PrivacyBudget(epsilon, 1e-5), alpha_star)
 
 
 # --- conversion ------------------------------------------------------------
@@ -669,15 +700,19 @@ def test_convert_monotone_in_delta_and_curve(d1, d2, values):
 def test_calibrate_round_trip_tightness():
     target = PrivacyBudget(1.0, 1e-5)
     sigma = calibrate_sigma(target, q=0.02, steps=100)
+    assert _curve_epsilon(0.02, sigma, 100) <= 1.0
+    assert _curve_epsilon(0.02, sigma * (1 - 1e-3), 100) > 1.0
 
-    def forward(s):
-        led = ParticipationLedger()
-        for t in range(1, 101):
-            led.record(0, t, StepParams(q=0.02, sigma=s, clip=1.0, batch_size=1))
-        return rdp_to_dp(compose_client_rdp(led, 0), 1e-5)[0].epsilon
 
-    assert forward(sigma) <= 1.0
-    assert forward(sigma * (1 - 1e-3)) > 1.0
+@pytest.mark.parametrize("epsilon, q, steps", [(0.05, 0.01, 100), (0.02, 0.001, 10)])
+def test_calibrate_meets_targets_won_above_order_300(epsilon, q, steps):
+    # the composed curve's alpha* is 512 and 1025 here: calibration must see
+    # those orders to find the smallest sigma, or to find one at all
+    sigma = calibrate_sigma(PrivacyBudget(epsilon, 1e-5), q=q, steps=steps)
+    budget, alpha_star = rdp_to_dp(_composed_curve(q, sigma, steps), 1e-5)
+    assert budget.epsilon <= epsilon
+    assert alpha_star > 300
+    assert _curve_epsilon(q, sigma * (1 - 1e-3), steps) > epsilon
 
 
 def test_calibrate_pins_to_lower_bracket_when_unconstrained():
@@ -709,7 +744,7 @@ def test_calibrate_unreachable_target_reports_bracket():
 
 
 def _curve_epsilon(q, sigma, steps, alphas=DEFAULT_ALPHAS):
-    return rdp_to_dp(accountant.calibration_curve(q, sigma, steps, alphas), 1e-5)[0].epsilon
+    return rdp_to_dp(_composed_curve(q, sigma, steps, alphas), 1e-5)[0].epsilon
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
@@ -739,7 +774,8 @@ def _count_calibration_sigmas(monkeypatch):
     + [(eps, 128 / 30000, 250) for eps in (2.0, 4.0, 6.0, 8.0, 10.0)],
 )
 def test_calibrate_evaluates_few_sigmas(monkeypatch, epsilon, q, steps):
-    # bisection from [0.3, 64] down to rel_tol 1e-4 evaluates 20-22
+    # doubling from 0.3, then bisection down to rel_tol 1e-4, would evaluate
+    # ~20; the Illinois method takes 8-13 on these targets
     sigmas = _count_calibration_sigmas(monkeypatch)
     calibrate_sigma(PrivacyBudget(epsilon, 1e-5), q=q, steps=steps)
     assert 0 < len(sigmas) == len(set(sigmas)) <= 14
@@ -752,14 +788,18 @@ def test_calibrate_bisects_where_epsilon_is_infinite(monkeypatch):
     edge = math.sqrt(2 * 48 * 47 / MOMENT_EXPONENT_CAP)
     sigmas = _count_calibration_sigmas(monkeypatch)
     sigma = calibrate_sigma(PrivacyBudget(0.6, 1e-5), q=0.01, steps=100, alphas=alphas)
-    assert sigmas
-    assert sigmas[:3] == [0.3, 64.0, pytest.approx(math.sqrt(0.3 * 64.0), rel=1e-12)]
+    # the bracket grows by doubling from the smallest sigma
+    assert sigmas[:5] == [0.3, 0.6, 1.2, 2.4, 4.8]
     assert sigma > edge
     assert _curve_epsilon(0.01, sigma, 100, alphas) <= 0.6
     assert 0.6 < _curve_epsilon(0.01, sigma * (1 - 1e-3), 100, alphas) < math.inf
     # a target above epsilon just past the edge: the threshold is the jump
     # from +inf to finite, so every probe bisects
+    sigmas.clear()
     sigma = calibrate_sigma(PrivacyBudget(1e4, 1e-5), q=0.01, steps=100, alphas=alphas)
+    # 2.4 meets the target and 1.2 is below the edge, so the first probe
+    # inside [1.2, 2.4] is its midpoint in log sigma
+    assert sigmas[:5] == [0.3, 0.6, 1.2, 2.4, pytest.approx(math.sqrt(1.2 * 2.4), rel=1e-12)]
     assert sigma * (1 - 2e-4) < edge <= sigma * (1 + 1e-12)
     assert _curve_epsilon(0.01, sigma, 100, alphas) <= 1e4
     assert math.isinf(_curve_epsilon(0.01, sigma * (1 - 1e-3), 100, alphas))
@@ -774,6 +814,23 @@ def test_calibrate_rejects_a_grid_that_is_not_increasing(monkeypatch):
     with pytest.raises(ValueError, match="at least one order"):
         calibrate_sigma(PrivacyBudget(4.0, 1e-5), q=0.05, steps=100, alphas=())
     assert sigmas == []  # rejected before any evaluation
+
+
+def test_calibrate_fails_fast_below_the_conversion_floor(monkeypatch):
+    # every D_alpha > 0, so epsilon > log(1/delta)/(alpha_max - 1) at any sigma
+    sigmas = _count_calibration_sigmas(monkeypatch)
+    floor = math.log(1e5) / 1024
+    for epsilon in (0.0, 1e-9, 0.011, floor):
+        with pytest.raises(CalibrationError, match="unreachable") as exc:
+            calibrate_sigma(PrivacyBudget(epsilon, 1e-5), q=0.3, steps=100)
+        assert exc.value.epsilon_at_bracket == floor
+    with pytest.raises(CalibrationError) as exc:
+        calibrate_sigma(PrivacyBudget(0.5, 1e-5), q=0.01, steps=1, alphas=(2.0, 24.0))
+    assert exc.value.epsilon_at_bracket == math.log(1e5) / 23
+    assert sigmas == []
+    # just above the floor the search runs
+    calibrate_sigma(PrivacyBudget(0.501, 1e-5), q=0.01, steps=1, alphas=(2.0, 24.0))
+    assert sigmas
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -797,7 +854,7 @@ def test_calibration_epsilon_is_the_converted_calibration_curve(
     sigma = 0.3 * (64 / 0.3) ** u_sigma
     delta = 1e-10 * 1e8**u_delta
     epsilon, alpha_star, orders = accountant._calibration_epsilon(q, sigma, steps, alphas, delta)
-    budget, want_alpha = rdp_to_dp(accountant.calibration_curve(q, sigma, steps, alphas), delta)
+    budget, want_alpha = rdp_to_dp(_composed_curve(q, sigma, steps, alphas), delta)
     assert repr(epsilon) == repr(budget.epsilon)
     assert alpha_star == want_alpha
     assert 0 < orders <= len(alphas)
@@ -811,30 +868,26 @@ def test_calibration_epsilon_skips_orders_that_cannot_win():
     epsilon, alpha_star, orders = accountant._calibration_epsilon(
         q, sigma, steps, DEFAULT_ALPHAS, 1e-5)
     pruned_misses = memo.cache_info().misses - before
-    budget, want_alpha = rdp_to_dp(accountant.calibration_curve(q, sigma, steps), 1e-5)
+    budget, want_alpha = rdp_to_dp(_composed_curve(q, sigma, steps), 1e-5)
     full_misses = memo.cache_info().misses - before
     assert (epsilon, alpha_star) == (budget.epsilon, want_alpha)
     assert pruned_misses == orders <= 12
-    assert full_misses == sum(a <= accountant.CALIBRATION_MAX_ORDER for a in DEFAULT_ALPHAS)
+    assert full_misses == len(DEFAULT_ALPHAS)
 
 
 def test_inf_orders_are_logged_with_their_reason(caplog):
     # a q no other test uses, so every step bound is computed afresh
     q, sigma = 0.0123456789, 0.3
     with caplog.at_level(logging.DEBUG, logger="fedrdp.accountant"):
-        curve = accountant.calibration_curve(q, sigma, 10)
+        curve = _composed_curve(q, sigma, 10)
     messages = [r.getMessage() for r in caplog.records if r.name == "fedrdp.accountant.inf"]
     assert {r.levelno for r in caplog.records} == {logging.DEBUG}
-    expected = []
-    for alpha, value in curve.items():
-        if alpha > accountant.CALIBRATION_MAX_ORDER:
-            expected.append(f"alpha={alpha!r} q={q!r} sigma={sigma!r}: calibration curve is inf "
-                            f"(order cap {accountant.CALIBRATION_MAX_ORDER})")
-        elif math.isinf(value):
-            expected.append(f"alpha={alpha!r} q={q!r} sigma={sigma!r}: step bound is inf "
-                            "(moment exponent cap)")
-    assert sum("exponent cap" in m for m in expected) >= 1
-    assert sum("order cap" in m for m in expected) == 2
+    expected = [
+        f"alpha={alpha!r} q={q!r} sigma={sigma!r}: step bound is inf (moment exponent cap)"
+        for alpha, value in curve.items() if math.isinf(value)
+    ]
+    # the exponent cap is the only reason an order is inf, up to the top of the grid
+    assert 1025.0 in curve.alphas and math.isinf(curve.values[-1])
     assert sorted(messages) == sorted(expected)
 
 
@@ -850,7 +903,7 @@ def test_calibrate_logs_each_evaluation_at_debug(caplog, monkeypatch):
     assert len(evaluations) == len(probes)
     orders_at = {}
     for message, probe in zip(evaluations, probes):
-        budget, alpha_star = rdp_to_dp(accountant.calibration_curve(0.05, probe, 100), 1e-5)
+        budget, alpha_star = rdp_to_dp(_composed_curve(0.05, probe, 100), 1e-5)
         orders = orders_at[probe] = accountant._calibration_epsilon(
             0.05, probe, 100, DEFAULT_ALPHAS, 1e-5)[2]
         assert 0 < orders <= len(DEFAULT_ALPHAS)
@@ -858,6 +911,6 @@ def test_calibrate_logs_each_evaluation_at_debug(caplog, monkeypatch):
             f"calibrate: sigma={probe!r} epsilon={budget.epsilon!r} alpha*={alpha_star!r} "
             f"orders={orders}/{len(DEFAULT_ALPHAS)}"
         )
-    # at the answer, fewer orders than all those under the order cap
-    assert orders_at[sigma] < sum(a <= accountant.CALIBRATION_MAX_ORDER for a in DEFAULT_ALPHAS)
+    # at the answer, fewer orders than the whole grid
+    assert orders_at[sigma] < len(DEFAULT_ALPHAS)
     assert last == f"calibrate: returning sigma={sigma!r} after {len(probes)} sigmas"

@@ -189,6 +189,19 @@ def test_compose_absent_client_zero_curve(capsys, tmp_path):
     assert out.splitlines()[1:] == ["2,0", "4,0"]
 
 
+def test_compose_rejects_an_infinite_order(capsys, tmp_path):
+    ledger_path = tmp_path / "ledger.tsv"
+    write_demo_ledger(ledger_path)
+    for client in ("9", "0"):  # no steps, and some
+        code, out, err = run_cli(
+            capsys, "compose", "--ledger", str(ledger_path), "--client", client,
+            "--alphas", "2,inf",
+        )
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "finite" in err
+
+
 def _multi_client_ledger(path):
     led = ParticipationLedger()
     for cid, q, sigma in ((3, 0.02, 2.0), (0, 0.05, 1.5), (12, 0.01, 3.0), (1, 0.02, 2.0)):
@@ -285,6 +298,33 @@ def test_convert_reads_jsonl(capsys, tmp_path):
     assert float(parse_kv(out)["epsilon"]) == pytest.approx(0.5 + math.log(100.0), rel=1e-12)
 
 
+def test_convert_rejects_an_infinite_order(capsys, tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text("alpha,rdp\n2,0.5\ninf,0\n")
+    code, out, err = run_cli(capsys, "convert", "--curve", str(path))
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "and finite" in err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("curve.jsonl", '{"alpha": 2.0, "rdp": 0.5}\n\n{"alpha": 4.0, "rdp": \n'),
+        ("curve.csv", "alpha,rdp\n2,0.5\n4,0.7,1\n"),
+        ("curve.jsonl", '{"alpha": 2.0, "rdp": 0.5}\n\n{"alpha": 4.0}\n'),
+    ],
+    ids=["json-syntax", "csv-fields", "json-key"],
+)
+def test_convert_names_the_line_of_a_bad_curve_row(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "convert", "--curve", str(path))
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: curve line 3: ")
+
+
 # --- calibrate ------------------------------------------------------------------
 
 
@@ -328,11 +368,22 @@ def test_calibrate_reports_the_certified_curve_without_reevaluating(capsys, monk
     assert code == cli.EXIT_OK
     kv = parse_kv(out)
     assert seen and len(seen) == len(set(seen))
-    budget, alpha_star = rdp_to_dp(
-        accountant.calibration_curve(0.0517, float(kv["sigma"]), 30), 1e-5
-    )
+    ledger = ParticipationLedger()
+    for t in range(1, 31):
+        ledger.record(0, t, StepParams(q=0.0517, sigma=float(kv["sigma"]), clip=1.0, batch_size=1))
+    budget, alpha_star = rdp_to_dp(compose_client_rdp(ledger, 0), 1e-5)
     assert float(kv["achieved_epsilon"]) == budget.epsilon <= 3.0
     assert float(kv["alpha_star"]) == alpha_star
+
+
+def test_calibrate_rejects_an_infinite_order(capsys):
+    code, out, err = run_cli(
+        capsys, "calibrate", "--epsilon", "4", "--delta", "1e-5", "--q", "0.05",
+        "--steps", "100", "--alphas", "2,inf",
+    )
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "and finite" in err
 
 
 def test_calibrate_rejects_a_grid_that_is_not_increasing(capsys):

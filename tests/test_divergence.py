@@ -11,10 +11,12 @@ import reference
 from fedrdp import divergence
 from fedrdp.accountant import (
     DEFAULT_ALPHAS,
+    DEFAULT_DELTA,
     ParticipationLedger,
     StepParams,
-    calibration_curve,
+    _calibration_epsilon,
     compose_client_rdp,
+    rdp_to_dp,
 )
 from fedrdp.divergence import (
     MOMENT_EXPONENT_CAP,
@@ -335,14 +337,16 @@ def test_step_bound_unavailable_orders_unchanged():
     # exponent cap: the m=3 remainder at alpha=128 needs E[(L-1)^128]
     with pytest.raises(OverflowError):
         renyi_step_bound(128.0, MechanismParams(q=0.01, sigma=2.7))
-    # order cap: calibration skips orders above 300, composition does not
-    capped = calibration_curve(0.01, 64.0, 1)
+    # at sigma=64 every order is finite, and calibration's epsilon is won at
+    # the top of the grid, as composition's is
     full = compose_client_rdp(
         ParticipationLedger().record(0, 1, StepParams(q=0.01, sigma=64.0, clip=1.0, batch_size=1)), 0
     )
-    assert [a for a, v in capped.items() if math.isinf(v)] == [512.0, 1025.0]
     assert all(math.isfinite(v) and v > 0 for v in full.values)
-    assert capped.values[:-2] == full.values[:-2]
+    budget, alpha_star = rdp_to_dp(full, DEFAULT_DELTA)
+    assert alpha_star == 1025.0
+    epsilon, calibration_alpha, _ = _calibration_epsilon(0.01, 64.0, 1, DEFAULT_ALPHAS, DEFAULT_DELTA)
+    assert (epsilon, calibration_alpha) == (budget.epsilon, alpha_star)
     ledger = ParticipationLedger().record(0, 1, StepParams(q=0.004, sigma=1.0, clip=1.0, batch_size=1))
     curve = compose_client_rdp(ledger, 0)
     assert [a for a, v in curve.items() if math.isinf(v)] == [48.0, 64.0, 128.0, 256.0, 512.0, 1025.0]

@@ -44,6 +44,10 @@ def test_accountant_imports_leave_numpy_unloaded(module):
     _run_python(f"import sys, {module}; assert 'numpy' not in sys.modules")
 
 
+def test_accountant_exports_10_names():
+    assert len(accountant.__all__) == len(set(accountant.__all__)) == 10
+
+
 def test_divergence_exports_8_names():
     assert len(divergence.__all__) == len(set(divergence.__all__)) == 8
 
