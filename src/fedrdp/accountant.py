@@ -383,6 +383,16 @@ def _cached_step_bound(alpha: float, q: float, sigma: float) -> float:
         return math.inf
 
 
+def _round_up(total: float) -> float:
+    """total moved one ulp toward +inf, so that the rounding to nearest that
+    produced it cannot leave it below the exact value.  A sum of nonnegative
+    terms that came out 0 was exactly 0, and stays 0.  In composition with
+    one (q, sigma) group, and so in calibration, the product count x bound
+    is the only other rounding, and the ulp covers it too; with k groups the
+    k products may round down by up to k/2 ulps more."""
+    return math.nextafter(total, math.inf) if total else total
+
+
 def compose_client_rdp(
     ledger: ParticipationLedger,
     client_id: int,
@@ -393,7 +403,8 @@ def compose_client_rdp(
     Independent composition: value(alpha) = sum over steps of the one-step
     bound at (q, sigma) of that step.  Steps are grouped by identical
     (q, sigma), so each order's value is fsum over groups of count x the
-    group's one-step bound, at a cost of O(distinct (q, sigma) x orders).
+    group's one-step bound, rounded up (``_round_up``), at a cost of
+    O(distinct (q, sigma) x orders).
     A client absent from the ledger has the zero curve.  Steps with
     sigma = 0 or q = 1 admit no finite bound and raise, annotated with the
     index of the first such step.
@@ -411,10 +422,10 @@ def compose_client_rdp(
             counts[key] = 0
         counts[key] += 1
     totals = tuple(
-        math.fsum(
+        _round_up(math.fsum(
             n * _cached_step_bound(alpha, q, sigma)
             for (q, sigma), n in counts.items()
-        )
+        ))
         for alpha in alphas
     )
     return RdpCurve(alphas, totals)
@@ -425,9 +436,9 @@ def _order_epsilon(value: float, alpha: float, delta: float) -> float:
 
     Nondecreasing in value, so the epsilon of a lower bound on an order's
     value is a lower bound on that order's epsilon; calibration prunes
-    orders on this.
+    orders on this.  Rounded up (``_round_up``).
     """
-    return value + math.log(1.0 / delta) / (alpha - 1.0)
+    return _round_up(value + math.log(1.0 / delta) / (alpha - 1.0))
 
 
 def rdp_to_dp(curve: RdpCurve, delta: float = DEFAULT_DELTA) -> tuple[PrivacyBudget, float]:
@@ -456,10 +467,12 @@ def _calibration_epsilon(
     `steps` steps at (q, sigma), as (epsilon, alpha*), bit for bit, plus how
     many grid orders it evaluated.
 
-    That curve is steps x the one-step bound at each order.  Only the orders
-    that can win are evaluated.  D_alpha is nondecreasing in alpha (van Erven
-    & Harremoes, arXiv:1206.2459), and the bound at an integer order is the
-    exact divergence rounded once, so:
+    That curve is steps x the one-step bound at each order, rounded up.
+    Only the orders that can win are evaluated.  D_alpha is nondecreasing in
+    alpha (van Erven & Harremoes, arXiv:1206.2459), and the bound at an
+    integer order exceeds the exact divergence by at most its stated slack
+    (~1e-13 relative), far less than D_alpha grows between integer grid
+    orders, so:
       - integer orders go first, ascending, skipping +inf ones; the walk
         stops at the first whose value (steps x bound) exceeds the best
         epsilon so far, since no higher order can then win;
@@ -475,7 +488,7 @@ def _calibration_epsilon(
     evaluated = 0
     best = math.inf
     for alpha in (a for a in alphas if a.is_integer()):
-        value = values[alpha] = steps * _cached_step_bound(alpha, q, sigma)
+        value = values[alpha] = _round_up(steps * _cached_step_bound(alpha, q, sigma))
         evaluated += 1
         if math.isinf(value):
             continue
@@ -488,7 +501,7 @@ def _calibration_epsilon(
         # an inf floor (no bound available there) bounds nothing
         if not math.isinf(lower) and _order_epsilon(lower, alpha, delta) > best:
             continue
-        value = values[alpha] = steps * _cached_step_bound(alpha, q, sigma)
+        value = values[alpha] = _round_up(steps * _cached_step_bound(alpha, q, sigma))
         evaluated += 1
         best = min(best, _order_epsilon(value, alpha, delta))
     budget, alpha_star = rdp_to_dp(RdpCurve(alphas, tuple(values.values())), delta)

@@ -7,18 +7,21 @@ Everything in this module is about the pair of one-dimensional distributions
 with s = sigma / 2.  Callers always pass the noise multiplier sigma; the
 variance convention s = sigma/2 is applied internally and never exposed.
 ``renyi_step_bound`` evaluates a closed-form upper bound on D_alpha(P || Q).
-At integer orders it is the exact binomial closed form of Mironov, Talwar &
-Zhang, "Renyi Differential Privacy of the Sampled Gaussian Mechanism"
-(arXiv:1908.10530), with sigma -> sigma/2; at fractional orders it is a
-truncated power series in q plus an explicit remainder bound, built by one
-walk up the truncation order that adds a term per step.
-``renyi_divergence_quadrature`` evaluates the same divergence by numerical
-integration so the routes can be checked against each other.
+At integer orders it is the binomial closed form of Mironov, Talwar & Zhang,
+"Renyi Differential Privacy of the Sampled Gaussian Mechanism"
+(arXiv:1908.10530), with sigma -> sigma/2, in float64 and rounded up by a
+stated error bound; at fractional orders it is a truncated power series in q
+plus an explicit remainder bound, built by one walk up the truncation order
+that adds a term per step.  ``renyi_divergence_quadrature`` evaluates the
+same divergence by numerical integration so the routes can be checked
+against each other.
 
-All functions are pure.  Extended-precision arithmetic (mpmath) is used
-internally because the series moments alternate in sign and cancel
-catastrophically in double precision; a module lock serialises access to the
-mpmath context, so concurrent callers are safe (just not parallel).
+All functions are pure.  The integer closed form has only nonnegative terms,
+so float64 evaluates it without cancellation.  The series moments alternate
+in sign and cancel catastrophically in double precision, so the series and
+the quadrature use extended-precision arithmetic (mpmath); a module lock
+serialises access to the mpmath context, so concurrent callers are safe
+(just not parallel).
 """
 
 from __future__ import annotations
@@ -58,6 +61,14 @@ MOMENT_CACHE_SIZE = 1024
 
 # mpmath's precision state is process-global; serialise all use of it.
 _MP_LOCK = threading.RLock()
+
+# Unit roundoff of float64, and the error assumed of each libm call (exp,
+# expm1, log, log1p, pow) in ulps; see ``_integer_log_moment``.
+_U = 2.0**-53
+_LIBM_ULPS = 2
+# Above this x, expm1(x) is taken as e^(x - k ln 2) 2^k so it cannot overflow.
+_EXP_SPLIT = 700.0
+_LN2 = math.log(2.0)
 
 
 class QuadratureError(ArithmeticError):
@@ -168,49 +179,94 @@ def likelihood_ratio_moment(sigma: float, k: int) -> float:
     return value
 
 
-def _integer_moment_excess_mpf(n: int, q: float, sigma: float) -> mpf:
-    """E_Q[(P/Q)^n] - 1 for integer n >= 2, exactly: the binomial closed form.
+def _integer_log_moment(n: int, q: float, sigma: float) -> tuple[float, float, float]:
+    """log E_Q[(P/Q)^n] in float64, for integer n >= 2 and 0 < q < 1: (y, err, moment).
 
-    Expanding ((1-q) + q L)^n binomially and using E[L^l] = e^{2l(l-1)/sigma^2}
-    gives sum_{l=2}^{n} C(n,l) q^l (1-q)^{n-l} expm1(2l(l-1)/sigma^2), since
-    the binomial weights sum to 1 and the l = 0, 1 exponents vanish.  Every
-    term is nonnegative, so nothing cancels, and returning the excess over 1
-    (for log1p) keeps tiny divergences exact.
+    The moment is 1 + E, E = sum_{l=2}^{n} t_l, t_l = w_l expm1(x_l) with
+    w_l = C(n,l) q^l (1-q)^(n-l) and x_l = 2l(l-1)/sigma^2 (the binomial
+    expansion of ((1-q) + qL)^n with E[L^l] = e^{x_l}); no term is negative,
+    so nothing cancels.  y is log1p(E) as computed, moment is 1 + E (inf past
+    float range), and |y - log(1 + E)| <= err.
 
-    The weights and the exponentials are both carried forward by
-    multiplication, O(n) work with no exp per term: e_l = e^{inv l(l-1)}
-    steps as e_{l+1} = e_l r_l with r_l = e^{2 inv l}, r_{l+1} = r_l e^{2 inv}.
-    While e_l <= 2 the sum carries em_l = e_l - 1 and rm_l = r_l - 1 instead,
-    as em_{l+1} = em_l + rm_l + em_l rm_l and rm_{l+1} = rm_l + g + rm_l g
-    with g = expm1(2 inv): every term is nonnegative, so nothing cancels and
-    small exponents (every term at large sigma) stay exact.  Past e_l = 2,
-    e_l - 1 loses at most one bit.  The sum runs at _BASE_DPS + 10 digits
-    and is rounded to _BASE_DPS.
+    Every quantity is a mantissa and a power of two (``math.frexp``): w_0 =
+    (1-q)^n is pow() of (1-q)'s mantissa in chunks of 512, w_l is carried as
+    w_{l-1} q/(1-q) (n-l+1)/l, expm1(x_l) is taken as x_l below 2^-60 and as
+    e^{x_l - k ln 2} 2^k above 700 (larger by a relative e^-700), and the
+    terms, shifted by the largest exponent, go through ``math.fsum``.
+
+    Error bound.  u = 2^-53, and each libm exp, expm1, log, log1p and pow
+    call is assumed within P = _LIBM_ULPS = 2 ulps (relative 2Pu), twice the
+    1 ulp that the glibc manual's table "Known Maximum Errors in Math
+    Functions" lists for them.  To first order t_l is within
+    eps_l = (n + 3l + 4x_l + 2P + 4 + (2P+1) ceil(n/512)) u:
+      - the weight within (n + 3l + (2P+1) ceil(n/512)) u: (n-l) u from
+        rounding 1 - q, which enters as (1-q)^(n-l); l u from rounding
+        q/(1-q); three roundings per carry step; (2P+1) u per pow chunk;
+      - the factor within (2P + 2 + 4x_l) u: x_l is rounded twice (relative
+        2u), which moves expm1 by at most (1 + x_l) 2u, and above 700 the
+        split's k ln 2 adds at most 1.73 x_l u;
+      - one rounding of the product, and one of the fsum.
+    So E is within rho = sum_l t_l eps_l / E <= rho_max =
+    (4n + 4x_n + 2P + 4 + (2P+1) ceil(n/512)) u, and the log adds
+    (2P + 3) u y (log1p's error; or, past E = 2^1000, log of the mantissa
+    plus k ln 2, and the dropped log1p(1/E) < 2^-1000).  Hence
+        err = (rho E / (1 + E) + (2P + 3) u y) (1 + 2^-20) <= Delta_max,
+    Delta_max being the same with rho_max.  The factor 1 + 2^-20 covers the
+    second-order terms, err's own rounding and the terms lost to underflow
+    in the shift (at most n 2^-1074 relative).  The caller has checked
+    x_n <= MOMENT_EXPONENT_CAP.
     """
-    with _MP_LOCK:
-        with mp.workdps(_BASE_DPS + 10):
-            qq = mpf(q)
-            inv = mpf(2) / (mpf(sigma) ** 2)
-            ratio = qq / (1 - qq)
-            weight = (1 - qq) ** n * n * ratio  # C(n,1) q (1-q)^(n-1)
-            g = mp.expm1(2 * inv)
-            em, rm = g, g * (2 + g)  # e_2 - 1, r_2 - 1
-            excess = mpf(0)
-            l = 2
-            while l <= n and em <= 1:
-                weight *= ratio * (n - l + 1) / l
-                excess += weight * em
-                em += rm + em * rm
-                rm += g + rm * g
-                l += 1
-            e, r, growth = em + 1, rm + 1, g + 1
-            for l in range(l, n + 1):
-                weight *= ratio * (n - l + 1) / l
-                excess += weight * (e - 1)
-                e *= r
-                r *= growth
-        with mp.workdps(_BASE_DPS):
-            return +excess
+    c = 1.0 - q
+    qm, qe = math.frexp(q)
+    cm, ce = math.frexp(c)
+    ratio = qm / c  # q / (1-q) = ratio 2^qe
+    sm, se = math.frexp(sigma)
+    s2 = sm * sm  # sigma^2 = s2 4^se
+    wm, we = 1.0, ce * n  # w_0 = cm^n 2^(ce n)
+    for done in range(0, n, 512):
+        wm, e = math.frexp(wm * cm ** min(512, n - done))
+        we += e
+    mants, exps, eps = [], [], []  # eps: the l-dependent part of eps_l / u
+    for l in range(1, n + 1):
+        wm, e = math.frexp(wm * ratio * (n - l + 1) / l)
+        we += e + qe
+        if l == 1:
+            continue
+        xm = 2 * l * (l - 1) / s2  # x_l = xm 4^-se
+        x = math.ldexp(xm, -2 * se)
+        if x < 2.0**-60:
+            fm, fe = math.frexp(xm)
+            fe -= 2 * se
+        elif x <= _EXP_SPLIT:
+            fm, fe = math.frexp(math.expm1(x))
+        else:
+            k = int(x / _LN2)
+            fm, fe = math.frexp(math.exp(x - k * _LN2))
+            fe += k
+        tm, te = math.frexp(wm * fm)
+        mants.append(tm)
+        exps.append(we + fe + te)
+        eps.append(3 * l + 4 * x)
+    top = max(exps)
+    terms = [math.ldexp(t, e - top) for t, e in zip(mants, exps)]
+    total = math.fsum(terms)  # >= 1/2: the largest term's mantissa
+    weighted = math.fsum(t * w for t, w in zip(terms, eps)) / total
+    chunks = -(-n // 512)
+    rho = (n + 2 * _LIBM_ULPS + 4 + (2 * _LIBM_ULPS + 1) * chunks + weighted) * _U
+    if top <= 1000:
+        excess = math.ldexp(total, top)
+        y = math.log1p(excess)
+        err = rho * excess / (1.0 + excess)
+        moment = 1.0 + excess
+    else:
+        y = math.log(total) + top * _LN2
+        err = rho
+        try:
+            moment = math.ldexp(total, top)
+        except OverflowError:
+            moment = math.inf
+    err = (err + (2 * _LIBM_ULPS + 3) * _U * y) * (1 + 2.0**-20)
+    return y, err, moment
 
 
 def _order_available(alpha: float, sigma: float, m: int) -> bool:
@@ -303,10 +359,12 @@ class MechanismParams:
 class BoundResult:
     """Output of renyi_step_bound.
 
-    bound = log(leading_sum + remainder) / (alpha - 1).  leading_sum and
-    remainder are reported as floats and may round to inf at extreme
-    parameters even when the bound itself is a moderate number; the bound is
-    always computed from the extended-precision values.
+    The order-alpha moment lies within leading_sum +- remainder.  On the
+    series path bound = log(leading_sum + remainder) / (alpha - 1); at
+    integer orders the bound is a little under that (see
+    ``renyi_step_bound``).  leading_sum and remainder may round to inf at
+    extreme parameters even when the bound itself is a moderate number; the
+    bound never goes through them.  NaN is rejected.
     """
 
     bound: float
@@ -315,6 +373,8 @@ class BoundResult:
     m: int
 
     def __post_init__(self):
+        if math.isnan(self.bound) or math.isnan(self.remainder):
+            raise ValueError("bound and remainder must not be NaN")
         if self.remainder < 0:
             raise ValueError("remainder must be nonnegative")
 
@@ -322,15 +382,20 @@ class BoundResult:
 def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
     """Closed-form upper bound on D_alpha(P || Q) for one mechanism step.
 
-    P = q N(1, s^2) + (1-q) N(0, s^2), Q = N(0, s^2), s = sigma/2.  The bound
-    is log(leading_sum + remainder) / (alpha - 1).
+    P = q N(1, s^2) + (1-q) N(0, s^2), Q = N(0, s^2), s = sigma/2.
 
-    With params.m None and integer alpha, leading_sum is the exact moment
-    E_Q[(P/Q)^alpha] from the binomial closed form of Mironov, Talwar & Zhang
-    (arXiv:1908.10530) with sigma -> sigma/2, remainder is 0 and m is
-    alpha + 1 (the series ends there).  Otherwise leading_sum truncates the
-    power series of the order-alpha moment of P/Q in q at order m and
-    remainder bounds the discarded tail.  One walk up m serves both cases
+    With params.m None and integer alpha, the moment comes from the binomial
+    closed form of Mironov, Talwar & Zhang (arXiv:1908.10530) with
+    sigma -> sigma/2, as its log y within err (``_integer_log_moment``).
+    bound is (y + err) / (alpha - 1) plus the division's rounding, then one
+    ulp up (``math.nextafter``): never below the exact divergence D, and above
+    it by at most 2 Delta_max / (alpha - 1) + 6u D (u = 2^-53; ~1e-13
+    relative or less).  leading_sum is the float64 moment, remainder the
+    exp-domain slack, at most leading_sum expm1(2 Delta_max + 6u y), and m
+    is alpha + 1 (the series ends there).  Otherwise leading_sum truncates the
+    power series of the order-alpha moment of P/Q in q at order m,
+    remainder bounds the discarded tail, and the bound is
+    log(leading_sum + remainder) / (alpha - 1).  One walk up m serves both cases
     (see ``_series_mpf``): it stops at params.m when that is set, and
     otherwise once the remainder is negligible.
 
@@ -362,11 +427,19 @@ def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
             f"already the m={first} remainder needs moments past the cap"
         )
     if params.m is None and float(alpha).is_integer():
-        excess = _integer_moment_excess_mpf(int(alpha), params.q, params.sigma)
-        with _MP_LOCK, mp.workdps(_BASE_DPS):
-            bound = float(mp.log1p(excess) / (mpf(alpha) - 1))
-            moment = float(1 + excess)
-        return BoundResult(bound=bound, leading_sum=moment, remainder=0.0, m=int(alpha) + 1)
+        n = int(alpha)
+        if params.q == 0:  # P = Q
+            return BoundResult(bound=0.0, leading_sum=1.0, remainder=0.0, m=n + 1)
+        y, err, moment = _integer_log_moment(n, params.q, params.sigma)
+        d = y / (n - 1)
+        # d is within u d of y / (n-1), and log M within err of y; 2^-1070
+        # covers the absolute error of a subnormal d
+        slack = (err / (n - 1) + _U * d) * (1 + 2.0**-20) + 2.0**-1070
+        bound = math.nextafter(d + slack, math.inf)
+        # exp-domain slack: M >= e^(y - err), e^((n-1) bound) = e^(y - err) e^gap
+        gap = ((n - 1) * (bound - d) + _U * y + err) * (1 + 4 * _U)
+        remainder = moment * math.expm1(gap) * (1 + 8 * _U)
+        return BoundResult(bound=bound, leading_sum=moment, remainder=remainder, m=n + 1)
     m, S, R = _series_mpf(alpha, params.q, params.sigma, params.m)
     with _MP_LOCK, mp.workdps(_BASE_DPS):
         total = S + R

@@ -516,7 +516,7 @@ def test_compose_heterogeneous_steps_sum():
             renyi_step_bound(alpha, MechanismParams(0.01, 2.0)).bound
             + renyi_step_bound(alpha, MechanismParams(0.05, 4.0)).bound
         )
-        assert v == want
+        assert v == math.nextafter(want, math.inf)  # composition rounds up
 
 
 def test_compose_isolated_between_clients():
@@ -817,16 +817,17 @@ def test_calibrate_rejects_a_grid_that_is_not_increasing(monkeypatch):
 
 
 def test_calibrate_fails_fast_below_the_conversion_floor(monkeypatch):
-    # every D_alpha > 0, so epsilon > log(1/delta)/(alpha_max - 1) at any sigma
+    # every D_alpha > 0, so epsilon > log(1/delta)/(alpha_max - 1) at any sigma;
+    # the conversion rounds up
     sigmas = _count_calibration_sigmas(monkeypatch)
-    floor = math.log(1e5) / 1024
+    floor = math.nextafter(math.log(1e5) / 1024, math.inf)
     for epsilon in (0.0, 1e-9, 0.011, floor):
         with pytest.raises(CalibrationError, match="unreachable") as exc:
             calibrate_sigma(PrivacyBudget(epsilon, 1e-5), q=0.3, steps=100)
         assert exc.value.epsilon_at_bracket == floor
     with pytest.raises(CalibrationError) as exc:
         calibrate_sigma(PrivacyBudget(0.5, 1e-5), q=0.01, steps=1, alphas=(2.0, 24.0))
-    assert exc.value.epsilon_at_bracket == math.log(1e5) / 23
+    assert exc.value.epsilon_at_bracket == math.nextafter(math.log(1e5) / 23, math.inf)
     assert sigmas == []
     # just above the floor the search runs
     calibrate_sigma(PrivacyBudget(0.501, 1e-5), q=0.01, steps=1, alphas=(2.0, 24.0))

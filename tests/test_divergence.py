@@ -244,6 +244,33 @@ def test_step_bound_internal_consistency(alpha, q, sigma):
 
 INTEGER_ALPHAS = [a for a in DEFAULT_ALPHAS if a.is_integer() and a <= 256]
 
+U = 2.0**-53
+
+
+def _stated_log_error(n, sigma, exact):
+    """Delta_max of ``divergence._integer_log_moment``: the stated bound on the
+    error of the float64 log moment at integer order n, given the exact
+    divergence (so log M = (n-1) exact and E / (1 + E) = 1 - 1/M)."""
+    y = (n - 1) * exact
+    p = divergence._LIBM_ULPS
+    rho_max = (4 * n + 8 * n * (n - 1) / sigma**2 + 2 * p + 4 + (2 * p + 1) * -(-n // 512)) * U
+    return (rho_max * -math.expm1(-y) + (2 * p + 3) * U * y) * (1 + 2.0**-20)
+
+
+def _stated_bound_gap(n, sigma, exact):
+    """The most ``renyi_step_bound`` may exceed the exact divergence by at an
+    integer order: twice the log error over n - 1, plus the roundings of the
+    division and of the final sum, and of exact itself."""
+    return 2 * _stated_log_error(n, sigma, exact) / (n - 1) + 7 * U * exact + 2.0**-1069
+
+
+def _stated_moment_slack(n, sigma, exact):
+    """The most the integer order's remainder may be, relative to leading_sum:
+    twice the log error plus the roundings, with a 1e-6 relative margin for
+    this float evaluation itself."""
+    y = (n - 1) * exact
+    return math.expm1(2 * _stated_log_error(n, sigma, exact) + 6 * U * y) * (1 + 1e-6)
+
 
 def _log_uniform(lo, hi, u):
     return lo * (hi / lo) ** u
@@ -260,29 +287,32 @@ def test_step_bound_integer_order_is_exact_closed_form(alpha, u_sigma, u_q):
     sigma = _log_uniform(sigma_min, 64.0, u_sigma)
     q = _log_uniform(1e-6, 0.9, u_q)
     r = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma))
-    assert r.remainder == 0.0
+    assert 0 <= r.remainder <= _stated_moment_slack(int(alpha), sigma, r.bound) * r.leading_sum
     assert r.m == int(alpha) + 1
     exact = reference.integer_alpha_divergence(int(alpha), q, sigma)
     assert r.bound == pytest.approx(exact, rel=1e-12)
-    # the exact moment never exceeds a truncated series plus its remainder cap
+    # the exact moment never exceeds a truncated series plus its remainder
+    # cap (which is exact, rounded to nearest, where the series terminates)
     for m in (3, 5):
         try:
             series = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=m))
         except OverflowError:
             continue
-        assert r.bound <= math.nextafter(series.bound, math.inf)
+        slack = _stated_bound_gap(int(alpha), sigma, exact)
+        assert r.bound <= math.nextafter(series.bound, math.inf) + slack
 
 
 def _check_integer_order_exact(alpha, q, sigma):
     r = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma))
-    assert r.remainder == 0.0
+    assert 0 <= r.remainder <= _stated_moment_slack(int(alpha), sigma, r.bound) * r.leading_sum
     assert r.m == int(alpha) + 1
     assert r.bound == pytest.approx(reference.integer_alpha_divergence(int(alpha), q, sigma), rel=1e-12)
     # the m=3 series costs seconds per call above order 64 at large sigma
     # (moments at ~50 + k log10(sigma) digits), so it bounds orders <= 64 here
     if alpha <= 64:
         series = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=3))
-        assert r.bound <= math.nextafter(series.bound, math.inf)
+        slack = _stated_bound_gap(int(alpha), sigma, r.bound)
+        assert r.bound <= math.nextafter(series.bound, math.inf) + slack
 
 
 @pytest.mark.parametrize("alpha", INTEGER_ALPHAS)
@@ -315,22 +345,66 @@ def test_step_bound_integer_order_exact_across_expm1_switch(alpha, l, sigma, sid
         _check_integer_order_exact(alpha, q, sigma * side)
 
 
+def _check_against_direct_sum(n, q, sigma):
+    """The float64 bound at integer order n is never below the 60-digit direct
+    binomial sum (one binomial and one expm1 per term, nothing carried), and
+    above it by no more than the stated error bound; the bound stays finite
+    where leading_sum and remainder round to inf."""
+    r = renyi_step_bound(float(n), MechanismParams(q=q, sigma=sigma))
+    with mp.workdps(60):
+        direct = mp.log1p(reference.integer_moment_excess_direct(n, q, sigma)) / (n - 1)
+        assert mp.mpf(r.bound) >= direct
+        assert mp.mpf(r.bound) - direct <= _stated_bound_gap(n, sigma, float(direct))
+    assert math.isfinite(r.bound)
+    return r
+
+
 @pytest.mark.parametrize("alpha", [2, 3, 8, 32, 256, 1025])
 @pytest.mark.parametrize("sigma", [0.5, 2.0, 8.0, 64.0, 1e4])
-def test_integer_order_bound_is_bit_identical_to_the_direct_sum(monkeypatch, alpha, sigma):
-    # the carried sum gives the float bound of the direct binomial sum with
-    # one expm1 per term, bit for bit; capped orders have no bound to compare
+def test_integer_order_bound_is_bit_identical_to_the_direct_sum(alpha, sigma):
+    # The name predates the float64 closed form, when the bound was the
+    # direct sum rounded once; it is now that sum plus the stated slack.
+    # Capped orders have no bound to compare.
     for q in (1e-3, 0.05, 0.5):
-        params = MechanismParams(q=q, sigma=sigma)
         try:
-            carried = renyi_step_bound(float(alpha), params)
+            _check_against_direct_sum(alpha, q, sigma)
         except OverflowError:
             continue
-        with monkeypatch.context() as patch:
-            patch.setattr(divergence, "_integer_moment_excess_mpf",
-                          reference.integer_moment_excess_direct)
-            direct = renyi_step_bound(float(alpha), params)
-        assert carried == direct
+
+
+@pytest.mark.parametrize(
+    "alpha, q, sigma, known",
+    [(32, 0.9, 1.2, 44.34), (256, 0.5, 9.5, 4.977), (1025, 0.5, 27.0, 2.122)],
+)
+def test_integer_order_bound_past_float_range(alpha, q, sigma, known):
+    # the moment is past float range: leading_sum is inf, the bound is not
+    r = _check_against_direct_sum(alpha, q, sigma)
+    assert math.isinf(r.leading_sum)
+    assert r.bound == pytest.approx(known, rel=1e-3)
+
+
+@pytest.mark.parametrize("alpha", [a for a in DEFAULT_ALPHAS if a.is_integer()])
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(u_sigma=st.floats(0.0, 1.0), u_q=st.floats(0.0, 1.0), at_top=st.booleans())
+def test_integer_order_bound_encloses_the_direct_sum(alpha, u_sigma, u_q, at_top):
+    # every integer grid order, sigma log-uniform over [0.3, 1e6] (or 1e6
+    # itself, where the excess is ~1e-12 and the relative error matters
+    # most), q log-uniform over [1e-6, 0.9]; orders past the cap are skipped
+    sigma = 1e6 if at_top else _log_uniform(0.3, 1e6, u_sigma)
+    try:
+        _check_against_direct_sum(int(alpha), _log_uniform(1e-6, 0.9, u_q), sigma)
+    except OverflowError:
+        assume(False)
+
+
+def test_bound_result_rejects_nan():
+    with pytest.raises(ValueError):
+        BoundResult(bound=math.nan, leading_sum=1.0, remainder=0.0, m=3)
+    with pytest.raises(ValueError):
+        BoundResult(bound=0.1, leading_sum=1.0, remainder=math.nan, m=3)
+    with pytest.raises(ValueError):
+        BoundResult(bound=0.1, leading_sum=1.0, remainder=-1e-300, m=3)
+    assert BoundResult(bound=0.1, leading_sum=math.inf, remainder=math.inf, m=3).bound == 0.1
 
 
 def test_step_bound_unavailable_orders_unchanged():
