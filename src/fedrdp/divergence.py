@@ -391,8 +391,8 @@ def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
     ulp up (``math.nextafter``): never below the exact divergence D, and above
     it by at most 2 Delta_max / (alpha - 1) + 6u D (u = 2^-53; ~1e-13
     relative or less).  leading_sum is the float64 moment, remainder the
-    exp-domain slack, at most leading_sum expm1(2 Delta_max + 6u y), and m
-    is alpha + 1 (the series ends there).  Otherwise leading_sum truncates the
+    exp-domain slack, at most leading_sum (expm1(2 Delta_max + 6u y) + u),
+    and m is alpha + 1 (the series ends there).  Otherwise leading_sum truncates the
     power series of the order-alpha moment of P/Q in q at order m,
     remainder bounds the discarded tail, and the bound is
     log(leading_sum + remainder) / (alpha - 1).  One walk up m serves both cases
@@ -436,9 +436,10 @@ def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
         # covers the absolute error of a subnormal d
         slack = (err / (n - 1) + _U * d) * (1 + 2.0**-20) + 2.0**-1070
         bound = math.nextafter(d + slack, math.inf)
-        # exp-domain slack: M >= e^(y - err), e^((n-1) bound) = e^(y - err) e^gap
+        # exp-domain slack: M >= e^(y - err), e^((n-1) bound) = e^(y - err) e^gap;
+        # the added u covers the rounding of leading_sum = 1 + E itself
         gap = ((n - 1) * (bound - d) + _U * y + err) * (1 + 4 * _U)
-        remainder = moment * math.expm1(gap) * (1 + 8 * _U)
+        remainder = moment * (math.expm1(gap) + _U) * (1 + 8 * _U)
         return BoundResult(bound=bound, leading_sum=moment, remainder=remainder, m=n + 1)
     m, S, R = _series_mpf(alpha, params.q, params.sigma, params.m)
     with _MP_LOCK, mp.workdps(_BASE_DPS):

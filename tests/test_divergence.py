@@ -266,10 +266,10 @@ def _stated_bound_gap(n, sigma, exact):
 
 def _stated_moment_slack(n, sigma, exact):
     """The most the integer order's remainder may be, relative to leading_sum:
-    twice the log error plus the roundings, with a 1e-6 relative margin for
-    this float evaluation itself."""
+    twice the log error plus the roundings, plus u for the rounding of
+    leading_sum, with a 1e-6 relative margin for this float evaluation."""
     y = (n - 1) * exact
-    return math.expm1(2 * _stated_log_error(n, sigma, exact) + 6 * U * y) * (1 + 1e-6)
+    return (math.expm1(2 * _stated_log_error(n, sigma, exact) + 6 * U * y) + U) * (1 + 1e-6)
 
 
 def _log_uniform(lo, hi, u):
@@ -291,15 +291,13 @@ def test_step_bound_integer_order_is_exact_closed_form(alpha, u_sigma, u_q):
     assert r.m == int(alpha) + 1
     exact = reference.integer_alpha_divergence(int(alpha), q, sigma)
     assert r.bound == pytest.approx(exact, rel=1e-12)
-    # the exact moment never exceeds a truncated series plus its remainder
-    # cap (which is exact, rounded to nearest, where the series terminates)
+    # the exact moment never exceeds a truncated series plus its remainder cap
     for m in (3, 5):
         try:
             series = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=m))
         except OverflowError:
             continue
-        slack = _stated_bound_gap(int(alpha), sigma, exact)
-        assert r.bound <= math.nextafter(series.bound, math.inf) + slack
+        assert exact <= math.nextafter(series.bound, math.inf)
 
 
 def _check_integer_order_exact(alpha, q, sigma):
@@ -311,8 +309,8 @@ def _check_integer_order_exact(alpha, q, sigma):
     # (moments at ~50 + k log10(sigma) digits), so it bounds orders <= 64 here
     if alpha <= 64:
         series = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=3))
-        slack = _stated_bound_gap(int(alpha), sigma, r.bound)
-        assert r.bound <= math.nextafter(series.bound, math.inf) + slack
+        exact = reference.integer_alpha_divergence(int(alpha), q, sigma)
+        assert exact <= math.nextafter(series.bound, math.inf)
 
 
 @pytest.mark.parametrize("alpha", INTEGER_ALPHAS)
@@ -320,8 +318,8 @@ def _check_integer_order_exact(alpha, q, sigma):
 @given(u_sigma=st.floats(0.0, 1.0), u_q=st.floats(0.0, 1.0))
 def test_step_bound_integer_order_is_exact_at_large_sigma(alpha, u_sigma, u_q):
     # calibration doubles its upper bracket up to sigma = 1e6; from
-    # sigma ~ sqrt(2 alpha (alpha - 1) / log 2) on, every term of the sum
-    # has e^{2l(l-1)/sigma^2} <= 2 and is carried as e^{2l(l-1)/sigma^2} - 1
+    # sigma ~ sqrt(2 alpha (alpha - 1) / log 2) on, every factor
+    # e^{2l(l-1)/sigma^2} of the sum is <= 2, and the excess is small
     _check_integer_order_exact(alpha, _log_uniform(1e-6, 0.9, u_q), _log_uniform(64.0, 1e6, u_sigma))
 
 
@@ -339,8 +337,8 @@ def _switch_cases():
 @pytest.mark.parametrize("alpha, l, sigma", list(_switch_cases()))
 @pytest.mark.parametrize("side", [1 - 1e-6, 1 + 1e-6])
 def test_step_bound_integer_order_exact_across_expm1_switch(alpha, l, sigma, side):
-    # slightly below that sigma term l is summed from the carried e, slightly
-    # above from the carried e - 1; terms after l use the carried e either way
+    # a sigma grid tied to each order: either side of where term l's factor
+    # e^{2l(l-1)/sigma^2} is 2
     for q in (1e-4, 0.05, 0.6):
         _check_integer_order_exact(alpha, q, sigma * side)
 
@@ -352,24 +350,55 @@ def _check_against_direct_sum(n, q, sigma):
     where leading_sum and remainder round to inf."""
     r = renyi_step_bound(float(n), MechanismParams(q=q, sigma=sigma))
     with mp.workdps(60):
-        direct = mp.log1p(reference.integer_moment_excess_direct(n, q, sigma)) / (n - 1)
+        excess = reference.integer_moment_excess_direct(n, q, sigma)
+        direct = mp.log1p(excess) / (n - 1)
         assert mp.mpf(r.bound) >= direct
         assert mp.mpf(r.bound) - direct <= _stated_bound_gap(n, sigma, float(direct))
+        # the moment lies within leading_sum +- remainder
+        if math.isfinite(r.leading_sum):
+            assert abs(1 + excess - r.leading_sum) <= r.remainder
     assert math.isfinite(r.bound)
     return r
 
 
 @pytest.mark.parametrize("alpha", [2, 3, 8, 32, 256, 1025])
-@pytest.mark.parametrize("sigma", [0.5, 2.0, 8.0, 64.0, 1e4])
+@pytest.mark.parametrize("sigma", [0.5, 2.0, 8.0, 64.0, 1e4, 1e10, 1e200])
 def test_integer_order_bound_is_bit_identical_to_the_direct_sum(alpha, sigma):
-    # The name predates the float64 closed form, when the bound was the
-    # direct sum rounded once; it is now that sum plus the stated slack.
-    # Capped orders have no bound to compare.
-    for q in (1e-3, 0.05, 0.5):
+    # The bound encloses the direct sum within the stated slack.  From
+    # sigma ~ 1.4e9 on, x_2 is below 2^-60 and expm1(x) is taken as x; at
+    # q = 1e-155 the excess is subnormal at small orders, and at q = 1e-200
+    # (or sigma = 1e200) it underflows to 0.  Capped orders have no bound.
+    for q in (1e-3, 0.05, 0.5, 1e-155, 1e-200):
         try:
             _check_against_direct_sum(alpha, q, sigma)
         except OverflowError:
             continue
+
+
+def _branch_cases():
+    # x_2 = 2^-60, below which expm1(x) is taken as x
+    for n in (2, 32):
+        yield n, 2.0**31
+    # x_n = 700, above which expm1(x) is taken as e^(x - k ln 2) 2^k
+    for n in (8, 64, 1025):
+        yield n, math.sqrt(2 * n * (n - 1) / divergence._EXP_SPLIT)
+
+
+@pytest.mark.parametrize("alpha, sigma", list(_branch_cases()))
+@pytest.mark.parametrize("side", [1 - 1e-6, 1 + 1e-6])
+def test_integer_order_bound_across_its_expm1_branches(alpha, sigma, side):
+    for q in (1e-3, 0.05, 0.5):
+        _check_against_direct_sum(alpha, q, sigma * side)
+
+
+@pytest.mark.parametrize(
+    "alpha, sigma, log2_moment",
+    [(64, 3.3223, 990), (64, 3.2836, 1015), (256, 12.2973, 990), (256, 12.1754, 1015)],
+)
+def test_integer_order_bound_either_side_of_the_log_switch(alpha, sigma, log2_moment):
+    # past a largest term of 2^1000 the log is taken as log(mantissa) + top ln 2
+    r = _check_against_direct_sum(alpha, 0.5, sigma)
+    assert math.log2(r.leading_sum) == pytest.approx(log2_moment, abs=0.5)
 
 
 @pytest.mark.parametrize(
