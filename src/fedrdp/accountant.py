@@ -80,9 +80,8 @@ _BAD_LINE_START = re.compile(rf"\n(?!{_LINE_START})")
 _FOREIGN_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _debug(message: str, *args, topic: str = "") -> None:
-    """Log at DEBUG on ``logging.getLogger(__name__)``, or on its child
-    ``<__name__>.<topic>`` when a topic is given.
+def _debug(message: str, *args) -> None:
+    """Log at DEBUG on ``logging.getLogger(__name__)``.
 
     The package does not import logging itself, which costs ~6 ms and
     ~0.5 MB per process: a program that configured logging has imported it,
@@ -91,8 +90,7 @@ def _debug(message: str, *args, topic: str = "") -> None:
     """
     logging = sys.modules.get("logging")
     if logging is not None:
-        name = f"{__name__}.{topic}" if topic else __name__
-        logging.getLogger(name).debug(message, *args, stacklevel=2)
+        logging.getLogger(__name__).debug(message, *args, stacklevel=2)
 
 
 class CalibrationError(RuntimeError):
@@ -160,8 +158,8 @@ class PrivacyBudget:
 class RdpCurve:
     """RDP values on a strictly increasing grid of finite orders > 1.
 
-    Values are nonnegative; +inf marks orders at which no finite bound was
-    computable.
+    Values are nonnegative; +inf (a valid bound that never wins) marks a
+    pruned order, an inf read from a curve file, or a non-private client.
     """
 
     alphas: tuple[float, ...]
@@ -376,21 +374,25 @@ def _cached_step_bound(alpha: float, q: float, sigma: float) -> float:
     try:
         return renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma)).bound
     except OverflowError:
-        # No admissible truncation at this order; +inf is still a valid
-        # upper bound and the conversion step skips it.
-        _debug("alpha=%r q=%r sigma=%r: step bound is inf (moment exponent cap)",
-               alpha, q, sigma, topic="inf")
-        return math.inf
+        # q = 1's 2 alpha / sigma^2 bounds every q (joint quasi-convexity, arXiv:1206.2459, Thm 13)
+        return math.nextafter(math.nextafter(2.0 * alpha / sigma / sigma, math.inf), math.inf)
 
 
 def _round_up(total: float) -> float:
     """total moved one ulp toward +inf, so that the rounding to nearest that
     produced it cannot leave it below the exact value.  A sum of nonnegative
-    terms that came out 0 was exactly 0, and stays 0.  In composition with
-    one (q, sigma) group, and so in calibration, the product count x bound
-    is the only other rounding, and the ulp covers it too; with k groups the
-    k products may round down by up to k/2 ulps more."""
+    terms that came out 0 was exactly 0, and stays 0."""
     return math.nextafter(total, math.inf) if total else total
+
+
+def _composed(groups: Iterable[tuple[int, float]]) -> float:
+    """Sum of count x bound over (count, bound) groups, rounded up: with more
+    than one group each product first.  Composition and calibration both
+    sum through here, so calibration converts composition's curve exactly."""
+    products = [n * bound for n, bound in groups]
+    if len(products) > 1:
+        products = [_round_up(p) for p in products]
+    return _round_up(math.fsum(products))
 
 
 def compose_client_rdp(
@@ -402,8 +404,8 @@ def compose_client_rdp(
 
     Independent composition: value(alpha) = sum over steps of the one-step
     bound at (q, sigma) of that step.  Steps are grouped by identical
-    (q, sigma), so each order's value is fsum over groups of count x the
-    group's one-step bound, rounded up (``_round_up``), at a cost of
+    (q, sigma), so each order's value is the sum over groups of count x the
+    group's one-step bound, rounded up (``_composed``), at a cost of
     O(distinct (q, sigma) x orders).
     A client absent from the ledger has the zero curve.  Steps with
     sigma = 0 or q = 1 admit no finite bound and raise, annotated with the
@@ -422,10 +424,7 @@ def compose_client_rdp(
             counts[key] = 0
         counts[key] += 1
     totals = tuple(
-        _round_up(math.fsum(
-            n * _cached_step_bound(alpha, q, sigma)
-            for (q, sigma), n in counts.items()
-        ))
+        _composed((n, _cached_step_bound(alpha, q, sigma)) for (q, sigma), n in counts.items())
         for alpha in alphas
     )
     return RdpCurve(alphas, totals)
@@ -467,15 +466,16 @@ def _calibration_epsilon(
     `steps` steps at (q, sigma), as (epsilon, alpha*), bit for bit, plus how
     many grid orders it evaluated.
 
-    That curve is steps x the one-step bound at each order, rounded up.
-    Only the orders that can win are evaluated.  D_alpha is nondecreasing in
-    alpha (van Erven & Harremoes, arXiv:1206.2459), and the bound at an
-    integer order exceeds the exact divergence by at most its stated slack
-    (~1e-13 relative), far less than D_alpha grows between integer grid
-    orders, so:
-      - integer orders go first, ascending, skipping +inf ones; the walk
-        stops at the first whose value (steps x bound) exceeds the best
-        epsilon so far, since no higher order can then win;
+    That curve is steps x the one-step bound at each order, rounded up
+    (``_composed``).  Only the orders that can win are evaluated.  D_alpha
+    is nondecreasing in alpha (van Erven & Harremoes, arXiv:1206.2459), and
+    the bound at an integer order exceeds the exact divergence by at most
+    its stated slack (~1e-13 relative), far less than D_alpha grows between
+    integer grid orders (and 2 alpha / sigma^2, taken where an order has no
+    bound, grows with alpha too), so:
+      - integer orders go first, ascending; the walk stops at the first
+        whose value (steps x bound) exceeds the best epsilon so far, since
+        no higher order can then win;
       - a fractional order is skipped when the epsilon of the value at its
         floor (0 below order 2), a lower bound on its own, exceeds the best
         epsilon so far.
@@ -488,20 +488,17 @@ def _calibration_epsilon(
     evaluated = 0
     best = math.inf
     for alpha in (a for a in alphas if a.is_integer()):
-        value = values[alpha] = _round_up(steps * _cached_step_bound(alpha, q, sigma))
+        value = values[alpha] = _composed(((steps, _cached_step_bound(alpha, q, sigma)),))
         evaluated += 1
-        if math.isinf(value):
-            continue
         if value > best:
             break
         best = min(best, _order_epsilon(value, alpha, delta))
     for alpha in (a for a in alphas if not a.is_integer()):
         floor = math.floor(alpha)
         lower = steps * _cached_step_bound(float(floor), q, sigma) if floor >= 2 else 0.0
-        # an inf floor (no bound available there) bounds nothing
-        if not math.isinf(lower) and _order_epsilon(lower, alpha, delta) > best:
+        if _order_epsilon(lower, alpha, delta) > best:
             continue
-        value = values[alpha] = _round_up(steps * _cached_step_bound(alpha, q, sigma))
+        value = values[alpha] = _composed(((steps, _cached_step_bound(alpha, q, sigma)),))
         evaluated += 1
         best = min(best, _order_epsilon(value, alpha, delta))
     budget, alpha_star = rdp_to_dp(RdpCurve(alphas, tuple(values.values())), delta)
@@ -528,9 +525,8 @@ def calibrate_sigma(
     g(x) = log epsilon(e^x) - log target.epsilon, which is close to linear.
     Each probe is the secant root of the two ends, moved 0.4 of the stopping
     width toward the end the last probe did not replace and kept 1/4 of it
-    inside the bracket; where an end's epsilon is +inf (no order available
-    yet) the probe bisects in x.  Throughout, both ends have been evaluated
-    and epsilon(lo) > target.epsilon >= epsilon(hi).  The solve stops once
+    inside the bracket.  Throughout, both ends have been evaluated and
+    epsilon(lo) > target.epsilon >= epsilon(hi).  The solve stops once
     hi - lo <= CALIBRATION_REL_TOL * hi and returns hi.
 
     Each epsilon evaluation (sigma, epsilon, alpha*, orders evaluated out of
@@ -594,11 +590,8 @@ def calibrate_sigma(
     xa, ga = math.log(lo), math.log(eps_lo) - log_target
     xb, gb, b_meets = math.log(hi), math.log(eps_hi) - log_target, True
     while hi - lo > CALIBRATION_REL_TOL * hi:
-        x = math.nan
-        if math.isfinite(ga) and math.isfinite(gb) and ga != gb:
-            x = xb - gb * (xb - xa) / (gb - ga) + math.copysign(0.4 * width, xa - xb)
-        if not math.isfinite(x):
-            x = 0.5 * (xa + xb)
+        # ga and gb lie on opposite sides of 0, so the secant is defined
+        x = xb - gb * (xb - xa) / (gb - ga) + math.copysign(0.4 * width, xa - xb)
         x = min(max(x, min(xa, xb) + 0.25 * width), max(xa, xb) - 0.25 * width)
         sigma = math.exp(x)
         e = eps(sigma)

@@ -45,9 +45,9 @@ __all__ = [
     "renyi_divergence_quadrature",
 ]
 
-# Largest exponent 2k(k-1)/sigma^2 accepted when building moments.  Above
-# this the series bound is astronomically loose anyway, so callers treat the
-# order as unavailable instead of grinding through gigantic numbers.
+# Largest exponent 2k(k-1)/sigma^2 accepted when building the series'
+# moments.  Above this the series bound is astronomically loose anyway, so
+# the order has no series bound instead of grinding through gigantic numbers.
 MOMENT_EXPONENT_CAP = 3000.0
 
 _BASE_DPS = 50
@@ -99,7 +99,7 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _moment_exponent(sigma: float, k: int) -> float:
-    return 2.0 * k * (k - 1) / (sigma * sigma)
+    return 2.0 * k * (k - 1) / sigma / sigma  # inf, not ZeroDivisionError, if sigma^2 underflows
 
 
 @lru_cache(maxsize=MOMENT_CACHE_SIZE)
@@ -213,9 +213,15 @@ def _integer_log_moment(n: int, q: float, sigma: float) -> tuple[float, float, f
         err = (rho E / (1 + E) + (2P + 3) u y) (1 + 2^-20) <= Delta_max,
     Delta_max being the same with rho_max.  The factor 1 + 2^-20 covers the
     second-order terms, err's own rounding and the terms lost to underflow
-    in the shift (at most n 2^-1074 relative).  The caller has checked
-    x_n <= MOMENT_EXPONENT_CAP.
+    in the shift (at most n 2^-1074 relative).  This is proven where
+    rho_max <= 2^-21 (second-order terms at most 2^-21 rho), which holds n
+    and x_n below ~2^30 and every order up to 1025 at sigma >= 0.3; outside
+    it OverflowError is raised before any term is formed.
     """
+    chunks = -(-n // 512)
+    fixed = n + 2 * _LIBM_ULPS + 4 + (2 * _LIBM_ULPS + 1) * chunks  # rho's l-free part, / u
+    if not (fixed + 3 * n + 4 * _moment_exponent(sigma, n)) * _U <= 2.0**-21:
+        raise OverflowError(f"closed form outside its error bound's domain: n={n}, sigma={sigma}")
     c = 1.0 - q
     qm, qe = math.frexp(q)
     cm, ce = math.frexp(c)
@@ -251,8 +257,7 @@ def _integer_log_moment(n: int, q: float, sigma: float) -> tuple[float, float, f
     terms = [math.ldexp(t, e - top) for t, e in zip(mants, exps)]
     total = math.fsum(terms)  # >= 1/2: the largest term's mantissa
     weighted = math.fsum(t * w for t, w in zip(terms, eps)) / total
-    chunks = -(-n // 512)
-    rho = (n + 2 * _LIBM_ULPS + 4 + (2 * _LIBM_ULPS + 1) * chunks + weighted) * _U
+    rho = (fixed + weighted) * _U
     if top <= 1000:
         excess = math.ldexp(total, top)
         y = math.log1p(excess)
@@ -360,8 +365,8 @@ class BoundResult:
     """Output of renyi_step_bound.
 
     The order-alpha moment lies within leading_sum +- remainder.  On the
-    series path bound = log(leading_sum + remainder) / (alpha - 1); at
-    integer orders the bound is a little under that (see
+    series path bound is log(leading_sum + remainder) / (alpha - 1) rounded
+    up; at integer orders the bound is a little under that (see
     ``renyi_step_bound``).  leading_sum and remainder may round to inf at
     extreme parameters even when the bound itself is a moderate number; the
     bound never goes through them.  NaN is rejected.
@@ -395,14 +400,14 @@ def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
     and m is alpha + 1 (the series ends there).  Otherwise leading_sum truncates the
     power series of the order-alpha moment of P/Q in q at order m,
     remainder bounds the discarded tail, and the bound is
-    log(leading_sum + remainder) / (alpha - 1).  One walk up m serves both cases
-    (see ``_series_mpf``): it stops at params.m when that is set, and
-    otherwise once the remainder is negligible.
+    log(leading_sum + remainder) / (alpha - 1), rounded one ulp up.  One walk
+    up m serves both cases (see ``_series_mpf``): it stops at params.m when
+    that is set, and otherwise once the remainder is negligible.
 
-    Moments whose exponent 2k(k-1)/sigma^2 exceeds MOMENT_EXPONENT_CAP are
-    unavailable; when the first truncation (m = 3, or params.m) needs one,
-    OverflowError is raised.  Every path shares that availability rule, so
-    the same orders come out unavailable.
+    The series' moments whose exponent 2k(k-1)/sigma^2 exceeds
+    MOMENT_EXPONENT_CAP are unavailable; when its first truncation (m = 3,
+    or params.m) needs one, OverflowError is raised.  The closed form raises
+    it only outside its error bound's domain (``_integer_log_moment``).
 
     Raises:
         ValueError: bad domain, including q = 1 (the series is an expansion
@@ -410,7 +415,8 @@ def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
             ``renyi_divergence_quadrature`` there).
         BoundBreakdownError: leading_sum + remainder <= 0 (raise m or work
             at a higher precision).
-        OverflowError: no admissible truncation order.
+        OverflowError: no admissible truncation order, or an integer order
+            outside the closed form's domain.
     """
     _check_alpha(alpha)
     if not isinstance(params, MechanismParams):
@@ -419,12 +425,6 @@ def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
         raise ValueError(
             "renyi_step_bound requires q < 1; q = 1 is a pure Gaussian shift, "
             "use renyi_divergence_quadrature"
-        )
-    first = params.m or 3
-    if not _order_available(alpha, params.sigma, first):
-        raise OverflowError(
-            f"series bound unavailable at alpha={alpha}, sigma={params.sigma}: "
-            f"already the m={first} remainder needs moments past the cap"
         )
     if params.m is None and float(alpha).is_integer():
         n = int(alpha)
@@ -441,6 +441,10 @@ def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
         gap = ((n - 1) * (bound - d) + _U * y + err) * (1 + 4 * _U)
         remainder = moment * (math.expm1(gap) + _U) * (1 + 8 * _U)
         return BoundResult(bound=bound, leading_sum=moment, remainder=remainder, m=n + 1)
+    first = params.m or 3
+    if not _order_available(alpha, params.sigma, first):
+        raise OverflowError(f"series bound unavailable at alpha={alpha}, sigma={params.sigma}: "
+                            f"already the m={first} remainder needs moments past the cap")
     m, S, R = _series_mpf(alpha, params.q, params.sigma, params.m)
     with _MP_LOCK, mp.workdps(_BASE_DPS):
         total = S + R
@@ -451,6 +455,8 @@ def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
                 "raise m or the working precision"
             )
         bound = float(mp.log(total) / (mpf(alpha) - 1))
+    if params.q:  # float() rounded the 50-digit value to nearest; q = 0 gives exactly 0
+        bound = math.nextafter(bound, math.inf)
     return BoundResult(bound=bound, leading_sum=float(S), remainder=float(R), m=m)
 
 

@@ -4,6 +4,7 @@ import logging
 import math
 import os
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from fedrdp.accountant import (
     rdp_to_dp,
 )
 from fedrdp.divergence import (
-    MOMENT_EXPONENT_CAP,
     MechanismParams,
     likelihood_ratio_moment,
     renyi_divergence_quadrature,
@@ -512,11 +512,30 @@ def test_compose_heterogeneous_steps_sum():
     led.record(0, 2, StepParams(q=0.05, sigma=4.0, clip=1.0, batch_size=5))
     got = compose_client_rdp(led, 0, alphas=(2.0, 4.0, 16.0))
     for alpha, v in got.items():
-        want = (
-            renyi_step_bound(alpha, MechanismParams(0.01, 2.0)).bound
-            + renyi_step_bound(alpha, MechanismParams(0.05, 4.0)).bound
+        want = math.fsum(
+            math.nextafter(renyi_step_bound(alpha, MechanismParams(q, sigma)).bound, math.inf)
+            for q, sigma in ((0.01, 2.0), (0.05, 4.0))
         )
-        assert v == math.nextafter(want, math.inf)  # composition rounds up
+        # composition rounds each group's product up, then the sum
+        assert v == math.nextafter(want, math.inf)
+
+
+def test_compose_of_several_groups_is_never_below_their_exact_sum():
+    # each group's count x bound rounds to nearest: summed and rounded up
+    # by one ulp only, this ledger composed 5.2e-17 below the exact sum
+    groups = [(0.1, 2.0, 118), (0.02, 1.0, 83)]
+    led = ParticipationLedger()
+    t = 0
+    for q, sigma, count in groups:
+        for _ in range(count):
+            t += 1
+            led.record(0, t, StepParams(q=q, sigma=sigma, clip=1.0, batch_size=1))
+    (value,) = compose_client_rdp(led, 0, alphas=(2.0,)).values
+    exact = sum(
+        count * Fraction(renyi_step_bound(2.0, MechanismParams(q, sigma)).bound)
+        for q, sigma, count in groups
+    )
+    assert Fraction(value) >= exact
 
 
 def test_compose_isolated_between_clients():
@@ -602,7 +621,6 @@ def _composed_curve(q, sigma, steps, alphas=DEFAULT_ALPHAS):
 
 
 def test_calibration_and_composition_share_step_bounds(monkeypatch):
-    # sigma large enough that every default order is finite when composed
     q, sigma, steps = 0.0123, 30.456789, 7
     epsilon, alpha_star, orders = accountant._calibration_epsilon(
         q, sigma, steps, DEFAULT_ALPHAS, 1e-5)
@@ -715,6 +733,16 @@ def test_calibrate_meets_targets_won_above_order_300(epsilon, q, steps):
     assert _curve_epsilon(q, sigma * (1 - 1e-3), steps) > epsilon
 
 
+def test_calibrate_doubles_then_narrows_where_alpha_star_is_1025(monkeypatch):
+    # epsilon used to jump here, at the sigma where order 1025 passed the
+    # exponent cap, and the secant crawled along it for 29 probes
+    sigmas = _count_calibration_sigmas(monkeypatch)
+    calibrate_sigma(PrivacyBudget(0.02, 1e-5), q=0.001, steps=10)
+    # the bracket grows by doubling from the smallest sigma, to [9.6, 19.2]
+    assert sigmas[:7] == [0.3 * 2**k for k in range(7)]
+    assert len(sigmas) <= 20
+
+
 def test_calibrate_pins_to_lower_bracket_when_unconstrained():
     sigma = calibrate_sigma(PrivacyBudget(1e4, 1e-5), q=0.1, steps=1)
     assert sigma == 0.3
@@ -781,30 +809,6 @@ def test_calibrate_evaluates_few_sigmas(monkeypatch, epsilon, q, steps):
     assert 0 < len(sigmas) == len(set(sigmas)) <= 14
 
 
-def test_calibrate_bisects_where_epsilon_is_infinite(monkeypatch):
-    # with orders 48 and 64 only, epsilon is +inf below the sigma at which
-    # order 48 passes the exponent cap
-    alphas = (48.0, 64.0)
-    edge = math.sqrt(2 * 48 * 47 / MOMENT_EXPONENT_CAP)
-    sigmas = _count_calibration_sigmas(monkeypatch)
-    sigma = calibrate_sigma(PrivacyBudget(0.6, 1e-5), q=0.01, steps=100, alphas=alphas)
-    # the bracket grows by doubling from the smallest sigma
-    assert sigmas[:5] == [0.3, 0.6, 1.2, 2.4, 4.8]
-    assert sigma > edge
-    assert _curve_epsilon(0.01, sigma, 100, alphas) <= 0.6
-    assert 0.6 < _curve_epsilon(0.01, sigma * (1 - 1e-3), 100, alphas) < math.inf
-    # a target above epsilon just past the edge: the threshold is the jump
-    # from +inf to finite, so every probe bisects
-    sigmas.clear()
-    sigma = calibrate_sigma(PrivacyBudget(1e4, 1e-5), q=0.01, steps=100, alphas=alphas)
-    # 2.4 meets the target and 1.2 is below the edge, so the first probe
-    # inside [1.2, 2.4] is its midpoint in log sigma
-    assert sigmas[:5] == [0.3, 0.6, 1.2, 2.4, pytest.approx(math.sqrt(1.2 * 2.4), rel=1e-12)]
-    assert sigma * (1 - 2e-4) < edge <= sigma * (1 + 1e-12)
-    assert _curve_epsilon(0.01, sigma, 100, alphas) <= 1e4
-    assert math.isinf(_curve_epsilon(0.01, sigma * (1 - 1e-3), 100, alphas))
-
-
 def test_calibrate_rejects_a_grid_that_is_not_increasing(monkeypatch):
     sigmas = _count_calibration_sigmas(monkeypatch)
     with pytest.raises(ValueError, match="orders must be strictly increasing and > 1"):
@@ -842,7 +846,7 @@ def test_calibrate_fails_fast_below_the_conversion_floor(monkeypatch):
     u_delta=st.floats(0.0, 1.0),
     alphas=st.sampled_from([
         DEFAULT_ALPHAS,
-        (48.0, 64.0),  # +inf at every order below sigma ~1.23
+        (48.0, 64.0),  # integer orders only, none below 48
         (4.0,),
         (2.5,),
         (1.5, 3.5, 7.25, 300.5, 512.0),  # floors 3 and 7 are not in the grid
@@ -876,20 +880,25 @@ def test_calibration_epsilon_skips_orders_that_cannot_win():
     assert full_misses == len(DEFAULT_ALPHAS)
 
 
-def test_inf_orders_are_logged_with_their_reason(caplog):
-    # a q no other test uses, so every step bound is computed afresh
-    q, sigma = 0.0123456789, 0.3
+@pytest.mark.parametrize("alpha, q, sigma", [(300.5, 0.1, 1.0), (2.0**40, 0.01, 1.0)])
+def test_order_without_a_bound_takes_the_full_sampling_divergence(caplog, alpha, q, sigma):
+    # no series at 300.5 (moments past the cap) and no closed form at 2^40
+    # (outside its error bound's domain): composition takes q = 1's
+    # 2 alpha / sigma^2, rounded up, without a log line
+    with pytest.raises(OverflowError):
+        renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma))
     with caplog.at_level(logging.DEBUG, logger="fedrdp.accountant"):
-        curve = _composed_curve(q, sigma, 10)
-    messages = [r.getMessage() for r in caplog.records if r.name == "fedrdp.accountant.inf"]
-    assert {r.levelno for r in caplog.records} == {logging.DEBUG}
-    expected = [
-        f"alpha={alpha!r} q={q!r} sigma={sigma!r}: step bound is inf (moment exponent cap)"
-        for alpha, value in curve.items() if math.isinf(value)
-    ]
-    # the exponent cap is the only reason an order is inf, up to the top of the grid
-    assert 1025.0 in curve.alphas and math.isinf(curve.values[-1])
-    assert sorted(messages) == sorted(expected)
+        (value,) = _composed_curve(q, sigma, 1, (alpha,)).values
+    assert not caplog.records
+    shift = 2 * alpha / sigma**2  # exact here
+    assert shift < value <= shift * (1 + 2.0**-50)
+    if alpha == 300.5:
+        assert value >= renyi_divergence_quadrature(alpha, q, sigma)  # 598.69
+
+
+def test_step_bound_is_inf_only_where_the_full_sampling_divergence_overflows():
+    # sigma^2 underflows to 0, and 2 alpha / sigma^2 overflows
+    assert _composed_curve(0.1, 1e-200, 1, (1.5, 2.0)).values == (math.inf, math.inf)
 
 
 def test_calibrate_logs_each_evaluation_at_debug(caplog, monkeypatch):

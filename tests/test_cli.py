@@ -84,7 +84,7 @@ def test_domain_error_is_usage_exit(capsys):
 
 
 def test_numerical_overflow_exit(capsys):
-    code, _, err = run_cli(capsys, "bound", "--alpha", "512", "--q", "0.1", "--sigma", "0.4")
+    code, _, err = run_cli(capsys, "bound", "--alpha", "300.5", "--q", "0.1", "--sigma", "0.4")
     assert code == cli.EXIT_NUMERICAL
     assert "numerical failure" in err
 

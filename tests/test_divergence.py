@@ -1,6 +1,7 @@
 """Core divergence math: moments, remainder caps, step bound, quadrature."""
 
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
@@ -19,7 +20,6 @@ from fedrdp.accountant import (
     rdp_to_dp,
 )
 from fedrdp.divergence import (
-    MOMENT_EXPONENT_CAP,
     BoundResult,
     MechanismParams,
     QuadratureError,
@@ -253,7 +253,7 @@ def _stated_log_error(n, sigma, exact):
     divergence (so log M = (n-1) exact and E / (1 + E) = 1 - 1/M)."""
     y = (n - 1) * exact
     p = divergence._LIBM_ULPS
-    rho_max = (4 * n + 8 * n * (n - 1) / sigma**2 + 2 * p + 4 + (2 * p + 1) * -(-n // 512)) * U
+    rho_max = (4 * n + 8 * n * (n - 1) / sigma / sigma + 2 * p + 4 + (2 * p + 1) * -(-n // 512)) * U
     return (rho_max * -math.expm1(-y) + (2 * p + 3) * U * y) * (1 + 2.0**-20)
 
 
@@ -280,24 +280,22 @@ def _log_uniform(lo, hi, u):
 @settings(derandomize=True, max_examples=8, deadline=None)
 @given(u_sigma=st.floats(0.0, 1.0), u_q=st.floats(0.0, 1.0))
 def test_step_bound_integer_order_is_exact_closed_form(alpha, u_sigma, u_q):
-    # sigma log-uniform over [0.3, 64], starting where the m=3 remainder's
-    # highest moment (order 4, or alpha rounded up to even) is under the cap
-    need = max(4, int(alpha) + int(alpha) % 2)
-    sigma_min = max(0.3, 1.000001 * math.sqrt(2 * need * (need - 1) / MOMENT_EXPONENT_CAP))
-    sigma = _log_uniform(sigma_min, 64.0, u_sigma)
+    # sigma log-uniform over [0.3, 64]
+    sigma = _log_uniform(0.3, 64.0, u_sigma)
     q = _log_uniform(1e-6, 0.9, u_q)
     r = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma))
     assert 0 <= r.remainder <= _stated_moment_slack(int(alpha), sigma, r.bound) * r.leading_sum
     assert r.m == int(alpha) + 1
     exact = reference.integer_alpha_divergence(int(alpha), q, sigma)
     assert r.bound == pytest.approx(exact, rel=1e-12)
-    # the exact moment never exceeds a truncated series plus its remainder cap
+    # the exact moment never exceeds a truncated series plus its remainder
+    # cap, where the series' moments are under their cap
     for m in (3, 5):
         try:
             series = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=m))
         except OverflowError:
             continue
-        assert exact <= math.nextafter(series.bound, math.inf)
+        assert exact <= series.bound
 
 
 def _check_integer_order_exact(alpha, q, sigma):
@@ -310,7 +308,7 @@ def _check_integer_order_exact(alpha, q, sigma):
     if alpha <= 64:
         series = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=3))
         exact = reference.integer_alpha_divergence(int(alpha), q, sigma)
-        assert exact <= math.nextafter(series.bound, math.inf)
+        assert exact <= series.bound
 
 
 @pytest.mark.parametrize("alpha", INTEGER_ALPHAS)
@@ -324,14 +322,10 @@ def test_step_bound_integer_order_is_exact_at_large_sigma(alpha, u_sigma, u_q):
 
 
 def _switch_cases():
-    # e^{2l(l-1)/sigma^2} = 2 for term l at sigma = sqrt(2 l (l-1) / log 2);
-    # l = 2 needs sigma ~ 2.4, where orders above ~90 are past the cap
+    # e^{2l(l-1)/sigma^2} = 2 for term l at sigma = sqrt(2 l (l-1) / log 2)
     for alpha in INTEGER_ALPHAS:
         for l in sorted({2, int(alpha) // 2, int(alpha)} - {1}):
-            sigma = math.sqrt(2 * l * (l - 1) / math.log(2))
-            need = max(4, int(alpha) + int(alpha) % 2)
-            if 2 * need * (need - 1) / sigma**2 <= MOMENT_EXPONENT_CAP:
-                yield alpha, l, sigma
+            yield alpha, l, math.sqrt(2 * l * (l - 1) / math.log(2))
 
 
 @pytest.mark.parametrize("alpha, l, sigma", list(_switch_cases()))
@@ -367,12 +361,9 @@ def test_integer_order_bound_is_bit_identical_to_the_direct_sum(alpha, sigma):
     # The bound encloses the direct sum within the stated slack.  From
     # sigma ~ 1.4e9 on, x_2 is below 2^-60 and expm1(x) is taken as x; at
     # q = 1e-155 the excess is subnormal at small orders, and at q = 1e-200
-    # (or sigma = 1e200) it underflows to 0.  Capped orders have no bound.
+    # (or sigma = 1e200) it underflows to 0.
     for q in (1e-3, 0.05, 0.5, 1e-155, 1e-200):
-        try:
-            _check_against_direct_sum(alpha, q, sigma)
-        except OverflowError:
-            continue
+        _check_against_direct_sum(alpha, q, sigma)
 
 
 def _branch_cases():
@@ -418,12 +409,9 @@ def test_integer_order_bound_past_float_range(alpha, q, sigma, known):
 def test_integer_order_bound_encloses_the_direct_sum(alpha, u_sigma, u_q, at_top):
     # every integer grid order, sigma log-uniform over [0.3, 1e6] (or 1e6
     # itself, where the excess is ~1e-12 and the relative error matters
-    # most), q log-uniform over [1e-6, 0.9]; orders past the cap are skipped
+    # most), q log-uniform over [1e-6, 0.9]
     sigma = 1e6 if at_top else _log_uniform(0.3, 1e6, u_sigma)
-    try:
-        _check_against_direct_sum(int(alpha), _log_uniform(1e-6, 0.9, u_q), sigma)
-    except OverflowError:
-        assume(False)
+    _check_against_direct_sum(int(alpha), _log_uniform(1e-6, 0.9, u_q), sigma)
 
 
 def test_bound_result_rejects_nan():
@@ -436,23 +424,48 @@ def test_bound_result_rejects_nan():
     assert BoundResult(bound=0.1, leading_sum=math.inf, remainder=math.inf, m=3).bound == 0.1
 
 
-def test_step_bound_unavailable_orders_unchanged():
-    # exponent cap: the m=3 remainder at alpha=128 needs E[(L-1)^128]
-    with pytest.raises(OverflowError):
-        renyi_step_bound(128.0, MechanismParams(q=0.01, sigma=2.7))
-    # at sigma=64 every order is finite, and calibration's epsilon is won at
-    # the top of the grid, as composition's is
-    full = compose_client_rdp(
-        ParticipationLedger().record(0, 1, StepParams(q=0.01, sigma=64.0, clip=1.0, batch_size=1)), 0
-    )
-    assert all(math.isfinite(v) and v > 0 for v in full.values)
-    budget, alpha_star = rdp_to_dp(full, DEFAULT_DELTA)
-    assert alpha_star == 1025.0
-    epsilon, calibration_alpha, _ = _calibration_epsilon(0.01, 64.0, 1, DEFAULT_ALPHAS, DEFAULT_DELTA)
-    assert (epsilon, calibration_alpha) == (budget.epsilon, alpha_star)
-    ledger = ParticipationLedger().record(0, 1, StepParams(q=0.004, sigma=1.0, clip=1.0, batch_size=1))
-    curve = compose_client_rdp(ledger, 0)
-    assert [a for a, v in curve.items() if math.isinf(v)] == [48.0, 64.0, 128.0, 256.0, 512.0, 1025.0]
+@pytest.mark.parametrize("sigma", [0.3, 0.5, 1.0, 64.0])
+def test_every_default_order_is_finite_and_above_the_truth(sigma):
+    # integer orders against the 60-digit closed form, fractional ones
+    # against the oracle, down to calibration's smallest sigma; calibration
+    # converts the same curve, also where it is won at order 1025 (sigma = 64)
+    for q in (1e-3, 0.2):
+        ledger = ParticipationLedger().record(0, 1, StepParams(q=q, sigma=sigma, clip=1.0, batch_size=1))
+        curve = compose_client_rdp(ledger, 0)
+        budget, alpha_star = rdp_to_dp(curve, DEFAULT_DELTA)
+        epsilon, calibration_alpha, _ = _calibration_epsilon(q, sigma, 1, DEFAULT_ALPHAS, DEFAULT_DELTA)
+        assert (epsilon, calibration_alpha) == (budget.epsilon, alpha_star)
+        for alpha, value in curve.items():
+            assert math.isfinite(value)
+            if alpha.is_integer():
+                with mp.workdps(60):
+                    excess = reference.integer_moment_excess_direct(int(alpha), q, sigma)
+                    assert mp.mpf(value) >= mp.log1p(excess) / (alpha - 1)
+            else:
+                assert value >= renyi_divergence_quadrature(alpha, q, sigma)
+
+
+def test_closed_form_domain_is_checked_before_its_loop():
+    # the error bound holds while rho_max <= 2^-21: at order 1025 down to
+    # sigma ~0.04422, and at no sigma for order 2^40, whose loop would run
+    # ~2^40 times
+    _check_against_direct_sum(1025, 0.5, 0.0443)
+    for alpha, sigma in [(1025.0, 0.0442), (2.0**40, 1.0)]:
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match="domain"):
+            renyi_step_bound(alpha, MechanismParams(q=0.01, sigma=sigma))
+        assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("alpha, q, sigma, m", [(2, 1.497e-4, 23.63, 5), (4, 1e-6, 0.3, 3)])
+def test_series_bound_is_rounded_up(alpha, q, sigma, m):
+    # rounded to nearest, both bounds were below the exact divergence by
+    # under one ulp: at m = 5 the series terminates, at m = 3 < alpha its
+    # remainder cap is near tight
+    r = renyi_step_bound(float(alpha), MechanismParams(q=q, sigma=sigma, m=m))
+    with mp.workdps(60):
+        excess = reference.integer_moment_excess_direct(alpha, q, sigma)
+        assert mp.mpf(r.bound) >= mp.log1p(excess) / (alpha - 1)
 
 
 # --- quadrature oracle ------------------------------------------------------
