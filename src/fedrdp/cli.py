@@ -105,6 +105,7 @@ def cmd_bound(args) -> int:
         q=args.q,
         sigma=args.sigma,
         m=result.m,
+        path=result.path,
         bound=result.bound,
         leading_sum=result.leading_sum,
         remainder=result.remainder,
@@ -246,7 +247,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--m", type=int, default=None, help="explicit truncation order (default: adaptive)")
+    p.add_argument("--m", type=int, default=None,
+                   help="truncate the power series in q at this order (default: the closed "
+                        "form at integer orders, the split series at fractional ones)")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("oracle", help="quadrature value of the true divergence")

@@ -1,27 +1,24 @@
 """One-step Renyi divergence bounds for fixed-size subsampled Gaussian noise.
 
-Everything in this module is about the pair of one-dimensional distributions
+Everything here is about the pair of one-dimensional distributions
 
     P = q * N(1, s^2) + (1 - q) * N(0, s^2)        Q = N(0, s^2)
 
-with s = sigma / 2.  Callers always pass the noise multiplier sigma; the
-variance convention s = sigma/2 is applied internally and never exposed.
-``renyi_step_bound`` evaluates a closed-form upper bound on D_alpha(P || Q).
-At integer orders it is the binomial closed form of Mironov, Talwar & Zhang,
-"Renyi Differential Privacy of the Sampled Gaussian Mechanism"
-(arXiv:1908.10530), with sigma -> sigma/2, in float64 and rounded up by a
-stated error bound; at fractional orders it is a truncated power series in q
-plus an explicit remainder bound, built by one walk up the truncation order
-that adds a term per step.  ``renyi_divergence_quadrature`` evaluates the
-same divergence by numerical integration so the routes can be checked
-against each other.
+with s = sigma / 2; callers pass the noise multiplier sigma.
+``renyi_step_bound`` bounds D_alpha(P || Q) from the moment E_Q[(P/Q)^alpha]
+by a route of Mironov, Talwar & Zhang, "Renyi Differential Privacy of the
+Sampled Gaussian Mechanism" (arXiv:1908.10530), with sigma -> sigma/2: the
+binomial closed form at integer orders, the split binomial series at
+fractional ones (both in float64 in ``fedrdp._float64``, rounded up by a
+stated error bound), or, given a truncation order m, the power series in q
+with a remainder bound.
+``renyi_divergence_quadrature`` evaluates the divergence by numerical
+integration, so the routes can be checked against it.
 
-All functions are pure.  The integer closed form has only nonnegative terms,
-so float64 evaluates it without cancellation.  The series moments alternate
-in sign and cancel catastrophically in double precision, so the series and
-the quadrature use extended-precision arithmetic (mpmath); a module lock
-serialises access to the mpmath context, so concurrent callers are safe
-(just not parallel).
+All functions are pure.  The power series' moments alternate in sign and
+cancel catastrophically in double precision, so the series and the
+quadrature use mpmath; a module lock serialises access to its context, so
+concurrent callers are safe (just not parallel).
 """
 
 from __future__ import annotations
@@ -33,6 +30,8 @@ from functools import lru_cache
 from math import ceil, factorial
 
 from mpmath import mp, mpf
+
+from ._float64 import _U, _integer_log_moment, _moment_exponent, _split_log_moment
 
 __all__ = [
     "MechanismParams",
@@ -62,15 +61,6 @@ MOMENT_CACHE_SIZE = 1024
 # mpmath's precision state is process-global; serialise all use of it.
 _MP_LOCK = threading.RLock()
 
-# Unit roundoff of float64, and the error assumed of each libm call (exp,
-# expm1, log, log1p, pow) in ulps; see ``_integer_log_moment``.
-_U = 2.0**-53
-_LIBM_ULPS = 2
-# Above this x, expm1(x) is taken as e^(x - k ln 2) 2^k so it cannot overflow.
-_EXP_SPLIT = 700.0
-_LN2 = math.log(2.0)
-
-
 class QuadratureError(ArithmeticError):
     """Numerical integration did not reach the requested tolerance."""
 
@@ -96,10 +86,6 @@ def _check_positive_sigma(sigma: float) -> None:
 def _check_alpha(alpha: float) -> None:
     if not (_is_real(alpha) and math.isfinite(alpha) and alpha > 1):
         raise ValueError(f"alpha must be a finite real > 1, got {alpha!r}")
-
-
-def _moment_exponent(sigma: float, k: int) -> float:
-    return 2.0 * k * (k - 1) / sigma / sigma  # inf, not ZeroDivisionError, if sigma^2 underflows
 
 
 @lru_cache(maxsize=MOMENT_CACHE_SIZE)
@@ -179,101 +165,6 @@ def likelihood_ratio_moment(sigma: float, k: int) -> float:
     return value
 
 
-def _integer_log_moment(n: int, q: float, sigma: float) -> tuple[float, float, float]:
-    """log E_Q[(P/Q)^n] in float64, for integer n >= 2 and 0 < q < 1: (y, err, moment).
-
-    The moment is 1 + E, E = sum_{l=2}^{n} t_l, t_l = w_l expm1(x_l) with
-    w_l = C(n,l) q^l (1-q)^(n-l) and x_l = 2l(l-1)/sigma^2 (the binomial
-    expansion of ((1-q) + qL)^n with E[L^l] = e^{x_l}); no term is negative,
-    so nothing cancels.  y is log1p(E) as computed, moment is 1 + E (inf past
-    float range), and |y - log(1 + E)| <= err.
-
-    Every quantity is a mantissa and a power of two (``math.frexp``): w_0 =
-    (1-q)^n is pow() of (1-q)'s mantissa in chunks of 512, w_l is carried as
-    w_{l-1} q/(1-q) (n-l+1)/l, expm1(x_l) is taken as x_l below 2^-60 and as
-    e^{x_l - k ln 2} 2^k above 700 (larger by a relative e^-700), and the
-    terms, shifted by the largest exponent, go through ``math.fsum``.
-
-    Error bound.  u = 2^-53, and each libm exp, expm1, log, log1p and pow
-    call is assumed within P = _LIBM_ULPS = 2 ulps (relative 2Pu), twice the
-    1 ulp that the glibc manual's table "Known Maximum Errors in Math
-    Functions" lists for them.  To first order t_l is within
-    eps_l = (n + 3l + 4x_l + 2P + 4 + (2P+1) ceil(n/512)) u:
-      - the weight within (n + 3l + (2P+1) ceil(n/512)) u: (n-l) u from
-        rounding 1 - q, which enters as (1-q)^(n-l); l u from rounding
-        q/(1-q); three roundings per carry step; (2P+1) u per pow chunk;
-      - the factor within (2P + 2 + 4x_l) u: x_l is rounded twice (relative
-        2u), which moves expm1 by at most (1 + x_l) 2u, and above 700 the
-        split's k ln 2 adds at most 1.73 x_l u;
-      - one rounding of the product, and one of the fsum.
-    So E is within rho = sum_l t_l eps_l / E <= rho_max =
-    (4n + 4x_n + 2P + 4 + (2P+1) ceil(n/512)) u, and the log adds
-    (2P + 3) u y (log1p's error; or, past E = 2^1000, log of the mantissa
-    plus k ln 2, and the dropped log1p(1/E) < 2^-1000).  Hence
-        err = (rho E / (1 + E) + (2P + 3) u y) (1 + 2^-20) <= Delta_max,
-    Delta_max being the same with rho_max.  The factor 1 + 2^-20 covers the
-    second-order terms, err's own rounding and the terms lost to underflow
-    in the shift (at most n 2^-1074 relative).  This is proven where
-    rho_max <= 2^-21 (second-order terms at most 2^-21 rho), which holds n
-    and x_n below ~2^30 and every order up to 1025 at sigma >= 0.3; outside
-    it OverflowError is raised before any term is formed.
-    """
-    chunks = -(-n // 512)
-    fixed = n + 2 * _LIBM_ULPS + 4 + (2 * _LIBM_ULPS + 1) * chunks  # rho's l-free part, / u
-    if not (fixed + 3 * n + 4 * _moment_exponent(sigma, n)) * _U <= 2.0**-21:
-        raise OverflowError(f"closed form outside its error bound's domain: n={n}, sigma={sigma}")
-    c = 1.0 - q
-    qm, qe = math.frexp(q)
-    cm, ce = math.frexp(c)
-    ratio = qm / c  # q / (1-q) = ratio 2^qe
-    sm, se = math.frexp(sigma)
-    s2 = sm * sm  # sigma^2 = s2 4^se
-    wm, we = 1.0, ce * n  # w_0 = cm^n 2^(ce n)
-    for done in range(0, n, 512):
-        wm, e = math.frexp(wm * cm ** min(512, n - done))
-        we += e
-    mants, exps, eps = [], [], []  # eps: the l-dependent part of eps_l / u
-    for l in range(1, n + 1):
-        wm, e = math.frexp(wm * ratio * (n - l + 1) / l)
-        we += e + qe
-        if l == 1:
-            continue
-        xm = 2 * l * (l - 1) / s2  # x_l = xm 4^-se
-        x = math.ldexp(xm, -2 * se)
-        if x < 2.0**-60:
-            fm, fe = math.frexp(xm)
-            fe -= 2 * se
-        elif x <= _EXP_SPLIT:
-            fm, fe = math.frexp(math.expm1(x))
-        else:
-            k = int(x / _LN2)
-            fm, fe = math.frexp(math.exp(x - k * _LN2))
-            fe += k
-        tm, te = math.frexp(wm * fm)
-        mants.append(tm)
-        exps.append(we + fe + te)
-        eps.append(3 * l + 4 * x)
-    top = max(exps)
-    terms = [math.ldexp(t, e - top) for t, e in zip(mants, exps)]
-    total = math.fsum(terms)  # >= 1/2: the largest term's mantissa
-    weighted = math.fsum(t * w for t, w in zip(terms, eps)) / total
-    rho = (fixed + weighted) * _U
-    if top <= 1000:
-        excess = math.ldexp(total, top)
-        y = math.log1p(excess)
-        err = rho * excess / (1.0 + excess)
-        moment = 1.0 + excess
-    else:
-        y = math.log(total) + top * _LN2
-        err = rho
-        try:
-            moment = math.ldexp(total, top)
-        except OverflowError:
-            moment = math.inf
-    err = (err + (2 * _LIBM_ULPS + 3) * _U * y) * (1 + 2.0**-20)
-    return y, err, moment
-
-
 def _order_available(alpha: float, sigma: float, m: int) -> bool:
     """Whether every moment the remainder at truncation m touches is under the cap."""
     top = ceil(alpha) if alpha - m > 0 else m  # highest order touched
@@ -281,71 +172,57 @@ def _order_available(alpha: float, sigma: float, m: int) -> bool:
     return _moment_exponent(sigma, need) <= MOMENT_EXPONENT_CAP
 
 
-def _series_mpf(alpha: float, q: float, sigma: float, m_stop: int | None):
-    """The power series of E_Q[(P/Q)^alpha] in q, truncated: (m, S, R) as mpf.
+def _series_mpf(alpha: float, q: float, sigma: float, m: int):
+    """The power series of E_Q[(P/Q)^alpha] in q, truncated at order m: (S, R) as mpf.
 
     S = 1 + sum_{k=2}^{m-1} (q^k / k!) (alpha)_k E[(L-1)^k] is the leading
-    sum at truncation order m, and R bounds the magnitude of the discarded
-    tail.  m walks up from 3; each step adds one term to S and carries q^k
-    and the signed falling factorial (alpha)_k forward, and |(alpha)_m| is
+    sum, and R bounds the magnitude of the discarded tail.  Each step carries
+    q^k and the signed falling factorial (alpha)_k forward, and |(alpha)_m| is
     the prod_{j<m} |alpha - j| that R needs (rounding is symmetric in sign,
-    so the two agree bit for bit).  R has two regimes: for alpha > m the
-    tail is controlled through the moments up to order ceil(alpha) + 1; for
+    so the two agree bit for bit).  R has two regimes: for alpha > m the tail
+    is controlled through the moments up to order ceil(alpha) + 1; for
     alpha <= m a single moment of order m (or its odd-order interpolation)
-    suffices, weighted by (1-q)^(alpha-m).
-
-    With m_stop the walk ends there, and R is formed only there.  Otherwise
-    it stops as soon as R < max(1e-12, 1e-6 * (S - 1)), or at
-    m = ceil(alpha) + 4, or before an m whose moments are past the exponent
-    cap.  The caller has checked that the first m (3, or m_stop) is
+    suffices, weighted by (1-q)^(alpha-m).  The caller has checked that m is
     available.
     """
     top = ceil(alpha)
     with _MP_LOCK, mp.workdps(_BASE_DPS):
         al, qq = mpf(alpha), mpf(q)
-        S, qpow, ff = mpf(1), qq * qq, al * (al - 1)  # q^m and (alpha)_m at m = 2
-        floor, rel = mpf("1e-12"), mpf("1e-6")
-        for m in range(3, (m_stop or top + 4) + 1):
-            if m_stop is None and not _order_available(alpha, sigma, m):
-                break
-            S += (qpow / mpf(factorial(m - 1))) * ff * _moment_mpf(sigma, m - 1)
+        S, qpow, ff = mpf(1), qq * qq, al * (al - 1)  # q^k and (alpha)_k at k = 2
+        for k in range(2, m):
+            S += (qpow / mpf(factorial(k))) * ff * _moment_mpf(sigma, k)
             qpow *= qq
-            ff *= al - (m - 1)
-            if m_stop is not None and m < m_stop:
-                continue
-            prod = abs(ff)
-            if prod == 0:
-                R = mpf(0)  # alpha is an integer < m: the series terminates
-            elif alpha > m:
-                tail = mpf(0)
-                ql = mpf(1)
-                for l in range(top - m + 1):
-                    coef = mpf(factorial(top - m)) / (
-                        mpf(factorial(top - m - l)) * mpf(factorial(m + l))
-                    )
-                    tail += ql * coef * _abs_moment_mpf(sigma, m + l)
-                    ql *= qq
-                tail += _abs_moment_mpf(sigma, m) / mpf(factorial(m))
-                R = qq ** m * prod * tail
-            else:
-                R = (
-                    (qq ** m / mpf(factorial(m)))
-                    * (1 - qq) ** (al - m)
-                    * prod
-                    * _abs_moment_mpf(sigma, m)
+            ff *= al - k
+        prod = abs(ff)
+        if prod == 0:
+            R = mpf(0)  # alpha is an integer < m: the series terminates
+        elif alpha > m:
+            tail = mpf(0)
+            ql = mpf(1)
+            for l in range(top - m + 1):
+                coef = mpf(factorial(top - m)) / (
+                    mpf(factorial(top - m - l)) * mpf(factorial(m + l))
                 )
-            found = (m, S, R)
-            if R < max(floor, rel * (S - 1)):
-                break
-    return found
+                tail += ql * coef * _abs_moment_mpf(sigma, m + l)
+                ql *= qq
+            tail += _abs_moment_mpf(sigma, m) / mpf(factorial(m))
+            R = qq ** m * prod * tail
+        else:
+            R = (
+                (qq ** m / mpf(factorial(m)))
+                * (1 - qq) ** (al - m)
+                * prod
+                * _abs_moment_mpf(sigma, m)
+            )
+    return S, R
 
 
 @dataclass(frozen=True)
 class MechanismParams:
     """One mechanism step: sampling fraction q, noise multiplier sigma.
 
-    m is the series truncation order; leave it None to have
-    ``renyi_step_bound`` pick one adaptively.
+    m is the series truncation order; leave it None for the float64 paths of
+    ``renyi_step_bound``.
     """
 
     q: float
@@ -360,63 +237,70 @@ class MechanismParams:
             raise ValueError(f"m must be None or an integer >= 3, got {self.m!r}")
 
 
+_BOUND_PATHS = ("closed_form", "split", "series")
+
+
 @dataclass(frozen=True)
 class BoundResult:
     """Output of renyi_step_bound.
 
     The order-alpha moment lies within leading_sum +- remainder.  On the
     series path bound is log(leading_sum + remainder) / (alpha - 1) rounded
-    up; at integer orders the bound is a little under that (see
+    up; on the float64 paths it is a little under that (see
     ``renyi_step_bound``).  leading_sum and remainder may round to inf at
     extreme parameters even when the bound itself is a moderate number; the
     bound never goes through them.  NaN is rejected.
+
+    path names the evaluation: "closed_form" (integer orders; m = alpha + 1,
+    where the series ends), "split" (fractional orders; m is the number of
+    terms summed, and leading_sum + remainder is the certified upper end) or
+    "series" (an explicit truncation order m).
     """
 
     bound: float
     leading_sum: float
     remainder: float
     m: int
+    path: str = "series"
 
     def __post_init__(self):
         if math.isnan(self.bound) or math.isnan(self.remainder):
             raise ValueError("bound and remainder must not be NaN")
         if self.remainder < 0:
             raise ValueError("remainder must be nonnegative")
+        if self.path not in _BOUND_PATHS:
+            raise ValueError(f"path must be one of {_BOUND_PATHS}, got {self.path!r}")
 
 
 def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
-    """Closed-form upper bound on D_alpha(P || Q) for one mechanism step.
+    """Upper bound on D_alpha(P || Q) for one mechanism step.
 
     P = q N(1, s^2) + (1-q) N(0, s^2), Q = N(0, s^2), s = sigma/2.
 
-    With params.m None and integer alpha, the moment comes from the binomial
-    closed form of Mironov, Talwar & Zhang (arXiv:1908.10530) with
-    sigma -> sigma/2, as its log y within err (``_integer_log_moment``).
-    bound is (y + err) / (alpha - 1) plus the division's rounding, then one
-    ulp up (``math.nextafter``): never below the exact divergence D, and above
-    it by at most 2 Delta_max / (alpha - 1) + 6u D (u = 2^-53; ~1e-13
-    relative or less).  leading_sum is the float64 moment, remainder the
-    exp-domain slack, at most leading_sum (expm1(2 Delta_max + 6u y) + u),
-    and m is alpha + 1 (the series ends there).  Otherwise leading_sum truncates the
-    power series of the order-alpha moment of P/Q in q at order m,
-    remainder bounds the discarded tail, and the bound is
-    log(leading_sum + remainder) / (alpha - 1), rounded one ulp up.  One walk
-    up m serves both cases (see ``_series_mpf``): it stops at params.m when
-    that is set, and otherwise once the remainder is negligible.
+    With params.m None the log moment comes in float64 as y within err: from
+    the closed form at integer alpha (``_integer_log_moment``), from the
+    split series' certified upper end at fractional alpha
+    (``_split_log_moment``).  bound is (y + err) / (alpha - 1) plus the
+    division's rounding, one ulp up: never below the exact divergence D.  At
+    integer orders it exceeds D by at most 2 Delta_max / (alpha - 1) + 6u D
+    (u = 2^-53; ~1e-13 relative or less), and remainder, the exp-domain
+    slack, is at most leading_sum (expm1(2 Delta_max + 6u y) + u).  At
+    fractional orders leading_sum is the bracket's lower end and remainder
+    its width plus that slack; the stopping rule keeps the width below
+    max(1e-12, 1e-6 (M - 1)) for the moment M, unless the walk runs out of
+    terms.
 
-    The series' moments whose exponent 2k(k-1)/sigma^2 exceeds
-    MOMENT_EXPONENT_CAP are unavailable; when its first truncation (m = 3,
-    or params.m) needs one, OverflowError is raised.  The closed form raises
-    it only outside its error bound's domain (``_integer_log_moment``).
+    With params.m set, leading_sum truncates the power series of the moment
+    in q at order m (``_series_mpf``), remainder bounds the discarded tail,
+    and bound is log(leading_sum + remainder) / (alpha - 1), one ulp up.
 
     Raises:
         ValueError: bad domain, including q = 1 (the series is an expansion
             around q = 0 and its remainder bound fails at the endpoint; use
             ``renyi_divergence_quadrature`` there).
-        BoundBreakdownError: leading_sum + remainder <= 0 (raise m or work
-            at a higher precision).
-        OverflowError: no admissible truncation order, or an integer order
-            outside the closed form's domain.
+        BoundBreakdownError: leading_sum + remainder <= 0 on the series path.
+        OverflowError: a series truncation whose moments are past
+            MOMENT_EXPONENT_CAP, or an order outside a float64 path's domain.
     """
     _check_alpha(alpha)
     if not isinstance(params, MechanismParams):
@@ -426,38 +310,53 @@ def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
             "renyi_step_bound requires q < 1; q = 1 is a pure Gaussian shift, "
             "use renyi_divergence_quadrature"
         )
-    if params.m is None and float(alpha).is_integer():
-        n = int(alpha)
-        if params.q == 0:  # P = Q
-            return BoundResult(bound=0.0, leading_sum=1.0, remainder=0.0, m=n + 1)
-        y, err, moment = _integer_log_moment(n, params.q, params.sigma)
-        d = y / (n - 1)
-        # d is within u d of y / (n-1), and log M within err of y; 2^-1070
-        # covers the absolute error of a subnormal d
-        slack = (err / (n - 1) + _U * d) * (1 + 2.0**-20) + 2.0**-1070
-        bound = math.nextafter(d + slack, math.inf)
-        # exp-domain slack: M >= e^(y - err), e^((n-1) bound) = e^(y - err) e^gap;
+    if params.m is not None:
+        return _series_bound(alpha, params)
+    integer = float(alpha).is_integer()
+    path = "closed_form" if integer else "split"
+    if params.q == 0:  # P = Q
+        return BoundResult(bound=0.0, leading_sum=1.0, remainder=0.0,
+                           m=int(alpha) + 1 if integer else 1, path=path)
+    if integer:
+        y, err, moment = _integer_log_moment(int(alpha), params.q, params.sigma)
+        m = int(alpha) + 1
+    else:
+        y, err, lower, spread, m = _split_log_moment(alpha, params.q, params.sigma)
+    d = y / (alpha - 1)
+    # d is within u d of y / (alpha-1), and log M within err of y; 2^-1070
+    # covers the absolute error of a subnormal d
+    slack = (err / (alpha - 1) + _U * d) * (1 + 2.0**-20) + 2.0**-1070
+    bound = math.nextafter(d + slack, math.inf)
+    # exp-domain slack: e^((alpha-1) bound) <= e^(y + err) e^gap, and e^(y + err)
+    # bounds the moment (integer) or the upper end (split)
+    gap = ((alpha - 1) * (bound - d) + _U * y + err) * (1 + 4 * _U)
+    if integer:
         # the added u covers the rounding of leading_sum = 1 + E itself
-        gap = ((n - 1) * (bound - d) + _U * y + err) * (1 + 4 * _U)
         remainder = moment * (math.expm1(gap) + _U) * (1 + 8 * _U)
-        return BoundResult(bound=bound, leading_sum=moment, remainder=remainder, m=n + 1)
-    first = params.m or 3
-    if not _order_available(alpha, params.sigma, first):
+        return BoundResult(bound=bound, leading_sum=moment, remainder=remainder, m=m, path=path)
+    # 8u covers the roundings of lower and spread
+    remainder = (spread + (lower + spread) * (math.expm1(gap) + 8 * _U)) * (1 + 8 * _U)
+    return BoundResult(bound=bound, leading_sum=lower, remainder=remainder, m=m, path=path)
+
+
+def _series_bound(alpha: float, params: MechanismParams) -> BoundResult:
+    """``renyi_step_bound`` on the series path, truncated at params.m."""
+    if not _order_available(alpha, params.sigma, params.m):
         raise OverflowError(f"series bound unavailable at alpha={alpha}, sigma={params.sigma}: "
-                            f"already the m={first} remainder needs moments past the cap")
-    m, S, R = _series_mpf(alpha, params.q, params.sigma, params.m)
+                            f"the m={params.m} remainder needs moments past the cap")
+    S, R = _series_mpf(alpha, params.q, params.sigma, params.m)
     with _MP_LOCK, mp.workdps(_BASE_DPS):
         total = S + R
         if total <= 0:
             raise BoundBreakdownError(
-                f"leading_sum + remainder = {float(total):.6g} <= 0 at m={m} "
+                f"leading_sum + remainder = {float(total):.6g} <= 0 at m={params.m} "
                 f"(alpha={alpha}, q={params.q}, sigma={params.sigma}); "
                 "raise m or the working precision"
             )
         bound = float(mp.log(total) / (mpf(alpha) - 1))
     if params.q:  # float() rounded the 50-digit value to nearest; q = 0 gives exactly 0
         bound = math.nextafter(bound, math.inf)
-    return BoundResult(bound=bound, leading_sum=float(S), remainder=float(R), m=m)
+    return BoundResult(bound=bound, leading_sum=float(S), remainder=float(R), m=params.m)
 
 
 def _mixture_power_integral_mpf(alpha: float, q: float, sigma: float):

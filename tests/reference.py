@@ -122,6 +122,36 @@ def integer_moment_excess_direct(n: int, q: float, sigma: float) -> mp.mpf:
         return +total
 
 
+# --- split binomial series ----------------------------------------------------
+#
+# The terms of the split series at 40 digits, each from its own generalised
+# binomial, powers, exp and erfc: nothing carried between terms.  The split
+# point is the float64 value the package computes, since the terms depend on
+# it (their sum over all terms does not).
+
+
+def split_series_bracket(alpha: float, q: float, sigma: float, n: int, dps: int = 40):
+    """(lower, upper): the terms 0..n of both sides of the split series, plus
+    the negative (lower) or positive (upper) terms n + 1, at dps digits."""
+    z0 = (math.log1p(-q) - math.log(q)) * (sigma * sigma / 2.0 / 2.0) + 0.5
+    with mp.workdps(dps):
+        al, qm, z = mp.mpf(alpha), mp.mpf(q), mp.mpf(z0)
+        s = mp.mpf(sigma) / 2
+        r2s = mp.sqrt(2) * s
+
+        def side(i):
+            j = al - i
+            left = (qm**i * (1 - qm) ** (al - i) * mp.exp((i * i - i) / (2 * s * s))
+                    * mp.erfc((i - z) / r2s) / 2)
+            right = (qm**j * (1 - qm) ** i * mp.exp((j * j - j) / (2 * s * s))
+                     * mp.erfc((z - j) / r2s) / 2)
+            return mp.binomial(al, i) * (left + right)
+
+        partial = mp.fsum(side(i) for i in range(n + 1))
+        nxt = side(n + 1)
+        return partial + min(nxt, 0), partial + max(nxt, 0)
+
+
 # --- truncated series leading sum -----------------------------------------
 #
 # Expanding E_Q[((1-q) + q L)^alpha] = E_Q[(1 + q (L-1))^alpha] in q gives

@@ -882,18 +882,22 @@ def test_calibration_epsilon_skips_orders_that_cannot_win():
 
 @pytest.mark.parametrize("alpha, q, sigma", [(300.5, 0.1, 1.0), (2.0**40, 0.01, 1.0)])
 def test_order_without_a_bound_takes_the_full_sampling_divergence(caplog, alpha, q, sigma):
-    # no series at 300.5 (moments past the cap) and no closed form at 2^40
-    # (outside its error bound's domain): composition takes q = 1's
-    # 2 alpha / sigma^2, rounded up, without a log line
-    with pytest.raises(OverflowError):
-        renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma))
+    # no closed form at 2^40 (outside its domain): composition takes q = 1's
+    # 2 alpha / sigma^2, rounded up, without a log line.  Order 300.5, which
+    # the power series in q could not bound (moments past the cap), has the
+    # split series' bound, between the oracle and 2 alpha / sigma^2
+    shift = 2 * alpha / sigma**2  # exact here
     with caplog.at_level(logging.DEBUG, logger="fedrdp.accountant"):
         (value,) = _composed_curve(q, sigma, 1, (alpha,)).values
     assert not caplog.records
-    shift = 2 * alpha / sigma**2  # exact here
-    assert shift < value <= shift * (1 + 2.0**-50)
     if alpha == 300.5:
-        assert value >= renyi_divergence_quadrature(alpha, q, sigma)  # 598.69
+        r = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma))
+        assert value == math.nextafter(r.bound, math.inf)
+        assert renyi_divergence_quadrature(alpha, q, sigma) <= r.bound < shift  # 598.69 < 601
+        return
+    with pytest.raises(OverflowError):
+        renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma))
+    assert shift < value <= shift * (1 + 2.0**-50)
 
 
 def test_step_bound_is_inf_only_where_the_full_sampling_divergence_overflows():

@@ -84,7 +84,8 @@ def test_domain_error_is_usage_exit(capsys):
 
 
 def test_numerical_overflow_exit(capsys):
-    code, _, err = run_cli(capsys, "bound", "--alpha", "300.5", "--q", "0.1", "--sigma", "0.4")
+    # the m = 3 remainder at order 300.5 needs moments past the series' cap
+    code, _, err = run_cli(capsys, "bound", "--alpha", "300.5", "--q", "0.1", "--sigma", "0.4", "--m", "3")
     assert code == cli.EXIT_NUMERICAL
     assert "numerical failure" in err
 
@@ -120,6 +121,7 @@ def test_bound_output_matches_library(capsys):
     assert float(kv["oracle"]) == oracle
     assert float(kv["remainder"]) == expect.remainder
     assert int(kv["m"]) == expect.m
+    assert kv["path"] == expect.path == "closed_form"
 
 
 def test_bound_zero_sampling(capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference
-from fedrdp import divergence
+from fedrdp import _float64, divergence
 from fedrdp.accountant import (
     DEFAULT_ALPHAS,
     DEFAULT_DELTA,
@@ -27,6 +27,9 @@ from fedrdp.divergence import (
     renyi_divergence_quadrature,
     renyi_step_bound,
 )
+
+
+U = 2.0**-53
 
 
 # --- moments --------------------------------------------------------------
@@ -179,27 +182,25 @@ def test_step_bound_leading_sum_is_the_truncated_series(alpha, q, sigma):
 @pytest.mark.parametrize("q", [1e-3, 0.05, 0.5])
 @pytest.mark.parametrize("sigma", [0.25, 0.8, 2.0, 8.0])
 def test_adaptive_truncation_is_the_explicit_one_where_it_stops(alpha, q, sigma):
-    # the adaptive walk reports the explicit-m result at the m it stops at,
-    # and it stops at the first m whose remainder is negligible, at
-    # m = ceil(alpha) + 4, or before an m past the exponent cap
-    params = MechanismParams(q=q, sigma=sigma)
-    try:
-        adaptive = renyi_step_bound(alpha, params)
-    except OverflowError:
-        with pytest.raises(OverflowError):
-            renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=3))
+    # Without m, a fractional order takes the split series, which stops where
+    # its rule says: at a pair of terms past alpha (m counts both sides), once
+    # the two first omitted terms, which bound the tail, are below
+    # max(1e-12, 1e-6 (M - 1)); the remainder is that plus the float64 error
+    # bound.  Its lower end never exceeds an explicit truncation's upper end.
+    r = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma))
+    assert r.path == "split"
+    assert r.m % 2 == 0 and r.m // 2 > alpha
+    if math.isinf(r.leading_sum):
         return
-
-    def negligible(r):
-        return r.remainder < max(1e-12, 1e-6 * (r.leading_sum - 1))
-
-    for m in range(3, adaptive.m):
-        assert not negligible(renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=m))), m
-    explicit = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=adaptive.m))
-    assert adaptive == explicit
-    if not (negligible(explicit) or adaptive.m == math.ceil(alpha) + 4):
-        with pytest.raises(OverflowError):
-            renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=adaptive.m + 1))
+    rule = max(1e-12, 1e-6 * (r.leading_sum - 1))
+    assert r.remainder <= rule * (1 + 1e-6) + 1e3 * U * r.leading_sum
+    for m in (3, 4, 5):
+        try:
+            explicit = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=m))
+        except OverflowError:
+            continue
+        assert explicit.path == "series" and explicit.m == m
+        assert math.log(r.leading_sum) / (alpha - 1) <= explicit.bound
 
 
 def test_step_bound_rejects_full_sampling():
@@ -244,15 +245,13 @@ def test_step_bound_internal_consistency(alpha, q, sigma):
 
 INTEGER_ALPHAS = [a for a in DEFAULT_ALPHAS if a.is_integer() and a <= 256]
 
-U = 2.0**-53
-
 
 def _stated_log_error(n, sigma, exact):
-    """Delta_max of ``divergence._integer_log_moment``: the stated bound on the
+    """Delta_max of ``_float64._integer_log_moment``: the stated bound on the
     error of the float64 log moment at integer order n, given the exact
     divergence (so log M = (n-1) exact and E / (1 + E) = 1 - 1/M)."""
     y = (n - 1) * exact
-    p = divergence._LIBM_ULPS
+    p = _float64._LIBM_ULPS
     rho_max = (4 * n + 8 * n * (n - 1) / sigma / sigma + 2 * p + 4 + (2 * p + 1) * -(-n // 512)) * U
     return (rho_max * -math.expm1(-y) + (2 * p + 3) * U * y) * (1 + 2.0**-20)
 
@@ -372,7 +371,7 @@ def _branch_cases():
         yield n, 2.0**31
     # x_n = 700, above which expm1(x) is taken as e^(x - k ln 2) 2^k
     for n in (8, 64, 1025):
-        yield n, math.sqrt(2 * n * (n - 1) / divergence._EXP_SPLIT)
+        yield n, math.sqrt(2 * n * (n - 1) / _float64._EXP_SPLIT)
 
 
 @pytest.mark.parametrize("alpha, sigma", list(_branch_cases()))
@@ -455,6 +454,26 @@ def test_closed_form_domain_is_checked_before_its_loop():
         with pytest.raises(OverflowError, match="domain"):
             renyi_step_bound(alpha, MechanismParams(q=0.01, sigma=sigma))
         assert time.perf_counter() - start < 0.5
+
+
+def test_float64_paths_refuse_orders_past_their_largest():
+    # the closed form keeps three order-long lists, and the split series
+    # walks past the order; both stop at 2^16 before forming a term
+    assert math.isfinite(renyi_step_bound(2.0**16, MechanismParams(q=0.01, sigma=1e4)).bound)
+    for alpha in (2.0**16 + 1, 2.0**24, 2.0**16 + 0.5):
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match="domain"):
+            renyi_step_bound(alpha, MechanismParams(q=0.01, sigma=1e4))
+        assert time.perf_counter() - start < 0.05
+
+
+def test_each_bound_names_its_path():
+    assert renyi_step_bound(2.0, MechanismParams(0.05, 4.0)).path == "closed_form"
+    assert renyi_step_bound(2.5, MechanismParams(0.05, 4.0)).path == "split"
+    assert renyi_step_bound(2.5, MechanismParams(0.0, 4.0)).path == "split"
+    assert renyi_step_bound(2.0, MechanismParams(0.05, 4.0, m=3)).path == "series"
+    with pytest.raises(ValueError, match="path"):
+        BoundResult(bound=0.1, leading_sum=1.0, remainder=0.0, m=3, path="adaptive")
 
 
 @pytest.mark.parametrize("alpha, q, sigma, m", [(2, 1.497e-4, 23.63, 5), (4, 1e-6, 0.3, 3)])
@@ -578,10 +597,98 @@ def test_oracle_with_integrand_peak_inside_zero_alpha(alpha, q, sigma):
 )
 def test_bound_dominates_oracle_fractional_orders(alpha, u_q, u_sigma):
     assume(not alpha.is_integer())
+    # down to calibration's smallest sigma, where the power series in q was
+    # loosest
     q = _log_uniform(1e-3, 0.99, u_q)
-    sigma = _log_uniform(1.0, 8.0, u_sigma)
+    sigma = _log_uniform(0.3, 8.0, u_sigma)
     r = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma))
     assert r.bound >= renyi_divergence_quadrature(alpha, q, sigma)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(
+    alpha=st.floats(1.0, 32.0, exclude_min=True),
+    at_300=st.integers(0, 4),
+    u_q=st.floats(0.0, 1.0),
+    u_sigma=st.floats(0.0, 1.0),
+)
+def test_split_series_brackets_the_quadrature_moment(alpha, at_300, u_q, u_sigma):
+    # the moment lies within leading_sum +- remainder (leading_sum is the
+    # certified lower end), and the bound is never below the oracle; about
+    # one case in five is at order 300.5
+    alpha = 300.5 if at_300 == 0 else alpha
+    assume(not alpha.is_integer())
+    q = _log_uniform(1e-6, 0.9, u_q)
+    sigma = _log_uniform(0.3, 64.0, u_sigma)
+    r = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma))
+    assert r.path == "split"
+    moment, _ = divergence._mixture_power_integral_mpf(alpha, q, sigma)
+    with mp.workdps(40):
+        if math.isfinite(r.leading_sum):
+            low = mp.mpf(r.leading_sum) - mp.mpf(r.remainder)
+            high = mp.mpf(r.leading_sum) + mp.mpf(r.remainder)
+            assert low <= moment <= high
+        assert mp.mpf(r.bound) >= mp.log(moment) / (alpha - 1)
+
+
+@pytest.mark.parametrize(
+    "alpha, q, sigma, known",
+    [(1.25, 0.01, 0.5, 0.1103604), (2.5, 0.5, 1.0, 3.8494872), (300.5, 0.01, 0.5, 2399.38)],
+)
+def test_split_series_named_points(alpha, q, sigma, known):
+    # the power series in q gave 829 and 52.2 at the first two; at the third
+    # its moments were past the cap, and composition took 2 alpha / sigma^2
+    r = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma))
+    assert r.bound == pytest.approx(known, rel=5e-7)
+    assert r.bound >= renyi_divergence_quadrature(alpha, q, sigma)
+    assert r.bound < 2 * alpha / sigma**2
+
+
+def test_split_series_error_bound_holds_where_float_loses_the_excess():
+    # the moment is ~1 + 4e-7: the float64 sum of terms near 1 loses digits of
+    # the excess, and the stated error bound must cover them
+    alpha, q, sigma = 1.5, 0.01, 20.0
+    r = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma))
+    moment, _ = divergence._mixture_power_integral_mpf(alpha, q, sigma)
+    with mp.workdps(40):
+        assert mp.mpf(r.leading_sum) - mp.mpf(r.remainder) <= moment
+        assert moment <= mp.mpf(r.leading_sum) + mp.mpf(r.remainder)
+        assert mp.mpf(r.bound) >= mp.log(moment) / (alpha - 1)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(1.0, 12.0, exclude_min=True),
+    u_q=st.floats(0.0, 1.0),
+    u_sigma=st.floats(0.0, 1.0),
+)
+def test_split_series_float64_is_within_its_error_bound(alpha, u_q, u_sigma):
+    # the same terms at 40 digits lie inside [leading_sum, leading_sum +
+    # remainder]: the float64 evaluation's error is covered, and the error
+    # bound adds at most 2^-20 of the moment
+    assume(not alpha.is_integer())
+    q = _log_uniform(1e-6, 0.9, u_q)
+    sigma = _log_uniform(0.3, 64.0, u_sigma)
+    r = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma))
+    assume(math.isfinite(r.leading_sum))
+    lower, upper = reference.split_series_bracket(alpha, q, sigma, r.m // 2 - 1)
+    with mp.workdps(40):
+        assert mp.mpf(r.leading_sum) <= lower
+        assert upper <= mp.mpf(r.leading_sum) + mp.mpf(r.remainder)
+        assert r.remainder - (upper - lower) <= 2.0**-20 * upper
+
+
+def test_erfc_is_within_its_assumed_error():
+    # the split series' error bound assumes math.erfc within _ERFC_ULPS ulps;
+    # ``_log_erfc`` takes the asymptotic series from _ERFC_ASYMPTOTIC on
+    with mp.workdps(40):
+        for i in range(-60, 261):
+            a = i / 10 + 0.0123
+            value = math.erfc(a)
+            assert abs(mp.mpf(value) - mp.erfc(a)) <= _float64._ERFC_ULPS * math.ulp(value)
+        for a in (26.0, 26.5, 40.0, 1e3, 1e8):
+            exact = mp.log(mp.erfc(a))
+            assert abs(_float64._log_erfc(a) - exact) <= (7 * abs(exact) + 10) * U
 
 
 def test_bound_dominates_oracle_spot_points():
