@@ -3,10 +3,12 @@
 The package root is the accountant.  `divergence` evaluates the one-step
 divergence bound and an independent quadrature oracle; `accountant`
 composes bounds per client over a participation ledger and converts to
-(epsilon, delta).  Neither imports numpy.  The seedable federated-learning
-simulator that feeds the ledger is `fedrdp.simulate`, imported with numpy on
-first access.  `fedrdp.cli` is the `fedrdp` command; its accountant commands
-load neither the simulator nor numpy.
+(epsilon, delta).  Neither imports numpy, and mpmath is imported only when
+the quadrature oracle or `divergence.likelihood_ratio_moment` first runs.
+The seedable federated-learning simulator that feeds the ledger is
+`fedrdp.simulate`, imported with numpy on first access.  `fedrdp.cli` is the
+`fedrdp` command; its accountant commands load neither the simulator nor
+numpy, and compose, convert and calibrate do not load mpmath.
 """
 
 import importlib
@@ -24,7 +26,6 @@ from .accountant import (
     rdp_to_dp,
 )
 from .divergence import (
-    BoundBreakdownError,
     BoundResult,
     MechanismParams,
     QuadratureError,
@@ -45,7 +46,6 @@ def __getattr__(name):
 __all__ = [
     "DEFAULT_ALPHAS",
     "DEFAULT_DELTA",
-    "BoundBreakdownError",
     "BoundResult",
     "CalibrationError",
     "MechanismParams",

@@ -2,7 +2,9 @@
 
 Subcommands: bound, oracle, compose, convert, calibrate, simulate, trace.
 The five accountant commands load neither the simulator nor numpy; only
-simulate and trace import them, on first use.
+simulate and trace import them, on first use.  compose, convert and calibrate
+do not load mpmath either: only the quadrature oracle of bound and oracle
+imports it.
 Every command is a thin adapter over the library; numbers printed as
 key=value lines carry full precision (repr), and curve CSV cells carry 17
 significant digits, which round-trip every double, so converting a curve
@@ -31,7 +33,6 @@ from .accountant import (
     write_atomic,
 )
 from .divergence import (
-    BoundBreakdownError,
     MechanismParams,
     QuadratureError,
     renyi_divergence_quadrature,
@@ -97,8 +98,7 @@ def _print_kv(**kv):
 
 
 def cmd_bound(args) -> int:
-    params = MechanismParams(q=args.q, sigma=args.sigma, m=args.m)
-    result = renyi_step_bound(args.alpha, params)
+    result = renyi_step_bound(args.alpha, MechanismParams(q=args.q, sigma=args.sigma))
     oracle = renyi_divergence_quadrature(args.alpha, args.q, args.sigma)
     _print_kv(
         alpha=args.alpha,
@@ -247,9 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--m", type=int, default=None,
-                   help="truncate the power series in q at this order (default: the closed "
-                        "form at integer orders, the split series at fractional ones)")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("oracle", help="quadrature value of the true divergence")
@@ -303,7 +300,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (QuadratureError, BoundBreakdownError, CalibrationError, OverflowError) as exc:
+    except (QuadratureError, CalibrationError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except json.JSONDecodeError as exc:

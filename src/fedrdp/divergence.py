@@ -8,17 +8,18 @@ with s = sigma / 2; callers pass the noise multiplier sigma.
 ``renyi_step_bound`` bounds D_alpha(P || Q) from the moment E_Q[(P/Q)^alpha]
 by a route of Mironov, Talwar & Zhang, "Renyi Differential Privacy of the
 Sampled Gaussian Mechanism" (arXiv:1908.10530), with sigma -> sigma/2: the
-binomial closed form at integer orders, the split binomial series at
-fractional ones (both in float64 in ``fedrdp._float64``, rounded up by a
-stated error bound), or, given a truncation order m, the power series in q
-with a remainder bound.
+binomial closed form at integer orders and the split binomial series at
+fractional ones, both in float64 in ``fedrdp._float64`` and rounded up by a
+stated error bound.
 ``renyi_divergence_quadrature`` evaluates the divergence by numerical
-integration, so the routes can be checked against it.
+integration, so the bound can be checked against it, and
+``likelihood_ratio_moment`` gives the central moments of the likelihood ratio.
 
-All functions are pure.  The power series' moments alternate in sign and
-cancel catastrophically in double precision, so the series and the
-quadrature use mpmath; a module lock serialises access to its context, so
-concurrent callers are safe (just not parallel).
+All functions are pure.  The moments alternate in sign and cancel
+catastrophically in double precision, and the oracle integrates at 40 digits,
+so those two use mpmath.  They import it on first use: the bound, and the
+accountant with it, never loads mpmath.  A module lock serialises access to
+mpmath's context, so concurrent callers are safe (just not parallel).
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
-from math import ceil, factorial
-
-from mpmath import mp, mpf
 
 from ._float64 import _U, _integer_log_moment, _moment_exponent, _split_log_moment
 
@@ -37,26 +34,21 @@ __all__ = [
     "MechanismParams",
     "BoundResult",
     "QuadratureError",
-    "BoundBreakdownError",
     "MOMENT_EXPONENT_CAP",
     "likelihood_ratio_moment",
     "renyi_step_bound",
     "renyi_divergence_quadrature",
 ]
 
-# Largest exponent 2k(k-1)/sigma^2 accepted when building the series'
-# moments.  Above this the series bound is astronomically loose anyway, so
-# the order has no series bound instead of grinding through gigantic numbers.
+# Largest exponent 2k(k-1)/sigma^2 accepted by ``likelihood_ratio_moment``.
+# Above it the moment's largest term e^(2k(k-1)/sigma^2) is far past float
+# range, so the moment is refused instead of ground through at that size.
 MOMENT_EXPONENT_CAP = 3000.0
 
 _BASE_DPS = 50
 _QUAD_DPS = 40
 # Intervals of the scan of [0, alpha] that picks the quadrature oracle's scale.
 _SCALE_SCAN_INTERVALS = 32
-
-# Most moments (sigma, k) kept for reuse across bound evaluations; least
-# recently used ones are dropped past it.
-MOMENT_CACHE_SIZE = 1024
 
 # mpmath's precision state is process-global; serialise all use of it.
 _MP_LOCK = threading.RLock()
@@ -67,10 +59,6 @@ class QuadratureError(ArithmeticError):
     def __init__(self, message: str, achieved_tolerance: float):
         super().__init__(message)
         self.achieved_tolerance = achieved_tolerance
-
-
-class BoundBreakdownError(ArithmeticError):
-    """The series bound degenerated (log of a non-positive total)."""
 
 
 def _is_real(x) -> bool:
@@ -88,14 +76,14 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be a finite real > 1, got {alpha!r}")
 
 
-@lru_cache(maxsize=MOMENT_CACHE_SIZE)
-def _moment_mpf(sigma: float, k: int) -> mpf:
+def _moment_mpf(sigma: float, k: int):
     """E[(L-1)^k] as mpf, accurate to ~_BASE_DPS significant digits.
 
     The alternating binomial sum loses digits to cancellation; the working
     precision is escalated until the result keeps _BASE_DPS good digits.
-    Memoised on (sigma, k), up to MOMENT_CACHE_SIZE entries.
     """
+    from mpmath import mp, mpf
+
     if _moment_exponent(sigma, k) > MOMENT_EXPONENT_CAP:
         raise OverflowError(
             f"moment exponent 2k(k-1)/sigma^2 = {_moment_exponent(sigma, k):.3g} "
@@ -123,15 +111,6 @@ def _moment_mpf(sigma: float, k: int) -> mpf:
             if work - cancel >= _BASE_DPS:
                 return total
             work = int(_BASE_DPS + cancel + 15)
-
-
-def _abs_moment_mpf(sigma: float, j: int) -> mpf:
-    """Upper bound on E[|L-1|^j]: the moment itself at even j, and the
-    Cauchy-Schwarz interpolation sqrt(M_{j-1} M_{j+1}) at odd j."""
-    if j % 2 == 0:
-        return _moment_mpf(sigma, j)
-    with _MP_LOCK, mp.workdps(_BASE_DPS):
-        return mp.sqrt(_moment_mpf(sigma, j - 1) * _moment_mpf(sigma, j + 1))
 
 
 def likelihood_ratio_moment(sigma: float, k: int) -> float:
@@ -165,103 +144,43 @@ def likelihood_ratio_moment(sigma: float, k: int) -> float:
     return value
 
 
-def _order_available(alpha: float, sigma: float, m: int) -> bool:
-    """Whether every moment the remainder at truncation m touches is under the cap."""
-    top = ceil(alpha) if alpha - m > 0 else m  # highest order touched
-    need = top + 1 if top % 2 else top  # an odd order interpolates to the next
-    return _moment_exponent(sigma, need) <= MOMENT_EXPONENT_CAP
-
-
-def _series_mpf(alpha: float, q: float, sigma: float, m: int):
-    """The power series of E_Q[(P/Q)^alpha] in q, truncated at order m: (S, R) as mpf.
-
-    S = 1 + sum_{k=2}^{m-1} (q^k / k!) (alpha)_k E[(L-1)^k] is the leading
-    sum, and R bounds the magnitude of the discarded tail.  Each step carries
-    q^k and the signed falling factorial (alpha)_k forward, and |(alpha)_m| is
-    the prod_{j<m} |alpha - j| that R needs (rounding is symmetric in sign,
-    so the two agree bit for bit).  R has two regimes: for alpha > m the tail
-    is controlled through the moments up to order ceil(alpha) + 1; for
-    alpha <= m a single moment of order m (or its odd-order interpolation)
-    suffices, weighted by (1-q)^(alpha-m).  The caller has checked that m is
-    available.
-    """
-    top = ceil(alpha)
-    with _MP_LOCK, mp.workdps(_BASE_DPS):
-        al, qq = mpf(alpha), mpf(q)
-        S, qpow, ff = mpf(1), qq * qq, al * (al - 1)  # q^k and (alpha)_k at k = 2
-        for k in range(2, m):
-            S += (qpow / mpf(factorial(k))) * ff * _moment_mpf(sigma, k)
-            qpow *= qq
-            ff *= al - k
-        prod = abs(ff)
-        if prod == 0:
-            R = mpf(0)  # alpha is an integer < m: the series terminates
-        elif alpha > m:
-            tail = mpf(0)
-            ql = mpf(1)
-            for l in range(top - m + 1):
-                coef = mpf(factorial(top - m)) / (
-                    mpf(factorial(top - m - l)) * mpf(factorial(m + l))
-                )
-                tail += ql * coef * _abs_moment_mpf(sigma, m + l)
-                ql *= qq
-            tail += _abs_moment_mpf(sigma, m) / mpf(factorial(m))
-            R = qq ** m * prod * tail
-        else:
-            R = (
-                (qq ** m / mpf(factorial(m)))
-                * (1 - qq) ** (al - m)
-                * prod
-                * _abs_moment_mpf(sigma, m)
-            )
-    return S, R
-
-
 @dataclass(frozen=True)
 class MechanismParams:
-    """One mechanism step: sampling fraction q, noise multiplier sigma.
-
-    m is the series truncation order; leave it None for the float64 paths of
-    ``renyi_step_bound``.
-    """
+    """One mechanism step: sampling fraction q, noise multiplier sigma."""
 
     q: float
     sigma: float
-    m: int | None = None
 
     def __post_init__(self):
         if not (_is_real(self.q) and 0 <= self.q <= 1):
             raise ValueError(f"q must lie in [0, 1], got {self.q!r}")
         _check_positive_sigma(self.sigma)
-        if self.m is not None and not (isinstance(self.m, int) and self.m >= 3):
-            raise ValueError(f"m must be None or an integer >= 3, got {self.m!r}")
 
 
-_BOUND_PATHS = ("closed_form", "split", "series")
+_BOUND_PATHS = ("closed_form", "split")
 
 
 @dataclass(frozen=True)
 class BoundResult:
     """Output of renyi_step_bound.
 
-    The order-alpha moment lies within leading_sum +- remainder.  On the
-    series path bound is log(leading_sum + remainder) / (alpha - 1) rounded
-    up; on the float64 paths it is a little under that (see
+    The order-alpha moment lies within leading_sum +- remainder, and bound
+    is a little under log(leading_sum + remainder) / (alpha - 1) (see
     ``renyi_step_bound``).  leading_sum and remainder may round to inf at
     extreme parameters even when the bound itself is a moderate number; the
     bound never goes through them.  NaN is rejected.
 
     path names the evaluation: "closed_form" (integer orders; m = alpha + 1,
-    where the series ends), "split" (fractional orders; m is the number of
-    terms summed, and leading_sum + remainder is the certified upper end) or
-    "series" (an explicit truncation order m).
+    the closed form's number of terms) or "split" (fractional orders; m is
+    the number of terms summed over both sides, and leading_sum + remainder
+    is the certified upper end).
     """
 
     bound: float
     leading_sum: float
     remainder: float
     m: int
-    path: str = "series"
+    path: str
 
     def __post_init__(self):
         if math.isnan(self.bound) or math.isnan(self.remainder):
@@ -277,30 +196,23 @@ def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
 
     P = q N(1, s^2) + (1-q) N(0, s^2), Q = N(0, s^2), s = sigma/2.
 
-    With params.m None the log moment comes in float64 as y within err: from
-    the closed form at integer alpha (``_integer_log_moment``), from the
-    split series' certified upper end at fractional alpha
-    (``_split_log_moment``).  bound is (y + err) / (alpha - 1) plus the
-    division's rounding, one ulp up: never below the exact divergence D.  At
-    integer orders it exceeds D by at most 2 Delta_max / (alpha - 1) + 6u D
-    (u = 2^-53; ~1e-13 relative or less), and remainder, the exp-domain
-    slack, is at most leading_sum (expm1(2 Delta_max + 6u y) + u).  At
-    fractional orders leading_sum is the bracket's lower end and remainder
-    its width plus that slack; the stopping rule keeps the width below
-    max(1e-12, 1e-6 (M - 1)) for the moment M, unless the walk runs out of
-    terms.
-
-    With params.m set, leading_sum truncates the power series of the moment
-    in q at order m (``_series_mpf``), remainder bounds the discarded tail,
-    and bound is log(leading_sum + remainder) / (alpha - 1), one ulp up.
+    The log moment comes in float64 as y within err: from the closed form
+    at integer alpha (``_integer_log_moment``), from the split series'
+    certified upper end at fractional alpha (``_split_log_moment``).  bound
+    is (y + err) / (alpha - 1) plus the division's rounding, one ulp up:
+    never below the exact divergence D.  At integer orders it exceeds D by
+    at most 2 Delta_max / (alpha - 1) + 6u D (u = 2^-53; ~1e-13 relative or
+    less), and remainder, the exp-domain slack, is at most
+    leading_sum (expm1(2 Delta_max + 6u y) + u).  At fractional orders
+    leading_sum is the bracket's lower end and remainder its width plus that
+    slack; the stopping rule keeps the width below max(1e-12, 1e-6 (M - 1))
+    for the moment M, unless the walk runs out of terms.
 
     Raises:
-        ValueError: bad domain, including q = 1 (the series is an expansion
-            around q = 0 and its remainder bound fails at the endpoint; use
-            ``renyi_divergence_quadrature`` there).
-        BoundBreakdownError: leading_sum + remainder <= 0 on the series path.
-        OverflowError: a series truncation whose moments are past
-            MOMENT_EXPONENT_CAP, or an order outside a float64 path's domain.
+        ValueError: bad domain, including q = 1 (a pure Gaussian shift, whose
+            divergence is 2 alpha / sigma^2; ``renyi_divergence_quadrature``
+            accepts it).
+        OverflowError: an order outside a float64 path's domain.
     """
     _check_alpha(alpha)
     if not isinstance(params, MechanismParams):
@@ -310,8 +222,6 @@ def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
             "renyi_step_bound requires q < 1; q = 1 is a pure Gaussian shift, "
             "use renyi_divergence_quadrature"
         )
-    if params.m is not None:
-        return _series_bound(alpha, params)
     integer = float(alpha).is_integer()
     path = "closed_form" if integer else "split"
     if params.q == 0:  # P = Q
@@ -339,26 +249,6 @@ def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
     return BoundResult(bound=bound, leading_sum=lower, remainder=remainder, m=m, path=path)
 
 
-def _series_bound(alpha: float, params: MechanismParams) -> BoundResult:
-    """``renyi_step_bound`` on the series path, truncated at params.m."""
-    if not _order_available(alpha, params.sigma, params.m):
-        raise OverflowError(f"series bound unavailable at alpha={alpha}, sigma={params.sigma}: "
-                            f"the m={params.m} remainder needs moments past the cap")
-    S, R = _series_mpf(alpha, params.q, params.sigma, params.m)
-    with _MP_LOCK, mp.workdps(_BASE_DPS):
-        total = S + R
-        if total <= 0:
-            raise BoundBreakdownError(
-                f"leading_sum + remainder = {float(total):.6g} <= 0 at m={params.m} "
-                f"(alpha={alpha}, q={params.q}, sigma={params.sigma}); "
-                "raise m or the working precision"
-            )
-        bound = float(mp.log(total) / (mpf(alpha) - 1))
-    if params.q:  # float() rounded the 50-digit value to nearest; q = 0 gives exactly 0
-        bound = math.nextafter(bound, math.inf)
-    return BoundResult(bound=bound, leading_sum=float(S), remainder=float(R), m=params.m)
-
-
 def _mixture_power_integral_mpf(alpha: float, q: float, sigma: float):
     """Integral of (P/Q)^alpha dQ over a truncated domain, with error estimate.
 
@@ -382,6 +272,8 @@ def _mixture_power_integral_mpf(alpha: float, q: float, sigma: float):
     (alpha/64)^2 / (2 s^2) of the peak.  A K below the peak leaves the
     normalised integral large, which costs time, not accuracy.
     """
+    from mpmath import mp, mpf
+
     with _MP_LOCK, mp.workdps(_QUAD_DPS):
         al = mpf(alpha)
         qq = mpf(q)
@@ -431,6 +323,8 @@ def renyi_divergence_quadrature(alpha: float, q: float, sigma: float) -> float:
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
     if q == 0:
         return 0.0
+    from mpmath import mp, mpf
+
     value, err = _mixture_power_integral_mpf(alpha, q, sigma)
     with _MP_LOCK, mp.workdps(_QUAD_DPS):
         gate = max(mpf("1e-12"), abs(value) * mpf("1e-18"))

@@ -4,8 +4,8 @@ Nothing here imports from the package's numerical internals (only the
 ledger's public types, for the reference parser, and the simulator's round
 record, for the per-client training loop, which builds its own data);
 every routine re-derives its target quantity by a different route (Monte
-Carlo, binomial closed forms, nested quadrature, plain gradient descent) so
-that agreement is evidence rather than tautology.
+Carlo, binomial closed forms, the split series at 40 digits, plain gradient
+descent) so that agreement is evidence rather than tautology.
 
 Notation used throughout: the mechanism compares the mixture
 q*N(1, s^2) + (1-q)*N(0, s^2) against N(0, s^2) with s = sigma/2, and
@@ -152,29 +152,6 @@ def split_series_bracket(alpha: float, q: float, sigma: float, n: int, dps: int 
         return partial + min(nxt, 0), partial + max(nxt, 0)
 
 
-# --- truncated series leading sum -----------------------------------------
-#
-# Expanding E_Q[((1-q) + q L)^alpha] = E_Q[(1 + q (L-1))^alpha] in q gives
-# sum_k C(alpha, k) q^k E[(L-1)^k]; the k = 1 term vanishes.  Each central
-# moment here is its own alternating binomial sum of the raw moments
-# E[L^l] = exp(2 l (l-1) / sigma^2), and C(alpha, k) is mpmath's generalised
-# binomial: nothing is carried from one k to the next.
-
-
-def series_leading_sum(alpha: float, q: float, sigma: float, m: int, dps: int = 80) -> float:
-    """1 + sum_{k=2}^{m-1} C(alpha, k) q^k E[(L-1)^k] at dps digits."""
-    with mp.workdps(dps):
-        qm, s2 = mp.mpf(q), mp.mpf(sigma) ** 2
-        total = mp.mpf(1)
-        for k in range(2, m):
-            moment = mp.fsum(
-                (-1) ** (k - l) * mp.binomial(k, l) * mp.exp(2 * l * (l - 1) / s2)
-                for l in range(k + 1)
-            )
-            total += mp.binomial(alpha, k) * qm**k * moment
-        return float(total)
-
-
 # --- per-line ledger parser -----------------------------------------------
 #
 # The straightforward parse: split every line into its six fields, build and
@@ -229,54 +206,6 @@ def client_steps_by_splitlines(text: str, client_id: int):
         )
         ledger.record(client_id, int(fields[1]), params)
     return ledger.steps(client_id)
-
-
-# --- true Taylor remainder via nested quadrature --------------------------
-#
-# With H(x) = E[((1-x) + x L)^alpha], the integral form of the degree-(m-1)
-# Taylor remainder at q is
-#
-#   R = q^m / (m-1)! * int_0^1 (1-u)^(m-1) H^(m)(u q) du,
-#   H^(m)(x) = alpha (alpha-1) ... (alpha-m+1) * E[((1-x)+xL)^(alpha-m) (L-1)^m].
-#
-# The package's closed-form remainder cap must dominate |R|.
-
-
-def _base_quadrature_points(s: mp.mpf, upper_center) -> list:
-    lo = -20 * s
-    hi = upper_center + 20 * s
-    return sorted({lo, mp.mpf(0), mp.mpf(1), min(max(upper_center, 1), hi), hi})
-
-
-def true_taylor_remainder(alpha: float, sigma: float, m: int, q: float, dps: int = 30) -> float:
-    with mp.workdps(dps):
-        a = mp.mpf(alpha)
-        s = mp.mpf(sigma) / 2
-        fall = mp.mpf(1)
-        for j in range(m):
-            fall *= a - j
-        points = _base_quadrature_points(s, max(a, m))
-
-        # Every outer node evaluates the inner integral on the same nodes t,
-        # so L(t), (L(t) - 1)^m and the base density are computed once per t.
-        per_node = {}
-
-        def node(t):
-            got = per_node.get(t)
-            if got is None:
-                L = mp.e ** ((2 * t - 1) / (2 * s * s))
-                got = per_node[t] = (L, (L - 1) ** m, mp.npdf(t, 0, s))
-            return got
-
-        def deriv(x):
-            def integrand(t):
-                L, tail, density = node(t)
-                return ((1 - x) + x * L) ** (a - m) * tail * density
-
-            return fall * mp.quad(integrand, points)
-
-        outer = mp.quad(lambda u: (1 - u) ** (m - 1) * deriv(u * mp.mpf(q)), [0, 1])
-        return float(mp.mpf(q) ** m / mp.factorial(m - 1) * outer)
 
 
 # --- plain logistic-regression training ----------------------------------

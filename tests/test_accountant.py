@@ -883,8 +883,7 @@ def test_calibration_epsilon_skips_orders_that_cannot_win():
 @pytest.mark.parametrize("alpha, q, sigma", [(300.5, 0.1, 1.0), (2.0**40, 0.01, 1.0)])
 def test_order_without_a_bound_takes_the_full_sampling_divergence(caplog, alpha, q, sigma):
     # no closed form at 2^40 (outside its domain): composition takes q = 1's
-    # 2 alpha / sigma^2, rounded up, without a log line.  Order 300.5, which
-    # the power series in q could not bound (moments past the cap), has the
+    # 2 alpha / sigma^2, rounded up, without a log line.  Order 300.5 has the
     # split series' bound, between the oracle and 2 alpha / sigma^2
     shift = 2 * alpha / sigma**2  # exact here
     with caplog.at_level(logging.DEBUG, logger="fedrdp.accountant"):

@@ -84,8 +84,8 @@ def test_domain_error_is_usage_exit(capsys):
 
 
 def test_numerical_overflow_exit(capsys):
-    # the m = 3 remainder at order 300.5 needs moments past the series' cap
-    code, _, err = run_cli(capsys, "bound", "--alpha", "300.5", "--q", "0.1", "--sigma", "0.4", "--m", "3")
+    # order 70000 is past the closed form's domain (orders up to 2^16)
+    code, _, err = run_cli(capsys, "bound", "--alpha", "70000", "--q", "0.1", "--sigma", "1")
     assert code == cli.EXIT_NUMERICAL
     assert "numerical failure" in err
 
@@ -133,11 +133,14 @@ def test_bound_zero_sampling(capsys):
 
 
 def test_bound_explicit_truncation(capsys):
-    code, out, _ = run_cli(
+    # the power series in q that --m truncated is gone; a script that still
+    # passes it fails loudly instead of silently taking another path
+    code, out, err = run_cli(
         capsys, "bound", "--alpha", "6", "--q", "0.02", "--sigma", "3", "--m", "5"
     )
-    assert code == cli.EXIT_OK
-    assert int(parse_kv(out)["m"]) == 5
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "--m" in err
 
 
 def test_oracle_full_batch_closed_form(capsys):

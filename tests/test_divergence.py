@@ -1,4 +1,4 @@
-"""Core divergence math: moments, remainder caps, step bound, quadrature."""
+"""Core divergence math: moments, step bound, quadrature."""
 
 import math
 import time
@@ -67,88 +67,11 @@ def test_moment_overflow_signal():
         likelihood_ratio_moment(0.1, 50)
 
 
-def test_moment_memo_is_capped():
-    memo = divergence._moment_mpf
-    assert memo.cache_info().maxsize == divergence.MOMENT_CACHE_SIZE < math.inf
-    first = memo(2.0, 6)
-    # more distinct (sigma, k) than the cap holds evicts the first entry
-    for i in range(divergence.MOMENT_CACHE_SIZE + 8):
-        memo(3.0 + i / 1024, 2)
-    info = memo.cache_info()
-    assert info.currsize <= info.maxsize
-    misses = info.misses
-    again = memo(2.0, 6)
-    assert memo.cache_info().misses == misses + 1
-    assert again == first == memo.__wrapped__(2.0, 6)
-
-
-def test_abs_moment_even_branch_is_moment():
-    assert float(divergence._abs_moment_mpf(2.0, 2)) == likelihood_ratio_moment(2.0, 2)
-    assert float(divergence._abs_moment_mpf(1.0, 4)) == likelihood_ratio_moment(1.0, 4)
-
-
-def test_abs_moment_odd_branch_geometric_mean():
-    expect = math.sqrt(
-        likelihood_ratio_moment(2.0, 2) * likelihood_ratio_moment(2.0, 4)
-    )
-    assert float(divergence._abs_moment_mpf(2.0, 3)) == pytest.approx(expect, rel=1e-13)
-
-
-def test_abs_moment_odd_dominates_absolute_mc_value():
-    # Cauchy-Schwarz cap must sit above |E[(L-1)^3]|
-    est, se = reference.moment_mc_importance(2.0, 3, n_samples=10**6, seed=7)
-    assert float(divergence._abs_moment_mpf(2.0, 3)) >= abs(est) - 3 * se
-
-
-# --- remainder cap ---------------------------------------------------------
-
-
-def _remainder(alpha, sigma, m, q):
-    """The remainder cap left after truncating the series at order m."""
-    return renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=m)).remainder
-
-
-def test_remainder_zero_sampling_ratio():
-    assert _remainder(2.5, 2.0, 3, 0.0) == 0.0
-
-
-def test_remainder_integer_alpha_annihilates():
-    # the product over |alpha - j| hits j = alpha exactly
-    assert _remainder(3.0, 2.0, 4, 0.1) == 0.0
-    assert _remainder(5.0, 1.0, 6, 0.2) == 0.0
-
-
-def test_remainder_dominates_true_remainder_positive_branch():
-    true_r = reference.true_taylor_remainder(10.0, 4.0, 5, 0.01)
-    cap = _remainder(10.0, 4.0, 5, 0.01)
-    assert cap >= abs(true_r) > 0
-
-
-def test_remainder_dominates_true_remainder_negative_branch():
-    true_r = reference.true_taylor_remainder(2.5, 2.0, 4, 0.1)
-    cap = _remainder(2.5, 2.0, 4, 0.1)
-    assert cap >= abs(true_r) > 0
-
-
-@given(
-    alpha=st.floats(1.01, 20.0),
-    sigma=st.floats(0.8, 16.0),
-    m=st.integers(3, 8),
-    q=st.floats(0.0, 0.95),
-)
-def test_remainder_never_negative(alpha, sigma, m, q):
-    try:
-        r = _remainder(alpha, sigma, m, q)
-    except OverflowError:
-        assume(False)
-    assert r >= 0.0
-
-
 # --- one-step bound ---------------------------------------------------------
 
 
 def test_step_bound_zero_sampling_ratio():
-    r = renyi_step_bound(4.0, MechanismParams(q=0.0, sigma=2.0, m=5))
+    r = renyi_step_bound(4.0, MechanismParams(q=0.0, sigma=2.0))
     assert r.bound == 0.0
     assert r.leading_sum == 1.0
     assert r.remainder == 0.0
@@ -162,31 +85,15 @@ def test_step_bound_integer_two_closed_form():
     assert r.bound - closed <= r.remainder + 1e-12
 
 
-def test_step_bound_reports_requested_truncation():
-    r = renyi_step_bound(6.0, MechanismParams(q=0.02, sigma=3.0, m=5))
-    assert r.m == 5
-
-
-@pytest.mark.parametrize("alpha", [1.25, 2.5, 3.0, 6.5, 10.5])
-@pytest.mark.parametrize("q, sigma", [(0.05, 1.0), (0.3, 2.0), (0.6, 8.0)])
-def test_step_bound_leading_sum_is_the_truncated_series(alpha, q, sigma):
-    # every term up to order m - 1, against binomial sums made afresh per k
-    for m in (3, 4, 5, 8):
-        r = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=m))
-        assert r.m == m
-        expect = reference.series_leading_sum(alpha, q, sigma, m)
-        assert r.leading_sum == pytest.approx(expect, rel=1e-12), m
-
-
 @pytest.mark.parametrize("alpha", [1.25, 1.5, 2.5, 6.5, 10.5])
 @pytest.mark.parametrize("q", [1e-3, 0.05, 0.5])
 @pytest.mark.parametrize("sigma", [0.25, 0.8, 2.0, 8.0])
 def test_adaptive_truncation_is_the_explicit_one_where_it_stops(alpha, q, sigma):
-    # Without m, a fractional order takes the split series, which stops where
-    # its rule says: at a pair of terms past alpha (m counts both sides), once
-    # the two first omitted terms, which bound the tail, are below
+    # A fractional order takes the split series, which stops where its rule
+    # says: at a pair of terms past alpha (m counts both sides), once the two
+    # first omitted terms, which bound the tail, are below
     # max(1e-12, 1e-6 (M - 1)); the remainder is that plus the float64 error
-    # bound.  Its lower end never exceeds an explicit truncation's upper end.
+    # bound.
     r = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma))
     assert r.path == "split"
     assert r.m % 2 == 0 and r.m // 2 > alpha
@@ -194,13 +101,6 @@ def test_adaptive_truncation_is_the_explicit_one_where_it_stops(alpha, q, sigma)
         return
     rule = max(1e-12, 1e-6 * (r.leading_sum - 1))
     assert r.remainder <= rule * (1 + 1e-6) + 1e3 * U * r.leading_sum
-    for m in (3, 4, 5):
-        try:
-            explicit = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=m))
-        except OverflowError:
-            continue
-        assert explicit.path == "series" and explicit.m == m
-        assert math.log(r.leading_sum) / (alpha - 1) <= explicit.bound
 
 
 def test_step_bound_rejects_full_sampling():
@@ -221,8 +121,6 @@ def test_mechanism_params_validation():
         MechanismParams(q=1.5, sigma=2.0)
     with pytest.raises(ValueError):
         MechanismParams(q=0.1, sigma=0.0)
-    with pytest.raises(ValueError):
-        MechanismParams(q=0.1, sigma=2.0, m=2)
 
 
 @given(
@@ -287,14 +185,6 @@ def test_step_bound_integer_order_is_exact_closed_form(alpha, u_sigma, u_q):
     assert r.m == int(alpha) + 1
     exact = reference.integer_alpha_divergence(int(alpha), q, sigma)
     assert r.bound == pytest.approx(exact, rel=1e-12)
-    # the exact moment never exceeds a truncated series plus its remainder
-    # cap, where the series' moments are under their cap
-    for m in (3, 5):
-        try:
-            series = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=m))
-        except OverflowError:
-            continue
-        assert exact <= series.bound
 
 
 def _check_integer_order_exact(alpha, q, sigma):
@@ -302,12 +192,6 @@ def _check_integer_order_exact(alpha, q, sigma):
     assert 0 <= r.remainder <= _stated_moment_slack(int(alpha), sigma, r.bound) * r.leading_sum
     assert r.m == int(alpha) + 1
     assert r.bound == pytest.approx(reference.integer_alpha_divergence(int(alpha), q, sigma), rel=1e-12)
-    # the m=3 series costs seconds per call above order 64 at large sigma
-    # (moments at ~50 + k log10(sigma) digits), so it bounds orders <= 64 here
-    if alpha <= 64:
-        series = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma, m=3))
-        exact = reference.integer_alpha_divergence(int(alpha), q, sigma)
-        assert exact <= series.bound
 
 
 @pytest.mark.parametrize("alpha", INTEGER_ALPHAS)
@@ -415,12 +299,13 @@ def test_integer_order_bound_encloses_the_direct_sum(alpha, u_sigma, u_q, at_top
 
 def test_bound_result_rejects_nan():
     with pytest.raises(ValueError):
-        BoundResult(bound=math.nan, leading_sum=1.0, remainder=0.0, m=3)
+        BoundResult(bound=math.nan, leading_sum=1.0, remainder=0.0, m=3, path="closed_form")
     with pytest.raises(ValueError):
-        BoundResult(bound=0.1, leading_sum=1.0, remainder=math.nan, m=3)
+        BoundResult(bound=0.1, leading_sum=1.0, remainder=math.nan, m=3, path="closed_form")
     with pytest.raises(ValueError):
-        BoundResult(bound=0.1, leading_sum=1.0, remainder=-1e-300, m=3)
-    assert BoundResult(bound=0.1, leading_sum=math.inf, remainder=math.inf, m=3).bound == 0.1
+        BoundResult(bound=0.1, leading_sum=1.0, remainder=-1e-300, m=3, path="closed_form")
+    kept = BoundResult(bound=0.1, leading_sum=math.inf, remainder=math.inf, m=3, path="closed_form")
+    assert kept.bound == 0.1
 
 
 @pytest.mark.parametrize("sigma", [0.3, 0.5, 1.0, 64.0])
@@ -471,20 +356,8 @@ def test_each_bound_names_its_path():
     assert renyi_step_bound(2.0, MechanismParams(0.05, 4.0)).path == "closed_form"
     assert renyi_step_bound(2.5, MechanismParams(0.05, 4.0)).path == "split"
     assert renyi_step_bound(2.5, MechanismParams(0.0, 4.0)).path == "split"
-    assert renyi_step_bound(2.0, MechanismParams(0.05, 4.0, m=3)).path == "series"
     with pytest.raises(ValueError, match="path"):
         BoundResult(bound=0.1, leading_sum=1.0, remainder=0.0, m=3, path="adaptive")
-
-
-@pytest.mark.parametrize("alpha, q, sigma, m", [(2, 1.497e-4, 23.63, 5), (4, 1e-6, 0.3, 3)])
-def test_series_bound_is_rounded_up(alpha, q, sigma, m):
-    # rounded to nearest, both bounds were below the exact divergence by
-    # under one ulp: at m = 5 the series terminates, at m = 3 < alpha its
-    # remainder cap is near tight
-    r = renyi_step_bound(float(alpha), MechanismParams(q=q, sigma=sigma, m=m))
-    with mp.workdps(60):
-        excess = reference.integer_moment_excess_direct(alpha, q, sigma)
-        assert mp.mpf(r.bound) >= mp.log1p(excess) / (alpha - 1)
 
 
 # --- quadrature oracle ------------------------------------------------------
@@ -556,13 +429,13 @@ def test_oracle_error_gate_uses_unscaled_integral(monkeypatch):
     # the gate (relative 1e-18 here) must fire, and report the tolerance on
     # the scale of the moment itself (~5.6e27), not of the normalised integral
     alpha, q, sigma = 4.0, 0.5, 0.6
-    quad = divergence.mp.quad
+    quad = mp.mp.quad  # the context divergence imports on first use
 
     def loose_quad(f, points, **kwargs):
         value, _ = quad(f, points, **kwargs)
         return value, value * mp.mpf("1e-10")
 
-    monkeypatch.setattr(divergence.mp, "quad", loose_quad)
+    monkeypatch.setattr(mp.mp, "quad", loose_quad)
     with pytest.raises(QuadratureError) as info:
         renyi_divergence_quadrature(alpha, q, sigma)
     moment = math.exp((alpha - 1) * reference.integer_alpha_divergence(int(alpha), q, sigma))

@@ -26,8 +26,8 @@ def test_every_exported_name_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
-def test_package_exports_17_names():
-    assert len(fedrdp.__all__) == len(set(fedrdp.__all__)) == 17
+def test_package_exports_16_names():
+    assert len(fedrdp.__all__) == len(set(fedrdp.__all__)) == 16
 
 
 def _run_python(code: str, cwd=None) -> None:
@@ -40,16 +40,21 @@ def _run_python(code: str, cwd=None) -> None:
 )
 def test_accountant_imports_leave_numpy_unloaded(module):
     # the package root is the accountant; only the simulator needs numpy, and
-    # the command line imports it when simulate or trace first runs
-    _run_python(f"import sys, {module}; assert 'numpy' not in sys.modules")
+    # the command line imports it when simulate or trace first runs; only the
+    # quadrature oracle and the likelihood-ratio moment need mpmath
+    _run_python(f"""
+        import sys, {module}
+        assert 'numpy' not in sys.modules
+        assert 'mpmath' not in sys.modules
+    """)
 
 
 def test_accountant_exports_10_names():
     assert len(accountant.__all__) == len(set(accountant.__all__)) == 10
 
 
-def test_divergence_exports_8_names():
-    assert len(divergence.__all__) == len(set(divergence.__all__)) == 8
+def test_divergence_exports_7_names():
+    assert len(divergence.__all__) == len(set(divergence.__all__)) == 7
 
 
 def test_simulate_exports_10_names():
@@ -101,13 +106,18 @@ def test_accountant_commands_leave_numpy_unloaded(tmp_path):
         for t in (1, 2, 5):
             ledger.record(0, t, StepParams(q=0.02, sigma=2.0, clip=1.0, batch_size=4))
         ledger.write("ledger.tsv")
-        for argv in (["bound", "--alpha", "2", "--q", "0.01", "--sigma", "2"],
-                     ["oracle", "--alpha", "2", "--q", "0.01", "--sigma", "2"],
-                     ["compose", "--ledger", "ledger.tsv", "--client", "0",
-                      "--alphas", "2,4", "--output", "curve.csv"],
+        # compose, convert and calibrate never need mpmath; bound and oracle
+        # run the quadrature oracle, which imports it
+        for argv in (["compose", "--ledger", "ledger.tsv", "--client", "0",
+                      "--alphas", "2,2.5,4", "--output", "curve.csv"],
                      ["convert", "--curve", "curve.csv"],
                      ["calibrate", "--epsilon", "16", "--q", "0.2", "--steps", "5"]):
             assert cli.main(argv) == cli.EXIT_OK, argv
+        assert "mpmath" not in sys.modules
+        for argv in (["bound", "--alpha", "2", "--q", "0.01", "--sigma", "2"],
+                     ["oracle", "--alpha", "2", "--q", "0.01", "--sigma", "2"]):
+            assert cli.main(argv) == cli.EXIT_OK, argv
+        assert "mpmath" in sys.modules
         assert "numpy" not in sys.modules
         assert "fedrdp.simulate" not in sys.modules
     """, tmp_path)
