@@ -14,14 +14,15 @@ hold only spaces and tabs, and a client id is canonical decimal (no sign but
 a leading "-", no leading zero, no space), so every line of client c starts
 with exactly ``c<TAB>``.  Parsing interns step parameters: lines with the
 same ``q<TAB>sigma<TAB>clip<TAB>batch_size`` text share one validated
-``StepParams``.  Reading one client finds that prefix with ``str.find`` and
-parses only the lines it starts, after checking that every line starts with
-a canonical id or is blank, so no line of the client can go unread.  Writing
-goes through a temporary file that replaces the target only when complete:
-a ledger cut short would read back as a valid, shorter history and
-understate epsilon.  Composition groups a client's steps by identical
-(q, sigma), so its cost grows with the number of distinct step parameters,
-not with the number of steps.
+``StepParams``.  A read wraps the text in "\n", so every line, the first
+and the last too, sits between two "\n".  Reading one client then finds
+``\nc<TAB>`` with ``str.find`` and parses only the lines it starts, after
+checking that every line starts with a canonical id or is blank, so no line
+of the client can go unread.  Writing goes through a temporary file that
+replaces the target only when complete: a ledger cut short would read back
+as a valid, shorter history and understate epsilon.  Composition groups a
+client's steps by identical (q, sigma), so its cost grows with the number of
+distinct step parameters, not with the number of steps.
 """
 
 from __future__ import annotations
@@ -71,10 +72,9 @@ STEP_BOUND_CACHE_SIZE = 4096
 
 # The ledger's client id field: canonical decimal, the only spelling of an id.
 _CLIENT_ID = re.compile(r"0|-?[1-9][0-9]*")
-# Where a line may start: a canonical client id and a tab, or a blank line.
-_LINE_START = rf"(?:{_CLIENT_ID.pattern})\t|[ \t]*(?:\n|\Z)"
-_GOOD_FIRST_LINE = re.compile(_LINE_START)
-_BAD_LINE_START = re.compile(rf"\n(?!{_LINE_START})")
+# The "\n" before a line that neither starts with a canonical client id and a
+# tab nor is blank.
+_BAD_LINE = re.compile(rf"\n(?!(?:{_CLIENT_ID.pattern})\t|[ \t]*(?:\n|\Z))")
 # Line boundaries of str.splitlines other than "\n" and "\r\n".  The format
 # has none of them, so a text holding one is rejected, never read two ways.
 _FOREIGN_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -240,12 +240,13 @@ class ParticipationLedger:
 
         Lines end in "\n" or "\r\n"; any other line boundary of
         `str.splitlines` is rejected.  Every line must start with a canonical
-        client id and a tab, or be blank (spaces and tabs only); one scan of
-        the whole text checks this before any line is parsed, and blank lines
-        are skipped.  Each distinct parameter text ``q<TAB>sigma<TAB>clip<TAB>
-        batch_size`` is parsed and validated once; later lines with the same
-        text share that `StepParams`.  Timesteps must increase within each
-        client, as for `record`.
+        client id and a tab, or be blank (spaces and tabs only).  The text is
+        wrapped in "\n" once, so one scan for a "\n" not followed by such a
+        start checks every line, the first and the last alike, before any
+        line is parsed.  Blank lines are skipped.  Each distinct parameter
+        text ``q<TAB>sigma<TAB>clip<TAB>batch_size`` is parsed and validated
+        once; later lines with the same text share that `StepParams`.
+        Timesteps must increase within each client, as for `record`.
 
         With client_id, the ledger holds only that client's steps: the lines
         that start with ``client_id<TAB>`` are parsed and checked as above,
@@ -255,20 +256,19 @@ class ParticipationLedger:
         """
         if "\r" in text:
             text = text.replace("\r\n", "\n")
+        text = f"\n{text}\n"  # line n is the text after the n-th "\n"
         for char in _FOREIGN_BREAKS:
             pos = text.find(char)
             if pos != -1:
-                lineno = text.count("\n", 0, pos) + 1
+                lineno = text.count("\n", 0, pos)
                 raise ValueError(f"ledger line {lineno}: {char!r} is not a ledger line break")
-        if not _GOOD_FIRST_LINE.match(text):
-            bad = 1
-        else:
-            match = _BAD_LINE_START.search(text)
-            bad = match and text.count("\n", 0, match.start()) + 2
-        if bad:
-            raise ValueError(f"ledger line {bad}: does not start with a canonical client id and a tab")
+        match = _BAD_LINE.search(text)
+        if match:
+            lineno = text.count("\n", 0, match.end())
+            raise ValueError(f"ledger line {lineno}: does not start with a canonical client id and a tab")
         if client_id is None:
-            lines = enumerate(text.split("\n"), start=1)
+            # the first and last lines are the blank ones wrapped around the text
+            lines = enumerate(text.split("\n"))
         elif isinstance(client_id, int) and not isinstance(client_id, bool):
             lines = _client_lines(text, int(client_id))
         else:
@@ -316,24 +316,20 @@ class ParticipationLedger:
 def _client_lines(text: str, client_id: int) -> Iterator[tuple[int, str]]:
     """(line number, line) of each line of text starting ``client_id<TAB>``.
 
-    The caller has checked that every line starts with a canonical client id
-    and a tab or is blank, so no line of the client can be spelled another
-    way ("07", "+7", " 7", "7_0").
+    text is wrapped in "\n" (see `from_text`), so each such line follows a
+    "\n" and ends at the next.  The caller has checked that every line starts
+    with a canonical client id and a tab or is blank, so no line of the
+    client can be spelled another way ("07", "+7", " 7", "7_0").
     """
-    prefix = f"{client_id}\t"
-    needle = "\n" + prefix
-    # pos: where the client's next line starts, None when none is left (a
-    # failed find gives -1 + 1 = 0, which no line after the first starts at)
-    pos = 0 if text.startswith(prefix) else text.find(needle) + 1 or None
-    lineno, counted = 1, 0
-    while pos is not None:
-        end = text.find("\n", pos)
-        if end == -1:
-            end = len(text)
-        lineno += text.count("\n", counted, pos)
-        counted = pos
-        yield lineno, text[pos:end]
-        pos = text.find(needle, end) + 1 or None
+    needle = f"\n{client_id}\t"
+    lineno, counted = 0, 0
+    pos = text.find(needle)
+    while pos != -1:
+        end = text.find("\n", pos + 1)
+        lineno += text.count("\n", counted, pos + 1)
+        counted = pos + 1
+        yield lineno, text[pos + 1 : end]
+        pos = text.find(needle, end)
 
 
 def write_atomic(path, text: str) -> None:

@@ -231,9 +231,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_trace(args) -> int:
     config = _load_config(args)
-    sampler = args.sampler or config.sampler
     rounds = args.rounds if args.rounds is not None else config.rounds
-    sizes = batch_size_trace(config, sampler, rounds)
+    sizes = batch_size_trace(config, args.sampler, rounds)
     lines = ["round,batch_size"] + [f"{t},{b}" for t, b in enumerate(sizes, start=1)]
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
@@ -284,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="realized per-round batch sizes as CSV")
     p.add_argument("--config", required=True)
-    p.add_argument("--sampler", choices=("fixed", "poisson"), default=None)
+    p.add_argument("--sampler", choices=("fixed", "poisson"), default="fixed")
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--output", default=None)
     p.add_argument("--seed", type=int, default=None, help="override the config seed")

@@ -62,6 +62,7 @@ from .accountant import (
     PrivacyBudget,
     RdpCurve,
     StepParams,
+    _builtin_number,
     calibrate_sigma,
     compose_client_rdp,
     rdp_to_dp,
@@ -91,17 +92,13 @@ _STREAM_SELECTION = 4
 _STREAM_CLIENT_STEP = 5
 _STREAM_TRACE = 6
 
-_INT_FIELDS = (
-    "rounds", "clients", "m_t", "d", "classes", "points_per_client",
-    "batch_size", "seed",
-)
-_REAL_FIELDS = ("clip", "sigma", "target_epsilon", "delta", "dropout_prob", "step_size")
-
-
-def _check_number(name: str, value, kind: type, what: str) -> None:
-    # JSON true/false load as bool, which Python counts as an integer
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
+# SimConfig's number fields, and what each must be
+_NUMBER_FIELDS = {
+    **dict.fromkeys(("rounds", "clients", "m_t", "d", "classes", "points_per_client",
+                     "batch_size", "seed"), (numbers.Integral, "an integer")),
+    **dict.fromkeys(("clip", "sigma", "target_epsilon", "delta", "dropout_prob", "step_size"),
+                    (numbers.Real, "a real number")),
+}
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's
@@ -198,7 +195,9 @@ class SimConfig:
     the noise multiplier is calibrated for `rounds` steps at sampling ratio
     batch_size / points_per_client, which upper-bounds every client's actual
     participation count, so each client's realized epsilon is at most the
-    target.
+    target.  Number fields may be any non-bool integers or reals (NumPy
+    scalars too) and are stored as built-in int and float, as StepParams
+    stores them.
     """
 
     rounds: int
@@ -213,19 +212,20 @@ class SimConfig:
     target_epsilon: float | None = None
     delta: float = 1e-5
     seed: int = 0
-    sampler: str = "fixed"
     dropout_prob: float = 0.0
     step_size: float = 0.1
 
     def __post_init__(self):
         if self.m_t is None:
             object.__setattr__(self, "m_t", self.clients)
-        for name in _INT_FIELDS:
-            _check_number(name, getattr(self, name), numbers.Integral, "an integer")
-        for name in _REAL_FIELDS:
+        for name, (kind, what) in _NUMBER_FIELDS.items():
             value = getattr(self, name)
-            if value is not None or name not in ("sigma", "target_epsilon"):
-                _check_number(name, value, numbers.Real, "a real number")
+            if value is None and name in ("sigma", "target_epsilon"):
+                continue
+            number = _builtin_number(value, kind)
+            if number is None:
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+            object.__setattr__(self, name, number)
         checks = [
             (self.rounds >= 1, "rounds must be >= 1"),
             (self.clients >= 1, "clients must be >= 1"),
@@ -238,7 +238,6 @@ class SimConfig:
             (0 < self.clip < math.inf, "clip must be > 0 and finite"),
             (0 < self.delta < 1, "delta must lie in (0, 1)"),
             (self.seed >= 0, "seed must be >= 0"),
-            (self.sampler in ("fixed", "poisson"), "sampler must be fixed or poisson"),
             (0 <= self.dropout_prob < 1, "dropout_prob must lie in [0, 1)"),
             (0 < self.step_size < math.inf, "step_size must be > 0 and finite"),
         ]
@@ -423,14 +422,11 @@ def run_training(config: SimConfig) -> tuple[np.ndarray, list[RoundRecord], Part
     unavailable with probability dropout_prob each round and the round
     selects min(m_t, available) clients.  Each round's client steps run as
     one stacked numpy pass (_round_updates), and the server adds the mean of
-    their updates, aggregated in ascending client-id order.  Raises
-    ValueError if the calibrated noise std or a weight is non-finite.
+    their updates, aggregated in ascending client-id order.  Batches are
+    always fixed-size, the only sampling the accountant bounds; Poisson
+    batches exist only in batch_size_trace.  Raises ValueError if the
+    calibrated noise std or a weight is non-finite.
     """
-    if config.sampler != "fixed":
-        raise ValueError(
-            "run_training draws fixed-size batches only (the accountant has "
-            "no poisson-sampling bound); use batch_size_trace for the contrast"
-        )
     if config.sigma is None:
         # calibrate once; the rebuilt config checks the noise std at that sigma
         config = replace(config, sigma=config.resolve_sigma(), target_epsilon=None)

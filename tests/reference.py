@@ -122,6 +122,18 @@ def integer_moment_excess_direct(n: int, q: float, sigma: float) -> mp.mpf:
         return +total
 
 
+def central_moment_binomial(sigma: float, k: int, dps: int = 200) -> float:
+    """E[(L-1)^k] as the alternating binomial sum of E[L^l] at dps digits.
+
+    sum_{l=0}^{k} (-1)^(k-l) C(k,l) exp(2l(l-1)/sigma^2): at large sigma the
+    terms cancel to ~k log10(sigma) digits, which 200 digits leave far behind.
+    """
+    with mp.workdps(dps):
+        s2 = mp.mpf(sigma) ** 2
+        return float(mp.fsum((-1) ** (k - l) * mp.binomial(k, l) * mp.exp(2 * l * (l - 1) / s2)
+                             for l in range(k + 1)))
+
+
 # --- split binomial series ----------------------------------------------------
 #
 # The terms of the split series at 40 digits, each from its own generalised

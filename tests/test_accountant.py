@@ -438,6 +438,14 @@ def test_read_one_client_skips_other_clients_fields(tmp_path):
     assert ParticipationLedger.read(path, client_id=9).clients() == ()
 
 
+def test_read_one_client_reads_a_last_line_without_a_newline():
+    text = "3\t1\t0.1\t1.0\t1.0\t1\n4\t1\t0.1\t1.0\t1.0\t1\n3\t2\t0.1\t1.0\t1.0\t1"
+    got = ParticipationLedger.from_text(text, 3)
+    assert [t for t, _ in got.steps(3)] == [1, 2]
+    with pytest.raises(ValueError, match="line 3: expected 6"):
+        ParticipationLedger.from_text(text[:-4], 3)
+
+
 def test_read_one_client_names_the_line_of_a_bad_step(tmp_path):
     path = tmp_path / "ledger.tsv"
     path.write_text(f"1\t1\t{LINE}\n0\t1\t{LINE}\n\n1\t2\t0.1\t1.0\n", encoding="ascii")
@@ -769,6 +777,11 @@ def test_calibrate_unreachable_target_reports_bracket():
     with pytest.raises(CalibrationError) as exc:
         calibrate_sigma(PrivacyBudget(1e-9, 1e-5), q=0.3, steps=100)
     assert exc.value.epsilon_at_bracket > 1e-9
+    # doubling from CALIBRATION_SIGMA_LOW, the last sigma under
+    # CALIBRATION_SIGMA_MAX is 0.3 * 2^21 = 629145.6, still short of the target
+    with pytest.raises(CalibrationError, match="at sigma=629145.6") as exc:
+        calibrate_sigma(PrivacyBudget(0.02, 1e-5), q=0.5, steps=10**9)
+    assert exc.value.epsilon_at_bracket == pytest.approx(0.2523, rel=1e-3)
 
 
 def _curve_epsilon(q, sigma, steps, alphas=DEFAULT_ALPHAS):

@@ -1,5 +1,6 @@
 """CLI adapter: flag parsing, output fidelity, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -143,6 +144,16 @@ def test_bound_explicit_truncation(capsys):
     assert "--m" in err
 
 
+def test_bound_below_the_oracle_is_a_numerical_exit(capsys, monkeypatch):
+    real = cli.renyi_step_bound
+    monkeypatch.setattr(cli, "renyi_step_bound",
+                        lambda alpha, params: dataclasses.replace(real(alpha, params), bound=0.0))
+    code, out, err = run_cli(capsys, "bound", "--alpha", "2", "--q", "0.05", "--sigma", "4")
+    assert code == cli.EXIT_NUMERICAL
+    assert parse_kv(out)["bound"] == "0.0"
+    assert "dominance violation" in err
+
+
 def test_oracle_full_batch_closed_form(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--alpha", "3", "--q", "1", "--sigma", "2")
     assert code == cli.EXIT_OK
@@ -167,6 +178,16 @@ def test_compose_csv_matches_library(capsys, tmp_path):
     assert len(lines) == 1 + len(curve.alphas)
     for line, (alpha, value) in zip(lines[1:], curve.items()):
         assert line == f"{alpha:.17g},{value:.17g}"
+
+
+def test_compose_rejects_an_unparsable_order_list(capsys, tmp_path):
+    path = tmp_path / "ledger.tsv"
+    write_demo_ledger(path)
+    code, out, err = run_cli(capsys, "compose", "--ledger", str(path), "--client", "0",
+                             "--alphas", "2,x")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "could not parse order list" in err
 
 
 def test_compose_jsonl_stdout(capsys, tmp_path):

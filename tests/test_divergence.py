@@ -67,6 +67,24 @@ def test_moment_overflow_signal():
         likelihood_ratio_moment(0.1, 50)
 
 
+@pytest.mark.parametrize("sigma,k,digits", [(100.0, 10, [65, 82]), (1000.0, 8, [65, 86])])
+def test_moment_raises_its_precision_past_the_cancellation(monkeypatch, sigma, k, digits):
+    # at large sigma the binomial sum cancels more digits than the first
+    # working precision leaves, so the sum is taken again at a higher one
+    workdps = type(mp.mp).workdps
+    seen = []
+
+    def recording(ctx, n):
+        seen.append(n)
+        return workdps(ctx, n)
+
+    monkeypatch.setattr(type(mp.mp), "workdps", recording)
+    value = likelihood_ratio_moment(sigma, k)
+    monkeypatch.undo()
+    assert seen == digits
+    assert value == reference.central_moment_binomial(sigma, k)
+
+
 # --- one-step bound ---------------------------------------------------------
 
 

@@ -65,6 +65,9 @@ def test_config_requires_exactly_one_noise_setting():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         SimConfig.from_dict({"rounds": 1, "clientz": 2})
+    # the sampler is trace's --sampler flag, not a config key
+    with pytest.raises(ValueError, match=r"unknown config keys: \['sampler'\]"):
+        SimConfig.from_dict({"rounds": 1, "sampler": "fixed"})
 
 
 def test_config_defaults_mt_to_all_clients():
@@ -81,6 +84,10 @@ def test_config_bounds_checks():
         small_config(classes=5)  # exceeds d=4
     with pytest.raises(ValueError, match="noise std"):
         small_config(clip=1e10, sigma=1e300)  # finite, but clip * sigma / batch_size is inf
+    with pytest.raises(ValueError, match="sigma must be a finite real"):
+        small_config(sigma=math.inf)
+    with pytest.raises(ValueError, match="target_epsilon must be > 0"):
+        small_config(sigma=None, target_epsilon=0)
 
 
 @pytest.mark.parametrize(
@@ -91,6 +98,15 @@ def test_config_bounds_checks():
 def test_config_rejects_mistyped_fields(field, value):
     with pytest.raises(ValueError, match=f"{field} must be"):
         small_config(**{field: value})
+
+
+def test_config_stores_numpy_numbers_as_builtins():
+    cfg = small_config(rounds=np.int64(10), m_t=np.int32(2), clip=np.float32(0.5),
+                       sigma=np.float64(1.5), dropout_prob=np.float64(0.25))
+    for field in dataclasses.fields(cfg):
+        value = getattr(cfg, field.name)
+        assert value is None or type(value) in (int, float), field.name
+    assert (cfg.rounds, cfg.m_t, cfg.clip, cfg.sigma) == (10, 2, 0.5, 1.5)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -110,7 +126,7 @@ def test_config_file_round_trip(tmp_path):
         )
     )
     cfg = SimConfig.from_file(path)
-    assert cfg.rounds == 3 and cfg.m_t == 2 and cfg.sampler == "fixed"
+    assert cfg.rounds == 3 and cfg.m_t == 2
 
 
 # --- clipping ------------------------------------------------------------
@@ -319,11 +335,6 @@ def test_run_training_clipping_invariant():
     for rec in records:
         for norm in rec.update_norms:
             assert norm <= 0.02 + 1e-12
-
-
-def test_run_training_rejects_poisson_sampler():
-    with pytest.raises(ValueError, match="fixed-size"):
-        run_training(small_config(sampler="poisson"))
 
 
 def test_run_training_rejects_overflowing_weights():
@@ -537,6 +548,19 @@ def test_numpy_config_values_write_a_readable_ledger(tmp_path, field, value):
     assert ParticipationLedger.read(paths["ledger"]).to_text() == run_training(plain)[2].to_text()
 
 
+def test_numpy_typed_rounds_calibrate_and_train_like_an_int(tmp_path):
+    # calibrate_sigma and the stream seeding take built-in ints only, so the
+    # config converts at its boundary
+    fields = dict(clients=3, m_t=2, d=4, classes=2, points_per_client=20, batch_size=5,
+                  clip=1.0, target_epsilon=4.0)
+    written = []
+    for integer in (np.int64, int):
+        model, records, ledger = run_training(SimConfig(rounds=integer(3), seed=integer(3), **fields))
+        paths = write_artifacts(tmp_path / str(len(written)), model, records, ledger, 1e-5)
+        written.append([open(paths[name], "rb").read() for name in sorted(paths)])
+    assert written[0] == written[1]
+
+
 def test_trace_fixed_sampler_constant():
     sizes = batch_size_trace(small_config(), "fixed", 50)
     assert sizes == [6] * 50
@@ -549,6 +573,11 @@ def test_trace_zero_rounds_empty():
 def test_trace_rejects_unknown_sampler():
     with pytest.raises(ValueError):
         batch_size_trace(small_config(), "bernoulli", 5)
+
+
+def test_trace_rejects_negative_rounds():
+    with pytest.raises(ValueError, match="rounds must be >= 0"):
+        batch_size_trace(small_config(), "fixed", -1)
 
 
 def test_artifacts_round_trip(tmp_path):
