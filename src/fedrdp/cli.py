@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import lru_cache
 
 from .accountant import (
     DEFAULT_ALPHAS,
@@ -238,6 +239,7 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fedrdp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

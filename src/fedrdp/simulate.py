@@ -97,7 +97,7 @@ _NUMBER_FIELDS = {
     **dict.fromkeys(("rounds", "clients", "m_t", "d", "classes", "points_per_client",
                      "batch_size", "seed"), (numbers.Integral, "an integer")),
     **dict.fromkeys(("clip", "sigma", "target_epsilon", "delta", "dropout_prob", "step_size"),
-                    (numbers.Real, "a real number")),
+                    (numbers.Real, "a real number within float range")),
 }
 
 
@@ -196,8 +196,8 @@ class SimConfig:
     batch_size / points_per_client, which upper-bounds every client's actual
     participation count, so each client's realized epsilon is at most the
     target.  Number fields may be any non-bool integers or reals (NumPy
-    scalars too) and are stored as built-in int and float, as StepParams
-    stores them.
+    scalars too; a real field must convert to float) and are stored as
+    built-in int and float, as StepParams stores them.
     """
 
     rounds: int

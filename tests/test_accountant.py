@@ -446,6 +446,62 @@ def test_read_one_client_reads_a_last_line_without_a_newline():
         ParticipationLedger.from_text(text[:-4], 3)
 
 
+# Edge cases of the reader, with what reading client 3 gives (its timesteps,
+# or the error message) and what reading absent client 9 gives.
+LONE_CR_ERROR = "ledger line 2: '\\r' is not a ledger line break"
+READER_EDGES = {
+    "empty": ("", [], []),
+    "no final newline": (f"3\t1\t{LINE}\n4\t1\t{LINE}\n3\t2\t{LINE}", [1, 2], []),
+    "trailing lone CR": (f"3\t1\t{LINE}\n4\t1\t{LINE}\r", LONE_CR_ERROR, LONE_CR_ERROR),
+    "CRLF": (f"3\t1\t{LINE}\r\n4\t1\t{LINE}\r\n3\t2\t{LINE}\r\n", [1, 2], []),
+    "blank lines": (f"\n \t\n3\t1\t{LINE}\n\n4\t1\t{LINE}\n\t\n3\t2\t{LINE}\n\n", [1, 2], []),
+    "bad field": (f"4\t1\t{LINE}\r\n\r\n3\t2\tx\t1.0\t1.0\t2\n",
+                  "could not convert string to float: 'x'", []),
+    "short line": (f"4\t1\t{LINE}\n\n3\t2\t0.1\t1.0\n",
+                   "ledger line 3: expected 6 tab-separated fields", []),
+}
+
+
+@pytest.mark.parametrize("case", READER_EDGES)
+def test_reader_edges_agree_across_read_and_from_text(tmp_path, case):
+    text, want, want_absent = READER_EDGES[case]
+    path = tmp_path / "ledger.tsv"
+    path.write_bytes(text.encode("ascii"))
+
+    def outcome(read, cid):
+        try:
+            ledger = read()
+        except ValueError as exc:
+            return str(exc)
+        return [t for t, _ in ledger.steps(cid)]
+
+    for cid, expected in ((3, want), (9, want_absent)):
+        reads = {
+            "read": lambda: ParticipationLedger.read(path),
+            "read one": lambda: ParticipationLedger.read(path, cid),
+            "from_text one": lambda: ParticipationLedger.from_text(text, cid),
+        }
+        if cid == 9:
+            del reads["read"]  # a full read also parses client 3's bad fields
+        for name, read in reads.items():
+            assert outcome(read, cid) == expected, (name, cid)
+
+
+def test_read_rejects_non_ascii_as_an_ascii_decode_does(tmp_path):
+    data = f"3\t1\t{LINE}\n4\t1\t{LINE}\xe9\n".encode("latin-1")
+    path = tmp_path / "ledger.tsv"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as want:
+        path.read_text(encoding="ascii")
+    for client_id in (None, 3, 9):
+        with pytest.raises(UnicodeDecodeError) as got:
+            ParticipationLedger.read(path, client_id)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(UnicodeEncodeError) as encode:
+        ParticipationLedger.from_text(data.decode("latin-1"), 3)
+    assert encode.value.start == want.value.start == len(data) - 2
+
+
 def test_read_one_client_names_the_line_of_a_bad_step(tmp_path):
     path = tmp_path / "ledger.tsv"
     path.write_text(f"1\t1\t{LINE}\n0\t1\t{LINE}\n\n1\t2\t0.1\t1.0\n", encoding="ascii")

@@ -443,6 +443,19 @@ def test_simulate_rejects_infinite_clip_and_step_size(capsys, tmp_path, field):
     assert f"{field} must be > 0 and finite" in err
 
 
+@pytest.mark.parametrize("field", ["clip", "sigma", "target_epsilon", "step_size"])
+def test_simulate_and_trace_reject_an_integer_past_float_range(capsys, tmp_path, field):
+    # a JSON integer too large for a float is bad input, not a numerical failure
+    noise = {"sigma": None} if field == "target_epsilon" else {}
+    path = demo_config(tmp_path, **{**noise, field: 10**400})
+    for argv in (["simulate", "--outdir", str(tmp_path / "o")], ["trace"]):
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert code == cli.EXIT_USAGE, argv
+        assert out == ""
+        assert err.startswith(f"error: {field} must be a real number within float range, got 1000")
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_rejects_a_calibrated_sigma_whose_noise_overflows(capsys, tmp_path):
     # the calibrated sigma is finite, but clip * sigma / batch_size is not
     path = demo_config(tmp_path, clip=1e308, batch_size=1, sigma=None, target_epsilon=1.0)
@@ -450,6 +463,41 @@ def test_simulate_rejects_a_calibrated_sigma_whose_noise_overflows(capsys, tmp_p
     assert code == cli.EXIT_USAGE
     assert "noise std clip * sigma / batch_size must be finite" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_one_process_runs_commands_as_fresh_processes_do(capsys, tmp_path):
+    # the parser is built once per process; each command must print what it
+    # prints when its process builds its own
+    ledger = tmp_path / "ledger.tsv"
+    write_demo_ledger(ledger)
+    curve = tmp_path / "curve.csv"
+    argvs = [
+        ["calibrate", "--epsilon", "x", "--q", "0.05", "--steps", "100"],
+        ["--help"],
+        ["compose", "--help"],
+        ["nosuchcommand"],
+        ["calibrate", "--epsilon", "4", "--q", "0.05", "--steps", "100"],
+        ["compose", "--ledger", str(ledger), "--client", "0", "--output", str(curve)],
+        ["convert", "--curve", str(curve)],
+        ["compose", "--ledger", str(ledger), "--client", "0", "--alphas", "2,4"],
+        ["calibrate", "--q", "0.05"],
+    ]
+
+    def run_all(fresh):
+        runs = []
+        for argv in argvs:
+            if fresh:
+                cli._build_parser.cache_clear()
+            runs.append(run_cli(capsys, *argv))
+        return runs
+
+    cli._build_parser.cache_clear()
+    shared = run_all(fresh=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert shared == run_all(fresh=True)
+    assert [code for code, _, _ in shared] == [1, 0, 0, 1, 0, 0, 0, 0, 1]
+    assert "invalid float value: 'x'" in shared[0][2]
+    assert shared[1][1].startswith("usage: fedrdp")
 
 
 # --- simulate / trace -------------------------------------------------------------

@@ -93,11 +93,20 @@ def test_config_bounds_checks():
 @pytest.mark.parametrize(
     "field,value",
     [("rounds", True), ("rounds", 2.5), ("seed", 1.0), ("m_t", "2"), ("clip", False),
-     ("delta", "1e-5"), ("sigma", [1.5])],
+     ("delta", "1e-5"), ("sigma", [1.5]),
+     # an integer too large for a float
+     *(pytest.param(field, 10**400, id=f"{field}-10**400")
+       for field in ("clip", "sigma", "target_epsilon", "step_size"))],
 )
 def test_config_rejects_mistyped_fields(field, value):
     with pytest.raises(ValueError, match=f"{field} must be"):
         small_config(**{field: value})
+
+
+def test_config_keeps_an_integer_clip_in_the_ledger():
+    assert type(small_config(clip=1).clip) is int
+    ledger = run_training(small_config(clip=1, rounds=2))[2]
+    assert {line.split("\t")[4] for line in ledger.to_text().splitlines()} == {"1"}
 
 
 def test_config_stores_numpy_numbers_as_builtins():
