@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .divergence import MechanismParams, _is_real, renyi_step_bound
+from .divergence import MechanismParams, _is_real, _shown, renyi_step_bound
 
 __all__ = [
     "DEFAULT_ALPHAS",
@@ -125,13 +125,13 @@ class StepParams:
         q, sigma, clip = (_builtin_number(v, numbers.Real) for v in (self.q, self.sigma, self.clip))
         batch_size = _builtin_number(self.batch_size, numbers.Integral)
         if not (q is not None and 0 < q <= 1):
-            raise ValueError(f"q must lie in (0, 1], got {self.q!r}")
+            raise ValueError(f"q must lie in (0, 1], got {_shown(self.q)}")
         if not (sigma is not None and sigma >= 0 and math.isfinite(sigma)):
-            raise ValueError(f"sigma must be a finite real >= 0, got {self.sigma!r}")
+            raise ValueError(f"sigma must be a finite real >= 0, got {_shown(self.sigma)}")
         if not (clip is not None and clip > 0):
-            raise ValueError(f"clip must be > 0, got {self.clip!r}")
+            raise ValueError(f"clip must be > 0, got {_shown(self.clip)}")
         if not (batch_size is not None and batch_size >= 1):
-            raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
+            raise ValueError(f"batch_size must be an integer >= 1, got {_shown(self.batch_size)}")
         # to_text writes these with repr, which reads back only for built-in
         # numbers (numpy's is "np.float64(1.5)")
         for name, value in (("q", q), ("sigma", sigma), ("clip", clip), ("batch_size", batch_size)):
@@ -370,12 +370,10 @@ def _client_lines(data: bytearray, client_id: int) -> Iterator[tuple[int, str]]:
     line starts with a canonical client id and a tab or is blank, so no line
     of the client can be spelled another way ("07", "+7", " 7", "7_0").
     """
-    needle = b"\n%d\t" % client_id
-    pos = data.find(needle)
-    while pos != -1:
+    for match in re.finditer(re.escape(b"\n%d\t" % client_id), data):
+        pos = match.start()
         end = data.find(b"\n", pos + 1)
         yield pos + 1, data[pos + 1 : end].decode("ascii")
-        pos = data.find(needle, end)
 
 
 def write_atomic(path, text: str) -> None:

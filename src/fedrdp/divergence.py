@@ -66,14 +66,37 @@ def _is_real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_finite_real(x) -> bool:
+    """True for an int or a float that converts to a finite float."""
+    try:
+        return _is_real(x) and math.isfinite(x)
+    except OverflowError:  # an int past float range
+        return False
+
+
+def _shown(value) -> str:
+    """repr of value for an error message; an int past float range by its size.
+
+    Such an int's repr runs to hundreds of digits, and past 4300 digits
+    Python refuses to print it at all.
+    """
+    if _is_real(value) and isinstance(value, int) and not _is_finite_real(value):
+        n = abs(value)
+        digits = int(n.bit_length() * math.log10(2)) + 1
+        if n < 10 ** (digits - 1):
+            digits -= 1
+        return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+    return repr(value)
+
+
 def _check_positive_sigma(sigma: float) -> None:
-    if not (_is_real(sigma) and math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
+    if not (_is_finite_real(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be a positive finite real, got {_shown(sigma)}")
 
 
 def _check_alpha(alpha: float) -> None:
-    if not (_is_real(alpha) and math.isfinite(alpha) and alpha > 1):
-        raise ValueError(f"alpha must be a finite real > 1, got {alpha!r}")
+    if not (_is_finite_real(alpha) and alpha > 1):
+        raise ValueError(f"alpha must be a finite real > 1, got {_shown(alpha)}")
 
 
 def _moment_mpf(sigma: float, k: int):
@@ -153,7 +176,7 @@ class MechanismParams:
 
     def __post_init__(self):
         if not (_is_real(self.q) and 0 <= self.q <= 1):
-            raise ValueError(f"q must lie in [0, 1], got {self.q!r}")
+            raise ValueError(f"q must lie in [0, 1], got {_shown(self.q)}")
         _check_positive_sigma(self.sigma)
 
 
@@ -252,45 +275,101 @@ def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
 def _mixture_power_integral_mpf(alpha: float, q: float, sigma: float):
     """Integral of (P/Q)^alpha dQ over a truncated domain, with error estimate.
 
-    The integrand's right tail is a Gaussian centred at theta = alpha (the
-    power tilts the mixture), so the domain runs 40 half-sigma standard
-    deviations past the outermost of the centres {0, 1, alpha}; the mass
-    beyond is below 1e-15 of the integral on both sides.
+    With c = 1/(2s^2), the integrand is e^f / (s sqrt(2 pi)) for
+        f(t) = alpha log((1-q) + q e^{(2t-1)c}) - t^2 c,
+    and f' = (alpha w - t)/s^2 with w in (0, 1).  So f peaks in [0, alpha],
+    possibly inside it (near t = 42 at alpha=64, q=0.5, sigma=16), falls past
+    alpha at least as fast as a Gaussian of standard deviation s centred at
+    alpha, and below 0 at least as fast as one centred at 0.  f'' >= -1/s^2
+    (the log term is convex), so e^f is at least such a Gaussian around its
+    peak.  The domain runs 40 s past both ends, from -40s to
+    max(1, alpha) + 40s, and each tail beyond is below Phi(-40) < 1e-349 of
+    the integral.
 
     The integrand is scaled to O(1) before integrating.  mpmath stops
     refining a subinterval once its error estimate is below an *absolute*
     epsilon (~3e-42 at _QUAD_DPS); where the moment is large (~1e27 at
     alpha=4, q=0.5, sigma=0.6) that test never passes, and every subinterval
-    would run to maxdegree.  So the log-integrand
-        f(t) = alpha log((1-q) + q e^{(2t-1)/(2s^2)}) - t^2 / (2s^2)
-    is shifted by its largest value K on a coarse scan of [0, alpha], exp(f - K)
-    is integrated, and the value and the error estimate are both multiplied
-    back by e^K / (s sqrt(2 pi)).  Both are returned on the unscaled
-    integral's scale.  f' = (alpha w - t)/s^2 with w in (0, 1), so f peaks in
-    [0, alpha], possibly inside it (near t = 42 at alpha=64, q=0.5,
-    sigma=16); since f'' >= -1/s^2, the scan's K is within
-    (alpha/64)^2 / (2 s^2) of the peak.  A K below the peak leaves the
-    normalised integral large, which costs time, not accuracy.
+    would run to maxdegree.  So f is shifted by its largest value K on a
+    coarse scan of [0, alpha], exp(f - K) is integrated, and the value and the
+    error estimate are both multiplied back by e^K / (s sqrt(2 pi)).  Both
+    are returned on the unscaled integral's scale.  The scan's K is within
+    (alpha/64)^2 / (2 s^2) of the peak and not above it, so the integral of
+    exp(f - K) is at least s sqrt(2 pi) / 2.  A K below the peak leaves it
+    large, which costs time, not accuracy.
+
+    Each breakpoint interval [a, b] is integrated on [-1, 1]: the integrand
+    maps x to t = mid + half x and adds log(half) to the exponent, so
+    mpmath's stopping rule sees the sums it would see on [a, b], and its
+    node caches hold one set for [-1, 1] instead of one per interval.  The
+    integrand works on raw mpf tuples.  Since (1-q) + q e^{(2t-1)c} <=
+    max(1, e^{(2t-1)c}), its exponent is at most
+        alpha max(0, (2t-1)c) - t^2 c + log(half) - K.
+    Where that bound, taken in float64 with a margin far above its rounding,
+    lies below log(s) - 300, the node's value is exactly 0 (a quarter to a
+    half of the nodes, which tanh-sinh crowds at the ends).  A rule's weights
+    on [-1, 1] sum to about 2, so the four intervals drop less than
+    8 s e^-300, below 1e-129 of the integral.
     """
     from mpmath import mp, mpf
+    from mpmath.libmp import mpf_add, mpf_exp, mpf_log, mpf_mul, mpf_sub, round_nearest, to_float
 
     with _MP_LOCK, mp.workdps(_QUAD_DPS):
         al = mpf(alpha)
         qq = mpf(q)
         s = mpf(sigma) / 2
-        two_s2 = 2 * s * s
         lo = -20 * mpf(sigma)
         hi = max(mpf(1), al) + 20 * mpf(sigma)
+        points = sorted({lo, mpf(0), mpf(1), min(max(al, mpf(1)), hi), hi})
+
+        # mp.quad evaluates the integrand 20 bits above the caller's precision
+        wp = mp.prec + 20
+        rnd = round_nearest
+        with mp.workprec(wp):
+            c = 1 / (2 * s * s)
+            al_, c_, two_c = al._mpf_, c._mpf_, (2 * c)._mpf_
+            one_minus_q = (1 - qq)._mpf_
+            q_exp_c = (qq * mp.exp(-c))._mpf_
 
         def log_integrand(t):
-            return al * mp.log((1 - qq) + qq * mp.exp((2 * t - 1) / two_s2)) - t * t / two_s2
+            """f(t) as a raw mpf, for a raw mpf t."""
+            growth = mpf_exp(mpf_mul(t, two_c, wp, rnd), wp, rnd)
+            mix = mpf_add(one_minus_q, mpf_mul(q_exp_c, growth, wp, rnd), wp, rnd)
+            return mpf_sub(mpf_mul(al_, mpf_log(mix, wp, rnd), wp, rnd),
+                           mpf_mul(mpf_mul(t, t, wp, rnd), c_, wp, rnd), wp, rnd)
 
+        zero, make_mpf = mp.zero, mp.make_mpf
         n = _SCALE_SCAN_INTERVALS
-        scale = max(log_integrand(al * i / n) for i in range(n + 1))
-        points = sorted({lo, mpf(0), mpf(1), min(max(al, mpf(1)), hi), hi})
-        value, err = mp.quad(
-            lambda t: mp.exp(log_integrand(t) - scale), points, error=True, maxdegree=10
-        )
+        scale = max(make_mpf(log_integrand((al * i / n)._mpf_)) for i in range(n + 1))
+
+        c_f = float(c)
+        alpha_c = alpha * c_f
+        log_s = math.log(sigma / 2)
+        # the skip test's margin needs c_f to carry float64's relative precision
+        skips = 1e-300 < c_f < 1e300
+        value = err = zero
+        for a, b in zip(points, points[1:]):
+            with mp.workprec(wp):
+                mid, half = (b + a) / 2, (b - a) / 2
+                shift = mp.log(half) - scale
+            shift_f = float(shift)
+            # log(s) - 300 - shift, less a margin for the roundings on both sides
+            cut = (log_s - 300 - shift_f - 1e-12 * (abs(shift_f) + abs(log_s) + 300)
+                   if skips else -math.inf)
+
+            def integrand(x, mid=mid._mpf_, half=half._mpf_, shift=shift._mpf_, cut=cut):
+                t = mpf_add(mid, mpf_mul(half, x._mpf_, wp, rnd), wp, rnd)
+                tf = to_float(t)
+                square = tf * tf * c_f
+                lead = (2 * tf - 1) * c_f
+                bound = (alpha * lead if lead > 0 else 0.0) - square
+                if bound + 1e-12 * (alpha_c * (2 * abs(tf) + 1) + square) < cut:
+                    return zero
+                return make_mpf(mpf_exp(mpf_add(log_integrand(t), shift, wp, rnd), wp, rnd))
+
+            v, e = mp.quad(integrand, [-1, 1], error=True, maxdegree=10)
+            value += v
+            err += e
         factor = mp.exp(scale) / (s * mp.sqrt(2 * mp.pi))
         return value * factor, err * factor
 
@@ -320,7 +399,7 @@ def renyi_divergence_quadrature(alpha: float, q: float, sigma: float) -> float:
     _check_alpha(alpha)
     _check_positive_sigma(sigma)
     if not (_is_real(q) and 0 <= q <= 1):
-        raise ValueError(f"q must lie in [0, 1], got {q!r}")
+        raise ValueError(f"q must lie in [0, 1], got {_shown(q)}")
     if q == 0:
         return 0.0
     from mpmath import mp, mpf

@@ -68,6 +68,7 @@ from .accountant import (
     rdp_to_dp,
     write_atomic,
 )
+from .divergence import _shown
 
 __all__ = [
     "BLOB_RADIUS",
@@ -224,7 +225,7 @@ class SimConfig:
                 continue
             number = _builtin_number(value, kind)
             if number is None:
-                raise ValueError(f"{name} must be {what}, got {value!r}")
+                raise ValueError(f"{name} must be {what}, got {_shown(value)}")
             object.__setattr__(self, name, number)
         checks = [
             (self.rounds >= 1, "rounds must be >= 1"),

@@ -59,6 +59,16 @@ def test_step_params_rejects(kw):
         StepParams(**kw)
 
 
+def test_step_params_shows_an_integer_past_float_range_by_its_size():
+    # its repr runs past 4300 digits, which Python refuses to print
+    with pytest.raises(ValueError) as info:
+        StepParams(q=0.1, sigma=10**5000, clip=1.0, batch_size=10)
+    assert str(info.value) == "sigma must be a finite real >= 0, got an integer of 5001 digits"
+    with pytest.raises(ValueError) as info:
+        StepParams(q=0.1, sigma=1.0, clip=1.0, batch_size=-(10**400))
+    assert str(info.value) == "batch_size must be an integer >= 1, got a negative integer of 401 digits"
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -437,6 +437,34 @@ def test_oracle_rejects_bad_args():
         renyi_divergence_quadrature(2.0, 0.1, -2.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: MechanismParams(q=0.1, sigma=10**400),
+        lambda: renyi_step_bound(10**400, MechanismParams(q=0.1, sigma=1.0)),
+        lambda: renyi_divergence_quadrature(10**400, 0.1, 1.0),
+        lambda: renyi_divergence_quadrature(2.0, 0.1, 10**400),
+        lambda: likelihood_ratio_moment(10**400, 2),
+    ],
+    ids=["params-sigma", "bound-alpha", "quadrature-alpha", "quadrature-sigma", "moment-sigma"],
+)
+def test_an_integer_past_float_range_is_a_bad_domain(call):
+    # not the OverflowError of converting it to float; shown by its size
+    with pytest.raises(ValueError, match="got an integer of 401 digits$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [(2**1024, "an integer of 309 digits"), (10**309 - 1, "an integer of 309 digits"),
+     (10**309, "an integer of 310 digits"), (-(10**5000), "a negative integer of 5001 digits"),
+     (10**308, repr(10**308)), (1.5, "1.5"), (math.inf, "inf")],
+    ids=["2**1024", "10**309-1", "10**309", "-10**5000", "10**308", "1.5", "inf"],
+)
+def test_error_messages_show_an_integer_past_float_range_by_its_size(value, shown):
+    assert divergence._shown(value) == shown
+
+
 def test_quadrature_error_reports_achieved_tolerance():
     err = QuadratureError("did not converge", achieved_tolerance=1e-7)
     assert err.achieved_tolerance == 1e-7
@@ -459,6 +487,38 @@ def test_oracle_error_gate_uses_unscaled_integral(monkeypatch):
     moment = math.exp((alpha - 1) * reference.integer_alpha_divergence(int(alpha), q, sigma))
     assert moment > 1e27
     assert info.value.achieved_tolerance == pytest.approx(1e-10 * moment, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "alpha, q, sigma",
+    [
+        # the peak of width s sits on a breakpoint far inside its interval:
+        # Gauss-Legendre converges falsely here, and the error gate passes
+        (128, 1.0, 0.3), (256, 0.5, 0.5), (64, 1e-3, 0.3),
+        (1025, 1e-3, 0.5),
+        # D ~ 1e-18 and 4e-15: an oracle at 30 digits is off by up to 5e-14
+        (2, 1e-6, 1000.0), (8, 1e-6, 64.0),
+    ],
+)
+def test_oracle_holds_where_a_cheaper_rule_goes_wrong(alpha, q, sigma):
+    closed = reference.integer_alpha_divergence(alpha, q, sigma)
+    assert renyi_divergence_quadrature(float(alpha), q, sigma) == pytest.approx(closed, rel=1e-14)
+
+
+def test_oracle_does_not_grow_mpmath_node_caches():
+    # every interval is integrated on [-1, 1], so mpmath caches one node set
+    # per degree; nodes mapped to [a, b] would be cached anew at each sigma
+    rule = mp.mp._tanh_sinh
+
+    def sizes():
+        return [len(c) for c in (rule.standard_cache, rule.transformed_cache, rule.interval_count)]
+
+    for _ in range(2):  # a node set enters transformed_cache on its second use
+        renyi_divergence_quadrature(4.0, 0.5, 0.6)
+    before = sizes()
+    for i in range(40):
+        renyi_divergence_quadrature(4.0, 0.5, 0.6 + i / 64)
+    assert sizes() == before
 
 
 def test_oracle_pure_gaussian_shift_past_float_range():
