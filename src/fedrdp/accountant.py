@@ -18,7 +18,7 @@ share one validated ``StepParams``.  A read puts the text, as ASCII bytes,
 in one buffer between two "\n", so every line, the first and the last too,
 sits between two "\n"; a file is read straight into it.  Byte scans of the
 buffer check that every line starts with a canonical id or is blank.
-Reading one client then finds ``\nc<TAB>`` with ``bytearray.find`` and
+Reading one client then finds each ``\nc<TAB>`` with ``re.finditer`` and
 decodes and parses only the lines it starts, so no line of the client can
 go unread.  A line number is counted only for an error.  Writing goes
 through a temporary file that replaces the target only when complete: a
@@ -31,7 +31,6 @@ number of steps.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import re
 import sys
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .divergence import MechanismParams, _is_real, _shown, renyi_step_bound
+from .divergence import MechanismParams, _number, renyi_step_bound
 
 __all__ = [
     "DEFAULT_ALPHAS",
@@ -108,6 +107,17 @@ class CalibrationError(RuntimeError):
         self.epsilon_at_bracket = epsilon_at_bracket
 
 
+# (message, range) of a number for `_number`, and StepParams' fields with theirs
+_DELTA = ("delta must lie in (0, 1)", lambda delta: 0 < delta < 1)
+_CURVE_VALUE = ("curve values must be >= 0", lambda value: value >= 0)
+_STEP_FIELDS = (
+    ("q", float, "q must lie in (0, 1]", lambda q: 0 < q <= 1),
+    ("sigma", float, "sigma must be a finite real >= 0", lambda sigma: 0 <= sigma < math.inf),
+    ("clip", float, "clip must be > 0", lambda clip: clip > 0),
+    ("batch_size", int, "batch_size must be an integer >= 1", lambda size: size >= 1),
+)
+
+
 @dataclass(frozen=True)
 class StepParams:
     """Parameters of one recorded noisy step.
@@ -122,38 +132,10 @@ class StepParams:
     batch_size: int
 
     def __post_init__(self):
-        q, sigma, clip = (_builtin_number(v, numbers.Real) for v in (self.q, self.sigma, self.clip))
-        batch_size = _builtin_number(self.batch_size, numbers.Integral)
-        if not (q is not None and 0 < q <= 1):
-            raise ValueError(f"q must lie in (0, 1], got {_shown(self.q)}")
-        if not (sigma is not None and sigma >= 0 and math.isfinite(sigma)):
-            raise ValueError(f"sigma must be a finite real >= 0, got {_shown(self.sigma)}")
-        if not (clip is not None and clip > 0):
-            raise ValueError(f"clip must be > 0, got {_shown(self.clip)}")
-        if not (batch_size is not None and batch_size >= 1):
-            raise ValueError(f"batch_size must be an integer >= 1, got {_shown(self.batch_size)}")
         # to_text writes these with repr, which reads back only for built-in
         # numbers (numpy's is "np.float64(1.5)")
-        for name, value in (("q", q), ("sigma", sigma), ("clip", clip), ("batch_size", batch_size)):
-            object.__setattr__(self, name, value)
-
-
-def _builtin_number(value, kind: type) -> int | float | None:
-    """value as a built-in int or float if it is a non-bool `kind`, else None.
-
-    A value asked to be a `numbers.Real` must also convert to float: an
-    integer past float range is None, not an OverflowError wherever it is
-    first used as a float.
-    """
-    if isinstance(value, bool) or not isinstance(value, kind):
-        return None
-    try:
-        number = int(value) if isinstance(value, numbers.Integral) else float(value)
-        if kind is numbers.Real:
-            float(number)
-    except OverflowError:
-        return None
-    return number
+        for name, kind, message, ok in _STEP_FIELDS:
+            object.__setattr__(self, name, _number(getattr(self, name), kind, message, ok))
 
 
 @dataclass(frozen=True)
@@ -162,10 +144,9 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self):
-        if not (_is_real(self.epsilon) and self.epsilon >= 0):
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon!r}")
-        if not (isinstance(self.delta, (int, float)) and 0 < self.delta < 1):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
+        epsilon = _number(self.epsilon, float, "epsilon must be >= 0", lambda eps: eps >= 0)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "delta", _number(self.delta, float, *_DELTA))
 
 
 @dataclass(frozen=True)
@@ -182,24 +163,23 @@ class RdpCurve:
     def __post_init__(self):
         if len(self.alphas) != len(self.values):
             raise ValueError("alphas and values must have equal length")
-        _check_orders(self.alphas)
-        for v in self.values:
-            if math.isnan(v) or v < 0:
-                raise ValueError(f"curve values must be >= 0, got {v!r}")
+        object.__setattr__(self, "alphas", _orders(self.alphas))
+        object.__setattr__(self, "values", tuple(_number(v, float, *_CURVE_VALUE) for v in self.values))
 
     def items(self) -> Iterator[tuple[float, float]]:
         return zip(self.alphas, self.values)
 
 
-def _check_orders(alphas: tuple[float, ...]) -> None:
-    """Reject an empty grid or one that is not strictly increasing, > 1 and finite."""
-    if not alphas:
+def _orders(alphas: Iterable[float]) -> tuple[float, ...]:
+    """The order grid alphas as floats, rejected if empty or not strictly
+    increasing, > 1 and finite."""
+    message = "orders must be strictly increasing and > 1 and finite"
+    orders = tuple(float(_number(a, float, message)) for a in alphas)
+    if not orders:
         raise ValueError("curve must have at least one order")
-    prev = 1.0
-    for a in alphas:
-        if not prev < a < math.inf:
-            raise ValueError(f"orders must be strictly increasing and > 1 and finite, got {alphas}")
-        prev = a
+    if not all(a < b for a, b in zip((1.0, *orders), (*orders, math.inf))):
+        raise ValueError(f"{message}, got {orders}")
+    return orders
 
 
 class ParticipationLedger:
@@ -214,11 +194,8 @@ class ParticipationLedger:
         self._records: dict[int, list[tuple[int, StepParams]]] = {}
 
     def record(self, client_id: int, t: int, params: StepParams) -> "ParticipationLedger":
-        # bool is an int, and to_text would write it as True
-        if isinstance(client_id, bool) or not isinstance(client_id, int):
-            raise ValueError(f"client_id must be an integer, got {client_id!r}")
-        if isinstance(t, bool) or not isinstance(t, int):
-            raise ValueError(f"t must be an integer, got {t!r}")
+        client_id = _number(client_id, int, "client_id must be an integer")
+        t = _number(t, int, "t must be an integer")
         if not isinstance(params, StepParams):
             raise TypeError("params must be a StepParams")
         _append_step(self._records.setdefault(client_id, []), client_id, t, params)
@@ -314,10 +291,8 @@ class ParticipationLedger:
                              "does not start with a canonical client id and a tab")
         if client_id is None:
             lines = _all_lines(data)
-        elif isinstance(client_id, int) and not isinstance(client_id, bool):
-            lines = _client_lines(data, int(client_id))
         else:
-            raise ValueError(f"client_id must be an integer, got {client_id!r}")
+            lines = _client_lines(data, _number(client_id, int, "client_id must be an integer"))
         ledger = cls()
         interned: dict[str, StepParams] = {}
         for start, line in lines:
@@ -451,7 +426,9 @@ def compose_client_rdp(
     sigma = 0 or q = 1 admit no finite bound and raise, annotated with the
     index of the first such step.
     """
-    alphas = tuple(float(a) for a in alphas)
+    # a client id of another type ("7") would find no steps and compose to zero
+    client_id = _number(client_id, int, "client_id must be an integer")
+    alphas = _orders(alphas)
     counts: dict[tuple[float, float], int] = {}
     for idx, (t, p) in enumerate(ledger.steps(client_id)):
         key = (p.q, p.sigma)
@@ -487,16 +464,23 @@ def rdp_to_dp(curve: RdpCurve, delta: float = DEFAULT_DELTA) -> tuple[PrivacyBud
     ties break toward the smallest order.  An order valued +inf cannot win;
     if every order is +inf the budget is +inf at the smallest order.
     """
-    if not (isinstance(delta, (int, float)) and 0 < delta < 1):
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    delta = _number(delta, float, *_DELTA)
+    epsilon, alpha_star = _min_epsilon(curve.alphas, curve.values, delta)
+    return PrivacyBudget(epsilon=epsilon, delta=delta), alpha_star
+
+
+def _min_epsilon(
+    alphas: tuple[float, ...], values: Iterable[float], delta: float
+) -> tuple[float, float]:
+    """``rdp_to_dp``'s (epsilon, alpha*) for a grid, values and delta it has checked."""
     best_eps = math.inf
-    best_alpha = curve.alphas[0]
-    for alpha, value in curve.items():
+    best_alpha = alphas[0]
+    for alpha, value in zip(alphas, values):
         eps = _order_epsilon(value, alpha, delta)
         if eps < best_eps:
             best_eps = eps
             best_alpha = alpha
-    return PrivacyBudget(epsilon=best_eps, delta=delta), best_alpha
+    return best_eps, best_alpha
 
 
 def _calibration_epsilon(
@@ -519,10 +503,10 @@ def _calibration_epsilon(
       - a fractional order is skipped when the epsilon of the value at its
         floor (0 below order 2), a lower bound on its own, exceeds the best
         epsilon so far.
-    Both skips are on a strict >, and skipped orders enter the curve that
-    ``rdp_to_dp`` converts as +inf (a valid bound that cannot win), so ties
-    still go to the smallest order.  alphas must be a grid that
-    `_check_orders` accepts.
+    Both skips are on a strict >, and skipped orders enter the conversion
+    (``rdp_to_dp``'s own, `_min_epsilon`) as +inf (a valid bound that cannot
+    win), so ties still go to the smallest order.  alphas must be a grid that
+    `_orders` returns, and delta a number `rdp_to_dp` accepts.
     """
     values = dict.fromkeys(alphas, math.inf)
     evaluated = 0
@@ -541,8 +525,7 @@ def _calibration_epsilon(
         value = values[alpha] = _composed(((steps, _cached_step_bound(alpha, q, sigma)),))
         evaluated += 1
         best = min(best, _order_epsilon(value, alpha, delta))
-    budget, alpha_star = rdp_to_dp(RdpCurve(alphas, tuple(values.values())), delta)
-    return budget.epsilon, alpha_star, evaluated
+    return (*_min_epsilon(alphas, values.values(), delta), evaluated)
 
 
 def calibrate_sigma(
@@ -581,13 +564,9 @@ def calibrate_sigma(
     """
     if not isinstance(target, PrivacyBudget):
         raise TypeError("target must be a PrivacyBudget")
-    if not (0 < q < 1):
-        raise ValueError(f"q must lie in (0, 1), got {q!r}")
-    # bool is an int, and True would calibrate for one step
-    if isinstance(steps, bool) or not (isinstance(steps, int) and steps >= 1):
-        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
-    alphas = tuple(float(a) for a in alphas)
-    _check_orders(alphas)
+    q = _number(q, float, "q must lie in (0, 1)", lambda q: 0 < q < 1)
+    steps = _number(steps, int, "steps must be an integer >= 1", lambda steps: steps >= 1)
+    alphas = _orders(alphas)
     floor = _order_epsilon(0.0, alphas[-1], target.delta)
     if target.epsilon <= floor:
         raise CalibrationError(

@@ -36,6 +36,7 @@ from .accountant import (
 from .divergence import (
     MechanismParams,
     QuadratureError,
+    _number,
     renyi_divergence_quadrature,
     renyi_step_bound,
 )
@@ -156,7 +157,11 @@ def cmd_compose(args) -> int:
 
 
 def _read_curve(path) -> RdpCurve:
-    """Read a curve file as `_curve_text` writes it; a bad row names its line."""
+    """Read a curve file as `_curve_text` writes it; a bad row names its line.
+
+    A jsonl row's alpha and rdp must be JSON numbers: `_curve_text` writes
+    no other, and a true or a string is not read as one.
+    """
     alphas, values = [], []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -166,7 +171,8 @@ def _read_curve(path) -> RdpCurve:
             try:
                 if line.startswith("{"):
                     row = json.loads(line)
-                    alpha, value = row["alpha"], row["rdp"]
+                    alpha, value = (_number(row[key], float, f"{key} must be a number")
+                                    for key in ("alpha", "rdp"))
                 else:
                     alpha, value = line.split(",")
                 alphas.append(float(alpha))

@@ -25,6 +25,7 @@ mpmath's context, so concurrent callers are safe (just not parallel).
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -61,42 +62,57 @@ class QuadratureError(ArithmeticError):
         self.achieved_tolerance = achieved_tolerance
 
 
-def _is_real(x) -> bool:
-    """True for an int or a float; a bool is an int, but True is not 1.0."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _is_finite_real(x) -> bool:
-    """True for an int or a float that converts to a finite float."""
-    try:
-        return _is_real(x) and math.isfinite(x)
-    except OverflowError:  # an int past float range
-        return False
-
-
 def _shown(value) -> str:
     """repr of value for an error message; an int past float range by its size.
 
     Such an int's repr runs to hundreds of digits, and past 4300 digits
     Python refuses to print it at all.
     """
-    if _is_real(value) and isinstance(value, int) and not _is_finite_real(value):
-        n = abs(value)
-        digits = int(n.bit_length() * math.log10(2)) + 1
-        if n < 10 ** (digits - 1):
-            digits -= 1
-        return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+    if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            n = abs(value)
+            digits = int(n.bit_length() * math.log10(2)) + 1
+            if n < 10 ** (digits - 1):
+                digits -= 1
+            return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
     return repr(value)
 
 
-def _check_positive_sigma(sigma: float) -> None:
-    if not (_is_finite_real(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be a positive finite real, got {_shown(sigma)}")
+def _number(value, kind: type, message: str, ok=None) -> int | float:
+    """value as a built-in number, or ValueError(f"{message}, got {_shown(value)}").
+
+    The one rule for a number that enters the package.  With kind int, value
+    must be a non-bool ``numbers.Integral``; with kind float, a non-bool
+    ``numbers.Real`` that converts to float (an integer past float range
+    does not).  An integral value comes back as int, any other as float, so
+    NumPy scalars are stored as built-ins and repr reads back.  ok(number),
+    when given, must hold too.
+    """
+    if type(value) is kind:
+        number = value  # a built-in of the field's kind, as nearly every caller passes
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+        number = None
+    else:
+        try:
+            if isinstance(value, numbers.Integral):
+                number = int(value)
+                if kind is float:
+                    float(number)
+            else:
+                number = float(value) if kind is float else None
+        except OverflowError:
+            number = None
+    if number is None or not (ok is None or ok(number)):
+        raise ValueError(f"{message}, got {_shown(value)}")
+    return number
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (_is_finite_real(alpha) and alpha > 1):
-        raise ValueError(f"alpha must be a finite real > 1, got {_shown(alpha)}")
+# (message, range) of the numbers more than one function takes
+_ALPHA = ("alpha must be a finite real > 1", lambda alpha: 1 < alpha < math.inf)
+_Q = ("q must lie in [0, 1]", lambda q: 0 <= q <= 1)
+_SIGMA = ("sigma must be a positive finite real", lambda sigma: 0 < sigma < math.inf)
 
 
 def _moment_mpf(sigma: float, k: int):
@@ -155,9 +171,8 @@ def likelihood_ratio_moment(sigma: float, k: int) -> float:
         OverflowError: if the value (or an intermediate term) exceeds float
             range; reduce k or increase sigma.
     """
-    _check_positive_sigma(sigma)
-    if not (isinstance(k, int) and k >= 2):
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
+    sigma = _number(sigma, float, *_SIGMA)
+    k = _number(k, int, "k must be an integer >= 2", lambda k: k >= 2)
     value = float(_moment_mpf(sigma, k))
     if math.isinf(value):
         raise OverflowError(
@@ -175,9 +190,8 @@ class MechanismParams:
     sigma: float
 
     def __post_init__(self):
-        if not (_is_real(self.q) and 0 <= self.q <= 1):
-            raise ValueError(f"q must lie in [0, 1], got {_shown(self.q)}")
-        _check_positive_sigma(self.sigma)
+        object.__setattr__(self, "q", _number(self.q, float, *_Q))
+        object.__setattr__(self, "sigma", _number(self.sigma, float, *_SIGMA))
 
 
 _BOUND_PATHS = ("closed_form", "split")
@@ -237,7 +251,7 @@ def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
             accepts it).
         OverflowError: an order outside a float64 path's domain.
     """
-    _check_alpha(alpha)
+    alpha = _number(alpha, float, *_ALPHA)
     if not isinstance(params, MechanismParams):
         raise TypeError("params must be a MechanismParams")
     if params.q == 1:
@@ -396,10 +410,9 @@ def renyi_divergence_quadrature(alpha: float, q: float, sigma: float) -> float:
             tolerance of 1e-12 (relative 1e-18 for moments above 1e6); the
             achieved tolerance is attached.
     """
-    _check_alpha(alpha)
-    _check_positive_sigma(sigma)
-    if not (_is_real(q) and 0 <= q <= 1):
-        raise ValueError(f"q must lie in [0, 1], got {_shown(q)}")
+    alpha = _number(alpha, float, *_ALPHA)
+    sigma = _number(sigma, float, *_SIGMA)
+    q = _number(q, float, *_Q)
     if q == 0:
         return 0.0
     from mpmath import mp, mpf

@@ -46,9 +46,9 @@ covers nothing else).
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
-import numbers
 import os
 from collections import Counter
 from dataclasses import dataclass, fields, replace
@@ -62,13 +62,13 @@ from .accountant import (
     PrivacyBudget,
     RdpCurve,
     StepParams,
-    _builtin_number,
+    _orders,
     calibrate_sigma,
     compose_client_rdp,
     rdp_to_dp,
     write_atomic,
 )
-from .divergence import _shown
+from .divergence import _number
 
 __all__ = [
     "BLOB_RADIUS",
@@ -93,13 +93,27 @@ _STREAM_SELECTION = 4
 _STREAM_CLIENT_STEP = 5
 _STREAM_TRACE = 6
 
-# SimConfig's number fields, and what each must be
-_NUMBER_FIELDS = {
-    **dict.fromkeys(("rounds", "clients", "m_t", "d", "classes", "points_per_client",
-                     "batch_size", "seed"), (numbers.Integral, "an integer")),
-    **dict.fromkeys(("clip", "sigma", "target_epsilon", "delta", "dropout_prob", "step_size"),
-                    (numbers.Real, "a real number within float range")),
-}
+# SimConfig's number fields, checked in this order: name, kind and what an
+# error calls it, the range given the config so far, and the range's error
+_INTEGER = (int, "an integer")
+_REAL = (float, "a real number within float range")
+_CONFIG_FIELDS = (
+    ("rounds", _INTEGER, lambda n, c: n >= 1, "rounds must be >= 1"),
+    ("clients", _INTEGER, lambda n, c: n >= 1, "clients must be >= 1"),
+    ("m_t", _INTEGER, lambda n, c: 0 <= n <= c.clients, "m_t must lie in [0, clients]"),
+    ("d", _INTEGER, lambda n, c: n >= 1, "d must be >= 1"),
+    ("classes", _INTEGER, lambda n, c: 2 <= n <= c.d, "classes must lie in [2, d]"),
+    ("points_per_client", _INTEGER, lambda n, c: n >= 1, "points_per_client must be >= 1"),
+    ("batch_size", _INTEGER, lambda n, c: 1 <= n <= c.points_per_client,
+     "batch_size must lie in [1, points_per_client]"),
+    ("clip", _REAL, lambda x, c: 0 < x < math.inf, "clip must be > 0 and finite"),
+    ("sigma", _REAL, lambda x, c: 0 <= x < math.inf, "sigma must be a finite real >= 0"),
+    ("target_epsilon", _REAL, lambda x, c: x > 0, "target_epsilon must be > 0"),
+    ("delta", _REAL, lambda x, c: 0 < x < 1, "delta must lie in (0, 1)"),
+    ("seed", _INTEGER, lambda n, c: n >= 0, "seed must be >= 0"),
+    ("dropout_prob", _REAL, lambda x, c: 0 <= x < 1, "dropout_prob must lie in [0, 1)"),
+    ("step_size", _REAL, lambda x, c: 0 < x < math.inf, "step_size must be > 0 and finite"),
+)
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's
@@ -196,9 +210,8 @@ class SimConfig:
     the noise multiplier is calibrated for `rounds` steps at sampling ratio
     batch_size / points_per_client, which upper-bounds every client's actual
     participation count, so each client's realized epsilon is at most the
-    target.  Number fields may be any non-bool integers or reals (NumPy
-    scalars too; a real field must convert to float) and are stored as
-    built-in int and float, as StepParams stores them.
+    target.  Number fields follow the package's rule for numbers (see the
+    README) and are stored as built-in int and float.
     """
 
     rounds: int
@@ -219,41 +232,18 @@ class SimConfig:
     def __post_init__(self):
         if self.m_t is None:
             object.__setattr__(self, "m_t", self.clients)
-        for name, (kind, what) in _NUMBER_FIELDS.items():
+        for name, (kind, what), ok, message in _CONFIG_FIELDS:
             value = getattr(self, name)
             if value is None and name in ("sigma", "target_epsilon"):
                 continue
-            number = _builtin_number(value, kind)
-            if number is None:
-                raise ValueError(f"{name} must be {what}, got {_shown(value)}")
+            number = _number(value, kind, f"{name} must be {what}")
+            if not ok(number, self):
+                raise ValueError(message)
             object.__setattr__(self, name, number)
-        checks = [
-            (self.rounds >= 1, "rounds must be >= 1"),
-            (self.clients >= 1, "clients must be >= 1"),
-            (0 <= self.m_t <= self.clients, "m_t must lie in [0, clients]"),
-            (self.d >= 1, "d must be >= 1"),
-            (2 <= self.classes <= self.d, "classes must lie in [2, d]"),
-            (self.points_per_client >= 1, "points_per_client must be >= 1"),
-            (1 <= self.batch_size <= self.points_per_client,
-             "batch_size must lie in [1, points_per_client]"),
-            (0 < self.clip < math.inf, "clip must be > 0 and finite"),
-            (0 < self.delta < 1, "delta must lie in (0, 1)"),
-            (self.seed >= 0, "seed must be >= 0"),
-            (0 <= self.dropout_prob < 1, "dropout_prob must lie in [0, 1)"),
-            (0 < self.step_size < math.inf, "step_size must be > 0 and finite"),
-        ]
-        for ok, msg in checks:
-            if not ok:
-                raise ValueError(msg)
         if (self.sigma is None) == (self.target_epsilon is None):
             raise ValueError("exactly one of sigma / target_epsilon must be set")
-        if self.sigma is not None:
-            if not (self.sigma >= 0 and math.isfinite(self.sigma)):
-                raise ValueError("sigma must be a finite real >= 0")
-            if not math.isfinite(float(self.clip) * self.sigma / self.batch_size):
-                raise ValueError("noise std clip * sigma / batch_size must be finite")
-        if self.target_epsilon is not None and not self.target_epsilon > 0:
-            raise ValueError("target_epsilon must be > 0")
+        if self.sigma is not None and not math.isfinite(float(self.clip) * self.sigma / self.batch_size):
+            raise ValueError("noise std clip * sigma / batch_size must be finite")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
@@ -510,14 +500,19 @@ def client_epsilon_report(
 ) -> list[tuple[int, int, float]]:
     """(client_id, participations, epsilon) rows for every ledgered client.
 
-    A client with a step admitting no finite bound (sigma = 0 or full batch)
-    reports epsilon = +inf rather than raising: a non-private run is a
-    legitimate simulator configuration and the report should say so.  Any
+    epsilon is the library's (``rdp_to_dp`` of ``compose_client_rdp``)
+    rounded up to 12 significant digits: clients.csv writes it with
+    ``.12g``, which then prints it exactly, and the value read back is never
+    below the library's.  A client with a step admitting no finite bound
+    (sigma = 0 or full batch) reports epsilon = +inf rather than raising: a
+    non-private run is a legitimate simulator configuration and the report
+    should say so.  Any
     other error, such as an invalid delta or order grid, raises.  Clients
     with the same step count per (q, sigma) share one composition: its fsum
     is exactly rounded, so their curve does not depend on the step order.
     """
-    alphas = tuple(float(a) for a in alphas)
+    alphas = _orders(alphas)
+    twelve_digits_up = decimal.Context(prec=12, rounding=decimal.ROUND_CEILING)
     epsilons: dict[frozenset, float] = {}
     rows = []
     for cid in ledger.clients():
@@ -529,7 +524,8 @@ def client_epsilon_report(
                 curve = RdpCurve(alphas, (math.inf,) * len(alphas))
             else:
                 curve = compose_client_rdp(ledger, cid, alphas)
-            epsilons[history] = rdp_to_dp(curve, delta)[0].epsilon
+            epsilon = rdp_to_dp(curve, delta)[0].epsilon
+            epsilons[history] = float(twelve_digits_up.create_decimal(epsilon))
         rows.append((cid, len(steps), epsilons[history]))
     return rows
 

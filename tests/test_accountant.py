@@ -80,14 +80,118 @@ def test_step_params_shows_an_integer_past_float_range_by_its_size():
         lambda: renyi_divergence_quadrature(2.0, True, 2.0),
         lambda: renyi_divergence_quadrature(2.0, 0.1, True),
         lambda: likelihood_ratio_moment(True, 2),
+        lambda: likelihood_ratio_moment(2.0, True),
+        lambda: PrivacyBudget(epsilon=1.0, delta=True),
+        lambda: rdp_to_dp(RdpCurve((2.0,), (0.5,)), True),
+        lambda: calibrate_sigma(PrivacyBudget(1.0, 1e-5), q=True, steps=10),
+        lambda: compose_client_rdp(ParticipationLedger(), 0, (1.5, True)),
+        lambda: compose_client_rdp(ParticipationLedger().record(1, 1, STEP), True),
+        lambda: RdpCurve((1.5, True), (0.0, 0.0)),
+        lambda: RdpCurve((2.0,), (True,)),
     ],
     ids=["steps", "epsilon", "q", "sigma", "alpha", "quadrature-q", "quadrature-sigma",
-         "moment-sigma"],
+         "moment-sigma", "moment-k", "delta", "convert-delta", "calibrate-q", "compose-alpha",
+         "compose-client_id", "curve-alpha", "curve-value"],
 )
 def test_bool_is_not_a_number(call):
     # True would be read as 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got True$"):
         call()
+
+
+# Each public entry point's number fields: a call that takes the field's
+# value, and the error the field gives a value that is not a number of its
+# kind in its range.
+ENTRY_POINT_FIELDS = {
+    "params-q": (lambda v: MechanismParams(q=v, sigma=2.0), "q must lie in [0, 1]"),
+    "params-sigma": (lambda v: MechanismParams(q=0.1, sigma=v), "sigma must be a positive finite real"),
+    "bound-alpha": (lambda v: renyi_step_bound(v, MechanismParams(q=0.1, sigma=2.0)),
+                    "alpha must be a finite real > 1"),
+    "quadrature-alpha": (lambda v: renyi_divergence_quadrature(v, 0.1, 2.0),
+                         "alpha must be a finite real > 1"),
+    "quadrature-q": (lambda v: renyi_divergence_quadrature(2.0, v, 2.0), "q must lie in [0, 1]"),
+    "quadrature-sigma": (lambda v: renyi_divergence_quadrature(2.0, 0.1, v),
+                         "sigma must be a positive finite real"),
+    "moment-sigma": (lambda v: likelihood_ratio_moment(v, 2), "sigma must be a positive finite real"),
+    "moment-k": (lambda v: likelihood_ratio_moment(2.0, v), "k must be an integer >= 2"),
+    "step-q": (lambda v: StepParams(q=v, sigma=1.0, clip=1.0, batch_size=1), "q must lie in (0, 1]"),
+    "step-sigma": (lambda v: StepParams(q=0.1, sigma=v, clip=1.0, batch_size=1),
+                   "sigma must be a finite real >= 0"),
+    "step-clip": (lambda v: StepParams(q=0.1, sigma=1.0, clip=v, batch_size=1), "clip must be > 0"),
+    "step-batch_size": (lambda v: StepParams(q=0.1, sigma=1.0, clip=1.0, batch_size=v),
+                        "batch_size must be an integer >= 1"),
+    "epsilon": (lambda v: PrivacyBudget(v, 1e-5), "epsilon must be >= 0"),
+    "delta": (lambda v: PrivacyBudget(1.0, v), "delta must lie in (0, 1)"),
+    "convert-delta": (lambda v: rdp_to_dp(RdpCurve((2.0,), (0.5,)), v), "delta must lie in (0, 1)"),
+    "calibrate-q": (lambda v: calibrate_sigma(PrivacyBudget(4.0, 1e-5), q=v, steps=10),
+                    "q must lie in (0, 1)"),
+    "calibrate-steps": (lambda v: calibrate_sigma(PrivacyBudget(4.0, 1e-5), q=0.05, steps=v),
+                        "steps must be an integer >= 1"),
+    "compose-alpha": (lambda v: compose_client_rdp(ParticipationLedger(), 0, (1.5, v)),
+                      "orders must be strictly increasing and > 1 and finite"),
+    # a client's steps are not found under another type of id, so its curve would be zero
+    "compose-client_id": (lambda v: compose_client_rdp(ParticipationLedger().record(2, 1, STEP), v),
+                          "client_id must be an integer"),
+    "curve-alpha": (lambda v: RdpCurve((1.5, v), (0.0, 0.0)),
+                    "orders must be strictly increasing and > 1 and finite"),
+    "curve-value": (lambda v: RdpCurve((2.0,), (v,)), "curve values must be >= 0"),
+    "record-client_id": (lambda v: ParticipationLedger().record(v, 1, STEP), "client_id must be an integer"),
+    "record-t": (lambda v: ParticipationLedger().record(0, v, STEP), "t must be an integer"),
+    "from_text-client_id": (lambda v: ParticipationLedger.from_text("", client_id=v),
+                            "client_id must be an integer"),
+    "read-client_id": (lambda v: ParticipationLedger.read(os.devnull, client_id=v),
+                       "client_id must be an integer"),
+}
+
+
+@pytest.mark.parametrize("field", ENTRY_POINT_FIELDS)
+def test_a_string_is_not_a_number(field):
+    # float("2") would read it as 2.0
+    call, message = ENTRY_POINT_FIELDS[field]
+    with pytest.raises(ValueError) as info:
+        call("2")
+    assert str(info.value) == f"{message}, got '2'"
+
+
+# Calls given real(x) for each real argument x and integer(n) for each
+# integral one; a ledger is shown by its clients and steps.
+NUMBER_CALLS = {
+    "params": lambda real, integer: MechanismParams(q=real(0.05), sigma=integer(2)),
+    "bound": lambda real, integer: (
+        renyi_step_bound(real(2.5), MechanismParams(q=real(0.05), sigma=real(1.3))),
+        renyi_step_bound(integer(4), MechanismParams(q=real(0.05), sigma=real(1.3)))),
+    "quadrature": lambda real, integer: renyi_divergence_quadrature(integer(2), real(0.05), real(4.0)),
+    "moment": lambda real, integer: likelihood_ratio_moment(real(2.0), integer(3)),
+    "step": lambda real, integer: StepParams(q=real(0.05), sigma=real(1.3), clip=integer(1),
+                                             batch_size=integer(10)),
+    "budget": lambda real, integer: PrivacyBudget(integer(4), real(1e-5)),
+    "convert": lambda real, integer: rdp_to_dp(
+        RdpCurve((real(2.0), integer(4)), (real(0.5), real(0.7))), real(1e-5)),
+    "calibrate": lambda real, integer: calibrate_sigma(
+        PrivacyBudget(real(4.0), real(1e-5)), q=real(0.05), steps=integer(100)),
+    "compose": lambda real, integer: compose_client_rdp(
+        ParticipationLedger().record(0, 1, STEP).record(0, 2, STEP), integer(0), (real(2.5), integer(8))),
+    "curve": lambda real, integer: RdpCurve((real(1.5), integer(4)), (real(0.25), integer(1))),
+    "record": lambda real, integer: _shown_ledger(
+        ParticipationLedger().record(integer(3), integer(1), STEP)),
+    "from_text": lambda real, integer: _shown_ledger(
+        ParticipationLedger.from_text("3\t1\t0.01\t2.0\t1.0\t10\n", client_id=integer(3))),
+}
+
+
+def _shown_ledger(ledger):
+    return ledger.clients(), [ledger.steps(cid) for cid in ledger.clients()]
+
+
+@pytest.mark.parametrize("real_type", [np.float32, np.float64])
+@pytest.mark.parametrize("name", NUMBER_CALLS)
+def test_numpy_numbers_give_what_their_builtin_values_give(name, real_type):
+    # repr tells a NumPy scalar from a built-in ("np.float64(0.5)") and
+    # round-trips every float, so equal reprs mean built-ins, bit for bit
+    call = NUMBER_CALLS[name]
+    given = call(real_type, np.int64)
+    builtin = call(lambda x: float(real_type(x)), int)
+    assert repr(given) == repr(builtin)
 
 
 def test_privacy_budget_validation():

@@ -339,8 +339,12 @@ def test_convert_rejects_an_infinite_order(capsys, tmp_path):
         ("curve.jsonl", '{"alpha": 2.0, "rdp": 0.5}\n\n{"alpha": 4.0, "rdp": \n'),
         ("curve.csv", "alpha,rdp\n2,0.5\n4,0.7,1\n"),
         ("curve.jsonl", '{"alpha": 2.0, "rdp": 0.5}\n\n{"alpha": 4.0}\n'),
+        # _curve_text writes JSON numbers only; true is not 1.0, nor "4" 4.0
+        ("curve.jsonl", '{"alpha": 2.0, "rdp": 0.5}\n\n{"alpha": 4, "rdp": true}\n'),
+        ("curve.jsonl", '{"alpha": 2.0, "rdp": 0.5}\n\n{"alpha": "4", "rdp": "0.5"}\n'),
+        ("curve.jsonl", '{"alpha": 2.0, "rdp": 0.5}\n\n{"alpha": 4, "rdp": 1%s}\n' % ("0" * 400)),
     ],
-    ids=["json-syntax", "csv-fields", "json-key"],
+    ids=["json-syntax", "csv-fields", "json-key", "json-bool", "json-string", "json-huge-int"],
 )
 def test_convert_names_the_line_of_a_bad_curve_row(capsys, tmp_path, name, text):
     path = tmp_path / name

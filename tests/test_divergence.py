@@ -14,8 +14,11 @@ from fedrdp.accountant import (
     DEFAULT_ALPHAS,
     DEFAULT_DELTA,
     ParticipationLedger,
+    PrivacyBudget,
+    RdpCurve,
     StepParams,
     _calibration_epsilon,
+    calibrate_sigma,
     compose_client_rdp,
     rdp_to_dp,
 )
@@ -445,8 +448,20 @@ def test_oracle_rejects_bad_args():
         lambda: renyi_divergence_quadrature(10**400, 0.1, 1.0),
         lambda: renyi_divergence_quadrature(2.0, 0.1, 10**400),
         lambda: likelihood_ratio_moment(10**400, 2),
+        lambda: MechanismParams(q=10**400, sigma=1.0),
+        lambda: renyi_divergence_quadrature(2.0, 10**400, 1.0),
+        lambda: StepParams(q=0.1, sigma=1.0, clip=10**400, batch_size=1),
+        lambda: PrivacyBudget(10**400, 1e-5),
+        lambda: PrivacyBudget(1.0, 10**400),
+        lambda: rdp_to_dp(RdpCurve((2.0,), (0.5,)), 10**400),
+        lambda: calibrate_sigma(PrivacyBudget(4.0, 1e-5), q=10**400, steps=10),
+        lambda: compose_client_rdp(ParticipationLedger(), 0, (2.0, 10**400)),
+        lambda: RdpCurve((2.0, 10**400), (0.0, 0.0)),
+        lambda: RdpCurve((2.0,), (10**400,)),
     ],
-    ids=["params-sigma", "bound-alpha", "quadrature-alpha", "quadrature-sigma", "moment-sigma"],
+    ids=["params-sigma", "bound-alpha", "quadrature-alpha", "quadrature-sigma", "moment-sigma",
+         "params-q", "quadrature-q", "step-clip", "epsilon", "delta", "convert-delta",
+         "calibrate-q", "compose-alpha", "curve-alpha", "curve-value"],
 )
 def test_an_integer_past_float_range_is_a_bad_domain(call):
     # not the OverflowError of converting it to float; shown by its size

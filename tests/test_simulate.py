@@ -1,6 +1,7 @@
 """Simulator: samplers, clipping, client/server updates, full runs."""
 
 import dataclasses
+import decimal
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import reference
 from fedrdp.accountant import ParticipationLedger, StepParams, compose_client_rdp, rdp_to_dp
@@ -505,9 +506,17 @@ def test_epsilon_report_raises_errors_other_than_no_finite_bound():
             client_epsilon_report(led, 1e-5, alphas=(4.0, 2.0))
 
 
+def _twelve_digits_up(x: float) -> float:
+    """The smallest decimal of 12 significant digits >= x, as a float."""
+    exact = decimal.Decimal(x)
+    return float(exact.quantize(decimal.Decimal(1).scaleb(exact.adjusted() - 11),
+                                rounding=decimal.ROUND_CEILING))
+
+
 def test_epsilon_report_equals_per_client_composition():
     # clients share a composition when their step counts per (q, sigma)
-    # agree, whatever the order of their steps
+    # agree, whatever the order of their steps; each epsilon is the
+    # library's rounded up to 12 significant digits
     a = StepParams(q=0.01, sigma=1.3, clip=1.0, batch_size=10)
     b = StepParams(q=0.05, sigma=0.9, clip=2.0, batch_size=5)
     zero = StepParams(q=0.01, sigma=0.0, clip=1.0, batch_size=10)
@@ -527,10 +536,46 @@ def test_epsilon_report_equals_per_client_composition():
             assert eps == math.inf
         else:
             want, _ = rdp_to_dp(compose_client_rdp(ledger, cid), 1e-5)
-            assert eps == want.epsilon
+            assert eps == _twelve_digits_up(want.epsilon)
     by_cid = {cid: eps for cid, _, eps in rows}
     assert by_cid[0] == by_cid[1] == by_cid[2] and by_cid[3] == by_cid[8]
     assert len(set(by_cid.values())) == 6
+
+
+def _assert_clients_csv_not_below_library(outdir, ledger, delta):
+    paths = write_artifacts(outdir, np.zeros((2, 2)), [], ledger, delta)
+    rows = open(paths["clients"]).read().splitlines()[1:]
+    assert len(rows) == len(ledger.clients())
+    for row in rows:
+        cid, _, written = row.split(",")
+        want, _ = rdp_to_dp(compose_client_rdp(ledger, int(cid)), delta)
+        assert float(written) >= want.epsilon, row
+
+
+def test_clients_csv_never_shows_an_epsilon_below_the_librarys_at_criterion_6(tmp_path):
+    # rounded to nearest, 13 of these 20 epsilons read back below the library's
+    cfg = SimConfig(
+        rounds=200, clients=20, m_t=10, d=5, classes=2, points_per_client=100,
+        batch_size=10, clip=1.0, sigma=3.0, seed=33, dropout_prob=0.3,
+    )
+    _assert_clients_csv_not_below_library(tmp_path, run_training(cfg)[2], cfg.delta)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(
+    histories=st.lists(
+        st.lists(st.tuples(st.sampled_from([0.001, 0.01, 0.05, 0.2]),
+                           st.sampled_from([0.7, 1.1, 2.0, 5.0])), min_size=1, max_size=300),
+        min_size=1, max_size=6,
+    ),
+    delta=st.sampled_from([1e-3, 1e-5, 1e-9]),
+)
+def test_clients_csv_never_shows_an_epsilon_below_the_librarys(tmp_path_factory, histories, delta):
+    ledger = ParticipationLedger()
+    for cid, steps in enumerate(histories):
+        for t, (q, sigma) in enumerate(steps, start=1):
+            ledger.record(cid, t, StepParams(q=q, sigma=sigma, clip=1.0, batch_size=1))
+    _assert_clients_csv_not_below_library(tmp_path_factory.mktemp("artifacts"), ledger, delta)
 
 
 def test_epsilon_report_tracks_participation():
