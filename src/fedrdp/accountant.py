@@ -205,24 +205,28 @@ class ParticipationLedger:
         return tuple(sorted(self._records))
 
     def steps(self, client_id: int) -> tuple[tuple[int, StepParams], ...]:
+        client_id = _number(client_id, int, "client_id must be an integer")
         return tuple(self._records.get(client_id, ()))
 
     def participation_count(self, client_id: int, t: int | None = None) -> int:
         """Number of participations of the client up to and including round t."""
-        steps = self._records.get(client_id, ())
+        steps = self.steps(client_id)
         if t is None:
             return len(steps)
+        t = _number(t, int, "t must be an integer")
         return sum(1 for tt, _ in steps if tt <= t)
 
     # --- serialisation -------------------------------------------------
 
     def to_text(self) -> str:
         lines = []
+        texts: dict[int, str] = {}  # by id: equal steps may differ in text (0.0, -0.0)
         for client_id in self.clients():
             for t, p in self._records[client_id]:
-                lines.append(
-                    f"{client_id}\t{t}\t{p.q!r}\t{p.sigma!r}\t{p.clip!r}\t{p.batch_size}"
-                )
+                text = texts.get(id(p))
+                if text is None:
+                    text = texts[id(p)] = f"{p.q!r}\t{p.sigma!r}\t{p.clip!r}\t{p.batch_size}"
+                lines.append(f"{client_id}\t{t}\t{text}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod

@@ -33,12 +33,22 @@ run_training or batch_size_trace call makes one Generator, which it seeds
 for stream after stream by assigning its PCG64 state, drawing from each
 stream before seeding the next (the tests pin this to NumPy's seeding,
 state and draws).  A client step draws its batch and then its noise from
-its own stream.  A round gathers all its batches from the data arrays with
-one index and computes all its client steps in one numpy pass over the
-stacked batches, doing for each client the same float operations as on
-that client's arrays alone (the tests check this against a
-one-client-at-a-time loop).  So trajectories are bit-reproducible
-regardless of the order or grouping in which client updates are computed.
+its own stream.  The batch is the sorted sample of
+Generator.choice(points, batch_size, replace=False).  A round of at least
+10 clients, no fewer than batch_size, on at most 10000 points calls no
+choice: each client takes the raw PCG64 words choice would consume, then
+its noise, and one numpy pass turns every client's words into its batch as
+choice does (Floyd's algorithm over NumPy's Lemire draws, one per 32-bit
+half of a word).  A client whose words might make a draw be rejected and
+drawn again re-seeds its stream and calls choice.  Other rounds call
+choice per client: the pass loops once per batch element, and with few
+clients or large batches it is the slower.  A round gathers all its batches from the
+data arrays with one index and computes all its client steps in one numpy
+pass over the stacked batches, doing for each client the same float
+operations as on that client's arrays alone (the tests check this against
+a one-client-at-a-time loop that calls choice).  So trajectories are
+bit-reproducible regardless of the order or grouping in which client
+updates are computed.
 Poisson batch sampling exists only for the batch-size trace contrast; the
 training loop itself always draws fixed-size batches (the accountant
 covers nothing else).
@@ -47,12 +57,13 @@ covers nothing else).
 from __future__ import annotations
 
 import decimal
+import functools
 import json
 import math
 import os
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -370,35 +381,103 @@ def _clip_rows(G: np.ndarray, clip: float) -> np.ndarray:
     return G * (clip / np.maximum(np.linalg.norm(G, axis=-1), clip))[..., None]
 
 
+def _choice_bounds(n: int, k: int) -> np.ndarray:
+    """Bounds j of the draws from [0, j] that rng.choice(n, k, replace=False) makes.
+
+    In order: Floyd's algorithm draws with bounds n-k .. n-1 (a bound of 0
+    takes no draw), then the shuffle of its k picks with bounds k-1 .. 1.
+    Each draw is NumPy's Lemire draw from one 32-bit word.  choice runs
+    Floyd's algorithm wherever n <= 10000.
+    """
+    return np.concatenate([np.arange(max(n - k, 1), n), np.arange(k - 1, 0, -1)]).astype(np.uint64)
+
+
+def _fixed_batches(
+    n: int, k: int, bounds: np.ndarray, words: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batches drawn from raw words, unsorted, and which rows are choice's.
+
+    Row i of words holds the first ceil(len(bounds) / 2) words of a freshly
+    seeded PCG64 stream; their 32-bit halves, low half first, are the words
+    of choice(n, k, replace=False)'s draws, one per bound j.  Lemire's
+    multiply-shift maps a half h to h * (j + 1) >> 32, and choice draws again
+    only where the low 32 bits of that product are below j + 1: such a row
+    is marked False and its batch is not choice's.  Floyd's rule then picks,
+    bound by bound, the draw, or j if the draw was picked before.  The
+    shuffle's draws only reorder the picks, so a row sorted is choice's
+    sample sorted.
+    """
+    m = len(words)
+    halves = np.stack([words & _MASK32, words >> 32], axis=-1).reshape(m, -1)[:, : len(bounds)]
+    scaled = halves * (bounds + 1)
+    exact = ((scaled & _MASK32) > bounds).all(axis=1)
+    draws = (scaled >> 32).astype(np.intp)
+    if k == n:
+        draws = np.column_stack([np.zeros(m, dtype=np.intp), draws])  # bound 0 draws 0
+    # picks are flat indices into `taken`, whose row i is client i's n points
+    starts = np.arange(0, m * n, n)
+    taken = np.zeros(m * n, dtype=bool)
+    picks = np.empty((k, m), dtype=np.intp)
+    for pick, draw, j in zip(picks, draws[:, :k].T + starts, np.arange(n - k, n)[:, None] + starts):
+        pick[:] = np.where(taken[draw], j, draw)
+        taken[pick] = True
+    return (picks - starts).T, exact
+
+
 def _round_updates(
     W: np.ndarray, features: np.ndarray, labels: np.ndarray, selected: Sequence[int],
-    config: SimConfig, rngs: Iterable[np.random.Generator],
+    config: SimConfig, streams: Callable[[Sequence[int]], Iterable[np.random.Generator]],
 ) -> tuple[np.ndarray, list[float]]:
     """One step of each selected client: (m, classes*d) updates, pre-noise norms.
 
     Client i of `selected` averages the clipped per-sample directions of a
     fixed-size batch of its points (a row of features) and adds Gaussian
-    noise of per-coordinate std clip*sigma/batch_size, drawing the batch and
-    then the noise from the i-th of rngs before taking the next one (so rngs
-    may re-seed one Generator, as _streams does).  Every client steps with
-    the config's batch_size, clip, sigma and step_size, so the directions,
-    clipping and means run once on the stacked (m, b, d) batches.
+    noise of per-coordinate std clip*sigma/batch_size.  streams(ids) yields
+    the freshly seeded PCG64 Generator of each id in turn, to draw from
+    before taking the next (it may re-seed one Generator, as _streams does).
+    A client's batch is _sample_fixed_batch's, and its noise is drawn after
+    it.  Where a round has at least 10 clients, no fewer than batch_size,
+    and at most 10000 points, no choice is called per client: each takes
+    the raw words choice would take (_choice_bounds), then its noise, and
+    after the loop _fixed_batches turns every client's words into its batch
+    at once.  A client whose words might make choice draw again takes its
+    batch and noise again from its re-seeded stream through choice.  Other
+    rounds call choice for every client.  All batches are sorted in one
+    call.  Every client steps with the config's batch_size, clip, sigma and
+    step_size, so the directions, clipping and means run once on the
+    stacked (m, b, d) batches.
     """
-    noise_std = config.clip * config.sigma / config.batch_size
-    batches, noise = [], []
-    for _, rng in zip(selected, rngs):
-        batches.append(rng.choice(len(labels), size=config.batch_size, replace=False))
+    n, k, m = len(labels), config.batch_size, len(selected)
+    noise_std = config.clip * config.sigma / k
+    noise = np.empty((m, W.size))
+    # _fixed_batches loops once per batch element over an (m, n) bitmap, so
+    # it was measured faster than m choice calls only with many clients and
+    # small batches; choice runs Floyd's algorithm wherever n <= 10000
+    if n <= 10000 and m >= max(k, 10):
+        bounds = _choice_bounds(n, k)
+        words = np.empty((m, (len(bounds) + 1) // 2), dtype=np.uint64)
+        for i, rng in enumerate(streams(selected)):
+            words[i] = rng.bit_generator.random_raw(words.shape[1])
+            if config.sigma > 0:
+                noise[i] = rng.normal(0.0, noise_std, size=W.size)
+        batches, exact = _fixed_batches(n, k, bounds, words)
+        redo = np.flatnonzero(~exact).tolist()
+    else:
+        batches, redo = np.empty((m, k), dtype=np.intp), range(m)
+    for i, rng in zip(redo, streams([selected[i] for i in redo])):
+        batches[i] = rng.choice(n, size=k, replace=False)
         if config.sigma > 0:
-            noise.append(rng.normal(0.0, noise_std, size=W.size))
-    # the draws _sample_fixed_batch makes per client, sorted in one call
-    batches = np.sort(np.stack(batches), axis=1)
+            noise[i] = rng.normal(0.0, noise_std, size=W.size)
+    batches.sort(axis=1)  # now each row is the client's _sample_fixed_batch
     X = features[np.asarray(selected)[:, None], batches]
     G = _per_sample_directions(W, X, labels[batches], config.step_size)
     updates = _clip_rows(G, config.clip).mean(axis=1)
-    # one norm per row: the norm of a 2-D array along an axis rounds differently
-    norms = [float(np.linalg.norm(row)) for row in updates]
-    if noise:
-        updates += np.stack(noise)
+    # a row's np.linalg.norm is the square root of one BLAS dot of the row
+    # with itself, and a (1, n) @ (n, 1) matmul takes that same dot (as
+    # np.vecdot does, which needs NumPy 2)
+    norms = np.sqrt(updates[:, None, :] @ updates[:, :, None]).ravel().tolist()
+    if config.sigma > 0:
+        updates += noise
     return updates, norms
 
 
@@ -446,7 +525,7 @@ def run_training(config: SimConfig) -> tuple[np.ndarray, list[RoundRecord], Part
         if selected:
             updates, norms = _round_updates(
                 model, features, labels, selected, config,
-                _streams(gen, (config.seed, _STREAM_CLIENT_STEP, t), selected),
+                functools.partial(_streams, gen, (config.seed, _STREAM_CLIENT_STEP, t)),
             )
             model = model + updates.mean(axis=0).reshape(model.shape)
             for cid in selected:
@@ -473,8 +552,7 @@ def batch_size_trace(config: SimConfig, sampler: str, rounds: int) -> list[int]:
     """
     if sampler not in ("fixed", "poisson"):
         raise ValueError(f"sampler must be fixed or poisson, got {sampler!r}")
-    if rounds < 0:
-        raise ValueError("rounds must be >= 0")
+    rounds = _number(rounds, int, "rounds must be >= 0", lambda n: n >= 0)
     n = config.points_per_client
     sizes = []
     for rng in _streams(_generator(), (config.seed, _STREAM_TRACE), range(1, rounds + 1)):

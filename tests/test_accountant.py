@@ -88,10 +88,14 @@ def test_step_params_shows_an_integer_past_float_range_by_its_size():
         lambda: compose_client_rdp(ParticipationLedger().record(1, 1, STEP), True),
         lambda: RdpCurve((1.5, True), (0.0, 0.0)),
         lambda: RdpCurve((2.0,), (True,)),
+        lambda: ParticipationLedger().record(1, 1, STEP).steps(True),
+        lambda: ParticipationLedger().record(1, 1, STEP).participation_count(True),
+        lambda: ParticipationLedger().record(1, 1, STEP).participation_count(1, True),
     ],
     ids=["steps", "epsilon", "q", "sigma", "alpha", "quadrature-q", "quadrature-sigma",
          "moment-sigma", "moment-k", "delta", "convert-delta", "calibrate-q", "compose-alpha",
-         "compose-client_id", "curve-alpha", "curve-value"],
+         "compose-client_id", "curve-alpha", "curve-value", "ledger-steps-client_id",
+         "count-client_id", "count-t"],
 )
 def test_bool_is_not_a_number(call):
     # True would be read as 1
@@ -137,6 +141,13 @@ ENTRY_POINT_FIELDS = {
     "curve-value": (lambda v: RdpCurve((2.0,), (v,)), "curve values must be >= 0"),
     "record-client_id": (lambda v: ParticipationLedger().record(v, 1, STEP), "client_id must be an integer"),
     "record-t": (lambda v: ParticipationLedger().record(0, v, STEP), "t must be an integer"),
+    # a client's steps are not found under another type of id, so it would have none
+    "steps-client_id": (lambda v: ParticipationLedger().record(2, 1, STEP).steps(v),
+                        "client_id must be an integer"),
+    "count-client_id": (lambda v: ParticipationLedger().record(2, 1, STEP).participation_count(v),
+                        "client_id must be an integer"),
+    "count-t": (lambda v: ParticipationLedger().record(2, 1, STEP).participation_count(2, v),
+                "t must be an integer"),
     "from_text-client_id": (lambda v: ParticipationLedger.from_text("", client_id=v),
                             "client_id must be an integer"),
     "read-client_id": (lambda v: ParticipationLedger.read(os.devnull, client_id=v),
@@ -174,6 +185,9 @@ NUMBER_CALLS = {
     "curve": lambda real, integer: RdpCurve((real(1.5), integer(4)), (real(0.25), integer(1))),
     "record": lambda real, integer: _shown_ledger(
         ParticipationLedger().record(integer(3), integer(1), STEP)),
+    "lookup": lambda real, integer: (
+        ParticipationLedger().record(3, 1, STEP).record(3, 4, STEP).steps(integer(3)),
+        ParticipationLedger().record(3, 1, STEP).record(3, 4, STEP).participation_count(integer(3), integer(2))),
     "from_text": lambda real, integer: _shown_ledger(
         ParticipationLedger.from_text("3\t1\t0.01\t2.0\t1.0\t10\n", client_id=integer(3))),
 }

@@ -23,8 +23,11 @@ from fedrdp.simulate import (
     write_artifacts,
 )
 from fedrdp.simulate import (
+    _STREAM_CLIENT_STEP,
+    _choice_bounds,
     _client_data,
     _clip_rows,
+    _fixed_batches,
     _generator,
     _per_sample_directions,
     _round_updates,
@@ -226,6 +229,46 @@ def test_fixed_batch_edge_cases():
     assert len(_sample_fixed_batch(9, 1, rng)) == 1
 
 
+def _choice_shapes():
+    """(n, k) pairs with k = 1, 2, n // 2, n - 1, n, and 10, 200, 201 where they fit."""
+    for n in (1, 2, 3, 5, 10, 64, 100, 1000, 10000):
+        for k in sorted({1, 2, 10, 200, 201, n // 2, n - 1, n}):
+            if 1 <= k <= n:
+                yield n, k
+
+
+@pytest.mark.parametrize(("n", "k"), list(_choice_shapes()))
+def test_fixed_batches_are_choices_and_leave_the_stream_where_choice_does(n, k):
+    bounds = _choice_bounds(n, k)
+    seeds = range(100)
+    streams = [np.random.default_rng(seed) for seed in seeds]
+    words = np.stack([rng.bit_generator.random_raw((len(bounds) + 1) // 2) for rng in streams])
+    batches, exact = _fixed_batches(n, k, bounds, words)
+    assert batches.shape == (len(seeds), k) and exact.sum() >= 0.9 * len(seeds)
+    for seed, rng, batch, ok in zip(seeds, streams, batches, exact):
+        if ok:
+            want = np.random.default_rng(seed)
+            assert np.array_equal(np.sort(batch), np.sort(want.choice(n, k, replace=False)))
+            assert rng.bit_generator.state["state"] == want.bit_generator.state["state"]
+            assert np.array_equal(rng.normal(size=4), want.normal(size=4))
+
+
+def test_fixed_batches_flag_a_draw_that_choice_draws_again():
+    # client 9's stream in round 1 of the lemire_rejection reference config:
+    # one of its draws' words falls where Lemire's method rejects and draws anew
+    n, k = 10000, 10
+    bounds = _choice_bounds(n, k)
+    stream = next(_streams(_generator(), (1087, _STREAM_CLIENT_STEP, 1), [9]))
+    words = stream.bit_generator.random_raw((len(bounds) + 1) // 2)[None]
+    batches, exact = _fixed_batches(n, k, bounds, words)
+    assert not exact[0]
+    assert np.sort(batches[0]).tolist() == [
+        972, 2171, 2866, 3941, 4913, 5746, 6962, 7249, 8588, 9042]
+    stream = next(_streams(_generator(), (1087, _STREAM_CLIENT_STEP, 1), [9]))
+    assert _sample_fixed_batch(n, k, stream).tolist() == [
+        972, 2171, 2866, 3941, 4913, 5746, 6601, 7248, 8587, 9042]
+
+
 def test_poisson_batch_rate_one_takes_everything():
     assert np.array_equal(
         _sample_poisson_batch(8, 1.0, np.random.default_rng(0)), np.arange(8)
@@ -257,6 +300,11 @@ def _one_client(sigma=0.0, batch=None, n=12, d=3, clip=10.0, seed=0):
     return X, y, cfg
 
 
+def _default_rngs(seed):
+    """streams for _round_updates: client i's stream is default_rng(seed + i)."""
+    return lambda ids: (np.random.default_rng(seed + i) for i in ids)
+
+
 def test_per_sample_directions_match_reference():
     (X,), y, _ = _one_client()
     model = np.linspace(-1, 1, 6).reshape(2, 3)
@@ -270,7 +318,7 @@ def test_per_sample_directions_match_reference():
 def test_client_update_noiseless_full_batch_is_mean_direction():
     X, y, cfg = _one_client(sigma=0.0)
     model = np.zeros((2, 3))
-    (upd,), _ = _round_updates(model, X, y, [0], cfg, [np.random.default_rng(1)])
+    (upd,), _ = _round_updates(model, X, y, [0], cfg, _default_rngs(1))
     G = _per_sample_directions(model, X[0], y, 0.1)
     assert np.allclose(upd, G.mean(axis=0), atol=1e-14)
 
@@ -282,9 +330,8 @@ def test_client_update_noise_variance():
     model = np.zeros((2, 3))
     reps = 3000
     # one round of reps copies of the client, each with its own generator
-    updates, _ = _round_updates(
-        model, X, y, [0] * reps, cfg, [np.random.default_rng(1000 + i) for i in range(reps)]
-    )
+    copies = np.broadcast_to(X, (reps, *X.shape[1:]))
+    updates, _ = _round_updates(model, copies, y, range(reps), cfg, _default_rngs(1000))
     per_coord_var = updates.var(axis=0, ddof=1)
     want = (1.0 * 2.0 / 16) ** 2
     rel_se = math.sqrt(2 / (reps - 1) / len(per_coord_var))
@@ -294,7 +341,7 @@ def test_client_update_noise_variance():
 def test_prenoise_norm_bounded_by_clip():
     X, y, cfg = _one_client(sigma=3.0, clip=0.05)
     model = np.linspace(-2, 2, 6).reshape(2, 3)
-    _, (norm,) = _round_updates(model, X, y, [0], cfg, [np.random.default_rng(9)])
+    _, (norm,) = _round_updates(model, X, y, [0], cfg, _default_rngs(9))
     assert norm <= 0.05 + 1e-12
 
 
@@ -369,6 +416,18 @@ REFERENCE_CONFIGS = {
     "noiseless": dict(sigma=0.0, classes=3),
     "single_client": dict(clients=1, m_t=None, sigma=2.0),
     "multi_word_seed": dict(rounds=12, clients=7, m_t=4, dropout_prob=0.2, seed=2**40 + 3),
+    # the next three draw their batches from raw words (10 or more clients
+    # a round, no fewer than the batch size, at most 10000 points)
+    "many_clients": dict(rounds=8, clients=30, m_t=20, points_per_client=40, batch_size=5,
+                         dropout_prob=0.2, seed=3),
+    "many_full_batches": dict(rounds=4, clients=12, m_t=12, points_per_client=8, batch_size=8),
+    # client 9's round-1 batch takes a draw that Lemire's method rejects
+    "lemire_rejection": dict(seed=1087, clients=10, m_t=10, rounds=2, points_per_client=10000,
+                             batch_size=10),
+    # choice(10001, 201) shuffles a tail instead of running Floyd's algorithm,
+    # so these rounds of 201 clients call choice
+    "tail_shuffle": dict(rounds=2, clients=201, m_t=201, d=2, points_per_client=10001,
+                         batch_size=201),
 }
 
 
@@ -632,6 +691,19 @@ def test_trace_rejects_unknown_sampler():
 def test_trace_rejects_negative_rounds():
     with pytest.raises(ValueError, match="rounds must be >= 0"):
         batch_size_trace(small_config(), "fixed", -1)
+
+
+@pytest.mark.parametrize("rounds", [True, 2.5, "3", np.float64(3.0)], ids=repr)
+def test_trace_rounds_must_be_an_integer(rounds):
+    # True would run one round; 2.5 and "3" would fail as a TypeError
+    with pytest.raises(ValueError) as info:
+        batch_size_trace(small_config(), "fixed", rounds)
+    assert str(info.value) == f"rounds must be >= 0, got {rounds!r}"
+
+
+def test_trace_takes_a_numpy_integer_as_its_builtin_value():
+    assert batch_size_trace(small_config(), "poisson", np.int64(3)) == batch_size_trace(
+        small_config(), "poisson", 3)
 
 
 def test_artifacts_round_trip(tmp_path):
