@@ -26,27 +26,32 @@ gives for an entropy tuple
     (seed, stream_tag, round)             availability, selection, trace
     (seed, stream_tag, round, client_id)  client batch + noise
 
-with the tags below.  No SeedSequence is built: _seed_words hashes the
-entropies of a whole round's clients (or of all clients, or all rounds) in
-one numpy pass with SeedSequence's own mixing, and each data build,
-run_training or batch_size_trace call makes one Generator, which it seeds
-for stream after stream by assigning its PCG64 state, drawing from each
-stream before seeding the next (the tests pin this to NumPy's seeding,
-state and draws).  A client step draws its batch and then its noise from
-its own stream.  The batch is the sorted sample of
+with the tags below.  No SeedSequence is built: _seed_words hashes many
+entropies (all clients, all rounds, or every client step of a block of
+rounds) in one numpy pass with SeedSequence's own mixing, and _pcg64 seeds
+all their PCG64 states, and draws raw words from them, in one more pass of
+128-bit arithmetic on uint64 pairs.  Each data build, run_training or
+batch_size_trace call makes one Generator, which it seeds for stream after
+stream by assigning its PCG64 state, drawing from each stream before
+seeding the next (the tests pin this to NumPy's seeding, state and draws).
+No draw depends on the model, so run_training draws a block of rounds
+first, up to 1024 client steps and about 1 MB of draws, and then does the
+block's model math round by round.  A client step draws its batch and then
+its noise from its own stream.  The batch is the sorted sample of
 Generator.choice(points, batch_size, replace=False).  A round of at least
 10 clients, no fewer than batch_size, on at most 10000 points calls no
-choice: each client takes the raw PCG64 words choice would consume, then
-its noise, and one numpy pass turns every client's words into its batch as
-choice does (Floyd's algorithm over NumPy's Lemire draws, one per 32-bit
-half of a word).  A client whose words might make a draw be rejected and
-drawn again re-seeds its stream and calls choice.  Other rounds call
-choice per client: the pass loops once per batch element, and with few
-clients or large batches it is the slower.  A round gathers all its batches from the
-data arrays with one index and computes all its client steps in one numpy
-pass over the stacked batches, doing for each client the same float
-operations as on that client's arrays alone (the tests check this against
-a one-client-at-a-time loop that calls choice).  So trajectories are
+choice: _pcg64 gives each client step the raw PCG64 words choice would
+consume, the step draws its noise from the state after them, and one numpy
+pass per block turns every step's words into its batch as choice does
+(Floyd's algorithm over NumPy's Lemire draws, one per 32-bit half of a
+word).  A step whose words might make a draw be rejected and drawn again
+re-seeds its stream and calls choice.  Other rounds call choice per client:
+the pass loops once per batch element, and with few clients or large
+batches it is the slower.  A round gathers all its batches from the data
+arrays with one index and computes all its client steps in one numpy pass
+over the stacked batches, doing for each client the same float operations
+as on that client's arrays alone (the tests check this against a
+one-client-at-a-time loop that calls choice).  So trajectories are
 bit-reproducible regardless of the order or grouping in which client
 updates are computed.
 Poisson batch sampling exists only for the batch-size trace contrast; the
@@ -57,13 +62,14 @@ covers nothing else).
 from __future__ import annotations
 
 import decimal
-import functools
+import itertools
 import json
 import math
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -133,8 +139,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
+_MASK32, _MASK64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
+_LOW32 = np.uint64(_MASK32)
 
 
 def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
@@ -161,19 +167,21 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> 16)
 
 
-def _seed_words(prefix: Sequence[int], ids) -> np.ndarray:
-    """SeedSequence([*prefix, i]).generate_state(4, np.uint64) for each id i.
+def _seed_words(prefix: Sequence[int], *columns: Sequence[int]) -> np.ndarray:
+    """SeedSequence([*prefix, *column_entries]).generate_state(4, np.uint64).
 
-    One numpy pass over all ids, each a column of uint32 words: the entropy
-    (each int as its little-endian 32-bit words, the whole padded with zero
-    words to the pool size 4), hashed into the pool, the pool mixed, and 8
-    words drawn from it.  Every id must fit one word.  Returns (len(ids), 4)
-    uint64.
+    One row per position j of the equally long columns: the entropy is the
+    prefix followed by each column's entry j.  One numpy pass over all rows,
+    each a column of uint32 words: the entropy (each int as its
+    little-endian 32-bit words, the whole padded with zero words to the pool
+    size 4), hashed into the pool, the pool mixed, and 8 words drawn from
+    it.  Every column entry must fit one word.  Returns (rows, 4) uint64.
     """
     head = [n >> s & _MASK32 for n in prefix for s in range(0, max(n.bit_length(), 1), 32)]
-    entropy = np.zeros((max(len(head) + 1, 4), len(ids)), dtype=np.uint32)
+    tail = np.array(columns, dtype=np.uint32)
+    entropy = np.zeros((max(len(head) + len(tail), 4), tail.shape[1]), dtype=np.uint32)
     entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
-    entropy[len(head)] = np.asarray(ids, dtype=np.uint32)
+    entropy[len(head) : len(head) + len(tail)] = tail
     n_consts = 17 + 4 * (len(entropy) - 4)
     consts = _HASH_A if n_consts <= len(_HASH_A) else _hash_consts(_INIT_A, _MULT_A, n_consts)
     pool = _hashmix(entropy[:4], consts[:5])
@@ -188,6 +196,73 @@ def _seed_words(prefix: Sequence[int], ids) -> np.ndarray:
     return (out[0::2] | out[1::2] << np.uint64(32)).T
 
 
+# 128-bit numbers as (hi, lo) pairs of uint64 arrays; numpy's uint64
+# arithmetic wraps modulo 2**64
+
+
+def _split128(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & _MASK64 for v in values], dtype=np.uint64))
+
+
+def _join128(hi: np.ndarray, lo: np.ndarray) -> list[int]:
+    return [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """a * b mod 2**128: the full product of the low words, plus the cross terms."""
+    a0, a1, b0, b1 = a_lo & _LOW32, a_lo >> 32, b_lo & _LOW32, b_lo >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    carry = ((p00 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)) >> 32
+    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + carry + a_lo * b_hi + a_hi * b_lo
+    return hi, a_lo * b_lo
+
+
+def _pcg64(seeds: np.ndarray, n_words: int) -> tuple[list[int], list[int], np.ndarray]:
+    """PCG64 seeded with each row of seeds, as numpy seeds it, then n_words drawn.
+
+    A row is the generate_state(4, np.uint64) of the stream's SeedSequence
+    (_seed_words).  Returns each stream's state after its n_words raw words
+    and its increment, both as 128-bit ints, and the (rows, n_words) uint64
+    words: what random_raw(n_words) returns and where it leaves the state.
+    """
+    s_hi, s_lo, i_hi, i_lo = seeds.T[:, :, None]
+    # pcg64_set_seed: inc = 2 * initseq + 1; state 0 takes an LCG step, adds
+    # the seed and takes another.  Each word is the output (XSL-RR) of the
+    # state one more step on, so from x = seed + inc, the state j + 1 steps on
+    # is x * MULT**(j + 1) + inc * (MULT**j + ... + 1)
+    inc = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+    powers = [pow(_PCG64_MULT, j, 1 << 128) for j in range(n_words + 2)]
+    sums = [s % (1 << 128) for s in itertools.accumulate(powers[:-1])]
+    hi, lo = _add128(*_mul128(*_add128(s_hi, s_lo, *inc), *_split128(powers[1:])),
+                     *_mul128(*inc, *_split128(sums)))
+    # XSL-RR rotates right by the top 6 bits; numpy's shift by 64 gives 0
+    value, rotation = hi[:, 1:] ^ lo[:, 1:], hi[:, 1:] >> 58
+    words = value >> rotation | value << (np.uint64(64) - rotation)
+    return _join128(hi[:, -1], lo[:, -1]), _join128(inc[0][:, 0], inc[1][:, 0]), words
+
+
+def _seeded(
+    gen: np.random.Generator, states: Sequence[int], incs: Sequence[int]
+) -> Iterator[np.random.Generator]:
+    """gen with its PCG64 state set in turn to each (state, inc) pair.
+
+    Each yield re-seeds the same Generator, so draw from it before taking
+    the next.  One dict is reused for every assignment.
+    """
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    bit_generator = gen.bit_generator
+    for pcg["state"], pcg["inc"] in zip(states, incs):
+        bit_generator.state = state
+        yield gen
+
+
 def _streams(
     gen: np.random.Generator, prefix: Sequence[int], ids: Sequence[int]
 ) -> Iterator[np.random.Generator]:
@@ -196,20 +271,13 @@ def _streams(
     Each yield re-seeds the same Generator, so draw from it before taking
     the next.  Ids are hashed 1024 at a time, which bounds the memory.
     """
-    bit_generator = gen.bit_generator
     for start in range(0, len(ids), 1024):
-        for s_hi, s_lo, i_hi, i_lo in _seed_words(prefix, ids[start : start + 1024]).tolist():
-            # pcg64_set_seed: inc = 2 * initseq + 1, then two LCG steps from 0
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-            bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-            yield gen
+        states, incs, _ = _pcg64(_seed_words(prefix, ids[start : start + 1024]), 0)
+        yield from _seeded(gen, states, incs)
 
 
 def _generator() -> np.random.Generator:
-    """A Generator for _streams to seed; its own seed is never drawn from."""
+    """A Generator for _streams and _step_draws to seed; its own seed is never drawn from."""
     return np.random.Generator(np.random.PCG64(0))
 
 
@@ -424,51 +492,69 @@ def _fixed_batches(
     return (picks - starts).T, exact
 
 
+def _step_draws(
+    gen: np.random.Generator, config: SimConfig, block: Sequence[tuple[int, Sequence[int]]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted batches and noise of every client step of a block of rounds.
+
+    block lists (t, selected) pairs; row i of the (steps, batch_size) batches
+    and the (steps, classes*d) noise is the i-th step, rounds in order and
+    clients in their order within a round.  Step (t, cid) draws from its own
+    stream (seed, _STREAM_CLIENT_STEP, t, cid): its batch,
+    _sample_fixed_batch's, then its noise of per-coordinate std
+    clip*sigma/batch_size.  The noise is left unset when sigma is 0.  All
+    streams are seeded in one numpy pass (_pcg64).  Where a round has at
+    least 10 clients, no fewer than batch_size, and at most 10000 points,
+    its steps call no choice: _pcg64 also returns the raw words choice would
+    take (_choice_bounds), each step draws its noise from the state after
+    them, and one _fixed_batches call turns all the words into batches.  A
+    step whose words might make choice draw again, and every step of other
+    rounds, takes its batch and noise through choice from its freshly
+    seeded stream.  All batches are sorted in one call.
+    """
+    n, k, size = config.points_per_client, config.batch_size, config.classes * config.d
+    noise_std = config.clip * config.sigma / k
+    ts = [t for t, selected in block for _ in selected]
+    cids = [cid for _, selected in block for cid in selected]
+    seeds = _seed_words((config.seed, _STREAM_CLIENT_STEP), ts, cids)
+    batches = np.empty((len(cids), k), dtype=np.intp)
+    noise = np.empty((len(cids), size))
+    # _fixed_batches loops once per batch element over a (steps, n) bitmap,
+    # so it was measured faster than a choice call per step only in rounds of
+    # many clients and small batches; choice runs Floyd's algorithm wherever
+    # n <= 10000
+    from_words = np.repeat([n <= 10000 and len(selected) >= max(k, 10) for _, selected in block],
+                           [len(selected) for _, selected in block])
+    raw = np.flatnonzero(from_words)
+    if len(raw):
+        bounds = _choice_bounds(n, k)
+        states, incs, words = _pcg64(seeds[raw], (len(bounds) + 1) // 2)
+        if config.sigma > 0:
+            for i, rng in zip(raw.tolist(), _seeded(gen, states, incs)):
+                noise[i] = rng.normal(0.0, noise_std, size=size)
+        batches[raw], from_words[raw] = _fixed_batches(n, k, bounds, words)
+    redo = np.flatnonzero(~from_words)
+    states, incs, _ = _pcg64(seeds[redo], 0)
+    for i, rng in zip(redo.tolist(), _seeded(gen, states, incs)):
+        batches[i] = rng.choice(n, size=k, replace=False)
+        if config.sigma > 0:
+            noise[i] = rng.normal(0.0, noise_std, size=size)
+    batches.sort(axis=1)
+    return batches, noise
+
+
 def _round_updates(
     W: np.ndarray, features: np.ndarray, labels: np.ndarray, selected: Sequence[int],
-    config: SimConfig, streams: Callable[[Sequence[int]], Iterable[np.random.Generator]],
+    batches: np.ndarray, noise: np.ndarray, config: SimConfig,
 ) -> tuple[np.ndarray, list[float]]:
     """One step of each selected client: (m, classes*d) updates, pre-noise norms.
 
-    Client i of `selected` averages the clipped per-sample directions of a
-    fixed-size batch of its points (a row of features) and adds Gaussian
-    noise of per-coordinate std clip*sigma/batch_size.  streams(ids) yields
-    the freshly seeded PCG64 Generator of each id in turn, to draw from
-    before taking the next (it may re-seed one Generator, as _streams does).
-    A client's batch is _sample_fixed_batch's, and its noise is drawn after
-    it.  Where a round has at least 10 clients, no fewer than batch_size,
-    and at most 10000 points, no choice is called per client: each takes
-    the raw words choice would take (_choice_bounds), then its noise, and
-    after the loop _fixed_batches turns every client's words into its batch
-    at once.  A client whose words might make choice draw again takes its
-    batch and noise again from its re-seeded stream through choice.  Other
-    rounds call choice for every client.  All batches are sorted in one
-    call.  Every client steps with the config's batch_size, clip, sigma and
-    step_size, so the directions, clipping and means run once on the
-    stacked (m, b, d) batches.
+    Client i of `selected` averages the clipped per-sample directions of the
+    points batches[i] (sorted indices into its row of features) and, if
+    sigma > 0, adds noise[i] (_step_draws draws both).  Every client steps
+    with the config's batch_size, clip and step_size, so the directions,
+    clipping and means run once on the stacked (m, b, d) batches.
     """
-    n, k, m = len(labels), config.batch_size, len(selected)
-    noise_std = config.clip * config.sigma / k
-    noise = np.empty((m, W.size))
-    # _fixed_batches loops once per batch element over an (m, n) bitmap, so
-    # it was measured faster than m choice calls only with many clients and
-    # small batches; choice runs Floyd's algorithm wherever n <= 10000
-    if n <= 10000 and m >= max(k, 10):
-        bounds = _choice_bounds(n, k)
-        words = np.empty((m, (len(bounds) + 1) // 2), dtype=np.uint64)
-        for i, rng in enumerate(streams(selected)):
-            words[i] = rng.bit_generator.random_raw(words.shape[1])
-            if config.sigma > 0:
-                noise[i] = rng.normal(0.0, noise_std, size=W.size)
-        batches, exact = _fixed_batches(n, k, bounds, words)
-        redo = np.flatnonzero(~exact).tolist()
-    else:
-        batches, redo = np.empty((m, k), dtype=np.intp), range(m)
-    for i, rng in zip(redo, streams([selected[i] for i in redo])):
-        batches[i] = rng.choice(n, size=k, replace=False)
-        if config.sigma > 0:
-            noise[i] = rng.normal(0.0, noise_std, size=W.size)
-    batches.sort(axis=1)  # now each row is the client's _sample_fixed_batch
     X = features[np.asarray(selected)[:, None], batches]
     G = _per_sample_directions(W, X, labels[batches], config.step_size)
     updates = _clip_rows(G, config.clip).mean(axis=1)
@@ -481,6 +567,39 @@ def _round_updates(
     return updates, norms
 
 
+def _selections(gen: np.random.Generator, config: SimConfig) -> Iterator[tuple[int, list[int]]]:
+    """(t, selected) for each round t, as run_training's docstring describes."""
+    rounds = range(1, config.rounds + 1)
+    availability = _streams(gen, (config.seed, _STREAM_AVAILABILITY), rounds)
+    selection = _streams(gen, (config.seed, _STREAM_SELECTION), rounds)
+    for t in rounds:
+        if config.dropout_prob > 0:
+            draws = next(availability).random(config.clients)
+            available = [cid for cid in range(config.clients) if draws[cid] >= config.dropout_prob]
+        else:
+            available = list(range(config.clients))
+        yield t, _select_clients(available, min(config.m_t, len(available)), next(selection))
+
+
+def _blocks(config: SimConfig, rounds: Iterable[tuple[int, list[int]]]) -> Iterator[list]:
+    """The (t, selected) rounds in order, in blocks whose draws take bounded memory.
+
+    A block holds whole rounds, at least one, of at most 1024 client steps
+    in all and about 1 MB of noise, raw words and _fixed_batches' bitmap.
+    """
+    n = config.points_per_client
+    words = (len(_choice_bounds(n, config.batch_size)) + 1) // 2 if n <= 10000 else 0
+    step_bytes = 8 * (config.classes * config.d + words) + (n if words else 0)
+    block, steps = [], 0
+    for t, selected in rounds:
+        steps += len(selected)
+        if block and (steps > 1024 or steps * step_bytes > 1 << 20):
+            yield block
+            block, steps = [], len(selected)
+        block.append((t, selected))
+    yield block
+
+
 def run_training(config: SimConfig) -> tuple[np.ndarray, list[RoundRecord], ParticipationLedger]:
     """Run the full federated loop, recording every participation.
 
@@ -490,7 +609,9 @@ def run_training(config: SimConfig) -> tuple[np.ndarray, list[RoundRecord], Part
     resolves to.
     Rounds are 1-based.  With dropout, each client is independently
     unavailable with probability dropout_prob each round and the round
-    selects min(m_t, available) clients.  Each round's client steps run as
+    selects min(m_t, available) clients.  No draw depends on the model, so
+    the rounds run in blocks (_blocks): all the block's batches and noise
+    are drawn first (_step_draws), then each round's client steps run as
     one stacked numpy pass (_round_updates), and the server adds the mean of
     their updates, aggregated in ascending client-id order.  Batches are
     always fixed-size, the only sampling the accountant bounds; Poisson
@@ -510,33 +631,23 @@ def run_training(config: SimConfig) -> tuple[np.ndarray, list[RoundRecord], Part
         batch_size=config.batch_size,
     )
     records: list[RoundRecord] = []
+    # one Generator serves every stream: each is drawn from before the next
+    # is seeded
     gen = _generator()
-    rounds = range(1, config.rounds + 1)
-    availability = _streams(gen, (config.seed, _STREAM_AVAILABILITY), rounds)
-    selection = _streams(gen, (config.seed, _STREAM_SELECTION), rounds)
-    for t in rounds:
-        if config.dropout_prob > 0:
-            draws = next(availability).random(config.clients)
-            available = [cid for cid in range(config.clients) if draws[cid] >= config.dropout_prob]
-        else:
-            available = list(range(config.clients))
-        selected = _select_clients(available, min(config.m_t, len(available)), next(selection))
-        norms: list[float] = []
-        if selected:
-            updates, norms = _round_updates(
-                model, features, labels, selected, config,
-                functools.partial(_streams, gen, (config.seed, _STREAM_CLIENT_STEP, t)),
-            )
-            model = model + updates.mean(axis=0).reshape(model.shape)
-            for cid in selected:
-                ledger.record(cid, t, step)
-        records.append(
-            RoundRecord(
-                t=t,
-                selected=tuple(selected),
-                update_norms=tuple(norms),
-            )
-        )
+    for block in _blocks(config, _selections(gen, config)):
+        batches, noise = _step_draws(gen, config, block)
+        start = 0
+        for t, selected in block:
+            rows = slice(start, start + len(selected))
+            start = rows.stop
+            norms: list[float] = []
+            if selected:
+                updates, norms = _round_updates(
+                    model, features, labels, selected, batches[rows], noise[rows], config)
+                model = model + updates.mean(axis=0).reshape(model.shape)
+                for cid in selected:
+                    ledger.record(cid, t, step)
+            records.append(RoundRecord(t=t, selected=tuple(selected), update_norms=tuple(norms)))
     # a non-finite weight stays non-finite, so one check covers every round
     if not np.all(np.isfinite(model)):
         raise ValueError("weights must be finite")
@@ -564,11 +675,14 @@ def batch_size_trace(config: SimConfig, sampler: str, rounds: int) -> list[int]:
 
 
 def evaluate_accuracy(model: np.ndarray, clients: Sequence[ClientState]) -> float:
-    """Fraction of correctly classified points over the union of datasets."""
-    X = np.concatenate([c.features for c in clients])
-    y = np.concatenate([c.labels for c in clients])
-    pred = np.argmax(X @ model.T, axis=1)
-    return float(np.mean(pred == y))
+    """Fraction of correctly classified points over the union of datasets.
+
+    Each client's points are scored by a product of their own: one product
+    over all points concatenated copies them all, and at 500 clients of 100
+    points it was measured 5 to 10 times slower, on BLAS's threaded path.
+    """
+    hits = [np.argmax(c.features @ model.T, axis=1) == c.labels for c in clients]
+    return float(np.mean(np.concatenate(hits)))
 
 
 def client_epsilon_report(
@@ -629,21 +743,26 @@ def write_artifacts(
         "ledger": os.path.join(outdir, "ledger.tsv"),
     }
     write_atomic(paths["model"], "".join(f"{float(w)!r}\n" for w in model.flat))
-    # a row's batch size is the one its ledger step recorded; rows and each
-    # client's steps both run in t order
+    # a row's batch size is the one its ledger step recorded: rows and each
+    # client's steps both run in t order, so a client's row j is its step j
+    cids = list(itertools.chain.from_iterable(rec.selected for rec in records))
+    ts = list(itertools.chain.from_iterable(itertools.repeat(rec.t, len(rec.selected))
+                                            for rec in records))
     steps = {cid: iter(ledger.steps(cid)) for cid in ledger.clients()}
-
-    def batch_size(cid: int, t: int) -> int:
-        step_t, params = next(steps[cid])
-        if step_t != t:
-            raise ValueError(f"client {cid}: round record t={t}, ledger step t={step_t}")
-        return params.batch_size
-
-    write_atomic(paths["rounds"], "t,client_id,batch_size,update_norm\n" + "".join(
-        f"{rec.t},{cid},{batch_size(cid, rec.t)},{norm:.12g}\n"
-        for rec in records
-        for cid, norm in zip(rec.selected, rec.update_norms)
-    ))
+    none = iter(())
+    paired = [next(steps.get(cid, none), (None, None)) for cid in cids]
+    step_ts = list(map(operator.itemgetter(0), paired))
+    if step_ts != ts:
+        i = next(i for i, (t, step_t) in enumerate(zip(ts, step_ts)) if t != step_t)
+        step = "no ledger step" if step_ts[i] is None else f"ledger step t={step_ts[i]}"
+        raise ValueError(f"client {cids[i]}: round record t={ts[i]}, {step}")
+    # one %-format over every row's fields, laid out row by row
+    fields = [None] * (4 * len(cids))
+    fields[0::4], fields[1::4] = ts, cids
+    fields[2::4] = [params.batch_size for _, params in paired]
+    fields[3::4] = itertools.chain.from_iterable(rec.update_norms for rec in records)
+    write_atomic(paths["rounds"], "t,client_id,batch_size,update_norm\n"
+                 + "%s,%s,%s,%.12g\n" * len(cids) % tuple(fields))
     write_atomic(paths["clients"], "client_id,participations,epsilon\n" + "".join(
         f"{cid},{count},{eps:.12g}\n" for cid, count, eps in client_epsilon_report(ledger, delta)
     ))

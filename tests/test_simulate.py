@@ -24,17 +24,20 @@ from fedrdp.simulate import (
 )
 from fedrdp.simulate import (
     _STREAM_CLIENT_STEP,
+    _blocks,
     _choice_bounds,
     _client_data,
     _clip_rows,
     _fixed_batches,
     _generator,
+    _pcg64,
     _per_sample_directions,
     _round_updates,
     _sample_fixed_batch,
     _sample_poisson_batch,
     _seed_words,
     _select_clients,
+    _step_draws,
     _streams,
 )
 
@@ -300,9 +303,9 @@ def _one_client(sigma=0.0, batch=None, n=12, d=3, clip=10.0, seed=0):
     return X, y, cfg
 
 
-def _default_rngs(seed):
-    """streams for _round_updates: client i's stream is default_rng(seed + i)."""
-    return lambda ids: (np.random.default_rng(seed + i) for i in ids)
+def _draws(cfg, ids):
+    """_step_draws' batches and noise for one round of the given client ids."""
+    return _step_draws(_generator(), cfg, [(1, list(ids))])
 
 
 def test_per_sample_directions_match_reference():
@@ -318,7 +321,7 @@ def test_per_sample_directions_match_reference():
 def test_client_update_noiseless_full_batch_is_mean_direction():
     X, y, cfg = _one_client(sigma=0.0)
     model = np.zeros((2, 3))
-    (upd,), _ = _round_updates(model, X, y, [0], cfg, _default_rngs(1))
+    (upd,), _ = _round_updates(model, X, y, [0], *_draws(cfg, [0]), cfg)
     G = _per_sample_directions(model, X[0], y, 0.1)
     assert np.allclose(upd, G.mean(axis=0), atol=1e-14)
 
@@ -331,7 +334,7 @@ def test_client_update_noise_variance():
     reps = 3000
     # one round of reps copies of the client, each with its own generator
     copies = np.broadcast_to(X, (reps, *X.shape[1:]))
-    updates, _ = _round_updates(model, copies, y, range(reps), cfg, _default_rngs(1000))
+    updates, _ = _round_updates(model, copies, y, range(reps), *_draws(cfg, range(reps)), cfg)
     per_coord_var = updates.var(axis=0, ddof=1)
     want = (1.0 * 2.0 / 16) ** 2
     rel_se = math.sqrt(2 / (reps - 1) / len(per_coord_var))
@@ -341,7 +344,7 @@ def test_client_update_noise_variance():
 def test_prenoise_norm_bounded_by_clip():
     X, y, cfg = _one_client(sigma=3.0, clip=0.05)
     model = np.linspace(-2, 2, 6).reshape(2, 3)
-    _, (norm,) = _round_updates(model, X, y, [0], cfg, _default_rngs(9))
+    _, (norm,) = _round_updates(model, X, y, [0], *_draws(cfg, [0]), cfg)
     assert norm <= 0.05 + 1e-12
 
 
@@ -428,6 +431,27 @@ REFERENCE_CONFIGS = {
     # so these rounds of 201 clients call choice
     "tail_shuffle": dict(rounds=2, clients=201, m_t=201, d=2, points_per_client=10001,
                          batch_size=201),
+    # the rest span several blocks of rounds (_blocks: at most 1024 client
+    # steps and about 1 MB of draws each).  Four rounds of 250 fill a block,
+    # so the fifth, which would straddle the step budget, opens the next
+    "straddling_round": dict(rounds=6, clients=250, m_t=250, points_per_client=40,
+                             batch_size=5, seed=8),
+    "dropout_blocks": dict(rounds=8, clients=400, m_t=300, points_per_client=40, batch_size=5,
+                           dropout_prob=0.3, seed=9),
+    "noiseless_blocks": dict(rounds=7, clients=200, m_t=200, sigma=0.0, points_per_client=40,
+                             batch_size=5),
+    # about 10 clients a round, so rounds drawn from raw words and rounds
+    # that call choice share blocks of about 100 rounds
+    "mixed_blocks": dict(rounds=120, clients=14, m_t=12, batch_size=5, dropout_prob=0.3, seed=4),
+    # two rounds of 40 steps on 10000 points fill a block's bitmap budget;
+    # client 38's round-3 batch, in the second block, takes a draw that
+    # Lemire's method rejects
+    "late_lemire_rejection": dict(seed=2275, clients=40, m_t=40, rounds=3,
+                                  points_per_client=10000, batch_size=10),
+    # 8 * classes * d = 160 kB of noise a step: one round of 10 clients
+    # exceeds the byte budget alone, and each block holds one round
+    "wide_model": dict(rounds=3, clients=12, m_t=10, d=400, classes=50, points_per_client=20,
+                       batch_size=5, seed=6),
 }
 
 
@@ -520,6 +544,77 @@ def test_streams_seed_as_numpy_seedsequence(seed):
             # buffered; the next seeding must drop it
             assert np.array_equal(rng.integers(2**32, size=3, dtype=np.uint32),
                                   want.integers(2**32, size=3, dtype=np.uint32))
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**40 + 3, 2**64 + 5])
+def test_seed_words_per_column_are_numpy_seedsequence(seed):
+    # one row per (t, cid): the entropy [seed, tag, t, cid] of a client step
+    pairs = [(t, cid) for t in (1, 7, 2**31, 2**32 - 1) for cid in (0, 3, 2**32 - 1)]
+    words = _seed_words((seed, _STREAM_CLIENT_STEP), *zip(*pairs))
+    for (t, cid), word in zip(pairs, words, strict=True):
+        seq = np.random.SeedSequence([seed, _STREAM_CLIENT_STEP, t, cid])
+        assert np.array_equal(word, seq.generate_state(4, np.uint64))
+
+
+class _FixedSeedWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose state words are given: PCG64 seeds from them as numpy does."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, np.dtype(dtype)) == (4, np.uint64)
+        return self.words.copy()
+
+
+_MASK64 = 2**64 - 1
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _rotation_zero_seed(state):
+    """Seed words (inc word 0b101...) whose stream's first word is output from `state`."""
+    i = 0xA5A5A5A5A5A5A5A5_0123456789ABCDEF
+    inc = (i << 1 | 1) % 2**128
+    # the first word's state is (seed + inc) * MULT**2 + inc * (MULT + 1)
+    seed = ((state - inc * (_MULT + 1)) * pow(_MULT, -2, 2**128) - inc) % 2**128
+    return [seed >> 64, seed & _MASK64, i >> 64, i & _MASK64]
+
+
+PCG64_SEED_WORDS = [
+    [0, 0, 0, 0],
+    [_MASK64] * 4,
+    # seed + inc carries out of the low word (inc's low word is 1)
+    [5, _MASK64, 9, 0],
+    # 2 * initseq carries a bit from the low word into the high one
+    [1, 2, 3, 2**63 + 1],
+    # the first word's state has its top 6 bits 0: the output rotates by 0
+    _rotation_zero_seed(0x0123456789ABCDEF_FEDCBA9876543210),
+    *np.random.default_rng(20261019).integers(0, 2**64, size=(8, 4), dtype=np.uint64).tolist(),
+]
+
+
+@pytest.mark.parametrize("n_words", [0, 1, 2, 10, 33])
+def test_pcg64_states_and_words_are_numpys(n_words):
+    states, incs, words = _pcg64(np.array(PCG64_SEED_WORDS, dtype=np.uint64), n_words)
+    assert words.shape == (len(PCG64_SEED_WORDS), n_words) and words.dtype == np.uint64
+    for seed_words, state, inc, row in zip(PCG64_SEED_WORDS, states, incs, words, strict=True):
+        want = np.random.PCG64(_FixedSeedWords(seed_words))
+        assert want.state["state"]["inc"] == inc
+        assert np.array_equal(want.random_raw(n_words), row)
+        assert want.state["state"]["state"] == state
+    first = _rotation_zero_seed(0x0123456789ABCDEF_FEDCBA9876543210)
+    assert np.random.PCG64(_FixedSeedWords(first)).random_raw() == (
+        0x0123456789ABCDEF ^ 0xFEDCBA9876543210)
+
+
+def test_blocks_hold_whole_rounds_within_the_step_and_byte_budgets():
+    cfg = small_config()
+    rounds = [(1, range(600)), (2, range(600)), (3, []), (4, range(2000)), (5, range(10))]
+    assert [[t for t, _ in block] for block in _blocks(cfg, rounds)] == [[1], [2, 3], [4], [5]]
+    # 8 * (20000 noise + 5 raw words) + 20 bitmap bytes a step: six steps fit 1 MB, seven do not
+    wide = small_config(d=400, classes=50, points_per_client=20, batch_size=5)
+    rounds = [(t, range(3)) for t in range(1, 6)]
+    assert [[t for t, _ in block] for block in _blocks(wide, rounds)] == [[1, 2], [3, 4], [5]]
 
 
 def test_noiseless_full_batch_matches_reference_descent():
@@ -729,6 +824,16 @@ def test_artifacts_reject_round_records_the_ledger_does_not_match(tmp_path):
     shifted = [dataclasses.replace(records[0], t=records[0].t + 1)] + records[1:]
     with pytest.raises(ValueError, match="round record t=2, ledger step t=1"):
         write_artifacts(tmp_path / "out", model, shifted, ledger, cfg.delta)
+    # a row past its client's last ledger step, or of a client with none
+    cid = records[-1].selected[0]
+    for kept in (ledger.participation_count(cid) - 1, 0):
+        short = ParticipationLedger()
+        for other in ledger.clients():
+            for t, params in ledger.steps(other)[: kept if other == cid else None]:
+                short.record(other, t, params)
+        t = ledger.steps(cid)[kept][0]
+        with pytest.raises(ValueError, match=f"client {cid}: round record t={t}, no ledger step"):
+            write_artifacts(tmp_path / "out", model, records, short, cfg.delta)
 
 
 ARTIFACTS = ("model.txt", "rounds.csv", "clients.csv", "ledger.tsv")  # in writing order
