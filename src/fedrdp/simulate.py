@@ -18,42 +18,26 @@ the per-sample update direction before clipping.  The data is two read-only
 arrays: (clients, points, d) features and the (points,) labels all share.
 
 RNG discipline: one root seed; every random draw comes from a stream of
-its own, the one np.random.default_rng(np.random.SeedSequence(entropy))
-gives for an entropy tuple
+its own, np.random.default_rng(entropy) for an entropy tuple
 
     (seed, stream_tag)                    data centers
     (seed, stream_tag, client_id)         client data
-    (seed, stream_tag, round)             availability, selection, trace
-    (seed, stream_tag, round, client_id)  client batch + noise
+    (seed, stream_tag, round)             availability, selection, client
+                                          steps, trace
 
-with the tags below.  No SeedSequence is built: _seed_words hashes many
-entropies (all clients, all rounds, or every client step of a block of
-rounds) in one numpy pass with SeedSequence's own mixing, and _pcg64 seeds
-all their PCG64 states, and draws raw words from them, in one more pass of
-128-bit arithmetic on uint64 pairs.  Each data build, run_training or
-batch_size_trace call makes one Generator, which it seeds for stream after
-stream by assigning its PCG64 state, drawing from each stream before
-seeding the next (the tests pin this to NumPy's seeding, state and draws).
-No draw depends on the model, so run_training draws a block of rounds
-first, up to 1024 client steps and about 1 MB of draws, and then does the
-block's model math round by round.  A client step draws its batch and then
-its noise from its own stream.  The batch is the sorted sample of
-Generator.choice(points, batch_size, replace=False).  A round of at least
-10 clients, no fewer than batch_size, on at most 10000 points calls no
-choice: _pcg64 gives each client step the raw PCG64 words choice would
-consume, the step draws its noise from the state after them, and one numpy
-pass per block turns every step's words into its batch as choice does
-(Floyd's algorithm over NumPy's Lemire draws, one per 32-bit half of a
-word).  A step whose words might make a draw be rejected and drawn again
-re-seeds its stream and calls choice.  Other rounds call choice per client:
-the pass loops once per batch element, and with few clients or large
-batches it is the slower.  A round gathers all its batches from the data
-arrays with one index and computes all its client steps in one numpy pass
-over the stacked batches, doing for each client the same float operations
-as on that client's arrays alone (the tests check this against a
-one-client-at-a-time loop that calls choice).  So trajectories are
-bit-reproducible regardless of the order or grouping in which client
-updates are computed.
+with the tags below.  No draw depends on the model, so run_training draws a
+block of rounds first, up to 1024 client steps and about 1 MB of draws, and
+then does the block's model math round by round.  Round t's client steps
+draw from one stream: first the batch draws of every selected client, in
+ascending client id, then their noise.  A batch is Floyd's uniform sample
+of batch_size of the client's points (Bentley & Floyd 1987): its draws come
+from NumPy's bounded integers, and one numpy pass per block turns the
+draws of all its steps into batches.  A round gathers all its batches from
+the data arrays with one index and computes all its client steps in one
+numpy pass over the stacked batches, doing for each client the same float
+operations as on that client's arrays alone (the tests check this against
+a one-client-at-a-time loop).  So trajectories are bit-reproducible
+regardless of the order or grouping in which client updates are computed.
 Poisson batch sampling exists only for the batch-size trace contrast; the
 training loop itself always draws fixed-size batches (the accountant
 covers nothing else).
@@ -102,7 +86,7 @@ __all__ = [
 
 BLOB_RADIUS = 4.0
 
-# SeedSequence stream tags (second entropy word).
+# Stream tags (second entropy word).
 _STREAM_CENTERS = 1
 _STREAM_CLIENT_DATA = 2
 _STREAM_AVAILABILITY = 3
@@ -133,152 +117,9 @@ _CONFIG_FIELDS = (
 )
 
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's
-# 128-bit multiplier (numpy/random/src/pcg64/pcg64.h).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
-_LOW32 = np.uint64(_MASK32)
-
-
-def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
-    """(n, 1) uint32 column init * mult**k mod 2**32, k = 0..n-1."""
-    return np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(n)],
-                    dtype=np.uint32)[:, None]
-
-
-# hashmix call k XORs with consts[k] and multiplies by consts[k + 1]; the pool
-# takes 16 calls plus 4 per entropy word beyond its 4
-_HASH_A = _hash_consts(_INIT_A, _MULT_A, 17 + 4 * 4)
-_HASH_B = _hash_consts(_INIT_B, _MULT_B, 9)
-_OTHER_WORDS = [np.array([i for i in range(4) if i != src]) for src in range(4)]
-_STATE_WORDS = np.array([0, 1, 2, 3, 0, 1, 2, 3])
-
-
-def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    value = (value ^ consts[:-1]) * consts[1:]
-    return value ^ (value >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * _MIX_L - y * _MIX_R
-    return result ^ (result >> 16)
-
-
-def _seed_words(prefix: Sequence[int], *columns: Sequence[int]) -> np.ndarray:
-    """SeedSequence([*prefix, *column_entries]).generate_state(4, np.uint64).
-
-    One row per position j of the equally long columns: the entropy is the
-    prefix followed by each column's entry j.  One numpy pass over all rows,
-    each a column of uint32 words: the entropy (each int as its
-    little-endian 32-bit words, the whole padded with zero words to the pool
-    size 4), hashed into the pool, the pool mixed, and 8 words drawn from
-    it.  Every column entry must fit one word.  Returns (rows, 4) uint64.
-    """
-    head = [n >> s & _MASK32 for n in prefix for s in range(0, max(n.bit_length(), 1), 32)]
-    tail = np.array(columns, dtype=np.uint32)
-    entropy = np.zeros((max(len(head) + len(tail), 4), tail.shape[1]), dtype=np.uint32)
-    entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
-    entropy[len(head) : len(head) + len(tail)] = tail
-    n_consts = 17 + 4 * (len(entropy) - 4)
-    consts = _HASH_A if n_consts <= len(_HASH_A) else _hash_consts(_INIT_A, _MULT_A, n_consts)
-    pool = _hashmix(entropy[:4], consts[:5])
-    k = 4
-    for src, dst in enumerate(_OTHER_WORDS):
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k : k + 4]))
-        k += 3
-    for word in entropy[4:]:
-        pool = _mix(pool, _hashmix(word, consts[k : k + 5]))
-        k += 4
-    out = _hashmix(pool[_STATE_WORDS], _HASH_B).astype(np.uint64)
-    return (out[0::2] | out[1::2] << np.uint64(32)).T
-
-
-# 128-bit numbers as (hi, lo) pairs of uint64 arrays; numpy's uint64
-# arithmetic wraps modulo 2**64
-
-
-def _split128(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    return (np.array([v >> 64 for v in values], dtype=np.uint64),
-            np.array([v & _MASK64 for v in values], dtype=np.uint64))
-
-
-def _join128(hi: np.ndarray, lo: np.ndarray) -> list[int]:
-    return [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo), lo
-
-
-def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
-    """a * b mod 2**128: the full product of the low words, plus the cross terms."""
-    a0, a1, b0, b1 = a_lo & _LOW32, a_lo >> 32, b_lo & _LOW32, b_lo >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    carry = ((p00 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)) >> 32
-    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + carry + a_lo * b_hi + a_hi * b_lo
-    return hi, a_lo * b_lo
-
-
-def _pcg64(seeds: np.ndarray, n_words: int) -> tuple[list[int], list[int], np.ndarray]:
-    """PCG64 seeded with each row of seeds, as numpy seeds it, then n_words drawn.
-
-    A row is the generate_state(4, np.uint64) of the stream's SeedSequence
-    (_seed_words).  Returns each stream's state after its n_words raw words
-    and its increment, both as 128-bit ints, and the (rows, n_words) uint64
-    words: what random_raw(n_words) returns and where it leaves the state.
-    """
-    s_hi, s_lo, i_hi, i_lo = seeds.T[:, :, None]
-    # pcg64_set_seed: inc = 2 * initseq + 1; state 0 takes an LCG step, adds
-    # the seed and takes another.  Each word is the output (XSL-RR) of the
-    # state one more step on, so from x = seed + inc, the state j + 1 steps on
-    # is x * MULT**(j + 1) + inc * (MULT**j + ... + 1)
-    inc = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
-    powers = [pow(_PCG64_MULT, j, 1 << 128) for j in range(n_words + 2)]
-    sums = [s % (1 << 128) for s in itertools.accumulate(powers[:-1])]
-    hi, lo = _add128(*_mul128(*_add128(s_hi, s_lo, *inc), *_split128(powers[1:])),
-                     *_mul128(*inc, *_split128(sums)))
-    # XSL-RR rotates right by the top 6 bits; numpy's shift by 64 gives 0
-    value, rotation = hi[:, 1:] ^ lo[:, 1:], hi[:, 1:] >> 58
-    words = value >> rotation | value << (np.uint64(64) - rotation)
-    return _join128(hi[:, -1], lo[:, -1]), _join128(inc[0][:, 0], inc[1][:, 0]), words
-
-
-def _seeded(
-    gen: np.random.Generator, states: Sequence[int], incs: Sequence[int]
-) -> Iterator[np.random.Generator]:
-    """gen with its PCG64 state set in turn to each (state, inc) pair.
-
-    Each yield re-seeds the same Generator, so draw from it before taking
-    the next.  One dict is reused for every assignment.
-    """
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    bit_generator = gen.bit_generator
-    for pcg["state"], pcg["inc"] in zip(states, incs):
-        bit_generator.state = state
-        yield gen
-
-
-def _streams(
-    gen: np.random.Generator, prefix: Sequence[int], ids: Sequence[int]
-) -> Iterator[np.random.Generator]:
-    """gen seeded in turn, per id, as default_rng(SeedSequence([*prefix, id])).
-
-    Each yield re-seeds the same Generator, so draw from it before taking
-    the next.  Ids are hashed 1024 at a time, which bounds the memory.
-    """
-    for start in range(0, len(ids), 1024):
-        states, incs, _ = _pcg64(_seed_words(prefix, ids[start : start + 1024]), 0)
-        yield from _seeded(gen, states, incs)
-
-
-def _generator() -> np.random.Generator:
-    """A Generator for _streams and _step_draws to seed; its own seed is never drawn from."""
-    return np.random.Generator(np.random.PCG64(0))
+def _stream(*entropy: int) -> np.random.Generator:
+    """The Generator of the stream with this entropy tuple."""
+    return np.random.default_rng(entropy)
 
 
 @dataclass(frozen=True)
@@ -326,6 +167,8 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -395,16 +238,14 @@ def _client_data(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     key = (config.seed, config.clients, config.points_per_client, config.d, config.classes)
     if key not in _KEPT_DATA:
         _KEPT_DATA.clear()  # free the last dataset before building the next
-        gen = _generator()
-        centers_rng = next(_streams(gen, (config.seed,), [_STREAM_CENTERS]))
-        raw = centers_rng.normal(size=(config.d, config.classes))
+        raw = _stream(config.seed, _STREAM_CENTERS).normal(size=(config.d, config.classes))
         basis, _ = np.linalg.qr(raw)
         centers = BLOB_RADIUS * basis.T[: config.classes]  # (classes, d)
         labels = np.arange(config.points_per_client) % config.classes
         features = np.empty((config.clients, config.points_per_client, config.d))
-        clients = range(config.clients)
-        for cid, rng in zip(clients, _streams(gen, (config.seed, _STREAM_CLIENT_DATA), clients)):
-            features[cid] = rng.normal(size=(config.points_per_client, config.d))
+        for cid in range(config.clients):
+            features[cid] = _stream(config.seed, _STREAM_CLIENT_DATA, cid).normal(
+                size=(config.points_per_client, config.d))
         features += centers[labels]
         features.flags.writeable = labels.flags.writeable = False
         _KEPT_DATA[key] = features, labels
@@ -414,11 +255,6 @@ def _client_data(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
 def _select_clients(available: list[int], m_t: int, rng: np.random.Generator) -> list[int]:
     """Uniformly random size-m_t subset of the ascending available ids, ascending."""
     return sorted(available[i] for i in rng.choice(len(available), size=m_t, replace=False))
-
-
-def _sample_fixed_batch(dataset_size: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random subset of exactly batch_size indices, sorted."""
-    return np.sort(rng.choice(dataset_size, size=batch_size, replace=False))
 
 
 def _sample_poisson_batch(dataset_size: int, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -449,111 +285,66 @@ def _clip_rows(G: np.ndarray, clip: float) -> np.ndarray:
     return G * (clip / np.maximum(np.linalg.norm(G, axis=-1), clip))[..., None]
 
 
-def _choice_bounds(n: int, k: int) -> np.ndarray:
-    """Bounds j of the draws from [0, j] that rng.choice(n, k, replace=False) makes.
+def _batch_draws(rng: np.random.Generator, n: int, k: int, m: int) -> np.ndarray:
+    """(m, k) draws for _fixed_batches: column i from [0, n - k + i]."""
+    return rng.integers(0, np.arange(n - k, n) + 1, size=(m, k))
 
-    In order: Floyd's algorithm draws with bounds n-k .. n-1 (a bound of 0
-    takes no draw), then the shuffle of its k picks with bounds k-1 .. 1.
-    Each draw is NumPy's Lemire draw from one 32-bit word.  choice runs
-    Floyd's algorithm wherever n <= 10000.
+
+def _fixed_batches(n: int, k: int, draws: np.ndarray) -> np.ndarray:
+    """One uniformly random k-subset of range(n) per row of draws, unsorted.
+
+    Floyd's algorithm (Bentley & Floyd 1987): bound by bound, j = n-k ..
+    n-1, a row picks its draw from [0, j] (_batch_draws), or j if it
+    picked the draw before.  Every k-subset is equally likely.  One numpy
+    pass over all rows, one step per bound, over an (m, n) bitmap.
     """
-    return np.concatenate([np.arange(max(n - k, 1), n), np.arange(k - 1, 0, -1)]).astype(np.uint64)
-
-
-def _fixed_batches(
-    n: int, k: int, bounds: np.ndarray, words: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batches drawn from raw words, unsorted, and which rows are choice's.
-
-    Row i of words holds the first ceil(len(bounds) / 2) words of a freshly
-    seeded PCG64 stream; their 32-bit halves, low half first, are the words
-    of choice(n, k, replace=False)'s draws, one per bound j.  Lemire's
-    multiply-shift maps a half h to h * (j + 1) >> 32, and choice draws again
-    only where the low 32 bits of that product are below j + 1: such a row
-    is marked False and its batch is not choice's.  Floyd's rule then picks,
-    bound by bound, the draw, or j if the draw was picked before.  The
-    shuffle's draws only reorder the picks, so a row sorted is choice's
-    sample sorted.
-    """
-    m = len(words)
-    halves = np.stack([words & _MASK32, words >> 32], axis=-1).reshape(m, -1)[:, : len(bounds)]
-    scaled = halves * (bounds + 1)
-    exact = ((scaled & _MASK32) > bounds).all(axis=1)
-    draws = (scaled >> 32).astype(np.intp)
-    if k == n:
-        draws = np.column_stack([np.zeros(m, dtype=np.intp), draws])  # bound 0 draws 0
-    # picks are flat indices into `taken`, whose row i is client i's n points
+    m = len(draws)
+    # picks are flat indices into `taken`, whose row i is row i's n points
     starts = np.arange(0, m * n, n)
     taken = np.zeros(m * n, dtype=bool)
     picks = np.empty((k, m), dtype=np.intp)
-    for pick, draw, j in zip(picks, draws[:, :k].T + starts, np.arange(n - k, n)[:, None] + starts):
+    for pick, draw, j in zip(picks, draws.T + starts, np.arange(n - k, n)[:, None] + starts):
         pick[:] = np.where(taken[draw], j, draw)
         taken[pick] = True
-    return (picks - starts).T, exact
+    return (picks - starts).T
 
 
 def _step_draws(
-    gen: np.random.Generator, config: SimConfig, block: Sequence[tuple[int, Sequence[int]]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted batches and noise of every client step of a block of rounds.
+    config: SimConfig, block: Sequence[tuple[int, Sequence[int]]]
+) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """(sorted batches, noise) of each round of a block of rounds.
 
-    block lists (t, selected) pairs; row i of the (steps, batch_size) batches
-    and the (steps, classes*d) noise is the i-th step, rounds in order and
-    clients in their order within a round.  Step (t, cid) draws from its own
-    stream (seed, _STREAM_CLIENT_STEP, t, cid): its batch,
-    _sample_fixed_batch's, then its noise of per-coordinate std
-    clip*sigma/batch_size.  The noise is left unset when sigma is 0.  All
-    streams are seeded in one numpy pass (_pcg64).  Where a round has at
-    least 10 clients, no fewer than batch_size, and at most 10000 points,
-    its steps call no choice: _pcg64 also returns the raw words choice would
-    take (_choice_bounds), each step draws its noise from the state after
-    them, and one _fixed_batches call turns all the words into batches.  A
-    step whose words might make choice draw again, and every step of other
-    rounds, takes its batch and noise through choice from its freshly
-    seeded stream.  All batches are sorted in one call.
+    block lists (t, selected) pairs; row i of a round's (m, batch_size)
+    batches and (m, classes*d) noise is its i-th selected client.  Round t
+    draws from the stream (seed, _STREAM_CLIENT_STEP, t): the batch draws
+    of all its clients (_batch_draws), then, if sigma > 0, their noise of
+    per-coordinate std clip*sigma/batch_size; at sigma 0 the noise is None.
+    One _fixed_batches call turns the draws of the whole block into batches.
     """
-    n, k, size = config.points_per_client, config.batch_size, config.classes * config.d
-    noise_std = config.clip * config.sigma / k
-    ts = [t for t, selected in block for _ in selected]
-    cids = [cid for _, selected in block for cid in selected]
-    seeds = _seed_words((config.seed, _STREAM_CLIENT_STEP), ts, cids)
-    batches = np.empty((len(cids), k), dtype=np.intp)
-    noise = np.empty((len(cids), size))
-    # _fixed_batches loops once per batch element over a (steps, n) bitmap,
-    # so it was measured faster than a choice call per step only in rounds of
-    # many clients and small batches; choice runs Floyd's algorithm wherever
-    # n <= 10000
-    from_words = np.repeat([n <= 10000 and len(selected) >= max(k, 10) for _, selected in block],
-                           [len(selected) for _, selected in block])
-    raw = np.flatnonzero(from_words)
-    if len(raw):
-        bounds = _choice_bounds(n, k)
-        states, incs, words = _pcg64(seeds[raw], (len(bounds) + 1) // 2)
-        if config.sigma > 0:
-            for i, rng in zip(raw.tolist(), _seeded(gen, states, incs)):
-                noise[i] = rng.normal(0.0, noise_std, size=size)
-        batches[raw], from_words[raw] = _fixed_batches(n, k, bounds, words)
-    redo = np.flatnonzero(~from_words)
-    states, incs, _ = _pcg64(seeds[redo], 0)
-    for i, rng in zip(redo.tolist(), _seeded(gen, states, incs)):
-        batches[i] = rng.choice(n, size=k, replace=False)
-        if config.sigma > 0:
-            noise[i] = rng.normal(0.0, noise_std, size=size)
+    n, k = config.points_per_client, config.batch_size
+    draws, noise = [], []
+    for t, selected in block:
+        rng = _stream(config.seed, _STREAM_CLIENT_STEP, t)
+        draws.append(_batch_draws(rng, n, k, len(selected)))
+        noise.append(rng.normal(0.0, config.clip * config.sigma / k,
+                                size=(len(selected), config.classes * config.d))
+                     if config.sigma > 0 else None)
+    batches = _fixed_batches(n, k, np.concatenate(draws))
     batches.sort(axis=1)
-    return batches, noise
+    return list(zip(np.split(batches, np.cumsum([len(d) for d in draws[:-1]])), noise))
 
 
 def _round_updates(
     W: np.ndarray, features: np.ndarray, labels: np.ndarray, selected: Sequence[int],
-    batches: np.ndarray, noise: np.ndarray, config: SimConfig,
+    batches: np.ndarray, noise: np.ndarray | None, config: SimConfig,
 ) -> tuple[np.ndarray, list[float]]:
     """One step of each selected client: (m, classes*d) updates, pre-noise norms.
 
     Client i of `selected` averages the clipped per-sample directions of the
-    points batches[i] (sorted indices into its row of features) and, if
-    sigma > 0, adds noise[i] (_step_draws draws both).  Every client steps
-    with the config's batch_size, clip and step_size, so the directions,
-    clipping and means run once on the stacked (m, b, d) batches.
+    points batches[i] (sorted indices into its row of features) and adds
+    noise[i] unless noise is None (_step_draws draws both).  Every client
+    steps with the config's batch_size, clip and step_size, so the
+    directions, clipping and means run once on the stacked (m, b, d) batches.
     """
     X = features[np.asarray(selected)[:, None], batches]
     G = _per_sample_directions(W, X, labels[batches], config.step_size)
@@ -562,34 +353,30 @@ def _round_updates(
     # with itself, and a (1, n) @ (n, 1) matmul takes that same dot (as
     # np.vecdot does, which needs NumPy 2)
     norms = np.sqrt(updates[:, None, :] @ updates[:, :, None]).ravel().tolist()
-    if config.sigma > 0:
+    if noise is not None:
         updates += noise
     return updates, norms
 
 
-def _selections(gen: np.random.Generator, config: SimConfig) -> Iterator[tuple[int, list[int]]]:
+def _selections(config: SimConfig) -> Iterator[tuple[int, list[int]]]:
     """(t, selected) for each round t, as run_training's docstring describes."""
-    rounds = range(1, config.rounds + 1)
-    availability = _streams(gen, (config.seed, _STREAM_AVAILABILITY), rounds)
-    selection = _streams(gen, (config.seed, _STREAM_SELECTION), rounds)
-    for t in rounds:
+    for t in range(1, config.rounds + 1):
         if config.dropout_prob > 0:
-            draws = next(availability).random(config.clients)
-            available = [cid for cid in range(config.clients) if draws[cid] >= config.dropout_prob]
+            draws = _stream(config.seed, _STREAM_AVAILABILITY, t).random(config.clients)
+            available = np.flatnonzero(draws >= config.dropout_prob).tolist()
         else:
             available = list(range(config.clients))
-        yield t, _select_clients(available, min(config.m_t, len(available)), next(selection))
+        selection = _stream(config.seed, _STREAM_SELECTION, t)
+        yield t, _select_clients(available, min(config.m_t, len(available)), selection)
 
 
 def _blocks(config: SimConfig, rounds: Iterable[tuple[int, list[int]]]) -> Iterator[list]:
     """The (t, selected) rounds in order, in blocks whose draws take bounded memory.
 
     A block holds whole rounds, at least one, of at most 1024 client steps
-    in all and about 1 MB of noise, raw words and _fixed_batches' bitmap.
+    in all and about 1 MB of noise, batch draws and _fixed_batches' bitmap.
     """
-    n = config.points_per_client
-    words = (len(_choice_bounds(n, config.batch_size)) + 1) // 2 if n <= 10000 else 0
-    step_bytes = 8 * (config.classes * config.d + words) + (n if words else 0)
+    step_bytes = 8 * (config.classes * config.d + config.batch_size) + config.points_per_client
     block, steps = [], 0
     for t, selected in rounds:
         steps += len(selected)
@@ -631,19 +418,12 @@ def run_training(config: SimConfig) -> tuple[np.ndarray, list[RoundRecord], Part
         batch_size=config.batch_size,
     )
     records: list[RoundRecord] = []
-    # one Generator serves every stream: each is drawn from before the next
-    # is seeded
-    gen = _generator()
-    for block in _blocks(config, _selections(gen, config)):
-        batches, noise = _step_draws(gen, config, block)
-        start = 0
-        for t, selected in block:
-            rows = slice(start, start + len(selected))
-            start = rows.stop
+    for block in _blocks(config, _selections(config)):
+        for (t, selected), (batches, noise) in zip(block, _step_draws(config, block)):
             norms: list[float] = []
             if selected:
                 updates, norms = _round_updates(
-                    model, features, labels, selected, batches[rows], noise[rows], config)
+                    model, features, labels, selected, batches, noise, config)
                 model = model + updates.mean(axis=0).reshape(model.shape)
                 for cid in selected:
                     ledger.record(cid, t, step)
@@ -657,20 +437,23 @@ def run_training(config: SimConfig) -> tuple[np.ndarray, list[RoundRecord], Part
 def batch_size_trace(config: SimConfig, sampler: str, rounds: int) -> list[int]:
     """Realized batch size per round for the chosen sampler.
 
-    The fixed sampler always returns batch_size elements; the poisson
-    sampler includes each of the points_per_client records independently
-    with probability batch_size / points_per_client.
+    Round t draws from the stream (seed, _STREAM_TRACE, t).  The fixed
+    sampler draws training's batch (_fixed_batches), always batch_size
+    elements; the poisson sampler includes each of the points_per_client
+    records independently with probability batch_size / points_per_client.
     """
     if sampler not in ("fixed", "poisson"):
         raise ValueError(f"sampler must be fixed or poisson, got {sampler!r}")
     rounds = _number(rounds, int, "rounds must be >= 0", lambda n: n >= 0)
-    n = config.points_per_client
+    n, k = config.points_per_client, config.batch_size
     sizes = []
-    for rng in _streams(_generator(), (config.seed, _STREAM_TRACE), range(1, rounds + 1)):
+    for t in range(1, rounds + 1):
+        rng = _stream(config.seed, _STREAM_TRACE, t)
         if sampler == "fixed":
-            sizes.append(int(len(_sample_fixed_batch(n, config.batch_size, rng))))
+            batch = _fixed_batches(n, k, _batch_draws(rng, n, k, 1))[0]
         else:
-            sizes.append(int(len(_sample_poisson_batch(n, config.sampling_ratio, rng))))
+            batch = _sample_poisson_batch(n, config.sampling_ratio, rng)
+        sizes.append(len(batch))
     return sizes
 
 

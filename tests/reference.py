@@ -260,9 +260,11 @@ def accuracy_of(weights_flat: np.ndarray, classes: int, X: np.ndarray, y: np.nda
 # The training loop as it ran before client steps were stacked: one client
 # at a time, each with its own 2-D arrays, its own norm and its own noise,
 # on a (classes, d) weight array, on the data client_data builds.  Same
-# SeedSequence streams as the package, (seed, tag, round[, client]), and
+# SeedSequence streams as the package, (seed, tag[, round or client]), and
 # the same draws from them: a uniform subset of the ascending available ids,
-# then per client a sorted fixed-size batch and its noise.
+# then, from the round's client-step stream, each selected client's batch
+# draws in turn, and after all of them each client's noise in turn.  The
+# batch is Floyd's sample with a Python set.
 
 _STREAM_CENTERS = 1
 _STREAM_CLIENT_DATA = 2
@@ -294,10 +296,19 @@ def client_data(config) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
-def _client_step(X: np.ndarray, labels: np.ndarray, config, sigma: float, W: np.ndarray,
-                 rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """One client's noisy clipped-mean update and its pre-noise norm."""
-    idx = np.sort(rng.choice(len(labels), size=config.batch_size, replace=False))
+def floyd_sample(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Floyd's uniform k-subset of range(n), sorted: for j = n-k .. n-1, add
+    a draw from [0, j], or j if the draw is in the set already."""
+    draws = rng.integers(0, np.arange(n - k, n) + 1, size=k)
+    picked: set[int] = set()
+    for j, draw in zip(range(n - k, n), draws.tolist()):
+        picked.add(j if draw in picked else draw)
+    return np.array(sorted(picked))
+
+
+def _client_step(X: np.ndarray, labels: np.ndarray, config, idx: np.ndarray,
+                 noise: np.ndarray | None, W: np.ndarray) -> tuple[np.ndarray, float]:
+    """One client's noisy clipped-mean update on the points idx, and its pre-noise norm."""
     X, y = X[idx], labels[idx]
     scores = X @ W.T
     scores -= scores.max(axis=1, keepdims=True)
@@ -308,9 +319,8 @@ def _client_step(X: np.ndarray, labels: np.ndarray, config, sigma: float, W: np.
     clipped = G * (config.clip / np.maximum(np.linalg.norm(G, axis=1), config.clip))[:, None]
     mean = clipped.mean(axis=0)
     prenoise_norm = float(np.linalg.norm(mean))
-    if sigma > 0:
-        noise_std = config.clip * sigma / config.batch_size
-        mean = mean + rng.normal(0.0, noise_std, size=mean.shape)
+    if noise is not None:
+        mean = mean + noise
     return mean, prenoise_norm
 
 
@@ -322,6 +332,7 @@ def per_client_training(config):
     W = np.zeros((config.classes, config.d))
     step = StepParams(q=config.sampling_ratio, sigma=sigma, clip=config.clip,
                       batch_size=config.batch_size)
+    size = config.classes * config.d
     records = []
     for t in range(1, config.rounds + 1):
         if config.dropout_prob > 0:
@@ -332,10 +343,13 @@ def per_client_training(config):
         m_eff = min(config.m_t, len(available))
         picked = _stream(config.seed, _STREAM_SELECTION, t).choice(len(available), size=m_eff, replace=False)
         chosen = sorted(available[i] for i in picked)
+        rng = _stream(config.seed, _STREAM_CLIENT_STEP, t)
+        batches = [floyd_sample(config.points_per_client, config.batch_size, rng) for _ in chosen]
+        noises = [rng.normal(0.0, config.clip * sigma / config.batch_size, size=size)
+                  if sigma > 0 else None for _ in chosen]
         updates, norms = [], []
-        for cid in chosen:
-            rng = _stream(config.seed, _STREAM_CLIENT_STEP, t, cid)
-            upd, norm = _client_step(*clients[cid], config, sigma, W, rng)
+        for cid, idx, noise in zip(chosen, batches, noises):
+            upd, norm = _client_step(*clients[cid], config, idx, noise, W)
             updates.append(upd)
             norms.append(norm)
             ledger.record(cid, t, step)

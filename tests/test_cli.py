@@ -460,6 +460,18 @@ def test_simulate_and_trace_reject_an_integer_past_float_range(capsys, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+def test_simulate_and_trace_reject_a_config_that_is_not_an_object(capsys, tmp_path):
+    # SimConfig.from_dict names the JSON value's Python type
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]")
+    for argv in (["simulate", "--outdir", str(tmp_path / "o")], ["trace"]):
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert code == cli.EXIT_USAGE == 1, argv
+        assert out == ""
+        assert err == "error: config must be a JSON object, got list\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_rejects_a_calibrated_sigma_whose_noise_overflows(capsys, tmp_path):
     # the calibrated sigma is finite, but clip * sigma / batch_size is not
     path = demo_config(tmp_path, clip=1e308, batch_size=1, sigma=None, target_epsilon=1.0)

@@ -1,7 +1,9 @@
 """Simulator: samplers, clipping, client/server updates, full runs."""
 
+import collections
 import dataclasses
 import decimal
+import itertools
 import json
 import math
 import os
@@ -23,22 +25,17 @@ from fedrdp.simulate import (
     write_artifacts,
 )
 from fedrdp.simulate import (
-    _STREAM_CLIENT_STEP,
+    _batch_draws,
     _blocks,
-    _choice_bounds,
     _client_data,
     _clip_rows,
     _fixed_batches,
-    _generator,
-    _pcg64,
     _per_sample_directions,
     _round_updates,
-    _sample_fixed_batch,
     _sample_poisson_batch,
-    _seed_words,
     _select_clients,
     _step_draws,
-    _streams,
+    _stream,
 )
 
 
@@ -75,6 +72,16 @@ def test_config_rejects_unknown_keys():
     # the sampler is trace's --sampler flag, not a config key
     with pytest.raises(ValueError, match=r"unknown config keys: \['sampler'\]"):
         SimConfig.from_dict({"rounds": 1, "sampler": "fixed"})
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"', "3", "null"])
+def test_config_must_be_a_json_object(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    kind = type(json.loads(text)).__name__
+    with pytest.raises(ValueError) as info:
+        SimConfig.from_file(path)
+    assert str(info.value) == f"config must be a JSON object, got {kind}"
 
 
 def test_config_defaults_mt_to_all_clients():
@@ -213,23 +220,41 @@ def test_select_uniform_over_subsets():
     assert stat < reference.CHI2_DF5_P001
 
 
+def _fixed_batch(n, k, rng, m=1):
+    """m sorted batches of k of range(n), drawn from rng as training draws them."""
+    return np.sort(_fixed_batches(n, k, _batch_draws(rng, n, k, m)), axis=1)
+
+
 def test_fixed_batch_exact_size_and_inclusion():
-    rng = np.random.default_rng(7)
-    hits = np.zeros(10)
     draws = 20_000
-    for _ in range(draws):
-        idx = _sample_fixed_batch(10, 3, rng)
-        assert len(idx) == 3 and len(set(idx.tolist())) == 3
-        hits[idx] += 1
-    freq = hits / draws
+    batches = _fixed_batch(10, 3, np.random.default_rng(7), draws)
+    assert batches.shape == (draws, 3)
+    assert np.all(np.diff(batches, axis=1) > 0)  # sorted, so distinct
+    assert batches.min() >= 0 and batches.max() < 10
+    freq = np.bincount(batches.ravel(), minlength=10) / draws
     tol = 3 * math.sqrt(0.3 * 0.7 / draws)
     assert np.all(np.abs(freq - 0.3) <= tol)
 
 
 def test_fixed_batch_edge_cases():
     rng = np.random.default_rng(0)
-    assert np.array_equal(_sample_fixed_batch(5, 5, rng), np.arange(5))
-    assert len(_sample_fixed_batch(9, 1, rng)) == 1
+    assert np.array_equal(_fixed_batch(5, 5, rng, 4), np.tile(np.arange(5), (4, 1)))
+    single = _fixed_batch(9, 1, rng, 50)
+    assert single.shape == (50, 1) and set(single.ravel().tolist()) <= set(range(9))
+    assert _fixed_batch(9, 1, rng, 0).shape == (0, 1)
+
+
+@pytest.mark.parametrize(("n", "k"), [(5, 2), (6, 3), (4, 4), (7, 1)])
+def test_fixed_batches_are_uniform_over_subsets(n, k):
+    # every k-subset within 4 binomial standard errors of its expected count
+    draws = 60_000
+    batches = _fixed_batch(n, k, np.random.default_rng(2029), draws)
+    subsets = list(itertools.combinations(range(n), k))
+    counts = collections.Counter(map(tuple, batches.tolist()))
+    assert set(counts) == set(subsets)
+    p = 1 / len(subsets)
+    for subset in subsets:
+        assert abs(counts[subset] - draws * p) <= 4 * math.sqrt(draws * p * (1 - p)), subset
 
 
 def _choice_shapes():
@@ -241,35 +266,17 @@ def _choice_shapes():
 
 
 @pytest.mark.parametrize(("n", "k"), list(_choice_shapes()))
-def test_fixed_batches_are_choices_and_leave_the_stream_where_choice_does(n, k):
-    bounds = _choice_bounds(n, k)
+def test_fixed_batches_equal_choices_floyd_sample_from_the_same_draws(n, k):
+    # on at most 10000 points, Generator.choice(n, k, replace=False) runs
+    # Floyd's algorithm on the draws _batch_draws takes from its stream, then
+    # shuffles its sample: one stream per row, all rows in one pass
     seeds = range(100)
-    streams = [np.random.default_rng(seed) for seed in seeds]
-    words = np.stack([rng.bit_generator.random_raw((len(bounds) + 1) // 2) for rng in streams])
-    batches, exact = _fixed_batches(n, k, bounds, words)
-    assert batches.shape == (len(seeds), k) and exact.sum() >= 0.9 * len(seeds)
-    for seed, rng, batch, ok in zip(seeds, streams, batches, exact):
-        if ok:
-            want = np.random.default_rng(seed)
-            assert np.array_equal(np.sort(batch), np.sort(want.choice(n, k, replace=False)))
-            assert rng.bit_generator.state["state"] == want.bit_generator.state["state"]
-            assert np.array_equal(rng.normal(size=4), want.normal(size=4))
-
-
-def test_fixed_batches_flag_a_draw_that_choice_draws_again():
-    # client 9's stream in round 1 of the lemire_rejection reference config:
-    # one of its draws' words falls where Lemire's method rejects and draws anew
-    n, k = 10000, 10
-    bounds = _choice_bounds(n, k)
-    stream = next(_streams(_generator(), (1087, _STREAM_CLIENT_STEP, 1), [9]))
-    words = stream.bit_generator.random_raw((len(bounds) + 1) // 2)[None]
-    batches, exact = _fixed_batches(n, k, bounds, words)
-    assert not exact[0]
-    assert np.sort(batches[0]).tolist() == [
-        972, 2171, 2866, 3941, 4913, 5746, 6962, 7249, 8588, 9042]
-    stream = next(_streams(_generator(), (1087, _STREAM_CLIENT_STEP, 1), [9]))
-    assert _sample_fixed_batch(n, k, stream).tolist() == [
-        972, 2171, 2866, 3941, 4913, 5746, 6601, 7248, 8587, 9042]
+    draws = np.concatenate([_batch_draws(np.random.default_rng(seed), n, k, 1) for seed in seeds])
+    batches = _fixed_batches(n, k, draws)
+    assert batches.shape == (len(seeds), k)
+    for seed, batch in zip(seeds, batches):
+        want = np.random.default_rng(seed).choice(n, k, replace=False)
+        assert np.array_equal(np.sort(batch), np.sort(want))
 
 
 def test_poisson_batch_rate_one_takes_everything():
@@ -305,7 +312,7 @@ def _one_client(sigma=0.0, batch=None, n=12, d=3, clip=10.0, seed=0):
 
 def _draws(cfg, ids):
     """_step_draws' batches and noise for one round of the given client ids."""
-    return _step_draws(_generator(), cfg, [(1, list(ids))])
+    return _step_draws(cfg, [(1, list(ids))])[0]
 
 
 def test_per_sample_directions_match_reference():
@@ -419,18 +426,21 @@ REFERENCE_CONFIGS = {
     "noiseless": dict(sigma=0.0, classes=3),
     "single_client": dict(clients=1, m_t=None, sigma=2.0),
     "multi_word_seed": dict(rounds=12, clients=7, m_t=4, dropout_prob=0.2, seed=2**40 + 3),
-    # the next three draw their batches from raw words (10 or more clients
-    # a round, no fewer than the batch size, at most 10000 points)
+    # rounds of many clients with small or full batches
     "many_clients": dict(rounds=8, clients=30, m_t=20, points_per_client=40, batch_size=5,
                          dropout_prob=0.2, seed=3),
     "many_full_batches": dict(rounds=4, clients=12, m_t=12, points_per_client=8, batch_size=8),
-    # client 9's round-1 batch takes a draw that Lemire's method rejects
+    # batches of 10 of 10000 points: each step's bitmap is 10000 points wide
     "lemire_rejection": dict(seed=1087, clients=10, m_t=10, rounds=2, points_per_client=10000,
                              batch_size=10),
-    # choice(10001, 201) shuffles a tail instead of running Floyd's algorithm,
-    # so these rounds of 201 clients call choice
+    # rounds of 201 clients taking batches of 201 of 10001 points: a round's
+    # bitmap alone exceeds the byte budget of a block
     "tail_shuffle": dict(rounds=2, clients=201, m_t=201, d=2, points_per_client=10001,
                          batch_size=201),
+    # rounds of 3 clients taking batches of 40 of 60 points: more batch
+    # elements than clients a round
+    "large_batches": dict(rounds=30, clients=3, m_t=3, points_per_client=60, batch_size=40,
+                          seed=12),
     # the rest span several blocks of rounds (_blocks: at most 1024 client
     # steps and about 1 MB of draws each).  Four rounds of 250 fill a block,
     # so the fifth, which would straddle the step budget, opens the next
@@ -440,12 +450,10 @@ REFERENCE_CONFIGS = {
                            dropout_prob=0.3, seed=9),
     "noiseless_blocks": dict(rounds=7, clients=200, m_t=200, sigma=0.0, points_per_client=40,
                              batch_size=5),
-    # about 10 clients a round, so rounds drawn from raw words and rounds
-    # that call choice share blocks of about 100 rounds
+    # about 10 clients a round with dropout, in blocks of about 100 rounds
     "mixed_blocks": dict(rounds=120, clients=14, m_t=12, batch_size=5, dropout_prob=0.3, seed=4),
-    # two rounds of 40 steps on 10000 points fill a block's bitmap budget;
-    # client 38's round-3 batch, in the second block, takes a draw that
-    # Lemire's method rejects
+    # two rounds of 40 steps on 10000 points fill a block's byte budget,
+    # so round 3 opens a second block
     "late_lemire_rejection": dict(seed=2275, clients=40, m_t=40, rounds=3,
                                   points_per_client=10000, batch_size=10),
     # 8 * classes * d = 160 kB of noise a step: one round of 10 clients
@@ -517,101 +525,25 @@ def test_run_training_checks_the_calibrated_noise_std():
 
 
 STREAM_ENTROPIES = [
-    # (prefix, ids): one-off, per-round and per-client streams, large rounds
-    # and client ids, and more ids than _streams hashes at once
-    ((), [1, 6]),
-    ((2,), [0, 1, 2**32 - 1]),
-    ((5, 2**40 + 1), [0, 7, 2**31, 2**32 - 1]),
-    ((5, 2**32 - 1), list(range(1100))),
+    # one-off, per-client and per-round streams, large rounds and client ids
+    (), (1,), (6,), (2, 0), (2, 2**32 - 1), (5, 7), (5, 2**31), (5, 2**32 - 1),
 ]
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 7])
 def test_streams_seed_as_numpy_seedsequence(seed):
-    gen = _generator()
-    for prefix, ids in STREAM_ENTROPIES:
-        prefix = (seed, *prefix)
-        words = _seed_words(prefix, ids)
-        for i, word, rng in zip(ids, words, _streams(gen, prefix, ids), strict=True):
-            seq = np.random.SeedSequence([*prefix, i])
-            assert np.array_equal(word, seq.generate_state(4, np.uint64))
-            want = np.random.default_rng(seq)
-            assert rng.bit_generator.state == want.bit_generator.state
-            assert np.array_equal(rng.choice(50, size=7, replace=False),
-                                  want.choice(50, size=7, replace=False))
-            assert np.array_equal(rng.normal(0.0, 2.0, size=5), want.normal(0.0, 2.0, size=5))
-            # an odd number of 32-bit draws leaves half a 64-bit word
-            # buffered; the next seeding must drop it
-            assert np.array_equal(rng.integers(2**32, size=3, dtype=np.uint32),
-                                  want.integers(2**32, size=3, dtype=np.uint32))
-
-
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**40 + 3, 2**64 + 5])
-def test_seed_words_per_column_are_numpy_seedsequence(seed):
-    # one row per (t, cid): the entropy [seed, tag, t, cid] of a client step
-    pairs = [(t, cid) for t in (1, 7, 2**31, 2**32 - 1) for cid in (0, 3, 2**32 - 1)]
-    words = _seed_words((seed, _STREAM_CLIENT_STEP), *zip(*pairs))
-    for (t, cid), word in zip(pairs, words, strict=True):
-        seq = np.random.SeedSequence([seed, _STREAM_CLIENT_STEP, t, cid])
-        assert np.array_equal(word, seq.generate_state(4, np.uint64))
-
-
-class _FixedSeedWords(np.random.bit_generator.ISeedSequence):
-    """A seed sequence whose state words are given: PCG64 seeds from them as numpy does."""
-
-    def __init__(self, words):
-        self.words = np.array(words, dtype=np.uint64)
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        assert (n_words, np.dtype(dtype)) == (4, np.uint64)
-        return self.words.copy()
-
-
-_MASK64 = 2**64 - 1
-_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _rotation_zero_seed(state):
-    """Seed words (inc word 0b101...) whose stream's first word is output from `state`."""
-    i = 0xA5A5A5A5A5A5A5A5_0123456789ABCDEF
-    inc = (i << 1 | 1) % 2**128
-    # the first word's state is (seed + inc) * MULT**2 + inc * (MULT + 1)
-    seed = ((state - inc * (_MULT + 1)) * pow(_MULT, -2, 2**128) - inc) % 2**128
-    return [seed >> 64, seed & _MASK64, i >> 64, i & _MASK64]
-
-
-PCG64_SEED_WORDS = [
-    [0, 0, 0, 0],
-    [_MASK64] * 4,
-    # seed + inc carries out of the low word (inc's low word is 1)
-    [5, _MASK64, 9, 0],
-    # 2 * initseq carries a bit from the low word into the high one
-    [1, 2, 3, 2**63 + 1],
-    # the first word's state has its top 6 bits 0: the output rotates by 0
-    _rotation_zero_seed(0x0123456789ABCDEF_FEDCBA9876543210),
-    *np.random.default_rng(20261019).integers(0, 2**64, size=(8, 4), dtype=np.uint64).tolist(),
-]
-
-
-@pytest.mark.parametrize("n_words", [0, 1, 2, 10, 33])
-def test_pcg64_states_and_words_are_numpys(n_words):
-    states, incs, words = _pcg64(np.array(PCG64_SEED_WORDS, dtype=np.uint64), n_words)
-    assert words.shape == (len(PCG64_SEED_WORDS), n_words) and words.dtype == np.uint64
-    for seed_words, state, inc, row in zip(PCG64_SEED_WORDS, states, incs, words, strict=True):
-        want = np.random.PCG64(_FixedSeedWords(seed_words))
-        assert want.state["state"]["inc"] == inc
-        assert np.array_equal(want.random_raw(n_words), row)
-        assert want.state["state"]["state"] == state
-    first = _rotation_zero_seed(0x0123456789ABCDEF_FEDCBA9876543210)
-    assert np.random.PCG64(_FixedSeedWords(first)).random_raw() == (
-        0x0123456789ABCDEF ^ 0xFEDCBA9876543210)
+    for rest in STREAM_ENTROPIES:
+        rng = _stream(seed, *rest)
+        want = np.random.default_rng(np.random.SeedSequence([seed, *rest]))
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(rng.normal(0.0, 2.0, size=5), want.normal(0.0, 2.0, size=5))
 
 
 def test_blocks_hold_whole_rounds_within_the_step_and_byte_budgets():
     cfg = small_config()
     rounds = [(1, range(600)), (2, range(600)), (3, []), (4, range(2000)), (5, range(10))]
     assert [[t for t, _ in block] for block in _blocks(cfg, rounds)] == [[1], [2, 3], [4], [5]]
-    # 8 * (20000 noise + 5 raw words) + 20 bitmap bytes a step: six steps fit 1 MB, seven do not
+    # 8 * (20000 noise + 5 batch draws) + 20 bitmap bytes a step: six steps fit 1 MB, seven do not
     wide = small_config(d=400, classes=50, points_per_client=20, batch_size=5)
     rounds = [(t, range(3)) for t in range(1, 6)]
     assert [[t for t, _ in block] for block in _blocks(wide, rounds)] == [[1, 2], [3, 4], [5]]
