@@ -119,7 +119,9 @@ def _moment_mpf(sigma: float, k: int):
     """E[(L-1)^k] as mpf, accurate to ~_BASE_DPS significant digits.
 
     The alternating binomial sum loses digits to cancellation; the working
-    precision is escalated until the result keeps _BASE_DPS good digits.
+    precision is escalated until the result keeps _BASE_DPS good digits, or
+    until the result is known to round to float 0.0.  A sum that cancels
+    to exactly 0 has lost all its digits.
     """
     from mpmath import mp, mpf
 
@@ -144,11 +146,14 @@ def _moment_mpf(sigma: float, k: int):
                         term = -term
                     total += term
                     c = c * (k - l) // (l + 1)
-                if total == 0:
+                cancel = max(float(mp.log10(absmass / abs(total))), 0.0) if total else work
+                if work - cancel >= _BASE_DPS:
                     return total
-                cancel = max(float(mp.log10(absmass / abs(total))), 0.0)
-            if work - cancel >= _BASE_DPS:
-                return total
+                # k + 1 terms, each rounded a few times: the moment is within
+                # 4 (k + 1) absmass 10^-work of total, and below 2^-1075 it
+                # rounds to float 0.0
+                if abs(total) + 4 * (k + 1) * absmass / mpf(10) ** work < mpf(2) ** -1075:
+                    return mpf(0)
             work = int(_BASE_DPS + cancel + 15)
 
 

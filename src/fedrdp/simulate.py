@@ -25,19 +25,20 @@ its own, np.random.default_rng(entropy) for an entropy tuple
     (seed, stream_tag, round)             availability, selection, client
                                           steps, trace
 
-with the tags below.  No draw depends on the model, so run_training draws a
-block of rounds first, up to 1024 client steps and about 1 MB of draws, and
-then does the block's model math round by round.  Round t's client steps
-draw from one stream: first the batch draws of every selected client, in
-ascending client id, then their noise.  A batch is Floyd's uniform sample
-of batch_size of the client's points (Bentley & Floyd 1987): its draws come
-from NumPy's bounded integers, and one numpy pass per block turns the
-draws of all its steps into batches.  A round gathers all its batches from
-the data arrays with one index and computes all its client steps in one
-numpy pass over the stacked batches, doing for each client the same float
-operations as on that client's arrays alone (the tests check this against
-a one-client-at-a-time loop).  So trajectories are bit-reproducible
-regardless of the order or grouping in which client updates are computed.
+with the tags below.  Round t's client steps draw from one stream: first
+the batch draws of every selected client, in ascending client id, then
+their noise.  A batch is Floyd's uniform sample of batch_size of the
+client's points (Bentley & Floyd 1987): its draws come from NumPy's bounded
+integers.  No batch depends on the model, so run_training takes the batch
+draws of a block of rounds first, as many rounds as keep about 1 MB of
+working arrays at m_t steps a round, and turns them into batches in one
+numpy pass; each round draws its noise when it runs.  A round gathers all
+its batches from the data arrays with one index and computes all its
+client steps in one numpy pass over the stacked batches, doing for each
+client the same float operations as on that client's arrays alone (the
+tests check this against a one-client-at-a-time loop).  So trajectories
+are bit-reproducible regardless of the order or grouping in which client
+updates are computed.
 Poisson batch sampling exists only for the batch-size trace contrast; the
 training loop itself always draws fixed-size batches (the accountant
 covers nothing else).
@@ -52,8 +53,8 @@ import math
 import operator
 import os
 from collections import Counter
-from dataclasses import dataclass, fields, replace
-from typing import Iterable, Iterator, Sequence
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -172,6 +173,9 @@ class SimConfig:
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
+        if missing:
+            raise ValueError(f"missing config keys: {sorted(missing)}")
         return cls(**data)
 
     @classmethod
@@ -309,42 +313,19 @@ def _fixed_batches(n: int, k: int, draws: np.ndarray) -> np.ndarray:
     return (picks - starts).T
 
 
-def _step_draws(
-    config: SimConfig, block: Sequence[tuple[int, Sequence[int]]]
-) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """(sorted batches, noise) of each round of a block of rounds.
-
-    block lists (t, selected) pairs; row i of a round's (m, batch_size)
-    batches and (m, classes*d) noise is its i-th selected client.  Round t
-    draws from the stream (seed, _STREAM_CLIENT_STEP, t): the batch draws
-    of all its clients (_batch_draws), then, if sigma > 0, their noise of
-    per-coordinate std clip*sigma/batch_size; at sigma 0 the noise is None.
-    One _fixed_batches call turns the draws of the whole block into batches.
-    """
-    n, k = config.points_per_client, config.batch_size
-    draws, noise = [], []
-    for t, selected in block:
-        rng = _stream(config.seed, _STREAM_CLIENT_STEP, t)
-        draws.append(_batch_draws(rng, n, k, len(selected)))
-        noise.append(rng.normal(0.0, config.clip * config.sigma / k,
-                                size=(len(selected), config.classes * config.d))
-                     if config.sigma > 0 else None)
-    batches = _fixed_batches(n, k, np.concatenate(draws))
-    batches.sort(axis=1)
-    return list(zip(np.split(batches, np.cumsum([len(d) for d in draws[:-1]])), noise))
-
-
 def _round_updates(
     W: np.ndarray, features: np.ndarray, labels: np.ndarray, selected: Sequence[int],
-    batches: np.ndarray, noise: np.ndarray | None, config: SimConfig,
+    batches: np.ndarray, rng: np.random.Generator, config: SimConfig,
 ) -> tuple[np.ndarray, list[float]]:
     """One step of each selected client: (m, classes*d) updates, pre-noise norms.
 
     Client i of `selected` averages the clipped per-sample directions of the
-    points batches[i] (sorted indices into its row of features) and adds
-    noise[i] unless noise is None (_step_draws draws both).  Every client
-    steps with the config's batch_size, clip and step_size, so the
-    directions, clipping and means run once on the stacked (m, b, d) batches.
+    points batches[i] (sorted indices into its row of features) and adds row
+    i of the round's noise, of per-coordinate std clip*sigma/batch_size (0
+    at sigma 0), drawn from rng, the round's step stream, after its batch
+    draws.  Every client steps with the config's batch_size, clip and
+    step_size, so the directions, clipping and means run once on the
+    stacked (m, b, d) batches.
     """
     X = features[np.asarray(selected)[:, None], batches]
     G = _per_sample_directions(W, X, labels[batches], config.step_size)
@@ -353,8 +334,7 @@ def _round_updates(
     # with itself, and a (1, n) @ (n, 1) matmul takes that same dot (as
     # np.vecdot does, which needs NumPy 2)
     norms = np.sqrt(updates[:, None, :] @ updates[:, :, None]).ravel().tolist()
-    if noise is not None:
-        updates += noise
+    updates += rng.normal(0.0, config.clip * config.sigma / config.batch_size, size=updates.shape)
     return updates, norms
 
 
@@ -370,21 +350,30 @@ def _selections(config: SimConfig) -> Iterator[tuple[int, list[int]]]:
         yield t, _select_clients(available, min(config.m_t, len(available)), selection)
 
 
-def _blocks(config: SimConfig, rounds: Iterable[tuple[int, list[int]]]) -> Iterator[list]:
-    """The (t, selected) rounds in order, in blocks whose draws take bounded memory.
+def _rounds(config: SimConfig) -> Iterator[tuple[int, list[int], np.ndarray, np.random.Generator]]:
+    """(t, selected, sorted batches, step stream) for each round t.
 
-    A block holds whole rounds, at least one, of at most 1024 client steps
-    in all and about 1 MB of noise, batch draws and _fixed_batches' bitmap.
+    Row i of the round's (m, batch_size) batches is its i-th selected
+    client's.  Round t's step stream is (seed, _STREAM_CLIENT_STEP, t),
+    which has given its batch draws (_batch_draws) and has the round's noise
+    left to give.  Blocks of whole rounds share one _fixed_batches pass;
+    every round has at most m_t steps, so a block of this many rounds keeps
+    the pass's arrays within about 1 MB, or holds one round.
     """
-    step_bytes = 8 * (config.classes * config.d + config.batch_size) + config.points_per_client
-    block, steps = [], 0
-    for t, selected in rounds:
-        steps += len(selected)
-        if block and (steps > 1024 or steps * step_bytes > 1 << 20):
-            yield block
-            block, steps = [], len(selected)
-        block.append((t, selected))
-    yield block
+    n, k = config.points_per_client, config.batch_size
+    # the draws and their concatenation, shifted draws, bounds, picks and
+    # batches: 8 bytes per batch element each; and the bitmap's n bytes
+    per_step_bytes = 48 * k + n
+    selections = _selections(config)
+    block_rounds = max(1, 2**20 // (max(config.m_t, 1) * per_step_bytes))
+    while block := list(itertools.islice(selections, block_rounds)):
+        streams = [_stream(config.seed, _STREAM_CLIENT_STEP, t) for t, _ in block]
+        draws = [_batch_draws(rng, n, k, len(selected)) for rng, (_, selected) in zip(streams, block)]
+        batches = _fixed_batches(n, k, np.concatenate(draws))
+        batches.sort(axis=1)
+        splits = np.split(batches, np.cumsum([len(d) for d in draws[:-1]]))
+        for (t, selected), round_batches, rng in zip(block, splits, streams):
+            yield t, selected, round_batches, rng
 
 
 def run_training(config: SimConfig) -> tuple[np.ndarray, list[RoundRecord], ParticipationLedger]:
@@ -396,14 +385,14 @@ def run_training(config: SimConfig) -> tuple[np.ndarray, list[RoundRecord], Part
     resolves to.
     Rounds are 1-based.  With dropout, each client is independently
     unavailable with probability dropout_prob each round and the round
-    selects min(m_t, available) clients.  No draw depends on the model, so
-    the rounds run in blocks (_blocks): all the block's batches and noise
-    are drawn first (_step_draws), then each round's client steps run as
-    one stacked numpy pass (_round_updates), and the server adds the mean of
-    their updates, aggregated in ascending client-id order.  Batches are
-    always fixed-size, the only sampling the accountant bounds; Poisson
-    batches exist only in batch_size_trace.  Raises ValueError if the
-    calibrated noise std or a weight is non-finite.
+    selects min(m_t, available) clients.  No batch depends on the model, so
+    _rounds draws the batches of a block of rounds at once; then each
+    round's client steps, noise included, run as one stacked numpy pass
+    (_round_updates), and the server adds the mean of their updates,
+    aggregated in ascending client-id order.  Batches are always
+    fixed-size, the only sampling the accountant bounds; Poisson batches
+    exist only in batch_size_trace.  Raises ValueError if the calibrated
+    noise std or a weight is non-finite.
     """
     if config.sigma is None:
         # calibrate once; the rebuilt config checks the noise std at that sigma
@@ -418,16 +407,14 @@ def run_training(config: SimConfig) -> tuple[np.ndarray, list[RoundRecord], Part
         batch_size=config.batch_size,
     )
     records: list[RoundRecord] = []
-    for block in _blocks(config, _selections(config)):
-        for (t, selected), (batches, noise) in zip(block, _step_draws(config, block)):
-            norms: list[float] = []
-            if selected:
-                updates, norms = _round_updates(
-                    model, features, labels, selected, batches, noise, config)
-                model = model + updates.mean(axis=0).reshape(model.shape)
-                for cid in selected:
-                    ledger.record(cid, t, step)
-            records.append(RoundRecord(t=t, selected=tuple(selected), update_norms=tuple(norms)))
+    for t, selected, batches, rng in _rounds(config):
+        norms: list[float] = []
+        if selected:
+            updates, norms = _round_updates(model, features, labels, selected, batches, rng, config)
+            model = model + updates.mean(axis=0).reshape(model.shape)
+            for cid in selected:
+                ledger.record(cid, t, step)
+        records.append(RoundRecord(t=t, selected=tuple(selected), update_norms=tuple(norms)))
     # a non-finite weight stays non-finite, so one check covers every round
     if not np.all(np.isfinite(model)):
         raise ValueError("weights must be finite")

@@ -243,6 +243,13 @@ def test_single_record_bookkeeping():
     assert led.steps(7) == ((3, STEP),)
 
 
+def test_record_takes_only_step_params():
+    led = ParticipationLedger()
+    with pytest.raises(TypeError, match="params must be a StepParams"):
+        led.record(0, 1, (0.1, 1.0, 1.0, 4))
+    assert led.clients() == ()
+
+
 def test_counting_over_history():
     led = ParticipationLedger()
     for t in (1, 4, 9):

@@ -190,6 +190,18 @@ def test_compose_rejects_an_unparsable_order_list(capsys, tmp_path):
     assert "could not parse order list" in err
 
 
+def test_compose_and_calibrate_reject_an_empty_order_list(capsys, tmp_path):
+    path = tmp_path / "ledger.tsv"
+    write_demo_ledger(path)
+    for argv in (["compose", "--ledger", str(path), "--client", "0"],
+                 ["calibrate", "--epsilon", "4", "--delta", "1e-5", "--q", "0.05",
+                  "--steps", "100"]):
+        code, out, err = run_cli(capsys, *argv, "--alphas", ",")
+        assert code == cli.EXIT_USAGE == 1, argv
+        assert out == ""
+        assert err == "error: order list is empty\n"
+
+
 def test_compose_jsonl_stdout(capsys, tmp_path):
     ledger_path = tmp_path / "ledger.tsv"
     write_demo_ledger(ledger_path, steps=2)
@@ -469,6 +481,19 @@ def test_simulate_and_trace_reject_a_config_that_is_not_an_object(capsys, tmp_pa
         assert code == cli.EXIT_USAGE == 1, argv
         assert out == ""
         assert err == "error: config must be a JSON object, got list\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_and_trace_name_missing_config_keys(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    required = ["batch_size", "classes", "clients", "clip", "d", "points_per_client", "rounds"]
+    for config, missing in (({}, required), ({"rounds": 3}, required[:-1])):
+        path.write_text(json.dumps(config))
+        for argv in (["simulate", "--outdir", str(tmp_path / "o")], ["trace"]):
+            code, out, err = run_cli(capsys, *argv, "--config", str(path))
+            assert code == cli.EXIT_USAGE == 1, argv
+            assert out == ""
+            assert err == f"error: missing config keys: {missing}\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -68,6 +68,21 @@ def test_moment_rejects_bad_args():
 def test_moment_overflow_signal():
     with pytest.raises(OverflowError):
         likelihood_ratio_moment(0.1, 50)
+    # the exponent 2k(k-1)/sigma^2 = 816 is under the cap, but the moment
+    # e^816 - 1 is past float range
+    with pytest.raises(OverflowError, match="exceeds float range"):
+        likelihood_ratio_moment(0.07, 2)
+
+
+@pytest.mark.parametrize("sigma", [1e34, 1e40, 1e100])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_moment_past_a_sum_that_cancels_to_zero(sigma, k):
+    # at the first working precision every term rounds to its binomial, so
+    # the sum cancels to exactly 0: the precision is raised, not the 0
+    # returned.  Past float range (sigma 1e100, k 3 and 4) the moment is 0.0
+    want = reference.central_moment_binomial(sigma, k, dps=1000)
+    assert likelihood_ratio_moment(sigma, k) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert (want == 0.0) == (sigma == 1e100 and k > 2)
 
 
 @pytest.mark.parametrize("sigma,k,digits", [(100.0, 10, [65, 82]), (1000.0, 8, [65, 86])])
@@ -133,6 +148,11 @@ def test_step_bound_rejects_full_sampling():
 def test_step_bound_rejects_bad_order(alpha):
     with pytest.raises(ValueError):
         renyi_step_bound(alpha, MechanismParams(q=0.1, sigma=2.0))
+
+
+def test_step_bound_takes_only_mechanism_params():
+    with pytest.raises(TypeError, match="params must be a MechanismParams"):
+        renyi_step_bound(2.0, (0.1, 1.0))
 
 
 def test_mechanism_params_validation():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from fedrdp import simulate
 from fedrdp.accountant import ParticipationLedger, StepParams, compose_client_rdp, rdp_to_dp
 from fedrdp.simulate import (
     SimConfig,
@@ -26,15 +27,14 @@ from fedrdp.simulate import (
 )
 from fedrdp.simulate import (
     _batch_draws,
-    _blocks,
     _client_data,
     _clip_rows,
     _fixed_batches,
     _per_sample_directions,
     _round_updates,
+    _rounds,
     _sample_poisson_batch,
     _select_clients,
-    _step_draws,
     _stream,
 )
 
@@ -72,6 +72,16 @@ def test_config_rejects_unknown_keys():
     # the sampler is trace's --sampler flag, not a config key
     with pytest.raises(ValueError, match=r"unknown config keys: \['sampler'\]"):
         SimConfig.from_dict({"rounds": 1, "sampler": "fixed"})
+
+
+@pytest.mark.parametrize(("config", "missing"), [
+    ({}, ["batch_size", "classes", "clients", "clip", "d", "points_per_client", "rounds"]),
+    ({"rounds": 3}, ["batch_size", "classes", "clients", "clip", "d", "points_per_client"]),
+], ids=["empty", "one_key"])
+def test_config_names_its_missing_keys(config, missing):
+    with pytest.raises(ValueError) as info:
+        SimConfig.from_dict(config)
+    assert str(info.value) == f"missing config keys: {missing}"
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "3", "null"])
@@ -311,8 +321,11 @@ def _one_client(sigma=0.0, batch=None, n=12, d=3, clip=10.0, seed=0):
 
 
 def _draws(cfg, ids):
-    """_step_draws' batches and noise for one round of the given client ids."""
-    return _step_draws(cfg, [(1, list(ids))])[0]
+    """_rounds' batches and step stream for a first round that selects the ids 0 .. m-1."""
+    m = len(ids)
+    _, selected, batches, rng = next(_rounds(dataclasses.replace(cfg, clients=m, m_t=m)))
+    assert selected == list(ids)
+    return batches, rng
 
 
 def test_per_sample_directions_match_reference():
@@ -441,23 +454,26 @@ REFERENCE_CONFIGS = {
     # elements than clients a round
     "large_batches": dict(rounds=30, clients=3, m_t=3, points_per_client=60, batch_size=40,
                           seed=12),
-    # the rest span several blocks of rounds (_blocks: at most 1024 client
-    # steps and about 1 MB of draws each).  Four rounds of 250 fill a block,
-    # so the fifth, which would straddle the step budget, opens the next
+    # rounds of 200 to 300 clients, with and without dropout or noise: all
+    # of a run's 1400 or more steps in one Floyd pass (_rounds' blocks hold
+    # 12 to 18 such rounds)
     "straddling_round": dict(rounds=6, clients=250, m_t=250, points_per_client=40,
                              batch_size=5, seed=8),
     "dropout_blocks": dict(rounds=8, clients=400, m_t=300, points_per_client=40, batch_size=5,
                            dropout_prob=0.3, seed=9),
     "noiseless_blocks": dict(rounds=7, clients=200, m_t=200, sigma=0.0, points_per_client=40,
                              batch_size=5),
-    # about 10 clients a round with dropout, in blocks of about 100 rounds
+    # about 10 clients a round with dropout, 120 rounds in one block
     "mixed_blocks": dict(rounds=120, clients=14, m_t=12, batch_size=5, dropout_prob=0.3, seed=4),
-    # two rounds of 40 steps on 10000 points fill a block's byte budget,
-    # so round 3 opens a second block
+    # 40 steps a round on 10000 points: a block holds two rounds, so round 3
+    # opens a second block
     "late_lemire_rejection": dict(seed=2275, clients=40, m_t=40, rounds=3,
                                   points_per_client=10000, batch_size=10),
-    # 8 * classes * d = 160 kB of noise a step: one round of 10 clients
-    # exceeds the byte budget alone, and each block holds one round
+    # rounds of 30 of 40 clients with dropout on 2000 points: blocks of 14
+    # rounds with uneven step counts, the third block holding two rounds
+    "dropout_across_blocks": dict(rounds=30, clients=40, m_t=30, points_per_client=2000,
+                                  batch_size=10, dropout_prob=0.3, seed=13),
+    # 8 * classes * d = 160 kB of noise a step, drawn when its round runs
     "wide_model": dict(rounds=3, clients=12, m_t=10, d=400, classes=50, points_per_client=20,
                        batch_size=5, seed=6),
 }
@@ -539,14 +555,38 @@ def test_streams_seed_as_numpy_seedsequence(seed):
         assert np.array_equal(rng.normal(0.0, 2.0, size=5), want.normal(0.0, 2.0, size=5))
 
 
-def test_blocks_hold_whole_rounds_within_the_step_and_byte_budgets():
-    cfg = small_config()
-    rounds = [(1, range(600)), (2, range(600)), (3, []), (4, range(2000)), (5, range(10))]
-    assert [[t for t, _ in block] for block in _blocks(cfg, rounds)] == [[1], [2, 3], [4], [5]]
-    # 8 * (20000 noise + 5 batch draws) + 20 bitmap bytes a step: six steps fit 1 MB, seven do not
-    wide = small_config(d=400, classes=50, points_per_client=20, batch_size=5)
-    rounds = [(t, range(3)) for t in range(1, 6)]
-    assert [[t for t, _ in block] for block in _blocks(wide, rounds)] == [[1, 2], [3, 4], [5]]
+def test_rounds_share_floyd_passes_of_whole_rounds_within_the_byte_budget(monkeypatch):
+    # each _fixed_batches call takes the steps of whole rounds, in order: as
+    # many rounds as keep 48 * batch_size + points_per_client bytes a step
+    # at m_t steps a round within 1 MB, or one round
+    calls = []
+
+    def recording(n, k, draws):
+        calls.append(len(draws))
+        return _fixed_batches(n, k, draws)
+
+    monkeypatch.setattr(simulate, "_fixed_batches", recording)
+    shapes = {}
+    for name, overrides in REFERENCE_CONFIGS.items():
+        cfg = small_config(**overrides)
+        calls.clear()
+        blocks = collections.defaultdict(list)  # each round under the call that drew it
+        for t, selected, batches, _ in _rounds(cfg):
+            assert batches.shape == (len(selected), cfg.batch_size)
+            blocks[len(calls)].append((t, len(selected)))
+        blocks = list(blocks.values())
+        assert [t for block in blocks for t, _ in block] == list(range(1, cfg.rounds + 1)), name
+        step_bytes = 48 * cfg.batch_size + cfg.points_per_client
+        size = max(1, 2**20 // (max(cfg.m_t, 1) * step_bytes))
+        for block, steps in zip(blocks, calls, strict=True):
+            assert sum(m for _, m in block) == steps, name
+            assert steps * step_bytes <= 2**20 or len(block) == 1, name
+        assert all(len(block) == size for block in blocks[:-1]), name
+        shapes[name] = [len(block) for block in blocks]
+    assert shapes["late_lemire_rejection"] == [2, 1]
+    assert shapes["tail_shuffle"] == [1, 1]
+    assert shapes["dropout_across_blocks"] == [14, 14, 2]
+    assert shapes["no_selection"] == [10]
 
 
 def test_noiseless_full_batch_matches_reference_descent():
