@@ -53,8 +53,9 @@ __all__ = [
     "calibrate_sigma",
 ]
 
-# Order grid: dense between 1 and 2 where small-epsilon optima live, then
-# roughly geometric up to 1025 for very low noise / few steps.
+# Order grid: fractional below 3, then roughly geometric up to 1025.  Small
+# epsilon has large optimal orders: epsilon(alpha) >= log(1/delta)/(alpha-1),
+# so at delta = 1e-5 alpha = 2.5 can win only where epsilon >= 7.7.
 DEFAULT_ALPHAS: tuple[float, ...] = (
     1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 12.0, 16.0,
     24.0, 32.0, 48.0, 64.0, 128.0, 256.0, 512.0, 1025.0,

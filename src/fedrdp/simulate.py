@@ -38,7 +38,10 @@ client steps in one numpy pass over the stacked batches, doing for each
 client the same float operations as on that client's arrays alone (the
 tests check this against a one-client-at-a-time loop).  So trajectories
 are bit-reproducible regardless of the order or grouping in which client
-updates are computed.
+updates are computed.  A sample's direction -step_size * outer(p, x), p its
+softmax minus one-hot, has norm step_size * |p| * |x|, so no direction is
+built: a client's clipped mean is one (classes, b) @ (b, d) product of its
+clip-scaled p with its batch.
 Poisson batch sampling exists only for the batch-size trace contrast; the
 training loop itself always draws fixed-size batches (the accountant
 covers nothing else).
@@ -266,29 +269,6 @@ def _sample_poisson_batch(dataset_size: int, rate: float, rng: np.random.Generat
     return np.nonzero(rng.random(dataset_size) < rate)[0]
 
 
-def _per_sample_directions(W: np.ndarray, X: np.ndarray, y: np.ndarray, step_size: float) -> np.ndarray:
-    """Per-sample update directions -step * grad of the logistic loss, flat.
-
-    W is the (classes, d) model, X is (..., n, d) and y (..., n); returns an
-    (..., n, classes*d) array whose row i is the direction sample i votes
-    for before clipping.  Leading axes stack independent batches, each
-    computed as if alone.
-    """
-    scores = X @ W.T  # (..., n, classes)
-    scores -= scores.max(axis=-1, keepdims=True)
-    exps = np.exp(scores)
-    probs = exps / exps.sum(axis=-1, keepdims=True)
-    probs[(*np.indices(y.shape, sparse=True), y)] -= 1.0  # now softmax - onehot
-    # grad of loss wrt W for sample i is outer(probs_i, x_i)
-    grads = probs[..., :, None] * X[..., None, :]
-    return (-step_size) * grads.reshape(*y.shape, -1)
-
-
-def _clip_rows(G: np.ndarray, clip: float) -> np.ndarray:
-    """Each row of G scaled to norm at most clip, preserving its direction."""
-    return G * (clip / np.maximum(np.linalg.norm(G, axis=-1), clip))[..., None]
-
-
 def _batch_draws(rng: np.random.Generator, n: int, k: int, m: int) -> np.ndarray:
     """(m, k) draws for _fixed_batches: column i from [0, n - k + i]."""
     return rng.integers(0, np.arange(n - k, n) + 1, size=(m, k))
@@ -323,13 +303,27 @@ def _round_updates(
     points batches[i] (sorted indices into its row of features) and adds row
     i of the round's noise, of per-coordinate std clip*sigma/batch_size (0
     at sigma 0), drawn from rng, the round's step stream, after its batch
-    draws.  Every client steps with the config's batch_size, clip and
-    step_size, so the directions, clipping and means run once on the
-    stacked (m, b, d) batches.
+    draws.  Sample j's direction is -step_size * outer(p_j, x_j), with p_j
+    its softmax minus one-hot, so its norm is step_size * |p_j| * |x_j|,
+    and the clipped mean is (-step_size / batch_size) * (c * p).T @ X, one
+    (classes, b) @ (b, d) product with c the samples' clip factors: no
+    per-sample direction is built.  Every client steps with the config's
+    batch_size, clip and step_size, so this runs once on the stacked
+    (m, b, d) batches, each product a client's own.
     """
     X = features[np.asarray(selected)[:, None], batches]
-    G = _per_sample_directions(W, X, labels[batches], config.step_size)
-    updates = _clip_rows(G, config.clip).mean(axis=1)
+    scores = X @ W.T  # (m, b, classes)
+    scores -= scores.max(axis=-1, keepdims=True)
+    exps = np.exp(scores)
+    P = exps / exps.sum(axis=-1, keepdims=True)
+    P[(*np.indices(batches.shape, sparse=True), labels[batches])] -= 1.0  # softmax - onehot
+    # row norms by einsum: unlike np.linalg.norm it builds no squared copy of
+    # X, and it sums a row in the same order stacked or alone
+    p_norms = np.sqrt(np.einsum("...i,...i", P, P))
+    x_norms = np.sqrt(np.einsum("...i,...i", X, X))
+    P *= (config.clip / np.maximum(config.step_size * p_norms * x_norms, config.clip))[..., None]
+    updates = (-config.step_size / config.batch_size) * (P.transpose(0, 2, 1) @ X)
+    updates = updates.reshape(len(X), -1)
     # a row's np.linalg.norm is the square root of one BLAS dot of the row
     # with itself, and a (1, n) @ (n, 1) matmul takes that same dot (as
     # np.vecdot does, which needs NumPy 2)
@@ -388,7 +382,9 @@ def run_training(config: SimConfig) -> tuple[np.ndarray, list[RoundRecord], Part
     selects min(m_t, available) clients.  No batch depends on the model, so
     _rounds draws the batches of a block of rounds at once; then each
     round's client steps, noise included, run as one stacked numpy pass
-    (_round_updates), and the server adds the mean of their updates,
+    (_round_updates), which clips sample j by its norm step_size * |p_j| *
+    |x_j| and averages with one product per client, building no per-sample
+    gradient, and the server adds the mean of their updates,
     aggregated in ascending client-id order.  Batches are always
     fixed-size, the only sampling the accountant bounds; Poisson batches
     exist only in batch_size_trace.  Raises ValueError if the calibrated

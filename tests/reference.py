@@ -49,6 +49,7 @@ def moment_mc_importance(
     if sigma <= 0 or k < 1:
         raise ValueError("sigma must be > 0 and k >= 1")
     s = sigma / 2.0
+    a = 1.0 / (2 * s * s)
     centers = np.arange(k + 1, dtype=np.float64)
     rng = np.random.default_rng(seed)
     total = 0.0
@@ -59,19 +60,29 @@ def moment_mc_importance(
         n = min(chunk, n_samples - done)
         comp = rng.integers(0, k + 1, size=n)
         theta = centers[comp] + s * rng.standard_normal(n)
-        # component log-densities up to a shared constant
-        z = -((theta[:, None] - centers[None, :]) ** 2) / (2 * s * s)
-        zmax = z.max(axis=1)
-        log_mix = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1)) - math.log(k + 1)
-        log_w = z[:, 0] - log_mix
-        log_L = (2 * theta - 1.0) / (2 * s * s)
-        # log|L-1| with the correct sign
-        pos = log_L > 0
-        log_abs = np.empty_like(log_L)
-        log_abs[pos] = log_L[pos] + np.log1p(-np.exp(-log_L[pos]))
-        log_abs[~pos] = np.log1p(-np.exp(log_L[~pos]))
-        sign = np.where(pos, 1.0, (-1.0) ** k)
-        x = sign * np.exp(k * log_abs + log_w)
+        # w = N_0 / proposal = (k+1) / sum_j exp(a j (2 theta - j)); the
+        # exponent is largest at the j nearest theta, so shift by its value
+        # there and sum one column at a time, in place
+        two_theta = 2 * theta
+        top = np.clip(np.round(theta), 0, k)
+        shift = a * top * (two_theta - top)
+        acc = np.zeros(n)
+        col = np.empty(n)
+        for j in range(k + 1):
+            np.subtract(two_theta, j, out=col)
+            col *= a * j
+            col -= shift
+            acc += np.exp(col, out=col)
+        log_w = math.log(k + 1) - shift - np.log(acc, out=acc)
+        # log|L-1|, from log L = a (2 theta - 1): log L + log1p(-1/L) where
+        # L > 1, log1p(-L) where not
+        log_L = np.subtract(two_theta, 1.0, out=two_theta)
+        log_L *= a
+        log_abs = np.log1p(-np.exp(-np.abs(log_L)))
+        log_abs += np.maximum(log_L, 0.0)
+        x = np.exp(np.add(k * log_abs, log_w, out=log_abs), out=log_abs)
+        if k % 2:
+            x[log_L <= 0] *= -1.0
         total += float(x.sum())
         total_sq += float((x * x).sum())
         done += n
@@ -229,6 +240,21 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def materialised_step(X: np.ndarray, y: np.ndarray, W: np.ndarray, step_size: float,
+                      clip: float) -> tuple[np.ndarray, np.ndarray]:
+    """(clipped mean update, per-sample directions) of one batch, built row by row.
+
+    Row i of the (n, classes*d) directions is -step_size * outer(p_i, x_i),
+    p_i sample i's softmax minus one-hot, materialised; each row is scaled
+    to norm at most clip by its np.linalg.norm, and the update is their mean.
+    """
+    probs = softmax_rows(X @ W.T)
+    probs[np.arange(len(y)), y] -= 1.0
+    G = (-step_size) * (probs[:, :, None] * X[:, None, :]).reshape(len(y), -1)
+    clipped = G * (clip / np.maximum(np.linalg.norm(G, axis=1), clip))[:, None]
+    return clipped.mean(axis=0), G
+
+
 def logistic_gd_reference(
     X: np.ndarray,
     y: np.ndarray,
@@ -238,15 +264,9 @@ def logistic_gd_reference(
     clip: float,
 ) -> np.ndarray:
     """Full-batch gradient descent with per-sample clipping; flat weights."""
-    n, d = X.shape
-    W = np.zeros((classes, d))
+    W = np.zeros((classes, X.shape[1]))
     for _ in range(rounds):
-        probs = softmax_rows(X @ W.T)
-        probs[np.arange(n), y] -= 1.0
-        per_sample = -step_size * (probs[:, :, None] * X[:, None, :]).reshape(n, -1)
-        norms = np.linalg.norm(per_sample, axis=1)
-        scale = np.minimum(1.0, clip / np.maximum(norms, 1e-300))
-        W = W + (per_sample * scale[:, None]).mean(axis=0).reshape(classes, d)
+        W = W + materialised_step(X, y, W, step_size, clip)[0].reshape(W.shape)
     return W.reshape(-1)
 
 
@@ -308,16 +328,23 @@ def floyd_sample(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 def _client_step(X: np.ndarray, labels: np.ndarray, config, idx: np.ndarray,
                  noise: np.ndarray | None, W: np.ndarray) -> tuple[np.ndarray, float]:
-    """One client's noisy clipped-mean update on the points idx, and its pre-noise norm."""
+    """One client's noisy clipped-mean update on the points idx, and its pre-noise norm.
+
+    Sample j's direction -step * outer(p_j, x_j) is never built: its norm is
+    step * |p_j| * |x_j|, and the clipped mean is one (classes, b) @ (b, d)
+    product of the clip-scaled p with the batch.  materialised_step builds
+    the directions instead, to check this within rounding.
+    """
     X, y = X[idx], labels[idx]
     scores = X @ W.T
     scores -= scores.max(axis=1, keepdims=True)
     exps = np.exp(scores)
     probs = exps / exps.sum(axis=1, keepdims=True)
     probs[np.arange(len(y)), y] -= 1.0
-    G = (-config.step_size) * (probs[:, :, None] * X[:, None, :]).reshape(len(y), -1)
-    clipped = G * (config.clip / np.maximum(np.linalg.norm(G, axis=1), config.clip))[:, None]
-    mean = clipped.mean(axis=0)
+    p_norms = np.sqrt(np.einsum("...i,...i", probs, probs))
+    x_norms = np.sqrt(np.einsum("...i,...i", X, X))
+    probs *= (config.clip / np.maximum(config.step_size * p_norms * x_norms, config.clip))[:, None]
+    mean = ((-config.step_size / config.batch_size) * (probs.T @ X)).reshape(-1)
     prenoise_norm = float(np.linalg.norm(mean))
     if noise is not None:
         mean = mean + noise

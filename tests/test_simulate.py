@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,9 +29,7 @@ from fedrdp.simulate import (
 from fedrdp.simulate import (
     _batch_draws,
     _client_data,
-    _clip_rows,
     _fixed_batches,
-    _per_sample_directions,
     _round_updates,
     _rounds,
     _sample_poisson_batch,
@@ -163,26 +162,44 @@ def test_config_file_round_trip(tmp_path):
 
 
 # --- clipping ------------------------------------------------------------
+#
+# A one-point batch's update is that point's direction -0.1 * outer(p, x),
+# clipped; at the zero model and label 0, p (softmax minus one-hot) is
+# (-1/2, 1/2).
 
 
-def _clip_one(g, clip):
-    return _clip_rows(np.asarray(g, dtype=np.float64)[None, :], clip)[0]
+def _clip_one(x, clip):
+    """(update, unclipped direction) of a one-point batch at the zero model.
+
+    x is padded with zeros to 2 coordinates, the least a 2-class model takes.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    x = np.concatenate([x, np.zeros(max(0, 2 - len(x)))])
+    cfg = SimConfig(rounds=1, clients=1, d=len(x), classes=2, points_per_client=1,
+                    batch_size=1, clip=clip, sigma=0.0, step_size=0.1)
+    model, y, batch = np.zeros((2, len(x))), np.zeros(1, dtype=int), np.zeros((1, 1), dtype=int)
+    (update,), _ = _round_updates(model, x[None, None, :], y, [0], batch,
+                                  np.random.default_rng(0), cfg)
+    _, (direction,) = reference.materialised_step(x[None, :], y, model, 0.1, clip)
+    return update, direction
 
 
 def test_clip_shrinks_long_vectors():
-    g = np.full(4, 5.0)
-    out = _clip_one(g, 1.0)
+    out, g = _clip_one(np.full(4, 50.0), 1.0)
+    assert np.linalg.norm(g) > 1.0
     assert np.linalg.norm(out) == pytest.approx(1.0, rel=1e-12)
     assert np.allclose(out / np.linalg.norm(out), g / np.linalg.norm(g))
 
 
 def test_clip_keeps_short_vectors():
-    g = np.array([0.3, -0.4])
-    assert np.array_equal(_clip_one(g, 1.0), g)
+    out, g = _clip_one([0.3, -0.4], 1.0)
+    assert np.linalg.norm(g) < 1.0
+    assert np.array_equal(out, g)
 
 
 def test_clip_zero_vector_passes_through():
-    assert np.array_equal(_clip_one(np.zeros(3), 1.0), np.zeros(3))
+    out, _ = _clip_one(np.zeros(3), 1.0)
+    assert np.array_equal(out, np.zeros(6))
 
 
 def test_clip_rejects_nonpositive_threshold():
@@ -197,8 +214,7 @@ def test_clip_rejects_nonpositive_threshold():
     clip=st.floats(0.01, 20.0),
 )
 def test_clip_norm_identity(vec, clip):
-    g = np.array(vec)
-    out = _clip_one(g, clip)
+    out, g = _clip_one(vec, clip)
     assert np.linalg.norm(out) == pytest.approx(
         min(np.linalg.norm(g), clip), abs=1e-12
     )
@@ -329,12 +345,16 @@ def _draws(cfg, ids):
 
 
 def test_per_sample_directions_match_reference():
-    (X,), y, _ = _one_client()
+    # a round of one-point batches, one per point: each update is that
+    # point's direction, which clip 10 leaves whole
+    (X,), y, cfg = _one_client()
     model = np.linspace(-1, 1, 6).reshape(2, 3)
-    mine = _per_sample_directions(model, X, y, 0.1)
-    probs = reference.softmax_rows(X @ model.T)
-    probs[np.arange(len(y)), y] -= 1.0
-    theirs = -0.1 * (probs[:, :, None] * X[:, None, :]).reshape(len(y), -1)
+    cfg = dataclasses.replace(cfg, batch_size=1)
+    n = len(y)
+    mine, _ = _round_updates(model, X[None], y, [0] * n, np.arange(n)[:, None],
+                             np.random.default_rng(0), cfg)
+    _, theirs = reference.materialised_step(X, y, model, 0.1, cfg.clip)
+    assert np.linalg.norm(theirs, axis=1).max() < cfg.clip
     assert np.allclose(mine, theirs, atol=1e-13)
 
 
@@ -342,7 +362,8 @@ def test_client_update_noiseless_full_batch_is_mean_direction():
     X, y, cfg = _one_client(sigma=0.0)
     model = np.zeros((2, 3))
     (upd,), _ = _round_updates(model, X, y, [0], *_draws(cfg, [0]), cfg)
-    G = _per_sample_directions(model, X[0], y, 0.1)
+    _, G = reference.materialised_step(X[0], y, model, 0.1, cfg.clip)
+    assert np.linalg.norm(G, axis=1).max() < cfg.clip
     assert np.allclose(upd, G.mean(axis=0), atol=1e-14)
 
 
@@ -495,6 +516,58 @@ def test_run_training_equals_per_client_reference(name):
         assert selected == 0 and not np.any(model) and not ledger.clients()
     else:
         assert selected > 0 and np.any(model)
+
+
+# the reference configs, and one where clip 0.02 clips every per-sample
+# direction and one where clip 1000 clips none
+CLIPPING_CONFIGS = dict(REFERENCE_CONFIGS, every_row_clipped=dict(clip=0.02),
+                        no_row_clipped=dict(clip=1e3))
+
+
+@pytest.mark.parametrize("name", sorted(CLIPPING_CONFIGS))
+def test_round_updates_match_materialised_reference(name):
+    # every client step of every round, noiseless, at a fixed random model,
+    # against the mean of its clipped materialised per-sample directions:
+    # each update within 1e-12 times the reference update's norm, and each
+    # pre-noise norm within 1e-12 relative
+    cfg = dataclasses.replace(small_config(**CLIPPING_CONFIGS[name]), sigma=0.0)
+    features, labels = _client_data(cfg)
+    model = 0.1 * np.random.default_rng(0).normal(size=(cfg.classes, cfg.d))
+    direction_norms = []
+    for _, selected, batches, rng in _rounds(cfg):
+        if not selected:
+            continue
+        updates, norms = _round_updates(model, features, labels, selected, batches, rng, cfg)
+        for cid, batch, update, norm in zip(selected, batches, updates, norms, strict=True):
+            want, G = reference.materialised_step(features[cid, batch], labels[batch], model,
+                                                  cfg.step_size, cfg.clip)
+            assert np.linalg.norm(update - want) <= 1e-12 * np.linalg.norm(want)
+            assert norm == pytest.approx(np.linalg.norm(want), rel=1e-12)
+            direction_norms.extend(np.linalg.norm(G, axis=1))
+    assert bool(direction_norms) == (name != "no_selection")
+    if name == "every_row_clipped":
+        assert min(direction_norms) > cfg.clip
+    if name == "no_row_clipped":
+        assert max(direction_norms) < cfg.clip
+
+
+def test_round_updates_build_no_per_sample_array():
+    # at the sweep script's shape, one round's allocations peak below the
+    # (m, batch_size, classes * d) float64 array of per-sample directions
+    cfg = SimConfig(rounds=150, clients=10, d=20, classes=2, points_per_client=2000,
+                    batch_size=200, clip=1.0, sigma=1.0)
+    features, labels = _client_data(cfg)
+    _, selected, batches, rng = next(_rounds(cfg))
+    model = np.zeros((cfg.classes, cfg.d))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _round_updates(model, features, labels, selected, batches, rng, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < len(selected) * cfg.batch_size * cfg.classes * cfg.d * 8
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
