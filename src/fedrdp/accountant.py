@@ -75,8 +75,8 @@ STEP_BOUND_CACHE_SIZE = 4096
 
 # The "\n" before a line that neither starts with a canonical client id (0 or
 # -?[1-9][0-9]*, the only spelling of an id) and a tab nor is blank.  The
-# common case, a positive id, is tried first.
-_BAD_LINE = re.compile(rb"\n(?![1-9][0-9]*\t|0\t|-[1-9][0-9]*\t|[ \t]*(?:\n|\Z))")
+# common case, a positive id, has a lookahead of its own, tried first.
+_BAD_LINE = re.compile(rb"\n(?![1-9][0-9]*\t)(?!0\t|-[1-9][0-9]*\t|[ \t]*(?:\n|\Z))")
 # The ASCII line boundaries of str.splitlines other than "\n" and "\r\n".  The
 # format has none of them, so a text holding one is rejected, never read two
 # ways.
@@ -533,6 +533,20 @@ def _calibration_epsilon(
     return (*_min_epsilon(alphas, values.values(), delta), evaluated)
 
 
+def _first_probe(target: PrivacyBudget, q: float, steps: int) -> float:
+    """The largest CALIBRATION_SIGMA_LOW * 2^k <= CALIBRATION_SIGMA_MAX at or below
+    2 / sqrt(log1p(2A / (steps q^2))), A = (sqrt(L + eps) - sqrt(L))^2, L = log(1/delta),
+    where the composed RDP's small-q term steps (alpha/2) q^2 (e^(4/sigma^2) - 1)
+    (arXiv:1908.10530) converts to eps at its best alpha.  Never raises."""
+    log_inv_delta = -math.log(target.delta)
+    a = (math.sqrt(log_inv_delta + target.epsilon) - math.sqrt(log_inv_delta)) ** 2
+    r = math.log1p(2.0 * a / q / q / min(steps, sys.float_info.max))  # guess = 2 / sqrt(r)
+    sigma = CALIBRATION_SIGMA_LOW
+    while 2.0 * sigma <= CALIBRATION_SIGMA_MAX and (2.0 * sigma) ** 2 * r <= 4.0:
+        sigma *= 2.0
+    return sigma
+
+
 def calibrate_sigma(
     target: PrivacyBudget,
     q: float,
@@ -545,10 +559,13 @@ def calibrate_sigma(
     client with `steps` steps at (q, sigma), nonincreasing in sigma; each
     probe computes it from only the orders that can win (see
     `_calibration_epsilon`), after the grid has been checked once.
-    CALIBRATION_SIGMA_LOW is returned if it already meets the target.
-    Otherwise sigma is doubled from CALIBRATION_SIGMA_LOW until it meets the
-    target (up to CALIBRATION_SIGMA_MAX), and the bracket [lo, hi] between
-    the last sigma that missed and the first that met it is narrowed by the
+    From the lattice point CALIBRATION_SIGMA_LOW * 2^k at or below a
+    closed-form guess (`_first_probe`), sigma is doubled while it misses the
+    target (up to CALIBRATION_SIGMA_MAX) or halved while it meets it, and
+    CALIBRATION_SIGMA_LOW is returned if it meets: as epsilon(sigma) is
+    nonincreasing, this is the bracket doubling from CALIBRATION_SIGMA_LOW
+    finds.  The bracket [lo, hi] between the last sigma that missed and the
+    first that met it is narrowed by the
     Illinois method (modified regula falsi) in x = log sigma on
     g(x) = log epsilon(e^x) - log target.epsilon, which is close to linear.
     Each probe is the secant root of the two ends, moved 0.4 of the stopping
@@ -592,11 +609,14 @@ def calibrate_sigma(
         _debug("calibrate: returning sigma=%r after %d sigmas", sigma, len(evaluated))
         return sigma
 
-    lo = CALIBRATION_SIGMA_LOW
-    eps_lo = eps(lo)
-    if eps_lo <= target.epsilon:
-        return result(lo)  # pinned at the smallest admissible noise
-    hi, eps_hi = lo, eps_lo
+    lo = hi = _first_probe(target, q, steps)
+    eps_lo = eps_hi = eps(hi)
+    while eps_lo <= target.epsilon:
+        if lo == CALIBRATION_SIGMA_LOW:
+            return result(lo)  # pinned at the smallest admissible noise
+        hi, eps_hi = lo, eps_lo
+        lo /= 2.0
+        eps_lo = eps(lo)
     while eps_hi > target.epsilon:
         lo, eps_lo = hi, eps_hi
         hi *= 2.0

@@ -408,6 +408,8 @@ def renyi_divergence_quadrature(alpha: float, q: float, sigma: float) -> float:
     ``_mixture_power_integral_mpf``), so refinement stops once the relative
     error is ~1e-40 instead of always running to the maximum degree.  The
     tolerance gate below sees the unscaled moment and error estimate.
+    log(moment) keeps no digits below ~1e-40, an absolute floor on the result
+    (2.3e-41 at (2, 0.1, 1e160), bound 4.84e-322); one below 0 is returned as 0.0.
 
     Raises:
         ValueError: alpha <= 1, sigma <= 0, or q outside [0, 1].
@@ -431,4 +433,4 @@ def renyi_divergence_quadrature(alpha: float, q: float, sigma: float) -> float:
                 f"(required {float(gate):.3g}) at alpha={alpha}, q={q}, sigma={sigma}",
                 achieved_tolerance=float(err),
             )
-        return float(mp.log(value) / (mpf(alpha) - 1))
+        return max(0.0, float(mp.log(value) / (mpf(alpha) - 1)))

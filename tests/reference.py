@@ -1,11 +1,14 @@
 """Independent oracles used by the test suite.
 
 Nothing here imports from the package's numerical internals (only the
-ledger's public types, for the reference parser, and the simulator's round
-record, for the per-client training loop, which builds its own data);
-every routine re-derives its target quantity by a different route (Monte
-Carlo, binomial closed forms, the split series at 40 digits, plain gradient
-descent) so that agreement is evidence rather than tautology.
+ledger's public types, for the reference parser, the simulator's round
+record, for the per-client training loop, which builds its own data, and
+calibration's per-sigma epsilon, for the reference search, which checks
+where the search looks, not what it finds there); every routine
+re-derives its target quantity by a different route (Monte Carlo, binomial
+closed forms, the split series at 40 digits, plain gradient descent, a
+search that doubles from the smallest sigma) so that agreement is evidence
+rather than tautology.
 
 Notation used throughout: the mechanism compares the mixture
 q*N(1, s^2) + (1-q)*N(0, s^2) against N(0, s^2) with s = sigma/2, and
@@ -21,7 +24,17 @@ import math
 import mpmath as mp
 import numpy as np
 
-from fedrdp.accountant import ParticipationLedger, StepParams
+from fedrdp import accountant
+from fedrdp.accountant import (
+    CALIBRATION_REL_TOL,
+    CALIBRATION_SIGMA_LOW,
+    CALIBRATION_SIGMA_MAX,
+    DEFAULT_ALPHAS,
+    CalibrationError,
+    ParticipationLedger,
+    PrivacyBudget,
+    StepParams,
+)
 from fedrdp.simulate import RoundRecord
 
 # chi-square critical value at p = 0.001 for 5 degrees of freedom
@@ -229,6 +242,80 @@ def client_steps_by_splitlines(text: str, client_id: int):
         )
         ledger.record(client_id, int(fields[1]), params)
     return ledger.steps(client_id)
+
+
+def is_canonical_line_start(data: bytes, pos: int) -> bool:
+    """Whether the line starting at data[pos] may stand in a ledger.
+
+    It may if it is blank (only spaces and tabs up to the next "\n" or the
+    end of data) or starts with a canonical client id and a tab: "0", or an
+    optional "-" and a nonzero digit followed by digits, then "\t".
+    """
+    end = data.find(b"\n", pos)
+    line = data[pos:] if end < 0 else data[pos:end]
+    if not line.strip(b" \t"):
+        return True
+    first, tab, _ = line.partition(b"\t")
+    digits = first[1:] if first.startswith(b"-") else first
+    canonical = first == b"0" or (digits.isdigit() and not digits.startswith(b"0"))
+    return bool(tab) and canonical
+
+
+# --- calibration's search --------------------------------------------------
+#
+# calibrate_sigma's search as it was before its first probe came from a
+# closed-form guess: double sigma from CALIBRATION_SIGMA_LOW until the target
+# is met, then narrow the bracket by the Illinois method in log sigma.  Each
+# probe's epsilon is the package's own, so the two searches can be compared
+# bit for bit.
+
+
+def calibrate_sigma_doubling(target: PrivacyBudget, q: float, steps: int) -> float:
+    """calibrate_sigma's result on DEFAULT_ALPHAS, or its CalibrationError,
+    by doubling from 0.3.
+
+    q and steps must be values calibrate_sigma accepts, and target.epsilon
+    must lie above the grid's conversion floor (calibrate_sigma rejects the
+    target before any search otherwise).
+    """
+    def eps(sigma: float) -> float:
+        return accountant._calibration_epsilon(q, sigma, steps, DEFAULT_ALPHAS, target.delta)[0]
+
+    lo = CALIBRATION_SIGMA_LOW
+    eps_lo = eps(lo)
+    if eps_lo <= target.epsilon:
+        return lo
+    hi, eps_hi = lo, eps_lo
+    while eps_hi > target.epsilon:
+        lo, eps_lo = hi, eps_hi
+        hi *= 2.0
+        if hi > CALIBRATION_SIGMA_MAX:
+            raise CalibrationError(
+                f"target epsilon={target.epsilon} unreachable: at sigma={lo} "
+                f"the composed epsilon is still {eps_lo:.6g}",
+                epsilon_at_bracket=eps_lo,
+            )
+        eps_hi = eps(hi)
+    width = -math.log1p(-CALIBRATION_REL_TOL)
+    log_target = math.log(target.epsilon)
+    xa, ga = math.log(lo), math.log(eps_lo) - log_target
+    xb, gb, b_meets = math.log(hi), math.log(eps_hi) - log_target, True
+    while hi - lo > CALIBRATION_REL_TOL * hi:
+        x = xb - gb * (xb - xa) / (gb - ga) + math.copysign(0.4 * width, xa - xb)
+        x = min(max(x, min(xa, xb) + 0.25 * width), max(xa, xb) - 0.25 * width)
+        sigma = math.exp(x)
+        e = eps(sigma)
+        meets = e <= target.epsilon
+        if meets:
+            hi = sigma
+        else:
+            lo = sigma
+        if meets == b_meets:
+            ga /= 2.0
+        else:
+            xa, ga = xb, gb
+        xb, gb, b_meets = x, math.log(e) - log_target, meets
+    return hi
 
 
 # --- plain logistic-regression training ----------------------------------

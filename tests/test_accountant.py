@@ -545,6 +545,32 @@ def test_read_rejects_noncanonical_client_id(tmp_path, spelling, cid):
             ParticipationLedger.read(path, client_id=client_id)
 
 
+_LINE_PIECES = [b"0", b"00", b"7", b"10", b"-", b"-0", b"-3", b"+", b"\t", b" ", b"\n", b"x", b"\r"]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(pieces=st.lists(st.sampled_from(_LINE_PIECES), max_size=24))
+def test_bad_line_scan_is_the_canonical_start_predicate(pieces):
+    # every "\n" is reported unless the line after it starts with a canonical
+    # id and a tab or is blank up to the next "\n" or the end of the buffer
+    data = b"\n" + b"".join(pieces)
+    want = [pos for pos in range(len(data))
+            if data[pos] == ord("\n") and not reference.is_canonical_line_start(data, pos + 1)]
+    assert [match.start() for match in accountant._BAD_LINE.finditer(data)] == want
+
+
+@pytest.mark.parametrize(
+    "line, ok",
+    [(b"0\t", True), (b"7\t", True), (b"-12\t", True), (b"", True), (b" \t ", True),
+     (b"00\t", False), (b"-0\t", False), (b"07\t", False), (b"+7\t", False), (b"7", False),
+     (b"-\t", False), (b" 7\t", False), (b"\t1", False), (b" \r", False)],
+)
+def test_bad_line_scan_at_line_and_buffer_ends(line, ok):
+    for data in (b"\n" + line, b"\n" + line + b"\n", b"\n" + line + b"\n1\t"):
+        assert reference.is_canonical_line_start(data, 1) is ok
+        assert (accountant._BAD_LINE.match(data) is None) is ok
+
+
 @pytest.mark.parametrize("brk", FOREIGN_BREAKS)
 def test_read_rejects_splitlines_only_line_breaks(brk):
     text = f"0\t1\t{LINE}{brk}7\t2\t{LINE}\n"
@@ -937,9 +963,80 @@ def test_calibrate_doubles_then_narrows_where_alpha_star_is_1025(monkeypatch):
     # exponent cap, and the secant crawled along it for 29 probes
     sigmas = _count_calibration_sigmas(monkeypatch)
     calibrate_sigma(PrivacyBudget(0.02, 1e-5), q=0.001, steps=10)
-    # the bracket grows by doubling from the smallest sigma, to [9.6, 19.2]
-    assert sigmas[:7] == [0.3 * 2**k for k in range(7)]
+    # the closed-form guess starts the lattice at 1.2, and doubling brackets
+    # the target in [9.6, 19.2]; every later probe lies inside it
+    assert accountant._first_probe(PrivacyBudget(0.02, 1e-5), 0.001, 10) == 1.2
+    assert sigmas[:5] == [0.3 * 2**k for k in range(2, 7)]
+    assert all(9.6 < sigma < 19.2 for sigma in sigmas[5:])
     assert len(sigmas) <= 20
+
+
+def _calibration_outcome(search, target, q, steps):
+    try:
+        return search(target, q, steps)
+    except CalibrationError as exc:
+        return str(exc), exc.epsilon_at_bracket
+
+
+_LATTICE_TARGETS = [
+    (epsilon, q, steps, (1e-5, 1e-3)[i % 2])
+    for i, (epsilon, q, steps) in enumerate(
+        (epsilon, q, steps)
+        for epsilon in (0.05, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+        for q in (1e-4, 1e-3, 0.01, 0.05, 0.2, 0.6)
+        for steps in (1, 10, 100, 1000, 10**4)
+    )
+] + [
+    (30.0, 0.3, 2, 1e-5),  # the guess meets, and the walk down misses at 0.3
+    (1e4, 0.1, 1, 1e-5),  # pinned at 0.3
+    (0.02, 0.5, 10**9, 1e-5),  # unreachable below CALIBRATION_SIGMA_MAX
+    (1.0, 1e-300, 10, 1e-5),  # q^2 underflows
+    (0.1116, 0.1045, 1719, 1e-5),  # 17 probes doubling from 0.3
+]
+
+
+def test_calibrate_lattice_start_matches_doubling_from_the_smallest_sigma(monkeypatch):
+    sigmas = _count_calibration_sigmas(monkeypatch)
+    probes = {"doubling": 0, "guess": 0}
+    for epsilon, q, steps, delta in _LATTICE_TARGETS:
+        target = PrivacyBudget(epsilon, delta)
+        sigmas.clear()
+        want = _calibration_outcome(reference.calibrate_sigma_doubling, target, q, steps)
+        doubling = len(sigmas)
+        sigmas.clear()
+        got = _calibration_outcome(calibrate_sigma, target, q, steps)
+        assert got == want, (epsilon, q, steps, delta)
+        assert len(sigmas) == len(set(sigmas)) <= doubling, (epsilon, q, steps, delta)
+        probes["doubling"] += doubling
+        probes["guess"] += len(sigmas)
+    assert probes["guess"] < 0.8 * probes["doubling"]
+
+
+def test_calibrate_walks_down_the_lattice_to_the_first_miss(monkeypatch):
+    # at q = 0.9 the small-q guess overshoots: 1.2 and 0.6 meet the target and
+    # 0.3 misses, so the bracket is [0.3, 0.6], one probe more than doubling
+    target = PrivacyBudget(16.0, 1e-2)
+    sigmas = _count_calibration_sigmas(monkeypatch)
+    want = reference.calibrate_sigma_doubling(target, 0.9, 1)
+    assert sigmas[:2] == [0.3, 0.6]
+    sigmas.clear()
+    assert calibrate_sigma(target, 0.9, 1) == want
+    assert sigmas[:3] == [1.2, 0.6, 0.3]
+    assert all(0.3 < sigma < 0.6 for sigma in sigmas[3:])
+
+
+@pytest.mark.parametrize(
+    "epsilon, delta, q, steps, first",
+    [
+        (1.0, 1e-5, 1e-300, 10, 0.3),  # q^2 underflows: the guess is 0
+        (1e-300, 1e-5, 0.5, 10, 0.3 * 2**21),  # A is 0: the guess is inf
+        (math.inf, 1e-5, 0.5, 10, 0.3),
+        (1.0, 1e-5, 0.5, 10**400, 0.3 * 2**21),  # steps past float range
+        (1e308, 1e-300, 1e-300, 1, 0.3),
+    ],
+)
+def test_calibrate_first_probe_never_raises(epsilon, delta, q, steps, first):
+    assert accountant._first_probe(PrivacyBudget(epsilon, delta), q, steps) == first
 
 
 def test_calibrate_pins_to_lower_bracket_when_unconstrained():

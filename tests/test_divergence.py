@@ -414,6 +414,17 @@ def test_oracle_pure_gaussian_shift():
     assert renyi_divergence_quadrature(5.0, 1.0, 4.0) == pytest.approx(0.625, rel=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [1e30, 1e160])
+def test_oracle_is_never_negative_and_has_an_absolute_floor(sigma):
+    # the 40-digit moment is 1 + (tiny): log(moment) keeps no digits below
+    # ~1e-40, so the oracle reads within 1e-40 of the tiny divergence, and at
+    # 1e30 it rounded to -1.1e-41 before it was clamped at 0
+    bound = renyi_step_bound(2.0, MechanismParams(0.1, sigma)).bound
+    quad = renyi_divergence_quadrature(2.0, 0.1, sigma)
+    assert 0.0 <= quad <= 1e-40
+    assert bound < 1e-60 and bound <= quad + 1e-40
+
+
 def test_oracle_integer_alpha_closed_form():
     for alpha, q, sigma in [(2, 0.05, 4.0), (4, 0.1, 2.0), (8, 0.02, 3.0)]:
         closed = reference.integer_alpha_divergence(alpha, q, sigma)
