@@ -455,9 +455,12 @@ def compose_client_rdp(
 def _order_epsilon(value: float, alpha: float, delta: float) -> float:
     """The epsilon at delta that an RDP value at order alpha converts to.
 
-    Nondecreasing in value, so the epsilon of a lower bound on an order's
-    value is a lower bound on that order's epsilon; calibration prunes
-    orders on this.  Rounded up (``_round_up``).
+    Rounded up (``_round_up``).  Calibration (`_calibration_epsilon`) prunes
+    orders on two of its properties.  It is nondecreasing in value and at
+    least the value, so at a lower bound on an order's value (0, or the value
+    at its floor) it is a lower bound on that order's epsilon.  At value 0,
+    the conversion term alone, it is nonincreasing in alpha, so the orders a
+    seeded walk skips on that term are the lowest ones.
     """
     return _round_up(value + math.log(1.0 / delta) / (alpha - 1.0))
 
@@ -489,7 +492,8 @@ def _min_epsilon(
 
 
 def _calibration_epsilon(
-    q: float, sigma: float, steps: int, alphas: tuple[float, ...], delta: float
+    q: float, sigma: float, steps: int, alphas: tuple[float, ...], delta: float,
+    seed: float | None = None,
 ) -> tuple[float, float, int]:
     """``rdp_to_dp`` of the curve ``compose_client_rdp`` gives a client with
     `steps` steps at (q, sigma), as (epsilon, alpha*), bit for bit, plus how
@@ -502,35 +506,46 @@ def _calibration_epsilon(
     its stated slack (~1e-13 relative), far less than D_alpha grows between
     integer grid orders (and 2 alpha / sigma^2, taken where an order has no
     bound, grows with alpha too), so:
-      - integer orders go first, ascending; the walk stops at the first
-        whose value (steps x bound) exceeds the best epsilon so far, since
-        no higher order can then win;
-      - a fractional order is skipped when the epsilon of the value at its
-        floor (0 below order 2), a lower bound on its own, exceeds the best
-        epsilon so far.
-    Both skips are on a strict >, and skipped orders enter the conversion
-    (``rdp_to_dp``'s own, `_min_epsilon`) as +inf (a valid bound that cannot
-    win), so ties still go to the smallest order.  alphas must be a grid that
-    `_orders` returns, and delta a number `rdp_to_dp` accepts.
+      - integer orders go first, ascending, after seed if one is given
+        (an order of alphas; calibration passes the previous probe's
+        alpha*); one whose conversion term alone,
+        ``_order_epsilon(0.0, alpha, delta)``, exceeds the best epsilon so
+        far is skipped, and the walk stops at the first whose value (steps x
+        bound) exceeds it, since no higher order can then win;
+      - a fractional order is skipped when its conversion term, or then the
+        epsilon of the value at its floor (from order 2), exceeds the best
+        epsilon so far: both are lower bounds on its own epsilon.
+    Every skip is on a strict > against an epsilon some evaluated order
+    achieved, so (epsilon, alpha*) is the first minimum over the evaluated
+    orders in grid order, as ``rdp_to_dp`` takes it over all of them: the
+    seed changes only which orders are evaluated.  log(1/delta) is taken
+    once.  alphas must be a grid that `_orders` returns, and delta a number
+    `rdp_to_dp` accepts.
     """
-    values = dict.fromkeys(alphas, math.inf)
-    evaluated = 0
+    log_inv_delta = math.log(1.0 / delta)
+    epsilons: dict[float, float] = {}  # of each evaluated order, as _order_epsilon gives it
     best = math.inf
-    for alpha in (a for a in alphas if a.is_integer()):
-        value = values[alpha] = _composed(((steps, _cached_step_bound(alpha, q, sigma)),))
-        evaluated += 1
+    integers = [a for a in alphas if a.is_integer()]
+    for alpha in integers if seed is None else [seed, *integers]:
+        term = log_inv_delta / (alpha - 1.0)
+        if _round_up(term) > best:
+            continue
+        value = _composed(((steps, _cached_step_bound(alpha, q, sigma)),))
+        epsilons[alpha] = _round_up(value + term)
+        best = min(best, epsilons[alpha])
         if value > best:
             break
-        best = min(best, _order_epsilon(value, alpha, delta))
     for alpha in (a for a in alphas if not a.is_integer()):
+        term = log_inv_delta / (alpha - 1.0)
         floor = math.floor(alpha)
-        lower = steps * _cached_step_bound(float(floor), q, sigma) if floor >= 2 else 0.0
-        if _order_epsilon(lower, alpha, delta) > best:
+        if _round_up(term) > best or floor >= 2 and _round_up(
+                steps * _cached_step_bound(float(floor), q, sigma) + term) > best:
             continue
-        value = values[alpha] = _composed(((steps, _cached_step_bound(alpha, q, sigma)),))
-        evaluated += 1
-        best = min(best, _order_epsilon(value, alpha, delta))
-    return (*_min_epsilon(alphas, values.values(), delta), evaluated)
+        value = _composed(((steps, _cached_step_bound(alpha, q, sigma)),))
+        epsilons[alpha] = _round_up(value + term)
+        best = min(best, epsilons[alpha])
+    alpha_star = min(sorted(epsilons), key=epsilons.__getitem__)
+    return epsilons[alpha_star], alpha_star, len(epsilons)
 
 
 def _first_probe(target: PrivacyBudget, q: float, steps: int) -> float:
@@ -558,7 +573,9 @@ def calibrate_sigma(
     epsilon(sigma) is the epsilon of the curve ``compose_client_rdp`` gives a
     client with `steps` steps at (q, sigma), nonincreasing in sigma; each
     probe computes it from only the orders that can win (see
-    `_calibration_epsilon`), after the grid has been checked once.
+    `_calibration_epsilon`), after the grid has been checked once, seeded
+    with the previous probe's alpha* (or, if that is fractional, the largest
+    integer order of the grid below it; the first probe is unseeded).
     From the lattice point CALIBRATION_SIGMA_LOW * 2^k at or below a
     closed-form guess (`_first_probe`), sigma is doubled while it misses the
     target (up to CALIBRATION_SIGMA_MAX) or halved while it meets it, and
@@ -575,7 +592,7 @@ def calibrate_sigma(
     hi - lo <= CALIBRATION_REL_TOL * hi and returns hi.
 
     Each epsilon evaluation (sigma, epsilon, alpha*, orders evaluated out of
-    the grid's) and the result (sigma, number of sigmas evaluated) are
+    the grid's, seed) and the result (sigma, number of sigmas evaluated) are
     logged at DEBUG level.
 
     Raises CalibrationError before any evaluation if the target is at or
@@ -597,12 +614,16 @@ def calibrate_sigma(
             epsilon_at_bracket=floor,
         )
     evaluated = []
+    seed = None
 
     def eps(sigma: float) -> float:
-        epsilon, alpha_star, orders = _calibration_epsilon(q, sigma, steps, alphas, target.delta)
+        nonlocal seed
+        epsilon, alpha_star, orders = _calibration_epsilon(
+            q, sigma, steps, alphas, target.delta, seed)
         evaluated.append(sigma)
-        _debug("calibrate: sigma=%r epsilon=%r alpha*=%r orders=%d/%d",
-               sigma, epsilon, alpha_star, orders, len(alphas))
+        _debug("calibrate: sigma=%r epsilon=%r alpha*=%r orders=%d/%d seed=%r",
+               sigma, epsilon, alpha_star, orders, len(alphas), seed)
+        seed = max((a for a in alphas if a.is_integer() and a <= alpha_star), default=None)
         return epsilon
 
     def result(sigma: float) -> float:

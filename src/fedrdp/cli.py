@@ -195,8 +195,8 @@ def cmd_calibrate(args) -> int:
         PrivacyBudget(args.epsilon, args.delta), q=args.q, steps=args.steps, alphas=alphas
     )
     # report the epsilon the calibration accepted at sigma, one of its probes,
-    # so achieved_epsilon <= target holds by construction and every order it
-    # needs is already in the step-bound memo
+    # so achieved_epsilon <= target holds by construction; the step-bound memo
+    # has the probe's bounds, but not the low orders its seed let it skip
     epsilon, alpha_star, _ = _calibration_epsilon(args.q, sigma, args.steps, alphas, args.delta)
     _print_kv(
         sigma=sigma,

@@ -1012,6 +1012,26 @@ def test_calibrate_lattice_start_matches_doubling_from_the_smallest_sigma(monkey
     assert probes["guess"] < 0.8 * probes["doubling"]
 
 
+def test_calibrate_seeds_each_probe_with_the_last_alpha_star(monkeypatch):
+    # each probe's walk, seeded from the previous probe, gives the unseeded
+    # walk's epsilon and alpha*, so no sigma changes; it evaluates fewer orders
+    original = accountant._calibration_epsilon
+    orders = {"seeded": 0, "unseeded": 0}
+
+    def both(q, sigma, steps, alphas, delta, seed):
+        got, unseeded = original(q, sigma, steps, alphas, delta, seed), original(
+            q, sigma, steps, alphas, delta)
+        assert repr(got[:2]) == repr(unseeded[:2]), (q, sigma, steps, delta, seed)
+        orders["seeded"] += got[2]
+        orders["unseeded"] += unseeded[2]
+        return got
+
+    monkeypatch.setattr(accountant, "_calibration_epsilon", both)
+    for epsilon, q, steps, delta in _LATTICE_TARGETS:
+        _calibration_outcome(calibrate_sigma, PrivacyBudget(epsilon, delta), q, steps)
+    assert orders["seeded"] < 0.6 * orders["unseeded"]  # 9737 of 20222
+
+
 def test_calibrate_walks_down_the_lattice_to_the_first_miss(monkeypatch):
     # at q = 0.9 the small-q guess overshoots: 1.2 and 0.6 meet the target and
     # 0.3 misses, so the bracket is [0.3, 0.6], one probe more than doubling
@@ -1139,19 +1159,22 @@ def test_calibrate_fails_fast_below_the_conversion_floor(monkeypatch):
     assert sigmas
 
 
+_GRIDS = [
+    DEFAULT_ALPHAS,
+    (48.0, 64.0),  # integer orders only, none below 48
+    (4.0,),
+    (2.5,),
+    (1.5, 3.5, 7.25, 300.5, 512.0),  # floors 3 and 7 are not in the grid
+]
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(
     u_q=st.floats(0.0, 1.0),
     u_sigma=st.floats(0.0, 1.0),
     steps=st.integers(1, 5000),
     u_delta=st.floats(0.0, 1.0),
-    alphas=st.sampled_from([
-        DEFAULT_ALPHAS,
-        (48.0, 64.0),  # integer orders only, none below 48
-        (4.0,),
-        (2.5,),
-        (1.5, 3.5, 7.25, 300.5, 512.0),  # floors 3 and 7 are not in the grid
-    ]),
+    alphas=st.sampled_from(_GRIDS),
 )
 def test_calibration_epsilon_is_the_converted_calibration_curve(
     u_q, u_sigma, steps, u_delta, alphas
@@ -1179,6 +1202,51 @@ def test_calibration_epsilon_skips_orders_that_cannot_win():
     assert (epsilon, alpha_star) == (budget.epsilon, want_alpha)
     assert pruned_misses == orders <= 12
     assert full_misses == len(DEFAULT_ALPHAS)
+    # seeded at the README's alpha* = 6, a probe walks at most 4 orders
+    seeded = accountant._calibration_epsilon(q, sigma, steps, DEFAULT_ALPHAS, 1e-5, seed=6.0)
+    assert seeded[:2] == (epsilon, alpha_star)
+    assert seeded[2] <= 4
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    u_q=st.floats(0.0, 1.0),
+    u_sigma=st.floats(0.0, 1.0),
+    u_steps=st.floats(0.0, 1.0),
+    delta=st.sampled_from([1e-8, 1e-5, 1e-3, 0.5]),
+    alphas=st.sampled_from(_GRIDS),
+)
+def test_seeded_calibration_walk_is_the_converted_curve(u_q, u_sigma, u_steps, delta, alphas):
+    # every seed calibration can pass, and the fractional ones, changes only
+    # which orders the walk evaluates
+    q = 1e-4 * 9000.0**u_q  # log-uniform over [1e-4, 0.9]
+    sigma = 0.3 * (200 / 0.3) ** u_sigma  # log-uniform over [0.3, 200]
+    steps = round(10**5 ** u_steps)  # log-uniform over [1, 10^5]
+    budget, want_alpha = rdp_to_dp(_composed_curve(q, sigma, steps, alphas), delta)
+    want = (repr(budget.epsilon), want_alpha)
+    for seed in (None, *alphas):
+        epsilon, alpha_star, orders = accountant._calibration_epsilon(
+            q, sigma, steps, alphas, delta, seed=seed)
+        assert (repr(epsilon), alpha_star) == want, seed
+        assert 0 < orders <= len(alphas)
+
+
+def test_seeded_calibration_walk_on_an_infinite_curve():
+    # sigma^2 underflows, so every order is +inf: the walk evaluates them all
+    # and alpha* is the smallest order, as rdp_to_dp takes it, whatever the seed
+    for seed in (None, *DEFAULT_ALPHAS):
+        got = accountant._calibration_epsilon(0.1, 1e-200, 1, DEFAULT_ALPHAS, 1e-5, seed)
+        assert got == (math.inf, DEFAULT_ALPHAS[0], len(DEFAULT_ALPHAS)), seed
+
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-5, 1e-3, 0.5, 0.999])
+def test_conversion_term_is_nonincreasing_in_the_order(delta):
+    # the seeded walk in _calibration_epsilon skips the integer orders whose
+    # term alone exceeds the seed's epsilon; nonincreasing, the term makes
+    # those the lowest orders.  The improved conversion's term is not (at
+    # delta = 0.5 it rises from order 2 to 3)
+    terms = [accountant._order_epsilon(0.0, alpha, delta) for alpha in DEFAULT_ALPHAS]
+    assert all(a >= b > 0 for a, b in zip(terms, terms[1:]))
 
 
 @pytest.mark.parametrize("alpha, q, sigma", [(300.5, 0.1, 1.0), (2.0**40, 0.01, 1.0)])
@@ -1216,15 +1284,17 @@ def test_calibrate_logs_each_evaluation_at_debug(caplog, monkeypatch):
     *evaluations, last = [r.getMessage() for r in records]
     assert len(evaluations) == len(probes)
     orders_at = {}
+    seed = None  # each probe's walk starts from the previous probe's alpha*
     for message, probe in zip(evaluations, probes):
         budget, alpha_star = rdp_to_dp(_composed_curve(0.05, probe, 100), 1e-5)
         orders = orders_at[probe] = accountant._calibration_epsilon(
-            0.05, probe, 100, DEFAULT_ALPHAS, 1e-5)[2]
+            0.05, probe, 100, DEFAULT_ALPHAS, 1e-5, seed)[2]
         assert 0 < orders <= len(DEFAULT_ALPHAS)
         assert message == (
             f"calibrate: sigma={probe!r} epsilon={budget.epsilon!r} alpha*={alpha_star!r} "
-            f"orders={orders}/{len(DEFAULT_ALPHAS)}"
+            f"orders={orders}/{len(DEFAULT_ALPHAS)} seed={seed!r}"
         )
+        seed = max(a for a in DEFAULT_ALPHAS if a.is_integer() and a <= alpha_star)
     # at the answer, fewer orders than the whole grid
     assert orders_at[sigma] < len(DEFAULT_ALPHAS)
     assert last == f"calibrate: returning sigma={sigma!r} after {len(probes)} sigmas"
