@@ -455,12 +455,11 @@ def compose_client_rdp(
 def _order_epsilon(value: float, alpha: float, delta: float) -> float:
     """The epsilon at delta that an RDP value at order alpha converts to.
 
-    Rounded up (``_round_up``).  Calibration (`_calibration_epsilon`) prunes
-    orders on two of its properties.  It is nondecreasing in value and at
-    least the value, so at a lower bound on an order's value (0, or the value
-    at its floor) it is a lower bound on that order's epsilon.  At value 0,
-    the conversion term alone, it is nonincreasing in alpha, so the orders a
-    seeded walk skips on that term are the lowest ones.
+    Rounded up (``_round_up``).  It is nondecreasing in value, so at a lower
+    bound on an order's value it is a lower bound on that order's epsilon:
+    calibration (`_calibration_epsilon`) skips an order on that alone.  At
+    value 0 it is nonincreasing in alpha, which only says which orders a
+    seeded walk skips (the lowest ones), not why a skip is valid.
     """
     return _round_up(value + math.log(1.0 / delta) / (alpha - 1.0))
 
@@ -473,22 +472,12 @@ def rdp_to_dp(curve: RdpCurve, delta: float = DEFAULT_DELTA) -> tuple[PrivacyBud
     if every order is +inf the budget is +inf at the smallest order.
     """
     delta = _number(delta, float, *_DELTA)
-    epsilon, alpha_star = _min_epsilon(curve.alphas, curve.values, delta)
+    epsilon, alpha_star = math.inf, curve.alphas[0]
+    for alpha, value in curve.items():
+        order_epsilon = _order_epsilon(value, alpha, delta)
+        if order_epsilon < epsilon:
+            epsilon, alpha_star = order_epsilon, alpha
     return PrivacyBudget(epsilon=epsilon, delta=delta), alpha_star
-
-
-def _min_epsilon(
-    alphas: tuple[float, ...], values: Iterable[float], delta: float
-) -> tuple[float, float]:
-    """``rdp_to_dp``'s (epsilon, alpha*) for a grid, values and delta it has checked."""
-    best_eps = math.inf
-    best_alpha = alphas[0]
-    for alpha, value in zip(alphas, values):
-        eps = _order_epsilon(value, alpha, delta)
-        if eps < best_eps:
-            best_eps = eps
-            best_alpha = alpha
-    return best_eps, best_alpha
 
 
 def _calibration_epsilon(
@@ -500,50 +489,50 @@ def _calibration_epsilon(
     many grid orders it evaluated.
 
     That curve is steps x the one-step bound at each order, rounded up
-    (``_composed``).  Only the orders that can win are evaluated.  D_alpha
-    is nondecreasing in alpha (van Erven & Harremoes, arXiv:1206.2459), and
-    the bound at an integer order exceeds the exact divergence by at most
-    its stated slack (~1e-13 relative), far less than D_alpha grows between
-    integer grid orders (and 2 alpha / sigma^2, taken where an order has no
-    bound, grows with alpha too), so:
-      - integer orders go first, ascending, after seed if one is given
-        (an order of alphas; calibration passes the previous probe's
-        alpha*); one whose conversion term alone,
-        ``_order_epsilon(0.0, alpha, delta)``, exceeds the best epsilon so
-        far is skipped, and the walk stops at the first whose value (steps x
-        bound) exceeds it, since no higher order can then win;
-      - a fractional order is skipped when its conversion term, or then the
-        epsilon of the value at its floor (from order 2), exceeds the best
-        epsilon so far: both are lower bounds on its own epsilon.
-    Every skip is on a strict > against an epsilon some evaluated order
-    achieved, so (epsilon, alpha*) is the first minimum over the evaluated
-    orders in grid order, as ``rdp_to_dp`` takes it over all of them: the
-    seed changes only which orders are evaluated.  log(1/delta) is taken
-    once.  alphas must be a grid that `_orders` returns, and delta a number
-    `rdp_to_dp` accepts.
+    (``_composed``).  One pass walks seed first if one is given (an order of
+    alphas; calibration passes the previous probe's alpha*), then the
+    integer orders ascending, then the fractional ones, and evaluates an
+    order unless ``_round_up(lower + term)`` exceeds the best epsilon so far,
+    where term is the order's conversion term log(1/delta)/(alpha - 1) and
+    lower a lower bound on its value.  The conversion is nondecreasing in
+    the value, so that is a lower bound on the order's epsilon.  The lower
+    bounds are:
+      - 0, for any order: every value is >= 0;
+      - for an order above the lowest evaluated order whose value exceeded
+        the best epsilon at that point, that order's value;
+      - for a fractional order above 2, steps x the bound at its floor,
+        looked up only once the test at 0 has passed.
+    The last two rest on D_alpha being nondecreasing in alpha (van Erven &
+    Harremoes, arXiv:1206.2459): the bound exceeds D_alpha by at most its
+    stated slack (~1e-13 relative at integer orders), far less than D_alpha
+    grows between grid orders, and 2 alpha / sigma^2, taken where an order
+    has no bound, grows with alpha too.  No test assumes the term's sign or
+    monotonicity, so each holds under any conversion nondecreasing in the
+    value; under this one, whose term is > 0, every order above the lowest
+    that exceeded is skipped.  Each skip is on a strict > against an epsilon
+    some evaluated order achieved, so (epsilon, alpha*) is the first minimum
+    over the evaluated orders in grid order, as ``rdp_to_dp`` takes it over
+    all of them: the seed changes only which orders are evaluated.
+    log(1/delta) is taken once.  alphas must be a grid that `_orders`
+    returns, and delta a number `rdp_to_dp` accepts.
     """
     log_inv_delta = math.log(1.0 / delta)
     epsilons: dict[float, float] = {}  # of each evaluated order, as _order_epsilon gives it
     best = math.inf
-    integers = [a for a in alphas if a.is_integer()]
-    for alpha in integers if seed is None else [seed, *integers]:
+    stop, stop_value = math.inf, 0.0  # the lowest evaluated order whose value exceeded best
+    walk = sorted(alphas, key=float.is_integer, reverse=True)  # integers first; sorted is stable
+    for alpha in walk if seed is None else [seed, *walk]:
         term = log_inv_delta / (alpha - 1.0)
-        if _round_up(term) > best:
+        if (alpha > stop and _round_up(stop_value + term) > best
+                or _round_up(term) > best
+                or alpha % 1.0 and alpha > 2.0
+                and _round_up(steps * _cached_step_bound(alpha // 1.0, q, sigma) + term) > best):
             continue
         value = _composed(((steps, _cached_step_bound(alpha, q, sigma)),))
         epsilons[alpha] = _round_up(value + term)
         best = min(best, epsilons[alpha])
-        if value > best:
-            break
-    for alpha in (a for a in alphas if not a.is_integer()):
-        term = log_inv_delta / (alpha - 1.0)
-        floor = math.floor(alpha)
-        if _round_up(term) > best or floor >= 2 and _round_up(
-                steps * _cached_step_bound(float(floor), q, sigma) + term) > best:
-            continue
-        value = _composed(((steps, _cached_step_bound(alpha, q, sigma)),))
-        epsilons[alpha] = _round_up(value + term)
-        best = min(best, epsilons[alpha])
+        if value > best and alpha < stop:
+            stop, stop_value = alpha, value
     alpha_star = min(sorted(epsilons), key=epsilons.__getitem__)
     return epsilons[alpha_star], alpha_star, len(epsilons)
 
@@ -596,17 +585,18 @@ def calibrate_sigma(
     logged at DEBUG level.
 
     Raises CalibrationError before any evaluation if the target is at or
-    below the grid's conversion floor log(1/delta)/(alpha_max - 1): every
-    D_alpha > 0, so every epsilon exceeds it; the floor is attached.  Raises
-    it too if CALIBRATION_SIGMA_MAX is reached without meeting the target;
-    the epsilon at the last sigma tried is attached.
+    below the grid's conversion floor, the least ``_order_epsilon(0.0,
+    alpha, delta)`` over the grid (log(1/delta)/(alpha_max - 1), rounded
+    up): every D_alpha > 0, so every epsilon exceeds it; the floor is
+    attached.  Raises it too if CALIBRATION_SIGMA_MAX is reached without
+    meeting the target; the epsilon at the last sigma tried is attached.
     """
     if not isinstance(target, PrivacyBudget):
         raise TypeError("target must be a PrivacyBudget")
     q = _number(q, float, "q must lie in (0, 1)", lambda q: 0 < q < 1)
     steps = _number(steps, int, "steps must be an integer >= 1", lambda steps: steps >= 1)
     alphas = _orders(alphas)
-    floor = _order_epsilon(0.0, alphas[-1], target.delta)
+    floor = min(_order_epsilon(0.0, alpha, target.delta) for alpha in alphas)
     if target.epsilon <= floor:
         raise CalibrationError(
             f"target epsilon={target.epsilon} unreachable: every epsilon on this "

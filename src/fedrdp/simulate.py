@@ -63,6 +63,7 @@ import numpy as np
 
 from .accountant import (
     DEFAULT_ALPHAS,
+    DEFAULT_DELTA,
     ParticipationLedger,
     PrivacyBudget,
     RdpCurve,
@@ -148,7 +149,7 @@ class SimConfig:
     m_t: int | None = None
     sigma: float | None = None
     target_epsilon: float | None = None
-    delta: float = 1e-5
+    delta: float = DEFAULT_DELTA
     seed: int = 0
     dropout_prob: float = 0.0
     step_size: float = 0.1
