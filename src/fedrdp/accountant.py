@@ -12,20 +12,13 @@ The ledger serialises to line-delimited text
 exactly.  The text is ASCII.  Lines end in "\n" (a "\r" before it is
 dropped), blank lines hold only spaces and tabs, and a client id is
 canonical decimal (no sign but a leading "-", no leading zero, no space), so
-every line of client c starts with exactly ``c<TAB>``.  Parsing interns step
-parameters: lines with the same ``q<TAB>sigma<TAB>clip<TAB>batch_size`` text
-share one validated ``StepParams``.  A read puts the text, as ASCII bytes,
-in one buffer between two "\n", so every line, the first and the last too,
-sits between two "\n"; a file is read straight into it.  Byte scans of the
-buffer check that every line starts with a canonical id or is blank.
-Reading one client then finds each ``\nc<TAB>`` with ``re.finditer`` and
-decodes and parses only the lines it starts, so no line of the client can
-go unread.  A line number is counted only for an error.  Writing goes
-through a temporary file that replaces the target only when complete: a
-ledger cut short would read back as a valid, shorter history and understate
-epsilon.  Composition groups a client's steps by identical (q, sigma), so
-its cost grows with the number of distinct step parameters, not with the
-number of steps.
+every line of client c starts with exactly ``c<TAB>``.
+``ParticipationLedger.from_text`` describes how a read checks and parses
+it.  Writing goes through a temporary file that replaces the target only
+when complete: a ledger cut short would read back as a valid, shorter
+history and understate epsilon.  Composition groups a client's steps by
+identical (q, sigma), so its cost grows with the number of distinct step
+parameters, not with the number of steps.
 """
 
 from __future__ import annotations
@@ -266,9 +259,6 @@ class ParticipationLedger:
         rejected, not read as a line break.  The file is read once, into the
         buffer that `from_text` builds, and must be ASCII: another byte
         raises the UnicodeDecodeError that decoding the file as ASCII raises.
-        With client_id, only that client's lines are decoded and parsed, and
-        the ledger holds only its steps; other clients' lines are checked for
-        a canonical client id at their start and nothing more.
         """
         with open(path, "rb") as fh:
             data = bytearray(os.fstat(fh.fileno()).st_size + 2)
@@ -431,11 +421,10 @@ def compose_client_rdp(
     sigma = 0 or q = 1 admit no finite bound and raise, annotated with the
     index of the first such step.
     """
-    # a client id of another type ("7") would find no steps and compose to zero
-    client_id = _number(client_id, int, "client_id must be an integer")
+    steps = ledger.steps(client_id)
     alphas = _orders(alphas)
     counts: dict[tuple[float, float], int] = {}
-    for idx, (t, p) in enumerate(ledger.steps(client_id)):
+    for idx, (t, p) in enumerate(steps):
         key = (p.q, p.sigma)
         if key not in counts:
             if p.sigma == 0 or p.q == 1:
@@ -455,11 +444,8 @@ def compose_client_rdp(
 def _order_epsilon(value: float, alpha: float, delta: float) -> float:
     """The epsilon at delta that an RDP value at order alpha converts to.
 
-    Rounded up (``_round_up``).  It is nondecreasing in value, so at a lower
-    bound on an order's value it is a lower bound on that order's epsilon:
-    calibration (`_calibration_epsilon`) skips an order on that alone.  At
-    value 0 it is nonincreasing in alpha, which only says which orders a
-    seeded walk skips (the lowest ones), not why a skip is valid.
+    Rounded up (``_round_up``), and nondecreasing in value: the skips of
+    `_calibration_epsilon` rest on that.
     """
     return _round_up(value + math.log(1.0 / delta) / (alpha - 1.0))
 
@@ -490,13 +476,12 @@ def _calibration_epsilon(
 
     That curve is steps x the one-step bound at each order, rounded up
     (``_composed``).  One pass walks seed first if one is given (an order of
-    alphas; calibration passes the previous probe's alpha*), then the
-    integer orders ascending, then the fractional ones, and evaluates an
-    order unless ``_round_up(lower + term)`` exceeds the best epsilon so far,
-    where term is the order's conversion term log(1/delta)/(alpha - 1) and
-    lower a lower bound on its value.  The conversion is nondecreasing in
-    the value, so that is a lower bound on the order's epsilon.  The lower
-    bounds are:
+    alphas), then the integer orders ascending, then the fractional ones,
+    and evaluates an order unless ``_round_up(lower + term)`` exceeds the
+    best epsilon so far, where term is the order's conversion term
+    log(1/delta)/(alpha - 1) and lower a lower bound on its value.  The
+    conversion is nondecreasing in the value, so that is a lower bound on
+    the order's epsilon.  The lower bounds are:
       - 0, for any order: every value is >= 0;
       - for an order above the lowest evaluated order whose value exceeded
         the best epsilon at that point, that order's value;
@@ -561,10 +546,9 @@ def calibrate_sigma(
 
     epsilon(sigma) is the epsilon of the curve ``compose_client_rdp`` gives a
     client with `steps` steps at (q, sigma), nonincreasing in sigma; each
-    probe computes it from only the orders that can win (see
-    `_calibration_epsilon`), after the grid has been checked once, seeded
-    with the previous probe's alpha* (or, if that is fractional, the largest
-    integer order of the grid below it; the first probe is unseeded).
+    probe takes it from `_calibration_epsilon`, seeded with the largest
+    integer order of the grid at or below the previous probe's alpha*, if
+    any (the first probe is unseeded).
     From the lattice point CALIBRATION_SIGMA_LOW * 2^k at or below a
     closed-form guess (`_first_probe`), sigma is doubled while it misses the
     target (up to CALIBRATION_SIGMA_MAX) or halved while it meets it, and

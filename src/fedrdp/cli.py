@@ -72,15 +72,6 @@ EXIT_IO = 3
 DOMINANCE_TOL = 1e-9
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on usage errors; we reserve 2 for
-    numerical failures, so remap to 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _parse_alphas(text: str) -> tuple[float, ...]:
     try:
         alphas = tuple(float(tok) for tok in text.split(",") if tok.strip())
@@ -149,7 +140,7 @@ def _emit(text: str, output) -> None:
 
 
 def cmd_compose(args) -> int:
-    # only this client's ledger lines are parsed (see ParticipationLedger.read)
+    # only this client's ledger lines are parsed (see ParticipationLedger.from_text)
     ledger = ParticipationLedger.read(args.ledger, client_id=args.client)
     curve = compose_client_rdp(ledger, args.client, _parse_alphas(args.alphas))
     _emit(_curve_text(curve, args.format), args.output)
@@ -247,8 +238,8 @@ def cmd_trace(args) -> int:
 
 @lru_cache(maxsize=1)  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="fedrdp", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser = argparse.ArgumentParser(prog="fedrdp", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="one-step divergence bound vs the quadrature oracle")
     p.add_argument("--alpha", type=float, required=True)
@@ -304,7 +295,8 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse exits 2 on a usage error; 2 is reserved for numerical failures
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (QuadratureError, CalibrationError, OverflowError) as exc:

@@ -115,22 +115,40 @@ _Q = ("q must lie in [0, 1]", lambda q: 0 <= q <= 1)
 _SIGMA = ("sigma must be a positive finite real", lambda sigma: 0 < sigma < math.inf)
 
 
-def _moment_mpf(sigma: float, k: int):
-    """E[(L-1)^k] as mpf, accurate to ~_BASE_DPS significant digits.
+def likelihood_ratio_moment(sigma: float, k: int) -> float:
+    """k-th central moment E[(L - 1)^k] of the Gaussian likelihood ratio.
 
-    The alternating binomial sum loses digits to cancellation; the working
-    precision is escalated until the result keeps _BASE_DPS good digits, or
-    until the result is known to round to float 0.0.  A sum that cancels
-    to exactly 0 has lost all its digits.
+    L(theta) = N(1, s^2)(theta) / N(0, s^2)(theta) evaluated at
+    theta ~ N(0, s^2), s = sigma/2.  Closed form: the alternating binomial
+    sum of the raw moments E[L^l] = exp(2 l (l-1) / sigma^2).
+
+    The sum loses digits to cancellation; the working precision is
+    escalated until the sum keeps _BASE_DPS good digits, or until it is
+    known to round to float 0.0.  A sum that cancels to exactly 0 has lost
+    all its digits.
+
+    Args:
+        sigma: noise multiplier, > 0.
+        k: moment order, integer >= 2.
+
+    Returns:
+        The moment as a float.
+
+    Raises:
+        ValueError: on a bad domain.
+        OverflowError: if the value (or an intermediate term) exceeds float
+            range; reduce k or increase sigma.
     """
-    from mpmath import mp, mpf
-
+    sigma = _number(sigma, float, *_SIGMA)
+    k = _number(k, int, "k must be an integer >= 2", lambda k: k >= 2)
     if _moment_exponent(sigma, k) > MOMENT_EXPONENT_CAP:
         raise OverflowError(
             f"moment exponent 2k(k-1)/sigma^2 = {_moment_exponent(sigma, k):.3g} "
             f"exceeds cap {MOMENT_EXPONENT_CAP:.0f} (k={k}, sigma={sigma}); "
             "reduce the order or increase sigma"
         )
+    from mpmath import mp, mpf
+
     work = _BASE_DPS + 15
     with _MP_LOCK:
         while True:
@@ -148,37 +166,14 @@ def _moment_mpf(sigma: float, k: int):
                     c = c * (k - l) // (l + 1)
                 cancel = max(float(mp.log10(absmass / abs(total))), 0.0) if total else work
                 if work - cancel >= _BASE_DPS:
-                    return total
+                    break
                 # k + 1 terms, each rounded a few times: the moment is within
                 # 4 (k + 1) absmass 10^-work of total, and below 2^-1075 it
                 # rounds to float 0.0
                 if abs(total) + 4 * (k + 1) * absmass / mpf(10) ** work < mpf(2) ** -1075:
-                    return mpf(0)
+                    return 0.0
             work = int(_BASE_DPS + cancel + 15)
-
-
-def likelihood_ratio_moment(sigma: float, k: int) -> float:
-    """k-th central moment E[(L - 1)^k] of the Gaussian likelihood ratio.
-
-    L(theta) = N(1, s^2)(theta) / N(0, s^2)(theta) evaluated at
-    theta ~ N(0, s^2), s = sigma/2.  Closed form: the alternating binomial
-    sum of the raw moments E[L^l] = exp(2 l (l-1) / sigma^2).
-
-    Args:
-        sigma: noise multiplier, > 0.
-        k: moment order, integer >= 2.
-
-    Returns:
-        The moment as a float.
-
-    Raises:
-        ValueError: on a bad domain.
-        OverflowError: if the value (or an intermediate term) exceeds float
-            range; reduce k or increase sigma.
-    """
-    sigma = _number(sigma, float, *_SIGMA)
-    k = _number(k, int, "k must be an integer >= 2", lambda k: k >= 2)
-    value = float(_moment_mpf(sigma, k))
+    value = float(total)
     if math.isinf(value):
         raise OverflowError(
             f"moment (sigma={sigma}, k={k}) exceeds float range; "

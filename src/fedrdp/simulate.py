@@ -27,24 +27,12 @@ its own, np.random.default_rng(entropy) for an entropy tuple
 
 with the tags below.  Round t's client steps draw from one stream: first
 the batch draws of every selected client, in ascending client id, then
-their noise.  A batch is Floyd's uniform sample of batch_size of the
-client's points (Bentley & Floyd 1987): its draws come from NumPy's bounded
-integers.  No batch depends on the model, so run_training takes the batch
-draws of a block of rounds first, as many rounds as keep about 1 MB of
-working arrays at m_t steps a round, and turns them into batches in one
-numpy pass; each round draws its noise when it runs.  A round gathers all
-its batches from the data arrays with one index and computes all its
-client steps in one numpy pass over the stacked batches, doing for each
+their noise (see `_rounds`).  A round computes all its client steps in one
+numpy pass over the stacked batches (`_round_updates`), doing for each
 client the same float operations as on that client's arrays alone (the
 tests check this against a one-client-at-a-time loop).  So trajectories
 are bit-reproducible regardless of the order or grouping in which client
-updates are computed.  A sample's direction -step_size * outer(p, x), p its
-softmax minus one-hot, has norm step_size * |p| * |x|, so no direction is
-built: a client's clipped mean is one (classes, b) @ (b, d) product of its
-clip-scaled p with its batch.
-Poisson batch sampling exists only for the batch-size trace contrast; the
-training loop itself always draws fixed-size batches (the accountant
-covers nothing else).
+updates are computed.
 """
 
 from __future__ import annotations
@@ -62,13 +50,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .accountant import (
-    DEFAULT_ALPHAS,
     DEFAULT_DELTA,
     ParticipationLedger,
     PrivacyBudget,
-    RdpCurve,
     StepParams,
-    _orders,
+    _DELTA,
     calibrate_sigma,
     compose_client_rdp,
     rdp_to_dp,
@@ -351,9 +337,10 @@ def _rounds(config: SimConfig) -> Iterator[tuple[int, list[int], np.ndarray, np.
     Row i of the round's (m, batch_size) batches is its i-th selected
     client's.  Round t's step stream is (seed, _STREAM_CLIENT_STEP, t),
     which has given its batch draws (_batch_draws) and has the round's noise
-    left to give.  Blocks of whole rounds share one _fixed_batches pass;
-    every round has at most m_t steps, so a block of this many rounds keeps
-    the pass's arrays within about 1 MB, or holds one round.
+    left to give.  No batch depends on the model, so blocks of whole rounds
+    share one _fixed_batches pass; every round has at most m_t steps, so a
+    block of this many rounds keeps the pass's arrays within about 1 MB, or
+    holds one round.
     """
     n, k = config.points_per_client, config.batch_size
     # the draws and their concatenation, shifted draws, bounds, picks and
@@ -380,16 +367,12 @@ def run_training(config: SimConfig) -> tuple[np.ndarray, list[RoundRecord], Part
     resolves to.
     Rounds are 1-based.  With dropout, each client is independently
     unavailable with probability dropout_prob each round and the round
-    selects min(m_t, available) clients.  No batch depends on the model, so
-    _rounds draws the batches of a block of rounds at once; then each
-    round's client steps, noise included, run as one stacked numpy pass
-    (_round_updates), which clips sample j by its norm step_size * |p_j| *
-    |x_j| and averages with one product per client, building no per-sample
-    gradient, and the server adds the mean of their updates,
-    aggregated in ascending client-id order.  Batches are always
-    fixed-size, the only sampling the accountant bounds; Poisson batches
-    exist only in batch_size_trace.  Raises ValueError if the calibrated
-    noise std or a weight is non-finite.
+    selects min(m_t, available) clients.  Each round's client steps, noise
+    included, run on the batches of _rounds as one pass (_round_updates),
+    and the server adds the mean of their updates, aggregated in ascending
+    client-id order.  Batches are always fixed-size, the only sampling the
+    accountant bounds; Poisson batches exist only in batch_size_trace.
+    Raises ValueError if the calibrated noise std or a weight is non-finite.
     """
     if config.sigma is None:
         # calibrate once; the rebuilt config checks the noise std at that sigma
@@ -452,25 +435,21 @@ def evaluate_accuracy(model: np.ndarray, clients: Sequence[ClientState]) -> floa
     return float(np.mean(np.concatenate(hits)))
 
 
-def client_epsilon_report(
-    ledger: ParticipationLedger,
-    delta: float,
-    alphas=DEFAULT_ALPHAS,
-) -> list[tuple[int, int, float]]:
+def client_epsilon_report(ledger: ParticipationLedger, delta: float) -> list[tuple[int, int, float]]:
     """(client_id, participations, epsilon) rows for every ledgered client.
 
-    epsilon is the library's (``rdp_to_dp`` of ``compose_client_rdp``)
-    rounded up to 12 significant digits: clients.csv writes it with
-    ``.12g``, which then prints it exactly, and the value read back is never
-    below the library's.  A client with a step admitting no finite bound
-    (sigma = 0 or full batch) reports epsilon = +inf rather than raising: a
-    non-private run is a legitimate simulator configuration and the report
-    should say so.  Any
-    other error, such as an invalid delta or order grid, raises.  Clients
-    with the same step count per (q, sigma) share one composition: its fsum
-    is exactly rounded, so their curve does not depend on the step order.
+    epsilon is the library's (``rdp_to_dp`` of ``compose_client_rdp`` on
+    DEFAULT_ALPHAS) rounded up to 12 significant digits: clients.csv writes
+    it with ``.12g``, which then prints it exactly, and the value read back
+    is never below the library's.  A client with a step admitting no finite
+    bound (sigma = 0 or full batch) reports epsilon = +inf rather than
+    raising: a non-private run is a legitimate simulator configuration and
+    the report should say so.  delta must lie in (0, 1), even with no
+    client to report.  Clients with the same step count per (q, sigma)
+    share one composition: its fsum is exactly rounded, so their curve does
+    not depend on the step order.
     """
-    alphas = _orders(alphas)
+    delta = _number(delta, float, *_DELTA)
     twelve_digits_up = decimal.Context(prec=12, rounding=decimal.ROUND_CEILING)
     epsilons: dict[frozenset, float] = {}
     rows = []
@@ -479,11 +458,9 @@ def client_epsilon_report(
         history = frozenset(Counter((p.q, p.sigma) for _, p in steps).items())
         if history not in epsilons:
             if any(sigma == 0 or q == 1 for (q, sigma), _ in history):
-                # all orders +inf: rdp_to_dp still checks delta and the grid
-                curve = RdpCurve(alphas, (math.inf,) * len(alphas))
+                epsilon = math.inf
             else:
-                curve = compose_client_rdp(ledger, cid, alphas)
-            epsilon = rdp_to_dp(curve, delta)[0].epsilon
+                epsilon = rdp_to_dp(compose_client_rdp(ledger, cid), delta)[0].epsilon
             epsilons[history] = float(twelve_digits_up.create_decimal(epsilon))
         rows.append((cid, len(steps), epsilons[history]))
     return rows
@@ -499,17 +476,11 @@ def write_artifacts(
     """Write model.txt, rounds.csv, clients.csv, ledger.tsv under outdir.
 
     All output is deterministic given its inputs (no timestamps, fixed row
-    order), so identical runs produce byte-identical files.  Each file is
-    written atomically, so a failed write leaves that file as it was.
+    order), so identical runs produce byte-identical files.  Every check,
+    and the epsilon report, comes before the first write, so an invalid
+    input writes nothing; each file is written atomically, so a failed
+    write leaves that file as it was.
     """
-    os.makedirs(outdir, exist_ok=True)
-    paths = {
-        "model": os.path.join(outdir, "model.txt"),
-        "rounds": os.path.join(outdir, "rounds.csv"),
-        "clients": os.path.join(outdir, "clients.csv"),
-        "ledger": os.path.join(outdir, "ledger.tsv"),
-    }
-    write_atomic(paths["model"], "".join(f"{float(w)!r}\n" for w in model.flat))
     # a row's batch size is the one its ledger step recorded: rows and each
     # client's steps both run in t order, so a client's row j is its step j
     cids = list(itertools.chain.from_iterable(rec.selected for rec in records))
@@ -528,10 +499,18 @@ def write_artifacts(
     fields[0::4], fields[1::4] = ts, cids
     fields[2::4] = [params.batch_size for _, params in paired]
     fields[3::4] = itertools.chain.from_iterable(rec.update_norms for rec in records)
-    write_atomic(paths["rounds"], "t,client_id,batch_size,update_norm\n"
-                 + "%s,%s,%s,%.12g\n" * len(cids) % tuple(fields))
-    write_atomic(paths["clients"], "client_id,participations,epsilon\n" + "".join(
-        f"{cid},{count},{eps:.12g}\n" for cid, count, eps in client_epsilon_report(ledger, delta)
-    ))
+    rounds = "t,client_id,batch_size,update_norm\n" + "%s,%s,%s,%.12g\n" * len(cids) % tuple(fields)
+    clients = "client_id,participations,epsilon\n" + "".join(
+        f"{cid},{count},{eps:.12g}\n" for cid, count, eps in client_epsilon_report(ledger, delta))
+    os.makedirs(outdir, exist_ok=True)
+    paths = {
+        "model": os.path.join(outdir, "model.txt"),
+        "rounds": os.path.join(outdir, "rounds.csv"),
+        "clients": os.path.join(outdir, "clients.csv"),
+        "ledger": os.path.join(outdir, "ledger.tsv"),
+    }
+    write_atomic(paths["model"], "".join(f"{float(w)!r}\n" for w in model.flat))
+    write_atomic(paths["rounds"], rounds)
+    write_atomic(paths["clients"], clients)
     ledger.write(paths["ledger"])
     return paths

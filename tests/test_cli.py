@@ -1,5 +1,6 @@
 """CLI adapter: flag parsing, output fidelity, exit codes."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -70,6 +71,17 @@ def test_no_subcommand_is_usage_error(capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run_cli(capsys, "frobnicate")[0] == cli.EXIT_USAGE
+
+
+def test_subcommand_usage_error_prints_argparse_usage_and_exits_1(capsys):
+    # argparse's own error text, with 1 for its exit code 2
+    sub = next(action for action in cli._build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)).choices["calibrate"]
+    code, out, err = run_cli(capsys, "calibrate", "--epsilon", "x", "--q", "0.05", "--steps", "100")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == (sub.format_usage()
+                   + "fedrdp calibrate: error: argument --epsilon: invalid float value: 'x'\n")
+    assert run_cli(capsys, "--help")[0] == cli.EXIT_OK
 
 
 def test_missing_flag_is_usage_error(capsys):

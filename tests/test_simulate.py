@@ -694,15 +694,14 @@ def test_epsilon_report_handles_nonprivate_runs():
 
 
 def test_epsilon_report_raises_errors_other_than_no_finite_bound():
-    # only a step with sigma = 0 or q = 1 reports inf
+    # only a step with sigma = 0 or q = 1 reports inf; delta is checked even
+    # with no client to report
     _, _, ledger = run_training(small_config(rounds=3))
     _, _, nonprivate = run_training(small_config(sigma=0.0, rounds=3))
-    for led in (ledger, nonprivate):
-        for delta in (0.0, 1.0):
+    for led in (ledger, nonprivate, ParticipationLedger()):
+        for delta in (0.0, 1.0, 5.0, "x"):
             with pytest.raises(ValueError, match="delta must lie in"):
                 client_epsilon_report(led, delta)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            client_epsilon_report(led, 1e-5, alphas=(4.0, 2.0))
 
 
 def _twelve_digits_up(x: float) -> float:
@@ -879,6 +878,18 @@ def test_artifacts_reject_round_records_the_ledger_does_not_match(tmp_path):
         t = ledger.steps(cid)[kept][0]
         with pytest.raises(ValueError, match=f"client {cid}: round record t={t}, no ledger step"):
             write_artifacts(tmp_path / "out", model, records, short, cfg.delta)
+
+
+def test_artifacts_write_nothing_when_they_raise(tmp_path):
+    cfg = small_config(rounds=8, sigma=2.0)
+    model, records, ledger = run_training(cfg)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    for led, delta, message in ((ledger, 5.0, "delta must lie in"),
+                                (ParticipationLedger(), cfg.delta, "no ledger step")):
+        with pytest.raises(ValueError, match=message):
+            write_artifacts(outdir, model, records, led, delta)
+        assert list(outdir.iterdir()) == []
 
 
 ARTIFACTS = ("model.txt", "rounds.csv", "clients.csv", "ledger.tsv")  # in writing order
