@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Check that this tree's fedrdp gives the same outputs as revision REV.
+
+    python3 scripts/same_outputs.py --against HEAD
+
+REV is exported with `git archive` into a temporary directory, so the
+repository's own checkout and git state are left as they are.  A fixed
+corpus of `fedrdp` commands (CORPUS below) runs on both trees, each command
+in a fresh `python -m fedrdp.cli` process whose PYTHONPATH is that tree's
+src/ only, in a work directory of its own per tree that starts with the
+same input files (INPUTS).  For every command the exit code, stdout and
+stderr are compared, and after the corpus every file in the two work
+directories is compared byte for byte.  Prints one line per command and
+per differing file, and exits 1 on any difference, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# input files, written into each tree's work directory before the corpus runs
+INPUTS = {
+    # perfbench's simulate shape
+    "perfbench.json": {"rounds": 80, "clients": 500, "m_t": 100, "d": 10, "classes": 3,
+                       "points_per_client": 100, "batch_size": 10, "clip": 1.0, "sigma": 1.2,
+                       "delta": 1e-5, "seed": 0},
+    # the acceptance suite's criterion 6: 200 rounds of 10 of 20 clients, dropout 0.3
+    "criterion6.json": {"rounds": 200, "clients": 20, "m_t": 10, "d": 5, "classes": 2,
+                        "points_per_client": 100, "batch_size": 10, "clip": 1.0,
+                        "sigma": 3.0, "seed": 33, "dropout_prob": 0.3},
+    # sigma calibrated to a target epsilon, with dropout
+    "target.json": {"rounds": 40, "clients": 30, "m_t": 12, "d": 6, "classes": 3,
+                    "points_per_client": 60, "batch_size": 6, "clip": 1.0,
+                    "target_epsilon": 3.0, "seed": 5, "dropout_prob": 0.3},
+    # 9 and 50 classes: each softmax sum runs over 8 or more entries
+    "classes9.json": {"rounds": 12, "clients": 40, "m_t": 33, "d": 17, "classes": 9,
+                      "points_per_client": 50, "batch_size": 13, "clip": 5.0, "sigma": 0.5,
+                      "dropout_prob": 0.2, "seed": 7},
+    "classes50.json": {"rounds": 3, "clients": 12, "m_t": 10, "d": 400, "classes": 50,
+                       "points_per_client": 20, "batch_size": 5, "clip": 1.0, "sigma": 1.0,
+                       "seed": 6},
+    "trace.json": {"rounds": 1, "clients": 1, "d": 2, "classes": 2,
+                   "points_per_client": 3000, "batch_size": 128, "clip": 1.0, "sigma": 1.0,
+                   "seed": 4},
+    # three clients, with steps at two (q, sigma) pairs
+    "ledger.tsv": ("0\t1\t0.05\t1.5\t1.0\t10\n0\t2\t0.01\t2.0\t1.0\t10\n"
+                   "0\t3\t0.05\t1.5\t1.0\t10\n1\t2\t0.01\t2.0\t1.0\t10\n"
+                   "1\t4\t0.01\t2.0\t1.0\t10\n2\t1\t0.05\t1.5\t1.0\t10\n"),
+}
+
+# (name, fedrdp arguments), run in this order
+CORPUS = (
+    ("simulate-perfbench-seed1", ["simulate", "--config", "perfbench.json", "--outdir",
+                                  "perfbench1", "--seed", "1"]),
+    ("simulate-perfbench-seed2", ["simulate", "--config", "perfbench.json", "--outdir",
+                                  "perfbench2", "--seed", "2"]),
+    ("simulate-criterion6", ["simulate", "--config", "criterion6.json", "--outdir", "criterion6"]),
+    ("simulate-target-epsilon", ["simulate", "--config", "target.json", "--outdir", "target"]),
+    ("simulate-classes9", ["simulate", "--config", "classes9.json", "--outdir", "classes9"]),
+    ("simulate-classes50", ["simulate", "--config", "classes50.json", "--outdir", "classes50"]),
+    ("trace-fixed", ["trace", "--config", "trace.json", "--sampler", "fixed", "--rounds", "50"]),
+    ("trace-poisson", ["trace", "--config", "trace.json", "--sampler", "poisson",
+                       "--rounds", "50", "--output", "poisson.csv"]),
+    ("calibrate-readme", ["calibrate", "--epsilon", "4", "--delta", "1e-5", "--q", "0.05",
+                          "--steps", "100"]),
+    ("calibrate-delta-1e-3", ["calibrate", "--epsilon", "4", "--delta", "1e-3", "--q", "0.05",
+                              "--steps", "100"]),
+    ("compose-client0", ["compose", "--ledger", "ledger.tsv", "--client", "0",
+                         "--output", "curve0.csv"]),
+    ("compose-client1-jsonl", ["compose", "--ledger", "ledger.tsv", "--client", "1",
+                               "--format", "jsonl", "--output", "curve1.jsonl"]),
+    ("convert-client0", ["convert", "--curve", "curve0.csv", "--delta", "1e-5"]),
+    ("convert-client1", ["convert", "--curve", "curve1.jsonl", "--delta", "1e-3"]),
+    ("bound-integer", ["bound", "--alpha", "8", "--q", "0.01", "--sigma", "2"]),
+    ("bound-fractional", ["bound", "--alpha", "2.5", "--q", "0.05", "--sigma", "1.5"]),
+    ("oracle", ["oracle", "--alpha", "2", "--q", "0.01", "--sigma", "2"]),
+    ("usage-bad-float", ["calibrate", "--epsilon", "x", "--q", "0.05", "--steps", "100"]),
+    ("usage-bad-sampler", ["trace", "--config", "trace.json", "--sampler", "uniform"]),
+    # exit 2: no sigma meets an epsilon below the grid's conversion floor
+    ("numerical-unreachable-target", ["calibrate", "--epsilon", "0.001", "--q", "0.05",
+                                      "--steps", "100"]),
+    # exit 3: the curve file does not exist
+    ("io-missing-curve", ["convert", "--curve", "missing.csv"]),
+)
+
+
+def run_corpus(tree: pathlib.Path, workdir: pathlib.Path, corpus=CORPUS, inputs=INPUTS) -> dict:
+    """{name: (exit code, stdout, stderr)} of each command, and {"files": {path: bytes}}."""
+    workdir.mkdir(parents=True, exist_ok=True)
+    for name, content in inputs.items():
+        text = content if isinstance(content, str) else json.dumps(content)
+        (workdir / name).write_text(text, encoding="ascii")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    results = {}
+    for name, argv in corpus:
+        done = subprocess.run([sys.executable, "-m", "fedrdp.cli", *argv], cwd=workdir,
+                              env=env, capture_output=True)
+        results[name] = (done.returncode, done.stdout, done.stderr)
+    results["files"] = {str(p.relative_to(workdir)): p.read_bytes()
+                        for p in sorted(workdir.rglob("*")) if p.is_file()}
+    return results
+
+
+def differences(a: dict, b: dict) -> list[str]:
+    """One line per command or file whose outputs differ between two corpus runs."""
+    lines = []
+    for name in [n for n in a if n != "files"]:
+        for what, x, y in zip(("exit code", "stdout", "stderr"), a[name], b.get(name, (None,) * 3)):
+            if x != y:
+                lines.append(f"{name}: {what} differs")
+    for path in sorted(set(a["files"]) | set(b["files"])):
+        if a["files"].get(path) != b["files"].get(path):
+            lines.append(f"file {path} differs")
+    return lines
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", required=True, metavar="REV",
+                        help="the revision to compare this tree with, e.g. HEAD")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        tmp = pathlib.Path(tmp)
+        other = tmp / "tree"
+        other.mkdir()
+        archive = subprocess.run(["git", "archive", args.against], cwd=ROOT,
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(other)], input=archive, check=True)
+        theirs = run_corpus(other, tmp / "against")
+        ours = run_corpus(ROOT, tmp / "tree-outputs")
+    found = differences(theirs, ours)
+    for name, _ in CORPUS:
+        code = ours[name][0]
+        same = not any(line.startswith(f"{name}:") for line in found)
+        print(f"{name}: exit {code}, {'same' if same else 'DIFFERENT'}")
+    for line in found:
+        print(line)
+    print(f"{len(CORPUS)} commands, {len(ours['files'])} files: "
+          + (f"{len(found)} differences against {args.against}" if found
+             else f"no difference against {args.against}"))
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

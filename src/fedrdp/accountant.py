@@ -522,6 +522,10 @@ def _calibration_epsilon(
     return epsilons[alpha_star], alpha_star, len(epsilons)
 
 
+# {(q, sigma, steps, alphas, delta): (epsilon, alpha*)} of calibrate_sigma's last accepting probe
+_ACCEPTED: dict = {}
+
+
 def _first_probe(target: PrivacyBudget, q: float, steps: int) -> float:
     """The largest CALIBRATION_SIGMA_LOW * 2^k <= CALIBRATION_SIGMA_MAX at or below
     2 / sqrt(log1p(2A / (steps q^2))), A = (sqrt(L + eps) - sqrt(L))^2, L = log(1/delta),
@@ -587,14 +591,14 @@ def calibrate_sigma(
             f"order grid exceeds log(1/delta)/(alpha_max - 1) = {floor:.6g}",
             epsilon_at_bracket=floor,
         )
-    evaluated = []
+    evaluated = {}  # (epsilon, alpha*) of each sigma probed
     seed = None
 
     def eps(sigma: float) -> float:
         nonlocal seed
         epsilon, alpha_star, orders = _calibration_epsilon(
             q, sigma, steps, alphas, target.delta, seed)
-        evaluated.append(sigma)
+        evaluated[sigma] = epsilon, alpha_star
         _debug("calibrate: sigma=%r epsilon=%r alpha*=%r orders=%d/%d seed=%r",
                sigma, epsilon, alpha_star, orders, len(alphas), seed)
         seed = max((a for a in alphas if a.is_integer() and a <= alpha_star), default=None)
@@ -602,6 +606,8 @@ def calibrate_sigma(
 
     def result(sigma: float) -> float:
         _debug("calibrate: returning sigma=%r after %d sigmas", sigma, len(evaluated))
+        _ACCEPTED.clear()
+        _ACCEPTED[q, sigma, steps, alphas, target.delta] = evaluated[sigma]
         return sigma
 
     lo = hi = _first_probe(target, q, steps)

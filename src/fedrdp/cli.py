@@ -27,7 +27,7 @@ from .accountant import (
     ParticipationLedger,
     PrivacyBudget,
     RdpCurve,
-    _calibration_epsilon,
+    _ACCEPTED,
     calibrate_sigma,
     compose_client_rdp,
     rdp_to_dp,
@@ -185,10 +185,8 @@ def cmd_calibrate(args) -> int:
     sigma = calibrate_sigma(
         PrivacyBudget(args.epsilon, args.delta), q=args.q, steps=args.steps, alphas=alphas
     )
-    # report the epsilon the calibration accepted at sigma, one of its probes,
-    # so achieved_epsilon <= target holds by construction; the step-bound memo
-    # has the probe's bounds, but not the low orders its seed let it skip
-    epsilon, alpha_star, _ = _calibration_epsilon(args.q, sigma, args.steps, alphas, args.delta)
+    # the epsilon of the probe that accepted sigma, so achieved_epsilon <= target
+    epsilon, alpha_star = _ACCEPTED[args.q, sigma, args.steps, alphas, args.delta]
     _print_kv(
         sigma=sigma,
         achieved_epsilon=epsilon,

@@ -18,7 +18,7 @@ the per-sample update direction before clipping.  The data is two read-only
 arrays: (clients, points, d) features and the (points,) labels all share.
 
 RNG discipline: one root seed; every random draw comes from a stream of
-its own, np.random.default_rng(entropy) for an entropy tuple
+its own, default_rng(entropy)'s Generator(PCG64(entropy)), for an entropy tuple
 
     (seed, stream_tag)                    data centers
     (seed, stream_tag, client_id)         client data
@@ -109,8 +109,9 @@ _CONFIG_FIELDS = (
 
 
 def _stream(*entropy: int) -> np.random.Generator:
-    """The Generator of the stream with this entropy tuple."""
-    return np.random.default_rng(entropy)
+    """The Generator of the stream with this entropy tuple: the one
+    np.random.default_rng(entropy) returns, built without its dispatch."""
+    return np.random.Generator(np.random.PCG64(entropy))
 
 
 @dataclass(frozen=True)
@@ -238,8 +239,7 @@ def _client_data(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
         labels = np.arange(config.points_per_client) % config.classes
         features = np.empty((config.clients, config.points_per_client, config.d))
         for cid in range(config.clients):
-            features[cid] = _stream(config.seed, _STREAM_CLIENT_DATA, cid).normal(
-                size=(config.points_per_client, config.d))
+            _stream(config.seed, _STREAM_CLIENT_DATA, cid).standard_normal(out=features[cid])
         features += centers[labels]
         features.flags.writeable = labels.flags.writeable = False
         _KEPT_DATA[key] = features, labels
@@ -247,8 +247,10 @@ def _client_data(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _select_clients(available: list[int], m_t: int, rng: np.random.Generator) -> list[int]:
-    """Uniformly random size-m_t subset of the ascending available ids, ascending."""
-    return sorted(available[i] for i in rng.choice(len(available), size=m_t, replace=False))
+    """Uniformly random size-m_t subset of the ascending available ids, drawn
+    from rng, ascending; the reference pins the draw, so rng's stream is too."""
+    picks = rng.choice(len(available), size=m_t, replace=False).tolist()
+    return sorted([available[i] for i in picks])
 
 
 def _sample_poisson_batch(dataset_size: int, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -296,14 +298,18 @@ def _round_updates(
     (classes, b) @ (b, d) product with c the samples' clip factors: no
     per-sample direction is built.  Every client steps with the config's
     batch_size, clip and step_size, so this runs once on the stacked
-    (m, b, d) batches, each product a client's own.
+    (m, b, d) batches, which one take gathers from the flat (clients *
+    points, d) features; each product is a client's own.  The softmax's max
+    runs over a class-major copy, as a max is exact in any order; its sum
+    stays on the last axis, whose order sets the bits at classes >= 8.
     """
-    X = features[np.asarray(selected)[:, None], batches]
+    rows = np.asarray(selected)[:, None] * len(labels) + batches
+    X = features.reshape(-1, W.shape[1]).take(rows, axis=0)
     scores = X @ W.T  # (m, b, classes)
-    scores -= scores.max(axis=-1, keepdims=True)
+    scores -= scores.transpose(2, 0, 1).copy().max(axis=0)[..., None]
     exps = np.exp(scores)
     P = exps / exps.sum(axis=-1, keepdims=True)
-    P[(*np.indices(batches.shape, sparse=True), labels[batches])] -= 1.0  # softmax - onehot
+    P.reshape(-1)[np.arange(0, P.size, len(W)) + labels[batches].ravel()] -= 1.0  # softmax - onehot
     # row norms by einsum: unlike np.linalg.norm it builds no squared copy of
     # X, and it sums a row in the same order stacked or alone
     p_norms = np.sqrt(np.einsum("...i,...i", P, P))

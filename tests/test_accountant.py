@@ -1067,6 +1067,17 @@ def test_calibrate_pins_to_lower_bracket_when_unconstrained():
     assert sigma == 0.3
 
 
+@pytest.mark.parametrize("epsilon, q, steps", [(4.0, 0.05, 100), (1e4, 0.1, 1)])
+def test_calibrate_keeps_its_accepting_probe(epsilon, q, steps):
+    # the (epsilon, alpha*) kept at the returned sigma is the accepting probe's,
+    # for that walk only, with the bits of an unseeded walk at that sigma
+    sigma = calibrate_sigma(PrivacyBudget(epsilon, 1e-5), q=q, steps=steps)
+    walk = (q, sigma, steps, DEFAULT_ALPHAS, 1e-5)
+    fresh = accountant._calibration_epsilon(*walk)[:2]
+    assert list(accountant._ACCEPTED) == [walk]
+    assert repr(accountant._ACCEPTED[walk]) == repr(fresh)
+
+
 def test_calibrate_monotone_in_steps():
     sigmas = [
         calibrate_sigma(PrivacyBudget(2.0, 1e-5), q=0.02, steps=n)

@@ -415,6 +415,15 @@ def test_calibrate_reports_the_certified_curve_without_reevaluating(capsys, monk
         return original(alpha, params, **kw)
 
     monkeypatch.setattr(accountant, "renyi_step_bound", counting)
+    calibrate = cli.calibrate_sigma
+    at_return = []
+
+    def recording(*args, **kw):
+        sigma = calibrate(*args, **kw)
+        at_return.append(len(seen))
+        return sigma
+
+    monkeypatch.setattr(cli, "calibrate_sigma", recording)
     code, out, _ = run_cli(
         capsys, "calibrate", "--epsilon", "3", "--delta", "1e-5", "--q", "0.0517",
         "--steps", "30",
@@ -422,6 +431,9 @@ def test_calibrate_reports_the_certified_curve_without_reevaluating(capsys, monk
     assert code == cli.EXIT_OK
     kv = parse_kv(out)
     assert seen and len(seen) == len(set(seen))
+    # the printed epsilon is the accepting probe's: no bound is taken after
+    # the calibration returns
+    assert at_return == [len(seen)]
     ledger = ParticipationLedger()
     for t in range(1, 31):
         ledger.record(0, t, StepParams(q=0.0517, sigma=float(kv["sigma"]), clip=1.0, batch_size=1))

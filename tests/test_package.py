@@ -69,6 +69,25 @@ def test_script_imports(path):
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
+def test_same_outputs_sees_two_runs_of_one_tree_alike(tmp_path):
+    # a two-entry corpus, run twice on this tree in fresh processes, has no
+    # difference; a changed stdout or file is one
+    spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "scripts" / "same_outputs.py")
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    corpus = [entry for entry in harness.CORPUS if entry[0] in ("calibrate-readme", "trace-poisson")]
+    runs = [harness.run_corpus(ROOT, tmp_path / side, corpus) for side in ("a", "b")]
+    assert harness.differences(*runs) == []
+    assert runs[0]["calibrate-readme"][:2] == (0, runs[1]["calibrate-readme"][1])
+    assert runs[0]["calibrate-readme"][1].startswith(b"sigma=")
+    assert runs[0]["files"]["poisson.csv"].startswith(b"round,batch_size\n1,")
+    code, out, err = runs[1]["calibrate-readme"]
+    runs[1]["calibrate-readme"] = (code, out + b"\n", err)
+    runs[1]["files"]["poisson.csv"] += b"51,128\n"
+    assert harness.differences(*runs) == ["calibrate-readme: stdout differs",
+                                          "file poisson.csv differs"]
+
+
 def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
@@ -87,12 +106,16 @@ def test_perfbench_tracer_instruments_and_restores(tmp_path, capsys):
     tracer = tracing.Tracer()
     undo = tracing.instrument(tracer, fedrdp)
     try:
-        code = cli.main(["compose", "--ledger", str(tmp_path / "ledger.tsv"), "--client", "0",
-                         "--alphas", "2,4"])
+        codes = [cli.main(["compose", "--ledger", str(tmp_path / "ledger.tsv"), "--client", "0",
+                           "--alphas", "2,4"]),
+                 cli.main(["calibrate", "--epsilon", "16", "--q", "0.2", "--steps", "5"])]
     finally:
         tracing.restore(undo)
-    assert code == cli.EXIT_OK
-    assert {s.name for s in tracer.spans} >= {"accountant.ledger_read", "accountant.compose"}
+    assert codes == [cli.EXIT_OK] * 2
+    # calibrate's span times the whole calibration, so cmd_calibrate must call
+    # cli.calibrate_sigma
+    assert {s.name for s in tracer.spans} >= {"accountant.ledger_read", "accountant.compose",
+                                              "accountant.calibrate"}
     for owner, attr, original in undo:
         assert inspect.getattr_static(owner, attr) is original
     assert cli.compose_client_rdp is accountant.compose_client_rdp

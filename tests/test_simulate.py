@@ -628,6 +628,25 @@ def test_streams_seed_as_numpy_seedsequence(seed):
         assert np.array_equal(rng.normal(0.0, 2.0, size=5), want.normal(0.0, 2.0, size=5))
 
 
+@pytest.mark.parametrize("entropy", [(0, 2, 0), (2**40 + 3, 5, 7)])
+def test_stream_draws_equal_default_rngs(entropy):
+    # _stream builds Generator(PCG64(entropy)) itself; every draw the
+    # simulator takes, in turn from one stream, equals default_rng(entropy)'s
+    rng, want = _stream(*entropy), np.random.default_rng(entropy)
+    draws = (lambda g: g.random(7), lambda g: g.normal(0.0, 0.3, size=(3, 4)),
+             lambda g: g.integers(0, np.arange(20, 30) + 1, size=(4, 10)),
+             lambda g: g.choice(40, size=9, replace=False))
+    for draw in draws:
+        assert np.array_equal(draw(rng), draw(want))
+    # the client data: standard normals drawn in place, plus the centers,
+    # equal normal(size=...) plus the centers
+    centers = np.linspace(-4.0, 4.0, 6)
+    features = np.empty((5, 6))
+    _stream(*entropy).standard_normal(out=features)
+    assert np.array_equal(features + centers,
+                          np.random.default_rng(entropy).normal(size=(5, 6)) + centers)
+
+
 def test_rounds_share_floyd_passes_of_whole_rounds_within_the_byte_budget(monkeypatch):
     # each _fixed_batches call takes the steps of whole rounds, in order: as
     # many rounds as keep 48 * batch_size + points_per_client bytes a step
