@@ -73,6 +73,13 @@ CORPUS = (
                           "--steps", "100"]),
     ("calibrate-delta-1e-3", ["calibrate", "--epsilon", "4", "--delta", "1e-3", "--q", "0.05",
                               "--steps", "100"]),
+    # fractional orders decide the walk: alpha* = 2 with 1.75 and 2.5 next to it, and alpha* = 1.75
+    ("calibrate-alpha-star-2", ["calibrate", "--epsilon", "16", "--delta", "1e-5", "--q", "0.2",
+                                "--steps", "5"]),
+    ("calibrate-alpha-star-2-jittered", ["calibrate", "--epsilon", "16.3", "--delta", "1e-5",
+                                         "--q", "0.203", "--steps", "5"]),
+    ("calibrate-alpha-star-1.75", ["calibrate", "--epsilon", "30", "--delta", "1e-5", "--q", "0.2",
+                                   "--steps", "5"]),
     ("compose-client0", ["compose", "--ledger", "ledger.tsv", "--client", "0",
                          "--output", "curve0.csv"]),
     ("compose-client1-jsonl", ["compose", "--ledger", "ledger.tsv", "--client", "1",

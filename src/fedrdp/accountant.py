@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+from ._float64 import _binned_lower_bound
 from .divergence import MechanismParams, _number, renyi_step_bound
 
 __all__ = [
@@ -486,12 +487,15 @@ def _calibration_epsilon(
       - for an order above the lowest evaluated order whose value exceeded
         the best epsilon at that point, that order's value;
       - for a fractional order above 2, steps x the bound at its floor,
-        looked up only once the test at 0 has passed.
-    The last two rest on D_alpha being nondecreasing in alpha (van Erven &
-    Harremoes, arXiv:1206.2459): the bound exceeds D_alpha by at most its
-    stated slack (~1e-13 relative at integer orders), far less than D_alpha
-    grows between grid orders, and 2 alpha / sigma^2, taken where an order
-    has no bound, grows with alpha too.  No test assumes the term's sign or
+        looked up only once the test at 0 has passed;
+      - for a fractional order, steps x ``_binned_lower_bound``, taken only
+        once the three tests above have passed.
+    The second and third rest on D_alpha being nondecreasing in alpha (van
+    Erven & Harremoes, arXiv:1206.2459): the bound exceeds D_alpha by at most
+    its stated slack (~1e-13 relative at integer orders), far less than
+    D_alpha grows between grid orders, and 2 alpha / sigma^2, taken where an
+    order has no bound, grows with alpha too.  The fourth is <= D_alpha, so
+    <= the order's bound.  No test assumes the term's sign or
     monotonicity, so each holds under any conversion nondecreasing in the
     value; under this one, whose term is > 0, every order above the lowest
     that exceeded is skipped.  Each skip is on a strict > against an epsilon
@@ -510,8 +514,10 @@ def _calibration_epsilon(
         term = log_inv_delta / (alpha - 1.0)
         if (alpha > stop and _round_up(stop_value + term) > best
                 or _round_up(term) > best
-                or alpha % 1.0 and alpha > 2.0
-                and _round_up(steps * _cached_step_bound(alpha // 1.0, q, sigma) + term) > best):
+                or alpha % 1.0 and (
+                    alpha > 2.0
+                    and _round_up(steps * _cached_step_bound(alpha // 1.0, q, sigma) + term) > best
+                    or _round_up(steps * _binned_lower_bound(alpha, q, sigma) + term) > best)):
             continue
         value = _composed(((steps, _cached_step_bound(alpha, q, sigma)),))
         epsilons[alpha] = _round_up(value + term)

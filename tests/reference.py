@@ -188,6 +188,33 @@ def split_series_bracket(alpha: float, q: float, sigma: float, n: int, dps: int 
         return partial + min(nxt, 0), partial + max(nxt, 0)
 
 
+# --- binned divergence --------------------------------------------------------
+#
+# The divergence of the mechanism's pair over 17 bins of the real line at
+# 30 digits, each bin's masses from their own erfc: the edges are the float64
+# values the package computes, since the bins depend on them.
+
+
+def binned_divergence(alpha: float, q: float, sigma: float, dps: int = 30):
+    """(D_b, smallest mass): the order-alpha divergence of P and Q over the
+    bins cut at alpha + (k - 7.5) 0.2 sigma, k = 0..15, and the smallest mass
+    of Q or N(1, s^2) in a bin, at dps digits."""
+    edges = [alpha + (k - 7.5) * (0.2 * sigma) for k in range(16)]
+    with mp.workdps(dps):
+        al, qm = mp.mpf(alpha), mp.mpf(q)
+        r2s = mp.mpf(sigma) / mp.sqrt(2)
+
+        def masses(mu):
+            above = [mp.erfc((mp.mpf(e) - mu) / r2s) / 2 for e in edges]  # each cut's upper tail
+            # the first bin's mass from its own tail, as 1 - above[0] loses digits
+            first = mp.erfc(-(mp.mpf(edges[0]) - mu) / r2s) / 2
+            return [first] + [a - b for a, b in zip(above, above[1:])] + [above[-1]]
+
+        rs, ms = masses(0), masses(1)
+        total = mp.fsum(((1 - qm) * r + qm * m) ** al * r ** (1 - al) for r, m in zip(rs, ms))
+        return mp.log(total) / (al - 1), min(rs + ms)
+
+
 # --- per-line ledger parser -----------------------------------------------
 #
 # The straightforward parse: split every line into its six fields, build and

@@ -1223,13 +1223,35 @@ def test_calibration_epsilon_skips_orders_that_cannot_win():
 
 
 def test_calibration_walk_skips_orders_above_a_fractional_order_that_exceeded():
-    # 1.5's value, 753.9, exceeds the best epsilon 391.5 (at 1.25), so no order
-    # above 1.5 can win: 1.75 is skipped on that value, though its conversion
-    # term alone is below the best and it has no floor >= 2 to bound it
-    q, sigma, steps = 0.109, 0.74, 1000
+    # 4.5's value, 34.66, exceeds the best epsilon 32.48 (at 4.0), so no order
+    # above 4.5 can win: 4.75 is skipped on that value alone, as its
+    # conversion term, its floor's value and its binned lower bound each leave
+    # it below the best
+    q, sigma, steps, delta, alphas = 0.005, 1.5, 100000, 1e-5, (4.0, 4.5, 4.75)
+    got = accountant._calibration_epsilon(q, sigma, steps, alphas, delta)
+    assert got == (32.47562554976279, 4.0, 2)
+    curve = _composed_curve(q, sigma, steps, alphas)
+    assert rdp_to_dp(curve, delta) == (PrivacyBudget(got[0], delta), 4.0)
+    term = math.log(1 / delta) / 3.75
+    for lower in (0.0, accountant._cached_step_bound(4.0, q, sigma),
+                  accountant._binned_lower_bound(4.75, q, sigma)):
+        assert steps * lower + term < got[0]
+
+
+def test_calibration_walk_skips_fractional_orders_on_their_binned_lower_bound(monkeypatch):
+    # at the sigma calibrated for (16, 0.2, 5), alpha* = 2; 1.75 (no floor >= 2)
+    # and 2.5 (whose floor's value is too small) are skipped on their binned
+    # lower bounds, so neither order's own bound is looked up
+    q, sigma, steps = 0.2, 1.0512430084285838, 5
+    looked_up = []
+    memo = accountant._cached_step_bound
+    monkeypatch.setattr(accountant, "_cached_step_bound",
+                        lambda alpha, q, sigma: looked_up.append(alpha) or memo(alpha, q, sigma))
     got = accountant._calibration_epsilon(q, sigma, steps, DEFAULT_ALPHAS, 1e-5)
-    assert got == (391.48259511988044, 1.25, 4)
-    assert rdp_to_dp(_composed_curve(q, sigma, steps), 1e-5) == (PrivacyBudget(got[0], 1e-5), 1.25)
+    assert got == (15.999118325168764, 2.0, 3)
+    assert 1.75 not in looked_up and 2.5 not in looked_up
+    monkeypatch.undo()
+    assert rdp_to_dp(_composed_curve(q, sigma, steps), 1e-5) == (PrivacyBudget(got[0], 1e-5), 2.0)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

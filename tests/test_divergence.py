@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference
-from fedrdp import _float64, divergence
+from fedrdp import _float64, accountant, divergence
 from fedrdp.accountant import (
     DEFAULT_ALPHAS,
     DEFAULT_DELTA,
@@ -686,6 +686,58 @@ def test_erfc_is_within_its_assumed_error():
         for a in (26.0, 26.5, 40.0, 1e3, 1e8):
             exact = mp.log(mp.erfc(a))
             assert abs(_float64._log_erfc(a) - exact) <= (7 * abs(exact) + 10) * U
+
+
+# --- binned lower bound -------------------------------------------------------
+
+# the fractional orders of the default grid and of the calibration tests' grids,
+# and two near 1
+FRACTIONAL_ORDERS = sorted({a for a in DEFAULT_ALPHAS if not a.is_integer()}
+                           | {1.01, 1.1, 3.5, 7.25, 300.5})
+
+
+def _stated_binned_gap(alpha, sigma, exact):
+    """The most ``_float64._binned_lower_bound`` may lie below the binned
+    divergence, as its docstring states it, given that divergence."""
+    x = alpha / (sigma * math.sqrt(0.5)) + 3 * math.sqrt(0.5)
+    tau = (10 + 2 * x * (2 * x + math.sqrt(2))) * U * (1 + 2.0**-20)
+    p = _float64._LIBM_ULPS
+    eta = 2 * (2 * alpha - 1) * 3001 * tau + (12 * alpha + 4 * p + 4) * U
+    return (eta / (alpha - 1) + (4 * p + 4) * U * exact) * (1 + 2.0**-20)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(alpha=st.sampled_from(FRACTIONAL_ORDERS),
+       u_q=st.floats(0.0, 1.0), u_sigma=st.floats(0.0, 1.0))
+def test_binned_lower_bound_is_below_the_step_bound(alpha, u_q, u_sigma):
+    # below the bound composition takes at the order, 2 alpha / sigma^2 where
+    # the split series has no bound of its own
+    q = _log_uniform(1e-6, 0.95, u_q)
+    sigma = _log_uniform(0.3, 1000.0, u_sigma)
+    lower = _float64._binned_lower_bound(alpha, q, sigma)
+    assert 0.0 <= lower <= accountant._cached_step_bound(alpha, q, sigma)
+
+
+def test_binned_lower_bound_is_below_the_quadrature_oracle():
+    for alpha, q, sigma in [(1.75, 0.2, 1.05), (2.5, 0.05, 0.5), (1.25, 0.9, 3.0)]:
+        lower = _float64._binned_lower_bound(alpha, q, sigma)
+        assert 0.0 < lower <= renyi_divergence_quadrature(alpha, q, sigma)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(alpha=st.sampled_from([a for a in FRACTIONAL_ORDERS if a <= 3.5]),
+       u_q=st.floats(0.0, 1.0), u_sigma=st.floats(0.0, 1.0))
+def test_binned_lower_bound_is_within_its_error_bound(alpha, u_q, u_sigma):
+    # the same binned sum at 30 digits lies above the float64 bound, by no
+    # more than the stated error where no bin's mass is below 2^-1000
+    q = _log_uniform(1e-6, 0.95, u_q)
+    sigma = _log_uniform(0.3, 64.0, u_sigma)
+    exact, smallest_mass = reference.binned_divergence(alpha, q, sigma)
+    assume(smallest_mass >= mp.mpf(2) ** -1000)
+    lower = _float64._binned_lower_bound(alpha, q, sigma)
+    with mp.workdps(30):
+        assert lower <= exact
+        assert exact - lower <= _stated_binned_gap(alpha, sigma, float(exact))
 
 
 def test_bound_dominates_oracle_spot_points():
