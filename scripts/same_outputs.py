@@ -47,6 +47,10 @@ INPUTS = {
     "classes50.json": {"rounds": 3, "clients": 12, "m_t": 10, "d": 400, "classes": 50,
                        "points_per_client": 20, "batch_size": 5, "clip": 1.0, "sigma": 1.0,
                        "seed": 6},
+    # a non-private run: every clients.csv epsilon is inf
+    "nonprivate.json": {"rounds": 10, "clients": 8, "m_t": 5, "d": 4, "classes": 2,
+                        "points_per_client": 40, "batch_size": 8, "clip": 1.0, "sigma": 0.0,
+                        "dropout_prob": 0.2, "seed": 3},
     "trace.json": {"rounds": 1, "clients": 1, "d": 2, "classes": 2,
                    "points_per_client": 3000, "batch_size": 128, "clip": 1.0, "sigma": 1.0,
                    "seed": 4},
@@ -66,6 +70,7 @@ CORPUS = (
     ("simulate-target-epsilon", ["simulate", "--config", "target.json", "--outdir", "target"]),
     ("simulate-classes9", ["simulate", "--config", "classes9.json", "--outdir", "classes9"]),
     ("simulate-classes50", ["simulate", "--config", "classes50.json", "--outdir", "classes50"]),
+    ("simulate-nonprivate", ["simulate", "--config", "nonprivate.json", "--outdir", "nonprivate"]),
     ("trace-fixed", ["trace", "--config", "trace.json", "--sampler", "fixed", "--rounds", "50"]),
     ("trace-poisson", ["trace", "--config", "trace.json", "--sampler", "poisson",
                        "--rounds", "50", "--output", "poisson.csv"]),

@@ -18,7 +18,8 @@ it.  Writing goes through a temporary file that replaces the target only
 when complete: a ledger cut short would read back as a valid, shorter
 history and understate epsilon.  Composition groups a client's steps by
 identical (q, sigma), so its cost grows with the number of distinct step
-parameters, not with the number of steps.
+parameters, not with the number of steps.  `client_epsilon_report` gives
+every client's epsilon, the rows of clients.csv, from the same grouping.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import math
 import os
 import re
 import sys
+import threading
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -43,6 +46,7 @@ __all__ = [
     "ParticipationLedger",
     "CalibrationError",
     "compose_client_rdp",
+    "client_epsilon_report",
     "rdp_to_dp",
     "calibrate_sigma",
 ]
@@ -396,14 +400,23 @@ def _round_up(total: float) -> float:
     return math.nextafter(total, math.inf) if total else total
 
 
-def _composed(groups: Iterable[tuple[int, float]]) -> float:
-    """Sum of count x bound over (count, bound) groups, rounded up: with more
-    than one group each product first.  Composition and calibration both
-    sum through here, so calibration converts composition's curve exactly."""
-    products = [n * bound for n, bound in groups]
+def _composed(groups: dict[tuple[float, float], int], alpha: float) -> float:
+    """The sum of count x one-step bound at alpha over steps counted by
+    (q, sigma), rounded up: with more than one group each product first.
+    Composition and calibration both sum through here, so calibration
+    converts composition's curve exactly."""
+    products = [n * _cached_step_bound(alpha, q, sigma) for (q, sigma), n in groups.items()]
     if len(products) > 1:
         products = [_round_up(p) for p in products]
     return _round_up(math.fsum(products))
+
+
+def _step_groups(steps: tuple[tuple[int, StepParams], ...]) -> tuple[Counter, int | None]:
+    """A client's steps counted by (q, sigma), first appearance first, and the
+    index of its first step with no finite bound (sigma = 0 or q = 1), or None."""
+    groups = Counter((p.q, p.sigma) for _, p in steps)
+    bad = [(q, sigma) for q, sigma in groups if sigma == 0 or q == 1]
+    return groups, [(p.q, p.sigma) for _, p in steps].index(bad[0]) if bad else None
 
 
 def compose_client_rdp(
@@ -415,31 +428,51 @@ def compose_client_rdp(
 
     Independent composition: value(alpha) = sum over steps of the one-step
     bound at (q, sigma) of that step.  Steps are grouped by identical
-    (q, sigma), so each order's value is the sum over groups of count x the
-    group's one-step bound, rounded up (``_composed``), at a cost of
-    O(distinct (q, sigma) x orders).
+    (q, sigma) (``_step_groups``), so each order's value is the sum over
+    groups of count x the group's one-step bound, rounded up (``_composed``),
+    at a cost of O(distinct (q, sigma) x orders).
     A client absent from the ledger has the zero curve.  Steps with
     sigma = 0 or q = 1 admit no finite bound and raise, annotated with the
     index of the first such step.
     """
     steps = ledger.steps(client_id)
     alphas = _orders(alphas)
-    counts: dict[tuple[float, float], int] = {}
-    for idx, (t, p) in enumerate(steps):
-        key = (p.q, p.sigma)
-        if key not in counts:
-            if p.sigma == 0 or p.q == 1:
-                raise ValueError(
-                    f"step {idx} (t={t}) of client {client_id} has q={p.q}, "
-                    f"sigma={p.sigma}: no finite divergence bound exists"
-                )
-            counts[key] = 0
-        counts[key] += 1
-    totals = tuple(
-        _composed((n, _cached_step_bound(alpha, q, sigma)) for (q, sigma), n in counts.items())
-        for alpha in alphas
-    )
-    return RdpCurve(alphas, totals)
+    groups, idx = _step_groups(steps)
+    if idx is not None:
+        t, p = steps[idx]
+        raise ValueError(f"step {idx} (t={t}) of client {client_id} has q={p.q}, "
+                         f"sigma={p.sigma}: no finite divergence bound exists")
+    return RdpCurve(alphas, tuple(_composed(groups, alpha) for alpha in alphas))
+
+
+def client_epsilon_report(ledger: ParticipationLedger, delta: float) -> list[tuple[int, int, float]]:
+    """(client_id, participations, epsilon) rows for every ledgered client.
+
+    epsilon is ``rdp_to_dp`` of ``compose_client_rdp`` on DEFAULT_ALPHAS,
+    rounded up to 12 significant digits: clients.csv's ``.12g`` prints it
+    exactly, and the value read back is never below the library's.  It is
+    +inf, not an error, for a client with a step of no finite bound: a
+    non-private run is a legitimate simulator configuration.  delta must lie
+    in (0, 1), even with no client.  Clients with the same step count per
+    (q, sigma) share one composition, as its fsum ignores the step order.
+    """
+    import decimal  # ~1.6 ms and ~0.3 MB that no other job of the accountant needs
+
+    delta = _number(delta, float, *_DELTA)
+    twelve_digits_up = decimal.Context(prec=12, rounding=decimal.ROUND_CEILING)
+    epsilons: dict[frozenset, float] = {}
+    rows = []
+    for cid in ledger.clients():
+        steps = ledger.steps(cid)
+        groups, nonprivate = _step_groups(steps)
+        history = frozenset(groups.items())
+        if history not in epsilons:
+            epsilon = math.inf if nonprivate is not None else rdp_to_dp(
+                RdpCurve(DEFAULT_ALPHAS, tuple(_composed(groups, a) for a in DEFAULT_ALPHAS)),
+                delta)[0].epsilon
+            epsilons[history] = float(twelve_digits_up.create_decimal(epsilon))
+        rows.append((cid, len(steps), epsilons[history]))
+    return rows
 
 
 def _order_epsilon(value: float, alpha: float, delta: float) -> float:
@@ -519,7 +552,7 @@ def _calibration_epsilon(
                     and _round_up(steps * _cached_step_bound(alpha // 1.0, q, sigma) + term) > best
                     or _round_up(steps * _binned_lower_bound(alpha, q, sigma) + term) > best)):
             continue
-        value = _composed(((steps, _cached_step_bound(alpha, q, sigma)),))
+        value = _composed({(q, sigma): steps}, alpha)
         epsilons[alpha] = _round_up(value + term)
         best = min(best, epsilons[alpha])
         if value > best and alpha < stop:
@@ -528,8 +561,7 @@ def _calibration_epsilon(
     return epsilons[alpha_star], alpha_star, len(epsilons)
 
 
-# {(q, sigma, steps, alphas, delta): (epsilon, alpha*)} of calibrate_sigma's last accepting probe
-_ACCEPTED: dict = {}
+_ACCEPTED = threading.local()  # .probe: {walk: (epsilon, alpha*)} of this thread's last calibration
 
 
 def _first_probe(target: PrivacyBudget, q: float, steps: int) -> float:
@@ -612,8 +644,7 @@ def calibrate_sigma(
 
     def result(sigma: float) -> float:
         _debug("calibrate: returning sigma=%r after %d sigmas", sigma, len(evaluated))
-        _ACCEPTED.clear()
-        _ACCEPTED[q, sigma, steps, alphas, target.delta] = evaluated[sigma]
+        _ACCEPTED.probe = {(q, sigma, steps, alphas, target.delta): evaluated[sigma]}
         return sigma
 
     lo = hi = _first_probe(target, q, steps)

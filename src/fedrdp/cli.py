@@ -186,7 +186,7 @@ def cmd_calibrate(args) -> int:
         PrivacyBudget(args.epsilon, args.delta), q=args.q, steps=args.steps, alphas=alphas
     )
     # the epsilon of the probe that accepted sigma, so achieved_epsilon <= target
-    epsilon, alpha_star = _ACCEPTED[args.q, sigma, args.steps, alphas, args.delta]
+    epsilon, alpha_star = _ACCEPTED.probe[args.q, sigma, args.steps, alphas, args.delta]
     _print_kv(
         sigma=sigma,
         achieved_epsilon=epsilon,

@@ -7,7 +7,8 @@ update directions, adds isotropic Gaussian noise with per-coordinate
 standard deviation clip * sigma / batch_size, and the server adds the mean
 of the returned updates to the model.  Every client participation lands in a
 ParticipationLedger with the exact (q, sigma, clip, batch_size) used, so the
-accountant can replay privacy per client afterwards.
+accountant can replay privacy per client afterwards; clients.csv holds the
+accountant's `client_epsilon_report`, which this module re-exports.
 
 Model family: multinomial logistic regression on synthetic Gaussian blobs;
 the model is a plain (classes, d) float64 weight array.
@@ -37,13 +38,11 @@ updates are computed.
 
 from __future__ import annotations
 
-import decimal
 import itertools
 import json
 import math
 import operator
 import os
-from collections import Counter
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Iterator, Sequence
 
@@ -54,9 +53,9 @@ from .accountant import (
     ParticipationLedger,
     PrivacyBudget,
     StepParams,
-    _DELTA,
     calibrate_sigma,
-    compose_client_rdp,
+    client_epsilon_report,
+    compose_client_rdp,  # and rdp_to_dp: unused, but perfbench's tracer wraps them here
     rdp_to_dp,
     write_atomic,
 )
@@ -439,37 +438,6 @@ def evaluate_accuracy(model: np.ndarray, clients: Sequence[ClientState]) -> floa
     """
     hits = [np.argmax(c.features @ model.T, axis=1) == c.labels for c in clients]
     return float(np.mean(np.concatenate(hits)))
-
-
-def client_epsilon_report(ledger: ParticipationLedger, delta: float) -> list[tuple[int, int, float]]:
-    """(client_id, participations, epsilon) rows for every ledgered client.
-
-    epsilon is the library's (``rdp_to_dp`` of ``compose_client_rdp`` on
-    DEFAULT_ALPHAS) rounded up to 12 significant digits: clients.csv writes
-    it with ``.12g``, which then prints it exactly, and the value read back
-    is never below the library's.  A client with a step admitting no finite
-    bound (sigma = 0 or full batch) reports epsilon = +inf rather than
-    raising: a non-private run is a legitimate simulator configuration and
-    the report should say so.  delta must lie in (0, 1), even with no
-    client to report.  Clients with the same step count per (q, sigma)
-    share one composition: its fsum is exactly rounded, so their curve does
-    not depend on the step order.
-    """
-    delta = _number(delta, float, *_DELTA)
-    twelve_digits_up = decimal.Context(prec=12, rounding=decimal.ROUND_CEILING)
-    epsilons: dict[frozenset, float] = {}
-    rows = []
-    for cid in ledger.clients():
-        steps = ledger.steps(cid)
-        history = frozenset(Counter((p.q, p.sigma) for _, p in steps).items())
-        if history not in epsilons:
-            if any(sigma == 0 or q == 1 for (q, sigma), _ in history):
-                epsilon = math.inf
-            else:
-                epsilon = rdp_to_dp(compose_client_rdp(ledger, cid), delta)[0].epsilon
-            epsilons[history] = float(twelve_digits_up.create_decimal(epsilon))
-        rows.append((cid, len(steps), epsilons[history]))
-    return rows
 
 
 def write_artifacts(

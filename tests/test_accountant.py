@@ -21,6 +21,7 @@ from fedrdp.accountant import (
     RdpCurve,
     StepParams,
     calibrate_sigma,
+    client_epsilon_report,
     compose_client_rdp,
     rdp_to_dp,
 )
@@ -821,6 +822,25 @@ def test_compose_rejects_nonprivate_step_with_index():
         compose_client_rdp(led, 0)
 
 
+def test_epsilon_report_over_two_phases_keeps_its_rows():
+    # rounds 1-40 run one (q, sigma) and rounds 41-100 another; clients 2 and 3
+    # share a history.  The rows are the ones fedrdp.simulate's report gave
+    # before the report moved into the accountant.
+    first = StepParams(q=0.05, sigma=1.5, clip=1.0, batch_size=10)
+    second = StepParams(q=0.01, sigma=2.0, clip=1.0, batch_size=10)
+    rounds = {0: range(1, 101), 1: range(1, 101, 3), 2: range(2, 101, 3), 3: range(3, 101, 3),
+              4: range(41, 101, 2), 5: range(1, 41, 5), 6: range(30, 60)}
+    ledger = ParticipationLedger()
+    for cid, ts in rounds.items():
+        for t in ts:
+            ledger.record(cid, t, first if t <= 40 else second)
+    assert client_epsilon_report(ledger, 1e-5) == [
+        (0, 100, 6.95275779485), (1, 34, 5.52252795646), (2, 33, 5.40269773833),
+        (3, 33, 5.40269773833), (4, 30, 1.67151295509), (5, 8, 4.7962835667),
+        (6, 30, 5.16267414802),
+    ]
+
+
 def test_step_bound_memo_is_capped():
     memo = accountant._cached_step_bound
     assert memo.cache_info().maxsize == accountant.STEP_BOUND_CACHE_SIZE < math.inf
@@ -1074,8 +1094,8 @@ def test_calibrate_keeps_its_accepting_probe(epsilon, q, steps):
     sigma = calibrate_sigma(PrivacyBudget(epsilon, 1e-5), q=q, steps=steps)
     walk = (q, sigma, steps, DEFAULT_ALPHAS, 1e-5)
     fresh = accountant._calibration_epsilon(*walk)[:2]
-    assert list(accountant._ACCEPTED) == [walk]
-    assert repr(accountant._ACCEPTED[walk]) == repr(fresh)
+    assert list(accountant._ACCEPTED.probe) == [walk]
+    assert repr(accountant._ACCEPTED.probe[walk]) == repr(fresh)
 
 
 def test_calibrate_monotone_in_steps():

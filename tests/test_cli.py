@@ -5,6 +5,8 @@ import dataclasses
 import json
 import math
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -440,6 +442,46 @@ def test_calibrate_reports_the_certified_curve_without_reevaluating(capsys, monk
     budget, alpha_star = rdp_to_dp(compose_client_rdp(ledger, 0), 1e-5)
     assert float(kv["achieved_epsilon"]) == budget.epsilon <= 3.0
     assert float(kv["alpha_star"]) == alpha_star
+
+
+def test_calibrate_in_concurrent_threads_prints_each_threads_probe(monkeypatch):
+    # every thread's calibration returns before any command reads its
+    # accepted probe, and each still prints its own
+    targets = [("4", "0.05", "100"), ("16", "0.2", "5"), ("2", "0.02", "50"), ("8", "0.1", "20")]
+    calibrate = cli.calibrate_sigma
+    barrier = threading.Barrier(len(targets), timeout=60)
+
+    def waiting(*args, **kw):
+        sigma = calibrate(*args, **kw)
+        barrier.wait()
+        return sigma
+
+    printed, codes = [], {}
+
+    def run(target):
+        epsilon, q, steps = target
+        codes[target] = cli.main(["calibrate", "--epsilon", epsilon, "--q", q, "--steps", steps])
+
+    monkeypatch.setattr(cli, "_print_kv", lambda **kv: printed.append(repr(kv)))
+    monkeypatch.setattr(cli, "calibrate_sigma", waiting)
+    threads = [threading.Thread(target=run, args=(target,)) for target in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert codes == dict.fromkeys(targets, cli.EXIT_OK)
+    threaded = sorted(printed)
+    printed.clear()
+    monkeypatch.setattr(cli, "calibrate_sigma", calibrate)
+    for target in targets:
+        run(target)
+    assert threaded == sorted(printed)
 
 
 def test_calibrate_rejects_an_infinite_order(capsys):

@@ -393,6 +393,16 @@ def test_float64_paths_refuse_orders_past_their_largest():
         assert time.perf_counter() - start < 0.05
 
 
+@pytest.mark.parametrize("sigma", [1e-4, 1e-16])
+def test_split_series_refuses_noise_too_small_to_certify(sigma):
+    # at 1e-4 a kept term's error passes 2^-21; at 1e-16 the first term is
+    # dropped with an error past 1, before any term is kept.  Composition
+    # takes q = 1's 2 alpha / sigma^2 there
+    with pytest.raises(OverflowError, match="split series outside its domain"):
+        renyi_step_bound(1.5, MechanismParams(q=0.1, sigma=sigma))
+    assert accountant._cached_step_bound(1.5, 0.1, sigma) > 3.0 / sigma / sigma
+
+
 def test_each_bound_names_its_path():
     assert renyi_step_bound(2.0, MechanismParams(0.05, 4.0)).path == "closed_form"
     assert renyi_step_bound(2.5, MechanismParams(0.05, 4.0)).path == "split"

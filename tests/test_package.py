@@ -26,6 +26,12 @@ def test_every_exported_name_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
+def test_package_imports_the_simulator_on_first_access(monkeypatch):
+    # the attribute is unset until the submodule is first imported
+    monkeypatch.delattr(fedrdp, "simulate")
+    assert fedrdp.simulate is simulate
+
+
 def test_package_exports_16_names():
     assert len(fedrdp.__all__) == len(set(fedrdp.__all__)) == 16
 
@@ -46,11 +52,12 @@ def test_accountant_imports_leave_numpy_unloaded(module):
         import sys, {module}
         assert 'numpy' not in sys.modules
         assert 'mpmath' not in sys.modules
+        assert 'decimal' not in sys.modules  # only the per-client report needs it
     """)
 
 
-def test_accountant_exports_10_names():
-    assert len(accountant.__all__) == len(set(accountant.__all__)) == 10
+def test_accountant_exports_11_names():
+    assert len(accountant.__all__) == len(set(accountant.__all__)) == 11
 
 
 def test_divergence_exports_7_names():
@@ -59,6 +66,23 @@ def test_divergence_exports_7_names():
 
 def test_simulate_exports_10_names():
     assert len(simulate.__all__) == len(set(simulate.__all__)) == 10
+
+
+def test_simulate_reexports_the_accountants_report():
+    assert simulate.client_epsilon_report is accountant.client_epsilon_report
+
+
+def test_epsilon_report_runs_without_numpy():
+    # with numpy unimportable, the accountant still reports every client
+    _run_python("""
+        import sys
+        sys.modules["numpy"] = None
+        from fedrdp.accountant import ParticipationLedger, client_epsilon_report
+        ledger = ParticipationLedger.from_text("0\\t1\\t0.01\\t2.0\\t1.0\\t10\\n"
+                                               "0\\t2\\t0.01\\t2.0\\t1.0\\t10\\n")
+        assert client_epsilon_report(ledger, 1e-5) == [(0, 2, 1.64649092567)]
+        assert "fedrdp.simulate" not in sys.modules
+    """)
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
