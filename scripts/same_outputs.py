@@ -85,12 +85,32 @@ CORPUS = (
                                          "--q", "0.203", "--steps", "5"]),
     ("calibrate-alpha-star-1.75", ["calibrate", "--epsilon", "30", "--delta", "1e-5", "--q", "0.2",
                                    "--steps", "5"]),
+    # the README target on the tests' other order grids, and at two more deltas
+    ("calibrate-grid-48-64", ["calibrate", "--epsilon", "4", "--delta", "1e-5", "--q", "0.05",
+                              "--steps", "100", "--alphas", "48,64"]),
+    ("calibrate-grid-4", ["calibrate", "--epsilon", "4", "--delta", "1e-5", "--q", "0.05",
+                          "--steps", "100", "--alphas", "4"]),
+    # on the grid (2.5,) the README target is below the conversion floor 7.68
+    ("calibrate-grid-2.5", ["calibrate", "--epsilon", "16", "--delta", "1e-5", "--q", "0.05",
+                            "--steps", "100", "--alphas", "2.5"]),
+    ("calibrate-grid-floors-off-grid", ["calibrate", "--epsilon", "4", "--delta", "1e-5",
+                                        "--q", "0.05", "--steps", "100",
+                                        "--alphas", "1.5,3.5,7.25,300.5,512"]),
+    ("calibrate-delta-1e-8", ["calibrate", "--epsilon", "4", "--delta", "1e-8", "--q", "0.05",
+                              "--steps", "100"]),
+    ("calibrate-delta-0.5", ["calibrate", "--epsilon", "4", "--delta", "0.5", "--q", "0.05",
+                             "--steps", "100"]),
     ("compose-client0", ["compose", "--ledger", "ledger.tsv", "--client", "0",
                          "--output", "curve0.csv"]),
     ("compose-client1-jsonl", ["compose", "--ledger", "ledger.tsv", "--client", "1",
                                "--format", "jsonl", "--output", "curve1.jsonl"]),
     ("convert-client0", ["convert", "--curve", "curve0.csv", "--delta", "1e-5"]),
     ("convert-client1", ["convert", "--curve", "curve1.jsonl", "--delta", "1e-3"]),
+    ("compose-client0-fractional-grid", ["compose", "--ledger", "ledger.tsv", "--client", "0",
+                                         "--alphas", "1.5,2.5,3.5,7.25",
+                                         "--output", "curve0-fractional.csv"]),
+    ("convert-client0-fractional-grid", ["convert", "--curve", "curve0-fractional.csv",
+                                         "--delta", "1e-5"]),
     ("bound-integer", ["bound", "--alpha", "8", "--q", "0.01", "--sigma", "2"]),
     ("bound-fractional", ["bound", "--alpha", "2.5", "--q", "0.05", "--sigma", "1.5"]),
     ("oracle", ["oracle", "--alpha", "2", "--q", "0.01", "--sigma", "2"]),

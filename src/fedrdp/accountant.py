@@ -28,7 +28,6 @@ import math
 import os
 import re
 import sys
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -354,9 +353,12 @@ def _client_lines(data: bytearray, client_id: int) -> Iterator[tuple[int, str]]:
 def write_atomic(path, text: str) -> None:
     """Write ASCII text to path so that path never holds a partial file.
 
-    The text goes to a temporary file in path's directory, which then
-    replaces path; if writing fails, path is left as it was and the
-    temporary file is removed.
+    The text goes to a temporary file in path's directory, which is fsynced
+    and then replaces path; if writing fails, path is left as it was and the
+    temporary file is removed.  A failed or killed process leaves path old or
+    new, complete either way.  The fsync orders the data before the rename,
+    so an OS crash or power loss does too, except that the rename may be
+    lost (the directory is not fsynced), which leaves the old file.
     """
     data = text.encode("ascii")
     path = os.fspath(path)
@@ -365,6 +367,8 @@ def write_atomic(path, text: str) -> None:
     try:
         with open(tmp, "xb") as fh:
             fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -561,7 +565,10 @@ def _calibration_epsilon(
     return epsilons[alpha_star], alpha_star, len(epsilons)
 
 
-_ACCEPTED = threading.local()  # .probe: {walk: (epsilon, alpha*)} of this thread's last calibration
+class _Sigma(float):
+    """A sigma `calibrate_sigma` returns, with its accepting probe's epsilon and alpha*."""
+
+    __slots__ = ("epsilon", "alpha_star")
 
 
 def _first_probe(target: PrivacyBudget, q: float, steps: int) -> float:
@@ -606,6 +613,11 @@ def calibrate_sigma(
     epsilon(lo) > target.epsilon >= epsilon(hi).  The solve stops once
     hi - lo <= CALIBRATION_REL_TOL * hi and returns hi.
 
+    The sigma returned is a float subclass whose .epsilon (<= target.epsilon)
+    and .alpha_star are those of the probe that accepted it, the CLI's
+    achieved_epsilon and alpha_star; every number boundary (`_number`) stores
+    it as a built-in float.
+
     Each epsilon evaluation (sigma, epsilon, alpha*, orders evaluated out of
     the grid's, seed) and the result (sigma, number of sigmas evaluated) are
     logged at DEBUG level.
@@ -644,8 +656,9 @@ def calibrate_sigma(
 
     def result(sigma: float) -> float:
         _debug("calibrate: returning sigma=%r after %d sigmas", sigma, len(evaluated))
-        _ACCEPTED.probe = {(q, sigma, steps, alphas, target.delta): evaluated[sigma]}
-        return sigma
+        accepted = _Sigma(sigma)
+        accepted.epsilon, accepted.alpha_star = evaluated[sigma]
+        return accepted
 
     lo = hi = _first_probe(target, q, steps)
     eps_lo = eps_hi = eps(hi)

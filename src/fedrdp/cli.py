@@ -27,7 +27,6 @@ from .accountant import (
     ParticipationLedger,
     PrivacyBudget,
     RdpCurve,
-    _ACCEPTED,
     calibrate_sigma,
     compose_client_rdp,
     rdp_to_dp,
@@ -186,13 +185,12 @@ def cmd_calibrate(args) -> int:
         PrivacyBudget(args.epsilon, args.delta), q=args.q, steps=args.steps, alphas=alphas
     )
     # the epsilon of the probe that accepted sigma, so achieved_epsilon <= target
-    epsilon, alpha_star = _ACCEPTED.probe[args.q, sigma, args.steps, alphas, args.delta]
     _print_kv(
         sigma=sigma,
-        achieved_epsilon=epsilon,
+        achieved_epsilon=sigma.epsilon,
         target_epsilon=args.epsilon,
         delta=args.delta,
-        alpha_star=alpha_star,
+        alpha_star=sigma.alpha_star,
     )
     return EXIT_OK
 

@@ -4,6 +4,8 @@ import logging
 import math
 import os
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -710,6 +712,39 @@ def test_write_failing_partway_keeps_old_ledger(tmp_path, half_full_disk):
     assert os.listdir(tmp_path) == ["ledger.tsv"]
 
 
+def test_write_fsyncs_the_whole_temporary_file_before_replacing(tmp_path, monkeypatch):
+    # without the fsync an OS crash may persist the rename before the data,
+    # leaving a short ledger that reads back as a shorter history
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def traced_fsync(fd):
+        stat = os.fstat(fd)
+        events.append(("fsync", stat.st_ino, stat.st_size))
+        fsync(fd)
+
+    def traced_replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino, os.fspath(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", traced_fsync)
+    monkeypatch.setattr(os, "replace", traced_replace)
+
+    def check(target, text, write):
+        events.clear()
+        write()
+        assert [event[0] for event in events] == ["fsync", "replace"]
+        (_, synced, size), (_, replaced, dst) = events
+        assert synced == replaced and size == len(text) and dst == os.fspath(target)
+        assert target.read_text(encoding="ascii") == text
+
+    led, path, before = _ledger_file(tmp_path)
+    check(path, led.to_text(), lambda: led.write(path))
+    for target, text in [(path, before.decode("ascii")), (tmp_path / "curve.csv", "alpha,rdp\n")]:
+        check(target, text, lambda: accountant.write_atomic(target, text))
+    assert sorted(os.listdir(tmp_path)) == ["curve.csv", "ledger.tsv"]
+
+
 # --- composition ---------------------------------------------------------
 
 
@@ -1089,13 +1124,43 @@ def test_calibrate_pins_to_lower_bracket_when_unconstrained():
 
 @pytest.mark.parametrize("epsilon, q, steps", [(4.0, 0.05, 100), (1e4, 0.1, 1)])
 def test_calibrate_keeps_its_accepting_probe(epsilon, q, steps):
-    # the (epsilon, alpha*) kept at the returned sigma is the accepting probe's,
-    # for that walk only, with the bits of an unseeded walk at that sigma
+    # the (epsilon, alpha*) the returned sigma carries is the accepting probe's,
+    # with the bits of an unseeded walk at that sigma
     sigma = calibrate_sigma(PrivacyBudget(epsilon, 1e-5), q=q, steps=steps)
-    walk = (q, sigma, steps, DEFAULT_ALPHAS, 1e-5)
-    fresh = accountant._calibration_epsilon(*walk)[:2]
-    assert list(accountant._ACCEPTED.probe) == [walk]
-    assert repr(accountant._ACCEPTED.probe[walk]) == repr(fresh)
+    plain = float(sigma)
+    fresh = accountant._calibration_epsilon(q, plain, steps, DEFAULT_ALPHAS, 1e-5)[:2]
+    assert [repr(sigma), "%r" % sigma, f"{sigma:.12g}"] == [repr(plain), repr(plain), f"{plain:.12g}"]
+    assert repr((sigma.epsilon, sigma.alpha_star)) == repr(fresh)
+
+
+def test_calibrate_in_concurrent_threads_carries_each_walks_probe():
+    # each thread's sigma carries its own accepting probe, whatever the
+    # other threads calibrated in between
+    targets = [(4.0, 0.05, 100), (16.0, 0.2, 5), (2.0, 0.02, 50), (8.0, 0.1, 20)]
+    barrier = threading.Barrier(len(targets), timeout=60)
+    results = {}
+
+    def run(target):
+        epsilon, q, steps = target
+        barrier.wait()
+        results[target] = calibrate_sigma(PrivacyBudget(epsilon, 1e-5), q=q, steps=steps)
+
+    threads = [threading.Thread(target=run, args=(target,)) for target in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(set(results.values())) == len(targets)
+    for (epsilon, q, steps), sigma in results.items():
+        fresh = accountant._calibration_epsilon(q, float(sigma), steps, DEFAULT_ALPHAS, 1e-5)[:2]
+        assert repr((sigma.epsilon, sigma.alpha_star)) == repr(fresh)
+        assert sigma.epsilon <= epsilon
 
 
 def test_calibrate_monotone_in_steps():

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import reference
 from fedrdp import simulate
 from fedrdp.accountant import ParticipationLedger, StepParams, compose_client_rdp, rdp_to_dp
+from fedrdp.divergence import MechanismParams
 from fedrdp.simulate import (
     SimConfig,
     batch_size_trace,
@@ -830,6 +831,27 @@ def test_numpy_typed_rounds_calibrate_and_train_like_an_int(tmp_path):
         paths = write_artifacts(tmp_path / str(len(written)), model, records, ledger, 1e-5)
         written.append([open(paths[name], "rb").read() for name in sorted(paths)])
     assert written[0] == written[1]
+
+
+def test_a_calibrated_sigma_is_stored_and_ledgered_as_a_built_in_float(tmp_path):
+    # calibrate_sigma's sigma is a float subclass; every number boundary
+    # stores a built-in float, so the ledger never sees the subclass
+    cfg = small_config(sigma=None, target_epsilon=4.0)
+    sigma = cfg.resolve_sigma()
+    assert type(sigma) is not float and hasattr(sigma, "epsilon")
+    stored = [
+        dataclasses.replace(cfg, sigma=sigma, target_epsilon=None).sigma,
+        StepParams(q=cfg.sampling_ratio, sigma=sigma, clip=1.0, batch_size=1).sigma,
+        MechanismParams(q=cfg.sampling_ratio, sigma=sigma).sigma,
+    ]
+    assert [type(value) for value in stored] == [float] * 3
+    assert stored == [sigma] * 3
+    ledgers = []
+    for run in (cfg, dataclasses.replace(cfg, sigma=float(sigma), target_epsilon=None)):
+        paths = write_artifacts(tmp_path / str(len(ledgers)), *run_training(run), run.delta)
+        with open(paths["ledger"], "rb") as fh:
+            ledgers.append(fh.read())
+    assert ledgers[0] == ledgers[1]
 
 
 def test_trace_fixed_sampler_constant():
