@@ -51,6 +51,14 @@ INPUTS = {
     "nonprivate.json": {"rounds": 10, "clients": 8, "m_t": 5, "d": 4, "classes": 2,
                         "points_per_client": 40, "batch_size": 8, "clip": 1.0, "sigma": 0.0,
                         "dropout_prob": 0.2, "seed": 3},
+    # no client steps: the ledger is empty and every round record is empty
+    "no-steps.json": {"rounds": 5, "clients": 4, "m_t": 0, "d": 3, "classes": 2,
+                      "points_per_client": 20, "batch_size": 4, "clip": 1.0, "sigma": 1.0,
+                      "seed": 9},
+    # heavy dropout: 11 of the 30 rounds select nobody
+    "dropout.json": {"rounds": 30, "clients": 6, "m_t": 2, "d": 3, "classes": 2,
+                     "points_per_client": 20, "batch_size": 4, "clip": 1.0, "sigma": 1.0,
+                     "seed": 8, "dropout_prob": 0.8},
     "trace.json": {"rounds": 1, "clients": 1, "d": 2, "classes": 2,
                    "points_per_client": 3000, "batch_size": 128, "clip": 1.0, "sigma": 1.0,
                    "seed": 4},
@@ -71,6 +79,8 @@ CORPUS = (
     ("simulate-classes9", ["simulate", "--config", "classes9.json", "--outdir", "classes9"]),
     ("simulate-classes50", ["simulate", "--config", "classes50.json", "--outdir", "classes50"]),
     ("simulate-nonprivate", ["simulate", "--config", "nonprivate.json", "--outdir", "nonprivate"]),
+    ("simulate-no-steps", ["simulate", "--config", "no-steps.json", "--outdir", "no-steps"]),
+    ("simulate-dropout-0.8", ["simulate", "--config", "dropout.json", "--outdir", "dropout"]),
     ("trace-fixed", ["trace", "--config", "trace.json", "--sampler", "fixed", "--rounds", "50"]),
     ("trace-poisson", ["trace", "--config", "trace.json", "--sampler", "poisson",
                        "--rounds", "50", "--output", "poisson.csv"]),

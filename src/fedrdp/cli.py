@@ -218,8 +218,8 @@ def cmd_simulate(args) -> int:
         sigma=float(config.sigma),
         accuracy=accuracy,
     )
-    for name in ("model", "rounds", "clients", "ledger"):
-        print(f"wrote {paths[name]}")
+    for path in paths.values():
+        print(f"wrote {path}")
     return EXIT_OK
 
 

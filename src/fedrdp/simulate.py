@@ -41,7 +41,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 import os
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Iterator, Sequence
@@ -450,30 +449,30 @@ def write_artifacts(
     """Write model.txt, rounds.csv, clients.csv, ledger.tsv under outdir.
 
     All output is deterministic given its inputs (no timestamps, fixed row
-    order), so identical runs produce byte-identical files.  Every check,
-    and the epsilon report, comes before the first write, so an invalid
-    input writes nothing; each file is written atomically, so a failed
-    write leaves that file as it was.
+    order), so identical runs produce byte-identical files.  rounds.csv's
+    rows and the ledger's steps correspond one to one: each record's clients
+    take their next ledger steps, which must be at its t.  Any other input,
+    like every other check and the epsilon report, raises before the first
+    write, so an invalid input writes nothing; each file is written
+    atomically, so a failed write leaves that file as it was.
     """
     # a row's batch size is the one its ledger step recorded: rows and each
     # client's steps both run in t order, so a client's row j is its step j
-    cids = list(itertools.chain.from_iterable(rec.selected for rec in records))
-    ts = list(itertools.chain.from_iterable(itertools.repeat(rec.t, len(rec.selected))
-                                            for rec in records))
     steps = {cid: iter(ledger.steps(cid)) for cid in ledger.clients()}
     none = iter(())
-    paired = [next(steps.get(cid, none), (None, None)) for cid in cids]
-    step_ts = list(map(operator.itemgetter(0), paired))
-    if step_ts != ts:
-        i = next(i for i, (t, step_t) in enumerate(zip(ts, step_ts)) if t != step_t)
-        step = "no ledger step" if step_ts[i] is None else f"ledger step t={step_ts[i]}"
-        raise ValueError(f"client {cids[i]}: round record t={ts[i]}, {step}")
-    # one %-format over every row's fields, laid out row by row
-    fields = [None] * (4 * len(cids))
-    fields[0::4], fields[1::4] = ts, cids
-    fields[2::4] = [params.batch_size for _, params in paired]
-    fields[3::4] = itertools.chain.from_iterable(rec.update_norms for rec in records)
-    rounds = "t,client_id,batch_size,update_norm\n" + "%s,%s,%s,%.12g\n" * len(cids) % tuple(fields)
+    fields = []  # every row's fields, row by row, for one %-format
+    for rec in records:
+        for cid, norm in zip(rec.selected, rec.update_norms, strict=True):
+            step_t, params = next(steps.get(cid, none), (None, None))
+            if step_t != rec.t:
+                step = "no ledger step" if step_t is None else f"ledger step t={step_t}"
+                raise ValueError(f"client {cid}: round record t={rec.t}, {step}")
+            fields += (rec.t, cid, params.batch_size, norm)
+    for cid, rest in steps.items():
+        if (extra := next(rest, None)) is not None:
+            raise ValueError(f"client {cid}: ledger step t={extra[0]}, no round record")
+    rounds = ("t,client_id,batch_size,update_norm\n"
+              + "%s,%s,%s,%.12g\n" * (len(fields) // 4) % tuple(fields))
     clients = "client_id,participations,epsilon\n" + "".join(
         f"{cid},{count},{eps:.12g}\n" for cid, count, eps in client_epsilon_report(ledger, delta))
     os.makedirs(outdir, exist_ok=True)

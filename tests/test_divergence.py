@@ -734,6 +734,18 @@ def test_binned_lower_bound_is_below_the_quadrature_oracle():
         assert 0.0 < lower <= renyi_divergence_quadrature(alpha, q, sigma)
 
 
+def test_binned_lower_bound_keeps_the_largest_term_when_the_sum_overflows(monkeypatch):
+    def overflow(terms):
+        raise OverflowError("fsum overflow")
+
+    # at (2.5, 0.2, 0.5) the largest term alone exceeds 1
+    exact, _ = reference.binned_divergence(2.5, 0.2, 0.5)
+    summed = _float64._binned_lower_bound(2.5, 0.2, 0.5)
+    monkeypatch.setattr(math, "fsum", overflow)
+    lower = _float64._binned_lower_bound(2.5, 0.2, 0.5)
+    assert 0.0 < lower < summed and lower <= exact
+
+
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(alpha=st.sampled_from([a for a in FRACTIONAL_ORDERS if a <= 3.5]),
        u_q=st.floats(0.0, 1.0), u_sigma=st.floats(0.0, 1.0))

@@ -19,6 +19,7 @@ from fedrdp import simulate
 from fedrdp.accountant import ParticipationLedger, StepParams, compose_client_rdp, rdp_to_dp
 from fedrdp.divergence import MechanismParams
 from fedrdp.simulate import (
+    RoundRecord,
     SimConfig,
     batch_size_trace,
     client_epsilon_report,
@@ -761,7 +762,13 @@ def test_epsilon_report_equals_per_client_composition():
 
 
 def _assert_clients_csv_not_below_library(outdir, ledger, delta):
-    paths = write_artifacts(outdir, np.zeros((2, 2)), [], ledger, delta)
+    # one record per ledgered round: its clients ascending, with zero norms
+    at = collections.defaultdict(list)
+    for cid in ledger.clients():
+        for t, _ in ledger.steps(cid):
+            at[t].append(cid)
+    records = [RoundRecord(t, tuple(at[t]), (0.0,) * len(at[t])) for t in sorted(at)]
+    paths = write_artifacts(outdir, np.zeros((2, 2)), records, ledger, delta)
     rows = open(paths["clients"]).read().splitlines()[1:]
     assert len(rows) == len(ledger.clients())
     for row in rows:
@@ -919,6 +926,23 @@ def test_artifacts_reject_round_records_the_ledger_does_not_match(tmp_path):
         t = ledger.steps(cid)[kept][0]
         with pytest.raises(ValueError, match=f"client {cid}: round record t={t}, no ledger step"):
             write_artifacts(tmp_path / "out", model, records, short, cfg.delta)
+    # a ledger step no record pairs, of a client in no record or past a
+    # recorded client's last row, and a record short of one update norm
+    outdir = tmp_path / "none"
+    outdir.mkdir()
+    last, step = ledger.steps(cid)[-1]
+    stray = ParticipationLedger.from_text(ledger.to_text()).record(99, 1, step)
+    extra = ParticipationLedger.from_text(ledger.to_text()).record(cid, last + 1, step)
+    short_norms = records[:-1] + [dataclasses.replace(
+        records[-1], update_norms=records[-1].update_norms[:-1])]
+    for recs, led, message in (
+        (records, stray, "^client 99: ledger step t=1, no round record$"),
+        (records, extra, f"^client {cid}: ledger step t={last + 1}, no round record$"),
+        (short_norms, ledger, "shorter"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            write_artifacts(outdir, model, recs, led, cfg.delta)
+        assert list(outdir.iterdir()) == []
 
 
 def test_artifacts_write_nothing_when_they_raise(tmp_path):
