@@ -62,6 +62,9 @@ INPUTS = {
     "trace.json": {"rounds": 1, "clients": 1, "d": 2, "classes": 2,
                    "points_per_client": 3000, "batch_size": 128, "clip": 1.0, "sigma": 1.0,
                    "seed": 4},
+    # every order +inf: epsilon is +inf at the smallest order; and +inf only at the smallest
+    "curve-all-inf.csv": "alpha,rdp\n2,inf\n4,inf\n",
+    "curve-first-inf.csv": "alpha,rdp\n1.5,inf\n2,0.5\n4,0.25\n",
     # three clients, with steps at two (q, sigma) pairs
     "ledger.tsv": ("0\t1\t0.05\t1.5\t1.0\t10\n0\t2\t0.01\t2.0\t1.0\t10\n"
                    "0\t3\t0.05\t1.5\t1.0\t10\n1\t2\t0.01\t2.0\t1.0\t10\n"
@@ -121,6 +124,8 @@ CORPUS = (
                                          "--output", "curve0-fractional.csv"]),
     ("convert-client0-fractional-grid", ["convert", "--curve", "curve0-fractional.csv",
                                          "--delta", "1e-5"]),
+    ("convert-all-inf", ["convert", "--curve", "curve-all-inf.csv"]),
+    ("convert-first-order-inf", ["convert", "--curve", "curve-first-inf.csv"]),
     ("bound-integer", ["bound", "--alpha", "8", "--q", "0.01", "--sigma", "2"]),
     ("bound-fractional", ["bound", "--alpha", "2.5", "--q", "0.05", "--sigma", "1.5"]),
     ("oracle", ["oracle", "--alpha", "2", "--q", "0.01", "--sigma", "2"]),

@@ -479,29 +479,26 @@ def client_epsilon_report(ledger: ParticipationLedger, delta: float) -> list[tup
     return rows
 
 
-def _order_epsilon(value: float, alpha: float, delta: float) -> float:
-    """The epsilon at delta that an RDP value at order alpha converts to.
-
-    Rounded up (``_round_up``), and nondecreasing in value: the skips of
-    `_calibration_epsilon` rest on that.
-    """
-    return _round_up(value + math.log(1.0 / delta) / (alpha - 1.0))
+def _conversion_terms(alphas: tuple[float, ...], delta: float) -> dict[float, float]:
+    """{alpha: log(1/delta)/(alpha - 1)} in grid order, the one place the RDP -> DP
+    conversion is written: D at order alpha converts to ``_round_up(D + term)``,
+    nondecreasing in D, which the skips of `_calibration_epsilon` rest on."""
+    log_inv_delta = math.log(1.0 / delta)
+    return {alpha: log_inv_delta / (alpha - 1.0) for alpha in alphas}
 
 
 def rdp_to_dp(curve: RdpCurve, delta: float = DEFAULT_DELTA) -> tuple[PrivacyBudget, float]:
     """Convert an RDP curve to (epsilon, delta) DP.
 
-    epsilon = min over grid orders of value(alpha) + log(1/delta)/(alpha-1);
-    ties break toward the smallest order.  An order valued +inf cannot win;
-    if every order is +inf the budget is +inf at the smallest order.
+    epsilon = min over grid orders of value(alpha) + its ``_conversion_terms``
+    term, rounded up; ties break toward the smallest order.  An order valued
+    +inf cannot win; if every order is +inf the budget is +inf at the first.
     """
     delta = _number(delta, float, *_DELTA)
-    epsilon, alpha_star = math.inf, curve.alphas[0]
-    for alpha, value in curve.items():
-        order_epsilon = _order_epsilon(value, alpha, delta)
-        if order_epsilon < epsilon:
-            epsilon, alpha_star = order_epsilon, alpha
-    return PrivacyBudget(epsilon=epsilon, delta=delta), alpha_star
+    terms = _conversion_terms(curve.alphas, delta)
+    epsilons = {alpha: _round_up(value + terms[alpha]) for alpha, value in curve.items()}
+    alpha_star = min(epsilons, key=epsilons.__getitem__)
+    return PrivacyBudget(epsilon=epsilons[alpha_star], delta=delta), alpha_star
 
 
 def _calibration_epsilon(
@@ -517,7 +514,7 @@ def _calibration_epsilon(
     alphas), then the integer orders ascending, then the fractional ones,
     and evaluates an order unless ``_round_up(lower + term)`` exceeds the
     best epsilon so far, where term is the order's conversion term
-    log(1/delta)/(alpha - 1) and lower a lower bound on its value.  The
+    (``_conversion_terms``) and lower a lower bound on its value.  The
     conversion is nondecreasing in the value, so that is a lower bound on
     the order's epsilon.  The lower bounds are:
       - 0, for any order: every value is >= 0;
@@ -538,17 +535,16 @@ def _calibration_epsilon(
     that exceeded is skipped.  Each skip is on a strict > against an epsilon
     some evaluated order achieved, so (epsilon, alpha*) is the first minimum
     over the evaluated orders in grid order, as ``rdp_to_dp`` takes it over
-    all of them: the seed changes only which orders are evaluated.
-    log(1/delta) is taken once.  alphas must be a grid that `_orders`
-    returns, and delta a number `rdp_to_dp` accepts.
+    all of them: the seed changes only which orders are evaluated.  alphas must
+    be a grid that `_orders` returns, and delta a number `rdp_to_dp` accepts.
     """
-    log_inv_delta = math.log(1.0 / delta)
-    epsilons: dict[float, float] = {}  # of each evaluated order, as _order_epsilon gives it
+    terms = _conversion_terms(alphas, delta)
+    epsilons: dict[float, float] = {}  # of each evaluated order, as rdp_to_dp converts it
     best = math.inf
     stop, stop_value = math.inf, 0.0  # the lowest evaluated order whose value exceeded best
     walk = sorted(alphas, key=float.is_integer, reverse=True)  # integers first; sorted is stable
     for alpha in walk if seed is None else [seed, *walk]:
-        term = log_inv_delta / (alpha - 1.0)
+        term = terms[alpha]
         if (alpha > stop and _round_up(stop_value + term) > best
                 or _round_up(term) > best
                 or alpha % 1.0 and (
@@ -623,9 +619,9 @@ def calibrate_sigma(
     logged at DEBUG level.
 
     Raises CalibrationError before any evaluation if the target is at or
-    below the grid's conversion floor, the least ``_order_epsilon(0.0,
-    alpha, delta)`` over the grid (log(1/delta)/(alpha_max - 1), rounded
-    up): every D_alpha > 0, so every epsilon exceeds it; the floor is
+    below the grid's conversion floor, the least of its terms
+    (``_conversion_terms``), log(1/delta)/(alpha_max - 1), rounded up:
+    every D_alpha > 0, so every epsilon exceeds it; the floor is
     attached.  Raises it too if CALIBRATION_SIGMA_MAX is reached without
     meeting the target; the epsilon at the last sigma tried is attached.
     """
@@ -634,7 +630,7 @@ def calibrate_sigma(
     q = _number(q, float, "q must lie in (0, 1)", lambda q: 0 < q < 1)
     steps = _number(steps, int, "steps must be an integer >= 1", lambda steps: steps >= 1)
     alphas = _orders(alphas)
-    floor = min(_order_epsilon(0.0, alpha, target.delta) for alpha in alphas)
+    floor = _round_up(min(_conversion_terms(alphas, target.delta).values()))
     if target.epsilon <= floor:
         raise CalibrationError(
             f"target epsilon={target.epsilon} unreachable: every epsilon on this "

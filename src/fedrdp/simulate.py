@@ -462,7 +462,10 @@ def write_artifacts(
     none = iter(())
     fields = []  # every row's fields, row by row, for one %-format
     for rec in records:
-        for cid, norm in zip(rec.selected, rec.update_norms, strict=True):
+        if len(rec.selected) != len(rec.update_norms):
+            raise ValueError(f"round record t={rec.t}: {len(rec.selected)} clients selected, "
+                             f"{len(rec.update_norms)} update norms")
+        for cid, norm in zip(rec.selected, rec.update_norms):
             step_t, params = next(steps.get(cid, none), (None, None))
             if step_t != rec.t:
                 step = "no ledger step" if step_t is None else f"ledger step t={step_t}"

@@ -1339,6 +1339,24 @@ def test_calibration_walk_skips_fractional_orders_on_their_binned_lower_bound(mo
     assert rdp_to_dp(_composed_curve(q, sigma, steps), 1e-5) == (PrivacyBudget(got[0], 1e-5), 2.0)
 
 
+def test_calibration_walk_skips_high_fractional_orders_on_their_floor(monkeypatch):
+    # the binned lower bound is 0.0 at order 300.5, so only the value at its
+    # floor 300 skips it: 300.5's own bound (its split series) is never looked up
+    q, sigma, steps, delta = 0.024436909976044096, 8.599250193054768, 2, 1e-5
+    alphas = (1.5, 3.5, 7.25, 300.5, 512.0)
+    assert accountant._binned_lower_bound(300.5, q, sigma) == 0.0
+    looked_up = []
+    memo = accountant._cached_step_bound
+    monkeypatch.setattr(accountant, "_cached_step_bound",
+                        lambda alpha, q, sigma: looked_up.append(alpha) or memo(alpha, q, sigma))
+    got = accountant._calibration_epsilon(q, sigma, steps, alphas, delta)
+    assert got == (1.8423104296825643, 7.25, 3)
+    assert 300.5 not in looked_up
+    monkeypatch.undo()
+    curve = _composed_curve(q, sigma, steps, alphas)
+    assert rdp_to_dp(curve, delta) == (PrivacyBudget(got[0], delta), 7.25)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(
     u_q=st.floats(0.0, 1.0),
@@ -1370,6 +1388,42 @@ def test_seeded_calibration_walk_on_an_infinite_curve():
         assert got == (math.inf, DEFAULT_ALPHAS[0], len(DEFAULT_ALPHAS)), seed
 
 
+def _improved_terms(alphas, delta):
+    # the conversion of Balle et al. (arXiv:1905.09982) and Canonne, Kamath &
+    # Steinke (arXiv:2004.00010), unclamped: negative at order 1025 once
+    # delta >= ~3.6e-4, and not monotone in the order at delta = 0.5
+    return {a: math.log((a - 1) / a) - (math.log(delta) + math.log(a)) / (a - 1) for a in alphas}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    u_q=st.floats(0.0, 1.0),
+    u_sigma=st.floats(0.0, 1.0),
+    u_steps=st.floats(0.0, 1.0),
+    alphas=st.sampled_from(_GRIDS),
+)
+def test_calibration_walk_holds_under_another_conversion(u_q, u_sigma, u_steps, alphas):
+    # the walk's skips assume only a conversion nondecreasing in the value, so
+    # under terms of either sign and any shape it is still the first minimum
+    # of the converted curve, whatever the seed
+    q = 1e-4 * 9000.0**u_q  # log-uniform over [1e-4, 0.9]
+    sigma = 0.3 * (200 / 0.3) ** u_sigma  # log-uniform over [0.3, 200]
+    steps = round(10**4 ** u_steps)  # log-uniform over [1, 10^4]
+    curve = _composed_curve(q, sigma, steps, alphas)
+    for delta in (1e-8, 1e-5, 1e-3, 0.5):
+        terms = _improved_terms(alphas, delta)
+        epsilons = {a: accountant._round_up(v + terms[a]) for a, v in curve.items()}
+        alpha_star = min(epsilons, key=epsilons.__getitem__)
+        want = (repr(epsilons[alpha_star]), alpha_star)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(accountant, "_conversion_terms", _improved_terms)
+            for seed in (None, *(a for a in alphas if a.is_integer())):
+                epsilon, got_alpha, orders = accountant._calibration_epsilon(
+                    q, sigma, steps, alphas, delta, seed=seed)
+                assert (repr(epsilon), got_alpha) == want, (delta, seed)
+                assert 0 < orders <= len(alphas)
+
+
 @pytest.mark.parametrize("delta", [1e-12, 1e-5, 1e-3, 0.5, 0.999])
 def test_conversion_term_is_nonincreasing_in_the_order(delta):
     # the walk in _calibration_epsilon tests each order on its own term, valid
@@ -1377,7 +1431,8 @@ def test_conversion_term_is_nonincreasing_in_the_order(delta):
     # makes the orders a seeded walk skips on it the lowest ones.  The
     # improved conversion's term is not (at delta = 0.5 it rises from order 2
     # to 3), so there it would skip others
-    terms = [accountant._order_epsilon(0.0, alpha, delta) for alpha in DEFAULT_ALPHAS]
+    terms = [accountant._round_up(t)
+             for t in accountant._conversion_terms(DEFAULT_ALPHAS, delta).values()]
     assert all(a >= b > 0 for a, b in zip(terms, terms[1:]))
 
 

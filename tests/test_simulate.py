@@ -927,18 +927,21 @@ def test_artifacts_reject_round_records_the_ledger_does_not_match(tmp_path):
         with pytest.raises(ValueError, match=f"client {cid}: round record t={t}, no ledger step"):
             write_artifacts(tmp_path / "out", model, records, short, cfg.delta)
     # a ledger step no record pairs, of a client in no record or past a
-    # recorded client's last row, and a record short of one update norm
+    # recorded client's last row, and a record one update norm short or over
     outdir = tmp_path / "none"
     outdir.mkdir()
     last, step = ledger.steps(cid)[-1]
     stray = ParticipationLedger.from_text(ledger.to_text()).record(99, 1, step)
     extra = ParticipationLedger.from_text(ledger.to_text()).record(cid, last + 1, step)
-    short_norms = records[:-1] + [dataclasses.replace(
-        records[-1], update_norms=records[-1].update_norms[:-1])]
+    rec = records[-1]
+    norms = f"^round record t={rec.t}: {len(rec.selected)} clients selected, %d update norms$"
     for recs, led, message in (
         (records, stray, "^client 99: ledger step t=1, no round record$"),
         (records, extra, f"^client {cid}: ledger step t={last + 1}, no round record$"),
-        (short_norms, ledger, "shorter"),
+        (records[:-1] + [dataclasses.replace(rec, update_norms=rec.update_norms[:-1])],
+         ledger, norms % (len(rec.selected) - 1)),
+        (records[:-1] + [dataclasses.replace(rec, update_norms=rec.update_norms + (1.0,))],
+         ledger, norms % (len(rec.selected) + 1)),
     ):
         with pytest.raises(ValueError, match=message):
             write_artifacts(outdir, model, recs, led, cfg.delta)
