@@ -131,6 +131,15 @@ CORPUS = (
     ("oracle", ["oracle", "--alpha", "2", "--q", "0.01", "--sigma", "2"]),
     ("usage-bad-float", ["calibrate", "--epsilon", "x", "--q", "0.05", "--steps", "100"]),
     ("usage-bad-sampler", ["trace", "--config", "trace.json", "--sampler", "uniform"]),
+    ("usage-bad-format", ["compose", "--ledger", "ledger.tsv", "--client", "0",
+                          "--format", "xml"]),
+    # the top-level parser's own paths, and a leftover argument after a command
+    ("usage-no-command", []),
+    ("usage-unknown-command", ["frobnicate", "--epsilon", "4"]),
+    ("usage-extra-argument", ["calibrate", "--epsilon", "4", "--q", "0.05", "--steps", "100",
+                              "extra"]),
+    ("help", ["--help"]),
+    ("help-calibrate", ["calibrate", "--help"]),
     # exit 2: no sigma meets an epsilon below the grid's conversion floor
     ("numerical-unreachable-target", ["calibrate", "--epsilon", "0.001", "--q", "0.05",
                                       "--steps", "100"]),

@@ -282,11 +282,13 @@ def _binned_lower_bound(alpha: float, q: float, sigma: float) -> float:
     of Q and p_k = (1-q) r_k + q m_k, m_k that of N(1, s^2).
 
     Each term is taken at a lower end of p_k and an upper end of r_k, since it
-    rises in p and falls in r.  A term whose lower end of p_k is <= 0, whose
-    value is below 2^-1021 or whose power overflows is dropped, and if the sum
-    overflows only its largest term is kept: every term is >= 0, so dropping
-    one only lowers the sum.  The sum is lowered by its rounding, and the log
-    of it rounded toward 0; a sum not above 1 gives 0.
+    rises in p and falls in r.  Where the power (p_k/r_k)^(alpha-1) overflows,
+    the term is taken as exp(l), l = log p_k + (alpha-1) log(p_k/r_k).  A term
+    whose lower end of p_k is <= 0, whose value is below 2^-1021 or that
+    overflows is dropped, and if the sum overflows only its largest term is
+    kept: every term is >= 0, so dropping one only lowers the sum.  The sum
+    is lowered by its rounding, and the log of it rounded toward 0; a sum not
+    above 1 gives 0.
 
     Error bound.  u = 2^-53; libm calls within P = _LIBM_ULPS ulps, erfc
     within _ERFC_ULPS = 8.  |x_k| <= X = alpha / (sigma sqrt(1/2)) + 3 sqrt(1/2),
@@ -300,15 +302,22 @@ def _binned_lower_bound(alpha: float, q: float, sigma: float) -> float:
     A kept term (all of its parts normal) is within ((alpha - 1) + 2P + 1) u
     of its value at the two ends, and the sum is lowered by
     (alpha + 2P + 3) u for that, fsum and the product; the log and the
-    division by 2(P + 1) u.  Proven where tau <= 2^-23 (alpha / sigma below
-    ~11000), alpha <= _MAX_ORDER and sigma <= 2^500; elsewhere 0.0 is
-    returned.
+    division by 2(P + 1) u.  A term taken as exp(l) is lowered first by
+    (2P |log p_k| + (2P + 1) |c| + |l| + (alpha - 1) + 2P + 2) u, c the
+    computed (alpha-1) log(p_k/r_k): that covers l's error, which is at most
+    2P u |log p_k| + (alpha - 1)(u + 2P u |log(p_k/r_k)|) + u |c| + u |l|
+    (each log, the quotient, the product and the sum), exp's 2P u and the
+    rounding of the factor and the product that lower it.  Proven where
+    tau <= 2^-23 (alpha / sigma below ~11000), alpha <= _MAX_ORDER and
+    sigma <= 2^500; elsewhere 0.0 is returned.
 
     The result lower <= D_b.  Where no term is dropped and every mass is
     >= 2^-1000, D_b - lower <= (eta / (alpha - 1) + (4P + 4) u D_b)(1 + 2^-20)
     with eta = 2 (2 alpha - 1) rho + (12 alpha + 4P + 4) u, rho = 3001 tau: each
     mass is within rho of itself, as no bin's difference cancels more than
-    1500-fold (no edge lies more than 3s below either mean).
+    1500-fold (no edge lies more than 3s below either mean).  A term taken as
+    exp(l) adds (alpha + 4200P + 2120) u to eta: there |log p_k| <= 694,
+    |l| <= 710 and |c| <= 1404.
     """
     r2s = sigma * _SQRT_HALF  # sqrt(2) s
     x_max = alpha / r2s + 3 * _SQRT_HALF
@@ -333,7 +342,16 @@ def _binned_lower_bound(alpha: float, q: float, sigma: float) -> float:
             try:
                 t = p * (p / (r + r_err)) ** power
             except OverflowError:
-                continue
+                # p times the power may be finite: exp of its log, lowered by its rounding
+                log_p = math.log(p)
+                log_power = power * math.log(p / (r + r_err))
+                log_t = log_p + log_power
+                slack = (2 * _LIBM_ULPS * abs(log_p) + (2 * _LIBM_ULPS + 1) * abs(log_power)
+                         + abs(log_t) + power + 2 * _LIBM_ULPS + 2) * _U * (1 + 2.0**-20)
+                try:
+                    t = math.exp(log_t) * (1.0 - slack)
+                except OverflowError:
+                    continue
             if 2.0**-1021 <= t < math.inf:
                 terms.append(t)
     try:

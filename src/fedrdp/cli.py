@@ -232,64 +232,77 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
-@lru_cache(maxsize=1)  # built once per process; parsing leaves it unchanged
-def _build_parser() -> argparse.ArgumentParser:
+_ALPHA_Q_SIGMA = tuple((flag, {"type": float, "required": True})
+                       for flag in ("--alpha", "--q", "--sigma"))
+_ALPHAS = ("--alphas", {"default": ",".join(str(a) for a in DEFAULT_ALPHAS)})
+_SEED = ("--seed", {"type": int, "default": None, "help": "override the config seed"})
+
+# name: (help, arguments as (flag, add_argument keywords), function), in the
+# order `fedrdp --help` lists them
+_COMMANDS = {
+    "bound": ("one-step divergence bound vs the quadrature oracle", _ALPHA_Q_SIGMA, cmd_bound),
+    "oracle": ("quadrature value of the true divergence", _ALPHA_Q_SIGMA, cmd_oracle),
+    "compose": ("per-client accumulated divergence curve from a ledger file", (
+        ("--ledger", {"required": True}),
+        ("--client", {"type": int, "required": True}),
+        _ALPHAS,
+        ("--output", {"default": None}),
+        ("--format", {"choices": ("csv", "jsonl"), "default": "csv"}),
+    ), cmd_compose),
+    "convert": ("epsilon at delta from a curve file (csv or jsonl)", (
+        ("--curve", {"required": True}),
+        ("--delta", {"type": float, "default": DEFAULT_DELTA}),
+    ), cmd_convert),
+    "calibrate": ("smallest noise multiplier meeting a privacy target", (
+        ("--epsilon", {"type": float, "required": True}),
+        ("--delta", {"type": float, "default": DEFAULT_DELTA}),
+        ("--q", {"type": float, "required": True}),
+        ("--steps", {"type": int, "required": True}),
+        _ALPHAS,
+    ), cmd_calibrate),
+    "simulate": ("run federated training from a JSON config", (
+        ("--config", {"required": True}),
+        ("--outdir", {"required": True}),
+        _SEED,
+    ), cmd_simulate),
+    "trace": ("realized per-round batch sizes as CSV", (
+        ("--config", {"required": True}),
+        ("--sampler", {"choices": ("fixed", "poisson"), "default": "fixed"}),
+        ("--rounds", {"type": int, "default": None}),
+        ("--output", {"default": None}),
+        _SEED,
+    ), cmd_trace),
+}
+
+
+@lru_cache(maxsize=None)  # one per command, and the full one; parsing leaves each unchanged
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The fedrdp parser with only command's subparser, or with all seven if command is None.
+
+    Only the invoked command's parser is built: `main` passes the command,
+    so a process's first command builds one subparser, not seven.
+    """
     parser = argparse.ArgumentParser(prog="fedrdp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bound", help="one-step divergence bound vs the quadrature oracle")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("oracle", help="quadrature value of the true divergence")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("compose", help="per-client accumulated divergence curve from a ledger file")
-    p.add_argument("--ledger", required=True)
-    p.add_argument("--client", type=int, required=True)
-    p.add_argument("--alphas", default=",".join(str(a) for a in DEFAULT_ALPHAS))
-    p.add_argument("--output", default=None)
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p.set_defaults(func=cmd_compose)
-
-    p = sub.add_parser("convert", help="epsilon at delta from a curve file (csv or jsonl)")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-    p.set_defaults(func=cmd_convert)
-
-    p = sub.add_parser("calibrate", help="smallest noise multiplier meeting a privacy target")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--alphas", default=",".join(str(a) for a in DEFAULT_ALPHAS))
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("simulate", help="run federated training from a JSON config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--outdir", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("trace", help="realized per-round batch sizes as CSV")
-    p.add_argument("--config", required=True)
-    p.add_argument("--sampler", choices=("fixed", "poisson"), default="fixed")
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--output", default=None)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.set_defaults(func=cmd_trace)
-
+    for name in _COMMANDS if command is None else (command,):
+        help_text, arguments, func = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # no command, or an unknown one, and every top-level option take the full parser
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _build_parser().parse_args(argv)
+        args, extra = _build_parser(command).parse_known_args(argv)
+        if extra:
+            # argparse's "unrecognized arguments" error, under the full usage; None
+            # as above, since lru_cache keys _build_parser() apart from _build_parser(None)
+            args = _build_parser(None).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error; 2 is reserved for numerical failures
         return EXIT_USAGE if exc.code else EXIT_OK

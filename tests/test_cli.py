@@ -75,15 +75,35 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert run_cli(capsys, "frobnicate")[0] == cli.EXIT_USAGE
 
 
+def _subparsers(parser):
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
 def test_subcommand_usage_error_prints_argparse_usage_and_exits_1(capsys):
     # argparse's own error text, with 1 for its exit code 2
-    sub = next(action for action in cli._build_parser()._actions
-               if isinstance(action, argparse._SubParsersAction)).choices["calibrate"]
+    sub = _subparsers(cli._build_parser())["calibrate"]
     code, out, err = run_cli(capsys, "calibrate", "--epsilon", "x", "--q", "0.05", "--steps", "100")
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert err == (sub.format_usage()
                    + "fedrdp calibrate: error: argument --epsilon: invalid float value: 'x'\n")
     assert run_cli(capsys, "--help")[0] == cli.EXIT_OK
+
+
+def test_a_command_builds_only_its_own_subparser(capsys):
+    cli._build_parser.cache_clear()
+    assert run_cli(capsys, "calibrate", "--epsilon", "4", "--q", "0.05", "--steps", "100")[0] == 0
+    assert cli._build_parser.cache_info().currsize == 1
+    assert list(_subparsers(cli._build_parser("calibrate"))) == ["calibrate"]
+    assert list(_subparsers(cli._build_parser())) == list(cli._COMMANDS)
+
+
+def test_a_leftover_argument_prints_the_full_usage_and_exits_1(capsys):
+    code, out, err = run_cli(capsys, "calibrate", "--epsilon", "4", "--q", "0.05", "--steps", "100",
+                             "extra")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == (cli._build_parser().format_usage()
+                   + "fedrdp: error: unrecognized arguments: extra\n")
 
 
 def test_missing_flag_is_usage_error(capsys):
@@ -573,8 +593,8 @@ def test_simulate_rejects_a_calibrated_sigma_whose_noise_overflows(capsys, tmp_p
 
 
 def test_one_process_runs_commands_as_fresh_processes_do(capsys, tmp_path):
-    # the parser is built once per process; each command must print what it
-    # prints when its process builds its own
+    # each command's parser is built once per process; each command must print
+    # what it prints when its process builds its own
     ledger = tmp_path / "ledger.tsv"
     write_demo_ledger(ledger)
     curve = tmp_path / "curve.csv"
@@ -588,6 +608,8 @@ def test_one_process_runs_commands_as_fresh_processes_do(capsys, tmp_path):
         ["convert", "--curve", str(curve)],
         ["compose", "--ledger", str(ledger), "--client", "0", "--alphas", "2,4"],
         ["calibrate", "--q", "0.05"],
+        ["calibrate", "--epsilon", "4", "--q", "0.05", "--steps", "100", "extra"],
+        ["calibrate", "--help"],
     ]
 
     def run_all(fresh):
@@ -600,9 +622,11 @@ def test_one_process_runs_commands_as_fresh_processes_do(capsys, tmp_path):
 
     cli._build_parser.cache_clear()
     shared = run_all(fresh=False)
-    assert cli._build_parser.cache_info().misses == 1
+    # one build per command run, and one of the full parser for the rest
+    parsers = {argv[0] if argv[0] in cli._COMMANDS else None for argv in argvs}
+    assert cli._build_parser.cache_info().misses == len(parsers)
     assert shared == run_all(fresh=True)
-    assert [code for code, _, _ in shared] == [1, 0, 0, 1, 0, 0, 0, 0, 1]
+    assert [code for code, _, _ in shared] == [1, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0]
     assert "invalid float value: 'x'" in shared[0][2]
     assert shared[1][1].startswith("usage: fedrdp")
 

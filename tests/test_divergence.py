@@ -746,6 +746,19 @@ def test_binned_lower_bound_keeps_the_largest_term_when_the_sum_overflows(monkey
     assert 0.0 < lower < summed and lower <= exact
 
 
+def test_binned_lower_bound_keeps_a_term_whose_power_overflows():
+    # at (7.25, 0.0055, 0.426) the terms that carry D_b have (p/r)^(alpha-1)
+    # past float range, and p times it in range: they are taken through exp
+    exact, smallest_mass = reference.binned_divergence(7.25, 0.0055, 0.426)
+    lower = _float64._binned_lower_bound(7.25, 0.0055, 0.426)
+    assert smallest_mass >= mp.mpf(2) ** -1000
+    with mp.workdps(30):
+        assert 0.0 < lower <= exact
+        stated = (_stated_binned_gap(7.25, 0.426, float(exact))
+                  + (7.25 + 4200 * _float64._LIBM_ULPS + 2120) * U / 6.25 * (1 + 2.0**-20))
+        assert exact - lower <= stated
+
+
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(alpha=st.sampled_from([a for a in FRACTIONAL_ORDERS if a <= 3.5]),
        u_q=st.floats(0.0, 1.0), u_sigma=st.floats(0.0, 1.0))
