@@ -69,6 +69,12 @@ INPUTS = {
     "ledger.tsv": ("0\t1\t0.05\t1.5\t1.0\t10\n0\t2\t0.01\t2.0\t1.0\t10\n"
                    "0\t3\t0.05\t1.5\t1.0\t10\n1\t2\t0.01\t2.0\t1.0\t10\n"
                    "1\t4\t0.01\t2.0\t1.0\t10\n2\t1\t0.05\t1.5\t1.0\t10\n"),
+    # malformed ledgers, each bad in client 0's line 2
+    "ledger-bad-float.tsv": "0\t1\t0.01\t2.0\t1.0\t10\n0\t2\tabc\t2.0\t1.0\t10\n",
+    "ledger-bad-t.tsv": "0\t1\t0.01\t2.0\t1.0\t10\n0\tx\t0.01\t2.0\t1.0\t10\n",
+    "ledger-q-2.tsv": "0\t1\t0.01\t2.0\t1.0\t10\n0\t2\t2.0\t2.0\t1.0\t10\n",
+    "ledger-out-of-order.tsv": "0\t2\t0.01\t2.0\t1.0\t10\n0\t1\t0.01\t2.0\t1.0\t10\n",
+    "ledger-short-line.tsv": "0\t1\t0.01\t2.0\t1.0\t10\n0\t2\t0.01\t2.0\n",
 }
 
 # (name, fedrdp arguments), run in this order
@@ -124,6 +130,9 @@ CORPUS = (
                                          "--output", "curve0-fractional.csv"]),
     ("convert-client0-fractional-grid", ["convert", "--curve", "curve0-fractional.csv",
                                          "--delta", "1e-5"]),
+    # exit 1: a malformed ledger line
+    *((f"compose-{bad}", ["compose", "--ledger", f"ledger-{bad}.tsv", "--client", "0"])
+      for bad in ("bad-float", "bad-t", "q-2", "out-of-order", "short-line")),
     ("convert-all-inf", ["convert", "--curve", "curve-all-inf.csv"]),
     ("convert-first-order-inf", ["convert", "--curve", "curve-first-inf.csv"]),
     ("bound-integer", ["bound", "--alpha", "8", "--q", "0.01", "--sigma", "2"]),

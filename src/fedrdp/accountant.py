@@ -20,6 +20,14 @@ history and understate epsilon.  Composition groups a client's steps by
 identical (q, sigma), so its cost grows with the number of distinct step
 parameters, not with the number of steps.  `client_epsilon_report` gives
 every client's epsilon, the rows of clients.csv, from the same grouping.
+
+A client's epsilon composes its recorded steps as if their number had been
+fixed in advance.  That is valid when participation and each step's
+(q, sigma) do not depend on the private data; the simulator draws
+availability and selection from streams keyed only by (seed, tag, t).
+Otherwise the step count is a stopping time, and the epsilon needs a privacy
+filter or odometer (Rogers, Roth, Ullman & Vadhan, arXiv:1605.08294;
+Feldman & Zrnic, arXiv:2008.11193).
 """
 
 from __future__ import annotations
@@ -241,7 +249,8 @@ class ParticipationLedger:
         Each distinct parameter text ``q<TAB>sigma<TAB>clip<TAB>batch_size``
         is parsed and validated once; later lines with the same text share
         that `StepParams`.  Timesteps must increase within each client, as
-        for `record`.  An error names its line, counted only when raised.
+        for `record`.  An error in a line, but a non-ASCII character, raises
+        ValueError ``ledger line N: <cause>``, N counted only when raised.
 
         With client_id, the ledger holds only that client's steps: the lines
         that start with ``client_id<TAB>`` are decoded, parsed and checked as
@@ -299,23 +308,16 @@ class ParticipationLedger:
                 continue
             try:
                 cid, t, rest = line.split("\t", 2)
-            except ValueError:
-                raise ValueError(f"ledger line {_line_number(data, start)}: "
-                                 "expected 6 tab-separated fields") from None
-            params = interned.get(rest)
-            if params is None:
-                fields = rest.split("\t")
-                if len(fields) != 4:
-                    raise ValueError(f"ledger line {_line_number(data, start)}: "
-                                     "expected 6 tab-separated fields")
-                params = interned[rest] = StepParams(
-                    q=float(fields[0]),
-                    sigma=float(fields[1]),
-                    clip=float(fields[2]),
-                    batch_size=int(fields[3]),
-                )
-            client = int(cid)
-            _append_step(ledger._records.setdefault(client, []), client, int(t), params)
+                params = interned.get(rest)
+                if params is None:
+                    q, sigma, clip, batch_size = rest.split("\t")
+                    params = interned[rest] = StepParams(
+                        float(q), float(sigma), float(clip), int(batch_size))
+                client = int(cid)
+                _append_step(ledger._records.setdefault(client, []), client, int(t), params)
+            except ValueError as exc:
+                cause = exc if line.count("\t") == 5 else "expected 6 tab-separated fields"
+                raise ValueError(f"ledger line {_line_number(data, start)}: {cause}") from None
         return ledger
 
 

@@ -83,10 +83,7 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
 
 def _print_kv(**kv):
     for key, value in kv.items():
-        if isinstance(value, float):
-            print(f"{key}={value!r}")
-        else:
-            print(f"{key}={value}")
+        print(f"{key}={value}")
 
 
 def cmd_bound(args) -> int:
@@ -276,7 +273,7 @@ _COMMANDS = {
 
 
 @lru_cache(maxsize=None)  # one per command, and the full one; parsing leaves each unchanged
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
     """The fedrdp parser with only command's subparser, or with all seven if command is None.
 
     Only the invoked command's parser is built: `main` passes the command,
@@ -300,8 +297,7 @@ def main(argv=None) -> int:
     try:
         args, extra = _build_parser(command).parse_known_args(argv)
         if extra:
-            # argparse's "unrecognized arguments" error, under the full usage; None
-            # as above, since lru_cache keys _build_parser() apart from _build_parser(None)
+            # argparse's "unrecognized arguments" error, under the full usage
             args = _build_parser(None).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error; 2 is reserved for numerical failures

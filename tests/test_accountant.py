@@ -620,7 +620,15 @@ READER_EDGES = {
     "CRLF": (f"3\t1\t{LINE}\r\n4\t1\t{LINE}\r\n3\t2\t{LINE}\r\n", [1, 2], []),
     "blank lines": (f"\n \t\n3\t1\t{LINE}\n\n4\t1\t{LINE}\n\t\n3\t2\t{LINE}\n\n", [1, 2], []),
     "bad field": (f"4\t1\t{LINE}\r\n\r\n3\t2\tx\t1.0\t1.0\t2\n",
-                  "could not convert string to float: 'x'", []),
+                  "ledger line 3: could not convert string to float: 'x'", []),
+    "bad t": (f"4\t1\t{LINE}\n3\tx\t{LINE}\n",
+              "ledger line 2: invalid literal for int() with base 10: 'x'", []),
+    "bad batch_size": (f"3\t1\t{LINE}\n\n3\t2\t0.1\t1.0\t1.0\t2.5\n",
+                       "ledger line 3: invalid literal for int() with base 10: '2.5'", []),
+    "q out of range": (f"4\t1\t{LINE}\n3\t2\t2.0\t1.0\t1.0\t2\n",
+                       "ledger line 2: q must lie in (0, 1], got 2.0", []),
+    "out of order": (f"3\t2\t{LINE}\n4\t1\t{LINE}\n3\t2\t{LINE}\n",
+                     "ledger line 3: out-of-order participation for client 3: t=2 after t=2", []),
     "short line": (f"4\t1\t{LINE}\n\n3\t2\t0.1\t1.0\n",
                    "ledger line 3: expected 6 tab-separated fields", []),
 }

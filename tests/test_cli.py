@@ -82,7 +82,7 @@ def _subparsers(parser):
 
 def test_subcommand_usage_error_prints_argparse_usage_and_exits_1(capsys):
     # argparse's own error text, with 1 for its exit code 2
-    sub = _subparsers(cli._build_parser())["calibrate"]
+    sub = _subparsers(cli._build_parser(None))["calibrate"]
     code, out, err = run_cli(capsys, "calibrate", "--epsilon", "x", "--q", "0.05", "--steps", "100")
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert err == (sub.format_usage()
@@ -95,14 +95,14 @@ def test_a_command_builds_only_its_own_subparser(capsys):
     assert run_cli(capsys, "calibrate", "--epsilon", "4", "--q", "0.05", "--steps", "100")[0] == 0
     assert cli._build_parser.cache_info().currsize == 1
     assert list(_subparsers(cli._build_parser("calibrate"))) == ["calibrate"]
-    assert list(_subparsers(cli._build_parser())) == list(cli._COMMANDS)
+    assert list(_subparsers(cli._build_parser(None))) == list(cli._COMMANDS)
 
 
 def test_a_leftover_argument_prints_the_full_usage_and_exits_1(capsys):
     code, out, err = run_cli(capsys, "calibrate", "--epsilon", "4", "--q", "0.05", "--steps", "100",
                              "extra")
     assert (code, out) == (cli.EXIT_USAGE, "")
-    assert err == (cli._build_parser().format_usage()
+    assert err == (cli._build_parser(None).format_usage()
                    + "fedrdp: error: unrecognized arguments: extra\n")
 
 

@@ -422,6 +422,32 @@ def test_ledger_agrees_with_round_records():
         assert ledger.participation_count(cid) == counted[cid]
 
 
+def test_the_ledger_does_not_depend_on_the_data(monkeypatch):
+    # clients.csv composes each client's steps as if their number were fixed
+    # in advance, which holds only while participation ignores the data
+    cfg = small_config(rounds=40, clients=30, m_t=12, d=10, classes=3, points_per_client=60,
+                       dropout_prob=0.3, seed=5)
+    models = []
+
+    def ledger_of(config):
+        model, _, ledger = run_training(config)
+        models.append(model)
+        pairs = [(cid, t) for cid in ledger.clients() for t, _ in ledger.steps(cid)]
+        return ledger.to_text(), pairs, client_epsilon_report(ledger, 1e-5)
+
+    text, pairs, report = ledger_of(cfg)
+    assert len(pairs) > 300
+    assert ledger_of(dataclasses.replace(cfg, d=12, classes=7)) == (text, pairs, report)
+    assert ledger_of(dataclasses.replace(cfg, clip=0.25))[1:] == (pairs, report)
+
+    features, labels = _client_data(cfg)
+    rng = np.random.default_rng(1)
+    other = (rng.normal(size=features.shape), rng.integers(cfg.classes, size=labels.shape))
+    monkeypatch.setattr(simulate, "_client_data", lambda config: other)
+    assert ledger_of(cfg)[0] == text
+    assert not np.array_equal(models[-1], models[0])  # the other data was trained on
+
+
 def test_ledger_records_exact_sampling_ratio():
     cfg = small_config(points_per_client=30, batch_size=7)
     _, _, ledger = run_training(cfg)
