@@ -62,6 +62,11 @@ INPUTS = {
     "trace.json": {"rounds": 1, "clients": 1, "d": 2, "classes": 2,
                    "points_per_client": 3000, "batch_size": 128, "clip": 1.0, "sigma": 1.0,
                    "seed": 4},
+    # config numbers of the wrong kind and out of range
+    "rounds-2.5.json": {"rounds": 2.5, "clients": 4, "d": 3, "classes": 2,
+                        "points_per_client": 20, "batch_size": 4, "clip": 1.0, "sigma": 1.0},
+    "m_t-9.json": {"rounds": 5, "clients": 4, "m_t": 9, "d": 3, "classes": 2,
+                   "points_per_client": 20, "batch_size": 4, "clip": 1.0, "sigma": 1.0},
     # every order +inf: epsilon is +inf at the smallest order; and +inf only at the smallest
     "curve-all-inf.csv": "alpha,rdp\n2,inf\n4,inf\n",
     "curve-first-inf.csv": "alpha,rdp\n1.5,inf\n2,0.5\n4,0.25\n",
@@ -147,8 +152,15 @@ CORPUS = (
     ("usage-unknown-command", ["frobnicate", "--epsilon", "4"]),
     ("usage-extra-argument", ["calibrate", "--epsilon", "4", "--q", "0.05", "--steps", "100",
                               "extra"]),
+    ("usage-extra-option", ["calibrate", "--epsilon", "4", "--q", "0.05", "--steps", "100",
+                            "--bogus", "1"]),
     ("help", ["--help"]),
     ("help-calibrate", ["calibrate", "--help"]),
+    # exit 1: a config number of the wrong kind, one out of range, an empty order grid
+    ("simulate-rounds-2.5", ["simulate", "--config", "rounds-2.5.json", "--outdir", "rounds-2.5"]),
+    ("trace-m_t-past-clients", ["trace", "--config", "m_t-9.json"]),
+    ("calibrate-empty-grid", ["calibrate", "--epsilon", "4", "--q", "0.05", "--steps", "100",
+                              "--alphas", ","]),
     # exit 2: no sigma meets an epsilon below the grid's conversion floor
     ("numerical-unreachable-target", ["calibrate", "--epsilon", "0.001", "--q", "0.05",
                                       "--steps", "100"]),

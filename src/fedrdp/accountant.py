@@ -159,8 +159,8 @@ class PrivacyBudget:
 class RdpCurve:
     """RDP values on a strictly increasing grid of finite orders > 1.
 
-    Values are nonnegative; +inf (a valid bound that never wins) marks a
-    pruned order, an inf read from a curve file, or a non-private client.
+    Values are nonnegative; +inf (a valid bound that never wins) comes from
+    a curve file, or from 2 alpha / sigma^2 or count x bound overflowing.
     """
 
     alphas: tuple[float, ...]
@@ -182,7 +182,7 @@ def _orders(alphas: Iterable[float]) -> tuple[float, ...]:
     message = "orders must be strictly increasing and > 1 and finite"
     orders = tuple(float(_number(a, float, message)) for a in alphas)
     if not orders:
-        raise ValueError("curve must have at least one order")
+        raise ValueError("the order grid must not be empty")
     if not all(a < b for a, b in zip((1.0, *orders), (*orders, math.inf))):
         raise ValueError(f"{message}, got {orders}")
     return orders

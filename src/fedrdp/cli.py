@@ -73,12 +73,9 @@ DOMINANCE_TOL = 1e-9
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
     try:
-        alphas = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ValueError(f"could not parse order list {text!r}")
-    if not alphas:
-        raise ValueError("order list is empty")
-    return alphas
 
 
 def _print_kv(**kv):
@@ -277,10 +274,12 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
     """The fedrdp parser with only command's subparser, or with all seven if command is None.
 
     Only the invoked command's parser is built: `main` passes the command,
-    so a process's first command builds one subparser, not seven.
+    so a process's first command builds one subparser, not seven, and prints
+    the full usage; no command, an unknown command and `--help` build all seven.
     """
     parser = argparse.ArgumentParser(prog="fedrdp", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in _COMMANDS if command is None else (command,):
         help_text, arguments, func = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
@@ -295,10 +294,7 @@ def main(argv=None) -> int:
     # no command, or an unknown one, and every top-level option take the full parser
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args, extra = _build_parser(command).parse_known_args(argv)
-        if extra:
-            # argparse's "unrecognized arguments" error, under the full usage
-            args = _build_parser(None).parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error; 2 is reserved for numerical failures
         return EXIT_USAGE if exc.code else EXIT_OK

@@ -83,26 +83,23 @@ _STREAM_SELECTION = 4
 _STREAM_CLIENT_STEP = 5
 _STREAM_TRACE = 6
 
-# SimConfig's number fields, checked in this order: name, kind and what an
-# error calls it, the range given the config so far, and the range's error
-_INTEGER = (int, "an integer")
-_REAL = (float, "a real number within float range")
+# SimConfig's number fields, in check order: name, kind, message, range given the config so far
 _CONFIG_FIELDS = (
-    ("rounds", _INTEGER, lambda n, c: n >= 1, "rounds must be >= 1"),
-    ("clients", _INTEGER, lambda n, c: n >= 1, "clients must be >= 1"),
-    ("m_t", _INTEGER, lambda n, c: 0 <= n <= c.clients, "m_t must lie in [0, clients]"),
-    ("d", _INTEGER, lambda n, c: n >= 1, "d must be >= 1"),
-    ("classes", _INTEGER, lambda n, c: 2 <= n <= c.d, "classes must lie in [2, d]"),
-    ("points_per_client", _INTEGER, lambda n, c: n >= 1, "points_per_client must be >= 1"),
-    ("batch_size", _INTEGER, lambda n, c: 1 <= n <= c.points_per_client,
-     "batch_size must lie in [1, points_per_client]"),
-    ("clip", _REAL, lambda x, c: 0 < x < math.inf, "clip must be > 0 and finite"),
-    ("sigma", _REAL, lambda x, c: 0 <= x < math.inf, "sigma must be a finite real >= 0"),
-    ("target_epsilon", _REAL, lambda x, c: x > 0, "target_epsilon must be > 0"),
-    ("delta", _REAL, lambda x, c: 0 < x < 1, "delta must lie in (0, 1)"),
-    ("seed", _INTEGER, lambda n, c: n >= 0, "seed must be >= 0"),
-    ("dropout_prob", _REAL, lambda x, c: 0 <= x < 1, "dropout_prob must lie in [0, 1)"),
-    ("step_size", _REAL, lambda x, c: 0 < x < math.inf, "step_size must be > 0 and finite"),
+    ("rounds", int, "rounds must be an integer >= 1", lambda n, c: n >= 1),
+    ("clients", int, "clients must be an integer >= 1", lambda n, c: n >= 1),
+    ("m_t", int, "m_t must be an integer in [0, clients]", lambda n, c: 0 <= n <= c.clients),
+    ("d", int, "d must be an integer >= 1", lambda n, c: n >= 1),
+    ("classes", int, "classes must be an integer in [2, d]", lambda n, c: 2 <= n <= c.d),
+    ("points_per_client", int, "points_per_client must be an integer >= 1", lambda n, c: n >= 1),
+    ("batch_size", int, "batch_size must be an integer in [1, points_per_client]",
+     lambda n, c: 1 <= n <= c.points_per_client),
+    ("clip", float, "clip must be a finite real > 0", lambda x, c: 0 < x < math.inf),
+    ("sigma", float, "sigma must be a finite real >= 0", lambda x, c: 0 <= x < math.inf),
+    ("target_epsilon", float, "target_epsilon must be a real > 0", lambda x, c: x > 0),
+    ("delta", float, "delta must be a real in (0, 1)", lambda x, c: 0 < x < 1),
+    ("seed", int, "seed must be an integer >= 0", lambda n, c: n >= 0),
+    ("dropout_prob", float, "dropout_prob must be a real in [0, 1)", lambda x, c: 0 <= x < 1),
+    ("step_size", float, "step_size must be a finite real > 0", lambda x, c: 0 < x < math.inf),
 )
 
 
@@ -142,14 +139,11 @@ class SimConfig:
     def __post_init__(self):
         if self.m_t is None:
             object.__setattr__(self, "m_t", self.clients)
-        for name, (kind, what), ok, message in _CONFIG_FIELDS:
+        for name, kind, message, ok in _CONFIG_FIELDS:
             value = getattr(self, name)
             if value is None and name in ("sigma", "target_epsilon"):
                 continue
-            number = _number(value, kind, f"{name} must be {what}")
-            if not ok(number, self):
-                raise ValueError(message)
-            object.__setattr__(self, name, number)
+            object.__setattr__(self, name, _number(value, kind, message, lambda n: ok(n, self)))
         if (self.sigma is None) == (self.target_epsilon is None):
             raise ValueError("exactly one of sigma / target_epsilon must be set")
         if self.sigma is not None and not math.isfinite(float(self.clip) * self.sigma / self.batch_size):

@@ -1243,7 +1243,7 @@ def test_calibrate_rejects_a_grid_that_is_not_increasing(monkeypatch):
         calibrate_sigma(PrivacyBudget(4.0, 1e-5), q=0.05, steps=100, alphas=(4.0, 2.0))
     with pytest.raises(ValueError, match="orders must be strictly increasing and > 1"):
         calibrate_sigma(PrivacyBudget(4.0, 1e-5), q=0.05, steps=100, alphas=(1.0, 2.0))
-    with pytest.raises(ValueError, match="at least one order"):
+    with pytest.raises(ValueError, match="the order grid must not be empty"):
         calibrate_sigma(PrivacyBudget(4.0, 1e-5), q=0.05, steps=100, alphas=())
     assert sigmas == []  # rejected before any evaluation
 

@@ -99,11 +99,13 @@ def test_a_command_builds_only_its_own_subparser(capsys):
 
 
 def test_a_leftover_argument_prints_the_full_usage_and_exits_1(capsys):
-    code, out, err = run_cli(capsys, "calibrate", "--epsilon", "4", "--q", "0.05", "--steps", "100",
-                             "extra")
-    assert (code, out) == (cli.EXIT_USAGE, "")
-    assert err == (cli._build_parser(None).format_usage()
-                   + "fedrdp: error: unrecognized arguments: extra\n")
+    # the command's own parser reports it, under the full parser's usage line
+    for leftover in (["extra"], ["--bogus", "1"]):
+        code, out, err = run_cli(capsys, "calibrate", "--epsilon", "4", "--q", "0.05",
+                                 "--steps", "100", *leftover)
+        assert (code, out) == (cli.EXIT_USAGE, ""), leftover
+        assert err == (cli._build_parser(None).format_usage()
+                       + f"fedrdp: error: unrecognized arguments: {' '.join(leftover)}\n")
 
 
 def test_missing_flag_is_usage_error(capsys):
@@ -233,7 +235,7 @@ def test_compose_and_calibrate_reject_an_empty_order_list(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv, "--alphas", ",")
         assert code == cli.EXIT_USAGE == 1, argv
         assert out == ""
-        assert err == "error: order list is empty\n"
+        assert err == "error: the order grid must not be empty\n"
 
 
 def test_compose_jsonl_stdout(capsys, tmp_path):
@@ -533,7 +535,7 @@ def test_simulate_rejects_mistyped_rounds_before_calibrating(capsys, tmp_path, m
     path = demo_config(tmp_path, sigma=None, target_epsilon=4.0, rounds=rounds)
     code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--outdir", str(tmp_path / "o"))
     assert code == cli.EXIT_USAGE
-    assert f"rounds must be an integer, got {rounds!r}" in err
+    assert f"rounds must be an integer >= 1, got {rounds!r}" in err
 
 
 @pytest.mark.parametrize("field", ["clip", "step_size"])
@@ -542,7 +544,7 @@ def test_simulate_rejects_infinite_clip_and_step_size(capsys, tmp_path, field):
     path = demo_config(tmp_path, **{field: math.inf})
     code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--outdir", str(tmp_path / "o"))
     assert code == cli.EXIT_USAGE
-    assert f"{field} must be > 0 and finite" in err
+    assert f"{field} must be a finite real > 0, got inf" in err
 
 
 @pytest.mark.parametrize("field", ["clip", "sigma", "target_epsilon", "step_size"])
@@ -550,11 +552,13 @@ def test_simulate_and_trace_reject_an_integer_past_float_range(capsys, tmp_path,
     # a JSON integer too large for a float is bad input, not a numerical failure
     noise = {"sigma": None} if field == "target_epsilon" else {}
     path = demo_config(tmp_path, **{**noise, field: 10**400})
+    rule = {"clip": "a finite real > 0", "sigma": "a finite real >= 0",
+            "target_epsilon": "a real > 0", "step_size": "a finite real > 0"}[field]
     for argv in (["simulate", "--outdir", str(tmp_path / "o")], ["trace"]):
         code, out, err = run_cli(capsys, *argv, "--config", str(path))
         assert code == cli.EXIT_USAGE, argv
         assert out == ""
-        assert err == f"error: {field} must be a real number within float range, got an integer of 401 digits\n"
+        assert err == f"error: {field} must be {rule}, got an integer of 401 digits\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -111,7 +111,7 @@ def test_config_bounds_checks():
         small_config(clip=1e10, sigma=1e300)  # finite, but clip * sigma / batch_size is inf
     with pytest.raises(ValueError, match="sigma must be a finite real"):
         small_config(sigma=math.inf)
-    with pytest.raises(ValueError, match="target_epsilon must be > 0"):
+    with pytest.raises(ValueError, match="target_epsilon must be a real > 0"):
         small_config(sigma=None, target_epsilon=0)
 
 
@@ -126,6 +126,19 @@ def test_config_bounds_checks():
 def test_config_rejects_mistyped_fields(field, value):
     with pytest.raises(ValueError, match=f"{field} must be"):
         small_config(**{field: value})
+
+
+@pytest.mark.parametrize("name,kind,message,ok", simulate._CONFIG_FIELDS,
+                         ids=[field[0] for field in simulate._CONFIG_FIELDS])
+def test_every_config_number_error_shows_its_value(name, kind, message, ok):
+    # one message per field, for a value of the wrong kind and one out of range
+    wrong_kind = {int: 2.5, float: "0.5"}[kind]
+    out_of_range = kind(-1)
+    assert not ok(out_of_range, small_config())
+    for value in (wrong_kind, out_of_range):
+        with pytest.raises(ValueError) as info:
+            small_config(**{name: value})
+        assert str(info.value) == f"{message}, got {value!r}"
 
 
 def test_config_keeps_an_integer_clip_in_the_ledger():
@@ -207,7 +220,7 @@ def test_clip_zero_vector_passes_through():
 def test_clip_rejects_nonpositive_threshold():
     # the clip threshold enters through the config, which rejects it there
     for clip in (0.0, -1.0):
-        with pytest.raises(ValueError, match="clip must be > 0"):
+        with pytest.raises(ValueError, match="clip must be a finite real > 0"):
             small_config(clip=clip)
 
 
