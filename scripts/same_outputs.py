@@ -154,6 +154,14 @@ CORPUS = (
                               "extra"]),
     ("usage-extra-option", ["calibrate", "--epsilon", "4", "--q", "0.05", "--steps", "100",
                             "--bogus", "1"]),
+    # lines the command line leaves to argparse: an abbreviated flag, --flag=value, a
+    # repeated flag (the last counts), and negative numbers (a client with no steps; q < 0)
+    ("calibrate-abbreviated-flag", ["calibrate", "--eps", "4", "--q", "0.05", "--steps", "100"]),
+    ("calibrate-flag-equals-value", ["calibrate", "--epsilon=4", "--q=0.05", "--steps=100"]),
+    ("calibrate-repeated-flag", ["calibrate", "--epsilon", "4", "--q", "0.05", "--steps", "50",
+                                 "--steps", "100"]),
+    ("compose-negative-client", ["compose", "--ledger", "ledger.tsv", "--client", "-1"]),
+    ("bound-negative-q", ["bound", "--alpha", "2", "--q", "-0.1", "--sigma", "1"]),
     ("help", ["--help"]),
     ("help-calibrate", ["calibrate", "--help"]),
     # exit 1: a config number of the wrong kind, one out of range, an empty order grid

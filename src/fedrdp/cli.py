@@ -14,11 +14,10 @@ or domain error, 2 numerical failure, 3 I/O failure.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import sys
-from functools import lru_cache
+from types import SimpleNamespace
 
 from .accountant import (
     DEFAULT_ALPHAS,
@@ -232,7 +231,9 @@ _ALPHAS = ("--alphas", {"default": ",".join(str(a) for a in DEFAULT_ALPHAS)})
 _SEED = ("--seed", {"type": int, "default": None, "help": "override the config seed"})
 
 # name: (help, arguments as (flag, add_argument keywords), function), in the
-# order `fedrdp --help` lists them
+# order `fedrdp --help` lists them.  `_plain_args` reads type, choices,
+# default and required from the keywords, and takes each flag's value as the
+# next argument, so a flag with an action or nargs must not be added without it
 _COMMANDS = {
     "bound": ("one-step divergence bound vs the quadrature oracle", _ALPHA_Q_SIGMA, cmd_bound),
     "oracle": ("quadrature value of the true divergence", _ALPHA_Q_SIGMA, cmd_oracle),
@@ -269,19 +270,18 @@ _COMMANDS = {
 }
 
 
-@lru_cache(maxsize=None)  # one per command, and the full one; parsing leaves each unchanged
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The fedrdp parser with only command's subparser, or with all seven if command is None.
+def _build_parser():
+    """The fedrdp argparse parser, with all seven commands.
 
-    Only the invoked command's parser is built: `main` passes the command,
-    so a process's first command builds one subparser, not seven, and prints
-    the full usage; no command, an unknown command and `--help` build all seven.
+    `main` builds it only for a command line that `_plain_args` declines, so
+    every help, usage and error text is argparse's own; a plain command line
+    imports no argparse.  The module docstring is `--help`'s description.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(prog="fedrdp", description=__doc__)
-    metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else (command,):
-        help_text, arguments, func = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, arguments, func) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, keywords in arguments:
             p.add_argument(flag, **keywords)
@@ -289,15 +289,47 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(argv):
+    """The namespace argparse gives argv if argv is plain, else None.
+
+    Plain is a command followed by `--flag value` pairs: each flag one of the
+    command's own, spelled in full and given once; no value starting with
+    `-`; each value converting with the flag's type into its choices; and
+    every required flag present.  Anything else (help, abbreviations,
+    `--flag=value`, a repeated flag, a negative number, a stray argument, no
+    command) is left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    _, arguments, func = _COMMANDS[argv[0]]
+    declared = dict(arguments)
+    given = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        keywords = declared.get(flag)
+        if keywords is None or flag in given or text.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[flag] = value
+    if any(keywords.get("required") and flag not in given for flag, keywords in arguments):
+        return None
+    values = {flag[2:]: given.get(flag, keywords.get("default")) for flag, keywords in arguments}
+    return SimpleNamespace(command=argv[0], **values, func=func)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # no command, or an unknown one, and every top-level option take the full parser
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    try:
-        args = _build_parser(command).parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on a usage error; 2 is reserved for numerical failures
-        return EXIT_USAGE if exc.code else EXIT_OK
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on a usage error; 2 is reserved for numerical failures
+            return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (QuadratureError, CalibrationError, OverflowError) as exc:

@@ -2,9 +2,12 @@
 
 import argparse
 import dataclasses
+import importlib.util
 import json
 import math
 import os
+import pathlib
+import subprocess
 import sys
 import threading
 
@@ -20,6 +23,8 @@ from fedrdp.accountant import (
     rdp_to_dp,
 )
 from fedrdp.divergence import MechanismParams, renyi_divergence_quadrature, renyi_step_bound
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -82,7 +87,7 @@ def _subparsers(parser):
 
 def test_subcommand_usage_error_prints_argparse_usage_and_exits_1(capsys):
     # argparse's own error text, with 1 for its exit code 2
-    sub = _subparsers(cli._build_parser(None))["calibrate"]
+    sub = _subparsers(cli._build_parser())["calibrate"]
     code, out, err = run_cli(capsys, "calibrate", "--epsilon", "x", "--q", "0.05", "--steps", "100")
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert err == (sub.format_usage()
@@ -90,12 +95,19 @@ def test_subcommand_usage_error_prints_argparse_usage_and_exits_1(capsys):
     assert run_cli(capsys, "--help")[0] == cli.EXIT_OK
 
 
-def test_a_command_builds_only_its_own_subparser(capsys):
-    cli._build_parser.cache_clear()
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """A list that gains one entry each time argparse's parser is built."""
+    builds = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+    return builds
+
+
+def test_a_plain_command_builds_no_parser(capsys, parser_builds):
     assert run_cli(capsys, "calibrate", "--epsilon", "4", "--q", "0.05", "--steps", "100")[0] == 0
-    assert cli._build_parser.cache_info().currsize == 1
-    assert list(_subparsers(cli._build_parser("calibrate"))) == ["calibrate"]
-    assert list(_subparsers(cli._build_parser(None))) == list(cli._COMMANDS)
+    assert parser_builds == []
+    assert list(_subparsers(cli._build_parser())) == list(cli._COMMANDS)
 
 
 def test_a_leftover_argument_prints_the_full_usage_and_exits_1(capsys):
@@ -104,8 +116,89 @@ def test_a_leftover_argument_prints_the_full_usage_and_exits_1(capsys):
         code, out, err = run_cli(capsys, "calibrate", "--epsilon", "4", "--q", "0.05",
                                  "--steps", "100", *leftover)
         assert (code, out) == (cli.EXIT_USAGE, ""), leftover
-        assert err == (cli._build_parser(None).format_usage()
+        assert err == (cli._build_parser().format_usage()
                        + f"fedrdp: error: unrecognized arguments: {' '.join(leftover)}\n")
+
+
+def _same_outputs_corpus():
+    path = ROOT / "scripts" / "same_outputs.py"
+    spec = importlib.util.spec_from_file_location("same_outputs", path)
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    return [argv for _, argv in harness.CORPUS]
+
+
+def _sample_value(keywords):
+    if "choices" in keywords:
+        return keywords["choices"][-1]
+    return {int: "7", float: "0.25"}.get(keywords.get("type"), "x.txt")
+
+
+def _generated_plain_argvs():
+    """Each command with every set of its optional flags, in declared and reversed order."""
+    for name, (_, arguments, _) in cli._COMMANDS.items():
+        required = [a for a in arguments if a[1].get("required")]
+        optional = [a for a in arguments if not a[1].get("required")]
+        for mask in range(2 ** len(optional)):
+            chosen = required + [a for i, a in enumerate(optional) if mask >> i & 1]
+            chosen.sort(key=arguments.index)
+            for order in (chosen, chosen[::-1]):
+                yield [name] + [tok for flag, kw in order for tok in (flag, _sample_value(kw))]
+
+
+def test_the_plain_parse_matches_argparse_or_declines():
+    parser = cli._build_parser()
+    corpus = [argv for argv in _same_outputs_corpus() if argv and argv[0] in cli._COMMANDS]
+    generated = list(_generated_plain_argvs())
+    plain = 0
+    for argv in corpus + generated:
+        args = cli._plain_args(argv)
+        if args is not None:
+            plain += 1
+            assert vars(args) == vars(parser.parse_args(argv)), argv
+        else:
+            assert argv not in generated, argv
+    # 2 ** (optional flags) sets a command, each in two orders
+    assert len(generated) == 2 * (1 + 1 + 8 + 2 + 4 + 2 + 16)
+    assert plain > len(generated) + 30
+
+
+_PLAIN_CALIBRATE = ["calibrate", "--epsilon", "4", "--q", "0.05", "--steps", "100"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--eps", "4", "--q", "0.05", "--steps", "100"],
+    ["calibrate", "--epsilon=4", "--q", "0.05", "--steps", "100"],
+    _PLAIN_CALIBRATE + ["--steps", "50"],
+    ["compose", "--ledger", "ledger.tsv", "--client", "-1"],
+    ["bound", "--alpha", "2", "--q", "-0.1", "--sigma", "1"],
+    ["calibrate", "--epsilon", "x", "--q", "0.05", "--steps", "100"],
+    ["compose", "--ledger", "ledger.tsv", "--client", "0", "--format", "xml"],
+    ["calibrate", "--epsilon", "4", "--q", "0.05"],
+    ["calibrate", "-h"],
+    _PLAIN_CALIBRATE + ["--help", "x"],
+    ["--help"],
+    _PLAIN_CALIBRATE + ["extra"],
+    _PLAIN_CALIBRATE + ["--bogus", "1"],
+    [],
+    ["frobnicate", "--epsilon", "4"],
+], ids=["abbreviation", "flag=value", "repeated", "negative-int", "negative-float",
+        "bad-float", "bad-choice", "missing-required", "-h", "--help", "top-level-help",
+        "stray", "unknown-flag", "no-command", "unknown-command"])
+def test_the_plain_parse_declines(argv):
+    assert cli._plain_args(argv) is None
+
+
+def test_a_plain_process_imports_no_argparse():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "fedrdp.cli", *_PLAIN_CALIBRATE],
+                         env=env, capture_output=True, text=True, check=True)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
+    assert "fedrdp.accountant" in imported and run.stdout.startswith("sigma=")
+    assert not {"argparse", "gettext", "locale"} & imported
+    run = subprocess.run([sys.executable, "-m", "fedrdp.cli", "--help"], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.startswith("usage: fedrdp [-h] {bound,oracle,compose,")
 
 
 def test_missing_flag_is_usage_error(capsys):
@@ -596,9 +689,10 @@ def test_simulate_rejects_a_calibrated_sigma_whose_noise_overflows(capsys, tmp_p
     assert not (tmp_path / "o").exists()
 
 
-def test_one_process_runs_commands_as_fresh_processes_do(capsys, tmp_path):
-    # each command's parser is built once per process; each command must print
-    # what it prints when its process builds its own
+def test_one_process_runs_commands_as_fresh_processes_do(capsys, monkeypatch, parser_builds,
+                                                         tmp_path):
+    # a process keeps state between commands (the step-bound memo, the loaded
+    # simulator); each command must print what it prints in a process of its own
     ledger = tmp_path / "ledger.tsv"
     write_demo_ledger(ledger)
     curve = tmp_path / "curve.csv"
@@ -615,21 +709,14 @@ def test_one_process_runs_commands_as_fresh_processes_do(capsys, tmp_path):
         ["calibrate", "--epsilon", "4", "--q", "0.05", "--steps", "100", "extra"],
         ["calibrate", "--help"],
     ]
-
-    def run_all(fresh):
-        runs = []
-        for argv in argvs:
-            if fresh:
-                cli._build_parser.cache_clear()
-            runs.append(run_cli(capsys, *argv))
-        return runs
-
-    cli._build_parser.cache_clear()
-    shared = run_all(fresh=False)
-    # one build per command run, and one of the full parser for the rest
-    parsers = {argv[0] if argv[0] in cli._COMMANDS else None for argv in argvs}
-    assert cli._build_parser.cache_info().misses == len(parsers)
-    assert shared == run_all(fresh=True)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal's width
+    shared = [run_cli(capsys, *argv) for argv in argvs]
+    # argparse's parser is built once for each line that is not plain, and for no other
+    assert len(parser_builds) == sum(cli._plain_args(argv) is None for argv in argvs) == 7
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
+    fresh = [subprocess.run([sys.executable, "-m", "fedrdp.cli", *argv], env=env,
+                            capture_output=True, text=True) for argv in argvs]
+    assert shared == [(run.returncode, run.stdout, run.stderr) for run in fresh]
     assert [code for code, _, _ in shared] == [1, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0]
     assert "invalid float value: 'x'" in shared[0][2]
     assert shared[1][1].startswith("usage: fedrdp")
