@@ -67,6 +67,10 @@ INPUTS = {
                         "points_per_client": 20, "batch_size": 4, "clip": 1.0, "sigma": 1.0},
     "m_t-9.json": {"rounds": 5, "clients": 4, "m_t": 9, "d": 3, "classes": 2,
                    "points_per_client": 20, "batch_size": 4, "clip": 1.0, "sigma": 1.0},
+    "delta-5.json": {"rounds": 5, "clients": 4, "d": 3, "classes": 2, "points_per_client": 20,
+                     "batch_size": 4, "clip": 1.0, "sigma": 1.0, "delta": 5},
+    # a config that is not JSON
+    "malformed.json": "{not json",
     # every order +inf: epsilon is +inf at the smallest order; and +inf only at the smallest
     "curve-all-inf.csv": "alpha,rdp\n2,inf\n4,inf\n",
     "curve-first-inf.csv": "alpha,rdp\n1.5,inf\n2,0.5\n4,0.25\n",
@@ -167,13 +171,15 @@ CORPUS = (
     # exit 1: a config number of the wrong kind, one out of range, an empty order grid
     ("simulate-rounds-2.5", ["simulate", "--config", "rounds-2.5.json", "--outdir", "rounds-2.5"]),
     ("trace-m_t-past-clients", ["trace", "--config", "m_t-9.json"]),
+    ("trace-delta-5", ["trace", "--config", "delta-5.json"]),
     ("calibrate-empty-grid", ["calibrate", "--epsilon", "4", "--q", "0.05", "--steps", "100",
                               "--alphas", ","]),
     # exit 2: no sigma meets an epsilon below the grid's conversion floor
     ("numerical-unreachable-target", ["calibrate", "--epsilon", "0.001", "--q", "0.05",
                                       "--steps", "100"]),
-    # exit 3: the curve file does not exist
+    # exit 3: the curve file does not exist; the config is not JSON
     ("io-missing-curve", ["convert", "--curve", "missing.csv"]),
+    ("io-malformed-config", ["simulate", "--config", "malformed.json", "--outdir", "malformed"]),
 )
 
 

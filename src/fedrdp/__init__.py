@@ -8,7 +8,9 @@ the quadrature oracle or `divergence.likelihood_ratio_moment` first runs.
 The seedable federated-learning simulator that feeds the ledger is
 `fedrdp.simulate`, imported with numpy on first access.  `fedrdp.cli` is the
 `fedrdp` command; its accountant commands load neither the simulator nor
-numpy, and compose, convert and calibrate do not load mpmath.
+numpy, and compose, convert and calibrate do not load mpmath.  Nor does
+`import fedrdp` load dataclasses, typing, json or re: a ledger read imports
+re, and json is imported for a jsonl curve or a simulator config.
 """
 
 import importlib

@@ -34,15 +34,13 @@ from __future__ import annotations
 
 import math
 import os
-import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from typing import Iterable, Iterator
 
 from ._float64 import _binned_lower_bound
-from .divergence import MechanismParams, _number, renyi_step_bound
+from .divergence import MechanismParams, _Frozen, _number, renyi_step_bound
 
 __all__ = [
     "DEFAULT_ALPHAS",
@@ -80,8 +78,9 @@ STEP_BOUND_CACHE_SIZE = 4096
 
 # The "\n" before a line that neither starts with a canonical client id (0 or
 # -?[1-9][0-9]*, the only spelling of an id) and a tab nor is blank.  The
-# common case, a positive id, has a lookahead of its own, tried first.
-_BAD_LINE = re.compile(rb"\n(?![1-9][0-9]*\t)(?!0\t|-[1-9][0-9]*\t|[ \t]*(?:\n|\Z))")
+# common case, a positive id, has a lookahead of its own, tried first.  A
+# ledger read compiles it, through re's cache: no other command loads re.
+_BAD_LINE = rb"\n(?![1-9][0-9]*\t)(?!0\t|-[1-9][0-9]*\t|[ \t]*(?:\n|\Z))"
 # The ASCII line boundaries of str.splitlines other than "\n" and "\r\n".  The
 # format has none of them, so a text holding one is rejected, never read two
 # ways.
@@ -124,53 +123,46 @@ _STEP_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class StepParams:
+class StepParams(_Frozen):
     """Parameters of one recorded noisy step.
 
     sigma = 0 and q = 1 are admitted so that non-private simulator runs can
     still be ledgered; composition rejects them (no finite bound exists).
     """
 
-    q: float
-    sigma: float
-    clip: float
-    batch_size: int
+    __match_args__ = ("q", "sigma", "clip", "batch_size")
 
-    def __post_init__(self):
+    def __init__(self, q: float, sigma: float, clip: float, batch_size: int) -> None:
         # to_text writes these with repr, which reads back only for built-in
         # numbers (numpy's is "np.float64(1.5)")
-        for name, kind, message, ok in _STEP_FIELDS:
-            object.__setattr__(self, name, _number(getattr(self, name), kind, message, ok))
+        vars(self).update((name, _number(value, kind, message, ok)) for (name, kind, message, ok),
+                          value in zip(_STEP_FIELDS, (q, sigma, clip, batch_size)))
 
 
-@dataclass(frozen=True)
-class PrivacyBudget:
-    epsilon: float
-    delta: float
+class PrivacyBudget(_Frozen):
+    """An (epsilon, delta) differential-privacy guarantee."""
 
-    def __post_init__(self):
-        epsilon = _number(self.epsilon, float, "epsilon must be >= 0", lambda eps: eps >= 0)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "delta", _number(self.delta, float, *_DELTA))
+    __match_args__ = ("epsilon", "delta")
+
+    def __init__(self, epsilon: float, delta: float) -> None:
+        epsilon = _number(epsilon, float, "epsilon must be >= 0", lambda eps: eps >= 0)
+        vars(self).update(epsilon=epsilon, delta=_number(delta, float, *_DELTA))
 
 
-@dataclass(frozen=True)
-class RdpCurve:
+class RdpCurve(_Frozen):
     """RDP values on a strictly increasing grid of finite orders > 1.
 
     Values are nonnegative; +inf (a valid bound that never wins) comes from
     a curve file, or from 2 alpha / sigma^2 or count x bound overflowing.
     """
 
-    alphas: tuple[float, ...]
-    values: tuple[float, ...]
+    __match_args__ = ("alphas", "values")
 
-    def __post_init__(self):
-        if len(self.alphas) != len(self.values):
+    def __init__(self, alphas: tuple[float, ...], values: tuple[float, ...]) -> None:
+        if len(alphas) != len(values):
             raise ValueError("alphas and values must have equal length")
-        object.__setattr__(self, "alphas", _orders(self.alphas))
-        object.__setattr__(self, "values", tuple(_number(v, float, *_CURVE_VALUE) for v in self.values))
+        vars(self).update(alphas=_orders(alphas),
+                          values=tuple(_number(v, float, *_CURVE_VALUE) for v in values))
 
     def items(self) -> Iterator[tuple[float, float]]:
         return zip(self.alphas, self.values)
@@ -293,7 +285,9 @@ class ParticipationLedger:
             if pos != -1:
                 raise ValueError(f"ledger line {_line_number(data, pos)}: "
                                  f"{chr(byte)!r} is not a ledger line break")
-        match = _BAD_LINE.search(data)
+        import re
+
+        match = re.search(_BAD_LINE, data)
         if match:
             raise ValueError(f"ledger line {_line_number(data, match.end())}: "
                              "does not start with a canonical client id and a tab")
@@ -346,6 +340,8 @@ def _client_lines(data: bytearray, client_id: int) -> Iterator[tuple[int, str]]:
     line starts with a canonical client id and a tab or is blank, so no line
     of the client can be spelled another way ("07", "+7", " 7", "7_0").
     """
+    import re
+
     for match in re.finditer(re.escape(b"\n%d\t" % client_id), data):
         pos = match.start()
         end = data.find(b"\n", pos + 1)

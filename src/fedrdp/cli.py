@@ -14,8 +14,6 @@ or domain error, 2 numerical failure, 3 I/O failure.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import sys
 from types import SimpleNamespace
 
@@ -116,6 +114,8 @@ def _curve_text(curve: RdpCurve, fmt: str) -> str:
     if fmt == "csv":
         rows = [f"{alpha:.17g},{value:.17g}" for alpha, value in curve.items()]
         return "alpha,rdp\n" + "".join(row + "\n" for row in rows)
+    import json
+
     return "".join(json.dumps({"alpha": a, "rdp": v}) + "\n" for a, v in curve.items())
 
 
@@ -153,6 +153,8 @@ def _read_curve(path) -> RdpCurve:
                 continue
             try:
                 if line.startswith("{"):
+                    import json
+
                     row = json.loads(line)
                     alpha, value = (_number(row[key], float, f"{key} must be a number")
                                     for key in ("alpha", "rdp"))
@@ -190,16 +192,24 @@ def cmd_calibrate(args) -> int:
 
 def _load_config(args) -> SimConfig:
     _load_simulator()
-    config = SimConfig.from_file(args.config)
+    import json
+    from dataclasses import replace  # both loaded with the simulator
+
+    try:
+        config = SimConfig.from_file(args.config)
+    except json.JSONDecodeError as exc:
+        raise OSError(f"cannot parse {args.config}: {exc}") from None
     if getattr(args, "seed", None) is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+        config = replace(config, seed=args.seed)
     return config
 
 
 def cmd_simulate(args) -> int:
+    from dataclasses import replace
+
     config = _load_config(args)
     # calibrate once, so the run and the printed sigma share one value
-    config = dataclasses.replace(config, sigma=config.resolve_sigma(), target_epsilon=None)
+    config = replace(config, sigma=config.resolve_sigma(), target_epsilon=None)
     # built once: training reuses the data generate_client_data keeps
     clients = generate_client_data(config)
     model, records, ledger = run_training(config)
@@ -335,9 +345,6 @@ def main(argv=None) -> int:
     except (QuadratureError, CalibrationError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except json.JSONDecodeError as exc:
-        print(f"I/O failure: cannot parse {getattr(args, 'config', '<input>')}: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import numbers
 import threading
-from dataclasses import dataclass
 
 from ._float64 import _U, _integer_log_moment, _moment_exponent, _split_log_moment
 
@@ -109,6 +108,39 @@ def _number(value, kind: type, message: str, ok=None) -> int | float:
     return number
 
 
+class _Frozen:
+    """Base of an immutable value class.
+
+    __init__ checks the fields and stores each once in the instance dict;
+    __match_args__ names them.  Equality, hash, repr, pickling and the
+    assignment errors are a frozen dataclass's, without importing dataclasses.
+    """
+
+    def __init_subclass__(cls):
+        cls.__init__.__annotations__["return"] = None  # a dataclass's, not the string "None"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # (message, range) of the numbers more than one function takes
 _ALPHA = ("alpha must be a finite real > 1", lambda alpha: 1 < alpha < math.inf)
 _Q = ("q must lie in [0, 1]", lambda q: 0 <= q <= 1)
@@ -182,23 +214,19 @@ def likelihood_ratio_moment(sigma: float, k: int) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class MechanismParams:
+class MechanismParams(_Frozen):
     """One mechanism step: sampling fraction q, noise multiplier sigma."""
 
-    q: float
-    sigma: float
+    __match_args__ = ("q", "sigma")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", _number(self.q, float, *_Q))
-        object.__setattr__(self, "sigma", _number(self.sigma, float, *_SIGMA))
+    def __init__(self, q: float, sigma: float) -> None:
+        vars(self).update(q=_number(q, float, *_Q), sigma=_number(sigma, float, *_SIGMA))
 
 
 _BOUND_PATHS = ("closed_form", "split")
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(_Frozen):
     """Output of renyi_step_bound.
 
     The order-alpha moment lies within leading_sum +- remainder, and bound
@@ -213,19 +241,18 @@ class BoundResult:
     is the certified upper end).
     """
 
-    bound: float
-    leading_sum: float
-    remainder: float
-    m: int
-    path: str
+    __match_args__ = ("bound", "leading_sum", "remainder", "m", "path")
 
-    def __post_init__(self):
-        if math.isnan(self.bound) or math.isnan(self.remainder):
+    def __init__(self, bound: float, leading_sum: float, remainder: float, m: int,
+                 path: str) -> None:
+        if math.isnan(bound) or math.isnan(remainder):
             raise ValueError("bound and remainder must not be NaN")
-        if self.remainder < 0:
+        if remainder < 0:
             raise ValueError("remainder must be nonnegative")
-        if self.path not in _BOUND_PATHS:
-            raise ValueError(f"path must be one of {_BOUND_PATHS}, got {self.path!r}")
+        if path not in _BOUND_PATHS:
+            raise ValueError(f"path must be one of {_BOUND_PATHS}, got {path!r}")
+        vars(self).update(bound=bound, leading_sum=leading_sum, remainder=remainder, m=m,
+                          path=path)
 
 
 def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:

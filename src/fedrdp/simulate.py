@@ -48,6 +48,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .accountant import (
+    _DELTA,
     DEFAULT_DELTA,
     ParticipationLedger,
     PrivacyBudget,
@@ -96,7 +97,7 @@ _CONFIG_FIELDS = (
     ("clip", float, "clip must be a finite real > 0", lambda x, c: 0 < x < math.inf),
     ("sigma", float, "sigma must be a finite real >= 0", lambda x, c: 0 <= x < math.inf),
     ("target_epsilon", float, "target_epsilon must be a real > 0", lambda x, c: x > 0),
-    ("delta", float, "delta must be a real in (0, 1)", lambda x, c: 0 < x < 1),
+    ("delta", float, _DELTA[0], lambda x, c: _DELTA[1](x)),  # PrivacyBudget's rule and message
     ("seed", int, "seed must be an integer >= 0", lambda n, c: n >= 0),
     ("dropout_prob", float, "dropout_prob must be a real in [0, 1)", lambda x, c: 0 <= x < 1),
     ("step_size", float, "step_size must be a finite real > 0", lambda x, c: 0 < x < math.inf),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -32,14 +33,55 @@ from fedrdp.accountant import (
     DEFAULT_ALPHAS,
     CalibrationError,
     ParticipationLedger,
-    PrivacyBudget,
-    StepParams,
 )
 from fedrdp.simulate import RoundRecord
 
 # chi-square critical value at p = 0.001 for 5 degrees of freedom
 # (uniformity test over the 6 subsets of size 2 from 4 clients).
 CHI2_DF5_P001 = 20.515
+
+
+# --- frozen-dataclass twins of the package's value classes -------------------
+#
+# The package declares StepParams, PrivacyBudget, RdpCurve, MechanismParams and
+# BoundResult without dataclasses; these twins are the frozen dataclasses they
+# must behave as.  They hold fields only: a twin is built from a package
+# instance's checked values.
+
+
+@dataclass(frozen=True)
+class StepParams:
+    q: float
+    sigma: float
+    clip: float
+    batch_size: int
+
+
+@dataclass(frozen=True)
+class PrivacyBudget:
+    epsilon: float
+    delta: float
+
+
+@dataclass(frozen=True)
+class RdpCurve:
+    alphas: tuple[float, ...]
+    values: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class MechanismParams:
+    q: float
+    sigma: float
+
+
+@dataclass(frozen=True)
+class BoundResult:
+    bound: float
+    leading_sum: float
+    remainder: float
+    m: int
+    path: str
 
 
 # --- moment oracle ------------------------------------------------------
@@ -231,7 +273,7 @@ def parse_ledger_per_line(text: str) -> ParticipationLedger:
         fields = line.split("\t")
         if len(fields) != 6:
             raise ValueError(f"ledger line {lineno}: expected 6 tab-separated fields")
-        params = StepParams(
+        params = accountant.StepParams(
             q=float(fields[2]),
             sigma=float(fields[3]),
             clip=float(fields[4]),
@@ -261,7 +303,7 @@ def client_steps_by_splitlines(text: str, client_id: int):
             continue
         if len(fields) != 6:
             raise ValueError("expected 6 tab-separated fields")
-        params = StepParams(
+        params = accountant.StepParams(
             q=float(fields[2]),
             sigma=float(fields[3]),
             clip=float(fields[4]),
@@ -297,7 +339,7 @@ def is_canonical_line_start(data: bytes, pos: int) -> bool:
 # bit for bit.
 
 
-def calibrate_sigma_doubling(target: PrivacyBudget, q: float, steps: int) -> float:
+def calibrate_sigma_doubling(target: accountant.PrivacyBudget, q: float, steps: int) -> float:
     """calibrate_sigma's result on DEFAULT_ALPHAS, or its CalibrationError,
     by doubling from 0.3.
 
@@ -471,8 +513,8 @@ def per_client_training(config):
     clients = client_data(config)
     ledger = ParticipationLedger()
     W = np.zeros((config.classes, config.d))
-    step = StepParams(q=config.sampling_ratio, sigma=sigma, clip=config.clip,
-                      batch_size=config.batch_size)
+    step = accountant.StepParams(q=config.sampling_ratio, sigma=sigma, clip=config.clip,
+                                 batch_size=config.batch_size)
     size = config.classes * config.d
     records = []
     for t in range(1, config.rounds + 1):

@@ -1,7 +1,6 @@
 """CLI adapter: flag parsing, output fidelity, exit codes."""
 
 import argparse
-import dataclasses
 import importlib.util
 import json
 import math
@@ -22,7 +21,12 @@ from fedrdp.accountant import (
     compose_client_rdp,
     rdp_to_dp,
 )
-from fedrdp.divergence import MechanismParams, renyi_divergence_quadrature, renyi_step_bound
+from fedrdp.divergence import (
+    BoundResult,
+    MechanismParams,
+    renyi_divergence_quadrature,
+    renyi_step_bound,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -189,13 +193,26 @@ def test_the_plain_parse_declines(argv):
     assert cli._plain_args(argv) is None
 
 
-def test_a_plain_process_imports_no_argparse():
+# what calibrate and convert need not load; -S, so that no module site loads hides one
+_UNUSED_MODULES = {"argparse", "gettext", "locale", "dataclasses", "inspect", "json", "re", "typing"}
+
+
+def test_a_plain_process_imports_no_argparse(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "fedrdp.cli", *_PLAIN_CALIBRATE],
-                         env=env, capture_output=True, text=True, check=True)
-    imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
-    assert "fedrdp.accountant" in imported and run.stdout.startswith("sigma=")
-    assert not {"argparse", "gettext", "locale"} & imported
+
+    def imported(*argv):
+        run = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "fedrdp.cli", *argv],
+                             env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
+        return {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}, run.stdout
+
+    modules, out = imported(*_PLAIN_CALIBRATE)
+    assert "fedrdp.accountant" in modules and out.startswith("sigma=")
+    assert not _UNUSED_MODULES & modules
+    (tmp_path / "ledger.tsv").write_text("0\t1\t0.01\t2.0\t1.0\t10\n")
+    modules, _ = imported("compose", "--ledger", "ledger.tsv", "--client", "0", "--output", "curve.csv")
+    assert "re" in modules and "json" not in modules  # a ledger read needs re
+    modules, out = imported("convert", "--curve", "curve.csv")
+    assert out.startswith("epsilon=") and not _UNUSED_MODULES & modules
     run = subprocess.run([sys.executable, "-m", "fedrdp.cli", "--help"], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.startswith("usage: fedrdp [-h] {bound,oracle,compose,")
@@ -228,8 +245,12 @@ def test_missing_file_is_io_exit(capsys):
 def test_malformed_config_json_is_io_exit(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    code, _, _ = run_cli(capsys, "trace", "--config", str(bad), "--rounds", "1")
-    assert code == cli.EXIT_IO
+    for argv in (["trace", "--config", str(bad), "--rounds", "1"],
+                 ["simulate", "--config", str(bad), "--outdir", str(tmp_path / "out")]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (cli.EXIT_IO, "")
+        assert err == (f"I/O failure: cannot parse {bad}: Expecting property name enclosed in "
+                       "double quotes: line 1 column 2 (char 1)\n")
 
 
 def test_invalid_config_value_is_usage_exit(capsys, tmp_path):
@@ -275,8 +296,12 @@ def test_bound_explicit_truncation(capsys):
 
 def test_bound_below_the_oracle_is_a_numerical_exit(capsys, monkeypatch):
     real = cli.renyi_step_bound
-    monkeypatch.setattr(cli, "renyi_step_bound",
-                        lambda alpha, params: dataclasses.replace(real(alpha, params), bound=0.0))
+
+    def zero_bound(alpha, params):
+        result = real(alpha, params)
+        return BoundResult(0.0, result.leading_sum, result.remainder, result.m, result.path)
+
+    monkeypatch.setattr(cli, "renyi_step_bound", zero_bound)
     code, out, err = run_cli(capsys, "bound", "--alpha", "2", "--q", "0.05", "--sigma", "4")
     assert code == cli.EXIT_NUMERICAL
     assert parse_kv(out)["bound"] == "0.0"

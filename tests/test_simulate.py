@@ -124,7 +124,7 @@ def test_config_bounds_checks():
        for field in ("clip", "sigma", "target_epsilon", "step_size"))],
 )
 def test_config_rejects_mistyped_fields(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be"):
+    with pytest.raises(ValueError, match=f"^{field} must "):
         small_config(**{field: value})
 
 
