@@ -69,8 +69,9 @@ INPUTS = {
                    "points_per_client": 20, "batch_size": 4, "clip": 1.0, "sigma": 1.0},
     "delta-5.json": {"rounds": 5, "clients": 4, "d": 3, "classes": 2, "points_per_client": 20,
                      "batch_size": 4, "clip": 1.0, "sigma": 1.0, "delta": 5},
-    # a config that is not JSON
+    # a config that is not JSON, and one that is not UTF-8
     "malformed.json": "{not json",
+    "not-utf8.json": b'{"seed": 1, \xff}',
     # every order +inf: epsilon is +inf at the smallest order; and +inf only at the smallest
     "curve-all-inf.csv": "alpha,rdp\n2,inf\n4,inf\n",
     "curve-first-inf.csv": "alpha,rdp\n1.5,inf\n2,0.5\n4,0.25\n",
@@ -84,6 +85,7 @@ INPUTS = {
     "ledger-q-2.tsv": "0\t1\t0.01\t2.0\t1.0\t10\n0\t2\t2.0\t2.0\t1.0\t10\n",
     "ledger-out-of-order.tsv": "0\t2\t0.01\t2.0\t1.0\t10\n0\t1\t0.01\t2.0\t1.0\t10\n",
     "ledger-short-line.tsv": "0\t1\t0.01\t2.0\t1.0\t10\n0\t2\t0.01\t2.0\n",
+    "ledger-clip-inf.tsv": "0\t1\t0.01\t2.0\t1.0\t10\n0\t2\t0.01\t2.0\tinf\t10\n",
 }
 
 # (name, fedrdp arguments), run in this order
@@ -141,7 +143,7 @@ CORPUS = (
                                          "--delta", "1e-5"]),
     # exit 1: a malformed ledger line
     *((f"compose-{bad}", ["compose", "--ledger", f"ledger-{bad}.tsv", "--client", "0"])
-      for bad in ("bad-float", "bad-t", "q-2", "out-of-order", "short-line")),
+      for bad in ("bad-float", "bad-t", "q-2", "out-of-order", "short-line", "clip-inf")),
     ("convert-all-inf", ["convert", "--curve", "curve-all-inf.csv"]),
     ("convert-first-order-inf", ["convert", "--curve", "curve-first-inf.csv"]),
     ("bound-integer", ["bound", "--alpha", "8", "--q", "0.01", "--sigma", "2"]),
@@ -177,9 +179,10 @@ CORPUS = (
     # exit 2: no sigma meets an epsilon below the grid's conversion floor
     ("numerical-unreachable-target", ["calibrate", "--epsilon", "0.001", "--q", "0.05",
                                       "--steps", "100"]),
-    # exit 3: the curve file does not exist; the config is not JSON
+    # exit 3: the curve file does not exist; the config is not JSON, or not UTF-8
     ("io-missing-curve", ["convert", "--curve", "missing.csv"]),
     ("io-malformed-config", ["simulate", "--config", "malformed.json", "--outdir", "malformed"]),
+    ("io-config-not-utf8", ["trace", "--config", "not-utf8.json"]),
 )
 
 
@@ -187,8 +190,11 @@ def run_corpus(tree: pathlib.Path, workdir: pathlib.Path, corpus=CORPUS, inputs=
     """{name: (exit code, stdout, stderr)} of each command, and {"files": {path: bytes}}."""
     workdir.mkdir(parents=True, exist_ok=True)
     for name, content in inputs.items():
-        text = content if isinstance(content, str) else json.dumps(content)
-        (workdir / name).write_text(text, encoding="ascii")
+        if isinstance(content, dict):
+            content = json.dumps(content)
+        if isinstance(content, str):
+            content = content.encode("ascii")
+        (workdir / name).write_bytes(content)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     results = {}
     for name, argv in corpus:

@@ -40,7 +40,8 @@ from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
 from ._float64 import _binned_lower_bound
-from .divergence import MechanismParams, _Frozen, _number, renyi_step_bound
+# renyi_step_bound is unused, but perfbench's tracer wraps it here
+from .divergence import _Frozen, _number, _step_bound, renyi_step_bound
 
 __all__ = [
     "DEFAULT_ALPHAS",
@@ -114,11 +115,12 @@ class CalibrationError(RuntimeError):
 
 # (message, range) of a number for `_number`, and StepParams' fields with theirs
 _DELTA = ("delta must lie in (0, 1)", lambda delta: 0 < delta < 1)
+_CLIP = ("clip must be a finite real > 0", lambda clip: 0 < clip < math.inf)
 _CURVE_VALUE = ("curve values must be >= 0", lambda value: value >= 0)
 _STEP_FIELDS = (
     ("q", float, "q must lie in (0, 1]", lambda q: 0 < q <= 1),
     ("sigma", float, "sigma must be a finite real >= 0", lambda sigma: 0 <= sigma < math.inf),
-    ("clip", float, "clip must be > 0", lambda clip: clip > 0),
+    ("clip", float, *_CLIP),
     ("batch_size", int, "batch_size must be an integer >= 1", lambda size: size >= 1),
 )
 
@@ -388,8 +390,11 @@ def _append_step(
 
 @lru_cache(maxsize=STEP_BOUND_CACHE_SIZE)
 def _cached_step_bound(alpha: float, q: float, sigma: float) -> float:
+    """``renyi_step_bound(alpha, MechanismParams(q, sigma)).bound``, from its float
+    core: alpha comes from `_orders` or its floor, q from a `StepParams` or
+    `calibrate_sigma`, and the callers pass no q = 1 or sigma = 0."""
     try:
-        return renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma)).bound
+        return _step_bound(alpha, q, sigma)[0]
     except OverflowError:
         # q = 1's 2 alpha / sigma^2 bounds every q (joint quasi-convexity, arXiv:1206.2459, Thm 13)
         return math.nextafter(math.nextafter(2.0 * alpha / sigma / sigma, math.inf), math.inf)
@@ -477,12 +482,20 @@ def client_epsilon_report(ledger: ParticipationLedger, delta: float) -> list[tup
     return rows
 
 
-def _conversion_terms(alphas: tuple[float, ...], delta: float) -> dict[float, float]:
-    """{alpha: log(1/delta)/(alpha - 1)} in grid order, the one place the RDP -> DP
-    conversion is written: D at order alpha converts to ``_round_up(D + term)``,
-    nondecreasing in D, which the skips of `_calibration_epsilon` rest on."""
+def _conversion_terms(alphas: Iterable[float], delta: float) -> dict[float, float]:
+    """{alpha: log(1/delta)/(alpha - 1)} in the order of alphas, the one place
+    the RDP -> DP conversion is written: D at order alpha converts to
+    ``_round_up(D + term)``, nondecreasing in D, which the skips of
+    `_calibration_epsilon` rest on."""
     log_inv_delta = math.log(1.0 / delta)
     return {alpha: log_inv_delta / (alpha - 1.0) for alpha in alphas}
+
+
+def _calibration_walk(alphas: tuple[float, ...], delta: float) -> dict[float, float]:
+    """The grid's ``_conversion_terms`` in the order `_calibration_epsilon` walks
+    it: integer orders ascending, then fractional ones (sorted is stable).
+    `calibrate_sigma` builds it once for all its probes."""
+    return _conversion_terms(sorted(alphas, key=float.is_integer, reverse=True), delta)
 
 
 def rdp_to_dp(curve: RdpCurve, delta: float = DEFAULT_DELTA) -> tuple[PrivacyBudget, float]:
@@ -501,7 +514,7 @@ def rdp_to_dp(curve: RdpCurve, delta: float = DEFAULT_DELTA) -> tuple[PrivacyBud
 
 def _calibration_epsilon(
     q: float, sigma: float, steps: int, alphas: tuple[float, ...], delta: float,
-    seed: float | None = None,
+    seed: float | None = None, walk: dict[float, float] | None = None,
 ) -> tuple[float, float, int]:
     """``rdp_to_dp`` of the curve ``compose_client_rdp`` gives a client with
     `steps` steps at (q, sigma), as (epsilon, alpha*), bit for bit, plus how
@@ -533,26 +546,31 @@ def _calibration_epsilon(
     that exceeded is skipped.  Each skip is on a strict > against an epsilon
     some evaluated order achieved, so (epsilon, alpha*) is the first minimum
     over the evaluated orders in grid order, as ``rdp_to_dp`` takes it over
-    all of them: the seed changes only which orders are evaluated.  alphas must
-    be a grid that `_orders` returns, and delta a number `rdp_to_dp` accepts.
+    all of them: the seed changes only which orders are evaluated.  Met
+    again at its place in the walk, the seed is not evaluated twice, but its
+    value is compared with the best epsilon there.  alphas must be a grid
+    that `_orders` returns, delta a number `rdp_to_dp` accepts, and walk, if
+    given, ``_calibration_walk(alphas, delta)``.
     """
-    terms = _conversion_terms(alphas, delta)
+    walk = walk or _calibration_walk(alphas, delta)
+    values = {}  # of each evaluated order
     epsilons: dict[float, float] = {}  # of each evaluated order, as rdp_to_dp converts it
     best = math.inf
     stop, stop_value = math.inf, 0.0  # the lowest evaluated order whose value exceeded best
-    walk = sorted(alphas, key=float.is_integer, reverse=True)  # integers first; sorted is stable
-    for alpha in walk if seed is None else [seed, *walk]:
-        term = terms[alpha]
-        if (alpha > stop and _round_up(stop_value + term) > best
-                or _round_up(term) > best
-                or alpha % 1.0 and (
-                    alpha > 2.0
-                    and _round_up(steps * _cached_step_bound(alpha // 1.0, q, sigma) + term) > best
-                    or _round_up(steps * _binned_lower_bound(alpha, q, sigma) + term) > best)):
-            continue
-        value = _composed({(q, sigma): steps}, alpha)
-        epsilons[alpha] = _round_up(value + term)
-        best = min(best, epsilons[alpha])
+    for alpha in walk if seed is None else (seed, *walk):
+        term = walk[alpha]
+        value = values.get(alpha)  # the seed's, met again at its place in the walk
+        if value is None:
+            if (alpha > stop and _round_up(stop_value + term) > best
+                    or _round_up(term) > best
+                    or alpha % 1.0 and (
+                        alpha > 2.0 and _round_up(
+                            steps * _cached_step_bound(alpha // 1.0, q, sigma) + term) > best
+                        or _round_up(steps * _binned_lower_bound(alpha, q, sigma) + term) > best)):
+                continue
+            value = values[alpha] = _composed({(q, sigma): steps}, alpha)
+            epsilons[alpha] = _round_up(value + term)
+            best = min(best, epsilons[alpha])
         if value > best and alpha < stop:
             stop, stop_value = alpha, value
     alpha_star = min(sorted(epsilons), key=epsilons.__getitem__)
@@ -628,7 +646,8 @@ def calibrate_sigma(
     q = _number(q, float, "q must lie in (0, 1)", lambda q: 0 < q < 1)
     steps = _number(steps, int, "steps must be an integer >= 1", lambda steps: steps >= 1)
     alphas = _orders(alphas)
-    floor = _round_up(min(_conversion_terms(alphas, target.delta).values()))
+    walk = _calibration_walk(alphas, target.delta)
+    floor = _round_up(min(walk.values()))
     if target.epsilon <= floor:
         raise CalibrationError(
             f"target epsilon={target.epsilon} unreachable: every epsilon on this "
@@ -641,7 +660,7 @@ def calibrate_sigma(
     def eps(sigma: float) -> float:
         nonlocal seed
         epsilon, alpha_star, orders = _calibration_epsilon(
-            q, sigma, steps, alphas, target.delta, seed)
+            q, sigma, steps, alphas, target.delta, seed, walk)
         evaluated[sigma] = epsilon, alpha_star
         _debug("calibrate: sigma=%r epsilon=%r alpha*=%r orders=%d/%d seed=%r",
                sigma, epsilon, alpha_star, orders, len(alphas), seed)

@@ -197,7 +197,7 @@ def _load_config(args) -> SimConfig:
 
     try:
         config = SimConfig.from_file(args.config)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise OSError(f"cannot parse {args.config}: {exc}") from None
     if getattr(args, "seed", None) is not None:
         config = replace(config, seed=args.seed)

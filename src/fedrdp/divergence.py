@@ -11,6 +11,10 @@ Sampled Gaussian Mechanism" (arXiv:1908.10530), with sigma -> sigma/2: the
 binomial closed form at integer orders and the split binomial series at
 fractional ones, both in float64 in ``fedrdp._float64`` and rounded up by a
 stated error bound.
+The public functions check every input where it enters, through ``_number``
+and ``MechanismParams``.  ``renyi_step_bound``'s arithmetic is the unchecked
+float core ``_step_bound``, which the accountant's memo calls directly: its
+inputs were checked where they entered the accountant.
 ``renyi_divergence_quadrature`` evaluates the divergence by numerical
 integration, so the bound can be checked against it, and
 ``likelihood_ratio_moment`` gives the central moments of the likelihood ratio.
@@ -272,6 +276,11 @@ def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
     slack; the stopping rule keeps the width below max(1e-12, 1e-6 (M - 1))
     for the moment M, unless the walk runs out of terms.
 
+    The inputs are checked here: alpha, then params' type, then q < 1 (q
+    and sigma themselves were checked by ``MechanismParams``).  The
+    arithmetic is ``_step_bound``'s, which the accountant's memo calls
+    directly on inputs it has checked.
+
     Raises:
         ValueError: bad domain, including q = 1 (a pure Gaussian shift, whose
             divergence is 2 alpha / sigma^2; ``renyi_divergence_quadrature``
@@ -286,16 +295,26 @@ def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
             "renyi_step_bound requires q < 1; q = 1 is a pure Gaussian shift, "
             "use renyi_divergence_quadrature"
         )
+    return BoundResult(*_step_bound(alpha, params.q, params.sigma))
+
+
+def _step_bound(alpha: float, q: float, sigma: float) -> tuple[float, float, float, int, str]:
+    """(bound, leading_sum, remainder, m, path) of ``renyi_step_bound``, unchecked.
+
+    The float core.  Precondition, which the caller has checked: alpha is a
+    finite float > 1 (or the int ``_number`` returns for an integral one),
+    q a float in [0, 1) and sigma a finite float > 0.  Raises OverflowError
+    where ``renyi_step_bound`` does.
+    """
     integer = float(alpha).is_integer()
     path = "closed_form" if integer else "split"
-    if params.q == 0:  # P = Q
-        return BoundResult(bound=0.0, leading_sum=1.0, remainder=0.0,
-                           m=int(alpha) + 1 if integer else 1, path=path)
+    if q == 0:  # P = Q
+        return 0.0, 1.0, 0.0, int(alpha) + 1 if integer else 1, path
     if integer:
-        y, err, moment = _integer_log_moment(int(alpha), params.q, params.sigma)
+        y, err, moment = _integer_log_moment(int(alpha), q, sigma)
         m = int(alpha) + 1
     else:
-        y, err, lower, spread, m = _split_log_moment(alpha, params.q, params.sigma)
+        y, err, lower, spread, m = _split_log_moment(alpha, q, sigma)
     d = y / (alpha - 1)
     # d is within u d of y / (alpha-1), and log M within err of y; 2^-1070
     # covers the absolute error of a subnormal d
@@ -307,10 +326,10 @@ def renyi_step_bound(alpha: float, params: MechanismParams) -> BoundResult:
     if integer:
         # the added u covers the rounding of leading_sum = 1 + E itself
         remainder = moment * (math.expm1(gap) + _U) * (1 + 8 * _U)
-        return BoundResult(bound=bound, leading_sum=moment, remainder=remainder, m=m, path=path)
+        return bound, moment, remainder, m, path
     # 8u covers the roundings of lower and spread
     remainder = (spread + (lower + spread) * (math.expm1(gap) + 8 * _U)) * (1 + 8 * _U)
-    return BoundResult(bound=bound, leading_sum=lower, remainder=remainder, m=m, path=path)
+    return bound, lower, remainder, m, path
 
 
 def _mixture_power_integral_mpf(alpha: float, q: float, sigma: float):

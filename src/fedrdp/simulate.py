@@ -48,6 +48,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .accountant import (
+    _CLIP,
     _DELTA,
     DEFAULT_DELTA,
     ParticipationLedger,
@@ -94,7 +95,7 @@ _CONFIG_FIELDS = (
     ("points_per_client", int, "points_per_client must be an integer >= 1", lambda n, c: n >= 1),
     ("batch_size", int, "batch_size must be an integer in [1, points_per_client]",
      lambda n, c: 1 <= n <= c.points_per_client),
-    ("clip", float, "clip must be a finite real > 0", lambda x, c: 0 < x < math.inf),
+    ("clip", float, _CLIP[0], lambda x, c: _CLIP[1](x)),  # StepParams' rule and message
     ("sigma", float, "sigma must be a finite real >= 0", lambda x, c: 0 <= x < math.inf),
     ("target_epsilon", float, "target_epsilon must be a real > 0", lambda x, c: x > 0),
     ("delta", float, _DELTA[0], lambda x, c: _DELTA[1](x)),  # PrivacyBudget's rule and message

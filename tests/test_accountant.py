@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from fedrdp import accountant
+from fedrdp import accountant, divergence
 from fedrdp.accountant import (
     DEFAULT_ALPHAS,
     DEFAULT_DELTA,
@@ -59,6 +59,7 @@ def test_step_params_accepts_ledgerable_extremes():
         dict(q=0.5, sigma=1.0, clip=0.0, batch_size=1),
         dict(q=0.5, sigma=1.0, clip=1.0, batch_size=0),
         dict(q=0.5, sigma=1.0, clip=1.0, batch_size=2.5),
+        dict(q=0.5, sigma=1.0, clip=math.inf, batch_size=1),
     ],
 )
 def test_step_params_rejects(kw):
@@ -190,7 +191,8 @@ ENTRY_POINT_FIELDS = {
     "step-q": (lambda v: StepParams(q=v, sigma=1.0, clip=1.0, batch_size=1), "q must lie in (0, 1]"),
     "step-sigma": (lambda v: StepParams(q=0.1, sigma=v, clip=1.0, batch_size=1),
                    "sigma must be a finite real >= 0"),
-    "step-clip": (lambda v: StepParams(q=0.1, sigma=1.0, clip=v, batch_size=1), "clip must be > 0"),
+    "step-clip": (lambda v: StepParams(q=0.1, sigma=1.0, clip=v, batch_size=1),
+                  "clip must be a finite real > 0"),
     "step-batch_size": (lambda v: StepParams(q=0.1, sigma=1.0, clip=1.0, batch_size=v),
                         "batch_size must be an integer >= 1"),
     "epsilon": (lambda v: PrivacyBudget(v, 1e-5), "epsilon must be >= 0"),
@@ -432,7 +434,8 @@ def test_text_wrong_field_count_names_the_line(bad):
         ParticipationLedger.from_text(f"0\t1\t{LINE}\n\n{bad}\n")
 
 
-@pytest.mark.parametrize("params", ["0\t1.0\t1.0\t2", "0.1\tnan\t1.0\t2", "0.1\t1.0\t1.0\t2.5"])
+@pytest.mark.parametrize("params", ["0\t1.0\t1.0\t2", "0.1\tnan\t1.0\t2", "0.1\t1.0\t1.0\t2.5",
+                                    "0.1\t1.0\tinf\t2"])
 def test_text_rejects_invalid_params_after_valid_lines(params):
     text = f"0\t1\t{LINE}\n0\t2\t{LINE}\n0\t3\t{params}\n0\t4\t{params}\n"
     with pytest.raises(ValueError):
@@ -979,18 +982,72 @@ def test_calibration_and_composition_share_step_bounds(monkeypatch):
     epsilon, alpha_star, orders = accountant._calibration_epsilon(
         q, sigma, steps, DEFAULT_ALPHAS, 1e-5)
     seen = []
-    original = accountant.renyi_step_bound
+    original = accountant._step_bound  # the float core the memo calls
 
-    def counting(alpha, params):
+    def counting(alpha, q, sigma):
         seen.append(alpha)
-        return original(alpha, params)
+        return original(alpha, q, sigma)
 
-    monkeypatch.setattr(accountant, "renyi_step_bound", counting)
+    monkeypatch.setattr(accountant, "_step_bound", counting)
     composed = _composed_curve(q, sigma, steps)
     # only the orders calibration pruned are new to the memo
     assert 0 < len(seen) == len(DEFAULT_ALPHAS) - orders
     assert all(math.isfinite(v) for v in composed.values)
     assert rdp_to_dp(composed, 1e-5) == (PrivacyBudget(epsilon, 1e-5), alpha_star)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    alpha=st.sampled_from((*DEFAULT_ALPHAS, 3.5, 7.25, 300.5)),
+    u_q=st.floats(0.0, 1.0),
+    u_sigma=st.floats(0.0, 1.0),
+)
+def test_the_memo_takes_the_public_bound_from_its_float_core(alpha, u_q, u_sigma):
+    # a cold memo gives renyi_step_bound's bound bit for bit, and the core's
+    # tuple is its BoundResult's fields
+    q = 1e-4 * 9000.0**u_q  # log-uniform over [1e-4, 0.9]
+    sigma = 0.3 * (200 / 0.3) ** u_sigma  # log-uniform over [0.3, 200]
+    accountant._cached_step_bound.cache_clear()
+    memo = accountant._cached_step_bound(alpha, q, sigma)
+    result = renyi_step_bound(alpha, MechanismParams(q, sigma))
+    assert repr(memo) == repr(result.bound)
+    fields = (result.bound, result.leading_sum, result.remainder, result.m, result.path)
+    assert repr(divergence._step_bound(alpha, q, sigma)) == repr(fields)
+
+
+@pytest.mark.parametrize("alpha, q, sigma", [(1025.0, 0.01, 0.0442), (2.0**40, 0.01, 1.0),
+                                             (1.5, 0.1, 1e-4)])
+def test_the_memo_takes_the_full_sampling_divergence_past_the_core_domain(alpha, q, sigma):
+    # past the closed form's and the split series' domains the core raises
+    # where renyi_step_bound does, and the memo takes q = 1's 2 alpha / sigma^2
+    accountant._cached_step_bound.cache_clear()
+    memo = accountant._cached_step_bound(alpha, q, sigma)
+    with pytest.raises(OverflowError, match="domain"):
+        renyi_step_bound(alpha, MechanismParams(q, sigma))
+    with pytest.raises(OverflowError, match="domain"):
+        divergence._step_bound(alpha, q, sigma)
+    assert memo == math.nextafter(math.nextafter(2.0 * alpha / sigma / sigma, math.inf), math.inf)
+
+
+def test_no_calibration_probe_composes_an_order_twice(monkeypatch):
+    # the seed is composed first, and not again at its place in the walk
+    probes = []
+    composed, calibration_epsilon = accountant._composed, accountant._calibration_epsilon
+
+    def counting_composed(groups, alpha):
+        probes[-1].append(alpha)
+        return composed(groups, alpha)
+
+    def probe(*args):
+        probes.append([])
+        return calibration_epsilon(*args)
+
+    monkeypatch.setattr(accountant, "_composed", counting_composed)
+    monkeypatch.setattr(accountant, "_calibration_epsilon", probe)
+    for epsilon, q, steps, delta in _LATTICE_TARGETS[::4]:
+        _calibration_outcome(calibrate_sigma, PrivacyBudget(epsilon, delta), q, steps)
+    assert sum(map(len, probes)) > len(probes) > 100
+    assert all(len(set(alphas)) == len(alphas) for alphas in probes)
 
 
 # --- conversion ------------------------------------------------------------
@@ -1147,8 +1204,8 @@ def test_calibrate_seeds_each_probe_with_the_last_alpha_star(monkeypatch):
     original = accountant._calibration_epsilon
     orders = {"seeded": 0, "unseeded": 0}
 
-    def both(q, sigma, steps, alphas, delta, seed):
-        got, unseeded = original(q, sigma, steps, alphas, delta, seed), original(
+    def both(q, sigma, steps, alphas, delta, seed, walk):
+        got, unseeded = original(q, sigma, steps, alphas, delta, seed, walk), original(
             q, sigma, steps, alphas, delta)
         assert repr(got[:2]) == repr(unseeded[:2]), (q, sigma, steps, delta, seed)
         orders["seeded"] += got[2]

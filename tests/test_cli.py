@@ -253,6 +253,19 @@ def test_malformed_config_json_is_io_exit(capsys, tmp_path):
                        "double quotes: line 1 column 2 (char 1)\n")
 
 
+def test_config_not_utf8_is_io_exit(capsys, tmp_path):
+    # a config that does not decode is an I/O failure naming the file, as one
+    # that does not parse is
+    bad = tmp_path / "bad8.json"
+    bad.write_bytes(b'{"seed": 1, \xff}')
+    for argv in (["trace", "--config", str(bad), "--rounds", "1"],
+                 ["simulate", "--config", str(bad), "--outdir", str(tmp_path / "out")]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (cli.EXIT_IO, "")
+        assert err == (f"I/O failure: cannot parse {bad}: 'utf-8' codec can't decode byte 0xff "
+                       "in position 12: invalid start byte\n")
+
+
 def test_invalid_config_value_is_usage_exit(capsys, tmp_path):
     path = demo_config(tmp_path, batch_size=100)
     code, _, _ = run_cli(capsys, "simulate", "--config", str(path), "--outdir", str(tmp_path / "o"))
@@ -550,13 +563,13 @@ def test_calibrate_prints_no_trace_by_default(capsys):
 
 def test_calibrate_reports_the_certified_curve_without_reevaluating(capsys, monkeypatch):
     seen = []
-    original = accountant.renyi_step_bound
+    original = accountant._step_bound  # the float core the memo calls
 
-    def counting(alpha, params, **kw):
-        seen.append((alpha, params.q, params.sigma))
-        return original(alpha, params, **kw)
+    def counting(alpha, q, sigma):
+        seen.append((alpha, q, sigma))
+        return original(alpha, q, sigma)
 
-    monkeypatch.setattr(accountant, "renyi_step_bound", counting)
+    monkeypatch.setattr(accountant, "_step_bound", counting)
     calibrate = cli.calibrate_sigma
     at_return = []
 

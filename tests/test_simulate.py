@@ -219,7 +219,7 @@ def test_clip_zero_vector_passes_through():
 
 def test_clip_rejects_nonpositive_threshold():
     # the clip threshold enters through the config, which rejects it there
-    for clip in (0.0, -1.0):
+    for clip in (0.0, -1.0, math.inf):
         with pytest.raises(ValueError, match="clip must be a finite real > 0"):
             small_config(clip=clip)
 
