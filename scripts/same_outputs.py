@@ -130,6 +130,14 @@ CORPUS = (
                               "--steps", "100"]),
     ("calibrate-delta-0.5", ["calibrate", "--epsilon", "4", "--delta", "0.5", "--q", "0.05",
                              "--steps", "100"]),
+    # the lattice's two ends: targets met at the smallest sigma (pinned to 0.3, at the
+    # first probe or after walking down from 0.6), and one the largest sigma still
+    # misses (exit 2, the epsilon at the last sigma probed)
+    ("calibrate-pinned-low", ["calibrate", "--epsilon", "10000", "--q", "0.1", "--steps", "1"]),
+    ("calibrate-pinned-after-halving", ["calibrate", "--epsilon", "100", "--q", "0.9",
+                                        "--steps", "1"]),
+    ("numerical-sigma-max", ["calibrate", "--epsilon", "0.02", "--q", "0.5",
+                             "--steps", "1000000000"]),
     ("compose-client0", ["compose", "--ledger", "ledger.tsv", "--client", "0",
                          "--output", "curve0.csv"]),
     ("compose-client1-jsonl", ["compose", "--ledger", "ledger.tsv", "--client", "1",

@@ -513,12 +513,12 @@ def rdp_to_dp(curve: RdpCurve, delta: float = DEFAULT_DELTA) -> tuple[PrivacyBud
 
 
 def _calibration_epsilon(
-    q: float, sigma: float, steps: int, alphas: tuple[float, ...], delta: float,
-    seed: float | None = None, walk: dict[float, float] | None = None,
+    q: float, sigma: float, steps: int, walk: dict[float, float], seed: float | None = None,
 ) -> tuple[float, float, int]:
-    """``rdp_to_dp`` of the curve ``compose_client_rdp`` gives a client with
-    `steps` steps at (q, sigma), as (epsilon, alpha*), bit for bit, plus how
-    many grid orders it evaluated.
+    """``rdp_to_dp`` at delta of the curve ``compose_client_rdp`` gives a
+    client with `steps` steps at (q, sigma) on the grid alphas, where walk is
+    ``_calibration_walk(alphas, delta)``, as (epsilon, alpha*), bit for bit,
+    plus how many grid orders it evaluated.
 
     That curve is steps x the one-step bound at each order, rounded up
     (``_composed``).  One pass walks seed first if one is given (an order of
@@ -549,10 +549,8 @@ def _calibration_epsilon(
     all of them: the seed changes only which orders are evaluated.  Met
     again at its place in the walk, the seed is not evaluated twice, but its
     value is compared with the best epsilon there.  alphas must be a grid
-    that `_orders` returns, delta a number `rdp_to_dp` accepts, and walk, if
-    given, ``_calibration_walk(alphas, delta)``.
+    that `_orders` returns and delta a number `rdp_to_dp` accepts.
     """
-    walk = walk or _calibration_walk(alphas, delta)
     values = {}  # of each evaluated order
     epsilons: dict[float, float] = {}  # of each evaluated order, as rdp_to_dp converts it
     best = math.inf
@@ -578,7 +576,7 @@ def _calibration_epsilon(
 
 
 class _Sigma(float):
-    """A sigma `calibrate_sigma` returns, with its accepting probe's epsilon and alpha*."""
+    """A sigma `calibrate_sigma` probed, with its epsilon and alpha*."""
 
     __slots__ = ("epsilon", "alpha_star")
 
@@ -621,14 +619,15 @@ def calibrate_sigma(
     g(x) = log epsilon(e^x) - log target.epsilon, which is close to linear.
     Each probe is the secant root of the two ends, moved 0.4 of the stopping
     width toward the end the last probe did not replace and kept 1/4 of it
-    inside the bracket.  Throughout, both ends have been evaluated and
+    inside the bracket.  Throughout, both ends are probes and
     epsilon(lo) > target.epsilon >= epsilon(hi).  The solve stops once
     hi - lo <= CALIBRATION_REL_TOL * hi and returns hi.
 
-    The sigma returned is a float subclass whose .epsilon (<= target.epsilon)
-    and .alpha_star are those of the probe that accepted it, the CLI's
-    achieved_epsilon and alpha_star; every number boundary (`_number`) stores
-    it as a built-in float.
+    Each probe is a float subclass carrying its .epsilon and .alpha_star,
+    and the sigma returned is the probe that accepted it: its .epsilon
+    (<= target.epsilon) and .alpha_star are the CLI's achieved_epsilon and
+    alpha_star.  Every number boundary (`_number`) stores it as a built-in
+    float.
 
     Each epsilon evaluation (sigma, epsilon, alpha*, orders evaluated out of
     the grid's, seed) and the result (sigma, number of sigmas evaluated) are
@@ -654,63 +653,52 @@ def calibrate_sigma(
             f"order grid exceeds log(1/delta)/(alpha_max - 1) = {floor:.6g}",
             epsilon_at_bracket=floor,
         )
-    evaluated = {}  # (epsilon, alpha*) of each sigma probed
-    seed = None
+    seed, probes = None, 0
 
-    def eps(sigma: float) -> float:
-        nonlocal seed
-        epsilon, alpha_star, orders = _calibration_epsilon(
-            q, sigma, steps, alphas, target.delta, seed, walk)
-        evaluated[sigma] = epsilon, alpha_star
+    def probe(sigma: float) -> _Sigma:
+        nonlocal seed, probes
+        p = _Sigma(sigma)
+        p.epsilon, p.alpha_star, orders = _calibration_epsilon(q, sigma, steps, walk, seed)
+        probes += 1
         _debug("calibrate: sigma=%r epsilon=%r alpha*=%r orders=%d/%d seed=%r",
-               sigma, epsilon, alpha_star, orders, len(alphas), seed)
-        seed = max((a for a in alphas if a.is_integer() and a <= alpha_star), default=None)
-        return epsilon
+               sigma, p.epsilon, p.alpha_star, orders, len(alphas), seed)
+        seed = max((a for a in alphas if a.is_integer() and a <= p.alpha_star), default=None)
+        return p
 
-    def result(sigma: float) -> float:
-        _debug("calibrate: returning sigma=%r after %d sigmas", sigma, len(evaluated))
-        accepted = _Sigma(sigma)
-        accepted.epsilon, accepted.alpha_star = evaluated[sigma]
-        return accepted
-
-    lo = hi = _first_probe(target, q, steps)
-    eps_lo = eps_hi = eps(hi)
-    while eps_lo <= target.epsilon:
+    lo = hi = probe(_first_probe(target, q, steps))
+    while lo.epsilon <= target.epsilon:
         if lo == CALIBRATION_SIGMA_LOW:
-            return result(lo)  # pinned at the smallest admissible noise
-        hi, eps_hi = lo, eps_lo
-        lo /= 2.0
-        eps_lo = eps(lo)
-    while eps_hi > target.epsilon:
-        lo, eps_lo = hi, eps_hi
-        hi *= 2.0
-        if hi > CALIBRATION_SIGMA_MAX:
+            hi = lo  # pinned at the smallest admissible noise: nothing left to solve
+            break
+        hi, lo = lo, probe(lo / 2.0)
+    while hi.epsilon > target.epsilon:
+        if 2.0 * hi > CALIBRATION_SIGMA_MAX:
             raise CalibrationError(
-                f"target epsilon={target.epsilon} unreachable: at sigma={lo} "
-                f"the composed epsilon is still {eps_lo:.6g}",
-                epsilon_at_bracket=eps_lo,
+                f"target epsilon={target.epsilon} unreachable: at sigma={hi} "
+                f"the composed epsilon is still {hi.epsilon:.6g}",
+                epsilon_at_bracket=hi.epsilon,
             )
-        eps_hi = eps(hi)
-    # invariant: eps(lo) > target >= eps(hi).  (xb, gb) is the end the last
-    # probe set, (xa, ga) the other one; b_meets says which side b is on.
+        lo, hi = hi, probe(2.0 * hi)
+    # invariant: lo.epsilon > target >= hi.epsilon.  (xb, gb) is the end the
+    # last probe set, (xa, ga) the other one; b_meets says which side b is on.
     width = -math.log1p(-CALIBRATION_REL_TOL)  # hi - lo <= CALIBRATION_REL_TOL * hi, in x
     log_target = math.log(target.epsilon)
-    xa, ga = math.log(lo), math.log(eps_lo) - log_target
-    xb, gb, b_meets = math.log(hi), math.log(eps_hi) - log_target, True
+    xa, ga = math.log(lo), math.log(lo.epsilon) - log_target
+    xb, gb, b_meets = math.log(hi), math.log(hi.epsilon) - log_target, True
     while hi - lo > CALIBRATION_REL_TOL * hi:
         # ga and gb lie on opposite sides of 0, so the secant is defined
         x = xb - gb * (xb - xa) / (gb - ga) + math.copysign(0.4 * width, xa - xb)
         x = min(max(x, min(xa, xb) + 0.25 * width), max(xa, xb) - 0.25 * width)
-        sigma = math.exp(x)
-        e = eps(sigma)
-        meets = e <= target.epsilon
+        p = probe(math.exp(x))
+        meets = p.epsilon <= target.epsilon
         if meets:
-            hi = sigma
+            hi = p
         else:
-            lo = sigma
+            lo = p
         if meets == b_meets:
             ga /= 2.0  # Illinois: the stale end's weight halves
         else:
             xa, ga = xb, gb
-        xb, gb, b_meets = x, math.log(e) - log_target, meets
-    return result(hi)
+        xb, gb, b_meets = x, math.log(p.epsilon) - log_target, meets
+    _debug("calibrate: returning sigma=%r after %d sigmas", hi, probes)
+    return hi

@@ -347,8 +347,10 @@ def calibrate_sigma_doubling(target: accountant.PrivacyBudget, q: float, steps: 
     must lie above the grid's conversion floor (calibrate_sigma rejects the
     target before any search otherwise).
     """
+    walk = accountant._calibration_walk(DEFAULT_ALPHAS, target.delta)
+
     def eps(sigma: float) -> float:
-        return accountant._calibration_epsilon(q, sigma, steps, DEFAULT_ALPHAS, target.delta)[0]
+        return accountant._calibration_epsilon(q, sigma, steps, walk)[0]
 
     lo = CALIBRATION_SIGMA_LOW
     eps_lo = eps(lo)

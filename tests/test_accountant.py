@@ -980,7 +980,7 @@ def _composed_curve(q, sigma, steps, alphas=DEFAULT_ALPHAS):
 def test_calibration_and_composition_share_step_bounds(monkeypatch):
     q, sigma, steps = 0.0123, 30.456789, 7
     epsilon, alpha_star, orders = accountant._calibration_epsilon(
-        q, sigma, steps, DEFAULT_ALPHAS, 1e-5)
+        q, sigma, steps, accountant._calibration_walk(DEFAULT_ALPHAS, 1e-5))
     seen = []
     original = accountant._step_bound  # the float core the memo calls
 
@@ -1204,10 +1204,9 @@ def test_calibrate_seeds_each_probe_with_the_last_alpha_star(monkeypatch):
     original = accountant._calibration_epsilon
     orders = {"seeded": 0, "unseeded": 0}
 
-    def both(q, sigma, steps, alphas, delta, seed, walk):
-        got, unseeded = original(q, sigma, steps, alphas, delta, seed, walk), original(
-            q, sigma, steps, alphas, delta)
-        assert repr(got[:2]) == repr(unseeded[:2]), (q, sigma, steps, delta, seed)
+    def both(q, sigma, steps, walk, seed):
+        got, unseeded = original(q, sigma, steps, walk, seed), original(q, sigma, steps, walk)
+        assert repr(got[:2]) == repr(unseeded[:2]), (q, sigma, steps, seed)
         orders["seeded"] += got[2]
         orders["unseeded"] += unseeded[2]
         return got
@@ -1253,13 +1252,23 @@ def test_calibrate_pins_to_lower_bracket_when_unconstrained():
     assert sigma == 0.3
 
 
+def test_calibrate_pins_to_lower_bracket_after_walking_down(monkeypatch):
+    # at q = 0.9 the guess overshoots to 0.6, which meets the target, and so
+    # does 0.3 below it: the smallest sigma is returned, with no solve
+    sigmas = _count_calibration_sigmas(monkeypatch)
+    sigma = calibrate_sigma(PrivacyBudget(100.0, 1e-5), q=0.9, steps=1)
+    assert sigmas == [0.6, 0.3]
+    assert repr((sigma, sigma.epsilon, sigma.alpha_star)) == "(0.3, 53.99361497231453, 1.75)"
+
+
 @pytest.mark.parametrize("epsilon, q, steps", [(4.0, 0.05, 100), (1e4, 0.1, 1)])
 def test_calibrate_keeps_its_accepting_probe(epsilon, q, steps):
     # the (epsilon, alpha*) the returned sigma carries is the accepting probe's,
     # with the bits of an unseeded walk at that sigma
     sigma = calibrate_sigma(PrivacyBudget(epsilon, 1e-5), q=q, steps=steps)
     plain = float(sigma)
-    fresh = accountant._calibration_epsilon(q, plain, steps, DEFAULT_ALPHAS, 1e-5)[:2]
+    walk = accountant._calibration_walk(DEFAULT_ALPHAS, 1e-5)
+    fresh = accountant._calibration_epsilon(q, plain, steps, walk)[:2]
     assert [repr(sigma), "%r" % sigma, f"{sigma:.12g}"] == [repr(plain), repr(plain), f"{plain:.12g}"]
     assert repr((sigma.epsilon, sigma.alpha_star)) == repr(fresh)
 
@@ -1288,8 +1297,9 @@ def test_calibrate_in_concurrent_threads_carries_each_walks_probe():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert len(set(results.values())) == len(targets)
+    walk = accountant._calibration_walk(DEFAULT_ALPHAS, 1e-5)
     for (epsilon, q, steps), sigma in results.items():
-        fresh = accountant._calibration_epsilon(q, float(sigma), steps, DEFAULT_ALPHAS, 1e-5)[:2]
+        fresh = accountant._calibration_epsilon(q, float(sigma), steps, walk)[:2]
         assert repr((sigma.epsilon, sigma.alpha_star)) == repr(fresh)
         assert sigma.epsilon <= epsilon
 
@@ -1412,7 +1422,8 @@ def test_calibration_epsilon_is_the_converted_calibration_curve(
     q = 1e-4 * 9000.0**u_q  # log-uniform over [1e-4, 0.9]
     sigma = 0.3 * (64 / 0.3) ** u_sigma
     delta = 1e-10 * 1e8**u_delta
-    epsilon, alpha_star, orders = accountant._calibration_epsilon(q, sigma, steps, alphas, delta)
+    epsilon, alpha_star, orders = accountant._calibration_epsilon(
+        q, sigma, steps, accountant._calibration_walk(alphas, delta))
     budget, want_alpha = rdp_to_dp(_composed_curve(q, sigma, steps, alphas), delta)
     assert repr(epsilon) == repr(budget.epsilon)
     assert alpha_star == want_alpha
@@ -1423,9 +1434,9 @@ def test_calibration_epsilon_skips_orders_that_cannot_win():
     # the README target at a q no other test uses, so every bound is cold
     q, sigma, steps = 0.0512345, 2.188120005418291, 100
     memo = accountant._cached_step_bound
+    walk = accountant._calibration_walk(DEFAULT_ALPHAS, 1e-5)
     before = memo.cache_info().misses
-    epsilon, alpha_star, orders = accountant._calibration_epsilon(
-        q, sigma, steps, DEFAULT_ALPHAS, 1e-5)
+    epsilon, alpha_star, orders = accountant._calibration_epsilon(q, sigma, steps, walk)
     pruned_misses = memo.cache_info().misses - before
     budget, want_alpha = rdp_to_dp(_composed_curve(q, sigma, steps), 1e-5)
     full_misses = memo.cache_info().misses - before
@@ -1433,7 +1444,7 @@ def test_calibration_epsilon_skips_orders_that_cannot_win():
     assert pruned_misses == orders <= 12
     assert full_misses == len(DEFAULT_ALPHAS)
     # seeded at the README's alpha* = 6, a probe walks at most 4 orders
-    seeded = accountant._calibration_epsilon(q, sigma, steps, DEFAULT_ALPHAS, 1e-5, seed=6.0)
+    seeded = accountant._calibration_epsilon(q, sigma, steps, walk, seed=6.0)
     assert seeded[:2] == (epsilon, alpha_star)
     assert seeded[2] <= 4
 
@@ -1444,7 +1455,7 @@ def test_calibration_walk_skips_orders_above_a_fractional_order_that_exceeded():
     # conversion term, its floor's value and its binned lower bound each leave
     # it below the best
     q, sigma, steps, delta, alphas = 0.005, 1.5, 100000, 1e-5, (4.0, 4.5, 4.75)
-    got = accountant._calibration_epsilon(q, sigma, steps, alphas, delta)
+    got = accountant._calibration_epsilon(q, sigma, steps, accountant._calibration_walk(alphas, delta))
     assert got == (32.47562554976279, 4.0, 2)
     curve = _composed_curve(q, sigma, steps, alphas)
     assert rdp_to_dp(curve, delta) == (PrivacyBudget(got[0], delta), 4.0)
@@ -1463,7 +1474,8 @@ def test_calibration_walk_skips_fractional_orders_on_their_binned_lower_bound(mo
     memo = accountant._cached_step_bound
     monkeypatch.setattr(accountant, "_cached_step_bound",
                         lambda alpha, q, sigma: looked_up.append(alpha) or memo(alpha, q, sigma))
-    got = accountant._calibration_epsilon(q, sigma, steps, DEFAULT_ALPHAS, 1e-5)
+    got = accountant._calibration_epsilon(
+        q, sigma, steps, accountant._calibration_walk(DEFAULT_ALPHAS, 1e-5))
     assert got == (15.999118325168764, 2.0, 3)
     assert 1.75 not in looked_up and 2.5 not in looked_up
     monkeypatch.undo()
@@ -1480,7 +1492,7 @@ def test_calibration_walk_skips_high_fractional_orders_on_their_floor(monkeypatc
     memo = accountant._cached_step_bound
     monkeypatch.setattr(accountant, "_cached_step_bound",
                         lambda alpha, q, sigma: looked_up.append(alpha) or memo(alpha, q, sigma))
-    got = accountant._calibration_epsilon(q, sigma, steps, alphas, delta)
+    got = accountant._calibration_epsilon(q, sigma, steps, accountant._calibration_walk(alphas, delta))
     assert got == (1.8423104296825643, 7.25, 3)
     assert 300.5 not in looked_up
     monkeypatch.undo()
@@ -1504,9 +1516,9 @@ def test_seeded_calibration_walk_is_the_converted_curve(u_q, u_sigma, u_steps, d
     steps = round(10**5 ** u_steps)  # log-uniform over [1, 10^5]
     budget, want_alpha = rdp_to_dp(_composed_curve(q, sigma, steps, alphas), delta)
     want = (repr(budget.epsilon), want_alpha)
+    walk = accountant._calibration_walk(alphas, delta)
     for seed in (None, *alphas):
-        epsilon, alpha_star, orders = accountant._calibration_epsilon(
-            q, sigma, steps, alphas, delta, seed=seed)
+        epsilon, alpha_star, orders = accountant._calibration_epsilon(q, sigma, steps, walk, seed)
         assert (repr(epsilon), alpha_star) == want, seed
         assert 0 < orders <= len(alphas)
 
@@ -1514,8 +1526,9 @@ def test_seeded_calibration_walk_is_the_converted_curve(u_q, u_sigma, u_steps, d
 def test_seeded_calibration_walk_on_an_infinite_curve():
     # sigma^2 underflows, so every order is +inf: the walk evaluates them all
     # and alpha* is the smallest order, as rdp_to_dp takes it, whatever the seed
+    walk = accountant._calibration_walk(DEFAULT_ALPHAS, 1e-5)
     for seed in (None, *DEFAULT_ALPHAS):
-        got = accountant._calibration_epsilon(0.1, 1e-200, 1, DEFAULT_ALPHAS, 1e-5, seed)
+        got = accountant._calibration_epsilon(0.1, 1e-200, 1, walk, seed)
         assert got == (math.inf, DEFAULT_ALPHAS[0], len(DEFAULT_ALPHAS)), seed
 
 
@@ -1548,11 +1561,12 @@ def test_calibration_walk_holds_under_another_conversion(u_q, u_sigma, u_steps, 
         want = (repr(epsilons[alpha_star]), alpha_star)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(accountant, "_conversion_terms", _improved_terms)
-            for seed in (None, *(a for a in alphas if a.is_integer())):
-                epsilon, got_alpha, orders = accountant._calibration_epsilon(
-                    q, sigma, steps, alphas, delta, seed=seed)
-                assert (repr(epsilon), got_alpha) == want, (delta, seed)
-                assert 0 < orders <= len(alphas)
+            walk = accountant._calibration_walk(alphas, delta)  # built under the patch
+        assert walk == terms
+        for seed in (None, *(a for a in alphas if a.is_integer())):
+            epsilon, got_alpha, orders = accountant._calibration_epsilon(q, sigma, steps, walk, seed)
+            assert (repr(epsilon), got_alpha) == want, (delta, seed)
+            assert 0 < orders <= len(alphas)
 
 
 @pytest.mark.parametrize("delta", [1e-12, 1e-5, 1e-3, 0.5, 0.999])
@@ -1603,10 +1617,10 @@ def test_calibrate_logs_each_evaluation_at_debug(caplog, monkeypatch):
     assert len(evaluations) == len(probes)
     orders_at = {}
     seed = None  # each probe's walk starts from the previous probe's alpha*
+    walk = accountant._calibration_walk(DEFAULT_ALPHAS, 1e-5)
     for message, probe in zip(evaluations, probes):
         budget, alpha_star = rdp_to_dp(_composed_curve(0.05, probe, 100), 1e-5)
-        orders = orders_at[probe] = accountant._calibration_epsilon(
-            0.05, probe, 100, DEFAULT_ALPHAS, 1e-5, seed)[2]
+        orders = orders_at[probe] = accountant._calibration_epsilon(0.05, probe, 100, walk, seed)[2]
         assert 0 < orders <= len(DEFAULT_ALPHAS)
         assert message == (
             f"calibrate: sigma={probe!r} epsilon={budget.epsilon!r} alpha*={alpha_star!r} "

@@ -18,6 +18,7 @@ from fedrdp.accountant import (
     RdpCurve,
     StepParams,
     _calibration_epsilon,
+    _calibration_walk,
     calibrate_sigma,
     compose_client_rdp,
     rdp_to_dp,
@@ -358,7 +359,8 @@ def test_every_default_order_is_finite_and_above_the_truth(sigma):
         ledger = ParticipationLedger().record(0, 1, StepParams(q=q, sigma=sigma, clip=1.0, batch_size=1))
         curve = compose_client_rdp(ledger, 0)
         budget, alpha_star = rdp_to_dp(curve, DEFAULT_DELTA)
-        epsilon, calibration_alpha, _ = _calibration_epsilon(q, sigma, 1, DEFAULT_ALPHAS, DEFAULT_DELTA)
+        epsilon, calibration_alpha, _ = _calibration_epsilon(
+            q, sigma, 1, _calibration_walk(DEFAULT_ALPHAS, DEFAULT_DELTA))
         assert (epsilon, calibration_alpha) == (budget.epsilon, alpha_star)
         for alpha, value in curve.items():
             assert math.isfinite(value)
@@ -757,6 +759,30 @@ def test_binned_lower_bound_keeps_a_term_whose_power_overflows():
         stated = (_stated_binned_gap(7.25, 0.426, float(exact))
                   + (7.25 + 4200 * _float64._LIBM_ULPS + 2120) * U / 6.25 * (1 + 2.0**-20))
         assert exact - lower <= stated
+
+
+def test_binned_lower_bound_drops_a_term_past_float_range(monkeypatch):
+    # at (25.5, 0.9, 1.3193346953272203) four terms have p (p/r)^(alpha-1)
+    # past float range even through exp of its log: each is dropped, which
+    # only lowers the sum, and the bound stays below D_b and the step bound
+    alpha, q, sigma = 25.5, 0.9, 1.3193346953272203
+    overflowed = []
+    exp = math.exp
+
+    def recording_exp(x):
+        try:
+            return exp(x)
+        except OverflowError:
+            overflowed.append(x)
+            raise
+
+    monkeypatch.setattr(math, "exp", recording_exp)
+    lower = _float64._binned_lower_bound(alpha, q, sigma)
+    monkeypatch.undo()
+    assert overflowed
+    exact, _ = reference.binned_divergence(alpha, q, sigma)
+    bound = renyi_step_bound(alpha, MechanismParams(q=q, sigma=sigma)).bound
+    assert 0.0 < lower <= exact <= bound  # 28.968, 29.120, 29.190
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
