@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Count the lines of src/fedrdp/ by kind: code, docstring, comment, blank.
+"""Count the lines of src/fedrdp/ by kind: code, docstring, comment, blank;
+and the parser tokens of each file.
 
 Stdlib only (tokenize and ast).  A docstring line is a line that a module,
 class or function docstring spans, blank ones inside it included.  A
 comment line holds a comment and no code.  A blank line holds only
-whitespace.  Every other line is code.  Prints one row per file and a
-total row:
+whitespace.  Every other line is code.  The tokens are tokenize's, but
+COMMENT, NL and ENCODING: the count at which CPython 3.11's parser doubles
+its token array, at 4096.  Prints one row per file and a total row:
 
     python3 scripts/src_lines.py
 """
@@ -16,7 +18,7 @@ import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fedrdp"
-KINDS = ("lines", "code", "docstring", "comment", "blank")
+KINDS = ("lines", "code", "docstring", "comment", "blank", "tokens")
 
 
 def _docstring_lines(tree: ast.AST) -> set[int]:
@@ -31,19 +33,21 @@ def _docstring_lines(tree: ast.AST) -> set[int]:
 
 
 def count(path: pathlib.Path) -> dict[str, int]:
-    """The number of lines of each kind in the Python file at path."""
+    """The number of lines of each kind, and of parser tokens, in the Python file at path."""
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     docstring = _docstring_lines(ast.parse(text))
     code, comment = set(), set()
+    counts = dict.fromkeys(KINDS, 0)
     with path.open("rb") as fh:
         for tok in tokenize.tokenize(fh.readline):
+            if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING):
+                counts["tokens"] += 1
             if tok.type == tokenize.COMMENT:
                 comment.add(tok.start[0])
             elif tok.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
                                   tokenize.ENCODING, tokenize.ENDMARKER):
                 code.update(range(tok.start[0], tok.end[0] + 1))
-    counts = dict.fromkeys(KINDS, 0)
     for number, line in enumerate(lines, start=1):
         if number in docstring:
             kind = "docstring"

@@ -187,7 +187,8 @@ class ParticipationLedger:
 
     Timesteps must arrive strictly increasing within each client (real
     training emits them in order); violations are rejected naming the client
-    and the offending pair.
+    and the offending pair.  Every append goes through `_append`, and the
+    simulator ledgers each round in one call.
     """
 
     def __init__(self):
@@ -198,8 +199,23 @@ class ParticipationLedger:
         t = _number(t, int, "t must be an integer")
         if not isinstance(params, StepParams):
             raise TypeError("params must be a StepParams")
-        _append_step(self._records.setdefault(client_id, []), client_id, t, params)
+        self._append(t, (client_id,), params)
         return self
+
+    def _append(self, t: int, client_ids: Iterable[int], params: StepParams) -> None:
+        """Append one shared (t, params) to each client's steps, in order; the
+        caller passes built-in ints and a StepParams.  A t not after a client's
+        last step raises ValueError naming both, the clients before it appended."""
+        records, step = self._records, (t, params)
+        for client_id in client_ids:
+            steps = records.get(client_id)
+            if steps is None:
+                records[client_id] = [step]
+            elif steps[-1][0] < t:
+                steps.append(step)
+            else:
+                raise ValueError(f"out-of-order participation for client {client_id}: "
+                                 f"t={t} after t={steps[-1][0]}")
 
     def clients(self) -> tuple[int, ...]:
         return tuple(sorted(self._records))
@@ -222,11 +238,12 @@ class ParticipationLedger:
         lines = []
         texts: dict[int, str] = {}  # by id: equal steps may differ in text (0.0, -0.0)
         for client_id in self.clients():
+            prefix = f"{client_id}\t"
             for t, p in self._records[client_id]:
                 text = texts.get(id(p))
                 if text is None:
                     text = texts[id(p)] = f"{p.q!r}\t{p.sigma!r}\t{p.clip!r}\t{p.batch_size}"
-                lines.append(f"{client_id}\t{t}\t{text}")
+                lines.append(f"{prefix}{t}\t{text}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
@@ -310,7 +327,7 @@ class ParticipationLedger:
                     params = interned[rest] = StepParams(
                         float(q), float(sigma), float(clip), int(batch_size))
                 client = int(cid)
-                _append_step(ledger._records.setdefault(client, []), client, int(t), params)
+                ledger._append(int(t), (client,), params)
             except ValueError as exc:
                 cause = exc if line.count("\t") == 5 else "expected 6 tab-separated fields"
                 raise ValueError(f"ledger line {_line_number(data, start)}: {cause}") from None
@@ -374,18 +391,6 @@ def write_atomic(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _append_step(
-    steps: list[tuple[int, StepParams]], client_id: int, t: int, params: StepParams
-) -> None:
-    """Append (t, params) to a client's steps, rejecting t not after the last."""
-    if steps and t <= steps[-1][0]:
-        raise ValueError(
-            f"out-of-order participation for client {client_id}: "
-            f"t={t} after t={steps[-1][0]}"
-        )
-    steps.append((t, params))
 
 
 @lru_cache(maxsize=STEP_BOUND_CACHE_SIZE)
@@ -470,7 +475,7 @@ def client_epsilon_report(ledger: ParticipationLedger, delta: float) -> list[tup
     epsilons: dict[frozenset, float] = {}
     rows = []
     for cid in ledger.clients():
-        steps = ledger.steps(cid)
+        steps = ledger._records[cid]
         groups, nonprivate = _step_groups(steps)
         history = frozenset(groups.items())
         if history not in epsilons:

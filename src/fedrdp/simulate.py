@@ -370,8 +370,10 @@ def run_training(config: SimConfig) -> tuple[np.ndarray, list[RoundRecord], Part
     selects min(m_t, available) clients.  Each round's client steps, noise
     included, run on the batches of _rounds as one pass (_round_updates),
     and the server adds the mean of their updates, aggregated in ascending
-    client-id order.  Batches are always fixed-size, the only sampling the
-    accountant bounds; Poisson batches exist only in batch_size_trace.
+    client-id order; the ledger takes the round's clients in one append, at
+    the run's one StepParams.  Batches are always fixed-size, the only
+    sampling the accountant bounds; Poisson batches exist only in
+    batch_size_trace.
     Raises ValueError if the calibrated noise std or a weight is non-finite.
     """
     if config.sigma is None:
@@ -392,8 +394,7 @@ def run_training(config: SimConfig) -> tuple[np.ndarray, list[RoundRecord], Part
         if selected:
             updates, norms = _round_updates(model, features, labels, selected, batches, rng, config)
             model = model + updates.mean(axis=0).reshape(model.shape)
-            for cid in selected:
-                ledger.record(cid, t, step)
+            ledger._append(t, selected, step)
         records.append(RoundRecord(t=t, selected=tuple(selected), update_norms=tuple(norms)))
     # a non-finite weight stays non-finite, so one check covers every round
     if not np.all(np.isfinite(model)):

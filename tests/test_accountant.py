@@ -338,6 +338,20 @@ def test_out_of_order_rejected_with_context():
         led.record(3, 4, STEP)
 
 
+def test_append_of_a_round_names_the_client_out_of_order():
+    # one round's append raises record's text for the id that already has a
+    # step at t; the ids before it are appended, the ids after it are not
+    led = ParticipationLedger().record(7, 3, STEP)
+    with pytest.raises(ValueError) as expected:
+        ParticipationLedger().record(7, 3, STEP).record(7, 3, STEP)
+    with pytest.raises(ValueError) as raised:
+        led._append(3, [2, 7, 9], STEP)
+    assert str(raised.value) == str(expected.value) == (
+        "out-of-order participation for client 7: t=3 after t=3")
+    assert led.clients() == (2, 7)
+    assert led.steps(2) == led.steps(7) == ((3, STEP),)
+
+
 def test_text_round_trip_file(tmp_path):
     led = ParticipationLedger()
     led.record(2, 1, StepParams(q=1 / 3, sigma=2.7182818, clip=0.1, batch_size=7))

@@ -93,6 +93,17 @@ def test_script_imports(path):
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
+def test_src_lines_counts_parser_tokens(tmp_path):
+    # tokens: STRING NEWLINE | x = f ( 1 ) NEWLINE | if x : NEWLINE |
+    # INDENT y = 2 NEWLINE | DEDENT ENDMARKER; no COMMENT, NL or ENCODING
+    spec = importlib.util.spec_from_file_location("src_lines", ROOT / "scripts" / "src_lines.py")
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    path = tmp_path / "module.py"
+    path.write_text('"""Doc."""\n\n# note\nx = f(1)  # why\nif x:\n    y = 2\n')
+    assert src_lines.count(path) == dict(lines=6, code=3, docstring=1, comment=1, blank=1, tokens=20)
+
+
 def test_same_outputs_sees_two_runs_of_one_tree_alike(tmp_path):
     # a two-entry corpus, run twice on this tree in fresh processes, has no
     # difference; a changed stdout or file is one

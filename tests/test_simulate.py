@@ -542,6 +542,25 @@ REFERENCE_CONFIGS = {
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+def test_run_training_ledgers_each_round_in_one_append(name, monkeypatch):
+    # the loop appends a round's built-in ids and t with the run's one
+    # StepParams, never through the checked record
+    def record(self, client_id, t, params):
+        raise AssertionError("run_training called ParticipationLedger.record")
+
+    monkeypatch.setattr(ParticipationLedger, "record", record)
+    cfg = small_config(**REFERENCE_CONFIGS[name])
+    _, records, ledger = run_training(cfg)
+    steps = [(cid, t, p) for cid in ledger.clients() for t, p in ledger.steps(cid)]
+    assert sorted((cid, t) for cid, t, _ in steps) == sorted(
+        (cid, rec.t) for rec in records for cid in rec.selected)
+    assert all(type(cid) is int and type(t) is int for cid, t, _ in steps)
+    assert len({id(p) for _, _, p in steps}) == (1 if steps else 0)
+    assert all(p == StepParams(cfg.sampling_ratio, cfg.sigma, cfg.clip, cfg.batch_size)
+               for _, _, p in steps)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
 def test_run_training_equals_per_client_reference(name):
     cfg = small_config(**REFERENCE_CONFIGS[name])
     model, records, ledger = run_training(cfg)
