@@ -59,6 +59,10 @@ INPUTS = {
     "dropout.json": {"rounds": 30, "clients": 6, "m_t": 2, "d": 3, "classes": 2,
                      "points_per_client": 20, "batch_size": 4, "clip": 1.0, "sigma": 1.0,
                      "seed": 8, "dropout_prob": 0.8},
+    # 1100 tiny clients: the client data's streams span two hashing chunks of 1024 ids
+    "clients1100.json": {"rounds": 6, "clients": 1100, "m_t": 40, "d": 2, "classes": 2,
+                         "points_per_client": 3, "batch_size": 1, "clip": 1.0, "sigma": 1.0,
+                         "dropout_prob": 0.1, "seed": 11},
     "trace.json": {"rounds": 1, "clients": 1, "d": 2, "classes": 2,
                    "points_per_client": 3000, "batch_size": 128, "clip": 1.0, "sigma": 1.0,
                    "seed": 4},
@@ -101,6 +105,16 @@ CORPUS = (
     ("simulate-nonprivate", ["simulate", "--config", "nonprivate.json", "--outdir", "nonprivate"]),
     ("simulate-no-steps", ["simulate", "--config", "no-steps.json", "--outdir", "no-steps"]),
     ("simulate-dropout-0.8", ["simulate", "--config", "dropout.json", "--outdir", "dropout"]),
+    # seeds past one 32-bit word: 2**64 + 5 is 3 words, so (seed, tag, id) overflows the
+    # hash's 4-word pool; 2**40 + 3 is 2 words
+    ("simulate-seed-2**64+5", ["simulate", "--config", "dropout.json", "--outdir", "seed-2**64+5",
+                               "--seed", str(2**64 + 5)]),
+    ("simulate-1100-clients", ["simulate", "--config", "clients1100.json", "--outdir",
+                               "clients1100"]),
+    # a fixed batch's size never varies; a Poisson batch's shows the trace streams' bits
+    *((f"trace-{sampler}-seed-2**40+3", ["trace", "--config", "trace.json", "--sampler", sampler,
+                                         "--rounds", "20", "--seed", str(2**40 + 3)])
+      for sampler in ("fixed", "poisson")),
     ("trace-fixed", ["trace", "--config", "trace.json", "--sampler", "fixed", "--rounds", "50"]),
     ("trace-poisson", ["trace", "--config", "trace.json", "--sampler", "poisson",
                        "--rounds", "50", "--output", "poisson.csv"]),

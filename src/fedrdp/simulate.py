@@ -19,14 +19,17 @@ the per-sample update direction before clipping.  The data is two read-only
 arrays: (clients, points, d) features and the (points,) labels all share.
 
 RNG discipline: one root seed; every random draw comes from a stream of
-its own, default_rng(entropy)'s Generator(PCG64(entropy)), for an entropy tuple
+its own, bit for bit np.random.default_rng(entropy)'s, for an entropy tuple
 
     (seed, stream_tag)                    data centers
     (seed, stream_tag, client_id)         client data
     (seed, stream_tag, round)             availability, selection, client
                                           steps, trace
 
-with the tags below.  Round t's client steps draw from one stream: first
+with the tags below.  The streams of a family are seeded in bulk
+(`_streams`): NumPy's SeedSequence hash of their entropies runs as one
+numpy pass per chunk of ids, and PCG64 seeds from its words, as
+default_rng does.  Round t's client steps draw from one stream: first
 the batch draws of every selected client, in ascending client id, then
 their noise (see `_rounds`).  A round computes all its client steps in one
 numpy pass over the stacked batches (`_round_updates`), doing for each
@@ -43,9 +46,10 @@ import json
 import math
 import os
 from dataclasses import MISSING, dataclass, fields, replace
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .accountant import (
     _CLIP,
@@ -105,10 +109,77 @@ _CONFIG_FIELDS = (
 )
 
 
+# NumPy's SeedSequence hash (O'Neill's seed_seq_fe) on 32-bit words: hashmix's
+# constants for the pool (A) and for the output (B), and mix's multipliers
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+class _Hashed(ISeedSequence):
+    """A SeedSequence's generate_state(4, np.uint64), all PCG64 asks of it."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _hashmix(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays: XOR the constant, step it
+    (times mult, mod 2**32), multiply by it, xorshift 16."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult % 2**32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    """SeedSequence's mix of the pool word x with the hashed word y."""
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ result >> 16
+
+
+def _word_count(n: int) -> int:
+    """How many 32-bit words SeedSequence splits the int n into."""
+    return -(-n.bit_length() // 32) or 1
+
+
+def _streams(prefix: Sequence[int], ids: Iterable[int]) -> Iterator[np.random.Generator]:
+    """np.random.default_rng((*prefix, i))'s Generator for each int i of ids, lazily.
+
+    SeedSequence splits each int into 32-bit words, least significant
+    first, hashes the entropy's first 4 words into a pool (zeros past its
+    end), mixes the pool, mixes each later word into it, and hashes 8
+    words out of it, PCG64's seed.  Each chunk of 1024 ids runs this as
+    one numpy pass, an id's later words masked past its entropy's end.
+    """
+    head = b"".join(n.to_bytes(4 * _word_count(n), "little") for n in prefix)
+    ids = iter(ids)
+    while chunk := list(itertools.islice(ids, 1024)):
+        size = max(4 * _word_count(max(chunk)), 16 - len(head))  # rows of 4 words or more
+        rows = b"".join([head + i.to_bytes(size, "little") for i in chunk])
+        entropy = np.frombuffer(rows, "<u4").reshape(len(chunk), -1).T
+        ends = len(head) // 4 + np.array(list(map(_word_count, chunk)))
+        hashmix = _hashmix(_INIT_A, _MULT_A)
+        pool = [hashmix(word) for word in entropy[:4]]
+        for src, dst in itertools.permutations(range(4), 2):
+            pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for j, word in enumerate(entropy[4:], 4):
+            for dst in range(4):
+                pool[dst] = np.where(j < ends, _mix(pool[dst], hashmix(word)), pool[dst])
+        out = _hashmix(_INIT_B, _MULT_B)
+        state = np.stack([out(pool[i % 4]) for i in range(8)], axis=1)
+        for seed in state.astype("<u4").view("<u8").astype(np.uint64):
+            yield np.random.Generator(np.random.PCG64(_Hashed(seed)))
+
+
 def _stream(*entropy: int) -> np.random.Generator:
-    """The Generator of the stream with this entropy tuple: the one
-    np.random.default_rng(entropy) returns, built without its dispatch."""
-    return np.random.Generator(np.random.PCG64(entropy))
+    """np.random.default_rng(entropy)'s Generator."""
+    return next(_streams(entropy[:-1], entropy[-1:]))
 
 
 @dataclass(frozen=True)
@@ -232,8 +303,9 @@ def _client_data(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
         centers = BLOB_RADIUS * basis.T[: config.classes]  # (classes, d)
         labels = np.arange(config.points_per_client) % config.classes
         features = np.empty((config.clients, config.points_per_client, config.d))
-        for cid in range(config.clients):
-            _stream(config.seed, _STREAM_CLIENT_DATA, cid).standard_normal(out=features[cid])
+        streams = _streams((config.seed, _STREAM_CLIENT_DATA), range(config.clients))
+        for points, rng in zip(features, streams):
+            rng.standard_normal(out=points)
         features += centers[labels]
         features.flags.writeable = labels.flags.writeable = False
         _KEPT_DATA[key] = features, labels
@@ -321,13 +393,14 @@ def _round_updates(
 
 def _selections(config: SimConfig) -> Iterator[tuple[int, list[int]]]:
     """(t, selected) for each round t, as run_training's docstring describes."""
-    for t in range(1, config.rounds + 1):
+    rounds = range(1, config.rounds + 1)
+    availability = _streams((config.seed, _STREAM_AVAILABILITY), rounds)  # hashed if drawn
+    for t, selection in zip(rounds, _streams((config.seed, _STREAM_SELECTION), rounds)):
         if config.dropout_prob > 0:
-            draws = _stream(config.seed, _STREAM_AVAILABILITY, t).random(config.clients)
+            draws = next(availability).random(config.clients)
             available = np.flatnonzero(draws >= config.dropout_prob).tolist()
         else:
             available = list(range(config.clients))
-        selection = _stream(config.seed, _STREAM_SELECTION, t)
         yield t, _select_clients(available, min(config.m_t, len(available)), selection)
 
 
@@ -349,7 +422,7 @@ def _rounds(config: SimConfig) -> Iterator[tuple[int, list[int], np.ndarray, np.
     selections = _selections(config)
     block_rounds = max(1, 2**20 // (max(config.m_t, 1) * per_step_bytes))
     while block := list(itertools.islice(selections, block_rounds)):
-        streams = [_stream(config.seed, _STREAM_CLIENT_STEP, t) for t, _ in block]
+        streams = list(_streams((config.seed, _STREAM_CLIENT_STEP), [t for t, _ in block]))
         draws = [_batch_draws(rng, n, k, len(selected)) for rng, (_, selected) in zip(streams, block)]
         batches = _fixed_batches(n, k, np.concatenate(draws))
         batches.sort(axis=1)
@@ -415,8 +488,7 @@ def batch_size_trace(config: SimConfig, sampler: str, rounds: int) -> list[int]:
     rounds = _number(rounds, int, "rounds must be >= 0", lambda n: n >= 0)
     n, k = config.points_per_client, config.batch_size
     sizes = []
-    for t in range(1, rounds + 1):
-        rng = _stream(config.seed, _STREAM_TRACE, t)
+    for rng in _streams((config.seed, _STREAM_TRACE), range(1, rounds + 1)):
         if sampler == "fixed":
             batch = _fixed_batches(n, k, _batch_draws(rng, n, k, 1))[0]
         else:

@@ -538,6 +538,10 @@ REFERENCE_CONFIGS = {
     # 8 * classes * d = 160 kB of noise a step, drawn when its round runs
     "wide_model": dict(rounds=3, clients=12, m_t=10, d=400, classes=50, points_per_client=20,
                        batch_size=5, seed=6),
+    # 1100 rounds: the availability, selection and step streams cross a
+    # hashing chunk of 1024 ids
+    "rounds_past_a_hash_chunk": dict(rounds=1100, clients=3, m_t=2, d=2, points_per_client=3,
+                                     batch_size=1, dropout_prob=0.2, seed=2**32),
 }
 
 
@@ -630,9 +634,15 @@ def test_round_updates_build_no_per_sample_array():
     assert peak - before < len(selected) * cfg.batch_size * cfg.classes * cfg.d * 8
 
 
-@pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+# the reference configs, and 1100 clients, whose data streams cross a
+# hashing chunk of 1024 ids
+DATA_CONFIGS = dict(REFERENCE_CONFIGS, clients_past_a_hash_chunk=dict(
+    clients=1100, d=2, points_per_client=3, batch_size=1))
+
+
+@pytest.mark.parametrize("name", sorted(DATA_CONFIGS))
 def test_client_data_equals_seedsequence_reference(name):
-    cfg = small_config(**REFERENCE_CONFIGS[name])
+    cfg = small_config(**DATA_CONFIGS[name])
     data = generate_client_data(cfg, cfg.sigma)
     ref = reference.client_data(cfg)
     for client, (X, y) in zip(data, ref, strict=True):
@@ -705,6 +715,86 @@ def test_stream_draws_equal_default_rngs(entropy):
     _stream(*entropy).standard_normal(out=features)
     assert np.array_equal(features + centers,
                           np.random.default_rng(entropy).normal(size=(5, 6)) + centers)
+
+
+# the first draw of each kind the simulator takes from a stream
+FIRST_DRAWS = (
+    lambda g: g.random(5),
+    lambda g: g.integers(0, np.arange(20, 26) + 1, size=(2, 6)),
+    lambda g: g.normal(0.0, 0.3, size=4),
+    lambda g: g.choice(40, size=9, replace=False),
+    lambda g: g.standard_normal(out=np.empty((3, 2))),
+)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 5, 2**200 + 7],
+                         ids=["0", "2**32", "2**64+5", "2**200+7"])
+def test_streams_equal_seedsequence_default_rngs(seed):
+    # ids 0..1100 cross a hashing chunk; each chunk mixes ids of one word
+    # with longer ones, and seed 2**200 + 7's 7 words alone overflow the
+    # pool of 4
+    ids = [2**32 - 1, 2**64 + 5, *range(1101), 2**32, 2**40 + 1]
+    prefix = (seed, 5)
+
+    def want():
+        return (np.random.default_rng(np.random.SeedSequence([*prefix, i])) for i in ids)
+
+    for rng, ref in zip(simulate._streams(prefix, ids), want(), strict=True):
+        assert rng.bit_generator.state == ref.bit_generator.state
+    for draw in FIRST_DRAWS:
+        for rng, ref in zip(simulate._streams(prefix, iter(ids)), want(), strict=True):
+            assert np.array_equal(draw(rng), draw(ref))
+
+
+def test_streams_of_no_ids_and_of_an_endless_iterable():
+    assert list(simulate._streams((3, 4), [])) == []
+    # the ids are taken a chunk at a time, as the streams are asked for
+    for t, rng in zip(range(3), simulate._streams((3, 4), itertools.count())):
+        want = np.random.default_rng(np.random.SeedSequence([3, 4, t]))
+        assert rng.bit_generator.state == want.bit_generator.state
+
+
+def test_simulator_streams_are_hashed_a_chunk_at_a_time(monkeypatch):
+    # at perfbench's shape the data takes two hash passes (centers, and 500
+    # clients) and training one for the 80 selections and one per _rounds
+    # block (18 rounds of 100 steps): no stream is seeded on its own
+    passes, built = [], []
+
+    def hashmix(const, mult):
+        passes.append(const)
+        return _hashmix(const, mult)
+
+    def pcg64(seed):
+        built.append(type(seed))
+        return PCG64(seed)
+
+    _hashmix, PCG64 = simulate._hashmix, np.random.PCG64
+    monkeypatch.setattr(simulate, "_hashmix", hashmix)
+    monkeypatch.setattr(np.random, "PCG64", pcg64)
+    cfg = SimConfig(rounds=80, clients=500, m_t=100, d=10, classes=3, points_per_client=100,
+                    batch_size=10, clip=1.0, sigma=1.2, seed=1)
+    simulate._KEPT_DATA.clear()
+    _client_data(cfg)
+    # each pass runs the pool's hashmix, then the output's
+    assert passes == [0x43B0D7E5, 0x8B51F9DD] * 2 and len(built) == 501
+    passes.clear()
+    run_training(cfg)
+    assert len(passes) == 2 * (1 + math.ceil(80 / 18)) and len(built) == 501 + 160
+    assert set(built) == {simulate._Hashed}
+    # with dropout the availability streams take one pass more
+    passes.clear()
+    run_training(dataclasses.replace(cfg, dropout_prob=0.1))
+    assert len(passes) == 2 * (2 + math.ceil(80 / 18))
+
+
+def test_trace_streams_equal_seedsequence_default_rngs():
+    # 1100 rounds of the Poisson trace cross a hashing chunk
+    cfg = small_config(seed=2**40 + 3)
+    want = [len(_sample_poisson_batch(cfg.points_per_client, cfg.sampling_ratio,
+                                      np.random.default_rng(np.random.SeedSequence(
+                                          [cfg.seed, 6, t]))))
+            for t in range(1, 1101)]
+    assert batch_size_trace(cfg, "poisson", 1100) == want
 
 
 def test_rounds_share_floyd_passes_of_whole_rounds_within_the_byte_budget(monkeypatch):
